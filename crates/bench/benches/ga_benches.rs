@@ -11,6 +11,7 @@ use std::hint::black_box;
 
 use carng::{CaRng, Lfsr16, Rng16};
 use ga_core::{GaEngine, GaParams, GaSystem};
+use ga_engine::{Engine, Limits, RtlInterpEngine, RunSpec, Workload};
 use ga_fitness::fem::{Fem, FemIn};
 use ga_fitness::rom::FitnessRom;
 use ga_fitness::{CordicFem, FemBank, FemSlot, LookupFem, TestFunction};
@@ -70,6 +71,32 @@ fn bench_hw_system(c: &mut Criterion) {
             black_box(sys.program_and_run(&params, 100_000_000).unwrap().cycles)
         })
     });
+    // A served `rtl` job end to end, as the `rtl` backend runs it:
+    // build the lookup FEM for the workload, then run to GA_done.
+    let heal = Workload::VrcHeal {
+        target: ga_ehw::Vrc::new(ga_ehw::SHIPPED_TARGETS[0].1).truth_table(),
+        fault: ga_ehw::Fault::StuckAt {
+            cell: 6,
+            value: false,
+        },
+    };
+    for (name, workload) in [
+        ("mShubert2D", Workload::Function(TestFunction::MShubert2D)),
+        ("heal", heal),
+    ] {
+        let spec = RunSpec {
+            width: 16,
+            workload,
+            params: GaParams::new(32, 32, 10, 1, 0x2961),
+            deadline_ms: None,
+        };
+        let job = RtlInterpEngine.prepare(spec).unwrap();
+        g.bench_with_input(
+            BenchmarkId::new("rtl job: FEM build + GaSystem run", name),
+            &job,
+            |b, job| b.iter(|| black_box(RtlInterpEngine.run(job, &Limits::default()).unwrap())),
+        );
+    }
     g.finish();
 }
 

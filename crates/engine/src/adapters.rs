@@ -17,24 +17,8 @@ use swga::CountingGa;
 use crate::pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
 use crate::spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
-    RunOutcome, RunSpec, TrajPoint, Workload,
+    RunOutcome, RunSpec, TrajPoint,
 };
-
-/// Build the lookup FEM realizing a workload on the RTL system: the
-/// paper functions use their pre-tabulated ROM images; a healing
-/// workload tabulates [`ga_ehw::healing_fitness`] over all 65 536
-/// configurations (cheap — the VRC truth table is bit-parallel), so the
-/// cycle-accurate core serves healing exactly like any other FEM.
-fn lookup_fem(workload: Workload) -> LookupFem {
-    match workload {
-        Workload::Function(f) => LookupFem::for_function(f),
-        Workload::VrcHeal { target, fault } => {
-            LookupFem::new(ga_fitness::rom::FitnessRom::tabulate_fn(|c| {
-                ga_ehw::healing_fitness(c, target, Some(fault))
-            }))
-        }
-    }
-}
 
 /// Lift a 16-bit per-generation history (shared by the behavioral
 /// engine, the RTL interpreter's probe, and the swga reference) into
@@ -168,26 +152,42 @@ impl Engine for RtlInterpEngine {
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        let mut sys = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(lookup_fem(
-            spec.workload,
-        ))]));
-        sys.program(&spec.params);
-        let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
-        let run = sys
-            .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
-            .map_err(map_sim_error)?;
-        let trajectory = trajectory16(&run.history);
-        Ok(RunOutcome {
-            best_chrom: run.best.chrom as u32,
-            best_fitness: run.best.fitness,
-            generations: spec.params.n_gens,
-            evaluations: spec.params.evaluations_per_run(),
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
-            cycles: Some(run.cycles),
-            rng_draws: Some(run.rng_draws),
-            trajectory,
-        })
+        let workload = spec.workload;
+        run_rtl(spec, limits, move |c| workload.eval_u16(c))
     }
+}
+
+/// One `rtl` job: the cycle-accurate system run to `GA_done`. Its
+/// lookup FEM computes each word on read with `fitness` (for a served
+/// job [`crate::Workload::eval_u16`], the function the paper's offline
+/// ROM holds), so a job pays for the `evaluations_per_run` words its
+/// core reads, not for a 65 536-word table build. Heal tables are no
+/// exception: a heal word is a VRC truth-table match count, and
+/// tabulating all 65 536 of them costs more than a whole small job.
+/// Heal and function workloads take the same path.
+fn run_rtl(
+    spec: &RunSpec,
+    limits: &Limits,
+    fitness: impl Fn(u16) -> u16 + Send + Sync + 'static,
+) -> Result<RunOutcome, EngineError> {
+    let fem = LookupFem::from_fn(fitness);
+    let mut sys = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(fem)]));
+    sys.program(&spec.params);
+    let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
+    let run = sys
+        .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
+        .map_err(map_sim_error)?;
+    let trajectory = trajectory16(&run.history);
+    Ok(RunOutcome {
+        best_chrom: run.best.chrom as u32,
+        best_fitness: run.best.fitness,
+        generations: spec.params.n_gens,
+        evaluations: spec.params.evaluations_per_run(),
+        conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
+        cycles: Some(run.cycles),
+        rng_draws: Some(run.rng_draws),
+        trajectory,
+    })
 }
 
 /// The compiled wide-lane netlist backend family: the CA-RNG stream
@@ -388,8 +388,11 @@ fn map_sim_error(e: SimError) -> EngineError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::Workload;
     use ga_core::GaParams;
     use ga_fitness::TestFunction;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn spec(width: u8, backendless_params: GaParams) -> RunSpec {
         RunSpec {
@@ -450,9 +453,32 @@ mod tests {
     }
 
     #[test]
+    fn rtl_job_reads_each_evaluation_once() {
+        // The lookup FEM computes words on read, so an `rtl` job must
+        // call the fitness function exactly once per evaluation: never
+        // on idle cycles, never for a table build.
+        for (pop, gens, expect) in [(16, 8, 136), (24, 16, 392), (32, 32, 1024)] {
+            let mut s = spec(16, GaParams::new(pop, gens, 10, 1, 0x2961));
+            s.workload = Workload::Function(TestFunction::MShubert2D);
+            let reads = Arc::new(AtomicU64::new(0));
+            let counter = reads.clone();
+            let workload = s.workload;
+            let counted = run_rtl(&s, &Limits::default(), move |c| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                workload.eval_u16(c)
+            })
+            .expect("rtl runs");
+            let n = reads.load(Ordering::Relaxed);
+            assert_eq!(n, s.params.evaluations_per_run(), "pop {pop} gens {gens}");
+            assert_eq!(n, expect);
+            assert_eq!(counted, run_on(&RtlInterpEngine, s).expect("rtl runs"));
+        }
+    }
+
+    #[test]
     fn healing_workload_agrees_across_16_bit_backends() {
         // The heal workload must be served bit-identically by the
-        // closure path (behavioral, bitsim, swga) and the tabulated-ROM
+        // closure path (behavioral, bitsim, swga) and the lookup-FEM
         // path (cycle-accurate RTL).
         let mut s = spec(16, GaParams::new(16, 12, 10, 1, 0xB342));
         s.workload = Workload::VrcHeal {

@@ -10,9 +10,11 @@
 //! chromosome, scored by how closely its magnitude response matches a
 //! target response on a frequency grid.
 //!
-//! Like the paper's test functions, the fitness is tabulated offline
-//! into a block ROM (`FitnessRom::tabulate_fn`) and served by the
-//! standard [`crate::LookupFem`] handshake.
+//! Like the paper's test functions, the fitness is served by the
+//! standard [`crate::LookupFem`] handshake, which computes each ROM word
+//! on read with the same f64-plus-saturating-quantization function the
+//! paper's offline ROM holds; Table VI's block-RAM cost for it still
+//! comes from the full table's geometry (`FitnessRom`).
 
 use std::f64::consts::PI;
 

@@ -20,7 +20,10 @@
 //! `fitfunc_select` input — the headline "support for multiple fitness
 //! functions without re-synthesis" feature.
 
-use hwsim::{Clocked, Reg, SpRom};
+use std::fmt;
+use std::sync::Arc;
+
+use hwsim::{Clocked, Reg};
 
 use crate::fixed;
 use crate::rom::FitnessRom;
@@ -70,46 +73,73 @@ enum LookupState {
 /// experiments: "a lookup-based implementation has been used ... as this
 /// resulted in better operational speed than a combinational
 /// implementation").
-#[derive(Debug, Clone)]
+///
+/// The paper fills the ROM offline with the fitness of every 2^16
+/// encoding. The model keeps the ROM's interface — one registered read
+/// per request — but computes each word when it is read, from the same
+/// function the offline table holds. A GA run reads one word per
+/// fitness evaluation, far fewer than the 65 536 a table build
+/// evaluates; the block-RAM cost is still that of the full table
+/// ([`LookupFem::bram_cost`]).
+#[derive(Clone)]
 pub struct LookupFem {
-    rom: SpRom,
+    read: Arc<dyn Fn(u16) -> u16 + Send + Sync>,
+    dout: Reg<u16>,
     state: Reg<LookupState>,
     fit_value: Reg<u16>,
     fit_valid: Reg<bool>,
 }
 
 impl LookupFem {
-    /// Build from a tabulated ROM image.
-    pub fn new(image: FitnessRom) -> Self {
+    /// ROM whose word at address `c` is `f(c)`, computed on read.
+    pub fn from_fn(f: impl Fn(u16) -> u16 + Send + Sync + 'static) -> Self {
         LookupFem {
-            rom: SpRom::from_contents(image.into_contents()),
+            read: Arc::new(f),
+            dout: Reg::default(),
             state: Reg::default(),
             fit_value: Reg::default(),
             fit_valid: Reg::default(),
         }
     }
 
-    /// Convenience: tabulate one of the paper functions.
-    pub fn for_function(f: TestFunction) -> Self {
-        Self::new(FitnessRom::tabulate(f))
+    /// Build from a tabulated ROM image.
+    pub fn new(image: FitnessRom) -> Self {
+        Self::from_fn(move |c| image.lookup(c))
     }
 
-    /// Block-RAM cost of this FEM on the xc2vp30 (Table VI row 4).
+    /// ROM holding one of the paper functions.
+    pub fn for_function(f: TestFunction) -> Self {
+        Self::from_fn(move |c| f.eval_u16(c))
+    }
+
+    /// Block-RAM cost of this FEM on the xc2vp30 (Table VI row 4): one
+    /// 16-bit word per 16-bit encoding.
     pub fn bram_cost(&self) -> u32 {
-        crate::rom::bram16_count(self.rom.words() as u32, 16)
+        crate::rom::bram16_count(1 << 16, 16)
+    }
+}
+
+impl fmt::Debug for LookupFem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LookupFem")
+            .field("dout", &self.dout)
+            .field("state", &self.state)
+            .field("fit_value", &self.fit_value)
+            .field("fit_valid", &self.fit_valid)
+            .finish_non_exhaustive()
     }
 }
 
 impl Clocked for LookupFem {
     fn reset(&mut self) {
-        self.rom.reset();
+        self.dout.reset_to(0);
         self.state.reset_to(LookupState::Idle);
         self.fit_value.reset_to(0);
         self.fit_valid.reset_to(false);
     }
 
     fn commit(&mut self) {
-        self.rom.commit();
+        self.dout.commit();
         self.state.commit();
         self.fit_value.commit();
         self.fit_valid.commit();
@@ -121,12 +151,12 @@ impl Fem for LookupFem {
         match self.state.get() {
             LookupState::Idle => {
                 if i.fit_request {
-                    self.rom.eval(i.candidate);
+                    self.dout.set((self.read)(i.candidate));
                     self.state.set(LookupState::Fetch);
                 }
             }
             LookupState::Fetch => {
-                self.fit_value.set(self.rom.dout());
+                self.fit_value.set(self.dout.get());
                 self.fit_valid.set(true);
                 self.state.set(LookupState::Hold);
             }

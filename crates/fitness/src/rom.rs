@@ -69,11 +69,6 @@ impl FitnessRom {
         &self.contents
     }
 
-    /// Consume into the raw vector (for loading into an `SpRom`).
-    pub fn into_contents(self) -> Vec<u16> {
-        self.contents
-    }
-
     /// Combinational lookup.
     #[inline]
     pub fn lookup(&self, chrom: u16) -> u16 {

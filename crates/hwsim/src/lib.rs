@@ -18,9 +18,8 @@
 //!   closed system of modules to a condition or a timeout.
 //! * [`handshake`] — helper state machines for the paper's two-way
 //!   (req/ack, valid/ack) handshake protocols.
-//! * [`mem`] — synchronous single-port RAM and ROM models with the
-//!   one-cycle read latency of FPGA block RAM (the paper's GA memory and
-//!   lookup-table fitness modules are both Virtex-II Pro block RAMs).
+//! * [`mem`] — a synchronous single-port RAM model with the one-cycle
+//!   read latency of FPGA block RAM (the paper's GA memory).
 //! * [`trace`] — a per-cycle signal trace recorder with CSV export, the
 //!   moral equivalent of the Chipscope Pro capture cores the paper used
 //!   to log `best fitness` and `sum of fitness` per generation.
@@ -73,7 +72,7 @@ pub mod vcd;
 
 pub use fault::{BitFault, FaultClass, ScanBitOp};
 pub use handshake::{AckSlave, ReqMaster};
-pub use mem::{SpRam, SpRom};
+pub use mem::SpRam;
 pub use monitor::HandshakeMonitor;
 pub use reg::Reg;
 pub use scoreboard::Scoreboard;

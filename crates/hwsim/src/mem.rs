@@ -80,67 +80,6 @@ impl SpRam {
     }
 }
 
-/// Synchronous ROM: registered read port over immutable contents.
-///
-/// Models the block-ROM lookup fitness modules: the paper populates
-/// Virtex-II Pro block RAMs with precomputed fitness values for every
-/// one of the 2^16 chromosome encodings (48% of the device's block
-/// memory, Table VI).
-#[derive(Debug, Clone)]
-pub struct SpRom {
-    data: Vec<u16>,
-    dout: Reg<u16>,
-}
-
-impl SpRom {
-    /// Build a ROM from its full contents.
-    pub fn from_contents(data: Vec<u16>) -> Self {
-        assert!(!data.is_empty(), "ROM must have at least one word");
-        SpRom {
-            data,
-            dout: Reg::new(0),
-        }
-    }
-
-    /// Build a ROM by tabulating `f` over all `words` addresses — this is
-    /// exactly how the paper's fitness ROMs are generated offline.
-    pub fn tabulate(words: usize, f: impl Fn(u16) -> u16) -> Self {
-        assert!(words > 0 && words <= 1 << 16);
-        SpRom::from_contents((0..words as u32).map(|a| f(a as u16)).collect())
-    }
-
-    /// Number of addressable words.
-    pub fn words(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Evaluation phase: present an address.
-    pub fn eval(&mut self, addr: u16) {
-        self.dout.set(self.data[addr as usize % self.data.len()]);
-    }
-
-    /// Registered read data (valid one cycle after `eval`).
-    #[inline]
-    pub fn dout(&self) -> u16 {
-        self.dout.get()
-    }
-
-    /// Commit the output register.
-    pub fn commit(&mut self) {
-        self.dout.commit();
-    }
-
-    /// Reset the output register.
-    pub fn reset(&mut self) {
-        self.dout.reset_to(0);
-    }
-
-    /// Combinational backdoor lookup for testbenches.
-    pub fn backdoor(&self, addr: u16) -> u16 {
-        self.data[addr as usize % self.data.len()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,28 +125,5 @@ mod tests {
         m.eval(9, 99, true); // 9 % 8 == 1
         m.commit();
         assert_eq!(m.backdoor(1), 99);
-    }
-
-    #[test]
-    fn rom_tabulate_matches_function() {
-        let rom = SpRom::tabulate(1 << 8, |a| a.wrapping_mul(3));
-        for a in 0..=255u16 {
-            assert_eq!(rom.backdoor(a), a.wrapping_mul(3));
-        }
-    }
-
-    #[test]
-    fn rom_read_latency() {
-        let mut rom = SpRom::tabulate(16, |a| a + 100);
-        rom.eval(7);
-        assert_eq!(rom.dout(), 0);
-        rom.commit();
-        assert_eq!(rom.dout(), 107);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_rom_rejected() {
-        let _ = SpRom::from_contents(vec![]);
     }
 }

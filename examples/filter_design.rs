@@ -16,17 +16,16 @@
 use ga_ip::ga_fitness::apps::{
     decode_taps, filter_fitness, lowpass_target, response_grid, GOLDEN_CHROM,
 };
-use ga_ip::ga_fitness::rom::FitnessRom;
 use ga_ip::prelude::*;
 
 fn main() {
     let target = lowpass_target();
 
-    // Tabulate the application fitness into a block ROM — the same
-    // offline flow the paper used for its test functions — and drop it
-    // into FEM slot 0.
-    let rom = FitnessRom::tabulate_fn(|c| filter_fitness(c, &target));
-    let mut system = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(LookupFem::new(rom))]));
+    // The application fitness behind the block-ROM lookup FEM in slot
+    // 0: each ROM word is computed on read, with the value the paper's
+    // offline tabulation would have stored there.
+    let fem = LookupFem::from_fn(move |c| filter_fitness(c, &target));
+    let mut system = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(fem)]));
 
     let params = GaParams::new(64, 64, 10, 2, 0xB342);
     let run = system.program_and_run(&params, 1_000_000_000).unwrap();
