@@ -37,6 +37,11 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
     'bitsim64_gates_per_sec>=5e7' 'bitsim128_gates_per_sec>=1e8' \
     'bitsim256_gates_per_sec>=2e8' 'bitsim256_speedup_vs_64>=2'
+# Lane-stream extraction streams on the CA-RNG netlist specialised for
+# `consume`: the load/consume muxes must stay folded away (22 ops), and
+# a specialised step must stay at least 2x cheaper than a full one.
+./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
+    'ca_consume_ops_per_step<=24' 'ca_consume_step_speedup_vs_full>=2'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

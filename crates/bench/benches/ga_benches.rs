@@ -229,6 +229,45 @@ fn bench_netlist_sim(c: &mut Criterion) {
     g.finish();
 }
 
+/// Lane-stream extraction as a bitsim pack runs it: the seed-load edge
+/// on the full CA-RNG netlist, then 40 960 draws (one pop 128 / gens
+/// 128 job) per lane on the `consume`-specialised netlist, gathered
+/// into per-lane streams. Rows cover the served workload's typical
+/// 18-lane pack and a full pack at each width.
+fn bench_pack_extract(c: &mut Criterion) {
+    use ga_engine::{draws_per_run, try_ca_lane_streams_wide};
+
+    let draws = draws_per_run(&GaParams::new(128, 128, 10, 1, 1)) as usize;
+    assert_eq!(draws, 40_960);
+    let seeds: Vec<u16> = (0..256u16)
+        .map(|i| i.wrapping_mul(0x9E37) ^ 0x2961)
+        .collect();
+    fn rows<const W: usize>(
+        g: &mut criterion::BenchmarkGroup<'_>,
+        name: &str,
+        seeds: &[u16],
+        draws: usize,
+    ) {
+        for (label, lanes) in [("18 lanes", 18), ("full", 64 * W)] {
+            g.bench_function(format!("{name}/{label}"), |b| {
+                b.iter(|| {
+                    black_box(try_ca_lane_streams_wide::<W>(
+                        &seeds[..lanes],
+                        draws,
+                        u64::MAX,
+                    ))
+                })
+            });
+        }
+    }
+    let mut g = c.benchmark_group("pack_extract");
+    g.sample_size(10);
+    rows::<1>(&mut g, "bitsim64", &seeds, draws);
+    rows::<2>(&mut g, "bitsim128", &seeds, draws);
+    rows::<4>(&mut g, "bitsim256", &seeds, draws);
+    g.finish();
+}
+
 fn bench_synthesis(c: &mut Criterion) {
     let mut g = c.benchmark_group("synthesis_flow");
     g.sample_size(10);
@@ -259,6 +298,7 @@ criterion_group!(
     bench_hw_system,
     bench_fems,
     bench_netlist_sim,
+    bench_pack_extract,
     bench_synthesis,
     bench_software_model
 );

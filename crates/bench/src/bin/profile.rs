@@ -10,7 +10,10 @@
 //! (`CompiledNetlist`/`BitSimW`), scalar and 64/128/256-lane
 //! bit-sliced — and emits `BENCH_profile.json` carrying
 //! `bitsim64_gates_per_sec`, `bitsim256_gates_per_sec`, and the
-//! `bitsim256_speedup_vs_64` ratio the CI smoke floors check.
+//! `bitsim256_speedup_vs_64` ratio the CI smoke floors check. It also
+//! measures the netlist lane-stream extraction streams on — the CA-RNG
+//! specialised for `consume` — as `ca_consume_ops_per_step` and
+//! `ca_consume_step_speedup_vs_full`, also floored in CI.
 //! `GA_BENCH_QUICK` shrinks the measured cycle counts.
 //!
 //! Run with `cargo run --release -p ga-bench --bin profile`.
@@ -20,7 +23,7 @@ use std::time::Instant;
 
 use ga_bench::{hw_system, quick, table5_params, BenchReport, Stopwatch, Table5Row};
 use ga_fitness::TestFunction;
-use ga_synth::bitsim::CompiledNetlist;
+use ga_synth::bitsim::{BitSimW, CompiledNetlist};
 use ga_synth::gadesign::elaborate_ca_rng;
 use ga_synth::netlist::{u64_to_bus, NetId};
 use swga::{CountingGa, PpcCostModel};
@@ -37,26 +40,17 @@ struct SimThroughput {
     bitsim64_gps: f64,
     bitsim128_gps: f64,
     bitsim256_gps: f64,
+    consume_ops: usize,
+    consume_speedup: f64,
 }
 
-/// Free-run the `W`-word simulator for `cycles` consume steps and
-/// return gate-evaluations per second, crediting all `64·W` lanes.
-/// Warm-up steps plus best-of-three trials keep the number stable
-/// enough for the CI ratio floor (`bitsim256_speedup_vs_64`) under
-/// container timing noise.
-fn wide_gps<const W: usize>(
-    cn: &CompiledNetlist,
-    seed_bus: &[NetId],
-    ctl_bus: &[NetId],
-    cycles: u64,
-) -> f64 {
-    let mut sim = cn.sim_wide::<W>();
-    sim.set_bus_all(seed_bus, 0x2961);
-    sim.set_bus_all(ctl_bus, 0b01);
-    sim.step();
-    sim.set_bus_all(ctl_bus, 0b10);
+/// Best-of-three wall time of `cycles` steps of `sim`, after a
+/// warm-up of `cycles / 10` steps. Warm-up plus best-of-three keep the
+/// number stable enough for the CI ratio floors under container timing
+/// noise.
+fn best_step_secs<const W: usize>(sim: &mut BitSimW<'_, W>, cycles: u64) -> f64 {
     for _ in 0..cycles / 10 {
-        sim.step(); // warm-up
+        sim.step();
     }
     let mut best_secs = f64::INFINITY;
     for _ in 0..3 {
@@ -66,8 +60,56 @@ fn wide_gps<const W: usize>(
         }
         best_secs = best_secs.min(t.elapsed().as_secs_f64());
     }
-    std::hint::black_box(sim.net_words(cn.output_bus("rn").expect("rn bus")[0]));
-    cn.ops_per_pass() as f64 * cycles as f64 * (64 * W) as f64 / best_secs
+    std::hint::black_box(sim.net_words(sim.compiled().regs()[0].q));
+    best_secs
+}
+
+/// A `W`-word simulator of `cn` with every lane seeded by the
+/// seed-load edge and `ctl` parked at `consume`.
+fn consume_sim<'a, const W: usize>(
+    cn: &'a CompiledNetlist,
+    seed_bus: &[NetId],
+    ctl_bus: &[NetId],
+) -> BitSimW<'a, W> {
+    let mut sim = cn.sim_wide::<W>();
+    sim.set_bus_all(seed_bus, 0x2961);
+    sim.set_bus_all(ctl_bus, 0b01);
+    sim.step();
+    sim.set_bus_all(ctl_bus, 0b10);
+    sim
+}
+
+/// Free-run the `W`-word simulator for `cycles` consume steps and
+/// return gate-evaluations per second, crediting all `64·W` lanes.
+fn wide_gps<const W: usize>(
+    cn: &CompiledNetlist,
+    seed_bus: &[NetId],
+    ctl_bus: &[NetId],
+    cycles: u64,
+) -> f64 {
+    let secs = best_step_secs(&mut consume_sim::<W>(cn, seed_bus, ctl_bus), cycles);
+    cn.ops_per_pass() as f64 * cycles as f64 * (64 * W) as f64 / secs
+}
+
+/// Streaming on the netlist specialised for `consume`, as lane-stream
+/// extraction runs it: the op count left per step, and the full
+/// netlist's consume-mode step time over the specialised one's, both
+/// 64-lane and measured in this process.
+fn consume_specialisation(
+    cn: &CompiledNetlist,
+    seed_bus: &[NetId],
+    ctl_bus: &[NetId],
+    cycles: u64,
+) -> (usize, f64) {
+    let consume = cn.specialize(&[(ctl_bus[0], false), (ctl_bus[1], true)]);
+    let mut full = consume_sim::<1>(cn, seed_bus, ctl_bus);
+    let mut spec = consume.sim();
+    for r in consume.regs() {
+        spec.set_net_words(r.q, full.net_words(r.q));
+    }
+    let full_secs = best_step_secs(&mut full, cycles);
+    let spec_secs = best_step_secs(&mut spec, cycles);
+    (consume.ops_per_pass(), full_secs / spec_secs)
 }
 
 fn sim_throughput() -> SimThroughput {
@@ -104,6 +146,8 @@ fn sim_throughput() -> SimThroughput {
     // and the 2/4-word runs go through the same harness so the
     // `bitsim256_speedup_vs_64` ratio compares like with like.
     let bitsim64_gps = wide_gps::<1>(&cn, &seed_bus, &ctl_bus, compiled_cycles);
+    let (consume_ops, consume_speedup) =
+        consume_specialisation(&cn, &seed_bus, &ctl_bus, compiled_cycles);
 
     let gates =
         |cycles: u64, secs: f64, lanes: u64| ops as f64 * cycles as f64 * lanes as f64 / secs;
@@ -114,6 +158,8 @@ fn sim_throughput() -> SimThroughput {
         bitsim64_gps,
         bitsim128_gps: wide_gps::<2>(&cn, &seed_bus, &ctl_bus, compiled_cycles),
         bitsim256_gps: wide_gps::<4>(&cn, &seed_bus, &ctl_bus, compiled_cycles),
+        consume_ops,
+        consume_speedup,
     }
 }
 
@@ -249,6 +295,10 @@ fn main() {
         st.bitsim256_gps,
         st.bitsim256_gps / st.interp_gps
     );
+    println!(
+        "\nconsume-specialised stream: {} ops/step, {:.1}x faster per step than the full netlist",
+        st.consume_ops, st.consume_speedup
+    );
 
     BenchReport::new("profile", sw.seconds(), 256, 1)
         .metric("hw_run_cycles", run.cycles as f64)
@@ -267,5 +317,7 @@ fn main() {
             "bitsim256_speedup_vs_64",
             st.bitsim256_gps / st.bitsim64_gps,
         )
+        .metric("ca_consume_ops_per_step", st.consume_ops as f64)
+        .metric("ca_consume_step_speedup_vs_full", st.consume_speedup)
         .emit_or_warn();
 }

@@ -302,8 +302,8 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
 
     /// Run the full optimization cycle.
     pub fn run(mut self) -> GaRun {
-        let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
-        history.push(self.init_population());
+        // `n_gens` comes off the wire: grow the history, never size it.
+        let mut history = vec![self.init_population()];
         for _ in 0..self.params.n_gens {
             history.push(self.step_generation());
         }

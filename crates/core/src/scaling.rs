@@ -257,8 +257,8 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
 
     /// Run the full 32-bit optimization.
     pub fn run(mut self) -> GaRun32 {
-        let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
-        history.push(self.init_population());
+        // `n_gens` comes off the wire: grow the history, never size it.
+        let mut history = vec![self.init_population()];
         for _ in 0..self.params.n_gens {
             history.push(self.step_generation());
         }

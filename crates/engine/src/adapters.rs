@@ -58,8 +58,8 @@ fn run16<R: Rng16>(spec: &RunSpec, rng: R) -> Result<RunOutcome, EngineError> {
     let f = spec.workload;
     let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
     let mut engine = GaEngine::new(params, rng, move |c| f.eval_u16(c));
-    let mut history = Vec::with_capacity(params.n_gens as usize + 1);
-    history.push(engine.init_population());
+    // `n_gens` comes off the wire: grow the history, never size it.
+    let mut history = vec![engine.init_population()];
     for _ in 0..params.n_gens {
         if let Some(d) = deadline.as_mut() {
             if d.is_past() {
@@ -121,9 +121,13 @@ impl Engine for BehavioralEngine {
         run16(spec, CaRng::new(spec.params.seed))
     }
 
-    fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
+    fn stepper(
+        &self,
+        prepared: &Prepared,
+        _limits: &Limits,
+    ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
         let spec = prepared.spec();
-        Some(stepper16(spec, CaRng::new(spec.params.seed)))
+        Ok(stepper16(spec, CaRng::new(spec.params.seed)))
     }
 }
 
@@ -265,19 +269,27 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         }
     }
 
-    fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
+    fn stepper(
+        &self,
+        prepared: &Prepared,
+        limits: &Limits,
+    ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
         // Stepping needs the whole stream up front: extract the draws a
         // full run of `n_gens` generations consumes (an island driver
         // runs epoch × epochs = n_gens generations total) plus one — a
         // snapshot taken after the final generation still records the
         // *next* draw, which is how a stream checkpoint restores into a
         // register-RNG backend. One lane is one lane at any width, so
-        // the narrow simulator is the cheapest extractor.
+        // the narrow simulator is the cheapest extractor. The stream
+        // watchdog bounds it exactly as it bounds a pack.
         let spec = prepared.spec();
-        let draws = draws_per_run(&spec.params) as usize + 1;
-        let mut streams = crate::pack::ca_lane_streams(&[spec.params.seed], draws);
+        let draws =
+            usize::try_from(draws_per_run(&spec.params).saturating_add(1)).unwrap_or(usize::MAX);
+        let mut streams =
+            try_ca_lane_streams_wide::<1>(&[spec.params.seed], draws, limits.stream_watchdog_steps)
+                .map_err(|steps| EngineError::Watchdog { cycles: steps })?;
         let stream = streams.pop().expect("one lane requested");
-        Some(stepper16(spec, StreamRng::new(stream)))
+        Ok(stepper16(spec, StreamRng::new(stream)))
     }
 }
 
@@ -642,7 +654,7 @@ mod tests {
         ] {
             let p = e.prepare(s).expect("admits");
             assert_eq!(
-                e.stepper(&p).is_some(),
+                e.stepper(&p, &Limits::default()).is_ok(),
                 e.capabilities().stepping,
                 "{}",
                 e.kind().name()

@@ -10,7 +10,7 @@ use ga_core::islands::{island_seed, IslandConfig, IslandRing, IslandRun};
 use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
 use ga_core::{GaParams, Individual};
 
-use crate::spec::{Engine, EngineError, RunSpec};
+use crate::spec::{Engine, EngineError, Limits, RunSpec};
 
 /// Current checkpoint-bundle format version. Decoders reject newer.
 pub const CHECKPOINT_VERSION: u8 = 1;
@@ -136,6 +136,7 @@ impl CheckpointBundle {
 pub struct IslandsEngine<'a> {
     inner: &'a dyn Engine,
     config: IslandConfig,
+    limits: Limits,
 }
 
 /// A live epoch-granular island run: step it, checkpoint it, finish it.
@@ -194,7 +195,19 @@ impl<'a> IslandsEngine<'a> {
                 ),
             });
         }
-        Ok(IslandsEngine { inner, config })
+        Ok(IslandsEngine {
+            inner,
+            config,
+            limits: Limits::default(),
+        })
+    }
+
+    /// Build members under `limits` instead of [`Limits::default`]: a
+    /// stream-backed member extracts its whole stream up front, under
+    /// the stream watchdog.
+    pub fn with_limits(mut self, limits: Limits) -> Self {
+        self.limits = limits;
+        self
     }
 
     /// The total generation budget the schedule implies, after checking
@@ -237,11 +250,7 @@ impl<'a> IslandsEngine<'a> {
                     ..spec.params
                 };
                 let prepared = self.inner.prepare(RunSpec { params: p, ..*spec })?;
-                self.inner
-                    .stepper(&prepared)
-                    .ok_or_else(|| EngineError::InvalidSpec {
-                        msg: format!("{} refused a stepping handle", self.inner.kind().name()),
-                    })
+                self.inner.stepper(&prepared, &self.limits)
             })
             .collect()
     }

@@ -20,10 +20,19 @@
 //! and never touch results or metrics — the padding-skew fix. Active
 //! lanes are exactly `seeds.len()`.
 //!
-//! The compiled netlist itself comes from the process-wide
+//! Extraction runs in two phases. The seed-load edge runs on the full
+//! compiled netlist. After it, `ctl` is held at `consume`, so streaming
+//! steps the netlist [specialised](CompiledNetlist::specialize) for
+//! that mode: the load and consume muxes fold away, and 22 of the 152
+//! ops remain. The 16 register words carry over, because both netlists
+//! share net indices. Each step's 16 lane-packed `rn` words are turned
+//! into per-lane draws with one 8×8 bit transpose per 8 lanes per
+//! byte-half.
+//!
+//! Both compiled netlists come from the process-wide
 //! [`crate::cache::NetlistCache`], keyed per lane width, so repeat
-//! packs skip validation, topological sorting, and flattening
-//! entirely.
+//! packs skip validation, topological sorting, flattening, and
+//! specialisation entirely.
 
 use std::sync::Arc;
 
@@ -48,7 +57,8 @@ pub fn draws_per_run(p: &GaParams) -> u64 {
 
 /// The compiled CA-RNG netlist for a `W`-word lane width, from the
 /// process-wide [`NetlistCache`](crate::cache::NetlistCache): compiled
-/// once per width, a cache hit on every later pack.
+/// once per width, a cache hit on every later pack. Runs the seed-load
+/// edge.
 fn compiled_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
     global_cache().get_or_compile(
         CacheKey {
@@ -59,6 +69,31 @@ fn compiled_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
         || CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles"),
     )
 }
+
+/// The CA-RNG netlist specialised for streaming: `ctl` tied to
+/// `consume` (`ctl[0]` = seed_load low, `ctl[1]` = consume high), which
+/// folds both register-input muxes away and leaves the rule-90/150 XOR
+/// network alone. Same nets and registers as [`compiled_ca`], cached
+/// under its own key.
+fn consume_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
+    global_cache().get_or_compile(
+        CacheKey {
+            design: "ca-rng/consume",
+            words_per_net,
+            seed_bus: "seed",
+        },
+        || {
+            let full = compiled_ca(words_per_net);
+            let ctl = full.input_bus("ctl").expect("ctl bus");
+            full.specialize(&[(ctl[0], false), (ctl[1], true)])
+        },
+    )
+}
+
+/// Streams reserve room for at most this many draws up front and grow
+/// past it on demand, so a draw count taken from a job line never
+/// sizes an allocation by itself.
+const PREALLOC_DRAWS: usize = 1 << 16;
 
 /// Run the compiled CA-RNG netlist with one seed per lane and extract
 /// `draws` outputs per seeded lane — `seeds.len()` complete RNG streams
@@ -101,45 +136,94 @@ pub fn try_ca_lane_streams_wide<const W: usize>(
     if (draws as u64).saturating_add(1) > max_steps {
         return Err(max_steps);
     }
-    let cn = compiled_ca(W);
-    let seed_bus = cn.input_bus("seed").expect("seed bus").to_vec();
-    let ctl_bus = cn.input_bus("ctl").expect("ctl bus").to_vec();
-    let rn_bus = cn.output_bus("rn").expect("rn bus").to_vec();
+    let full = compiled_ca(W);
+    let consume = consume_ca(W);
+    let seed_bus = full.input_bus("seed").expect("seed bus");
+    let ctl_bus = full.input_bus("ctl").expect("ctl bus");
+    let rn_bus = consume.output_bus("rn").expect("rn bus");
 
-    let mut sim = cn.sim_wide::<W>();
+    // The seed-load edge runs on the full netlist.
+    let mut load = full.sim_wide::<W>();
     for (lane, &s) in seeds.iter().enumerate() {
         let s = if s == 0 { 1 } else { s }; // the RNG module's zero-seed guard
-        sim.set_bus_lane(&seed_bus, lane, s as u64);
+        load.set_bus_lane(seed_bus, lane, s as u64);
     }
-    sim.set_bus_all(&ctl_bus, 0b01); // ctl[0] = seed_load
-    sim.step();
-    sim.set_bus_all(&ctl_bus, 0b10); // ctl[1] = consume
+    load.set_bus_all(ctl_bus, 0b01); // ctl[0] = seed_load
+    load.step();
+    // Streaming steps only the consume-specialised netlist; the 16
+    // register words carry over (both netlists share net indices).
+    let mut sim = consume.sim_wide::<W>();
+    for r in consume.regs() {
+        sim.set_net_words(r.q, load.net_words(r.q));
+    }
 
     // The rn output bus IS the register bank, so after the load edge it
     // already reads the seed; sample-then-advance from here on matches
     // `Rng16::next_u16` (first draw after reseed is the seed itself).
-    // Per step, the 16 lane-packed bus word groups are read once and
-    // every active lane's draw is assembled from them — 16 net reads
-    // per step instead of 16 per lane per step.
+    // Each step's 16 rn words are transposed into one (low, high) byte
+    // plane pair per group of 8 lanes and parked in `block`, laid out
+    // group-major; every BLOCK draws the planes are appended to the
+    // lane streams in one tight pass per lane.
+    let groups = seeds.len().div_ceil(8);
+    let mut block = vec![[0u64; 2]; groups * BLOCK];
     let mut streams: Vec<Vec<u16>> = (0..seeds.len())
-        .map(|_| Vec::with_capacity(draws))
+        .map(|_| Vec::with_capacity(draws.min(PREALLOC_DRAWS)))
         .collect();
-    let mut words = [[0u64; W]; 16];
-    for _ in 0..draws {
-        for (w, &n) in words.iter_mut().zip(&rn_bus) {
-            *w = sim.net_words(n);
+    let mut done = 0;
+    while done < draws {
+        let n = BLOCK.min(draws - done);
+        for t in 0..n {
+            let rn: [[u64; W]; 16] = std::array::from_fn(|i| sim.net_words(rn_bus[i]));
+            for g in 0..groups {
+                block[g * BLOCK + t] = transpose_group(&rn, g);
+            }
+            sim.step();
         }
         for (lane, stream) in streams.iter_mut().enumerate() {
-            let (wi, shift) = (lane / 64, lane % 64);
-            let mut v = 0u16;
-            for (bit, w) in words.iter().enumerate() {
-                v |= (((w[wi] >> shift) & 1) as u16) << bit;
-            }
-            stream.push(v);
+            let (g, c) = (lane / 8, 8 * (lane % 8));
+            let planes = &block[g * BLOCK..g * BLOCK + n];
+            stream.extend(
+                planes
+                    .iter()
+                    .map(|&[lo, hi]| ((lo >> c) & 0xFF) as u16 | (((hi >> c) & 0xFF) as u16) << 8),
+            );
         }
-        sim.step();
+        done += n;
     }
     Ok(streams)
+}
+
+/// Draws transposed per block before they are appended to the streams.
+const BLOCK: usize = 64;
+
+/// Transpose an 8×8 bit matrix held in a `u64`: row `r` is byte `r`,
+/// column `c` is bit `c` of that byte. Three delta-swaps exchange the
+/// off-diagonal 1×1, 2×2 and 4×4 blocks.
+#[inline(always)]
+fn transpose8(mut x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    x ^= t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    x ^= t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^= t ^ (t << 28);
+    x
+}
+
+/// One draw for lane group `g` (lanes `8g..8g+8`) from the 16
+/// lane-packed `rn` bit words. The 8 low bit rows and the 8 high bit
+/// rows each form an 8×8 bit matrix (row = bit, column = lane); one
+/// transpose turns each into one byte per lane — byte `c` of the low
+/// and high planes is lane `8g + c`'s draw.
+#[inline(always)]
+fn transpose_group<const W: usize>(rn: &[[u64; W]; 16], g: usize) -> [u64; 2] {
+    let (word, shift) = (g / 8, (g % 8) * 8);
+    let rows = |bits: &[[u64; W]]| {
+        bits.iter()
+            .enumerate()
+            .fold(0u64, |m, (r, w)| m | ((w[word] >> shift) & 0xFF) << (8 * r))
+    };
+    [transpose8(rows(&rn[..8])), transpose8(rows(&rn[8..]))]
 }
 
 /// An [`Rng16`] replaying a pre-extracted draw stream — the glue

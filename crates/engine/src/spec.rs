@@ -374,13 +374,21 @@ pub trait Engine: Send + Sync {
         prepared.iter().map(|p| self.run(p, limits)).collect()
     }
 
-    /// A generation-stepping handle for island-model composition, if
-    /// the engine supports it (`capabilities().stepping`). The member
-    /// arrives with its population *uninitialized*; the island driver
-    /// owns the init / step / migrate schedule.
-    fn stepper(&self, prepared: &Prepared) -> Option<Box<dyn ga_core::IslandMember>> {
-        let _ = prepared;
-        None
+    /// A generation-stepping handle for island-model composition. The
+    /// member arrives with its population *uninitialized*; the island
+    /// driver owns the init / step / migrate schedule. Engines without
+    /// `capabilities().stepping` refuse with [`EngineError::InvalidSpec`];
+    /// an engine whose handle costs simulated work up front answers a
+    /// tripped [`Limits`] watchdog with [`EngineError::Watchdog`].
+    fn stepper(
+        &self,
+        prepared: &Prepared,
+        limits: &Limits,
+    ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
+        let _ = (prepared, limits);
+        Err(EngineError::InvalidSpec {
+            msg: format!("{} has no stepping handle", self.kind().name()),
+        })
     }
 }
 

@@ -55,7 +55,7 @@ pub fn run_single(job: &GaJob, i: usize, cfg: &ServeConfig) -> JobResult {
         // Island jobs run the ring composite over the backend's
         // stepping handle; they never degrade — a refusal (non-stepping
         // backend, schedule mismatch) is a deterministic typed error.
-        Some(cfg_islands) => (job.backend, run_islands(job, cfg_islands), None),
+        Some(cfg_islands) => (job.backend, run_islands(job, cfg_islands, cfg), None),
         None => match engine.prepare(job.spec()) {
             Err(e) => (job.backend, Err(e.into()), None),
             Ok(p) => settle(job, engine.run(&p, &limits(cfg)), cfg),
@@ -78,10 +78,16 @@ pub fn run_single(job: &GaJob, i: usize, cfg: &ServeConfig) -> JobResult {
 /// summed evaluations, the full `epoch × epochs` generation budget.
 /// Per-generation trajectory and convergence metrics are per-island
 /// quantities and are deliberately absent from the aggregate.
-fn run_islands(job: &GaJob, config: IslandConfig) -> Result<JobOutput, ServeError> {
+fn run_islands(
+    job: &GaJob,
+    config: IslandConfig,
+    cfg: &ServeConfig,
+) -> Result<JobOutput, ServeError> {
     job.validate()?;
     let engine = global().get(job.backend).expect("all kinds registered");
-    let ring = IslandsEngine::new(engine, config).map_err(ServeError::from)?;
+    let ring = IslandsEngine::new(engine, config)
+        .map_err(ServeError::from)?
+        .with_limits(limits(cfg));
     let run = ring.run(job.spec()).map_err(ServeError::from)?;
     Ok(JobOutput {
         best_chrom: run.best.chrom as u32,

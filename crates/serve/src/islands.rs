@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use ga_core::islands::{island_seed, IslandConfig, IslandRun};
 use ga_core::snapshot::EngineSnapshot;
 use ga_core::{GaParams, Individual};
-use ga_engine::{CheckpointBundle, RunSpec};
+use ga_engine::{CheckpointBundle, Limits, RunSpec};
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
 use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
@@ -155,8 +155,8 @@ fn worker_op(
                 .ok_or_else(|| format!("backend {bname} is not registered"))?;
             let prepared = engine.prepare(spec).map_err(|e| e.to_string())?;
             let mut m = engine
-                .stepper(&prepared)
-                .ok_or_else(|| format!("backend {bname} has no stepping handle"))?;
+                .stepper(&prepared, &Limits::default())
+                .map_err(|e| format!("backend {bname}: {e}"))?;
             match field("snapshot") {
                 // Resume path: install the checkpointed state instead of
                 // drawing an initial population.

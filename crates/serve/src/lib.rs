@@ -30,7 +30,6 @@ pub mod islands;
 pub mod job;
 pub mod jsonl;
 pub mod net;
-pub mod pack;
 pub mod queue;
 pub mod service;
 
@@ -39,7 +38,6 @@ pub use job::{
     BackendKind, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload, CHROM_WIDTH,
 };
 pub use net::{AdmissionStats, DrainSummary, NetConfig, Server};
-pub use pack::{ca_lane_streams, draws_per_run, StreamRng};
 pub use queue::BoundedQueue;
 pub use service::{
     serve_batch, BackendCounters, LatencyHisto, ServeConfig, ServeOutcome, ServeStats,

@@ -5,10 +5,9 @@
 use carng::seeds::{PRESET_SEEDS, TABLE5_SEEDS};
 use carng::CaRng;
 use ga_core::{GaEngine, GaParams};
+use ga_engine::draws_per_run;
 use ga_fitness::TestFunction;
-use ga_serve::{
-    draws_per_run, serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError,
-};
+use ga_serve::{serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
 
 /// The acceptance fixture: 200 jobs cycling through every registered
 /// backend (including 32-bit jobs on the ganged `rtl32` composite),

@@ -100,7 +100,8 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
     /// Run the full optimization and return the op tally.
     pub fn run(mut self) -> SwRun {
         let pop_n = self.params.pop_size as usize;
-        let mut history = Vec::with_capacity(self.params.n_gens as usize + 1);
+        // `n_gens` comes off the wire: grow the history, never size it.
+        let mut history = Vec::new();
 
         // --- initial population ---------------------------------------
         let mut cur: Vec<Individual> = Vec::with_capacity(pop_n);

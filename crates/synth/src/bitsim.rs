@@ -86,6 +86,9 @@ pub struct CompiledNetlist {
     /// Nets that must read constant one (constant zero is the reset
     /// value of the state array, so only ones need baking).
     const_ones: Vec<NetId>,
+    /// Nets that read constant zero. Never written at runtime; kept so
+    /// [`CompiledNetlist::specialize`] can fold through them.
+    const_zeros: Vec<NetId>,
     inputs: Vec<(String, Vec<NetId>)>,
     outputs: Vec<(String, Vec<NetId>)>,
 }
@@ -97,10 +100,15 @@ impl CompiledNetlist {
         let order = nl.validate()?;
         let mut ops = Vec::with_capacity(nl.gates.len());
         let mut const_ones = Vec::new();
+        let mut const_zeros = Vec::new();
         for &id in &order {
             let g = &nl.gates[id as usize];
             let kind = match g.kind {
-                GateKind::Const0 | GateKind::Input | GateKind::RegQ => continue,
+                GateKind::Input | GateKind::RegQ => continue,
+                GateKind::Const0 => {
+                    const_zeros.push(id);
+                    continue;
+                }
                 GateKind::Const1 => {
                     const_ones.push(id);
                     continue;
@@ -128,6 +136,7 @@ impl CompiledNetlist {
             n_nets: nl.gates.len(),
             regs: nl.regs.clone(),
             const_ones,
+            const_zeros,
             inputs: nl.inputs.clone(),
             outputs: nl.outputs.clone(),
         })
@@ -273,6 +282,128 @@ impl CompiledNetlist {
             .map(|r| (r.q, vals[r.d as usize]))
             .collect()
     }
+
+    /// The op stream that remains while every `(net, value)` in `ties`
+    /// holds — typically a control input parked in one mode. The
+    /// result keeps this netlist's net indices, registers, and buses,
+    /// so register words carry between a full and a specialised
+    /// simulation unchanged. Ops whose output the ties fix are dropped;
+    /// their net is baked to the constant instead. Ops that reduce to
+    /// an existing net are dropped too, and every reader, register D
+    /// pin, and output bit is rewired to that net. The folds are the
+    /// ones [`crate::opt::optimize`] makes: AND/OR/XOR with a constant
+    /// or with equal inputs, INV of a constant, a mux with a constant
+    /// select or equal legs. Like `optimize`, it keeps NAND and NOR as
+    /// they are.
+    ///
+    /// The tied nets read their tie value in every simulation of the
+    /// result; driving them otherwise leaves the stream's behaviour
+    /// undefined. A dropped alias net holds a stale value — read the
+    /// rewired output buses and register Q nets, not internal nets.
+    pub fn specialize(&self, ties: &[(NetId, bool)]) -> CompiledNetlist {
+        let mut known: Vec<Option<bool>> = vec![None; self.n_nets];
+        for &id in &self.const_zeros {
+            known[id as usize] = Some(false);
+        }
+        for &id in &self.const_ones {
+            known[id as usize] = Some(true);
+        }
+        for &(net, v) in ties {
+            known[net as usize] = Some(v);
+        }
+        // repl[n]: the net carrying n's value in the specialised stream.
+        let mut repl: Vec<NetId> = (0..self.n_nets as NetId).collect();
+        let mut ops = Vec::new();
+        for op in &self.ops {
+            let (a, b, c) = (
+                repl[op.a as usize],
+                repl[op.b as usize],
+                repl[op.c as usize],
+            );
+            let (ka, kb) = (known[a as usize], known[b as usize]);
+            let folded = match op.kind {
+                OpKind::Buf => Fold::Alias(a),
+                OpKind::Inv => ka.map_or(Fold::Keep, |v| Fold::Const(!v)),
+                OpKind::And => match (ka, kb) {
+                    (Some(false), _) | (_, Some(false)) => Fold::Const(false),
+                    (Some(true), _) => Fold::Alias(b),
+                    (_, Some(true)) => Fold::Alias(a),
+                    _ if a == b => Fold::Alias(a),
+                    _ => Fold::Keep,
+                },
+                OpKind::Or => match (ka, kb) {
+                    (Some(true), _) | (_, Some(true)) => Fold::Const(true),
+                    (Some(false), _) => Fold::Alias(b),
+                    (_, Some(false)) => Fold::Alias(a),
+                    _ if a == b => Fold::Alias(a),
+                    _ => Fold::Keep,
+                },
+                OpKind::Xor => match (ka, kb) {
+                    (Some(x), Some(y)) => Fold::Const(x ^ y),
+                    (Some(false), _) => Fold::Alias(b),
+                    (_, Some(false)) => Fold::Alias(a),
+                    _ if a == b => Fold::Const(false),
+                    _ => Fold::Keep,
+                },
+                OpKind::Nand | OpKind::Nor => Fold::Keep,
+                OpKind::Mux => match ka {
+                    Some(true) => Fold::Alias(b),
+                    Some(false) => Fold::Alias(c),
+                    None if b == c => Fold::Alias(b),
+                    None => Fold::Keep,
+                },
+            };
+            let out = op.out as usize;
+            match folded {
+                Fold::Const(v) => known[out] = Some(v),
+                Fold::Alias(src) => {
+                    repl[out] = src;
+                    known[out] = known[src as usize];
+                }
+                Fold::Keep => ops.push(CompiledOp { a, b, c, ..*op }),
+            }
+        }
+        let split = |want: bool| -> Vec<NetId> {
+            (0..self.n_nets as NetId)
+                .filter(|&n| known[n as usize] == Some(want))
+                .collect()
+        };
+        CompiledNetlist {
+            ops,
+            n_nets: self.n_nets,
+            regs: self
+                .regs
+                .iter()
+                .map(|r| RegCell {
+                    d: repl[r.d as usize],
+                    q: r.q,
+                })
+                .collect(),
+            const_ones: split(true),
+            const_zeros: split(false),
+            inputs: self.inputs.clone(),
+            outputs: self
+                .outputs
+                .iter()
+                .map(|(name, bus)| {
+                    (
+                        name.clone(),
+                        bus.iter().map(|&n| repl[n as usize]).collect(),
+                    )
+                })
+                .collect(),
+        }
+    }
+}
+
+/// What [`CompiledNetlist::specialize`] makes of one op under the ties.
+enum Fold {
+    /// The output is this constant.
+    Const(bool),
+    /// The output equals this (already rewired) net.
+    Alias(NetId),
+    /// The op survives, reading rewired inputs.
+    Keep,
 }
 
 /// Per-word bitwise combinators over `[u64; W]` net words. Plain
