@@ -42,6 +42,12 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
 # a specialised step must stay at least 2x cheaper than a full one.
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
     'ca_consume_ops_per_step<=24' 'ca_consume_step_speedup_vs_full>=2'
+# The software GA: prefix-sum selection keeps a generation's cost per
+# individual nearly flat from pop 16 to pop 128 (a linear selection
+# scan measures about 2.5x), and mShubert2D's tabulated coordinate terms
+# keep it within a small multiple of F3 (about 24x evaluated directly).
+./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
+    'ga_step_scaling_128_vs_16<=1.5' 'fitness_eval_ratio_mshubert2d_vs_f3<=4'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

@@ -2,11 +2,12 @@
 //!
 //! These quantify the simulation infrastructure itself (they are *not*
 //! the paper's experiments — those are the `table*`/`fig*`/`speedup`
-//! binaries): engine throughput per generation, RNG kernels, FEM
+//! binaries): engine throughput per generation, the software GA step
+//! per individual and fitness evaluation per call, RNG kernels, FEM
 //! handshake latency in simulated cycles per wall-second, the
 //! cycle-accurate system, and the synthesis flow.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use carng::{CaRng, Lfsr16, Rng16};
@@ -54,6 +55,36 @@ fn bench_engine(c: &mut Criterion) {
                 e.init_population();
                 black_box(e.step_generation())
             })
+        });
+    }
+    g.finish();
+}
+
+/// One behavioral generation per iteration on a long-running engine
+/// over tabulated F3, reported per individual: with prefix-sum
+/// selection the per-individual cost is nearly flat in the population
+/// size, where a linear selection scan grows with it.
+fn bench_ga_step(c: &mut Criterion) {
+    let rom = FitnessRom::tabulate(TestFunction::F3);
+    let mut g = c.benchmark_group("ga_step");
+    for pop in [16u8, 64, 128] {
+        g.throughput(Throughput::Elements(pop as u64));
+        let params = GaParams::new(pop, 1, 10, 1, 0x2961);
+        let mut e = GaEngine::new(params, CaRng::new(params.seed), |c| rom.lookup(c));
+        e.init_population();
+        g.bench_function(format!("pop{pop}"), |b| b.iter(|| e.step_generation()));
+    }
+    g.finish();
+}
+
+/// Each test function over all 65 536 chromosomes per iteration,
+/// reported per evaluation (the `eval_u16` every software backend calls).
+fn bench_fitness_eval(c: &mut Criterion) {
+    let mut g = c.benchmark_group("fitness_eval");
+    g.throughput(Throughput::Elements(1 << 16));
+    for f in TestFunction::ALL {
+        g.bench_function(f.name(), |b| {
+            b.iter(|| (0..=u16::MAX).fold(0u64, |acc, c| acc + f.eval_u16(black_box(c)) as u64))
         });
     }
     g.finish();
@@ -295,6 +326,8 @@ criterion_group!(
     benches,
     bench_rng,
     bench_engine,
+    bench_ga_step,
+    bench_fitness_eval,
     bench_hw_system,
     bench_fems,
     bench_netlist_sim,

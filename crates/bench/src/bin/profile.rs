@@ -13,15 +13,24 @@
 //! `bitsim256_speedup_vs_64` ratio the CI smoke floors check. It also
 //! measures the netlist lane-stream extraction streams on — the CA-RNG
 //! specialised for `consume` — as `ca_consume_ops_per_step` and
-//! `ca_consume_step_speedup_vs_full`, also floored in CI.
-//! `GA_BENCH_QUICK` shrinks the measured cycle counts.
+//! `ca_consume_step_speedup_vs_full`, also floored in CI. Last, it
+//! times the software GA itself: `ga_step_scaling_128_vs_16` (a
+//! behavioral generation's per-individual cost at pop 128 over pop 16,
+//! near 1 with prefix-sum selection) and
+//! `fitness_eval_ratio_mshubert2d_vs_f3` (an mShubert2D evaluation over
+//! an F3 one, a small multiple with tabulated coordinate terms), both
+//! ceilinged in CI. `GA_BENCH_QUICK` shrinks the measured cycle counts.
 //!
 //! Run with `cargo run --release -p ga-bench --bin profile`.
 
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::Instant;
 
+use carng::CaRng;
 use ga_bench::{hw_system, quick, table5_params, BenchReport, Stopwatch, Table5Row};
+use ga_core::{GaEngine, GaParams};
+use ga_fitness::rom::FitnessRom;
 use ga_fitness::TestFunction;
 use ga_synth::bitsim::{BitSimW, CompiledNetlist};
 use ga_synth::gadesign::elaborate_ca_rng;
@@ -163,6 +172,40 @@ fn sim_throughput() -> SimThroughput {
     }
 }
 
+/// Nanoseconds per individual of behavioral generations over tabulated
+/// F3 at populations 16 and 128, `individuals` per round. Rounds
+/// alternate the two sizes, so a slow spell of the host lands on both,
+/// and each size keeps its best of five.
+fn step_ns_per_indiv(individuals: u32, rom: &FitnessRom) -> (f64, f64) {
+    let mut best = [f64::INFINITY; 2];
+    for round in 0..5u16 {
+        for (slot, pop) in [16u8, 128].into_iter().enumerate() {
+            let gens = individuals / pop as u32;
+            let params = GaParams::new(pop, gens, 10, 1, 0x2961 ^ round);
+            let mut e = GaEngine::new(params, CaRng::new(params.seed), |c| rom.lookup(c));
+            e.init_population();
+            let t = Instant::now();
+            for _ in 0..gens {
+                black_box(e.step_generation());
+            }
+            let ns = t.elapsed().as_secs_f64() * 1e9 / (gens * pop as u32) as f64;
+            best[slot] = best[slot].min(ns);
+        }
+    }
+    (best[0], best[1])
+}
+
+/// Best-of-three seconds to evaluate all 65 536 chromosomes of `f`.
+fn sweep_secs(f: TestFunction) -> f64 {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            black_box((0..=u16::MAX).fold(0u64, |acc, c| acc + f.eval_u16(black_box(c)) as u64));
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
     let sw = Stopwatch::start();
     // The §IV-C workload: mBF6_2, pop 32, 32 gens.
@@ -300,6 +343,26 @@ fn main() {
         st.consume_ops, st.consume_speedup
     );
 
+    // --- software GA step and fitness evaluation ----------------------
+    let rom = FitnessRom::tabulate(TestFunction::F3);
+    let individuals = if quick() { 6_144 } else { 49_152 };
+    let (step16, step128) = step_ns_per_indiv(individuals, &rom);
+    let (f3_secs, shubert_secs) = (
+        sweep_secs(TestFunction::F3),
+        sweep_secs(TestFunction::MShubert2D),
+    );
+    println!(
+        "\nbehavioral step (tabulated F3): {step16:.1} ns/individual at pop 16, \
+         {step128:.1} at pop 128 ({:.2}x)",
+        step128 / step16
+    );
+    println!(
+        "fitness evaluation: mShubert2D {:.1} ns, F3 {:.1} ns ({:.2}x)",
+        shubert_secs * 1e9 / 65_536.0,
+        f3_secs * 1e9 / 65_536.0,
+        shubert_secs / f3_secs
+    );
+
     BenchReport::new("profile", sw.seconds(), 256, 1)
         .metric("hw_run_cycles", run.cycles as f64)
         .metric("sw_modeled_cycles", model.cycles(&sw_run.ops))
@@ -319,5 +382,10 @@ fn main() {
         )
         .metric("ca_consume_ops_per_step", st.consume_ops as f64)
         .metric("ca_consume_step_speedup_vs_full", st.consume_speedup)
+        .metric("ga_step_scaling_128_vs_16", step128 / step16)
+        .metric(
+            "fitness_eval_ratio_mshubert2d_vs_f3",
+            shubert_secs / f3_secs,
+        )
         .emit_or_warn();
 }

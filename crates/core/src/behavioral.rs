@@ -122,6 +122,10 @@ pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16> {
     rng: R,
     fitness: F,
     cur: Vec<Individual>,
+    /// Cumulative fitness of `cur` ([`ops::selection_prefix`]), rebuilt
+    /// at the top of every generation so `inject` and `restore` between
+    /// generations need not touch it.
+    prefix: Vec<u32>,
     best: Individual,
     fit_sum: u32,
     gen: u32,
@@ -141,6 +145,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             rng,
             fitness,
             cur: Vec::with_capacity(params.pop_size as usize),
+            prefix: Vec::with_capacity(params.pop_size as usize),
             best: Individual::default(),
             fit_sum: 0,
             gen: 0,
@@ -221,26 +226,22 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     }
 
     /// Proportionate selection over the current population: one RNG
-    /// draw scales the fitness sum down to a threshold; the scan picks
-    /// the first individual whose cumulative fitness exceeds it. If no
+    /// draw scales the fitness sum down to a threshold, and a binary
+    /// search over the prefix sums picks the first individual whose
+    /// cumulative fitness exceeds it — the hardware scan's pick. If no
     /// individual does (all-zero fitness), the last one is returned.
     fn select(&mut self) -> Individual {
         let r = self.draw();
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        let mut cum: u32 = 0;
-        for ind in &self.cur {
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        *self.cur.last().expect("population is never empty")
+        let k = ops::selection_pick(&self.prefix, threshold).unwrap_or(self.cur.len() - 1);
+        self.cur[k]
     }
 
     /// Breed one full generation (Fig. 2's inner loop) and swap
     /// populations. Returns the new population's statistics.
     pub fn step_generation(&mut self) -> GenStats {
         let pop = self.params.pop_size as usize;
+        ops::selection_prefix(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
         let mut new_pop: Vec<Individual> = Vec::with_capacity(pop);
         let mut new_sum = 0u32;
         let mut new_best = self.best;

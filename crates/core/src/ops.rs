@@ -22,6 +22,31 @@ pub fn selection_hit(cum_sum: u32, threshold: u32) -> bool {
     cum_sum > threshold
 }
 
+/// Rebuild `prefix` as the population's cumulative fitness sums:
+/// `prefix[i]` is the running sum the selection scan holds after
+/// member `i`. The buffer is cleared first, so an engine reuses one
+/// allocation across generations.
+pub fn selection_prefix(fitness: impl IntoIterator<Item = u16>, prefix: &mut Vec<u32>) {
+    prefix.clear();
+    let mut cum = 0u32;
+    prefix.extend(fitness.into_iter().map(|f| {
+        cum += f as u32;
+        cum
+    }));
+}
+
+/// The member the selection scan picks, found by binary search over
+/// [`selection_prefix`] sums: the first index whose cumulative sum is a
+/// [`selection_hit`]. The sums never decrease and the hit test is a
+/// strict `>`, so this is the scan's choice bit for bit, in O(log pop)
+/// instead of O(pop). `None` means nothing hits (an all-zero
+/// population); the scan then falls through to the last member.
+#[inline]
+pub fn selection_pick(prefix: &[u32], threshold: u32) -> Option<usize> {
+    let k = prefix.partition_point(|&cum| !selection_hit(cum, threshold));
+    (k < prefix.len()).then_some(k)
+}
+
 /// Single-point crossover mask for cut point `n ∈ 0..=15`: ones in bit
 /// positions `0..n`, zeros above (§III-B.3: "a mask is generated with 1s
 /// from position 0 to n−1 and 0s after n").

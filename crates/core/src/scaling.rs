@@ -89,6 +89,8 @@ pub struct GaEngine32<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> {
     rng2: R2,
     fitness: F,
     cur: Vec<Individual32>,
+    /// Cumulative fitness of `cur`, rebuilt every generation.
+    prefix: Vec<u32>,
     best: Individual32,
     fit_sum: u32,
     gen: u32,
@@ -115,6 +117,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
             rng2,
             fitness,
             cur: Vec::new(),
+            prefix: Vec::new(),
             best: Individual32::default(),
             fit_sum: 0,
             gen: 0,
@@ -160,18 +163,14 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
 
     /// Parent selection (Fig. 6(b)): core 1 selects; core 2's threshold
     /// draw is consumed but its scan is overridden by the scaling logic.
+    /// The pick is core 1's scan, found by binary search over the prefix
+    /// sums ([`ops::selection_pick`]).
     fn select(&mut self) -> Individual32 {
         let r = self.rng1.next_u16();
         let _r2 = self.rng2.next_u16(); // consumed and discarded by scalingLogic_parSel
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        let mut cum = 0u32;
-        for ind in &self.cur {
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        *self.cur.last().expect("population never empty")
+        let k = ops::selection_pick(&self.prefix, threshold).unwrap_or(self.cur.len() - 1);
+        self.cur[k]
     }
 
     fn breed_halves(&mut self, p1: u32, p2: u32) -> (u32, u32) {
@@ -215,6 +214,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
 
     fn step_generation(&mut self) -> GenStats32 {
         let pop = self.params.pop_size as usize;
+        ops::selection_prefix(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
         let mut new_pop = Vec::with_capacity(pop);
         new_pop.push(self.best);
         let mut new_sum = self.best.fitness as u32;

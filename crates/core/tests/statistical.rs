@@ -5,18 +5,12 @@
 use carng::{CaRng, Rng16};
 use ga_core::ops;
 
-/// One proportionate selection over a fitness vector, exactly as the
-/// core scans its population memory.
+/// One proportionate selection over a fitness vector, through the
+/// engines' prefix-sum pick.
 fn select_index(fits: &[u16], fit_sum: u32, r: u16) -> usize {
-    let threshold = ops::selection_threshold(fit_sum, r);
-    let mut cum = 0u32;
-    for (i, &f) in fits.iter().enumerate() {
-        cum += f as u32;
-        if ops::selection_hit(cum, threshold) {
-            return i;
-        }
-    }
-    fits.len() - 1
+    let mut prefix = Vec::new();
+    ops::selection_prefix(fits.iter().copied(), &mut prefix);
+    ops::selection_pick(&prefix, ops::selection_threshold(fit_sum, r)).unwrap_or(fits.len() - 1)
 }
 
 #[test]

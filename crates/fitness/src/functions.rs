@@ -14,6 +14,16 @@
 //! implementation finds 166 — both of the paper's named optima,
 //! (x₁,x₂) = (C2,4A)₁₆ and (DB,4A)₁₆, lie on the plateau; see
 //! EXPERIMENTS.md).
+//!
+//! mBF7_2 and mShubert2D are sums and products of one term per 8-bit
+//! coordinate, so each term takes only 256 values. Those terms are
+//! tabulated once per process (three `[f64; 256]` tables, 6 KB) by the
+//! printed f64 expressions, and evaluation reads them and combines them
+//! with the printed arithmetic — every result is bit-identical to
+//! evaluating the formula directly, at a few table reads per call.
+//! BF6 and mBF6_2 take the full 16-bit word and are evaluated directly.
+
+use std::sync::LazyLock;
 
 /// Decode a 16-bit chromosome into two 8-bit variables `(x, y)`:
 /// x = high byte, y = low byte.
@@ -64,12 +74,31 @@ pub fn mbf6_2(x: u16) -> f64 {
     4096.0 + (xf * xf + xf) * xf.cos() / (1u64 << 20) as f64
 }
 
+/// mBF7_2's x term `x·sin(4x)` for every 8-bit x.
+static MBF7_2_X: LazyLock<[f64; 256]> = LazyLock::new(|| {
+    std::array::from_fn(|x| {
+        let xf = x as f64;
+        xf * (4.0 * xf).sin()
+    })
+});
+
+/// mBF7_2's y term `1.25·y·sin(2y)` for every 8-bit y.
+static MBF7_2_Y: LazyLock<[f64; 256]> = LazyLock::new(|| {
+    std::array::from_fn(|y| {
+        let yf = y as f64;
+        1.25 * yf * (2.0 * yf).sin()
+    })
+});
+
+/// [`shubert1d`] at every 8-bit coordinate.
+static SHUBERT1D: LazyLock<[f64; 256]> =
+    LazyLock::new(|| std::array::from_fn(|v| shubert1d(v as f64)));
+
 /// Modified Binary F7 (§IV-B):
-/// `mBF7_2(x, y) = 32768 + 56·(x·sin(4x) + 1.25·y·sin(2y))`.
+/// `mBF7_2(x, y) = 32768 + 56·(x·sin(4x) + 1.25·y·sin(2y))`, with each
+/// coordinate's term read from its table.
 pub fn mbf7_2(x: u8, y: u8) -> f64 {
-    let xf = x as f64;
-    let yf = y as f64;
-    32768.0 + 56.0 * (xf * (4.0 * xf).sin() + 1.25 * yf * (2.0 * yf).sin())
+    32768.0 + 56.0 * (MBF7_2_X[x as usize] + MBF7_2_Y[y as usize])
 }
 
 /// The 1-D Shubert sum `Σ_{i=1..5} i·cos((i+1)·x + i)`.
@@ -81,9 +110,10 @@ pub fn shubert1d(x: f64) -> f64 {
 
 /// Modified 2-D Shubert function (§IV-B):
 /// `mShubert2D(x₁, x₂) = 65535 − 174·(150 + Π_{k=1,2} Σ_{i=1..5} i·cos((i+1)·x_k + i))`,
-/// evaluated with saturating 16-bit output.
+/// evaluated with saturating 16-bit output; each coordinate's sum is
+/// read from its table.
 pub fn mshubert2d(x1: u8, x2: u8) -> f64 {
-    let s = shubert1d(x1 as f64) * shubert1d(x2 as f64);
+    let s = SHUBERT1D[x1 as usize] * SHUBERT1D[x2 as usize];
     65535.0 - 174.0 * (150.0 + s)
 }
 
@@ -317,6 +347,31 @@ mod tests {
     fn names_match_paper() {
         let names: Vec<&str> = TestFunction::ALL.iter().map(|f| f.name()).collect();
         assert_eq!(names, ["BF6", "F2", "F3", "mBF6_2", "mBF7_2", "mShubert2D"]);
+    }
+
+    #[test]
+    fn tabulated_functions_equal_the_printed_formulas_bit_for_bit() {
+        for c in 0..=u16::MAX {
+            let (x, y) = decode_xy(c);
+            let (xf, yf) = (x as f64, y as f64);
+            let mbf7 = 32768.0 + 56.0 * (xf * (4.0 * xf).sin() + 1.25 * yf * (2.0 * yf).sin());
+            assert_eq!(
+                TestFunction::Mbf7_2.eval_f64(c).to_bits(),
+                mbf7.to_bits(),
+                "mBF7_2({c:#06x})"
+            );
+            let shubert = |v: f64| -> f64 {
+                (1..=5)
+                    .map(|i| i as f64 * ((i as f64 + 1.0) * v + i as f64).cos())
+                    .sum()
+            };
+            let msh = 65535.0 - 174.0 * (150.0 + shubert(xf) * shubert(yf));
+            assert_eq!(
+                TestFunction::MShubert2D.eval_f64(c).to_bits(),
+                msh.to_bits(),
+                "mShubert2D({c:#06x})"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! ← {"ok":true,"chrom":513,"fitness":3000,"evaluations":96}
 //! ```
 //!
+//! A member may step `gens` generations in all (`init`'s `gens`, less
+//! the snapshot's `gen` on resume): a bitsim member's stream is
+//! extracted for exactly that many. An `epoch` that would overrun the
+//! budget is refused with an error reply and steps nothing, and a
+//! snapshot already past it does not restore.
+//!
 //! `init` may carry `"snapshot":"<hex>"` to restore the member at a
 //! checkpointed barrier instead of generating an initial population —
 //! that is the resume path, and because an [`EngineSnapshot`] is
@@ -68,14 +74,15 @@ pub fn serve_island_worker(addr: &str) -> Result<(), String> {
 
 /// Serve the worker op protocol on an already-accepted connection.
 /// Op-level failures (bad line, op before `init`, snapshot that does
-/// not restore) are `{"ok":false,"error":…}` replies — the connection
+/// not restore, epoch past the generation budget) are
+/// `{"ok":false,"error":…}` replies — the connection
 /// survives them; only transport errors and `finish` end the loop.
 pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
-    let mut member: Option<Box<dyn ga_core::IslandMember>> = None;
+    let mut member: Option<WorkerMember> = None;
     let mut line = String::new();
     loop {
         line.clear();
@@ -106,12 +113,18 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
     }
 }
 
+/// The worker's island member and the generations left in its budget.
+struct WorkerMember {
+    engine: Box<dyn ga_core::IslandMember>,
+    /// `gens` from `init`, minus the snapshot's `gen` on resume. A
+    /// stream-backed member holds draws for exactly this many more
+    /// generations, so an `epoch` past it is refused, not stepped.
+    gens_left: u32,
+}
+
 /// Execute one op line against the worker's member slot. Returns the
 /// reply line and whether the connection is finished.
-fn worker_op(
-    text: &str,
-    member: &mut Option<Box<dyn ga_core::IslandMember>>,
-) -> Result<(String, bool), String> {
+fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, bool), String> {
     let pairs = parse_object(text)?;
     let field = |name: &str| -> Option<&JsonValue> {
         pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
@@ -138,12 +151,13 @@ fn worker_op(
             let islands = int("islands", 1, 1024)? as usize;
             let shard = int("shard", 0, islands as u64 - 1)? as usize;
             let seed = island_seed(int("seed", 0, u16::MAX as u64)? as u16, shard, islands);
+            let gens = int("gens", 1, u32::MAX as u64)? as u32;
             let spec = RunSpec {
                 width: crate::job::CHROM_WIDTH,
                 workload: Workload::Function(function),
                 params: GaParams {
                     pop_size: int("pop", 0, u8::MAX as u64)? as u8,
-                    n_gens: int("gens", 1, u32::MAX as u64)? as u32,
+                    n_gens: gens,
                     xover_threshold: int("xover", 0, 255)? as u8,
                     mut_threshold: int("mut", 0, 255)? as u8,
                     seed,
@@ -157,27 +171,47 @@ fn worker_op(
             let mut m = engine
                 .stepper(&prepared, &Limits::default())
                 .map_err(|e| format!("backend {bname}: {e}"))?;
-            match field("snapshot") {
+            let gens_left = match field("snapshot") {
                 // Resume path: install the checkpointed state instead of
                 // drawing an initial population.
                 Some(v) => {
                     let hex = as_str("snapshot", v)?;
                     let snap =
                         EngineSnapshot::from_hex(&hex).map_err(|e| format!("snapshot: {e}"))?;
+                    let left = gens.checked_sub(snap.gen).ok_or_else(|| {
+                        format!(
+                            "restore: snapshot is at generation {}, past the budget of {gens}",
+                            snap.gen
+                        )
+                    })?;
                     m.restore(&snap).map_err(|e| format!("restore: {e}"))?;
+                    left
                 }
-                None => m.init_population(),
-            }
-            *member = Some(m);
+                None => {
+                    m.init_population();
+                    gens
+                }
+            };
+            *member = Some(WorkerMember {
+                engine: m,
+                gens_left,
+            });
             Ok((format!("{{\"ok\":true,\"seed\":{seed}}}"), false))
         }
         "epoch" => {
             let gens = int("gens", 1, u32::MAX as u64)? as u32;
             let m = member.as_mut().ok_or("no member: send \"init\" first")?;
-            for _ in 0..gens {
-                m.step_generation();
+            if gens > m.gens_left {
+                return Err(format!(
+                    "epoch of {gens} generations overruns the member's budget: {} left",
+                    m.gens_left
+                ));
             }
-            let b = m.best();
+            m.gens_left -= gens;
+            for _ in 0..gens {
+                m.engine.step_generation();
+            }
+            let b = m.engine.best();
             Ok((
                 format!(
                     "{{\"ok\":true,\"chrom\":{},\"fitness\":{}}}",
@@ -192,25 +226,28 @@ fn worker_op(
                 fitness: int("fitness", 0, u16::MAX as u64)? as u16,
             };
             let m = member.as_mut().ok_or("no member: send \"init\" first")?;
-            m.inject(migrant);
+            m.engine.inject(migrant);
             Ok(("{\"ok\":true}".into(), false))
         }
         "snapshot" => {
             let m = member.as_ref().ok_or("no member: send \"init\" first")?;
             Ok((
-                format!("{{\"ok\":true,\"snapshot\":\"{}\"}}", m.snapshot().to_hex()),
+                format!(
+                    "{{\"ok\":true,\"snapshot\":\"{}\"}}",
+                    m.engine.snapshot().to_hex()
+                ),
                 false,
             ))
         }
         "finish" => {
             let m = member.as_ref().ok_or("no member: send \"init\" first")?;
-            let b = m.best();
+            let b = m.engine.best();
             Ok((
                 format!(
                     "{{\"ok\":true,\"chrom\":{},\"fitness\":{},\"evaluations\":{}}}",
                     b.chrom,
                     b.fitness,
-                    m.evaluations()
+                    m.engine.evaluations()
                 ),
                 true,
             ))

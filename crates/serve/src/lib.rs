@@ -33,7 +33,9 @@ pub mod net;
 pub mod queue;
 pub mod service;
 
-pub use islands::{read_checkpoint, serve_island_worker, write_checkpoint, Coordinator};
+pub use islands::{
+    read_checkpoint, serve_island_connection, serve_island_worker, write_checkpoint, Coordinator,
+};
 pub use job::{
     BackendKind, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload, CHROM_WIDTH,
 };

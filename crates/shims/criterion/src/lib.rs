@@ -35,6 +35,14 @@ impl Bencher {
     }
 }
 
+/// Work done per iteration, for a per-element time beside the
+/// per-iteration one.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Iterations each process this many elements.
+    Elements(u64),
+}
+
 /// Identifies a parameterized benchmark.
 pub struct BenchmarkId {
     id: String,
@@ -50,6 +58,7 @@ impl BenchmarkId {
 /// A named group of benchmarks.
 pub struct BenchmarkGroup<'a> {
     name: String,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -59,10 +68,21 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Set the work per iteration of the benchmarks that follow; each
+    /// then also reports its time per element.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     fn run(&mut self, id: &str, b: &mut Bencher) {
         if let Some((iters, total)) = b.reported.take() {
             let per = total.as_nanos() as f64 / iters as f64;
-            println!("bench {:<48} {:>14.1} ns/iter ({} iters)", format!("{}/{}", self.name, id), per, iters);
+            let per_elem = match self.throughput {
+                Some(Throughput::Elements(n)) => format!("  {:>10.2} ns/elem", per / n as f64),
+                None => String::new(),
+            };
+            println!("bench {:<48} {:>14.1} ns/iter ({} iters){per_elem}", format!("{}/{}", self.name, id), per, iters);
         }
     }
 
@@ -98,7 +118,7 @@ pub struct Criterion {}
 impl Criterion {
     /// Open a named group.
     pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.to_string(), _criterion: self }
+        BenchmarkGroup { name: name.to_string(), throughput: None, _criterion: self }
     }
 
     /// Benchmark a closure outside any group.

@@ -77,24 +77,21 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
 
     /// Proportionate selection: threshold scale (64-bit multiply = two
     /// `mullw`/`mulhw` + shift) then the cumulative scan (load, add,
-    /// compare-branch per member).
-    fn select(&mut self, pop: &[Individual], fit_sum: u32) -> Individual {
+    /// compare-branch per member). The pick comes from a binary search
+    /// over `prefix` ([`ops::selection_pick`]); the tally is still the
+    /// C program's linear scan: a hit at index k scanned k + 1 members,
+    /// a fall-through scanned all of them plus the exit branch.
+    fn select(&mut self, pop: &[Individual], prefix: &[u32], fit_sum: u32) -> Individual {
         let r = self.draw();
         self.counts.mul += 2;
         self.counts.alu += 2;
         let threshold = ops::selection_threshold(fit_sum, r);
-        let mut cum = 0u32;
-        for ind in pop {
-            self.counts.load += 1;
-            self.counts.alu += 1;
-            self.counts.branch += 1;
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        self.counts.branch += 1;
-        *pop.last().expect("population non-empty")
+        let hit = ops::selection_pick(prefix, threshold);
+        let scanned = hit.map_or(pop.len(), |k| k + 1) as u64;
+        self.counts.load += scanned;
+        self.counts.alu += scanned;
+        self.counts.branch += scanned + u64::from(hit.is_none());
+        pop[hit.unwrap_or(pop.len() - 1)]
     }
 
     /// Run the full optimization and return the op tally.
@@ -128,7 +125,9 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
         });
 
         // --- generations ----------------------------------------------
+        let mut prefix = Vec::with_capacity(pop_n);
         for gen in 0..self.params.n_gens {
+            ops::selection_prefix(cur.iter().map(|i| i.fitness), &mut prefix);
             let mut new_pop = Vec::with_capacity(pop_n);
             // Elite copy: two stores + bookkeeping.
             self.counts.store += 2;
@@ -138,8 +137,8 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
             let mut new_best = best;
 
             while new_pop.len() < pop_n {
-                let p1 = self.select(&cur, fit_sum);
-                let p2 = self.select(&cur, fit_sum);
+                let p1 = self.select(&cur, &prefix, fit_sum);
+                let p2 = self.select(&cur, &prefix, fit_sum);
                 // Crossover: field extraction + decision + mask algebra.
                 let (xd, cut) = ops::xover_fields(self.draw());
                 self.counts.alu += 8;
@@ -250,6 +249,137 @@ mod tests {
         .run();
         // Selection is O(pop²) per generation: ops grow superlinearly.
         assert!(large.ops.total_ops() > 8 * small.ops.total_ops());
+    }
+
+    /// The PPC405 C program's selection, tallied the way it executes:
+    /// the draw and threshold scale, then load, add and compare-branch
+    /// per scanned member, plus the exit branch on a fall-through.
+    fn linear_scan_select(
+        rng: &mut CaRng,
+        counts: &mut OpCounts,
+        pop: &[Individual],
+        fit_sum: u32,
+    ) -> Individual {
+        counts.alu += 5;
+        counts.store += 1;
+        counts.call += 1;
+        let threshold = ops::selection_threshold(fit_sum, rng.next_u16());
+        counts.mul += 2;
+        counts.alu += 2;
+        let mut cum = 0u32;
+        for ind in pop {
+            counts.load += 1;
+            counts.alu += 1;
+            counts.branch += 1;
+            cum += ind.fitness as u32;
+            if ops::selection_hit(cum, threshold) {
+                return *ind;
+            }
+        }
+        counts.branch += 1;
+        *pop.last().unwrap()
+    }
+
+    /// Drive `CountingGa::select` and the linear-scan reference on the
+    /// same population and RNG position; picks and tallies must agree.
+    fn assert_select_tally_matches_scan(pop: &[Individual], seed: u16, draws: usize) {
+        let mut ga = CountingGa::new(GaParams::new(8, 1, 10, 1, seed), |c| c);
+        let mut rng = CaRng::new(seed);
+        let mut want = OpCounts::default();
+        let fit_sum: u32 = pop.iter().map(|i| i.fitness as u32).sum();
+        let mut prefix = Vec::new();
+        ops::selection_prefix(pop.iter().map(|i| i.fitness), &mut prefix);
+        for _ in 0..draws {
+            let got = ga.select(pop, &prefix, fit_sum);
+            assert_eq!(got, linear_scan_select(&mut rng, &mut want, pop, fit_sum));
+        }
+        assert_eq!(ga.counts, want, "pop {} seed {seed:#06x}", pop.len());
+    }
+
+    #[test]
+    fn select_tally_equals_the_linear_scan() {
+        for (pop_n, seed) in [
+            (1usize, 1u16),
+            (2, 0x2961),
+            (15, 0x061F),
+            (64, 7919),
+            (255, 45890),
+        ] {
+            // Fitness from the CA stream, every third member zeroed so
+            // hits land on runs of equal prefix sums.
+            let mut rng = CaRng::new(seed ^ 0x5A5A);
+            let pop: Vec<Individual> = (0..pop_n)
+                .map(|i| {
+                    let chrom = rng.next_u16();
+                    let fitness = if i % 3 == 1 { 0 } else { chrom >> 4 };
+                    Individual { chrom, fitness }
+                })
+                .collect();
+            assert_select_tally_matches_scan(&pop, seed, 500);
+        }
+    }
+
+    #[test]
+    fn all_zero_select_tallies_the_fall_through() {
+        let pop: Vec<Individual> = (0..16u16)
+            .map(|chrom| Individual { chrom, fitness: 0 })
+            .collect();
+        assert_select_tally_matches_scan(&pop, 0xB342, 64);
+    }
+
+    #[test]
+    fn whole_run_op_counts_are_the_linear_scan_program() {
+        // Tallies of the linear-scan implementation, recorded before
+        // selection became a binary search: the modeled C program, and
+        // so `BENCH_speedup`'s `sw_ms`, must not move.
+        let cases = [
+            (
+                32u8,
+                32u32,
+                0x2961u16,
+                TestFunction::Bf6,
+                [45384u64, 17160, 4672, 20744, 2048, 1024, 2560],
+            ),
+            (
+                15,
+                8,
+                0x061F,
+                TestFunction::F3,
+                [4346, 1068, 565, 1498, 224, 127, 295],
+            ),
+            (
+                128,
+                16,
+                7919,
+                TestFunction::MShubert2D,
+                [188723, 131251, 9584, 138643, 4096, 2160, 5232],
+            ),
+        ];
+        for (pop, gens, seed, f, [alu, load, store, branch, mul, bus_read, call]) in cases {
+            let sw =
+                CountingGa::new(GaParams::new(pop, gens, 10, 1, seed), |c| f.eval_u16(c)).run();
+            let want = OpCounts {
+                alu,
+                load,
+                store,
+                branch,
+                mul,
+                bus_read,
+                call,
+            };
+            assert_eq!(sw.ops, want, "pop {pop} seed {seed:#06x}");
+        }
+        let zero = CountingGa::new(GaParams::new(8, 3, 10, 1, 0x5555), |_| 0u16).run();
+        let want = OpCounts {
+            alu: 908,
+            load: 192,
+            store: 129,
+            branch: 310,
+            mul: 48,
+            bus_read: 29,
+            call: 65,
+        };
+        assert_eq!(zero.ops, want, "all-zero fall-through");
     }
 
     #[test]

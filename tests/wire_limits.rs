@@ -4,9 +4,17 @@
 //! island job asked its bitsim stepper for the whole stream with no
 //! watchdog, and the plain job, once its pack watchdog degraded it to
 //! behavioral, preallocated one history slot per generation.
+//!
+//! The island worker's ops obey the same rule: an `epoch` that would
+//! step a member past its generation budget (and a bitsim member past
+//! its extracted stream) is an in-band error, and the connection lives.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
 
 use ga_serve::jsonl::{parse_job, result_line};
-use ga_serve::{serve_batch, ServeConfig, ServeError};
+use ga_serve::{serve_batch, serve_island_connection, ServeConfig, ServeError};
 
 const ISLAND_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"islands":2,"epoch":65535,"epochs":65536,"deadline_ms":50}"#;
 const PLAIN_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"deadline_ms":50}"#;
@@ -40,4 +48,107 @@ fn oversized_generation_counts_get_one_typed_reply_per_line() {
         out.results[1].degraded.is_some(),
         "watchdog degraded the pack"
     );
+}
+
+/// One island worker serving one loopback connection on a thread.
+struct Worker {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+    thread: JoinHandle<Result<(), String>>,
+}
+
+impl Worker {
+    fn spawn() -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let thread = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().map_err(|e| e.to_string())?;
+            serve_island_connection(stream)
+        });
+        let stream = TcpStream::connect(addr).expect("connect");
+        Worker {
+            writer: stream.try_clone().expect("clone stream"),
+            reader: BufReader::new(stream),
+            thread,
+        }
+    }
+
+    /// Send one op line and read its reply; a worker that dies instead
+    /// of answering fails here with an empty reply.
+    fn call(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send op");
+        let mut reply = String::new();
+        self.reader.read_line(&mut reply).expect("read reply");
+        assert!(!reply.is_empty(), "worker hung up on {line}");
+        reply.trim_end().to_string()
+    }
+
+    fn finish(mut self) -> String {
+        let reply = self.call(r#"{"op":"finish"}"#);
+        self.thread
+            .join()
+            .expect("worker thread")
+            .expect("clean exit");
+        reply
+    }
+}
+
+const INIT: &str = r#"{"op":"init","fn":"F3","backend":"bitsim64","islands":1,"shard":0,"pop":8,"gens":4,"xover":10,"mut":1,"seed":5"#;
+
+fn init_line(snapshot: Option<&str>) -> String {
+    match snapshot {
+        Some(hex) => format!(r#"{INIT},"snapshot":"{hex}"}}"#),
+        None => format!("{INIT}}}"),
+    }
+}
+
+fn assert_typed_error(reply: &str, what: &str) {
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":"#) && reply.contains(what),
+        "expected an in-band {what:?} error, got {reply}"
+    );
+}
+
+#[test]
+fn island_epochs_past_the_generation_budget_get_a_typed_error() {
+    // Fresh member: a 50-generation epoch against a 4-generation budget
+    // used to index past the extracted bitsim stream and abort.
+    let mut fresh = Worker::spawn();
+    assert!(fresh.call(&init_line(None)).starts_with(r#"{"ok":true"#));
+    assert_typed_error(&fresh.call(r#"{"op":"epoch","gens":50}"#), "budget");
+    assert!(fresh
+        .call(r#"{"op":"epoch","gens":2}"#)
+        .starts_with(r#"{"ok":true"#));
+    let snapshot = fresh.call(r#"{"op":"snapshot"}"#);
+    let hex = snapshot
+        .strip_prefix(r#"{"ok":true,"snapshot":""#)
+        .and_then(|s| s.strip_suffix(r#""}"#))
+        .expect("snapshot reply")
+        .to_string();
+    let last_epoch = fresh.call(r#"{"op":"epoch","gens":2}"#);
+    assert!(last_epoch.starts_with(r#"{"ok":true"#), "{last_epoch}");
+    assert_typed_error(&fresh.call(r#"{"op":"epoch","gens":1}"#), "budget");
+    let fresh_finish = fresh.finish();
+    assert!(fresh_finish.starts_with(r#"{"ok":true"#), "{fresh_finish}");
+
+    // Resumed member at generation 2: two generations are left, and
+    // the refused epochs stepped nothing, so the run ends where the
+    // uninterrupted one did.
+    let mut resumed = Worker::spawn();
+    assert!(resumed
+        .call(&init_line(Some(&hex)))
+        .starts_with(r#"{"ok":true"#));
+    assert_typed_error(&resumed.call(r#"{"op":"epoch","gens":3}"#), "budget");
+    assert_eq!(resumed.call(r#"{"op":"epoch","gens":2}"#), last_epoch);
+    assert_eq!(resumed.finish(), fresh_finish);
+
+    // A snapshot already past the budget is refused at restore, and the
+    // connection still serves the next init.
+    let mut late = Worker::spawn();
+    let past = init_line(Some(&hex)).replace(r#""gens":4"#, r#""gens":1"#);
+    assert_typed_error(&late.call(&past), "restore");
+    assert!(late.call(&init_line(None)).starts_with(r#"{"ok":true"#));
+    assert!(late.finish().starts_with(r#"{"ok":true"#));
 }
