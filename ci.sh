@@ -126,11 +126,11 @@ done
 echo "== gaserved golden fixture + BENCH_serve.json throughput floors"
 # The serving layer replays the checked-in fixture (16-bit jobs on the
 # narrow engines, width-32 jobs on rtl32, plus five VRC heal jobs —
-# one deliberately unhealable); the output must be
-# byte-identical to the committed golden (results are deterministic and
-# carry no timing fields). benchcheck then validates the emitted
-# report, requires per-backend throughput counters for every registered
-# engine, and enforces a conservative jobs/sec floor.
+# one deliberately unhealable) through its one worker pool; the output
+# must be byte-identical to the committed golden (results are
+# deterministic and carry no timing fields). benchcheck then validates
+# the emitted report, requires per-backend throughput counters for
+# every registered engine, and enforces a conservative jobs/sec floor.
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
     --input tests/fixtures/jobs16.jsonl \
     --out "$SMOKE_DIR/results16.jsonl" --threads 4
@@ -139,12 +139,16 @@ diff -u tests/fixtures/results16_golden.jsonl "$SMOKE_DIR/results16.jsonl"
     --require-backend-throughput 'jobs>=15' 'jobs_per_sec>=25' \
     'netlist_cache_hits>=1' 'degraded_jobs<=0'
 
-echo "== serve bench (200-job acceptance batch, pack-path throughput floor)"
-# The wide-lane + cache acceptance gate: the packed bitsim path must
-# clear >=10x the pre-widening 1202.89 jobs/s snapshot, with zero
-# degraded lanes and at least one compiled-netlist cache hit.
-cargo build -q --release -p ga-serve --bin serve_bench
-GA_BENCH_OUT="$SMOKE_DIR" ./target/release/serve_bench 2> /dev/null
+echo "== 200-job acceptance batch through gaserved --input (pack-path throughput floor)"
+# The wide-lane + cache acceptance gate: the committed 200-job batch
+# (tests/fixtures/jobs200.jsonl, cycling every registered engine) runs
+# through the same batch path as the golden fixture. Packs form in
+# first-appearance order at any pool size, so the pack counts are
+# exact; the packed bitsim path must clear >=10x the pre-widening
+# 1202.89 jobs/s snapshot, with zero degraded lanes and at least one
+# compiled-netlist cache hit.
+GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
+    --input tests/fixtures/jobs200.jsonl --out "$SMOKE_DIR/results200.jsonl" 2> /dev/null
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_serve.json" \
     'bitsim_pack_jobs_per_sec>=12029' 'bitsim_packs>=9' \
     'bitsim_active_lanes>=86' 'netlist_cache_hits>=1' 'degraded_jobs<=0'
@@ -153,10 +157,12 @@ echo "== persistent socket front-end (listener + streamed golden + load burst)"
 # Boot the real TCP listener on an ephemeral port with its stdin held
 # open on a fifo (closing the fifo is the std-only drain signal).
 # A raw-socket client streams the batch fixture over one connection and
-# must read back byte-identical golden lines; serve_load then drives a
-# quick mixed-backend burst over four connections. The drain report is
-# benchcheck'd with a sustained-rate floor, a behavioral tail-latency
-# ceiling, and zero degraded jobs.
+# must read back byte-identical golden lines (the listener shares batch
+# mode's reader and worker pool; this checks the socket plumbing);
+# the serve_load client then drives a quick mixed-backend burst over
+# four connections. The listener's drain report is benchcheck'd with
+# a sustained-rate floor, a behavioral tail-latency ceiling, and zero
+# degraded jobs.
 cargo build -q --release -p ga-serve --bin serve_load
 LISTEN_DIR="$SMOKE_DIR/listen"
 mkdir -p "$LISTEN_DIR"

@@ -22,18 +22,16 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
-pub mod report;
-pub mod sweep;
 pub mod testgen;
 
 pub use fault::{
     classify_hw, golden_hw_run, run_net_injection, run_scan_injection, ClassCounts, NetOutcome,
     ScanInjection,
 };
-pub use report::{
-    gens_override, json_extract_number, json_extract_string, quick, BenchReport, Stopwatch,
+pub use ga_harness::{
+    default_threads, gens_override, grid3, json_extract_number, json_extract_string, quick, report,
+    run_sweep, sweep, BenchReport, Stopwatch,
 };
-pub use sweep::{default_threads, grid3, lane_chunks, run_sweep};
 pub use testgen::{
     evolve_detectors, random_baseline, Detector, Probe, SiteBitmap, TestgenCtx, NET_SITES,
     SCAN_SITES, TOTAL_SITES,

@@ -1,0 +1,23 @@
+//! # ga-harness — leaf utilities shared by the benches and the server
+//!
+//! Two std-only pieces that sit below every crate that times or fans
+//! out work:
+//!
+//! * [`report`] — the machine-readable `BENCH_<name>.json` writer and
+//!   reader ([`BenchReport`]), the [`Stopwatch`] and the `GA_BENCH_*`
+//!   environment knobs;
+//! * [`sweep`] — [`run_sweep`], the scoped-thread claim loop that
+//!   returns results in input order, and [`default_threads`].
+//!
+//! `ga-bench` re-exports all of it; `ga-serve` uses the report and the
+//! thread default without pulling in the bench crate.
+
+#![forbid(unsafe_code)]
+
+pub mod report;
+pub mod sweep;
+
+pub use report::{
+    gens_override, json_extract_number, json_extract_string, quick, BenchReport, Stopwatch,
+};
+pub use sweep::{default_threads, grid3, run_sweep};

@@ -8,15 +8,17 @@
 //! gaserved --list-backends
 //! ```
 //!
-//! **Batch mode** reads one job per input line, runs the batch through
-//! the sharded service, and writes exactly one result line per input
+//! **Batch mode** serves the input file as one connection
+//! ([`ga_serve::serve_jsonl`]): one result line per non-empty input
 //! line, in input order. Lines that fail to parse become
 //! `"backend":"none"` error lines in the same position — the batch
-//! never aborts on a bad line.
+//! never aborts on a bad line. The whole file is queued before the
+//! workers start, so bitsim packs form in first-appearance order.
 //!
 //! **Listen mode** serves the same wire format over a persistent TCP
-//! socket — one connection per client, results line-aligned per
-//! connection — and announces the bound address on stdout as
+//! socket through the same reader and worker pool — one connection per
+//! client, results line-aligned per connection — and announces the
+//! bound address on stdout as
 //! `listening <addr>` (so `--listen 127.0.0.1:0` is scriptable). The
 //! server runs until **stdin reaches EOF** (the std-only shutdown
 //! signal: run it with a held-open pipe and close it to stop), then
@@ -34,11 +36,13 @@
 //! p50/p95/p99/max latency — goes to `BENCH_serve.json` (honoring
 //! `GA_BENCH_OUT`).
 
+use std::fmt::Display;
 use std::fs;
-use std::io::Read as _;
+use std::io::{BufWriter, Read as _};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use ga_serve::{jsonl, serve_batch, GaJob, JobResult, NetConfig, ServeConfig, Server};
+use ga_serve::{serve_jsonl, NetConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,50 +55,26 @@ fn main() -> ExitCode {
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+                .ok_or_else(|| format!("{arg} needs a value"))
         };
         let r = match arg.as_str() {
-            "--input" => value("--input").map(|v| input = Some(v)),
-            "--out" => value("--out").map(|v| out = Some(v)),
-            "--listen" => value("--listen").map(|v| listen = Some(v)),
-            "--island-worker" => value("--island-worker").map(|v| island_worker = Some(v)),
+            "--input" => value().map(|v| input = Some(v)),
+            "--out" => value().map(|v| out = Some(v)),
+            "--listen" => value().map(|v| listen = Some(v)),
+            "--island-worker" => value().map(|v| island_worker = Some(v)),
             "--shed" => {
                 net.shed = true;
                 Ok(())
             }
-            "--max-jobs-per-conn" => value("--max-jobs-per-conn").and_then(|v| {
-                v.parse()
-                    .map(|n: u64| net.max_jobs_per_conn = n)
-                    .map_err(|e| format!("--max-jobs-per-conn: {e}"))
-            }),
-            "--rate" => value("--rate").and_then(|v| {
-                v.parse()
-                    .map(|n: u32| net.rate_per_sec = n)
-                    .map_err(|e| format!("--rate: {e}"))
-            }),
-            "--burst" => value("--burst").and_then(|v| {
-                v.parse()
-                    .map(|n: u32| net.rate_burst = n)
-                    .map_err(|e| format!("--burst: {e}"))
-            }),
-            "--drain-grace-ms" => value("--drain-grace-ms").and_then(|v| {
-                v.parse()
-                    .map(|n: u64| net.drain_grace_ms = n)
-                    .map_err(|e| format!("--drain-grace-ms: {e}"))
-            }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| cfg.threads = n.max(1))
-                    .map_err(|e| format!("--threads: {e}"))
-            }),
-            "--queue-cap" => value("--queue-cap").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| cfg.queue_capacity = n.max(1))
-                    .map_err(|e| format!("--queue-cap: {e}"))
-            }),
+            "--max-jobs-per-conn" => number(arg, value()).map(|n| net.max_jobs_per_conn = n),
+            "--rate" => number(arg, value()).map(|n| net.rate_per_sec = n),
+            "--burst" => number(arg, value()).map(|n| net.rate_burst = n),
+            "--drain-grace-ms" => number(arg, value()).map(|n| net.drain_grace_ms = n),
+            "--threads" => number(arg, value()).map(|n: usize| cfg.threads = n.max(1)),
+            "--queue-cap" => number(arg, value()).map(|n: usize| cfg.queue_capacity = n.max(1)),
             "--list-backends" => {
                 // One line per registered engine, machine-greppable:
                 // the CI registry-enumeration check parses this.
@@ -160,59 +140,24 @@ fn main() -> ExitCode {
         }
     };
 
-    // Parse every line first. Parse failures keep their line slot so
-    // the output stays line-aligned with the input; parseable jobs are
-    // submitted as one batch with their line index as the job id.
-    let mut parse_errors = Vec::new(); // (line index, error line)
-    let mut jobs: Vec<(usize, GaJob)> = Vec::new();
-    // Explicit line-ending strip (not `str::lines`): the batch path
-    // shares the socket reader's contract, so CRLF files parse — and
-    // CRLF "blank" lines skip — identically in both modes.
-    for (line_no, raw) in text.split('\n').enumerate() {
-        let line = jsonl::strip_line_ending(raw);
-        if line.trim().is_empty() {
-            continue;
+    let summary = match fs::File::create(&out)
+        .and_then(|file| serve_jsonl(&text, BufWriter::new(file), &cfg))
+    {
+        Ok(summary) => summary,
+        Err(e) => {
+            eprintln!("gaserved: cannot write {out}: {e}");
+            return ExitCode::FAILURE;
         }
-        match jsonl::parse_job(line, line_no) {
-            Ok(job) => jobs.push((line_no, job)),
-            Err(e) => parse_errors.push((line_no, jsonl::parse_error_line(line_no, &e))),
-        }
-    }
+    };
 
-    let batch: Vec<GaJob> = jobs.iter().map(|&(_, j)| j).collect();
-    let outcome = serve_batch(&batch, &cfg);
-
-    // Re-key batch-relative job ids back to input line numbers, merge
-    // with the parse-error lines, and emit in line order.
-    let mut lines: Vec<(usize, String)> = parse_errors;
-    for r in &outcome.results {
-        let line_no = jobs[r.job].0;
-        let rekeyed = JobResult {
-            job: line_no,
-            ..r.clone()
-        };
-        lines.push((line_no, jsonl::result_line(&rekeyed)));
-    }
-    lines.sort_by_key(|(line_no, _)| *line_no);
-
-    let mut body = String::new();
-    for (_, line) in &lines {
-        body.push_str(line);
-        body.push('\n');
-    }
-    if let Err(e) = fs::write(&out, body) {
-        eprintln!("gaserved: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    let stats = &outcome.stats;
+    let (stats, adm) = (&summary.stats, &summary.admission);
     eprintln!(
         "gaserved: {} jobs ({} ok, {} errors, {} parse failures) in {:.3}s \
          [{:.1} jobs/s, {} threads, {} bitsim packs]",
-        lines.len(),
+        adm.lines,
         stats.jobs() - stats.errors(),
         stats.errors(),
-        lines.len() - outcome.results.len(),
+        adm.rejected_parse,
         stats.wall_seconds,
         stats.jobs_per_sec(),
         stats.threads_used,
@@ -220,6 +165,14 @@ fn main() -> ExitCode {
     );
     stats.to_report().emit_or_warn();
     ExitCode::SUCCESS
+}
+
+/// Parse the numeric value of `flag`.
+fn number<T: FromStr>(flag: &str, value: Result<String, String>) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value?.parse().map_err(|e| format!("{flag}: {e}"))
 }
 
 /// Listen mode: bind, announce, serve until stdin EOF, drain, report.

@@ -24,11 +24,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Instant;
 
-use ga_bench::BenchReport;
 use ga_core::islands::IslandConfig;
 use ga_core::GaParams;
 use ga_engine::{CheckpointBundle, IslandsEngine};
 use ga_fitness::TestFunction;
+use ga_harness::BenchReport;
 use ga_serve::islands::read_checkpoint;
 use ga_serve::{BackendKind, Coordinator, GaJob};
 

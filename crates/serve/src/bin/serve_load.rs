@@ -1,27 +1,18 @@
-//! `serve_load` — sustained-load driver for the socket front-end, and
-//! the committed `BENCH_serve.json` generator.
+//! `serve_load` — sustained-load client for `gaserved --listen`.
 //!
-//! Boots `ga_serve::Server` on an ephemeral localhost port, drives a
-//! deterministic mixed-backend job stream over several concurrent TCP
-//! connections (each client writes and reads on separate threads, like
-//! a real pipelined submitter), verifies that every submitted line came
-//! back exactly once and green, then drains the server and emits its
-//! merged stats — including the per-backend
-//! `_p50_us/_p95_us/_p99_us/_max_us` latency block — as
-//! `BENCH_serve.json` (honoring `GA_BENCH_OUT`).
-//!
-//! The committed snapshot is reproducible with:
+//! Drives a deterministic mixed-backend job stream over several
+//! concurrent TCP connections to an already-running listener (each
+//! client writes and reads on separate threads, like a real pipelined
+//! submitter) and verifies that every submitted line came back exactly
+//! once, in order, and green. It writes no report: the server owns the
+//! stats and emits `BENCH_serve.json` when it drains.
 //!
 //! ```text
-//! GA_BENCH_OUT=. cargo run --release -p ga-serve --bin serve_load
+//! serve_load --connect ADDR [--conns N] [--jobs N]
 //! ```
 //!
 //! `GA_BENCH_QUICK=1` (the CI burst) cuts the per-connection job count
-//! so the step stays fast; `--conns`/`--jobs`/`--threads` override the
-//! defaults. With `--connect ADDR` the bin is a pure client instead:
-//! it drives the same burst against an already-running
-//! `gaserved --listen` (the CI localhost step) and emits no report —
-//! the external server owns the stats and reports them at drain.
+//! so the step stays fast; `--conns`/`--jobs` override the defaults.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -31,7 +22,7 @@ use std::time::Instant;
 
 use ga_core::GaParams;
 use ga_fitness::TestFunction;
-use ga_serve::{jsonl, BackendKind, GaJob, NetConfig, Server};
+use ga_serve::{jsonl, BackendKind, GaJob};
 
 /// The load mix: small fast parameter shapes cycling the lockstep-pack
 /// family plus the scalar engines, heavy on the cheap backends so the
@@ -64,8 +55,9 @@ fn job_for(conn: usize, i: usize) -> GaJob {
 /// streaming job lines while the spawning thread reads responses
 /// concurrently — a client that wrote everything before reading
 /// anything would deadlock against TCP backpressure once both socket
-/// buffers fill. Returns per-connection `(ok, failed)` counts.
-fn run_clients(addr: SocketAddr, conns: usize, jobs_per_conn: usize) -> Vec<(usize, usize)> {
+/// buffers fill. Returns the `(ok, failed)` reply counts over all
+/// connections.
+fn run_clients(addr: SocketAddr, conns: usize, jobs_per_conn: usize) -> (usize, usize) {
     thread::scope(|s| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
@@ -106,7 +98,7 @@ fn run_clients(addr: SocketAddr, conns: usize, jobs_per_conn: usize) -> Vec<(usi
         handles
             .into_iter()
             .map(|h| h.join().expect("client thread"))
-            .collect()
+            .fold((0, 0), |(ok, failed), (o, f)| (ok + o, failed + f))
     })
 }
 
@@ -118,7 +110,6 @@ fn main() -> ExitCode {
         6_000
     };
     let mut connect = None;
-    let mut net = NetConfig::default();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -139,11 +130,6 @@ fn main() -> ExitCode {
                     .map(|n: usize| jobs_per_conn = n.max(1))
                     .map_err(|e| format!("--jobs: {e}"))
             }),
-            "--threads" => value("--threads").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| net.serve.threads = n.max(1))
-                    .map_err(|e| format!("--threads: {e}"))
-            }),
             "--connect" => value("--connect").map(|v| connect = Some(v)),
             other => Err(format!("unknown argument {other:?}")),
         };
@@ -153,74 +139,27 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(target) = connect {
-        // Pure-client mode: burst against an external listener. The
-        // server owns the stats; here we only verify that every line
-        // came back once, in order, and green.
-        let addr = match target.to_socket_addrs().ok().and_then(|mut a| a.next()) {
-            Some(a) => a,
-            None => {
-                eprintln!("serve_load: cannot resolve {target}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let t = Instant::now();
-        let per_conn = run_clients(addr, conns, jobs_per_conn);
-        let wall = t.elapsed().as_secs_f64();
-        let total_ok: usize = per_conn.iter().map(|&(ok, _)| ok).sum();
-        let total_failed: usize = per_conn.iter().map(|&(_, f)| f).sum();
-        let expected = conns * jobs_per_conn;
-        assert_eq!(total_ok + total_failed, expected, "every line answered");
-        assert_eq!(total_failed, 0, "burst must be green");
-        eprintln!(
-            "serve_load: {expected} jobs over {conns} conns to {addr} \
-             in {wall:.3}s [{:.0} jobs/s client-side]",
-            expected as f64 / wall,
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let server = match Server::bind("127.0.0.1:0", net) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve_load: cannot bind: {e}");
+    let Some(target) = connect else {
+        eprintln!("serve_load: --connect ADDR is required");
+        return ExitCode::FAILURE;
+    };
+    let addr = match target.to_socket_addrs().ok().and_then(|mut a| a.next()) {
+        Some(a) => a,
+        None => {
+            eprintln!("serve_load: cannot resolve {target}");
             return ExitCode::FAILURE;
         }
     };
-    let addr = server.local_addr();
-    let per_conn = run_clients(addr, conns, jobs_per_conn);
-    let summary = server.drain();
-    let stats = &summary.stats;
-
-    let total_ok: usize = per_conn.iter().map(|&(ok, _)| ok).sum();
-    let total_failed: usize = per_conn.iter().map(|&(_, f)| f).sum();
+    let t = Instant::now();
+    let (ok, failed) = run_clients(addr, conns, jobs_per_conn);
+    let wall = t.elapsed().as_secs_f64();
     let expected = conns * jobs_per_conn;
-    assert_eq!(
-        total_ok + total_failed,
-        expected,
-        "every submitted line must come back exactly once"
-    );
-    assert_eq!(total_failed, 0, "load run must be green");
-    assert_eq!(stats.jobs() as usize, expected, "server-side job count");
-    assert_eq!(stats.degraded, 0, "no degraded lanes under load");
-
-    let beh = stats.counters(BackendKind::Behavioral);
+    assert_eq!(ok + failed, expected, "every line answered");
+    assert_eq!(failed, 0, "burst must be green");
     eprintln!(
-        "serve_load: {} jobs over {} conns in {:.3}s [{:.0} jobs/s, \
-         {} threads, {} packs / {} lanes; behavioral p50/p95/p99/max = \
-         {}/{}/{}/{} us]",
-        stats.jobs(),
-        summary.admission.connections,
-        stats.wall_seconds,
-        stats.jobs_per_sec(),
-        stats.threads_used,
-        stats.packs,
-        stats.packed_lanes,
-        beh.histo.percentile(0.50),
-        beh.histo.percentile(0.95),
-        beh.histo.percentile(0.99),
-        beh.max_micros,
+        "serve_load: {expected} jobs over {conns} conns to {addr} \
+         in {wall:.3}s [{:.0} jobs/s client-side]",
+        expected as f64 / wall,
     );
-    stats.to_report().emit_or_warn();
     ExitCode::SUCCESS
 }

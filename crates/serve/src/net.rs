@@ -1,31 +1,31 @@
-//! The persistent TCP front-end: `gaserved --listen`.
+//! The JSONL front-end: `gaserved --listen` sockets and `gaserved
+//! --input` batch files.
 //!
-//! Each accepted connection speaks exactly the batch-mode JSONL wire
-//! format — one job per line in, one result line out per non-empty
-//! input line, in input order, with the `job` field echoing the 0-based
-//! input line number (blank lines advance the numbering but produce no
-//! output, same as the file path). Because the per-line results are
-//! deterministic and timing-free, a golden `results.jsonl` produced by
-//! the batch binary diffs byte-identical against what a socket client
-//! streams back.
+//! Both speak the same wire format through the same per-line reader —
+//! one job per line in, one result line out per non-empty input line,
+//! in input order, with the `job` field echoing the 0-based input line
+//! number (blank lines advance the numbering but produce no output;
+//! `\r\n` endings parse like `\n`). Because the per-line results are
+//! deterministic and timing-free, a golden `results.jsonl` written by
+//! batch mode diffs byte-identical against what a socket client streams
+//! back.
 //!
-//! Layering (mirrors the batch scheduler, shares its execution path):
+//! Layering:
 //!
-//! * one **reader thread per connection** parses lines, applies
-//!   admission control (per-connection quota, token-bucket rate limit,
-//!   then the shared [`BoundedQueue`] — blocking backpressure by
-//!   default, `try_push` load-shedding when [`NetConfig::shed`] is on)
-//!   and answers every rejected line immediately with a typed
-//!   [`ServeError`] line, so nothing ever goes unanswered;
-//! * a fixed **worker pool** pops work items, opportunistically gathers
-//!   packable same-key jobs from the queue
-//!   ([`BoundedQueue::take_matching`]) up to the backend's pack width,
-//!   and routes every unit through the batch scheduler's
-//!   panic-isolating, retrying executor
-//!   (`service::exec_unit_with_recovery`) — the streaming path gets the
-//!   same degradation and recovery semantics for free;
+//! * the **reader** parses lines, applies admission control
+//!   (per-connection quota, token-bucket rate limit, then the shared
+//!   [`BoundedQueue`] — blocking backpressure by default, `try_push`
+//!   load-shedding when [`NetConfig::shed`] is on) and answers every
+//!   rejected line immediately with a typed [`ServeError`] line, so
+//!   nothing ever goes unanswered. A socket gets one reader thread per
+//!   connection; a batch file is read once, into a queue sized to hold
+//!   all of it;
+//! * the crate's one **worker pool** (`crate::pool`) pops jobs, gathers
+//!   pack-mates in the same queue operation, and runs every unit through
+//!   the panic-isolating, retrying executor;
 //! * a per-connection **reorder buffer** puts completed results back on
-//!   the wire in input order however the pool interleaves them.
+//!   the wire (or into the output file) in input order however the pool
+//!   interleaves them.
 //!
 //! [`Server::drain`] is the graceful-shutdown path the CI step and the
 //! stdin-EOF trigger in `gaserved --listen` exercise: stop accepting,
@@ -34,9 +34,8 @@
 //! join the pool — every job admitted before the drain gets its result
 //! line flushed. The merged [`ServeStats`] (per-worker histograms and
 //! counters folded together) is returned so the listener can emit the
-//! same `BENCH_serve.json` report as the batch binary.
+//! same `BENCH_serve.json` report as batch mode.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,14 +43,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use ga_bench::Stopwatch;
-
-use crate::job::{GaJob, JobResult, ServeError};
+use crate::job::ServeError;
 use crate::jsonl;
+use crate::pool::{ConnState, Pool, WorkItem};
 use crate::queue::{relock, BoundedQueue};
-use crate::service::{exec_unit_with_recovery, ServeConfig, ServeStats, Unit};
+use crate::service::{ServeConfig, ServeStats};
 
-/// Tuning knobs for the socket front-end, wrapping the scheduler's
+/// Tuning knobs for the socket front-end, wrapping the pool's
 /// [`ServeConfig`] (worker count, queue capacity, watchdogs, retry).
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -115,8 +113,9 @@ pub struct AdmissionStats {
     pub rejected_closed: u64,
 }
 
-/// What [`Server::drain`] hands back: the merged execution stats (the
-/// `BENCH_serve.json` source) plus the admission-layer counters.
+/// What [`Server::drain`] and [`serve_jsonl`] hand back: the merged
+/// execution stats (the `BENCH_serve.json` source) plus the
+/// admission-layer counters.
 #[derive(Debug, Clone)]
 pub struct DrainSummary {
     /// Merged per-backend counters/histograms, pack accounting, cache
@@ -124,52 +123,6 @@ pub struct DrainSummary {
     pub stats: ServeStats,
     /// Reader-side admission counters.
     pub admission: AdmissionStats,
-}
-
-/// One queued unit of work: a parsed job plus everything needed to put
-/// its result line back on the right connection in the right order.
-struct WorkItem {
-    job: GaJob,
-    /// Wire-level job id: the 0-based input line number on its
-    /// connection (blank lines advance it).
-    line: usize,
-    /// Per-connection response slot (dense — one per answered line).
-    seq: u64,
-    conn: Arc<ConnState>,
-}
-
-/// The write half of one connection: results are inserted by seq and
-/// flushed to the socket strictly in order.
-struct ConnState {
-    stream: TcpStream,
-    out: Mutex<Reorder>,
-}
-
-struct Reorder {
-    next: u64,
-    pending: BTreeMap<u64, String>,
-}
-
-impl ConnState {
-    /// Park `line` at slot `seq`; write every now-contiguous line to
-    /// the socket. Write errors are swallowed — a client that hung up
-    /// mid-stream forfeits its remaining results, but the jobs still
-    /// count in the server stats.
-    fn emit(&self, seq: u64, line: String) {
-        let mut o = relock(self.out.lock());
-        o.pending.insert(seq, line);
-        loop {
-            let next = o.next;
-            let Some(text) = o.pending.remove(&next) else {
-                break;
-            };
-            let mut w = &self.stream;
-            let _ = w
-                .write_all(text.as_bytes())
-                .and_then(|()| w.write_all(b"\n"));
-            o.next += 1;
-        }
-    }
 }
 
 /// Token bucket for the per-connection rate limit. `per_sec == 0`
@@ -209,15 +162,20 @@ impl TokenBucket {
     }
 }
 
-/// State shared by the accept loop, the connection readers, and the
-/// worker pool.
-struct Shared {
+/// What the per-line reader needs: the admission settings, the queue it
+/// admits into, and the counters it keeps.
+struct Intake {
     cfg: NetConfig,
-    queue: BoundedQueue<WorkItem>,
+    queue: Arc<BoundedQueue<WorkItem>>,
+    admission: Mutex<AdmissionStats>,
+}
+
+/// State shared by the accept loop and the connection readers.
+struct Shared {
+    intake: Intake,
     shutdown: AtomicBool,
     active_conns: AtomicU64,
     next_conn_id: AtomicU64,
-    admission: Mutex<AdmissionStats>,
     /// Read-half clones of *live* connections (pruned when a reader
     /// exits — a lingering clone would hold the socket open and starve
     /// clients waiting for EOF), so drain can force EOF on clients that
@@ -233,10 +191,7 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<ServeStats>>,
-    sw: Stopwatch,
-    cache_before: (u64, u64),
-    threads: usize,
+    pool: Pool,
 }
 
 impl Server {
@@ -245,24 +200,20 @@ impl Server {
     pub fn bind(addr: &str, cfg: NetConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let threads = cfg.serve.threads.max(1);
-        let queue_capacity = cfg.serve.queue_capacity.max(1);
+        let mut pool = Pool::new(&cfg.serve, cfg.serve.queue_capacity);
+        pool.start(cfg.serve.threads);
         let shared = Arc::new(Shared {
-            cfg,
-            queue: BoundedQueue::new(queue_capacity),
+            intake: Intake {
+                cfg,
+                queue: Arc::clone(pool.queue()),
+                admission: Mutex::new(AdmissionStats::default()),
+            },
             shutdown: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
-            admission: Mutex::new(AdmissionStats::default()),
             conn_streams: Mutex::new(Vec::new()),
             conn_handles: Mutex::new(Vec::new()),
         });
-        let workers = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
         let accept = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || accept_loop(&listener, &shared))
@@ -271,10 +222,7 @@ impl Server {
             shared,
             addr: local,
             accept: Some(accept),
-            workers,
-            sw: Stopwatch::start(),
-            cache_before: ga_engine::global_cache().counters(),
-            threads,
+            pool,
         })
     }
 
@@ -298,7 +246,8 @@ impl Server {
         }
         // Grace window: let clients that are still submitting finish
         // and close on their own terms…
-        let deadline = Instant::now() + Duration::from_millis(self.shared.cfg.drain_grace_ms);
+        let deadline =
+            Instant::now() + Duration::from_millis(self.shared.intake.cfg.drain_grace_ms);
         while self.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
         }
@@ -313,23 +262,11 @@ impl Server {
         for h in handles {
             let _ = h.join();
         }
-        // No reader is alive, so nothing else will enqueue: close the
-        // queue, let the workers drain the tail, and fold their stats.
-        self.shared.queue.close();
-        let mut stats = ServeStats::default();
-        for w in self.workers.drain(..) {
-            if let Ok(local) = w.join() {
-                stats.merge(&local);
-            }
-        }
-        stats.threads_used = self.threads as u64;
-        stats.wall_seconds = self.sw.seconds();
-        let (hits, misses) = ga_engine::global_cache().counters();
-        stats.cache_hits = hits.saturating_sub(self.cache_before.0);
-        stats.cache_misses = misses.saturating_sub(self.cache_before.1);
+        // No reader is alive, so nothing else will enqueue: let the
+        // pool drain the tail and fold its workers' stats.
         DrainSummary {
-            stats,
-            admission: *relock(self.shared.admission.lock()),
+            stats: self.pool.drain(),
+            admission: *relock(self.shared.intake.admission.lock()),
         }
     }
 }
@@ -340,7 +277,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             break; // the drain poke (or a raced real client) lands here
         }
         let Ok(stream) = stream else { continue };
-        relock(shared.admission.lock()).connections += 1;
+        relock(shared.intake.admission.lock()).connections += 1;
         shared.active_conns.fetch_add(1, Ordering::SeqCst);
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::SeqCst);
         if let Ok(read_half) = stream.try_clone() {
@@ -348,7 +285,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         let shared2 = Arc::clone(shared);
         let handle = thread::spawn(move || {
-            connection_loop(&shared2, stream);
+            connection_loop(&shared2.intake, stream);
             // Drop the registered read-half clone: an fd left behind
             // would keep the socket open after the in-flight results
             // flush, and the client would never see EOF.
@@ -359,24 +296,51 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Read one connection to EOF, answering every non-empty line exactly
-/// once: a queued [`WorkItem`] on success, an immediate typed error
-/// line on parse failure or admission rejection.
-fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
+/// Serve one socket connection: read it to EOF, with replies on its
+/// write half.
+fn connection_loop(intake: &Intake, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
-    let conn = Arc::new(ConnState {
-        stream: write_half,
-        out: Mutex::new(Reorder {
-            next: 0,
-            pending: BTreeMap::new(),
-        }),
-    });
-    let mut reader = BufReader::new(stream);
-    let mut bucket = TokenBucket::new(shared.cfg.rate_per_sec, shared.cfg.rate_burst);
+    read_lines(intake, BufReader::new(stream), &ConnState::new(write_half));
+    // The reader is done; in-flight results still flush through the
+    // `ConnState` clones held by queued items. The socket closes when
+    // the last of those drops.
+}
+
+/// Serve a whole JSONL batch (`gaserved --input`) as one connection
+/// whose replies go to `out`, through the same reader and worker pool
+/// as a socket. The queue is sized to hold every line, and the workers
+/// start only once the whole input is queued, so packs form in
+/// first-appearance order at any thread count. Returns the merged
+/// stats, or the first error writing or flushing `out`.
+pub fn serve_jsonl(
+    text: &str,
+    out: impl Write + Send + 'static,
+    cfg: &ServeConfig,
+) -> io::Result<DrainSummary> {
+    let pool = Pool::new(cfg, text.lines().count());
+    let intake = Intake {
+        // No quota, rate limit or shedding: only parse failures reject.
+        cfg: NetConfig::default(),
+        queue: Arc::clone(pool.queue()),
+        admission: Mutex::new(AdmissionStats::default()),
+    };
+    let conn = ConnState::new(out);
+    read_lines(&intake, text.as_bytes(), &conn);
+    let stats = pool.run_queued();
+    conn.finish()?;
+    let admission = *relock(intake.admission.lock());
+    Ok(DrainSummary { stats, admission })
+}
+
+/// Read `reader` to EOF, answering every non-empty line exactly once:
+/// a queued [`WorkItem`] on success, an immediate typed error line on
+/// parse failure or admission rejection.
+fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) {
+    let cfg = &intake.cfg;
+    let mut bucket = TokenBucket::new(cfg.rate_per_sec, cfg.rate_burst);
     let mut buf = String::new();
     let mut line_no = 0usize; // wire `job` id: counts every input line
     let mut seq = 0u64; // response slot: counts answered lines only
@@ -393,11 +357,11 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         if text.trim().is_empty() {
             continue;
         }
-        relock(shared.admission.lock()).lines += 1;
+        relock(intake.admission.lock()).lines += 1;
         let this_seq = seq;
         seq += 1;
         let reject = |err: ServeError, field: fn(&mut AdmissionStats) -> &mut u64| {
-            *field(&mut relock(shared.admission.lock())) += 1;
+            *field(&mut relock(intake.admission.lock())) += 1;
             conn.emit(this_seq, jsonl::parse_error_line(line, &err));
         };
         let job = match jsonl::parse_job(text, line) {
@@ -407,7 +371,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
                 continue;
             }
         };
-        let quota = shared.cfg.max_jobs_per_conn;
+        let quota = cfg.max_jobs_per_conn;
         if quota > 0 && submitted >= quota {
             reject(ServeError::QuotaExceeded { limit: quota }, |a| {
                 &mut a.rejected_quota
@@ -417,7 +381,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         if !bucket.admit() {
             reject(
                 ServeError::RateLimited {
-                    per_sec: shared.cfg.rate_per_sec,
+                    per_sec: cfg.rate_per_sec,
                 },
                 |a| &mut a.rejected_rate,
             );
@@ -427,82 +391,19 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
             job,
             line,
             seq: this_seq,
-            conn: Arc::clone(&conn),
+            to: Arc::clone(conn) as _,
         };
         submitted += 1;
-        if shared.cfg.shed {
-            if let Err((_, e)) = shared.queue.try_push(item) {
-                fn shed_slot(a: &mut AdmissionStats) -> &mut u64 {
-                    &mut a.shed_queue_full
-                }
-                fn closed_slot(a: &mut AdmissionStats) -> &mut u64 {
-                    &mut a.rejected_closed
-                }
-                let field = if matches!(e, ServeError::QueueFull { .. }) {
-                    shed_slot as fn(&mut AdmissionStats) -> &mut u64
-                } else {
-                    closed_slot
-                };
-                reject(e, field);
-            }
-        } else if let Err(e) = shared.queue.push(item) {
-            // Only QueueClosed reaches here: the line raced the drain.
-            reject(e, |a| &mut a.rejected_closed);
-        }
-    }
-    // The reader is done; in-flight results still flush through the
-    // `Arc<ConnState>` clones held by queued items. The socket closes
-    // when the last of those drops.
-}
-
-/// Pop work until the queue closes and drains. Each popped job is
-/// opportunistically widened into a pack with same-key jobs already
-/// queued (never blocking to wait for more), then routed through the
-/// batch executor for panic isolation, retry, and degradation parity.
-fn worker_loop(shared: &Arc<Shared>) -> ServeStats {
-    let mut stats = ServeStats::default();
-    while let Some(first) = shared.queue.pop() {
-        let mut items = vec![first];
-        let job0 = items[0].job;
-        let pack_width = ga_engine::global()
-            .get(job0.backend)
-            .map(|e| e.capabilities().pack_width)
-            .unwrap_or(1);
-        if pack_width > 1 && job0.validate().is_ok() {
-            let key = (job0.backend, job0.pack_key());
-            items.extend(shared.queue.take_matching(
-                |it| {
-                    it.job.backend == key.0
-                        && it.job.pack_key() == key.1
-                        && it.job.validate().is_ok()
-                },
-                pack_width as usize - 1,
-            ));
-        }
-        let jobs: Vec<GaJob> = items.iter().map(|it| it.job).collect();
-        let unit = if items.len() > 1 {
-            Unit::Pack((0..items.len()).collect())
+        let admitted = if cfg.shed {
+            intake.queue.try_push(item).map_err(|(_, e)| e)
         } else {
-            Unit::Solo(0)
+            intake.queue.push(item)
         };
-        let t = Instant::now();
-        let results = exec_unit_with_recovery(&jobs, &unit, &shared.cfg.serve);
-        if items.len() > 1 {
-            stats.packs += 1;
-            stats.packed_lanes += items.len() as u64;
-            stats.pack_micros += t.elapsed().as_micros() as u64;
-        }
-        for r in results {
-            // `r.job` indexes the unit-local `jobs` slice; rekey it to
-            // the wire-level line number before serializing.
-            let item = &items[r.job];
-            let rekeyed = JobResult {
-                job: item.line,
-                ..r
-            };
-            stats.absorb_result(&rekeyed);
-            item.conn.emit(item.seq, jsonl::result_line(&rekeyed));
+        match admitted {
+            Ok(()) => {}
+            Err(e @ ServeError::QueueFull { .. }) => reject(e, |a| &mut a.shed_queue_full),
+            // Otherwise QueueClosed: the line raced the drain.
+            Err(e) => reject(e, |a| &mut a.rejected_closed),
         }
     }
-    stats
 }

@@ -59,11 +59,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Items currently queued.
     pub fn len(&self) -> usize {
         relock(self.state.lock()).items.len()
@@ -111,20 +106,49 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeue, blocking while empty. Returns `None` once the queue is
-    /// closed *and* drained — the worker-loop termination condition.
-    pub fn pop(&self) -> Option<T> {
+    /// Dequeue the head item, blocking while empty, together with up to
+    /// `mates(&head)` further queued items that `joins(&head, item)`
+    /// accepts, in FIFO order. Items not taken keep their place.
+    /// Returns `None` once the queue is closed *and* drained — the
+    /// worker-loop termination condition.
+    ///
+    /// Head and mates leave under **one** lock hold: this is the worker
+    /// pool's pack-gathering primitive, and a second consumer must not
+    /// take a pack-mate between the pop and the gather (that would split
+    /// the pack). Freed slots wake parked pushers.
+    pub fn pop_group(
+        &self,
+        mates: impl FnOnce(&T) -> usize,
+        joins: impl Fn(&T, &T) -> bool,
+    ) -> Option<Vec<T>> {
         let mut st = relock(self.state.lock());
-        loop {
+        let head = loop {
             if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
+                break item;
             }
             if st.closed {
                 return None;
             }
             st = relock(self.not_empty.wait(st));
+        };
+        let want = mates(&head);
+        let mut group = vec![head];
+        if want > 0 {
+            let queued = std::mem::replace(&mut st.items, VecDeque::with_capacity(self.capacity));
+            for item in queued {
+                if group.len() <= want && joins(&group[0], &item) {
+                    group.push(item);
+                } else {
+                    st.items.push_back(item);
+                }
+            }
         }
+        if group.len() == 1 {
+            self.not_full.notify_one();
+        } else {
+            self.not_full.notify_all();
+        }
+        Some(group)
     }
 
     /// Close the queue: pending items still drain, new pushes fail,
@@ -133,31 +157,6 @@ impl<T> BoundedQueue<T> {
         relock(self.state.lock()).closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
-    }
-
-    /// Non-blocking bulk dequeue of up to `max` queued items matching
-    /// `pred`, in FIFO order. Non-matching items stay queued in place.
-    ///
-    /// This is the streaming path's pack-gathering primitive: a worker
-    /// that popped a bitsim job scans the queue for more lanes with the
-    /// same pack key without blocking behind (or reordering) jobs bound
-    /// for other backends. Freed slots wake parked pushers.
-    pub fn take_matching(&self, mut pred: impl FnMut(&T) -> bool, max: usize) -> Vec<T> {
-        let mut st = relock(self.state.lock());
-        let mut taken = Vec::new();
-        let mut keep = VecDeque::with_capacity(st.items.len());
-        while let Some(item) = st.items.pop_front() {
-            if taken.len() < max && pred(&item) {
-                taken.push(item);
-            } else {
-                keep.push_back(item);
-            }
-        }
-        st.items = keep;
-        if !taken.is_empty() {
-            self.not_full.notify_all();
-        }
-        taken
     }
 }
 
@@ -168,6 +167,12 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Plain single-item dequeue: a group with no mates.
+    fn pop<T>(q: &BoundedQueue<T>) -> Option<T> {
+        q.pop_group(|_| 0, |_, _| false)
+            .map(|g| g.into_iter().next().expect("a group holds its head"))
+    }
+
     #[test]
     fn fifo_order_preserved() {
         let q = BoundedQueue::new(8);
@@ -175,7 +180,7 @@ mod tests {
             q.push(i).expect("open queue accepts");
         }
         q.close();
-        let drained: Vec<i32> = std::iter::from_fn(|| q.pop()).collect();
+        let drained: Vec<i32> = std::iter::from_fn(|| pop(&q)).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
     }
 
@@ -208,12 +213,12 @@ mod tests {
                 !second_done.load(Ordering::SeqCst),
                 "push returned while the queue was still full"
             );
-            assert_eq!(q.pop(), Some(10));
+            assert_eq!(pop(&q), Some(10));
             // Now the parked push completes.
             while !second_done.load(Ordering::SeqCst) {
                 thread::yield_now();
             }
-            assert_eq!(q.pop(), Some(20));
+            assert_eq!(pop(&q), Some(20));
         });
     }
 
@@ -221,7 +226,7 @@ mod tests {
     fn close_wakes_blocked_poppers_and_rejects_pushes() {
         let q: BoundedQueue<u8> = BoundedQueue::new(4);
         thread::scope(|s| {
-            let h = s.spawn(|| q.pop());
+            let h = s.spawn(|| pop(&q));
             thread::sleep(Duration::from_millis(20));
             q.close();
             assert_eq!(h.join().expect("popper exits cleanly"), None);
@@ -247,47 +252,49 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.push(2).expect("push after poison");
         q.try_push(3).expect("try_push after poison");
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
+        assert_eq!(pop(&q), Some(3));
         q.close();
-        assert_eq!(q.pop(), None, "close still wakes poppers after poison");
+        assert_eq!(pop(&q), None, "close still wakes poppers after poison");
     }
 
     #[test]
-    fn take_matching_is_selective_and_order_preserving() {
+    fn pop_group_is_selective_and_order_preserving() {
         let q = BoundedQueue::new(8);
         for i in 0..8 {
             q.push(i).expect("open");
         }
-        let evens = q.take_matching(|v| v % 2 == 0, 3);
-        assert_eq!(evens, vec![0, 2, 4], "FIFO among matches, capped at max");
-        let rest: Vec<i32> = {
-            q.close();
-            std::iter::from_fn(|| q.pop()).collect()
-        };
+        let evens = q.pop_group(|_| 2, |head, v| (v - head) % 2 == 0);
+        assert_eq!(
+            evens,
+            Some(vec![0, 2, 4]),
+            "head first, then FIFO matches, capped"
+        );
+        q.close();
+        let rest: Vec<i32> = std::iter::from_fn(|| pop(&q)).collect();
         assert_eq!(rest, vec![1, 3, 5, 6, 7], "non-taken items keep order");
     }
 
     #[test]
-    fn take_matching_frees_slots_for_parked_pushers() {
+    fn pop_group_frees_slots_for_parked_pushers() {
         let q = BoundedQueue::new(2);
         q.push(1).expect("slot 1");
         q.push(2).expect("slot 2");
         let pushed = AtomicBool::new(false);
         thread::scope(|s| {
             s.spawn(|| {
-                q.push(3).expect("unblocks after take_matching");
+                q.push(3).expect("unblocks after pop_group");
                 pushed.store(true, Ordering::SeqCst);
             });
             thread::sleep(Duration::from_millis(20));
             assert!(!pushed.load(Ordering::SeqCst), "queue still full");
-            assert_eq!(q.take_matching(|_| true, 2), vec![1, 2]);
+            assert_eq!(q.pop_group(|_| 1, |_, _| true), Some(vec![1, 2]));
             while !pushed.load(Ordering::SeqCst) {
                 thread::yield_now();
             }
         });
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(pop(&q), Some(3));
     }
 
     #[test]
@@ -328,7 +335,7 @@ mod tests {
             // capacity so pushers spend most of their time parked…
             let drained = s.spawn(|| {
                 let mut got = Vec::new();
-                while let Some(v) = q.pop() {
+                while let Some(v) = pop(&q) {
                     got.push(v);
                     thread::sleep(Duration::from_micros(200));
                 }
@@ -372,7 +379,7 @@ mod tests {
                 .collect();
             for _ in 0..3 {
                 s.spawn(|| {
-                    while let Some(v) = q.pop() {
+                    while let Some(v) = pop(&q) {
                         got.lock().expect("collector").push(v);
                     }
                 });

@@ -1,16 +1,19 @@
-//! The scheduler: shard a batch over a worker pool, pack compatible
-//! bitsim jobs, and return results in input order.
+//! Service configuration, the panic-isolating unit executor, the
+//! serving statistics, and [`serve_batch`] — a batch of jobs through the
+//! worker pool, results in input order.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use ga_bench::{default_threads, lane_chunks, run_sweep, BenchReport, Stopwatch};
+use ga_harness::{default_threads, BenchReport};
 
 use crate::backend;
 use crate::job::{BackendKind, GaJob, JobResult, ServeError};
+use crate::pool::{Deliver, Pool, WorkItem};
+use crate::queue::relock;
 
 /// Retry policy for *transient* job failures (worker panics caught at
 /// the pool boundary). Deterministic errors — validation, watchdogs,
@@ -36,15 +39,14 @@ impl Default for RetryPolicy {
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads (clamped to the number of work units). The pool
+    /// Worker threads (a batch clamps it to its job count). The pool
     /// size that actually ran is recorded in
     /// [`ServeStats::threads_used`] and is what `BENCH_serve.json`
     /// reports.
     pub threads: usize,
-    /// Bounded queue capacity for the streaming submission front-end
-    /// ([`crate::BoundedQueue`]). The batch scheduler itself
-    /// distributes planned units over the pool with an atomic claim
-    /// loop ([`ga_bench::run_sweep`]) and does not consume this knob.
+    /// Capacity of the listener's shared admission queue
+    /// ([`crate::BoundedQueue`]). A batch sizes its queue to hold the
+    /// whole input instead.
     pub queue_capacity: usize,
     /// Simulated-cycle watchdog for the RTL backend.
     pub rtl_watchdog_cycles: u64,
@@ -330,9 +332,8 @@ impl ServeStats {
     /// Fold another stats block in: per-backend counters (histograms
     /// included), pack accounting, and cache deltas all add. The
     /// identity fields — `threads_used`, `wall_seconds` — are the
-    /// owner's and are deliberately left alone; the socket server
-    /// merges each worker's and connection's local stats through this
-    /// and then stamps its own pool size and lifetime.
+    /// owner's and are deliberately left alone; the worker pool merges
+    /// each worker's stats through this, then stamps its own.
     pub fn merge(&mut self, other: &ServeStats) {
         for (kind, c) in &other.per_backend {
             self.counters_mut(*kind).merge(c);
@@ -443,65 +444,19 @@ pub struct ServeOutcome {
     pub stats: ServeStats,
 }
 
-/// A schedulable unit: one job, or a pack of compatible packable jobs.
-/// `pub(crate)` so the socket front-end (`crate::net`) can route its
-/// opportunistically-gathered packs through the same panic-isolating,
-/// retrying execution path the batch scheduler uses.
-pub(crate) enum Unit {
-    Solo(usize),
-    Pack(Vec<usize>),
-}
-
-/// Shard the batch into units, driven by the registry's capabilities:
-/// valid jobs whose backend advertises `pack_width > 1` are grouped by
-/// `(backend, pack_key)` in first-appearance order and chunked into
-/// packs of at most the backend's pack width (the tail pack simply
-/// carries fewer active lanes); everything else — including *invalid*
-/// packable jobs, which must surface their own typed error, and island
-/// jobs, whose ring already owns its own lane streams — runs solo.
-fn plan_units(jobs: &[GaJob]) -> Vec<Unit> {
-    type PackGroup = ((BackendKind, (u8, u32)), usize, Vec<usize>);
-    let mut units = Vec::new();
-    let mut groups: Vec<PackGroup> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        let pack_width = ga_engine::global()
-            .get(job.backend)
-            .map(|e| e.capabilities().pack_width)
-            .unwrap_or(1);
-        if pack_width > 1 && job.islands.is_none() && job.validate().is_ok() {
-            let key = (job.backend, job.pack_key());
-            match groups.iter_mut().find(|(k, _, _)| *k == key) {
-                Some((_, _, members)) => members.push(i),
-                None => groups.push((key, pack_width, vec![i])),
-            }
-        } else {
-            units.push(Unit::Solo(i));
+/// Run one unit: the jobs a worker gathered, as one lockstep pack or
+/// (a single job) solo. Result `job` ids index `jobs`.
+fn exec_unit(jobs: &[GaJob], packed: bool, cfg: &ServeConfig) -> Vec<JobResult> {
+    if let Some(hook) = cfg.pre_exec {
+        for (i, job) in jobs.iter().enumerate() {
+            hook(i, job);
         }
     }
-    for (_, pack_width, members) in groups {
-        for chunk in lane_chunks(members.len(), pack_width) {
-            units.push(Unit::Pack(members[chunk].to_vec()));
-        }
-    }
-    units
-}
-
-fn exec_unit(jobs: &[GaJob], unit: &Unit, cfg: &ServeConfig) -> Vec<JobResult> {
-    match unit {
-        Unit::Solo(i) => {
-            if let Some(hook) = cfg.pre_exec {
-                hook(*i, &jobs[*i]);
-            }
-            vec![backend::run_single(&jobs[*i], *i, cfg)]
-        }
-        Unit::Pack(idxs) => {
-            if let Some(hook) = cfg.pre_exec {
-                for &i in idxs {
-                    hook(i, &jobs[i]);
-                }
-            }
-            backend::run_pack(jobs, idxs, cfg)
-        }
+    if packed {
+        let lanes: Vec<usize> = (0..jobs.len()).collect();
+        backend::run_pack(jobs, &lanes, cfg)
+    } else {
+        vec![backend::run_single(&jobs[0], 0, cfg)]
     }
 }
 
@@ -535,124 +490,73 @@ fn has_transient_failure(results: &[JobResult]) -> bool {
 /// itself never unwinds, so the rest of the batch keeps flowing.
 pub(crate) fn exec_unit_with_recovery(
     jobs: &[GaJob],
-    unit: &Unit,
+    packed: bool,
     cfg: &ServeConfig,
 ) -> Vec<JobResult> {
     let max_attempts = cfg.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
-        match catch_unwind(AssertUnwindSafe(|| exec_unit(jobs, unit, cfg))) {
-            Ok(results) => {
-                if attempt < max_attempts && has_transient_failure(&results) {
-                    let backoff = cfg.retry.backoff_ms << (attempt - 1);
-                    if backoff > 0 {
-                        thread::sleep(Duration::from_millis(backoff));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                return results;
-            }
-            Err(payload) => {
-                let msg = panic_message(payload);
-                if attempt < max_attempts {
-                    let backoff = cfg.retry.backoff_ms << (attempt - 1);
-                    if backoff > 0 {
-                        thread::sleep(Duration::from_millis(backoff));
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                let indices: &[usize] = match unit {
-                    Unit::Solo(i) => std::slice::from_ref(i),
-                    Unit::Pack(idxs) => idxs,
-                };
-                return indices
-                    .iter()
-                    .map(|&i| JobResult {
-                        job: i,
-                        backend: jobs[i].backend,
-                        outcome: Err(ServeError::Internal { msg: msg.clone() }),
-                        micros: 0,
-                        degraded: None,
-                        heal: None,
-                    })
-                    .collect();
-            }
+        let run = catch_unwind(AssertUnwindSafe(|| exec_unit(jobs, packed, cfg)));
+        let transient = run.as_ref().map_or(true, |r| has_transient_failure(r));
+        if transient && attempt < max_attempts {
+            thread::sleep(Duration::from_millis(cfg.retry.backoff_ms << (attempt - 1)));
+            attempt += 1;
+            continue;
         }
+        return run.unwrap_or_else(|payload| {
+            let msg = panic_message(payload);
+            jobs.iter()
+                .enumerate()
+                .map(|(i, job)| JobResult {
+                    job: i,
+                    backend: job.backend,
+                    outcome: Err(ServeError::Internal { msg: msg.clone() }),
+                    micros: 0,
+                    degraded: None,
+                    heal: None,
+                })
+                .collect()
+        });
+    }
+}
+
+/// `serve_batch`'s destination: results in completion order, sorted
+/// back into input order once the pool has drained.
+#[derive(Default)]
+struct Collect(Mutex<Vec<JobResult>>);
+
+impl Deliver for Collect {
+    fn deliver(&self, _seq: u64, result: JobResult) {
+        relock(self.0.lock()).push(result);
     }
 }
 
 /// Execute a batch of jobs and return results **in input order**.
 ///
-/// Planned units — solos and multi-lane packs alike — are distributed
-/// over up to `cfg.threads` scoped workers by [`ga_bench::run_sweep`]'s
-/// atomic claim loop: each worker pulls the next unclaimed unit index,
-/// so independent packs execute concurrently instead of draining
-/// serially behind one another. Results then scatter into a
-/// slot-per-job table on the caller thread, so the output order is the
-/// input order regardless of thread count, completion order, or how
-/// jobs were packed. The pool size that actually ran, the wall time
-/// spent inside pack units, and the batch's compiled-netlist cache
-/// hit/miss deltas are all recorded in the returned [`ServeStats`].
+/// A thin wrapper over the worker pool that serves `gaserved`: the whole
+/// batch is queued before the workers start, so bitsim-family jobs pack
+/// in first-appearance order, at most the backend's pack width per pack,
+/// at any thread count. `results[i]` belongs to `jobs[i]` regardless of
+/// thread count, completion order, or how jobs were packed. The pool
+/// size that actually ran, the wall time spent inside pack units, and
+/// the batch's compiled-netlist cache hit/miss deltas are all recorded
+/// in the returned [`ServeStats`].
 pub fn serve_batch(jobs: &[GaJob], cfg: &ServeConfig) -> ServeOutcome {
-    let sw = Stopwatch::start();
-    let (cache_hits_before, cache_misses_before) = ga_engine::global_cache().counters();
-    let units = plan_units(jobs);
-    let mut stats = ServeStats::default();
-    for u in &units {
-        if let Unit::Pack(idxs) = u {
-            stats.packs += 1;
-            stats.packed_lanes += idxs.len() as u64;
-        }
+    let pool = Pool::new(cfg, jobs.len());
+    let done = Arc::new(Collect::default());
+    for (i, &job) in jobs.iter().enumerate() {
+        let item = WorkItem {
+            job,
+            line: i,
+            seq: i as u64,
+            to: done.clone(),
+        };
+        // Cannot fail: the queue is open and has a slot per job.
+        let _ = pool.queue().push(item);
     }
-
-    let threads = cfg.threads.clamp(1, units.len().max(1));
-    stats.threads_used = threads as u64;
-
-    let pack_micros = AtomicU64::new(0);
-    let per_unit: Vec<Vec<JobResult>> = run_sweep(&units, threads, |_, unit| {
-        let t = Instant::now();
-        let produced = exec_unit_with_recovery(jobs, unit, cfg);
-        if matches!(unit, Unit::Pack(_)) {
-            pack_micros.fetch_add(t.elapsed().as_micros() as u64, Ordering::Relaxed);
-        }
-        produced
-    });
-
-    let mut slots: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
-    for r in per_unit.into_iter().flatten() {
-        let idx = r.job;
-        debug_assert!(slots[idx].is_none(), "job {idx} produced twice");
-        slots[idx] = Some(r);
-    }
-
-    // An unfilled slot is a service bug, but it must fail that job with
-    // a typed error — not panic the caller after the batch already ran.
-    let results: Vec<JobResult> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or_else(|| JobResult {
-                job: i,
-                backend: jobs[i].backend,
-                outcome: Err(ServeError::Internal {
-                    msg: format!("job {i} produced no result"),
-                }),
-                micros: 0,
-                degraded: None,
-                heal: None,
-            })
-        })
-        .collect();
-    for r in &results {
-        stats.absorb_result(r);
-    }
-    stats.pack_micros = pack_micros.into_inner();
-    let (cache_hits_after, cache_misses_after) = ga_engine::global_cache().counters();
-    stats.cache_hits = cache_hits_after.saturating_sub(cache_hits_before);
-    stats.cache_misses = cache_misses_after.saturating_sub(cache_misses_before);
-    stats.wall_seconds = sw.seconds();
+    let stats = pool.run_queued();
+    let mut results = std::mem::take(&mut *relock(done.0.lock()));
+    results.sort_unstable_by_key(|r| r.job);
     ServeOutcome { results, stats }
 }
 
@@ -704,9 +608,9 @@ mod tests {
 
     #[test]
     fn small_queue_capacity_still_completes() {
-        // The legacy queue knob must stay accepted (it tunes the
-        // streaming front-end, not the claim loop), and a batch with
-        // far more units than threads must drain completely.
+        // The queue knob must stay accepted (it sizes the listener's
+        // queue; a batch queues all of its jobs), and a batch with far
+        // more jobs than threads must drain completely.
         let jobs: Vec<GaJob> = (0..25)
             .map(|i| quick_job(BackendKind::Behavioral, 0x2000 + i as u16))
             .collect();
@@ -726,8 +630,8 @@ mod tests {
 
     #[test]
     fn reported_threads_are_the_clamped_pool_size() {
-        // 2 units, 16 configured threads: only 2 workers can ever hold
-        // a unit, and that is what the stats and the report must say.
+        // 2 jobs, 16 configured threads: only 2 workers can ever hold
+        // a job, and that is what the stats and the report must say.
         let jobs = vec![
             quick_job(BackendKind::Behavioral, 0x2100),
             quick_job(BackendKind::Behavioral, 0x2101),

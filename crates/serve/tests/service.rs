@@ -7,7 +7,7 @@ use carng::CaRng;
 use ga_core::{GaEngine, GaParams};
 use ga_engine::draws_per_run;
 use ga_fitness::TestFunction;
-use ga_serve::{serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
+use ga_serve::{jsonl, serve_batch, BackendKind, GaJob, JobResult, ServeConfig, ServeError};
 
 /// The acceptance fixture: 200 jobs cycling through every registered
 /// backend (including 32-bit jobs on the ganged `rtl32` composite),
@@ -53,8 +53,11 @@ fn acceptance_200_job_batch_is_deterministic_and_input_ordered() {
     assert_eq!(reference.stats.errors(), 0);
     assert!(reference.stats.packs >= 2, "bitsim jobs should pack");
 
-    // Identical payloads at every thread count (timing differs, so
-    // compare the deterministic fields only).
+    // Identical payloads and identical packs at every thread count
+    // (timing differs, so compare the deterministic fields only): the
+    // whole batch is queued before the workers start, and each worker
+    // pops a job and gathers its pack-mates under one queue lock, so no
+    // pack is ever split between workers.
     let payload = |rs: &[JobResult]| -> Vec<_> {
         rs.iter()
             .map(|r| (r.job, r.backend, r.outcome.clone()))
@@ -63,7 +66,7 @@ fn acceptance_200_job_batch_is_deterministic_and_input_ordered() {
     for threads in [1, 2, 7, 16] {
         let cfg = ServeConfig {
             threads,
-            queue_capacity: 3, // small queue: exercise backpressure too
+            queue_capacity: 3, // sizes the listener's queue only
             ..ServeConfig::default()
         };
         let got = serve_batch(&jobs, &cfg);
@@ -71,6 +74,11 @@ fn acceptance_200_job_batch_is_deterministic_and_input_ordered() {
             payload(&got.results),
             payload(&reference.results),
             "results changed with {threads} threads"
+        );
+        assert_eq!(
+            (got.stats.packs, got.stats.packed_lanes),
+            (reference.stats.packs, reference.stats.packed_lanes),
+            "packs changed with {threads} threads"
         );
     }
 }
@@ -197,4 +205,21 @@ fn errors_are_per_job_and_counted() {
     assert_eq!(out.results[2].outcome, Err(ServeError::DeadlineExceeded));
     assert_eq!(out.stats.jobs(), 3);
     assert_eq!(out.stats.errors(), 2);
+}
+
+#[test]
+fn jobs200_fixture_is_the_acceptance_batch() {
+    // `tests/fixtures/jobs200.jsonl` is what CI serves through
+    // `gaserved --input` for the pack-path floors; it must stay exactly
+    // this batch.
+    let want: String = mixed_batch_200()
+        .iter()
+        .map(|job| jsonl::job_line(job) + "\n")
+        .collect();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/jobs200.jsonl"
+    );
+    let got = std::fs::read_to_string(path).expect("read the jobs200 fixture");
+    assert_eq!(got, want, "fixture drifted from mixed_batch_200()");
 }
