@@ -48,6 +48,13 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
 # keep it within a small multiple of F3 (about 24x evaluated directly).
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
     'ga_step_scaling_128_vs_16<=1.5' 'fitness_eval_ratio_mshubert2d_vs_f3<=4'
+# The cycle-accurate core: the selection-scan skip must never change the
+# profiled run's cycle count (pinned exactly), and it keeps host time per
+# simulated cycle at 11-18 ns on a 2-vCPU x86-64 host, whose two speed
+# states are about 1.6x apart. Stepping every cycle measures 45-90 ns
+# there, so the ceiling (about 3x the fast state) fails without the skip.
+./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
+    'hw_run_cycles>=64373' 'hw_run_cycles<=64373' 'rtl_wall_ns_per_cycle<=40'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

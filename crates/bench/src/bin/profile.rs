@@ -19,7 +19,12 @@
 //! near 1 with prefix-sum selection) and
 //! `fitness_eval_ratio_mshubert2d_vs_f3` (an mShubert2D evaluation over
 //! an F3 one, a small multiple with tabulated coordinate terms), both
-//! ceilinged in CI. `GA_BENCH_QUICK` shrinks the measured cycle counts.
+//! ceilinged in CI. It also times the cycle-accurate system on the
+//! profiled run itself: `rtl_wall_ns_per_cycle` is host nanoseconds per
+//! simulated cycle, best of several runs, ceilinged in CI. The
+//! selection-scan skip makes host time stop tracking simulated cycles,
+//! so the figure sits well below the cost of one stepped cycle.
+//! `GA_BENCH_QUICK` shrinks the measured cycle counts.
 //!
 //! Run with `cargo run --release -p ga-bench --bin profile`.
 
@@ -195,6 +200,21 @@ fn step_ns_per_indiv(individuals: u32, rom: &FitnessRom) -> (f64, f64) {
     (best[0], best[1])
 }
 
+/// Host nanoseconds per simulated cycle of the cycle-accurate run of
+/// `params` (programming excluded), best of `reps` runs on fresh
+/// systems.
+fn rtl_wall_ns_per_cycle(f: TestFunction, params: &GaParams, reps: u32) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let mut sys = hw_system(f);
+            sys.program(params);
+            let t = Instant::now();
+            let run = sys.run(1_000_000_000).expect("profiled run finishes");
+            t.elapsed().as_secs_f64() * 1e9 / run.cycles as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Best-of-three seconds to evaluate all 65 536 chromosomes of `f`.
 fn sweep_secs(f: TestFunction) -> f64 {
     (0..3)
@@ -268,6 +288,10 @@ fn main() {
         p.control,
         pct(p.control)
     );
+
+    // About a millisecond per run: cheap enough not to shrink in quick mode.
+    let ns_per_cycle = rtl_wall_ns_per_cycle(row.function, &params, 20);
+    println!("host time        : {ns_per_cycle:.1} ns per simulated cycle (best run)");
 
     // --- software ------------------------------------------------------
     let sw_run = CountingGa::new(params, |c| row.function.eval_u16(c)).run();
@@ -365,6 +389,7 @@ fn main() {
 
     BenchReport::new("profile", sw.seconds(), 256, 1)
         .metric("hw_run_cycles", run.cycles as f64)
+        .metric("rtl_wall_ns_per_cycle", ns_per_cycle)
         .metric("sw_modeled_cycles", model.cycles(&sw_run.ops))
         .metric("netlist_ops_per_pass", st.ops_per_pass as f64)
         .metric("interp_gates_per_sec", st.interp_gps)

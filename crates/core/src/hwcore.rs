@@ -12,6 +12,18 @@
 //! The FSM consumes random draws in **exactly** the order of the
 //! behavioral [`crate::behavioral::GaEngine`]; the differential tests
 //! exploit this to check population-for-population equality.
+//!
+//! Selection scanning — three clocks per member walked
+//! (`SelScanAddr` → `SelScanWait` → `SelScanData`) — is most of the
+//! core's cycles, and nothing outside the core, the GA memory's read
+//! register and the cycle counter changes while it runs: no RNG draw,
+//! no memory write, no fitness request. `GaCoreHw::scan_walk`
+//! computes such a walk from the live `scan_idx`/`cum` registers with
+//! the scan's own rules, and `GaCoreHw::apply_scan_hit` sets every
+//! register to its value after the hit's `SelScanData` cycle, so a
+//! system can jump the window in one step (`GaSystem::advance`). The
+//! cycle counts are those of the FSM; only the host stops paying for
+//! them one at a time.
 
 use hwsim::{AckSlave, Clocked, Reg};
 
@@ -122,6 +134,23 @@ pub struct GaCoreHw {
     // profile for the speedup analysis.
     rng_draws: u64,
     profile: CyclesByPhase,
+}
+
+/// A selection-scan walk computed ahead of time by
+/// [`GaCoreHw::scan_walk`]: where the scan stops and what it reads
+/// there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ScanHit {
+    /// Bank offset of the member the scan stops at (its `scan_idx`).
+    idx: u8,
+    /// The `cum` register on the hit's `SelScanData` cycle: the sum of
+    /// the members walked before the hit.
+    cum: u32,
+    /// The memory word the hit's `SelScanData` cycle reads.
+    word: u32,
+    /// Cycles from the `SelScanAddr` entry through the hit's
+    /// `SelScanData` cycle: three per member walked.
+    pub(crate) cycles: u64,
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -500,7 +529,9 @@ impl GaCoreHw {
             State::SelScanData => {
                 let ind = unpack(i.mem_data_in);
                 let cum = self.cum.get().wrapping_add(ind.fitness as u32);
-                let last = self.scan_idx.get() == pop - 1;
+                // An 8-bit equality comparator: a pop_size of 0 (only
+                // reachable through the scan chain) wraps to 255.
+                let last = self.scan_idx.get() == pop.wrapping_sub(1);
                 if ops::selection_hit(cum, self.threshold.get()) || last {
                     comb.sel_hit = true;
                     if !self.sel_phase.get() {
@@ -629,6 +660,76 @@ impl GaCoreHw {
         }
 
         comb
+    }
+
+    // --- selection-scan skip ------------------------------------------
+
+    /// Walk the selection scan ahead of the clock. When the core is at
+    /// the top of a scan step (`SelScanAddr`, out of test mode, with no
+    /// memory write or fitness request pending), this follows the
+    /// scan's own rules from the live `scan_idx` and `cum` registers —
+    /// wrapping 8-bit index, [`ops::selection_hit`], and the
+    /// fall-through at `scan_idx == pop_size − 1` — and returns the
+    /// member it stops at. `word(addr)` must return what the memory
+    /// port will read at `addr` on the corresponding `SelScanData`
+    /// cycle; it is called once per member walked, in order. Returns
+    /// `None` anywhere else.
+    ///
+    /// The walk ends within 256 members, so a window is at most 768
+    /// cycles.
+    pub(crate) fn scan_walk(&self, mut word: impl FnMut(u8) -> u32) -> Option<ScanHit> {
+        if self.state.get() != State::SelScanAddr
+            || self.test_prev.get()
+            || self.mem_wr.get()
+            || self.fit_request.get()
+        {
+            return None;
+        }
+        let last = self.pop_size.get().wrapping_sub(1);
+        let base = self.cur_base.get();
+        let threshold = self.threshold.get();
+        let mut idx = self.scan_idx.get();
+        let mut cum = self.cum.get();
+        let mut cycles = 3;
+        loop {
+            let w = word(base.wrapping_add(idx));
+            let next = cum.wrapping_add(unpack(w).fitness as u32);
+            if ops::selection_hit(next, threshold) || idx == last {
+                return Some(ScanHit {
+                    idx,
+                    cum,
+                    word: w,
+                    cycles,
+                });
+            }
+            cum = next;
+            idx = idx.wrapping_add(1);
+            cycles += 3;
+        }
+    }
+
+    /// Jump over the window `hit` describes: leave every register as
+    /// the clock edge after the hit's `SelScanData` cycle would, and
+    /// tally the window's cycles as selection. `hit` must come from
+    /// [`GaCoreHw::scan_walk`] on this core in its current state. The
+    /// caller settles the memory read port on `mem_address` and counts
+    /// the cycles on its simulator.
+    pub(crate) fn apply_scan_hit(&mut self, hit: &ScanHit) {
+        let chrom = unpack(hit.word).chrom;
+        self.cum.reset_to(hit.cum);
+        self.scan_idx.reset_to(hit.idx);
+        self.mem_address
+            .reset_to(self.cur_base.get().wrapping_add(hit.idx));
+        self.mem_wr.reset_to(false);
+        if !self.sel_phase.get() {
+            self.parent1.reset_to(chrom);
+            self.sel_phase.reset_to(true);
+            self.state.reset_to(State::SelDraw);
+        } else {
+            self.parent2.reset_to(chrom);
+            self.state.reset_to(State::XoverDecide);
+        }
+        self.profile.selection += hit.cycles;
     }
 
     fn apply_param_write(&mut self, idx: ParamIndex, value: u16) {

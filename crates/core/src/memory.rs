@@ -63,6 +63,19 @@ impl GaMemory {
         self.ram.dout()
     }
 
+    /// The word stored at `addr`, read without a clock (what a read
+    /// cycle of `addr` would register).
+    #[inline]
+    pub fn word(&self, addr: u8) -> u32 {
+        self.ram.backdoor(addr)
+    }
+
+    /// Settle the read register on `addr`, as a run of read cycles
+    /// ending on `addr` leaves it (see [`hwsim::SpRam::settle`]).
+    pub fn settle_read(&mut self, addr: u8) {
+        self.ram.settle(addr);
+    }
+
     /// Testbench backdoor: read a whole population bank.
     pub fn backdoor_population(&self, base: u8, pop_size: u8) -> Vec<Individual> {
         (0..pop_size)

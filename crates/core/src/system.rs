@@ -8,6 +8,15 @@
 //! outputs (RNG consume/seed wires) feed the RNG module inside the same
 //! phase (an acyclic combinational path). A single commit latches the
 //! whole system — one rising clock edge at 50 MHz.
+//!
+//! The run loops move the clock with [`GaSystem::advance`]. It steps one
+//! cycle, except at the top of a selection scan that nothing observes
+//! cycle by cycle: there it computes the walk
+//! (`GaCoreHw::scan_walk`) and jumps to the clock edge after
+//! the hit's data cycle, with the core's registers, the memory read
+//! register and the cycle count exactly as single steps leave them.
+//! A VCD capture, a protocol monitor, a busy fitness module, or a
+//! watchdog or scheduled fault inside the window keeps single steps.
 
 use ga_fitness::fem::{Fem, FemBank, FemBankIn, FemIn};
 use hwsim::vcd::VcdVar;
@@ -341,6 +350,43 @@ impl GaSystem {
         }
     }
 
+    /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
+    /// idle user inputs, and return how many cycles passed. At the top
+    /// of a selection scan whose whole window fits in `limit`, this
+    /// jumps the window in one step: the core's registers, its cycle
+    /// profile, the memory read register and the cycle count end
+    /// exactly where [`GaSystem::step`] would leave them. Anywhere else,
+    /// or while anything watches single cycles (VCD capture, protocol
+    /// monitor, a fitness module that is not [`Fem::quiescent`]), it is
+    /// one [`GaSystem::step`].
+    pub fn advance(&mut self, limit: u64) -> u64 {
+        match self.skip_scan(limit) {
+            Some(cycles) => cycles,
+            None => {
+                self.step(UserIn::default());
+                1
+            }
+        }
+    }
+
+    /// The scan jump of [`GaSystem::advance`], if it applies.
+    fn skip_scan(&mut self, limit: u64) -> Option<u64> {
+        if self.vcd.is_some() || self.monitor.is_some() {
+            return None;
+        }
+        let m = &mut self.modules;
+        let mem = &m.mem;
+        let hit = m.core.scan_walk(|addr| mem.word(addr))?;
+        let fems_idle = m.fems.quiescent() && m.ext_fem.as_ref().is_none_or(|e| e.quiescent());
+        if hit.cycles > limit || !fems_idle {
+            return None;
+        }
+        m.core.apply_scan_hit(&hit);
+        m.mem.settle_read(m.core.out().mem_address);
+        self.sim.advance(hit.cycles);
+        Some(hit.cycles)
+    }
+
     /// Program the parameter registers through the initialization
     /// handshake (§III-B.6, Table III), driven by the Fig. 4
     /// initialization-module FSM. Returns the cycles consumed.
@@ -434,16 +480,22 @@ impl GaSystem {
                     return Err(SimError::DeadlineExceeded { cycles: guard });
                 }
             }
+            // A jump may end on the watchdog bound or the fault cycle,
+            // never past it, so both trip on the cycle they would with
+            // single steps.
+            let mut limit = max_cycles - guard;
             if let Some((at, ops)) = fault {
-                if !injected && guard >= at {
-                    self.scan_inject(ops);
-                    injected = true;
-                    guard = self.sim.cycles() - start;
-                    continue;
+                if !injected {
+                    if guard >= at {
+                        self.scan_inject(ops);
+                        injected = true;
+                        guard = self.sim.cycles() - start;
+                        continue;
+                    }
+                    limit = limit.min(at - guard);
                 }
             }
-            self.step(UserIn::default());
-            guard = self.sim.cycles() - start;
+            guard += self.advance(limit);
         }
         let cycles = self.sim.cycles() - start;
         let best_fitness = self

@@ -26,6 +26,15 @@
 //! through crossover/mutation (one state each), and re-synchronize at
 //! every fitness handshake, the cores run in **lockstep** — asserted by
 //! the differential tests against [`crate::scaling::GaEngine32`].
+//!
+//! The run loop moves the clock with [`GaSystem32::advance`], which
+//! jumps a selection-scan window in one step as
+//! [`crate::GaSystem::advance`] does. Core 1's walk picks the hit; core
+//! 2 walks the same window with the reads `scalingLogic_parSel` forces
+//! on it (zero until core 1's hit, full-scale on it), so both cores
+//! land on the same member and core 2's `cum` stays put. The jump
+//! applies only when both cores enter the scan together and core 2's
+//! forced walk ends on core 1's hit.
 
 use hwsim::{Clocked, Reg, Sim, SimError};
 
@@ -88,6 +97,12 @@ impl<F: FnMut(u32) -> u16> Fem32<F> {
         self.value.reset_to(0);
         self.valid.reset_to(false);
     }
+
+    /// Idle with `fit_valid` low: a cycle without a request changes
+    /// nothing.
+    fn quiescent(&self) -> bool {
+        self.state.get() == 0 && !self.valid.get()
+    }
 }
 
 /// The dual-core 32-bit GA system.
@@ -130,8 +145,17 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         self.sim.cycles()
     }
 
+    /// The clocked modules of each core's half, core 1 (MSB) first
+    /// (testbench probe).
+    pub fn halves(&self) -> [(&GaCoreHw, &RngModule, &GaMemory); 2] {
+        [
+            (&self.core1, &self.rng1, &self.mem1),
+            (&self.core2, &self.rng2, &self.mem2),
+        ]
+    }
+
     /// One clock of the whole composite.
-    fn step(&mut self, user: UserIn) {
+    pub fn step(&mut self, user: UserIn) {
         // Sample all registered outputs.
         let o1 = self.core1.out();
         let o2 = self.core2.out();
@@ -237,6 +261,51 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         self.sim.step(&mut nop, |_| {});
     }
 
+    /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
+    /// idle user inputs, and return how many cycles passed: a whole
+    /// selection-scan window when both cores enter it together and it
+    /// fits in `limit` (see the module docs), one
+    /// [`GaSystem32::step`] otherwise.
+    pub fn advance(&mut self, limit: u64) -> u64 {
+        match self.skip_scan(limit) {
+            Some(cycles) => cycles,
+            None => {
+                self.step(UserIn::default());
+                1
+            }
+        }
+    }
+
+    /// The scan jump of [`GaSystem32::advance`], if it applies.
+    fn skip_scan(&mut self, limit: u64) -> Option<u64> {
+        let mem1 = &self.mem1;
+        let hit1 = self.core1.scan_walk(|addr| mem1.word(addr))?;
+        if hit1.cycles > limit || !self.fem.quiescent() {
+            return None;
+        }
+        // Core 2 reads its own chromosomes with the fitness half forced
+        // by scalingLogic_parSel, member for member in lockstep.
+        let mem2 = &self.mem2;
+        let mut walked = 0u64;
+        let hit2 = self.core2.scan_walk(|addr| {
+            walked += 3;
+            let forced = if walked == hit1.cycles { 0xFFFF } else { 0 };
+            pack(crate::behavioral::Individual {
+                chrom: unpack(mem2.word(addr)).chrom,
+                fitness: forced,
+            })
+        })?;
+        if hit2.cycles != hit1.cycles {
+            return None;
+        }
+        self.core1.apply_scan_hit(&hit1);
+        self.core2.apply_scan_hit(&hit2);
+        self.mem1.settle_read(self.core1.out().mem_address);
+        self.mem2.settle_read(self.core2.out().mem_address);
+        self.sim.advance(hit1.cycles);
+        Some(hit1.cycles)
+    }
+
     /// Program both cores with the same parameters (the user programs
     /// one init bus; both cores listen — Fig. 6 shows a single
     /// initialization path).
@@ -303,7 +372,8 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
                     return Err(SimError::DeadlineExceeded { cycles: guard });
                 }
             }
-            self.step(UserIn::default());
+            // A jump ends on the watchdog bound at the latest.
+            self.advance(max_cycles - guard);
         }
         let chrom = ((self.core1.out().candidate as u32) << 16) | self.core2.out().candidate as u32;
         let fitness = self

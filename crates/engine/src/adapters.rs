@@ -295,9 +295,9 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
 
 /// The instrumented software GA (`swga::CountingGa`) — the PowerPC
 /// reference implementation from the paper's Table VII comparison,
-/// exposed as a first-class backend. Coarse deadline support: the
-/// budget is checked once at admission-to-run time (the reference
-/// runs generations without an interior cancellation point).
+/// exposed as a first-class backend. The deadline is checked before
+/// the run and at every generation boundary, as the behavioral
+/// engine's is.
 pub struct SwgaEngine;
 
 impl Engine for SwgaEngine {
@@ -320,13 +320,11 @@ impl Engine for SwgaEngine {
 
     fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        if let Some(ms) = spec.deadline_ms {
-            if Deadline::after_ms(ms).is_past() {
-                return Err(EngineError::DeadlineExceeded);
-            }
-        }
+        let deadline = spec.deadline_ms.map(Deadline::after_ms);
         let f = spec.workload;
-        let run = CountingGa::new(spec.params, move |c| f.eval_u16(c)).run();
+        let run = CountingGa::new(spec.params, move |c| f.eval_u16(c))
+            .run_until(|| deadline.as_ref().is_some_and(Deadline::is_past))
+            .ok_or(EngineError::DeadlineExceeded)?;
         let trajectory = trajectory16(&run.history);
         Ok(RunOutcome {
             best_chrom: run.best.chrom as u32,

@@ -53,6 +53,13 @@ pub trait Fem: Clocked {
     fn eval(&mut self, i: FemIn);
     /// Registered outputs.
     fn out(&self) -> FemOut;
+    /// True when evaluating with `fit_request` low changes no register:
+    /// the module is idle and presents no `fit_valid`. A system may then
+    /// skip cycles in which the core raises no request without stepping
+    /// the module. The default, `false`, is always safe.
+    fn quiescent(&self) -> bool {
+        false
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -175,6 +182,10 @@ impl Fem for LookupFem {
             fit_valid: self.fit_valid.get(),
         }
     }
+
+    fn quiescent(&self) -> bool {
+        self.state.get() == LookupState::Idle && !self.fit_valid.get()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -285,6 +296,10 @@ impl Fem for CordicFem {
             fit_value: self.fit_value.get(),
             fit_valid: self.fit_valid.get(),
         }
+    }
+
+    fn quiescent(&self) -> bool {
+        self.state.get() == CordicState::Idle && !self.fit_valid.get()
     }
 }
 
@@ -531,6 +546,19 @@ impl FemBank {
         }
     }
 
+    /// True when a cycle with `fit_request` low changes nothing in the
+    /// bank: every internal module is [`Fem::quiescent`] and neither
+    /// the external request nor the empty-slot strobe is raised.
+    pub fn quiescent(&self) -> bool {
+        !self.ext_request.get()
+            && !self.empty_valid.get()
+            && self.slots.iter().all(|slot| match slot {
+                FemSlot::Lookup(f) => f.quiescent(),
+                FemSlot::Cordic(f) => f.quiescent(),
+                FemSlot::External | FemSlot::Empty => true,
+            })
+    }
+
     /// Registered outputs, multiplexed by the current select value.
     pub fn out(&self, select: u8, ext_value: u16, ext_valid: bool) -> FemOut {
         let sel = (select & 0x7) as usize;
@@ -654,6 +682,39 @@ mod tests {
         let (_, c_lookup) = transact(&mut lk, 0xC24A);
         let (_, c_cordic) = transact(&mut cd, 0xC24A);
         assert!(c_cordic > 10 * c_lookup);
+    }
+
+    #[test]
+    fn fems_are_quiescent_only_between_transactions() {
+        let mut lk = LookupFem::for_function(TestFunction::F3);
+        let mut cd = CordicFem::new(TestFunction::F3);
+        let mut bank = FemBank::new(vec![FemSlot::Lookup(lk.clone()), FemSlot::Empty]);
+        for fem in [&mut lk as &mut dyn Fem, &mut cd] {
+            fem.reset();
+            assert!(fem.quiescent());
+            fem.eval(FemIn {
+                fit_request: true,
+                candidate: 7,
+            });
+            fem.commit();
+            assert!(!fem.quiescent(), "busy mid-transaction");
+        }
+        transact(&mut lk, 7);
+        transact(&mut cd, 7);
+        assert!(
+            lk.quiescent() && cd.quiescent(),
+            "idle again after the handshake"
+        );
+        // The empty-slot strobe counts as activity in the bank.
+        bank.reset();
+        assert!(bank.quiescent());
+        bank.eval(FemBankIn {
+            fit_request: true,
+            select: 1,
+            ..Default::default()
+        });
+        bank.commit();
+        assert!(!bank.quiescent());
     }
 
     #[test]

@@ -56,6 +56,15 @@ impl SpRam {
         self.dout.get()
     }
 
+    /// Settle the read port on `addr`: the output register takes the
+    /// value it holds after one or more committed read cycles of `addr`
+    /// with no write in between. Used to jump over a run of reads whose
+    /// intermediate outputs nothing samples.
+    pub fn settle(&mut self, addr: u8) {
+        let v = self.backdoor(addr);
+        self.dout.reset_to(v);
+    }
+
     /// Commit the output register.
     pub fn commit(&mut self) {
         self.dout.commit();
@@ -117,6 +126,17 @@ mod tests {
         m.eval(2, 22, true);
         m.commit();
         assert_eq!(m.dout(), 11);
+    }
+
+    #[test]
+    fn settle_equals_a_committed_read() {
+        let mut stepped = SpRam::new(16);
+        stepped.backdoor_write(7, 0xABCD);
+        let mut settled = stepped.clone();
+        stepped.eval(7, 0, false);
+        stepped.commit();
+        settled.settle(7);
+        assert_eq!(format!("{settled:?}"), format!("{stepped:?}"));
     }
 
     #[test]

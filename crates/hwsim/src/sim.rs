@@ -220,6 +220,15 @@ impl Sim {
         self.cycle += 1;
     }
 
+    /// Count `n` clock cycles without evaluating anything: for an owner
+    /// that has computed the state its modules reach after `n` quiet
+    /// cycles and set it directly (e.g. a skipped memory scan). The
+    /// owner is responsible for that state being exactly what `n`
+    /// calls to [`Sim::step`] would have left.
+    pub fn advance(&mut self, n: u64) {
+        self.cycle += n;
+    }
+
     /// Run until `done(system)` returns true, with a watchdog.
     ///
     /// `eval` is the per-cycle evaluation phase. The condition is checked
@@ -305,6 +314,15 @@ mod tests {
         }
         // 50k cycles at 20 ns = 1 ms.
         assert!((sim.elapsed_seconds() - 1e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn advance_counts_cycles_like_steps() {
+        let mut sim = Sim::new_50mhz();
+        let mut c = Count::default();
+        sim.step(&mut c, |_| {});
+        sim.advance(41);
+        assert_eq!(sim.cycles(), 42);
     }
 
     #[test]

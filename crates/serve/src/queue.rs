@@ -7,11 +7,25 @@
 //! non-blocking [`BoundedQueue::try_push`] surfaces the same condition
 //! as a typed [`ServeError::QueueFull`] for callers that would rather
 //! shed load than wait.
+//!
+//! A consumer that finds the queue empty polls it for [`POP_SPIN`],
+//! yielding its CPU between polls, before it parks on the condvar. A
+//! parked worker leaves its CPU idle, and on a virtual machine an idle
+//! vCPU halts: waking it again costs the hypervisor's wake-up latency,
+//! which ranges from tens of µs to several ms on a busy host. A
+//! closed-loop client's next job reaches the queue well within the spin
+//! after its last reply, so the worker takes it without a wake-up.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::job::ServeError;
+
+/// How long [`BoundedQueue::pop_group`] polls an empty open queue
+/// before it parks.
+pub const POP_SPIN: Duration = Duration::from_micros(250);
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -116,12 +130,16 @@ impl<T> BoundedQueue<T> {
     /// pool's pack-gathering primitive, and a second consumer must not
     /// take a pack-mate between the pop and the gather (that would split
     /// the pack). Freed slots wake parked pushers.
+    ///
+    /// An empty open queue is polled for [`POP_SPIN`], yielding the
+    /// CPU between polls, before the caller parks (see the module docs).
     pub fn pop_group(
         &self,
         mates: impl FnOnce(&T) -> usize,
         joins: impl Fn(&T, &T) -> bool,
     ) -> Option<Vec<T>> {
         let mut st = relock(self.state.lock());
+        let mut spin_until = None;
         let head = loop {
             if let Some(item) = st.items.pop_front() {
                 break item;
@@ -129,7 +147,14 @@ impl<T> BoundedQueue<T> {
             if st.closed {
                 return None;
             }
-            st = relock(self.not_empty.wait(st));
+            let now = Instant::now();
+            if now < *spin_until.get_or_insert(now + POP_SPIN) {
+                drop(st);
+                thread::yield_now();
+                st = relock(self.state.lock());
+            } else {
+                st = relock(self.not_empty.wait(st));
+            }
         };
         let want = mates(&head);
         let mut group = vec![head];
@@ -234,6 +259,21 @@ mod tests {
         assert_eq!(q.push(1), Err(ServeError::QueueClosed));
         let (_, err) = q.try_push(2).expect_err("closed");
         assert_eq!(err, ServeError::QueueClosed);
+    }
+
+    #[test]
+    fn a_spinning_popper_takes_a_push_and_sees_a_close() {
+        // Within POP_SPIN the popper is still polling, not parked: a push
+        // or a close must reach it there as well.
+        let q: BoundedQueue<u8> = BoundedQueue::new(4);
+        thread::scope(|s| {
+            let h = s.spawn(|| pop(&q));
+            q.push(7).expect("open");
+            assert_eq!(h.join().expect("popper exits cleanly"), Some(7));
+            let h = s.spawn(|| pop(&q));
+            q.close();
+            assert_eq!(h.join().expect("popper exits cleanly"), None);
+        });
     }
 
     #[test]

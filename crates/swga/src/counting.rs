@@ -95,7 +95,20 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
     }
 
     /// Run the full optimization and return the op tally.
-    pub fn run(mut self) -> SwRun {
+    pub fn run(self) -> SwRun {
+        self.run_until(|| false)
+            .expect("a run that is never cancelled finishes")
+    }
+
+    /// [`CountingGa::run`] with a cancellation point at every
+    /// generation boundary: `cancelled` is polled before the initial
+    /// population and before each generation, and the run returns
+    /// `None` at the first `true`. Polling is not costed, so a run that
+    /// finishes has the tally and result of [`CountingGa::run`].
+    pub fn run_until(mut self, mut cancelled: impl FnMut() -> bool) -> Option<SwRun> {
+        if cancelled() {
+            return None;
+        }
         let pop_n = self.params.pop_size as usize;
         // `n_gens` comes off the wire: grow the history, never size it.
         let mut history = Vec::new();
@@ -127,6 +140,9 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
         // --- generations ----------------------------------------------
         let mut prefix = Vec::with_capacity(pop_n);
         for gen in 0..self.params.n_gens {
+            if cancelled() {
+                return None;
+            }
             ops::selection_prefix(cur.iter().map(|i| i.fitness), &mut prefix);
             let mut new_pop = Vec::with_capacity(pop_n);
             // Elite copy: two stores + bookkeeping.
@@ -186,12 +202,12 @@ impl<F: FnMut(u16) -> u16> CountingGa<F> {
             });
         }
 
-        SwRun {
+        Some(SwRun {
             best,
             ops: self.counts,
             evaluations: self.evaluations,
             history,
-        }
+        })
     }
 }
 
@@ -227,6 +243,23 @@ mod tests {
             assert_eq!(sw.history.len(), gens as usize + 1);
             assert_eq!(sw.history, engine.history, "pop {pop} seed {seed:#06x}");
         }
+    }
+
+    #[test]
+    fn cancellation_polls_each_generation_boundary() {
+        let params = GaParams::new(16, 8, 10, 1, 0xB342);
+        let f = |c| TestFunction::F3.eval_u16(c);
+        let full = CountingGa::new(params, f).run();
+        // Never cancelled: the same result and the same op tally.
+        assert_eq!(CountingGa::new(params, f).run_until(|| false), Some(full));
+        // One poll before the initial population, one per generation.
+        let mut polls = 0;
+        let cancelled = CountingGa::new(params, f).run_until(|| {
+            polls += 1;
+            polls > 4
+        });
+        assert_eq!(cancelled, None);
+        assert_eq!(polls, 5, "stopped at the boundary before generation 4");
     }
 
     #[test]

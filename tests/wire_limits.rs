@@ -18,6 +18,7 @@ use ga_serve::{serve_batch, serve_island_connection, ServeConfig, ServeError};
 
 const ISLAND_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"islands":2,"epoch":65535,"epochs":65536,"deadline_ms":50}"#;
 const PLAIN_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"deadline_ms":50}"#;
+const SWGA_LINE: &str = r#"{"fn":"F3","backend":"swga","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"deadline_ms":50}"#;
 
 #[test]
 fn oversized_generation_counts_get_one_typed_reply_per_line() {
@@ -48,6 +49,27 @@ fn oversized_generation_counts_get_one_typed_reply_per_line() {
         out.results[1].degraded.is_some(),
         "watchdog degraded the pack"
     );
+}
+
+#[test]
+fn swga_checks_its_deadline_between_generations() {
+    // The software reference used to check its deadline once, before
+    // the run, and then ran all 4 294 901 760 generations.
+    // On a thread, so a run that ignores its deadline fails the test
+    // instead of hanging it.
+    let job = parse_job(SWGA_LINE, 0).expect("well-formed job line");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(serve_batch(&[job], &ServeConfig::default())));
+    let out = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("a reply within five seconds");
+    assert_eq!(out.results.len(), 1, "one reply");
+    assert_eq!(
+        out.results[0].outcome.as_ref().map(|_| ()),
+        Err(&ServeError::DeadlineExceeded)
+    );
+    let line = result_line(&out.results[0]);
+    assert!(line.contains("deadline_exceeded"), "{line}");
 }
 
 /// One island worker serving one loopback connection on a thread.
