@@ -153,12 +153,15 @@ echo "== 200-job acceptance batch through gaserved --input (pack-path throughput
 # first-appearance order at any pool size, so the pack counts are
 # exact; the packed bitsim path must clear >=10x the pre-widening
 # 1202.89 jobs/s snapshot, with zero degraded lanes and at least one
-# compiled-netlist cache hit.
+# compiled-netlist cache hit. The CA-RNG netlist compiles once per
+# design (full and `consume`), whatever widths the batch names, so the
+# batch misses the cache at most twice.
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
     --input tests/fixtures/jobs200.jsonl --out "$SMOKE_DIR/results200.jsonl" 2> /dev/null
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_serve.json" \
     'bitsim_pack_jobs_per_sec>=12029' 'bitsim_packs>=9' \
-    'bitsim_active_lanes>=86' 'netlist_cache_hits>=1' 'degraded_jobs<=0'
+    'bitsim_active_lanes>=86' 'netlist_cache_hits>=1' 'netlist_cache_misses<=2' \
+    'degraded_jobs<=0'
 
 echo "== persistent socket front-end (listener + streamed golden + load burst)"
 # Boot the real TCP listener on an ephemeral port with its stdin held

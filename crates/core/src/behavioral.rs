@@ -202,8 +202,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     /// Generate and evaluate the random initial population (generation 0).
     /// The chromosomes come from one batched [`Rng16::fill_u16s`] call —
     /// by the trait contract this is the same stream as `pop_size`
-    /// repeated draws, and on a replayed stream (the 64-lane pack path)
-    /// it is a straight slice copy.
+    /// repeated draws.
     pub fn init_population(&mut self) -> GenStats {
         self.cur.clear();
         self.fit_sum = 0;

@@ -1,4 +1,4 @@
-//! [`Engine`] adapters for the seven concrete backends.
+//! [`Engine`] adapters for the concrete backends.
 //!
 //! Each adapter owns the glue between the backend's native API and the
 //! engine-layer contract: spec admission, deadline/watchdog plumbing,
@@ -14,7 +14,7 @@ use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
 use swga::CountingGa;
 
-use crate::pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
+use crate::pack::{draws_per_run, StreamRng};
 use crate::spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
     RunOutcome, RunSpec, TrajPoint,
@@ -49,37 +49,55 @@ pub fn trajectory32(history: &[GenStats32]) -> Vec<TrajPoint> {
         .collect()
 }
 
-/// The behavioral loop shared by the `Behavioral` and `BitSim64`
-/// adapters (they differ only in where the RNG stream comes from). The
+/// Behavioral runs of 16-bit specs sharing one generation count, one
+/// engine per spec over its own RNG, stepped in generation lockstep;
+/// the `Behavioral` and bitsim adapters differ only in the RNG. Each
 /// deadline is checked between generations, so an in-flight generation
-/// always completes.
-fn run16<R: Rng16>(spec: &RunSpec, rng: R) -> Result<RunOutcome, EngineError> {
-    let params = spec.params;
-    let f = spec.workload;
-    let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
-    let mut engine = GaEngine::new(params, rng, move |c| f.eval_u16(c));
-    // `n_gens` comes off the wire: grow the history, never size it.
-    let mut history = vec![engine.init_population()];
-    for _ in 0..params.n_gens {
-        if let Some(d) = deadline.as_mut() {
-            if d.is_past() {
-                return Err(EngineError::DeadlineExceeded);
+/// always completes; a run past its deadline drops out. Every deadline
+/// starts with the lockstep run, so a packed run's deadline also counts
+/// its pack-mates' generations.
+fn run16<'a, R: Rng16>(
+    runs: impl IntoIterator<Item = (&'a RunSpec, R)>,
+) -> Vec<Result<RunOutcome, EngineError>> {
+    let mut runs = runs.into_iter().peekable();
+    let n_gens = runs.peek().map_or(0, |(spec, _)| spec.params.n_gens);
+    let mut runs: Vec<_> = runs
+        .map(|(spec, rng)| {
+            let f = spec.workload;
+            let mut engine = GaEngine::new(spec.params, rng, move |c| f.eval_u16(c));
+            // `n_gens` comes off the wire: grow the history, never size it.
+            let history = vec![engine.init_population()];
+            Ok((engine, history, spec.deadline_ms.map(Deadline::after_ms)))
+        })
+        .collect();
+    let mut gen = 0;
+    while gen < n_gens && runs.iter().any(Result::is_ok) {
+        gen += 1;
+        for run in &mut runs {
+            if let Ok((engine, history, deadline)) = run {
+                if deadline.as_mut().is_some_and(|d| d.is_past()) {
+                    *run = Err(EngineError::DeadlineExceeded);
+                } else {
+                    history.push(engine.step_generation());
+                }
             }
         }
-        history.push(engine.step_generation());
     }
-    let best = engine.best();
-    let trajectory = trajectory16(&history);
-    Ok(RunOutcome {
-        best_chrom: best.chrom as u32,
-        best_fitness: best.fitness,
-        generations: params.n_gens,
-        evaluations: engine.evaluations(),
-        conv_gen: convergence_generation(&trajectory, params.pop_size),
-        cycles: None,
-        rng_draws: Some(engine.rng_draws()),
-        trajectory,
-    })
+    let outcome = |(engine, history, _): (GaEngine<R, _>, Vec<GenStats>, _)| {
+        let (best, params) = (engine.best(), engine.params());
+        let trajectory = trajectory16(&history);
+        RunOutcome {
+            best_chrom: best.chrom as u32,
+            best_fitness: best.fitness,
+            generations: params.n_gens,
+            evaluations: engine.evaluations(),
+            conv_gen: convergence_generation(&trajectory, params.pop_size),
+            cycles: None,
+            rng_draws: Some(engine.rng_draws()),
+            trajectory,
+        }
+    };
+    runs.into_iter().map(|r| r.map(outcome)).collect()
 }
 
 /// A stepping handle over the behavioral engine with an arbitrary RNG
@@ -118,7 +136,8 @@ impl Engine for BehavioralEngine {
 
     fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        run16(spec, CaRng::new(spec.params.seed))
+        let rng = CaRng::new(spec.params.seed);
+        run16([(spec, rng)]).pop().expect("one run requested")
     }
 
     fn stepper(
@@ -194,36 +213,38 @@ fn run_rtl(
     })
 }
 
-/// The compiled wide-lane netlist backend family: the CA-RNG stream
-/// comes from one bit-sliced simulation of the synthesized netlist at
-/// `W` words per net (a pack shares it across up to `64·W` lanes),
-/// then each lane finishes as an ordinary behavioral run over its
-/// [`StreamRng`]. `W ∈ {1, 2, 4}` are registered as the `bitsim64` /
-/// `bitsim128` / `bitsim256` backends; a lane's stream depends only on
-/// its seed, so every width produces bit-identical results.
-pub struct BitSimWideEngine<const W: usize>;
+/// The compiled-netlist backend: a pack's lanes share one bit-sliced
+/// simulation of the CA-RNG netlist, and each lane runs the behavioral
+/// engine over its [`StreamRng`]. It is registered under the kind it
+/// wraps, `bitsim64`, `bitsim128` or `bitsim256`, which differ only in
+/// how many jobs one pack may carry. A lane's stream depends only on its
+/// seed, so every kind produces bit-identical results.
+pub struct BitSimEngine(pub BackendKind);
 
-/// The original 64-lane backend (`W = 1`).
-pub type BitSim64Engine = BitSimWideEngine<1>;
-/// The 128-lane backend (two words per net).
-pub type BitSim128Engine = BitSimWideEngine<2>;
-/// The 256-lane backend (four words per net).
-pub type BitSim256Engine = BitSimWideEngine<4>;
+/// One lane reader per packed spec over a shared lane source, refused up
+/// front if a run's stream (load edge plus a step per draw) overruns the watchdog.
+fn lane_rngs(prepared: &[Prepared], limits: &Limits) -> Result<Vec<StreamRng>, EngineError> {
+    let max_steps = limits.stream_watchdog_steps;
+    if draws_per_run(&prepared[0].spec().params).saturating_add(1) > max_steps {
+        return Err(EngineError::Watchdog { cycles: max_steps });
+    }
+    let seeds: Vec<u16> = prepared.iter().map(|p| p.spec().params.seed).collect();
+    Ok(StreamRng::lanes(&seeds))
+}
 
-impl<const W: usize> Engine for BitSimWideEngine<W> {
+impl Engine for BitSimEngine {
     fn kind(&self) -> BackendKind {
-        match W {
-            1 => BackendKind::BitSim64,
-            2 => BackendKind::BitSim128,
-            4 => BackendKind::BitSim256,
-            _ => unreachable!("bitsim backends are registered at W ∈ {{1, 2, 4}}"),
-        }
+        self.0
     }
 
     fn capabilities(&self) -> Capabilities {
         Capabilities {
             widths: &[16],
-            pack_width: 64 * W,
+            pack_width: match self.0 {
+                BackendKind::BitSim256 => 256,
+                BackendKind::BitSim128 => 128,
+                _ => 64,
+            },
             deadline: true,
             watchdog: true,
             reports_cycles: false,
@@ -246,7 +267,7 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         prepared: &[Prepared],
         limits: &Limits,
     ) -> Vec<Result<RunOutcome, EngineError>> {
-        debug_assert!(!prepared.is_empty() && prepared.len() <= 64 * W);
+        debug_assert!(!prepared.is_empty() && prepared.len() <= self.capabilities().pack_width);
         debug_assert!(
             prepared.windows(2).all(|w| {
                 let (a, b) = (w[0].spec().params, w[1].spec().params);
@@ -254,18 +275,12 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
             }),
             "packed specs must share one RNG draw schedule"
         );
-        let draws = draws_per_run(&prepared[0].spec().params) as usize;
-        let seeds: Vec<u16> = prepared.iter().map(|p| p.spec().params.seed).collect();
-        match try_ca_lane_streams_wide::<W>(&seeds, draws, limits.stream_watchdog_steps) {
-            Ok(streams) => prepared
-                .iter()
-                .zip(streams)
-                .map(|(p, stream)| run16(p.spec(), StreamRng::new(stream)))
-                .collect(),
-            Err(steps) => prepared
-                .iter()
-                .map(|_| Err(EngineError::Watchdog { cycles: steps }))
-                .collect(),
+        // In generation lockstep every lane has drawn the same count
+        // when the next block is produced, so each holds at most about
+        // one generation plus one block.
+        match lane_rngs(prepared, limits) {
+            Ok(rngs) => run16(prepared.iter().map(Prepared::spec).zip(rngs)),
+            Err(e) => vec![Err(e); prepared.len()],
         }
     }
 
@@ -274,22 +289,11 @@ impl<const W: usize> Engine for BitSimWideEngine<W> {
         prepared: &Prepared,
         limits: &Limits,
     ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
-        // Stepping needs the whole stream up front: extract the draws a
-        // full run of `n_gens` generations consumes (an island driver
-        // runs epoch × epochs = n_gens generations total) plus one — a
-        // snapshot taken after the final generation still records the
-        // *next* draw, which is how a stream checkpoint restores into a
-        // register-RNG backend. One lane is one lane at any width, so
-        // the narrow simulator is the cheapest extractor. The stream
-        // watchdog bounds it exactly as it bounds a pack.
-        let spec = prepared.spec();
-        let draws =
-            usize::try_from(draws_per_run(&spec.params).saturating_add(1)).unwrap_or(usize::MAX);
-        let mut streams =
-            try_ca_lane_streams_wide::<1>(&[spec.params.seed], draws, limits.stream_watchdog_steps)
-                .map_err(|steps| EngineError::Watchdog { cycles: steps })?;
-        let stream = streams.pop().expect("one lane requested");
-        Ok(stepper16(spec, StreamRng::new(stream)))
+        // A pack of one whose lane refills as it goes: an island member
+        // may step past the schedule it was built for, and a restore
+        // steps the CA less than one period to the snapshot's position.
+        let rng = lane_rngs(std::slice::from_ref(prepared), limits)?.pop();
+        Ok(stepper16(prepared.spec(), rng.expect("one lane requested")))
     }
 }
 
@@ -422,7 +426,7 @@ mod tests {
     fn behavioral_and_bitsim_agree_exactly() {
         let s = spec(16, GaParams::new(16, 6, 10, 1, 0x2961));
         let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
-        let b = run_on(&BitSimWideEngine::<1>, s).expect("bitsim runs");
+        let b = run_on(&BitSimEngine(BackendKind::BitSim64), s).expect("bitsim runs");
         assert_eq!(a, b, "netlist-streamed lane must match the reference RNG");
     }
 
@@ -501,9 +505,9 @@ mod tests {
         let reference = run_on(&BehavioralEngine, s).expect("behavioral heals");
         for e in [
             &RtlInterpEngine as &dyn Engine,
-            &BitSimWideEngine::<1>,
-            &BitSimWideEngine::<2>,
-            &BitSimWideEngine::<4>,
+            &BitSimEngine(BackendKind::BitSim64),
+            &BitSimEngine(BackendKind::BitSim128),
+            &BitSimEngine(BackendKind::BitSim256),
         ] {
             let r = run_on(e, s).expect("backend heals");
             assert_eq!(
@@ -545,7 +549,7 @@ mod tests {
         for e in [
             &BehavioralEngine as &dyn Engine,
             &RtlInterpEngine,
-            &BitSimWideEngine::<1>,
+            &BitSimEngine(BackendKind::BitSim64),
             &SwgaEngine,
         ] {
             let mut s = spec(16, GaParams::new(8, 4, 10, 1, 0xB342));
@@ -560,6 +564,20 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_run_stops_stepping_at_once() {
+        // A wire-sized generation count under a 0 ms deadline: the run
+        // must end at its first check, not count out the generations.
+        let mut s = spec(16, GaParams::new(8, 4_294_901_760, 10, 1, 0xB342));
+        s.deadline_ms = Some(0);
+        let start = std::time::Instant::now();
+        assert_eq!(
+            run_on(&BehavioralEngine, s),
+            Err(EngineError::DeadlineExceeded)
+        );
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+    }
+
+    #[test]
     fn watchdogs_are_typed_and_infrastructure() {
         let s = spec(16, GaParams::new(8, 4, 10, 1, 0xB342));
         let tight = Limits {
@@ -570,8 +588,13 @@ mod tests {
             .run(&RtlInterpEngine.prepare(s).expect("admits"), &tight)
             .expect_err("tight watchdog trips");
         assert_eq!(rtl, EngineError::Watchdog { cycles: 10 });
-        let bit = BitSimWideEngine::<1>
-            .run(&BitSimWideEngine::<1>.prepare(s).expect("admits"), &tight)
+        let bit = BitSimEngine(BackendKind::BitSim64)
+            .run(
+                &BitSimEngine(BackendKind::BitSim64)
+                    .prepare(s)
+                    .expect("admits"),
+                &tight,
+            )
             .expect_err("tight watchdog trips");
         assert_eq!(bit, EngineError::Watchdog { cycles: 4 });
         assert!(bit.is_infrastructure());
@@ -579,7 +602,7 @@ mod tests {
 
     #[test]
     fn bitsim_pack_lanes_match_solo_runs() {
-        let e = BitSimWideEngine::<1>;
+        let e = BitSimEngine(BackendKind::BitSim64);
         let params = GaParams::new(8, 3, 10, 1, 0);
         let packed: Vec<Prepared> = [0x1111u16, 0x2222, 0x3333]
             .iter()
@@ -597,12 +620,36 @@ mod tests {
 
     #[test]
     fn wide_engines_report_their_own_kind_and_pack_width() {
-        assert_eq!(BitSimWideEngine::<1>.kind(), BackendKind::BitSim64);
-        assert_eq!(BitSimWideEngine::<2>.kind(), BackendKind::BitSim128);
-        assert_eq!(BitSimWideEngine::<4>.kind(), BackendKind::BitSim256);
-        assert_eq!(BitSimWideEngine::<1>.capabilities().pack_width, 64);
-        assert_eq!(BitSimWideEngine::<2>.capabilities().pack_width, 128);
-        assert_eq!(BitSimWideEngine::<4>.capabilities().pack_width, 256);
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim64).kind(),
+            BackendKind::BitSim64
+        );
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim128).kind(),
+            BackendKind::BitSim128
+        );
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim256).kind(),
+            BackendKind::BitSim256
+        );
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim64)
+                .capabilities()
+                .pack_width,
+            64
+        );
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim128)
+                .capabilities()
+                .pack_width,
+            128
+        );
+        assert_eq!(
+            BitSimEngine(BackendKind::BitSim256)
+                .capabilities()
+                .pack_width,
+            256
+        );
     }
 
     #[test]
@@ -610,8 +657,8 @@ mod tests {
         // 70 jobs overflow the first 64-lane word of a 128-lane pack:
         // lanes 64..70 live in word 1 and must still equal solo 64-lane
         // runs of the same seed.
-        let narrow = BitSimWideEngine::<1>;
-        let wide = BitSimWideEngine::<2>;
+        let narrow = BitSimEngine(BackendKind::BitSim64);
+        let wide = BitSimEngine(BackendKind::BitSim128);
         let params = GaParams::new(8, 3, 10, 1, 0);
         let packed: Vec<Prepared> = (0..70u16)
             .map(|i| {
@@ -647,7 +694,7 @@ mod tests {
         for e in [
             &BehavioralEngine as &dyn Engine,
             &RtlInterpEngine,
-            &BitSimWideEngine::<1>,
+            &BitSimEngine(BackendKind::BitSim64),
             &SwgaEngine,
         ] {
             let p = e.prepare(s).expect("admits");

@@ -1,81 +1,73 @@
-//! The compiled-netlist cache: validate + topo-sort + compile once per
-//! (design, lane-width) and share the result across every pack.
+//! The compiled-netlist cache: validate + topo-sort + compile the
+//! CA-RNG netlist once per process and share it across every pack.
 //!
-//! The serve hot path runs the same synthesized design — the CA-RNG
-//! netlist — for every bitsim pack, at whichever lane width the backend
-//! was asked for. Re-elaborating and re-compiling it per pack would pay
-//! the full validate + Kahn-sort + flatten cost on work that never
-//! changes, so the engine layer keeps one process-wide keyed map
-//! instead: a [`CacheKey`] names the design, the words-per-net lane
-//! width it will be simulated at, and the seed layout (which input bus
-//! carries the per-lane seeds), and the first request under a key
-//! compiles while every later request is a read-locked map hit.
-//!
-//! Hit/miss counters are exposed so the serving layer can report cache
-//! effectiveness per batch (`netlist_cache_hits` / `_misses` in
-//! `BENCH_serve.json`) — a cold-start regression shows up as a miss
-//! count above the number of distinct (design, width) pairs.
+//! Every bitsim pack runs the CA-RNG netlist in two forms: the full one
+//! for the seed-load edge and its `ctl = consume` specialisation for
+//! streaming. Compilation is lane-width-blind, so each form is one
+//! compile-once cell. The hit/miss counters feed `netlist_cache_hits` /
+//! `_misses` in `BENCH_serve.json`: at most two misses per process.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 
+use ga_synth::gadesign::elaborate_ca_rng;
 use ga_synth::CompiledNetlist;
 
-/// What one cache entry is compiled *for*: the design, the lane width
-/// it will simulate at, and the seed-bus layout. Widths share the same
-/// gate-level artifact today (compilation is width-independent), but
-/// keying them separately keeps the entry's identity honest — an entry
-/// answers exactly one backend's question — and gives the hit/miss
-/// counters a per-backend meaning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Stable design name (e.g. `"ca-rng"`).
-    pub design: &'static str,
-    /// `u64` words per net the simulation will run with (lanes / 64).
-    pub words_per_net: usize,
-    /// Name of the input bus that carries per-lane seeds.
-    pub seed_bus: &'static str,
-}
-
-/// A process-wide keyed map of compiled netlists with hit/miss
-/// accounting. Reads take a shared lock; a miss compiles *outside* any
-/// lock and the losing side of a compile race simply drops its copy.
+/// The two compiled forms of the CA-RNG netlist, with hit/miss
+/// accounting. A cold cell compiles under [`OnceLock`], so concurrent
+/// first requests wait for one compile instead of racing their own.
 pub struct NetlistCache {
-    map: RwLock<HashMap<CacheKey, Arc<CompiledNetlist>>>,
+    full: OnceLock<CompiledNetlist>,
+    consume: OnceLock<CompiledNetlist>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl NetlistCache {
-    /// An empty cache (tests build private ones; production code uses
-    /// [`global_cache`]).
-    pub fn new() -> Self {
+    /// An empty cache; production code uses [`global_cache`].
+    fn new() -> Self {
         NetlistCache {
-            map: RwLock::new(HashMap::new()),
+            full: OnceLock::new(),
+            consume: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// The entry for `key`, compiling it with `build` on the first
-    /// request. `build` runs without any lock held, so a slow compile
-    /// never blocks hits on other keys; if two threads race the same
-    /// cold key, both compiles run and one artifact wins the insert
-    /// (they are deterministic, so either is correct).
-    pub fn get_or_compile(
+    /// The full CA-RNG netlist: the seed-load edge runs on it.
+    pub fn ca_rng(&self) -> &CompiledNetlist {
+        self.get(&self.full, || {
+            CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles")
+        })
+    }
+
+    /// The CA-RNG netlist specialised for streaming: `ctl` tied to
+    /// `consume` (`ctl[0]` = seed_load low, `ctl[1]` = consume high),
+    /// which folds both register-input muxes away and leaves the
+    /// rule-90/150 XOR network alone. Same nets and registers as
+    /// [`NetlistCache::ca_rng`].
+    pub fn ca_rng_consume(&self) -> &CompiledNetlist {
+        self.get(&self.consume, || {
+            let full = self.ca_rng();
+            let ctl = full.input_bus("ctl").expect("ctl bus");
+            full.specialize(&[(ctl[0], false), (ctl[1], true)])
+        })
+    }
+
+    /// Read `cell`, compiling it with `build` on the first request.
+    fn get<'a>(
         &self,
-        key: CacheKey,
+        cell: &'a OnceLock<CompiledNetlist>,
         build: impl FnOnce() -> CompiledNetlist,
-    ) -> Arc<CompiledNetlist> {
-        if let Some(hit) = self.map.read().expect("cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
-        let mut map = self.map.write().expect("cache lock");
-        Arc::clone(map.entry(key).or_insert(built))
+    ) -> &'a CompiledNetlist {
+        let mut built = false;
+        let netlist = cell.get_or_init(|| {
+            built = true;
+            build()
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        netlist
     }
 
     /// Lifetime `(hits, misses)` counters.
@@ -84,22 +76,6 @@ impl NetlistCache {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
-    }
-
-    /// Number of distinct cached entries.
-    pub fn len(&self) -> usize {
-        self.map.read().expect("cache lock").len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for NetlistCache {
-    fn default() -> Self {
-        NetlistCache::new()
     }
 }
 
@@ -112,15 +88,6 @@ pub fn global_cache() -> &'static NetlistCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_synth::gadesign::elaborate_ca_rng;
-
-    fn key(words: usize) -> CacheKey {
-        CacheKey {
-            design: "ca-rng",
-            words_per_net: words,
-            seed_bus: "seed",
-        }
-    }
 
     fn compile_ca() -> CompiledNetlist {
         CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG compiles")
@@ -129,22 +96,25 @@ mod tests {
     #[test]
     fn first_request_misses_then_hits() {
         let cache = NetlistCache::new();
-        let a = cache.get_or_compile(key(1), compile_ca);
+        let a: *const CompiledNetlist = cache.ca_rng();
         assert_eq!(cache.counters(), (0, 1));
-        let b = cache.get_or_compile(key(1), compile_ca);
+        let b: *const CompiledNetlist = cache.ca_rng();
         assert_eq!(cache.counters(), (1, 1));
-        assert!(Arc::ptr_eq(&a, &b), "a hit returns the cached artifact");
-        assert_eq!(cache.len(), 1);
+        assert_eq!(a, b, "a hit returns the cached artifact");
     }
 
     #[test]
-    fn widths_are_distinct_entries() {
+    fn each_design_compiles_once() {
+        // The consume form builds from the full one (a miss, then a hit
+        // inside it); every later request of either form is a hit.
         let cache = NetlistCache::new();
-        let w1 = cache.get_or_compile(key(1), compile_ca);
-        let w4 = cache.get_or_compile(key(4), compile_ca);
-        assert!(!Arc::ptr_eq(&w1, &w4), "per-width identity");
+        cache.ca_rng_consume();
         assert_eq!(cache.counters(), (0, 2));
-        assert_eq!(cache.len(), 2);
+        for _ in 0..5 {
+            cache.ca_rng();
+            cache.ca_rng_consume();
+        }
+        assert_eq!(cache.counters(), (10, 2));
     }
 
     #[test]
@@ -153,23 +123,26 @@ mod tests {
         // compile done from scratch: same instruction stream, same
         // registers, same bus maps. Debug formatting covers every field.
         let cache = NetlistCache::new();
-        cache.get_or_compile(key(2), compile_ca);
-        let hit = cache.get_or_compile(key(2), compile_ca);
+        cache.ca_rng();
+        let hit = cache.ca_rng();
         let cold = compile_ca();
         assert_eq!(format!("{hit:?}"), format!("{cold:?}"));
+        let ctl = cold.input_bus("ctl").expect("ctl bus");
+        let consume = cold.specialize(&[(ctl[0], false), (ctl[1], true)]);
+        assert_eq!(
+            format!("{:?}", cache.ca_rng_consume()),
+            format!("{consume:?}")
+        );
     }
 
     #[test]
-    fn build_runs_once_per_key() {
+    fn concurrent_cold_requests_compile_once() {
         let cache = NetlistCache::new();
-        let mut builds = 0;
-        for _ in 0..5 {
-            cache.get_or_compile(key(1), || {
-                builds += 1;
-                compile_ca()
-            });
-        }
-        assert_eq!(builds, 1);
-        assert_eq!(cache.counters(), (4, 1));
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| cache.ca_rng_consume());
+            }
+        });
+        assert_eq!(cache.counters(), (3, 2), "no compile race");
     }
 }

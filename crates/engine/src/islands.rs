@@ -202,9 +202,9 @@ impl<'a> IslandsEngine<'a> {
         })
     }
 
-    /// Build members under `limits` instead of [`Limits::default`]: a
-    /// stream-backed member extracts its whole stream up front, under
-    /// the stream watchdog.
+    /// Build members under `limits` instead of [`Limits::default`]: the
+    /// stream watchdog refuses a bitsim member whose schedule runs too
+    /// far down its CA stream.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
         self
@@ -238,9 +238,7 @@ impl<'a> IslandsEngine<'a> {
     }
 
     /// Build one seeded stepping member per island. Island *k* gets the
-    /// shared CA stream jumped ahead to its [`island_seed`] slot;
-    /// stream-backed members extract exactly the draws the full
-    /// `epoch × epochs` schedule will consume.
+    /// shared CA stream jumped ahead to its [`island_seed`] slot.
     fn members(&self, spec: &RunSpec) -> Result<Vec<Box<dyn ga_core::IslandMember>>, EngineError> {
         (0..self.config.islands)
             .map(|k| {
@@ -320,7 +318,8 @@ impl<'a> IslandsEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{BehavioralEngine, BitSimWideEngine, SwgaEngine};
+    use crate::adapters::{BehavioralEngine, BitSimEngine, SwgaEngine};
+    use crate::spec::BackendKind;
     use ga_fitness::TestFunction;
 
     fn spec(params: GaParams) -> RunSpec {
@@ -365,7 +364,7 @@ mod tests {
             .expect("steps")
             .run(spec(params))
             .expect("runs");
-        let bit = IslandsEngine::new(&BitSimWideEngine::<1>, config)
+        let bit = IslandsEngine::new(&BitSimEngine(BackendKind::BitSim64), config)
             .expect("steps")
             .run(spec(params))
             .expect("runs");
@@ -418,7 +417,7 @@ mod tests {
             epochs: 3,
         };
         let beh = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
-        let bit = IslandsEngine::new(&BitSimWideEngine::<1>, config).expect("steps");
+        let bit = IslandsEngine::new(&BitSimEngine(BackendKind::BitSim64), config).expect("steps");
         let reference = beh.run(spec(params)).expect("runs");
 
         let mut driver = beh.start(spec(params)).expect("starts");

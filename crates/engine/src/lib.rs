@@ -10,21 +10,19 @@
 //! runs, and the conformance suite all go through it rather than
 //! naming engines.
 //!
-//! Seven backends are registered by default ([`registry::global`]):
+//! Seven kinds are registered by default ([`registry::global`]):
 //!
 //! | kind | engine | widths |
 //! |---|---|---|
 //! | `behavioral` | `ga_core::GaEngine` over the CA RNG | 16 |
 //! | `rtl` | `ga_core::GaSystem` (cycle-accurate) | 16 |
-//! | `bitsim64` | compiled netlist lane streams, 64-lane packs | 16 |
-//! | `bitsim128` | the same netlist at 2 words/net, 128-lane packs | 16 |
-//! | `bitsim256` | the same netlist at 4 words/net, 256-lane packs | 16 |
+//! | `bitsim64`/`128`/`256` | [`BitSimEngine`], packs of up to 64/128/256 | 16 |
 //! | `swga` | `swga::CountingGa` (PowerPC reference) | 16 |
 //! | `rtl32` | `ga_core::GaSystem32Hw` (ganged dual core, Fig. 6) | 32 |
 //!
-//! The bitsim family shares one compiled CA-RNG netlist per lane width
-//! through the process-wide [`NetlistCache`], so repeat packs skip
-//! validate + topo-sort + compile entirely.
+//! The three bitsim kinds are one engine. It produces lane streams on
+//! demand from the CA-RNG netlist, simulated at the narrowest lane width
+//! that holds each pack and compiled once by the [`NetlistCache`].
 //!
 //! [`IslandsEngine`] composes the ring-migration island model over any
 //! backend with a stepping handle. See DESIGN.md for the layer diagram
@@ -40,14 +38,12 @@ pub mod registry;
 pub mod spec;
 
 pub use adapters::{
-    trajectory16, trajectory32, BehavioralEngine, BitSim128Engine, BitSim256Engine, BitSim64Engine,
-    BitSimWideEngine, Rtl32Engine, RtlInterpEngine, SwgaEngine,
+    trajectory16, trajectory32, BehavioralEngine, BitSimEngine, Rtl32Engine, RtlInterpEngine,
+    SwgaEngine,
 };
-pub use cache::{global_cache, CacheKey, NetlistCache};
+pub use cache::{global_cache, NetlistCache};
 pub use islands::{CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION};
-pub use pack::{
-    ca_lane_streams, draws_per_run, try_ca_lane_streams, try_ca_lane_streams_wide, StreamRng,
-};
+pub use pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,

@@ -1,47 +1,34 @@
-//! Job packing for the wide-lane bitsim backends.
+//! Job packing for the bitsim backends: lane streams produced on demand.
 //!
-//! The compiled netlist engine (`ga_synth::bitsim`) advances 64·W
-//! independent CA-RNG simulations per pass — but the *GA* around the
-//! RNG is data-dependent (selection scans, fitness lookups), so the
-//! whole GA cannot be bit-sliced. What CAN be shared is the expensive
-//! part the netlist actually models: the RNG stream. Two jobs with the
-//! same population size and generation count consume RNG draws on an
-//! identical, data-independent schedule ([`draws_per_run`]), so up to
-//! 64·W such jobs are packed into **one** lockstep run of the compiled
-//! CA-RNG netlist — one seed per lane — and each lane's extracted
-//! stream then drives an ordinary behavioral engine via [`StreamRng`].
-//! Because the netlist is gate-level equivalent to `carng::CaRng`
-//! (proven by `crates/synth/tests/rng_equivalence.rs` and the golden
-//! vectors), a packed lane's result is bit-identical to a solo run, at
-//! every lane width.
+//! The GA around the RNG is data-dependent, so it cannot be bit-sliced,
+//! but the RNG stream the netlist models can. Jobs with the same
+//! population size and generation count draw on one data-independent
+//! schedule ([`draws_per_run`]), so up to 256 of them share **one** run
+//! of the compiled CA-RNG netlist, one seed per lane, each lane driving
+//! an ordinary behavioral engine through a [`StreamRng`]. The netlist is
+//! gate-level equivalent to `carng::CaRng`, so a packed lane's result is
+//! bit-identical to a solo run. A pack runs at the narrowest width
+//! W ∈ {1, 2, 4} words per net that holds it; unseeded tail lanes sit
+//! at the CA's all-zero fixed point and are never read.
 //!
-//! Packs smaller than the lane count leave the tail lanes *unseeded*:
-//! they hold the CA's all-zero fixed point, never produce a stream,
-//! and never touch results or metrics — the padding-skew fix. Active
-//! lanes are exactly `seeds.len()`.
+//! Nothing is extracted ahead of the GA, as the paper's core takes one
+//! CA word per `rn_consume`: a pack's lane source keeps the 16 CA
+//! register words and steps one 64-draw block for every lane when a
+//! lane runs dry. Lanes step in generation lockstep, so none holds more
+//! than about one generation plus one block, and none can overrun.
 //!
-//! Extraction runs in two phases. The seed-load edge runs on the full
-//! compiled netlist. After it, `ctl` is held at `consume`, so streaming
-//! steps the netlist [specialised](CompiledNetlist::specialize) for
-//! that mode: the load and consume muxes fold away, and 22 of the 152
-//! ops remain. The 16 register words carry over, because both netlists
-//! share net indices. Each step's 16 lane-packed `rn` words are turned
-//! into per-lane draws with one 8×8 bit transpose per 8 lanes per
-//! byte-half.
-//!
-//! Both compiled netlists come from the process-wide
-//! [`crate::cache::NetlistCache`], keyed per lane width, so repeat
-//! packs skip validation, topological sorting, flattening, and
-//! specialisation entirely.
+//! The seed-load edge runs on the full netlist, streaming on its
+//! [specialisation](ga_synth::CompiledNetlist::specialize) for
+//! `ctl = consume` (22 of 152 ops); each step's 16 `rn` words become
+//! per-lane draws with one 8×8 bit transpose per 8 lanes per byte-half.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use carng::{Rng16, SnapshotRng};
 use ga_core::GaParams;
-use ga_synth::bitsim::{BitSimW, CompiledNetlist};
-use ga_synth::gadesign::elaborate_ca_rng;
+use ga_synth::BitSimW;
 
-use crate::cache::{global_cache, CacheKey};
+use crate::cache::global_cache;
 
 /// Exact number of 16-bit RNG draws one GA run consumes — the packing
 /// schedule. Per run: `pop` draws seed the initial population; each
@@ -55,146 +42,107 @@ pub fn draws_per_run(p: &GaParams) -> u64 {
     pop + p.n_gens as u64 * (3 * pairs + (pop - 1))
 }
 
-/// The compiled CA-RNG netlist for a `W`-word lane width, from the
-/// process-wide [`NetlistCache`](crate::cache::NetlistCache): compiled
-/// once per width, a cache hit on every later pack. Runs the seed-load
-/// edge.
-fn compiled_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
-    global_cache().get_or_compile(
-        CacheKey {
-            design: "ca-rng",
-            words_per_net,
-            seed_bus: "seed",
-        },
-        || CompiledNetlist::compile(&elaborate_ca_rng()).expect("CA-RNG netlist compiles"),
-    )
-}
-
-/// The CA-RNG netlist specialised for streaming: `ctl` tied to
-/// `consume` (`ctl[0]` = seed_load low, `ctl[1]` = consume high), which
-/// folds both register-input muxes away and leaves the rule-90/150 XOR
-/// network alone. Same nets and registers as [`compiled_ca`], cached
-/// under its own key.
-fn consume_ca(words_per_net: usize) -> Arc<CompiledNetlist> {
-    global_cache().get_or_compile(
-        CacheKey {
-            design: "ca-rng/consume",
-            words_per_net,
-            seed_bus: "seed",
-        },
-        || {
-            let full = compiled_ca(words_per_net);
-            let ctl = full.input_bus("ctl").expect("ctl bus");
-            full.specialize(&[(ctl[0], false), (ctl[1], true)])
-        },
-    )
-}
-
-/// Streams reserve room for at most this many draws up front and grow
-/// past it on demand, so a draw count taken from a job line never
-/// sizes an allocation by itself.
-const PREALLOC_DRAWS: usize = 1 << 16;
-
-/// Run the compiled CA-RNG netlist with one seed per lane and extract
-/// `draws` outputs per seeded lane — `seeds.len()` complete RNG streams
-/// from one bit-sliced simulation. Zero seeds get the RNG module's
-/// guard remap (0 → 1), matching `carng::CaRng`; *unseeded* tail lanes
-/// stay at the CA's all-zero fixed point and are never read.
-pub fn ca_lane_streams(seeds: &[u16], draws: usize) -> Vec<Vec<u16>> {
-    try_ca_lane_streams(seeds, draws, u64::MAX).expect("unbounded extraction cannot trip")
-}
-
-/// [`ca_lane_streams`] under a simulated-step watchdog: extracting
-/// `draws` draws costs `draws + 1` netlist steps (one load edge plus
-/// one per draw); if the run would exceed `max_steps` the extraction is
-/// refused up front with `Err(max_steps)` — the step count the watchdog
-/// charged — so the service can degrade the pack to the behavioral
-/// backend instead of burning an unbounded amount of host time.
-pub fn try_ca_lane_streams(
-    seeds: &[u16],
-    draws: usize,
-    max_steps: u64,
-) -> Result<Vec<Vec<u16>>, u64> {
-    try_ca_lane_streams_wide::<1>(seeds, draws, max_steps)
-}
-
-/// [`try_ca_lane_streams`] at any lane width: one bit-sliced run of the
-/// `W`-word simulator extracts up to `64·W` complete RNG streams. The
-/// stream a lane produces depends only on its seed, never on `W` — the
-/// conformance suite pins wide lanes against solo 64-lane runs.
+/// Collect `draws` outputs per seed from one run of the CA-RNG netlist
+/// at `W` words per net. Zero seeds get the RNG module's guard remap
+/// (0 → 1), as in `carng::CaRng`; a lane's stream never depends on `W`.
+/// That costs `draws + 1` netlist steps (the load edge plus one per
+/// draw); past `max_steps` it is refused up front with `Err(max_steps)`.
 pub fn try_ca_lane_streams_wide<const W: usize>(
     seeds: &[u16],
     draws: usize,
     max_steps: u64,
 ) -> Result<Vec<Vec<u16>>, u64> {
-    assert!(
-        seeds.len() <= BitSimW::<W>::LANES,
-        "{} seeds exceed the {} lanes of one pack",
-        seeds.len(),
-        BitSimW::<W>::LANES
-    );
     if (draws as u64).saturating_add(1) > max_steps {
         return Err(max_steps);
     }
-    let full = compiled_ca(W);
-    let consume = consume_ca(W);
-    let seed_bus = full.input_bus("seed").expect("seed bus");
-    let ctl_bus = full.input_bus("ctl").expect("ctl bus");
-    let rn_bus = consume.output_bus("rn").expect("rn bus");
-
-    // The seed-load edge runs on the full netlist.
-    let mut load = full.sim_wide::<W>();
-    for (lane, &s) in seeds.iter().enumerate() {
-        let s = if s == 0 { 1 } else { s }; // the RNG module's zero-seed guard
-        load.set_bus_lane(seed_bus, lane, s as u64);
+    let mut src = LaneSource::wide::<W>(seeds);
+    for _ in 0..draws.div_ceil(BLOCK) {
+        (src.block)(&mut src.pending);
     }
-    load.set_bus_all(ctl_bus, 0b01); // ctl[0] = seed_load
-    load.step();
-    // Streaming steps only the consume-specialised netlist; the 16
-    // register words carry over (both netlists share net indices).
-    let mut sim = consume.sim_wide::<W>();
-    for r in consume.regs() {
-        sim.set_net_words(r.q, load.net_words(r.q));
-    }
-
-    // The rn output bus IS the register bank, so after the load edge it
-    // already reads the seed; sample-then-advance from here on matches
-    // `Rng16::next_u16` (first draw after reseed is the seed itself).
-    // Each step's 16 rn words are transposed into one (low, high) byte
-    // plane pair per group of 8 lanes and parked in `block`, laid out
-    // group-major; every BLOCK draws the planes are appended to the
-    // lane streams in one tight pass per lane.
-    let groups = seeds.len().div_ceil(8);
-    let mut block = vec![[0u64; 2]; groups * BLOCK];
-    let mut streams: Vec<Vec<u16>> = (0..seeds.len())
-        .map(|_| Vec::with_capacity(draws.min(PREALLOC_DRAWS)))
-        .collect();
-    let mut done = 0;
-    while done < draws {
-        let n = BLOCK.min(draws - done);
-        for t in 0..n {
-            let rn: [[u64; W]; 16] = std::array::from_fn(|i| sim.net_words(rn_bus[i]));
-            for g in 0..groups {
-                block[g * BLOCK + t] = transpose_group(&rn, g);
-            }
-            sim.step();
-        }
-        for (lane, stream) in streams.iter_mut().enumerate() {
-            let (g, c) = (lane / 8, 8 * (lane % 8));
-            let planes = &block[g * BLOCK..g * BLOCK + n];
-            stream.extend(
-                planes
-                    .iter()
-                    .map(|&[lo, hi]| ((lo >> c) & 0xFF) as u16 | (((hi >> c) & 0xFF) as u16) << 8),
-            );
-        }
-        done += n;
-    }
+    let mut streams: Vec<Vec<u16>> = src.pending.into_iter().flatten().collect();
+    streams.iter_mut().for_each(|s| s.truncate(draws));
     Ok(streams)
 }
 
-/// Draws transposed per block before they are appended to the streams.
+/// Draws each lane receives per block.
 const BLOCK: usize = 64;
+
+/// The CA-RNG period: every nonzero register state, so every draw,
+/// recurs exactly once per this many draws.
+const PERIOD: u64 = 65_535;
+
+/// Steps a pack's CA registers one block and appends each lane's draws
+/// to its stream in `pending`.
+type BlockFn = dyn FnMut(&mut [Option<Vec<u16>>]) + Send;
+
+/// One pack's lane streams, produced on demand.
+struct LaneSource {
+    block: Box<BlockFn>,
+    /// Per lane, the draws produced but not yet taken (`None` once its
+    /// reader is gone).
+    pending: Vec<Option<Vec<u16>>>,
+}
+
+impl LaneSource {
+    /// A source at the narrowest width that holds `seeds`.
+    fn new(seeds: &[u16]) -> Self {
+        match seeds.len() {
+            0..=64 => Self::wide::<1>(seeds),
+            65..=128 => Self::wide::<2>(seeds),
+            _ => Self::wide::<4>(seeds),
+        }
+    }
+
+    /// A source at `W` words per net: the seed-load edge runs on the
+    /// full netlist, then its register words seed the streaming sim.
+    fn wide<const W: usize>(seeds: &[u16]) -> Self {
+        assert!(
+            seeds.len() <= BitSimW::<W>::LANES,
+            "{} seeds exceed the {} lanes of one pack",
+            seeds.len(),
+            BitSimW::<W>::LANES
+        );
+        let (full, consume) = (global_cache().ca_rng(), global_cache().ca_rng_consume());
+        let seed_bus = full.input_bus("seed").expect("seed bus");
+        let mut load = full.sim_wide::<W>();
+        for (lane, &s) in seeds.iter().enumerate() {
+            load.set_bus_lane(seed_bus, lane, s.max(1) as u64); // the zero-seed guard
+        }
+        load.set_bus_all(full.input_bus("ctl").expect("ctl bus"), 0b01); // ctl[0] = seed_load
+        load.step();
+        let mut sim = consume.sim_wide::<W>();
+        for r in consume.regs() {
+            sim.set_net_words(r.q, load.net_words(r.q));
+        }
+        let rn_bus = consume.output_bus("rn").expect("rn bus");
+        // Planes of one block, group-major: `planes[g * BLOCK + t]` holds
+        // draw `t` of lanes `8g..8g+8` as a (low, high) byte-plane pair.
+        let mut planes = vec![[0u64; 2]; seeds.len().div_ceil(8) * BLOCK];
+        let block = move |pending: &mut [Option<Vec<u16>>]| {
+            // The rn output bus IS the register bank, so it already reads
+            // the next draw: sample-then-advance matches `Rng16::next_u16`.
+            for t in 0..BLOCK {
+                let rn: [[u64; W]; 16] = std::array::from_fn(|i| sim.net_words(rn_bus[i]));
+                for g in 0..planes.len() / BLOCK {
+                    planes[g * BLOCK + t] = transpose_group(&rn, g);
+                }
+                sim.step();
+            }
+            for (lane, stream) in pending.iter_mut().enumerate() {
+                let (g, c) = (lane / 8, 8 * (lane % 8));
+                stream.iter_mut().for_each(|s| {
+                    s.extend(planes[g * BLOCK..(g + 1) * BLOCK].iter().map(|&[lo, hi]| {
+                        ((lo >> c) & 0xFF) as u16 | (((hi >> c) & 0xFF) as u16) << 8
+                    }))
+                });
+            }
+        };
+        LaneSource {
+            block: Box::new(block),
+            pending: vec![Some(Vec::new()); seeds.len()],
+        }
+    }
+}
 
 /// Transpose an 8×8 bit matrix held in a `u64`: row `r` is byte `r`,
 /// column `c` is bit `c` of that byte. Three delta-swaps exchange the
@@ -226,74 +174,122 @@ fn transpose_group<const W: usize>(rn: &[[u64; W]; 16], g: usize) -> [u64; 2] {
     [transpose8(rows(&rn[..8])), transpose8(rows(&rn[8..]))]
 }
 
-/// An [`Rng16`] replaying a pre-extracted draw stream — the glue
-/// between a bitsim lane and the behavioral engine. The stream must
-/// hold exactly the draws the consumer will ask for
-/// ([`draws_per_run`]); running past the end is an internal invariant
-/// violation and panics.
-#[derive(Debug, Clone)]
+/// An [`Rng16`] over one CA-RNG lane stream — the glue between a bitsim
+/// lane and the behavioral engine. It replays the draws in hand and
+/// takes the next ones from its lane of a shared lane source.
 pub struct StreamRng {
-    stream: Vec<u16>,
+    /// Draws in hand; `buf[pos]` is the next, so `buf` never runs out.
+    buf: Vec<u16>,
     pos: usize,
+    /// Draws consumed before `buf[0]`.
+    base: u64,
+    src: Arc<Mutex<LaneSource>>,
+    lane: usize,
 }
 
 impl StreamRng {
-    /// Wrap an extracted lane stream.
-    pub fn new(stream: Vec<u16>) -> Self {
-        assert!(!stream.is_empty(), "an RNG stream cannot be empty");
-        StreamRng { stream, pos: 0 }
+    /// Replay an extracted lane stream, then run on from its last draw:
+    /// a CA draw is the register state, so it alone determines the rest.
+    pub fn new(mut stream: Vec<u16>) -> Self {
+        let last = stream.pop().expect("an RNG stream cannot be empty");
+        let mut rng = Self::lanes(&[last]).pop().expect("one lane");
+        stream.append(&mut rng.buf);
+        rng.buf = stream;
+        rng
+    }
+
+    /// One reader per seed over a shared lane source.
+    pub(crate) fn lanes(seeds: &[u16]) -> Vec<StreamRng> {
+        let src = Arc::new(Mutex::new(LaneSource::new(seeds)));
+        (0..seeds.len())
+            .map(|lane| {
+                let (buf, src) = (Vec::new(), Arc::clone(&src));
+                let mut rng = StreamRng {
+                    buf,
+                    pos: 0,
+                    base: 0,
+                    src,
+                    lane,
+                };
+                rng.refill();
+                rng
+            })
+            .collect()
     }
 
     /// Draws consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
+    pub fn consumed(&self) -> u64 {
+        self.base + self.pos as u64
+    }
+
+    /// Take the draws produced for this lane, stepping a block first if
+    /// there are none; the draws in hand are all consumed.
+    #[cold]
+    fn refill(&mut self) {
+        (self.base, self.pos) = (self.consumed(), 0);
+        let src = &mut *self.src.lock().unwrap_or_else(PoisonError::into_inner);
+        if src.pending[self.lane].as_ref().is_some_and(Vec::is_empty) {
+            (src.block)(&mut src.pending);
+        }
+        self.buf.clear();
+        let pending = src.pending[self.lane]
+            .as_mut()
+            .expect("a live lane is open");
+        std::mem::swap(&mut self.buf, pending);
+    }
+}
+
+impl Drop for StreamRng {
+    fn drop(&mut self) {
+        let mut src = self.src.lock().unwrap_or_else(PoisonError::into_inner);
+        src.pending[self.lane] = None;
     }
 }
 
 impl Rng16 for StreamRng {
     fn output(&self) -> u16 {
-        self.stream[self.pos]
+        self.buf[self.pos]
     }
 
+    #[inline]
     fn step(&mut self) {
         self.pos += 1;
-    }
-
-    fn fill_u16s(&mut self, out: &mut [u16]) {
-        // Batch replay is a slice copy — the stream already holds the
-        // consecutive draws. Panics past the end like `next_u16` would.
-        out.copy_from_slice(&self.stream[self.pos..self.pos + out.len()]);
-        self.pos += out.len();
+        if self.pos == self.buf.len() {
+            self.refill();
+        }
     }
 
     fn reseed(&mut self, seed: u16) {
-        // The engine reseeds with the job's seed on construction; the
-        // stream's first draw must BE that seed (post zero-guard).
-        let expect = if seed == 0 { 1 } else { seed };
-        debug_assert_eq!(
-            self.stream.first().copied(),
-            Some(expect),
-            "stream does not start at the reseed value"
-        );
+        // The engine reseeds on construction: the stream starts there.
+        debug_assert_eq!((self.base, self.buf[0]), (0, seed.max(1)));
         self.pos = 0;
     }
 }
 
 impl SnapshotRng for StreamRng {
     fn load(&mut self, consumed: u64, next: u16) -> Result<(), &'static str> {
-        // `consumed` is the stream cursor directly; `next` cross-checks
-        // the snapshot against the extracted stream, so restoring a
-        // behavioral snapshot into the wrong lane (or a corrupted one)
-        // is caught instead of silently diverging.
-        let pos = usize::try_from(consumed)
-            .map_err(|_| "stream snapshot position does not fit in memory")?;
-        if pos >= self.stream.len() {
-            return Err("stream snapshot position is past the extracted stream");
+        // Step a fresh lane from the nearest draw in hand to position
+        // `consumed`, modulo the CA period, so a restore costs fewer than
+        // `PERIOD` netlist steps wherever the snapshot points. `next`
+        // cross-checks the snapshot against the stream, so a snapshot
+        // from another lane (or a corrupted one) is caught instead of
+        // silently diverging. A failed load leaves the cursor as it was.
+        let k = consumed
+            .saturating_sub(self.base)
+            .min(self.buf.len() as u64 - 1);
+        let ahead = (consumed % PERIOD + PERIOD - (self.base + k) % PERIOD) % PERIOD;
+        let mut lane = Self::lanes(&[self.buf[k as usize]])
+            .pop()
+            .expect("one lane");
+        for _ in 0..ahead {
+            lane.step();
         }
-        if self.stream[pos] != next {
-            return Err("snapshot RNG value disagrees with the extracted stream");
+        if lane.output() != next {
+            return Err("snapshot RNG value disagrees with the lane stream");
         }
-        self.pos = pos;
+        lane.buf.drain(..lane.pos);
+        (lane.base, lane.pos) = (consumed, 0);
+        *self = lane;
         Ok(())
     }
 }
@@ -303,10 +299,14 @@ mod tests {
     use super::*;
     use carng::CaRng;
 
+    fn streams(seeds: &[u16], draws: usize) -> Vec<Vec<u16>> {
+        try_ca_lane_streams_wide::<1>(seeds, draws, u64::MAX).expect("unbounded")
+    }
+
     #[test]
     fn lane_streams_match_the_reference_rng() {
         let seeds = [0xB342u16, 0x2961, 0x061F, 1, 0xFFFF];
-        let streams = ca_lane_streams(&seeds, 200);
+        let streams = streams(&seeds, 200);
         assert_eq!(streams.len(), seeds.len());
         for (lane, (&seed, stream)) in seeds.iter().zip(&streams).enumerate() {
             let mut reference = CaRng::new(seed);
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn zero_seed_gets_the_guard_remap() {
-        let streams = ca_lane_streams(&[0], 8);
+        let streams = streams(&[0], 8);
         let mut reference = CaRng::new(0); // remaps to 1 internally
         for &v in &streams[0] {
             assert_eq!(v, reference.next_u16());
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn full_64_lane_pack_is_supported() {
         let seeds: Vec<u16> = (1..=64).collect();
-        let streams = ca_lane_streams(&seeds, 4);
+        let streams = streams(&seeds, 4);
         assert_eq!(streams.len(), 64);
         for (s, st) in seeds.iter().zip(&streams) {
             assert_eq!(st[0], *s, "first draw is the seed");
@@ -344,7 +344,7 @@ mod tests {
     #[should_panic(expected = "exceed")]
     fn more_than_64_seeds_rejected() {
         let seeds: Vec<u16> = (0..65).collect();
-        let _ = ca_lane_streams(&seeds, 1);
+        let _ = streams(&seeds, 1);
     }
 
     #[test]
@@ -372,9 +372,42 @@ mod tests {
 
     #[test]
     fn step_watchdog_refuses_oversized_extractions() {
-        assert_eq!(try_ca_lane_streams(&[1], 100, 10), Err(10));
-        let ok = try_ca_lane_streams(&[1], 9, 10).expect("9 draws + 1 load step fit in 10");
+        assert_eq!(try_ca_lane_streams_wide::<1>(&[1], 100, 10), Err(10));
+        let ok = try_ca_lane_streams_wide::<1>(&[1], 9, 10).expect("9 draws + 1 load step fit");
         assert_eq!(ok[0].len(), 9);
+    }
+
+    #[test]
+    fn on_demand_lanes_match_the_reference_rng_at_every_width() {
+        // Readers of one pack taking their draws in lockstep, one
+        // generation-sized gulp per lane per round, at each width.
+        for lanes in [3, 100, 200] {
+            let seeds: Vec<u16> = (0..lanes as u16).map(|i| i.wrapping_mul(0x9E37)).collect();
+            let mut readers = StreamRng::lanes(&seeds);
+            let mut reference: Vec<CaRng> = seeds.iter().map(|&s| CaRng::new(s)).collect();
+            let mut got = [0u16; 97];
+            for _ in 0..10 {
+                for (lane, (r, want)) in readers.iter_mut().zip(&mut reference).enumerate() {
+                    r.fill_u16s(&mut got);
+                    for &v in &got {
+                        assert_eq!(v, want.next_u16(), "{lanes} lanes, lane {lane}");
+                    }
+                }
+            }
+            assert_eq!(readers[0].consumed(), 970);
+        }
+    }
+
+    #[test]
+    fn stream_rng_replays_then_continues_the_ca() {
+        let mut reference = CaRng::new(0x2961);
+        let mut whole: Vec<u16> = (0..200).map(|_| reference.next_u16()).collect();
+        let mut r = StreamRng::new(whole[..3].to_vec());
+        let mut got = vec![0u16; 200];
+        r.fill_u16s(&mut got);
+        assert_eq!(got, whole);
+        whole.push(reference.next_u16());
+        assert_eq!(r.next_u16(), whole[200]);
     }
 
     #[test]
@@ -397,8 +430,37 @@ mod tests {
         other.load(1, 8).expect("valid position");
         assert_eq!(other.next_u16(), 8);
         assert!(other.load(1, 9).is_err(), "value mismatch is typed");
-        assert!(other.load(3, 7).is_err(), "past-the-end is typed");
+        assert!(
+            other.load(3, 7).is_err(),
+            "a mismatch past the end is typed"
+        );
         assert_eq!(other.consumed(), 2, "failed loads leave the cursor");
+    }
+
+    #[test]
+    fn restore_steps_at_most_one_ca_period() {
+        let mut reference = CaRng::new(0xB342);
+        let whole: Vec<u16> = (0..1000).map(|_| reference.next_u16()).collect();
+        let mut lane = StreamRng::lanes(&[0xB342]).pop().expect("one lane");
+        lane.load(301, whole[301])
+            .expect("ahead of the draws in hand");
+        assert_eq!(lane.next_u16(), whole[301]);
+        // One draw behind the first in hand: the worst case, a period
+        // less one step on.
+        let start = std::time::Instant::now();
+        lane.load(300, whole[300])
+            .expect("behind the draws in hand");
+        assert_eq!(lane.next_u16(), whole[300]);
+        assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
+        // The CA repeats every PERIOD draws, so a position any number of
+        // periods on is the same draw.
+        let far = 1_999_999_000 / PERIOD * PERIOD + 500;
+        lane.load(far, whole[500])
+            .expect("a far position is one draw");
+        assert_eq!((lane.consumed(), lane.next_u16()), (far, whole[500]));
+        assert!(lane.load(far + 2, whole[500]).is_err(), "value mismatch");
+        assert_eq!(lane.consumed(), far + 1, "failed loads leave the cursor");
+        assert_eq!(lane.next_u16(), whole[501]);
     }
 
     #[test]

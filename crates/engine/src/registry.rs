@@ -8,9 +8,7 @@
 
 use std::sync::OnceLock;
 
-use crate::adapters::{
-    BehavioralEngine, BitSimWideEngine, Rtl32Engine, RtlInterpEngine, SwgaEngine,
-};
+use crate::adapters::{BehavioralEngine, BitSimEngine, Rtl32Engine, RtlInterpEngine, SwgaEngine};
 use crate::spec::{BackendKind, Engine};
 
 /// An ordered collection of [`Engine`]s, keyed by [`BackendKind`].
@@ -32,9 +30,9 @@ impl EngineRegistry {
         let mut r = EngineRegistry::new();
         r.register(Box::new(BehavioralEngine));
         r.register(Box::new(RtlInterpEngine));
-        r.register(Box::new(BitSimWideEngine::<1>));
-        r.register(Box::new(BitSimWideEngine::<2>));
-        r.register(Box::new(BitSimWideEngine::<4>));
+        r.register(Box::new(BitSimEngine(BackendKind::BitSim64)));
+        r.register(Box::new(BitSimEngine(BackendKind::BitSim128)));
+        r.register(Box::new(BitSimEngine(BackendKind::BitSim256)));
         r.register(Box::new(SwgaEngine));
         r.register(Box::new(Rtl32Engine));
         r

@@ -23,13 +23,12 @@ pub enum BackendKind {
     Behavioral,
     /// The cycle-accurate hardware system (`ga_core::GaSystem`).
     RtlInterp,
-    /// The compiled 64-lane netlist simulation: compatible jobs share
-    /// one bit-sliced CA-RNG run, one job per lane.
+    /// The compiled-netlist backend: compatible jobs share one
+    /// bit-sliced CA-RNG run, one job per lane, up to 64 per pack.
     BitSim64,
-    /// The 128-lane (two `u64` words per net) wide netlist simulation.
+    /// The compiled-netlist backend with packs of up to 128 jobs.
     BitSim128,
-    /// The 256-lane (four words per net) wide netlist simulation — one
-    /// pack amortizes the bit-sliced CA-RNG run across 256 jobs.
+    /// The compiled-netlist backend with packs of up to 256 jobs.
     BitSim256,
     /// The instrumented software GA (`swga::CountingGa`) — the paper's
     /// PowerPC reference implementation.

@@ -23,10 +23,10 @@
 //! ```
 //!
 //! A member may step `gens` generations in all (`init`'s `gens`, less
-//! the snapshot's `gen` on resume): a bitsim member's stream is
-//! extracted for exactly that many. An `epoch` that would overrun the
-//! budget is refused with an error reply and steps nothing, and a
-//! snapshot already past it does not restore.
+//! the snapshot's `gen` on resume): that is the job's generation
+//! budget. An `epoch` that would overrun it is refused with an error
+//! reply and steps nothing, and a snapshot already past it does not
+//! restore.
 //!
 //! `init` may carry `"snapshot":"<hex>"` to restore the member at a
 //! checkpointed barrier instead of generating an initial population —
@@ -116,9 +116,9 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
 /// The worker's island member and the generations left in its budget.
 struct WorkerMember {
     engine: Box<dyn ga_core::IslandMember>,
-    /// `gens` from `init`, minus the snapshot's `gen` on resume. A
-    /// stream-backed member holds draws for exactly this many more
-    /// generations, so an `epoch` past it is refused, not stepped.
+    /// The job's generation budget: `gens` from `init`, minus the
+    /// snapshot's `gen` on resume. An `epoch` past it is refused, not
+    /// stepped.
     gens_left: u32,
 }
 

@@ -51,9 +51,10 @@ pub struct GaJob {
     /// surfaces as a typed [`ServeError::InvalidJob`] result instead of
     /// a panic; [`GaJob::validate`] is the gate.
     pub params: GaParams,
-    /// Optional wall-clock budget. Expiry cancels the job with
-    /// [`ServeError::DeadlineExceeded`]; an in-flight generation (or
-    /// simulated cycle) always completes first.
+    /// Optional wall-clock budget, from the start of the job's own run.
+    /// Expiry cancels the job with [`ServeError::DeadlineExceeded`]; an
+    /// in-flight generation (or simulated cycle) always completes first.
+    /// A job with a deadline never joins a bitsim pack.
     pub deadline_ms: Option<u64>,
     /// Optional island-model schedule (`islands`/`epoch`/`epochs` on
     /// the wire). When set, the job runs as a ring-migration island

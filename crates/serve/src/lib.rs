@@ -42,6 +42,4 @@ pub use job::{
 };
 pub use net::{serve_jsonl, AdmissionStats, DrainSummary, NetConfig, Server};
 pub use queue::BoundedQueue;
-pub use service::{
-    serve_batch, BackendCounters, LatencyHisto, ServeConfig, ServeOutcome, ServeStats,
-};
+pub use service::{serve_batch, BackendCounters, ServeConfig, ServeOutcome, ServeStats};

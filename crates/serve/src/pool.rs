@@ -106,13 +106,15 @@ impl Deliver for ConnState {
 /// The one pack-eligibility rule: how many lanes a job may share a
 /// lockstep pack with. That is its backend's pack width when the
 /// backend packs, the job is valid (an invalid job must surface its own
-/// typed error) and it is not an island job (the ring owns its own lane
-/// streams); otherwise 1.
+/// typed error), it is not an island job (the ring owns its own lane
+/// streams) and it has no deadline (a pack's lanes all run until the
+/// pack ends, so a packed deadline would count its pack-mates' time);
+/// otherwise 1.
 fn pack_width(job: &GaJob) -> usize {
     let width = ga_engine::global()
         .get(job.backend)
         .map_or(1, |e| e.capabilities().pack_width);
-    if width > 1 && job.islands.is_none() && job.validate().is_ok() {
+    if width > 1 && job.islands.is_none() && job.deadline_ms.is_none() && job.validate().is_ok() {
         width
     } else {
         1

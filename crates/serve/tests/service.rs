@@ -111,6 +111,30 @@ fn packed_lane_equals_solo_run_even_in_the_tail() {
 }
 
 #[test]
+fn jobs_with_a_deadline_run_solo_with_unchanged_results() {
+    // A packed lane runs until its whole pack ends, so a deadline,
+    // which counts the job's own run, keeps a job out of packs.
+    let jobs: Vec<GaJob> = (0..3)
+        .map(|i| {
+            GaJob::new(
+                TestFunction::Bf6,
+                BackendKind::BitSim64,
+                GaParams::new(12, 5, 10, 1, 0x1000 + i as u16),
+            )
+        })
+        .collect();
+    let packed = serve_batch(&jobs, &ServeConfig::default());
+    assert_eq!((packed.stats.packs, packed.stats.packed_lanes), (1, 3));
+    let timed: Vec<GaJob> = jobs.iter().map(|j| j.with_deadline_ms(60_000)).collect();
+    let solo = serve_batch(&timed, &ServeConfig::default());
+    assert_eq!((solo.stats.packs, solo.stats.packed_lanes), (0, 0));
+    for (p, s) in packed.results.iter().zip(&solo.results) {
+        assert!(s.outcome.is_ok(), "{:?}", s.outcome);
+        assert_eq!(p.outcome, s.outcome);
+    }
+}
+
+#[test]
 fn draw_schedule_formula_matches_engine_instrumentation() {
     // The packing layer pre-computes how many draws to extract per lane;
     // if this drifts from the engine's actual consumption, packed runs

@@ -1,12 +1,20 @@
-//! Lane-stream extraction streams on the CA-RNG netlist specialised for
-//! `consume` and gathers lanes with an 8×8 bit transpose. These tests
-//! pin both halves: every extracted lane equals `carng::CaRng` draw for
-//! draw past the CA's 65 535-step period, at every lane width, and the
-//! specialised op stream computes the full netlist's next register
-//! state from any register state while `ctl` holds `consume`.
+//! Lane streams are produced on demand on the CA-RNG netlist
+//! specialised for `consume`, and lanes are gathered with an 8×8 bit
+//! transpose. These tests pin both halves: every lane the producer
+//! yields equals `carng::CaRng` draw for draw past the CA's 65 535-step
+//! period, at every lane width, and the specialised op stream computes
+//! the full netlist's next register state from any register state while
+//! `ctl` holds `consume`. They also pin the engine on top: a stepper
+//! restored at any generation, wherever its RNG position falls among the
+//! producer's 64-draw blocks, continues exactly as behavioral does, and
+//! a pack runs at the narrowest lane width whatever kind it was sent as.
 
 use carng::{CaRng, Rng16};
-use ga_engine::try_ca_lane_streams_wide;
+use ga_core::GaParams;
+use ga_engine::{
+    global, try_ca_lane_streams_wide, BackendKind, Limits, Prepared, RunSpec, Workload,
+};
+use ga_fitness::TestFunction;
 use ga_synth::gadesign::elaborate_ca_rng;
 use ga_synth::CompiledNetlist;
 
@@ -105,5 +113,70 @@ fn consume_specialisation_keeps_every_next_state() {
                 );
             }
         }
+    }
+}
+
+fn spec(params: GaParams) -> RunSpec {
+    RunSpec {
+        width: 16,
+        workload: Workload::Function(TestFunction::F2),
+        params,
+        deadline_ms: None,
+    }
+}
+
+#[test]
+fn restores_at_every_generation_continue_like_behavioral() {
+    // Pop 12 draws 12 + 29·g by generation g: the positions fall inside
+    // the first block, land exactly on the block edge 128 at g = 4, and
+    // straddle the edges at 64, 192, 256 and 320.
+    let params = GaParams::new(12, 12, 10, 1, 0x2961);
+    let limits = Limits::default();
+    let stepper = |kind| {
+        let engine = global().get(kind).expect("registered");
+        let prepared = engine.prepare(spec(params)).expect("admits");
+        engine.stepper(&prepared, &limits).expect("steps")
+    };
+    let mut reference = stepper(BackendKind::Behavioral);
+    reference.init_population();
+    let mut snapshots = vec![reference.snapshot()];
+    for _ in 0..params.n_gens {
+        reference.step_generation();
+        snapshots.push(reference.snapshot());
+    }
+    let end = snapshots.last().expect("final snapshot").clone();
+    assert!(snapshots.iter().any(|s| s.rng_draws == 128));
+    for snap in &snapshots {
+        let mut member = stepper(BackendKind::BitSim64);
+        member.restore(snap).expect("restores");
+        for _ in snap.gen..params.n_gens {
+            member.step_generation();
+        }
+        assert_eq!(
+            member.snapshot(),
+            end,
+            "restored at generation {}",
+            snap.gen
+        );
+    }
+}
+
+#[test]
+fn a_small_bitsim256_pack_equals_solo_bitsim64_runs() {
+    // 18 jobs fit one 64-lane word, so the pack runs at W = 1.
+    let wide = global().get(BackendKind::BitSim256).expect("registered");
+    let narrow = global().get(BackendKind::BitSim64).expect("registered");
+    let packed: Vec<Prepared> = (0..18u16)
+        .map(|i| {
+            let seed = i.wrapping_mul(0x9E37) ^ 0xB342;
+            wide.prepare(spec(GaParams::new(24, 10, 10, 1, seed)))
+                .expect("admits")
+        })
+        .collect();
+    let pack = wide.run_pack(&packed, &Limits::default());
+    assert_eq!(pack.len(), 18);
+    for (p, r) in packed.iter().zip(pack) {
+        let solo = narrow.run(p, &Limits::default());
+        assert_eq!(r, solo, "seed {:#06x}", p.spec().params.seed);
     }
 }

@@ -6,13 +6,22 @@
 //! behavioral, preallocated one history slot per generation.
 //!
 //! The island worker's ops obey the same rule: an `epoch` that would
-//! step a member past its generation budget (and a bitsim member past
-//! its extracted stream) is an in-band error, and the connection lives.
+//! step a member past its job's generation budget is an in-band error,
+//! and the connection lives. So is a checkpoint a bitsim member cannot
+//! continue: a crafted snapshot either resumes exactly as it does on
+//! `behavioral` or gets a typed reply.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
 
+use carng::{CaRng, Rng16};
+use ga_core::islands::{island_seed, IslandConfig, IslandRun};
+use ga_core::{EngineSnapshot, FieldMode, GaEngine, GaParams};
+use ga_engine::{
+    global, BackendKind, CheckpointBundle, EngineError, IslandsEngine, RunSpec, Workload,
+};
+use ga_fitness::TestFunction;
 use ga_serve::jsonl::{parse_job, result_line};
 use ga_serve::{serve_batch, serve_island_connection, ServeConfig, ServeError};
 
@@ -34,7 +43,7 @@ fn oversized_generation_counts_get_one_typed_reply_per_line() {
         let line = result_line(r);
         assert!(line.contains("\"ok\":false"), "line {i}: {line}");
     }
-    // The island stepper's stream watchdog trips before extraction.
+    // The island stepper's stream watchdog trips before any stepping.
     assert!(
         matches!(out.results[0].outcome, Err(ServeError::Watchdog { .. })),
         "island line: {:?}",
@@ -173,4 +182,122 @@ fn island_epochs_past_the_generation_budget_get_a_typed_error() {
     assert_typed_error(&late.call(&past), "restore");
     assert!(late.call(&init_line(None)).starts_with(r#"{"ok":true"#));
     assert!(late.finish().starts_with(r#"{"ok":true"#));
+}
+
+/// The snapshot of an `F3` run on the island seed of `init`'s seed 5
+/// after `gens` generations at population `pop`.
+fn snapshot_at(pop: u8, gens: u32, mode: FieldMode) -> EngineSnapshot {
+    let seed = island_seed(5, 0, 1);
+    let f = |c| TestFunction::F3.eval_u16(c);
+    let params = GaParams::new(pop, 8, 10, 1, seed);
+    let mut e = GaEngine::new(params, CaRng::new(seed), f).with_field_mode(mode);
+    e.init_population();
+    for _ in 0..gens {
+        e.step_generation();
+    }
+    e.snapshot()
+}
+
+/// Draws after which the CA-RNG stream repeats.
+const CA_PERIOD: u64 = 65_535;
+
+/// Snapshots a `pop:16,gens:8` member was never built for, each with
+/// the generation it stands at. The first three used to run a bitsim64
+/// member past its extracted stream and kill the worker.
+fn crafted_snapshots() -> Vec<(&'static str, EngineSnapshot)> {
+    // A pop-16 snapshot two generations in whose RNG stands 200 draws
+    // further along the same CA stream than its generation implies.
+    let mut ahead = snapshot_at(16, 2, FieldMode::SharedDraw);
+    let mut ca = CaRng::new(ahead.rng_next);
+    for _ in 0..200 {
+        ca.step();
+    }
+    ahead.rng_draws += 200;
+    ahead.rng_next = ca.output();
+    // The same position a whole number of CA periods on, just under
+    // the default stream watchdog: the same draw, far down the stream.
+    let mut far = snapshot_at(16, 2, FieldMode::SharedDraw);
+    far.rng_draws += 1_999_000_000 / CA_PERIOD * CA_PERIOD;
+    vec![
+        ("pop 32", snapshot_at(32, 0, FieldMode::SharedDraw)),
+        (
+            "consecutive draws",
+            snapshot_at(16, 2, FieldMode::ConsecutiveDraws),
+        ),
+        ("rng ahead", ahead),
+        ("rng periods ahead", far),
+    ]
+}
+
+#[test]
+fn crafted_snapshots_resume_on_bitsim64_workers_like_behavioral() {
+    for (what, snap) in crafted_snapshots() {
+        let replies = |backend: &str| {
+            let mut w = Worker::spawn();
+            let init = format!(
+                r#"{{"op":"init","fn":"F3","backend":"{backend}","islands":1,"shard":0,"pop":16,"gens":8,"xover":10,"mut":1,"seed":5,"snapshot":"{}"}}"#,
+                snap.to_hex()
+            );
+            let mut out = vec![w.call(&init)];
+            out.push(w.call(&format!(r#"{{"op":"epoch","gens":{}}}"#, 8 - snap.gen)));
+            out.push(w.call(r#"{"op":"snapshot"}"#));
+            out.push(w.finish());
+            out
+        };
+        let behavioral = replies("behavioral");
+        assert!(behavioral.iter().all(|r| r.starts_with(r#"{"ok":true"#)));
+        assert_eq!(replies("bitsim64"), behavioral, "{what}");
+    }
+}
+
+#[test]
+fn crafted_snapshots_resume_in_process_on_bitsim64_like_behavioral() {
+    let config = IslandConfig {
+        islands: 1,
+        epoch: 2,
+        epochs: 4,
+    };
+    let spec = RunSpec {
+        width: 16,
+        workload: Workload::Function(TestFunction::F3),
+        params: GaParams::new(16, 8, 10, 1, 5),
+        deadline_ms: None,
+    };
+    for (what, snap) in crafted_snapshots() {
+        let bundle = CheckpointBundle {
+            config,
+            epochs_done: snap.gen / config.epoch,
+            members: vec![snap],
+        };
+        let run = |kind| -> Result<IslandRun, EngineError> {
+            let engine = global().get(kind).expect("registered");
+            let mut d = IslandsEngine::new(engine, config)?.resume(spec, &bundle)?;
+            while !d.done() {
+                d.step_epoch();
+            }
+            Ok(d.finish())
+        };
+        let behavioral = run(BackendKind::Behavioral).expect("behavioral resumes");
+        assert_eq!(run(BackendKind::BitSim64), Ok(behavioral), "{what}");
+    }
+}
+
+#[test]
+fn a_far_off_stream_rng_position_gets_a_prompt_typed_reply_on_bitsim64() {
+    // An RNG position just under the default stream watchdog whose
+    // draw is not the lane's draw there: the restore steps the CA less
+    // than one period before refusing it, and the connection lives.
+    let mut snap = snapshot_at(8, 2, FieldMode::SharedDraw);
+    snap.rng_draws = 1_999_999_999;
+    assert_ne!(
+        (snap.rng_draws - 8 - 2 * 19) % CA_PERIOD,
+        0,
+        "off the stream"
+    );
+    let mut w = Worker::spawn();
+    let start = std::time::Instant::now();
+    assert_typed_error(&w.call(&init_line(Some(&snap.to_hex()))), "restore");
+    assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
+    assert!(w.call(&init_line(None)).starts_with(r#"{"ok":true"#));
+    assert!(w.finish().starts_with(r#"{"ok":true"#));
 }
