@@ -22,8 +22,10 @@
 //! ceilinged in CI. It also times the cycle-accurate system on the
 //! profiled run itself: `rtl_wall_ns_per_cycle` is host nanoseconds per
 //! simulated cycle, best of several runs, ceilinged in CI. The
-//! selection-scan skip makes host time stop tracking simulated cycles,
-//! so the figure sits well below the cost of one stepped cycle.
+//! quiet-window jumps make host time stop tracking simulated cycles,
+//! so the figure sits well below the cost of one stepped cycle;
+//! `rtl_host_steps` counts the host steps (`GaSystem::advance` calls)
+//! the profiled run took, also ceilinged in CI.
 //! `GA_BENCH_QUICK` shrinks the measured cycle counts.
 //!
 //! Run with `cargo run --release -p ga-bench --bin profile`.
@@ -244,6 +246,7 @@ fn main() {
     let p = sys.modules().core.profile();
     println!("== hardware cycle profile (pop 32, 32 gens, mBF6_2) ==");
     println!("total run cycles : {}", run.cycles);
+    println!("host steps       : {}", sys.host_steps());
     let total = p.total() as f64;
     let pct = |v: u64| 100.0 * v as f64 / total;
     println!(
@@ -389,6 +392,7 @@ fn main() {
 
     BenchReport::new("profile", sw.seconds(), 256, 1)
         .metric("hw_run_cycles", run.cycles as f64)
+        .metric("rtl_host_steps", sys.host_steps() as f64)
         .metric("rtl_wall_ns_per_cycle", ns_per_cycle)
         .metric("sw_modeled_cycles", model.cycles(&sw_run.ops))
         .metric("netlist_ops_per_pass", st.ops_per_pass as f64)

@@ -13,17 +13,22 @@
 //! behavioral [`crate::behavioral::GaEngine`]; the differential tests
 //! exploit this to check population-for-population equality.
 //!
-//! Selection scanning — three clocks per member walked
-//! (`SelScanAddr` → `SelScanWait` → `SelScanData`) — is most of the
-//! core's cycles, and nothing outside the core, the GA memory's read
-//! register and the cycle counter changes while it runs: no RNG draw,
-//! no memory write, no fitness request. `GaCoreHw::scan_walk`
-//! computes such a walk from the live `scan_idx`/`cum` registers with
-//! the scan's own rules, and `GaCoreHw::apply_scan_hit` sets every
-//! register to its value after the hit's `SelScanData` cycle, so a
-//! system can jump the window in one step (`GaSystem::advance`). The
-//! cycle counts are those of the FSM; only the host stops paying for
-//! them one at a time.
+//! Most of the core's cycles are spent in stretches that nothing
+//! outside the core, the GA memory's read register, the RNG and the
+//! selected fitness module sees cycle by cycle: a parent selection
+//! (the `SelDraw` draw, four `SelMulWait` multiplier cycles, then
+//! three clocks per member scanned, `SelScanAddr` → `SelScanWait` →
+//! `SelScanData`) and a fitness handshake (`OffFitReq`/`InitPopFitReq`
+//! through the cycle that latches `fit_valid`). `GaCoreHw::walk`
+//! computes such a quiet window from the live registers with the FSM's
+//! own rules, and `GaCoreHw::apply` sets every register to its value
+//! after the window's last cycle, so a system can jump the window in
+//! one step (`GaSystem::advance`). A selection window that starts at
+//! `SelDraw` consumes exactly the one random number that edge draws; a
+//! handshake window reads the fitness module's word once, through the
+//! module's own jump ([`ga_fitness::Fem::answer`]). The cycle counts
+//! are those of the FSM; only the host stops paying for them one at a
+//! time.
 
 use hwsim::{AckSlave, Clocked, Reg};
 
@@ -136,21 +141,70 @@ pub struct GaCoreHw {
     profile: CyclesByPhase,
 }
 
-/// A selection-scan walk computed ahead of time by
-/// [`GaCoreHw::scan_walk`]: where the scan stops and what it reads
-/// there.
+/// The start value of `mult_cnt`: the sequential 24×16 selection
+/// multiplier holds the FSM in `SelMulWait` for `MUL_WAIT + 1` cycles
+/// after `SelDraw` while `mult_cnt` counts down to zero.
+const MUL_WAIT: u8 = 3;
+
+/// A quiet window computed ahead of the clock by [`GaCoreHw::walk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ScanHit {
-    /// Bank offset of the member the scan stops at (its `scan_idx`).
-    idx: u8,
-    /// The `cum` register on the hit's `SelScanData` cycle: the sum of
-    /// the members walked before the hit.
-    cum: u32,
-    /// The memory word the hit's `SelScanData` cycle reads.
-    word: u32,
-    /// Cycles from the `SelScanAddr` entry through the hit's
-    /// `SelScanData` cycle: three per member walked.
+pub(crate) struct Window {
+    /// Cycles from the window's first cycle through its last. A
+    /// handshake window counts its own two cycles until the fitness
+    /// module answers ([`Window::answer`]).
     pub(crate) cycles: u64,
+    kind: WindowKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WindowKind {
+    /// A parent selection through the hit's `SelScanData` cycle.
+    Select {
+        /// The threshold the `SelDraw` edge computes, when the window
+        /// starts there (and so consumes one random number).
+        draw: Option<u32>,
+        /// Bank offset of the member the scan stops at (its `scan_idx`).
+        idx: u8,
+        /// The `cum` register on the hit's `SelScanData` cycle: the sum
+        /// of the members walked before the hit.
+        cum: u32,
+        /// The memory word the hit's `SelScanData` cycle reads.
+        word: u32,
+    },
+    /// A fitness handshake through the cycle that latches `fit_valid`.
+    Fitness {
+        /// The candidate the request carries.
+        candidate: u16,
+        /// The fitness module's answer, once it has given one.
+        value: Option<u16>,
+    },
+}
+
+impl Window {
+    /// The candidate a handshake window requests; `None` for a
+    /// selection.
+    pub(crate) fn request(&self) -> Option<u16> {
+        match self.kind {
+            WindowKind::Fitness { candidate, .. } => Some(candidate),
+            WindowKind::Select { .. } => None,
+        }
+    }
+
+    /// Complete a handshake window: the module raises `fit_valid` with
+    /// `value` on its `edges`-th edge after the one that sees the
+    /// request, and the core latches it on the cycle after.
+    pub(crate) fn answer(&mut self, value: u16, edges: u64) {
+        if let WindowKind::Fitness { value: v, .. } = &mut self.kind {
+            *v = Some(value);
+            self.cycles += edges;
+        }
+    }
+
+    /// True when the window consumes one random number: a selection
+    /// that starts at `SelDraw`.
+    pub(crate) fn draws(&self) -> bool {
+        matches!(self.kind, WindowKind::Select { draw: Some(_), .. })
+    }
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -506,8 +560,8 @@ impl GaCoreHw {
                 self.rng_draws += 1;
                 self.cum.set(0);
                 self.scan_idx.set(0);
-                // Sequential 24×16 multiplier: three further cycles.
-                self.mult_cnt.set(3);
+                // Sequential 24×16 multiplier: MUL_WAIT + 1 further cycles.
+                self.mult_cnt.set(MUL_WAIT);
                 self.state.set(State::SelMulWait);
             }
             State::SelMulWait => {
@@ -662,44 +716,77 @@ impl GaCoreHw {
         comb
     }
 
-    // --- selection-scan skip ------------------------------------------
+    // --- quiet windows ------------------------------------------------
 
-    /// Walk the selection scan ahead of the clock. When the core is at
-    /// the top of a scan step (`SelScanAddr`, out of test mode, with no
-    /// memory write or fitness request pending), this follows the
-    /// scan's own rules from the live `scan_idx` and `cum` registers —
-    /// wrapping 8-bit index, [`ops::selection_hit`], and the
-    /// fall-through at `scan_idx == pop_size − 1` — and returns the
-    /// member it stops at. `word(addr)` must return what the memory
-    /// port will read at `addr` on the corresponding `SelScanData`
-    /// cycle; it is called once per member walked, in order. Returns
-    /// `None` anywhere else.
+    /// Walk a quiet window ahead of the clock. Out of test mode, with no
+    /// memory write or fitness request pending, a window starts at:
     ///
-    /// The walk ends within 256 members, so a window is at most 768
-    /// cycles.
-    pub(crate) fn scan_walk(&self, mut word: impl FnMut(u8) -> u32) -> Option<ScanHit> {
-        if self.state.get() != State::SelScanAddr
-            || self.test_prev.get()
-            || self.mem_wr.get()
-            || self.fit_request.get()
-        {
+    /// * `SelDraw`, `SelMulWait` (any `mult_cnt`) or `SelScanAddr`, and
+    ///   runs through the selection hit's `SelScanData` cycle. It
+    ///   follows the FSM's rules from the live registers: the threshold
+    ///   from `rn` (the RNG output the `SelDraw` cycle sees), the
+    ///   multiplier countdown, then the scan's wrapping 8-bit index,
+    ///   [`ops::selection_hit`] and the fall-through at
+    ///   `scan_idx == pop_size − 1`. `word(addr, at)` must return what
+    ///   the memory port delivers at `addr` on the window's `at`-th
+    ///   cycle (a `SelScanData` cycle); it is called once per member
+    ///   walked, in order. A scan ends within 256 members, so a window
+    ///   is at most 773 cycles.
+    /// * `OffFitReq` or `InitPopFitReq`, and runs through the cycle that
+    ///   latches `fit_valid`. Its length and value come from the fitness
+    ///   module ([`Window::answer`]).
+    ///
+    /// Returns `None` anywhere else.
+    pub(crate) fn walk(&self, rn: u16, mut word: impl FnMut(u8, u64) -> u32) -> Option<Window> {
+        if self.test_prev.get() || self.mem_wr.get() || self.fit_request.get() {
             return None;
         }
+        let fitness = |candidate| Window {
+            cycles: 2,
+            kind: WindowKind::Fitness {
+                candidate,
+                value: None,
+            },
+        };
+        let (prefix, draw, mut idx, mut cum) = match self.state.get() {
+            State::SelDraw => {
+                let threshold = ops::selection_threshold(self.fit_sum.get(), rn);
+                (1 + u64::from(MUL_WAIT) + 1, Some(threshold), 0, 0)
+            }
+            State::SelMulWait => (
+                u64::from(self.mult_cnt.get()) + 1,
+                None,
+                self.scan_idx.get(),
+                self.cum.get(),
+            ),
+            State::SelScanAddr => (0, None, self.scan_idx.get(), self.cum.get()),
+            State::InitPopFitReq => return Some(fitness(self.cand.get())),
+            State::OffFitReq => {
+                let off = if self.off_phase.get() {
+                    self.off2.get()
+                } else {
+                    self.off1.get()
+                };
+                return Some(fitness(off));
+            }
+            _ => return None,
+        };
+        let threshold = draw.unwrap_or(self.threshold.get());
         let last = self.pop_size.get().wrapping_sub(1);
         let base = self.cur_base.get();
-        let threshold = self.threshold.get();
-        let mut idx = self.scan_idx.get();
-        let mut cum = self.cum.get();
-        let mut cycles = 3;
+        let mut cycles = prefix + 3;
         loop {
-            let w = word(base.wrapping_add(idx));
+            let w = word(base.wrapping_add(idx), cycles);
             let next = cum.wrapping_add(unpack(w).fitness as u32);
             if ops::selection_hit(next, threshold) || idx == last {
-                return Some(ScanHit {
-                    idx,
-                    cum,
-                    word: w,
+                return Some(Window {
                     cycles,
+                    kind: WindowKind::Select {
+                        draw,
+                        idx,
+                        cum,
+                        word: w,
+                    },
                 });
             }
             cum = next;
@@ -708,28 +795,58 @@ impl GaCoreHw {
         }
     }
 
-    /// Jump over the window `hit` describes: leave every register as
-    /// the clock edge after the hit's `SelScanData` cycle would, and
-    /// tally the window's cycles as selection. `hit` must come from
-    /// [`GaCoreHw::scan_walk`] on this core in its current state. The
-    /// caller settles the memory read port on `mem_address` and counts
-    /// the cycles on its simulator.
-    pub(crate) fn apply_scan_hit(&mut self, hit: &ScanHit) {
-        let chrom = unpack(hit.word).chrom;
-        self.cum.reset_to(hit.cum);
-        self.scan_idx.reset_to(hit.idx);
-        self.mem_address
-            .reset_to(self.cur_base.get().wrapping_add(hit.idx));
+    /// Jump over `window`: leave every register as the clock edge after
+    /// its last cycle would, count a `SelDraw` draw, and tally the
+    /// window's cycles to its phase. `window` must come from
+    /// [`GaCoreHw::walk`] on this core in its current state, answered
+    /// if it is a handshake. The caller steps the RNG for a drawing
+    /// window, settles the memory read port on `mem_address`, and
+    /// counts the cycles on its simulator.
+    pub(crate) fn apply(&mut self, window: &Window) {
+        let from = self.state.get();
         self.mem_wr.reset_to(false);
-        if !self.sel_phase.get() {
-            self.parent1.reset_to(chrom);
-            self.sel_phase.reset_to(true);
-            self.state.reset_to(State::SelDraw);
-        } else {
-            self.parent2.reset_to(chrom);
-            self.state.reset_to(State::XoverDecide);
+        match window.kind {
+            WindowKind::Select {
+                draw,
+                idx,
+                cum,
+                word,
+            } => {
+                if let Some(threshold) = draw {
+                    self.threshold.reset_to(threshold);
+                    self.rng_draws += 1;
+                }
+                if from != State::SelScanAddr {
+                    self.mult_cnt.reset_to(0);
+                }
+                self.cum.reset_to(cum);
+                self.scan_idx.reset_to(idx);
+                self.mem_address
+                    .reset_to(self.cur_base.get().wrapping_add(idx));
+                let chrom = unpack(word).chrom;
+                if !self.sel_phase.get() {
+                    self.parent1.reset_to(chrom);
+                    self.sel_phase.reset_to(true);
+                    self.state.reset_to(State::SelDraw);
+                } else {
+                    self.parent2.reset_to(chrom);
+                    self.state.reset_to(State::XoverDecide);
+                }
+                self.profile.selection += window.cycles;
+            }
+            WindowKind::Fitness { candidate, value } => {
+                let value = value.expect("a handshake window is answered before it is applied");
+                self.cand.reset_to(candidate);
+                self.fit_reg.reset_to(value);
+                self.fit_request.reset_to(false);
+                self.state.reset_to(if from == State::InitPopFitReq {
+                    State::InitPopStore
+                } else {
+                    State::OffStore
+                });
+                self.profile.fitness_wait += window.cycles;
+            }
         }
-        self.profile.selection += hit.cycles;
     }
 
     fn apply_param_write(&mut self, idx: ParamIndex, value: u16) {

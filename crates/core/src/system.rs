@@ -10,13 +10,21 @@
 //! whole system — one rising clock edge at 50 MHz.
 //!
 //! The run loops move the clock with [`GaSystem::advance`]. It steps one
-//! cycle, except at the top of a selection scan that nothing observes
-//! cycle by cycle: there it computes the walk
-//! (`GaCoreHw::scan_walk`) and jumps to the clock edge after
-//! the hit's data cycle, with the core's registers, the memory read
-//! register and the cycle count exactly as single steps leave them.
-//! A VCD capture, a protocol monitor, a busy fitness module, or a
-//! watchdog or scheduled fault inside the window keeps single steps.
+//! cycle, except at the start of a quiet window that nothing observes
+//! cycle by cycle (see [`crate::hwcore`]): a parent selection from
+//! `SelDraw`, `SelMulWait` or `SelScanAddr` through the hit's data
+//! cycle, or a fitness handshake from the request through the cycle
+//! that latches `fit_valid`. There it computes the window
+//! (`GaCoreHw::walk`) and jumps to the clock edge after it, with the
+//! core's registers, the RNG (one draw for a window that starts at
+//! `SelDraw`), the memory read register, the fitness module and the
+//! cycle count exactly as single steps leave them. A handshake jumps
+//! only when the selected module answers in a fixed number of edges
+//! ([`Fem::answer`]: the block-ROM [`ga_fitness::LookupFem`]) and the
+//! application clock runs at the GA clock (`fast_domain_ratio` 1). A
+//! VCD capture, a protocol monitor, test mode, a pending memory write, a
+//! fitness module that is not [`Fem::quiescent`], or a watchdog or
+//! scheduled fault inside the window keeps single steps.
 
 use ga_fitness::fem::{Fem, FemBank, FemBankIn, FemIn};
 use hwsim::vcd::VcdVar;
@@ -133,6 +141,7 @@ pub struct GaSystem {
     pop_size_hint: u8,
     vcd: Option<VcdCapture>,
     monitor: Option<HandshakeMonitor>,
+    host_steps: u64,
 }
 
 /// Waveform capture of the Table II interface (the ModelSim view).
@@ -169,6 +178,7 @@ impl GaSystem {
             pop_size_hint: GaParams::default().pop_size,
             vcd: None,
             monitor: None,
+            host_steps: 0,
         }
     }
 
@@ -236,6 +246,13 @@ impl GaSystem {
     /// Elapsed cycles since construction.
     pub fn cycles(&self) -> u64 {
         self.sim.cycles()
+    }
+
+    /// [`GaSystem::advance`] calls since construction: the host steps
+    /// the run loops took, one per cycle or quiet window
+    /// (instrumentation).
+    pub fn host_steps(&self) -> u64 {
+        self.host_steps
     }
 
     /// The Chipscope-style trace (best/sum per generation).
@@ -351,16 +368,16 @@ impl GaSystem {
     }
 
     /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
-    /// idle user inputs, and return how many cycles passed. At the top
-    /// of a selection scan whose whole window fits in `limit`, this
+    /// idle user inputs, and return how many cycles passed. At the start
+    /// of a quiet window that fits in `limit` (see the module docs), this
     /// jumps the window in one step: the core's registers, its cycle
-    /// profile, the memory read register and the cycle count end
-    /// exactly where [`GaSystem::step`] would leave them. Anywhere else,
-    /// or while anything watches single cycles (VCD capture, protocol
-    /// monitor, a fitness module that is not [`Fem::quiescent`]), it is
-    /// one [`GaSystem::step`].
+    /// profile and draw count, the RNG, the memory read register, the
+    /// fitness modules and the cycle count end exactly where
+    /// [`GaSystem::step`] would leave them. Anywhere else it is one
+    /// [`GaSystem::step`].
     pub fn advance(&mut self, limit: u64) -> u64 {
-        match self.skip_scan(limit) {
+        self.host_steps += 1;
+        match self.jump(limit) {
             Some(cycles) => cycles,
             None => {
                 self.step(UserIn::default());
@@ -369,22 +386,36 @@ impl GaSystem {
         }
     }
 
-    /// The scan jump of [`GaSystem::advance`], if it applies.
-    fn skip_scan(&mut self, limit: u64) -> Option<u64> {
+    /// The window jump of [`GaSystem::advance`], if it applies.
+    fn jump(&mut self, limit: u64) -> Option<u64> {
         if self.vcd.is_some() || self.monitor.is_some() {
             return None;
         }
+        let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
         let m = &mut self.modules;
-        let mem = &m.mem;
-        let hit = m.core.scan_walk(|addr| mem.word(addr))?;
-        let fems_idle = m.fems.quiescent() && m.ext_fem.as_ref().is_none_or(|e| e.quiescent());
-        if hit.cycles > limit || !fems_idle {
+        if !m.fems.quiescent() || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent()) {
             return None;
         }
-        m.core.apply_scan_hit(&hit);
+        let mem = &m.mem;
+        let mut window = m.core.walk(m.rng.rn(), |addr, _| mem.word(addr))?;
+        if let Some(candidate) = window.request() {
+            if ratio != 1 || window.cycles >= limit {
+                return None;
+            }
+            let edges = m.fems.answer(select, candidate, limit - window.cycles)?;
+            window.answer(m.fems.out(select, 0, false).fit_value, edges);
+        }
+        if window.cycles > limit {
+            return None;
+        }
+        if window.draws() {
+            m.rng.eval(true, None);
+            m.rng.commit();
+        }
+        m.core.apply(&window);
         m.mem.settle_read(m.core.out().mem_address);
-        self.sim.advance(hit.cycles);
-        Some(hit.cycles)
+        self.sim.advance(window.cycles);
+        Some(window.cycles)
     }
 
     /// Program the parameter registers through the initialization

@@ -28,13 +28,17 @@
 //! the differential tests against [`crate::scaling::GaEngine32`].
 //!
 //! The run loop moves the clock with [`GaSystem32::advance`], which
-//! jumps a selection-scan window in one step as
-//! [`crate::GaSystem::advance`] does. Core 1's walk picks the hit; core
-//! 2 walks the same window with the reads `scalingLogic_parSel` forces
-//! on it (zero until core 1's hit, full-scale on it), so both cores
-//! land on the same member and core 2's `cum` stays put. The jump
-//! applies only when both cores enter the scan together and core 2's
-//! forced walk ends on core 1's hit.
+//! jumps a quiet window in one step as [`crate::GaSystem::advance`]
+//! does, when both cores enter it together. In a selection window core
+//! 1's walk picks the hit; core 2 walks the same window with the
+//! threshold draw and the reads `scalingLogic_parSel` forces on it
+//! (`rn` zero, fitness zero until core 1's hit, full-scale on it), so
+//! both cores land on the same member and core 2's `cum` stays put; the
+//! jump applies only when core 2's forced walk ends on core 1's hit. In
+//! a handshake window the shared module answers the concatenated
+//! candidate once and both cores latch it on the same cycle.
+
+use std::fmt;
 
 use hwsim::{Clocked, Reg, Sim, SimError};
 
@@ -103,6 +107,19 @@ impl<F: FnMut(u32) -> u16> Fem32<F> {
     fn quiescent(&self) -> bool {
         self.state.get() == 0 && !self.valid.get()
     }
+
+    /// [`ga_fitness::Fem::answer`] for the shared module, called while
+    /// it is quiescent: edge 1 evaluates (`fetch`), edge 2 raises
+    /// `fit_valid` (`hold`).
+    fn answer(&mut self, cand32: u32, max_edges: u64) -> Option<u64> {
+        if max_edges < 2 {
+            return None;
+        }
+        self.value.reset_to((self.f)(cand32));
+        self.valid.reset_to(true);
+        self.state.reset_to(2);
+        Some(2)
+    }
 }
 
 /// The dual-core 32-bit GA system.
@@ -117,6 +134,20 @@ pub struct GaSystem32<F: FnMut(u32) -> u16> {
     sim: Sim,
     history: Vec<GenStats32>,
     pop_size: u8,
+}
+
+/// Every register a clock edge can change, as the testbench compares
+/// them: the cycle count, each core's half and the shared module.
+impl<F: FnMut(u32) -> u16> fmt::Debug for GaSystem32<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GaSystem32")
+            .field("cycles", &self.sim.cycles())
+            .field("halves", &self.halves())
+            .field("fem_state", &self.fem.state)
+            .field("fem_value", &self.fem.value)
+            .field("fem_valid", &self.fem.valid)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<F: FnMut(u32) -> u16> GaSystem32<F> {
@@ -263,11 +294,11 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
 
     /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
     /// idle user inputs, and return how many cycles passed: a whole
-    /// selection-scan window when both cores enter it together and it
-    /// fits in `limit` (see the module docs), one
-    /// [`GaSystem32::step`] otherwise.
+    /// quiet window when both cores enter it together and it fits in
+    /// `limit` (see the module docs), one [`GaSystem32::step`]
+    /// otherwise.
     pub fn advance(&mut self, limit: u64) -> u64 {
-        match self.skip_scan(limit) {
+        match self.jump(limit) {
             Some(cycles) => cycles,
             None => {
                 self.step(UserIn::default());
@@ -276,34 +307,55 @@ impl<F: FnMut(u32) -> u16> GaSystem32<F> {
         }
     }
 
-    /// The scan jump of [`GaSystem32::advance`], if it applies.
-    fn skip_scan(&mut self, limit: u64) -> Option<u64> {
-        let mem1 = &self.mem1;
-        let hit1 = self.core1.scan_walk(|addr| mem1.word(addr))?;
-        if hit1.cycles > limit || !self.fem.quiescent() {
+    /// The window jump of [`GaSystem32::advance`], if it applies.
+    fn jump(&mut self, limit: u64) -> Option<u64> {
+        if !self.fem.quiescent() {
             return None;
         }
-        // Core 2 reads its own chromosomes with the fitness half forced
-        // by scalingLogic_parSel, member for member in lockstep.
+        let mem1 = &self.mem1;
+        let mut w1 = self.core1.walk(self.rng1.rn(), |addr, _| mem1.word(addr))?;
+        // Core 2 draws a forced zero and reads its own chromosomes with
+        // the fitness half forced by scalingLogic_parSel, member for
+        // member in lockstep.
         let mem2 = &self.mem2;
-        let mut walked = 0u64;
-        let hit2 = self.core2.scan_walk(|addr| {
-            walked += 3;
-            let forced = if walked == hit1.cycles { 0xFFFF } else { 0 };
+        let hit_at = w1.cycles;
+        let mut w2 = self.core2.walk(0, |addr, at| {
             pack(crate::behavioral::Individual {
                 chrom: unpack(mem2.word(addr)).chrom,
-                fitness: forced,
+                fitness: if at == hit_at { 0xFFFF } else { 0 },
             })
         })?;
-        if hit2.cycles != hit1.cycles {
+        match (w1.request(), w2.request()) {
+            (None, None) => {}
+            (Some(msb), Some(lsb)) => {
+                if w1.cycles >= limit {
+                    return None;
+                }
+                let cand32 = ((msb as u32) << 16) | lsb as u32;
+                let edges = self.fem.answer(cand32, limit - w1.cycles)?;
+                let value = self.fem.value.get();
+                w1.answer(value, edges);
+                w2.answer(value, edges);
+            }
+            _ => return None,
+        }
+        if w2.cycles != w1.cycles || w1.cycles > limit {
             return None;
         }
-        self.core1.apply_scan_hit(&hit1);
-        self.core2.apply_scan_hit(&hit2);
+        if w1.draws() {
+            self.rng1.eval(true, None);
+            self.rng1.commit();
+        }
+        if w2.draws() {
+            self.rng2.eval(true, None);
+            self.rng2.commit();
+        }
+        self.core1.apply(&w1);
+        self.core2.apply(&w2);
         self.mem1.settle_read(self.core1.out().mem_address);
         self.mem2.settle_read(self.core2.out().mem_address);
-        self.sim.advance(hit1.cycles);
-        Some(hit1.cycles)
+        self.sim.advance(w1.cycles);
+        Some(w1.cycles)
     }
 
     /// Program both cores with the same parameters (the user programs

@@ -16,8 +16,8 @@ use swga::CountingGa;
 
 use crate::pack::{draws_per_run, StreamRng};
 use crate::spec::{
-    convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
-    RunOutcome, RunSpec, TrajPoint,
+    convergence_generation, heal_is_16_bit, BackendKind, Capabilities, Engine, EngineError, Limits,
+    Prepared, RunOutcome, RunSpec, TrajPoint,
 };
 
 /// Lift a 16-bit per-generation history (shared by the behavioral
@@ -369,7 +369,7 @@ impl Engine for Rtl32Engine {
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        let f = spec.workload;
+        let f = prepared.function().ok_or_else(heal_is_16_bit)?;
         let mut sys = GaSystem32Hw::new(move |c: u32| f.eval_u32_split(c));
         sys.program(&spec.params);
         let start_cycles = sys.cycles();

@@ -78,7 +78,8 @@ impl BackendKind {
 pub enum Workload {
     /// One of the paper's benchmark fitness functions. 32-bit engines
     /// evaluate the split-average extension
-    /// ([`TestFunction::eval_u32_split`]).
+    /// ([`TestFunction::eval_u32_split`]) of the function
+    /// [`Prepared::function`] resolves at admission.
     Function(TestFunction),
     /// VRC healing (`ga-ehw`): evolve a 16-bit fabric configuration
     /// whose *faulted* truth table reproduces `target`. Fitness is
@@ -102,16 +103,15 @@ impl Workload {
         }
     }
 
-    /// Evaluate a 32-bit chromosome via the split-average extension.
-    /// Only function workloads reach 32-bit engines (admission rejects
-    /// 32-bit healing specs), so healing panics here by design.
+    /// Evaluate a 32-bit chromosome via the split-average extension:
+    /// each 16-bit half scored with [`Workload::eval_u16`], averaged —
+    /// for a function workload exactly
+    /// [`TestFunction::eval_u32_split`]. Total over both variants; the
+    /// 32-bit engines admit function workloads only and evaluate the
+    /// function [`Prepared::function`] resolves.
     pub fn eval_u32_split(self, chrom: u32) -> u16 {
-        match self {
-            Workload::Function(f) => f.eval_u32_split(chrom),
-            Workload::VrcHeal { .. } => {
-                unreachable!("VRC healing is admitted at width 16 only")
-            }
-        }
+        let (msb, lsb) = ((chrom >> 16) as u16, chrom as u16);
+        ((u32::from(self.eval_u16(msb)) + u32::from(self.eval_u16(lsb))) / 2) as u16
     }
 }
 
@@ -174,15 +174,18 @@ impl Capabilities {
             return Err(EngineError::UnsupportedWidth { width: spec.width });
         }
         if matches!(spec.workload, Workload::VrcHeal { .. }) && spec.width != 16 {
-            return Err(EngineError::InvalidSpec {
-                msg: "VRC healing is a 16-bit workload (the chromosome is the \
-                      fabric configuration)"
-                    .into(),
-            });
+            return Err(heal_is_16_bit());
         }
         spec.params
             .validate()
             .map_err(|msg| EngineError::InvalidSpec { msg })
+    }
+}
+
+/// The typed refusal of a VRC healing spec at a width other than 16.
+pub(crate) fn heal_is_16_bit() -> EngineError {
+    EngineError::InvalidSpec {
+        msg: "VRC healing is a 16-bit workload (the chromosome is the fabric configuration)".into(),
     }
 }
 
@@ -211,6 +214,7 @@ impl Default for Limits {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prepared {
     spec: RunSpec,
+    function: Option<TestFunction>,
 }
 
 impl Prepared {
@@ -218,12 +222,24 @@ impl Prepared {
     /// engines with extra admission rules construct it the same way
     /// after their own checks.
     pub fn new(spec: RunSpec) -> Self {
-        Prepared { spec }
+        let function = match spec.workload {
+            Workload::Function(f) => Some(f),
+            Workload::VrcHeal { .. } => None,
+        };
+        Prepared { spec, function }
     }
 
     /// The admitted spec.
     pub fn spec(&self) -> &RunSpec {
         &self.spec
+    }
+
+    /// The benchmark function the spec optimizes, resolved at
+    /// admission; `None` for VRC healing. The 32-bit engines evaluate
+    /// only functions and refuse a healing spec with a typed
+    /// [`EngineError::InvalidSpec`], never a panic.
+    pub fn function(&self) -> Option<TestFunction> {
+        self.function
     }
 }
 
@@ -479,6 +495,19 @@ mod tests {
             ga_ehw::vrc::PERFECT_FITNESS,
             "known healing configuration scores perfect"
         );
+        // The split extension is total and, for functions, the
+        // function's own; the 32-bit engines never see a healing spec.
+        assert_eq!(
+            heal.eval_u32_split(0x0706_0706),
+            ga_ehw::vrc::PERFECT_FITNESS
+        );
+        for f in TestFunction::ALL {
+            let c = 0x1234_ABCD;
+            assert_eq!(Workload::Function(f).eval_u32_split(c), f.eval_u32_split(c));
+        }
+        assert_eq!(Prepared::new(spec).function(), None);
+        spec.workload = Workload::Function(TestFunction::F3);
+        assert_eq!(Prepared::new(spec).function(), Some(TestFunction::F3));
     }
 
     #[test]

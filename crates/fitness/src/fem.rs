@@ -60,6 +60,18 @@ pub trait Fem: Clocked {
     fn quiescent(&self) -> bool {
         false
     }
+    /// Answer a request for `candidate` in one jump. The requester
+    /// raises `fit_request` while the module is [`Fem::quiescent`] and
+    /// holds it, with the candidate, until it samples `fit_valid`. When
+    /// the module raises `fit_valid` a fixed number of edges after the
+    /// first one that sees the request, and that number is at most
+    /// `max_edges`, this leaves every register as that edge would,
+    /// reads the word exactly once, and returns the number. The default,
+    /// `None`, keeps single steps and is always safe.
+    fn answer(&mut self, candidate: u16, max_edges: u64) -> Option<u64> {
+        let _ = (candidate, max_edges);
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -185,6 +197,21 @@ impl Fem for LookupFem {
 
     fn quiescent(&self) -> bool {
         self.state.get() == LookupState::Idle && !self.fit_valid.get()
+    }
+
+    /// Edge 1 registers the ROM word (`Fetch`), edge 2 presents it with
+    /// `fit_valid` (`Hold`); the module then holds until the request
+    /// drops.
+    fn answer(&mut self, candidate: u16, max_edges: u64) -> Option<u64> {
+        if !self.quiescent() || max_edges < 2 {
+            return None;
+        }
+        let word = (self.read)(candidate);
+        self.dout.reset_to(word);
+        self.fit_value.reset_to(word);
+        self.fit_valid.reset_to(true);
+        self.state.reset_to(LookupState::Hold);
+        Some(2)
     }
 }
 
@@ -559,6 +586,20 @@ impl FemBank {
             })
     }
 
+    /// [`Fem::answer`] for the module behind `select`, when the whole
+    /// bank is [`FemBank::quiescent`] (so the slots left unselected stay
+    /// as they are). The external and empty slots keep single steps.
+    pub fn answer(&mut self, select: u8, candidate: u16, max_edges: u64) -> Option<u64> {
+        if !self.quiescent() {
+            return None;
+        }
+        match &mut self.slots[(select & 0x7) as usize] {
+            FemSlot::Lookup(f) => f.answer(candidate, max_edges),
+            FemSlot::Cordic(f) => f.answer(candidate, max_edges),
+            FemSlot::External | FemSlot::Empty => None,
+        }
+    }
+
     /// Registered outputs, multiplexed by the current select value.
     pub fn out(&self, select: u8, ext_value: u16, ext_valid: bool) -> FemOut {
         let sel = (select & 0x7) as usize;
@@ -715,6 +756,58 @@ mod tests {
         });
         bank.commit();
         assert!(!bank.quiescent());
+    }
+
+    #[test]
+    fn lookup_answer_matches_the_stepped_handshake() {
+        let mut stepped = LookupFem::for_function(TestFunction::F3);
+        stepped.reset();
+        let mut jumped = stepped.clone();
+        let request = FemIn {
+            fit_request: true,
+            candidate: 0x1234,
+        };
+        let mut edges = 0;
+        while !stepped.out().fit_valid {
+            stepped.eval(request);
+            stepped.commit();
+            edges += 1;
+        }
+        assert_eq!(jumped.answer(0x1234, edges - 1), None, "window too short");
+        assert_eq!(jumped.answer(0x1234, edges), Some(edges));
+        assert_eq!(format!("{jumped:?}"), format!("{stepped:?}"));
+        // Mid-transaction, and on the iterative module, single steps stay.
+        assert_eq!(jumped.answer(0x1234, u64::MAX), None);
+        let mut cordic = CordicFem::new(TestFunction::F3);
+        assert_eq!(cordic.answer(0x1234, u64::MAX), None);
+    }
+
+    #[test]
+    fn bank_answers_only_from_an_idle_block_rom() {
+        let bank = || {
+            let mut bank = FemBank::new(vec![
+                FemSlot::Lookup(LookupFem::for_function(TestFunction::F3)),
+                FemSlot::Cordic(CordicFem::new(TestFunction::F3)),
+                FemSlot::External,
+            ]);
+            bank.reset();
+            bank
+        };
+        assert_eq!(bank().answer(0, 7, u64::MAX), Some(2));
+        for select in [1, 2, 3] {
+            assert_eq!(bank().answer(select, 7, u64::MAX), None, "slot {select}");
+        }
+        // An unselected slot still draining its handshake would change
+        // on the skipped edges.
+        let mut busy = bank();
+        busy.eval(FemBankIn {
+            fit_request: true,
+            candidate: 7,
+            select: 1,
+            ..Default::default()
+        });
+        busy.commit();
+        assert_eq!(busy.answer(0, 7, u64::MAX), None);
     }
 
     #[test]

@@ -205,7 +205,7 @@ fn worker_loop(queue: &BoundedQueue<WorkItem>, cfg: &ServeConfig) -> ServeStats 
         let jobs: Vec<GaJob> = items.iter().map(|it| it.job).collect();
         let packed = pack_width(&jobs[0]) > 1;
         let t = Instant::now();
-        let results = exec_unit_with_recovery(&jobs, packed, cfg);
+        let results = exec_unit_with_recovery(&jobs, packed, cfg, &mut stats.panics_caught);
         if packed {
             stats.packs += 1;
             stats.packed_lanes += jobs.len() as u64;

@@ -145,6 +145,10 @@ pub struct ServeStats {
     /// Jobs answered by a fallback backend after their requested one
     /// failed transiently (graceful degradation).
     pub degraded: u64,
+    /// Panics the unit executor caught, retried attempts included. Each
+    /// one also leaves a structured stderr line; a healthy server
+    /// reports 0.
+    pub panics_caught: u64,
     /// Worker threads the batch actually ran on — the *clamped* pool
     /// size, not the configured one. This is the `threads` value
     /// `BENCH_serve.json` reports.
@@ -172,6 +176,7 @@ impl Default for ServeStats {
             packs: 0,
             packed_lanes: 0,
             degraded: 0,
+            panics_caught: 0,
             threads_used: 1,
             pack_micros: 0,
             cache_hits: 0,
@@ -244,6 +249,7 @@ impl ServeStats {
         self.packs += other.packs;
         self.packed_lanes += other.packed_lanes;
         self.degraded += other.degraded;
+        self.panics_caught += other.panics_caught;
         self.pack_micros += other.pack_micros;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -335,6 +341,7 @@ impl ServeStats {
             .metric("netlist_cache_hits", self.cache_hits as f64)
             .metric("netlist_cache_misses", self.cache_misses as f64)
             .metric("degraded_jobs", self.degraded as f64)
+            .metric("panics_caught", self.panics_caught as f64)
     }
 }
 
@@ -387,27 +394,34 @@ fn has_transient_failure(results: &[JobResult]) -> bool {
 /// Run one unit at the pool boundary: a panic anywhere inside the unit
 /// is caught, and both panics and typed transient failures are retried
 /// per [`RetryPolicy`] (exponential backoff, since a transient fault
-/// that just fired tends to need a beat to clear). If every attempt
-/// crashes, the panic is converted into one typed
-/// [`ServeError::Internal`] result per member job. The worker thread
-/// itself never unwinds, so the rest of the batch keeps flowing.
+/// that just fired tends to need a beat to clear). Each caught panic
+/// counts in `panics` and writes one structured stderr line
+/// ([`panic_line`]). If every attempt crashes, the panic is converted
+/// into one typed [`ServeError::Internal`] result per member job. The
+/// worker thread itself never unwinds, so the rest of the batch keeps
+/// flowing.
 pub(crate) fn exec_unit_with_recovery(
     jobs: &[GaJob],
     packed: bool,
     cfg: &ServeConfig,
+    panics: &mut u64,
 ) -> Vec<JobResult> {
     let max_attempts = cfg.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
-        let run = catch_unwind(AssertUnwindSafe(|| exec_unit(jobs, packed, cfg)));
+        let run = catch_unwind(AssertUnwindSafe(|| exec_unit(jobs, packed, cfg))).map_err(|p| {
+            let msg = panic_message(p);
+            *panics += 1;
+            eprintln!("{}", panic_line(jobs, attempt, &msg));
+            msg
+        });
         let transient = run.as_ref().map_or(true, |r| has_transient_failure(r));
         if transient && attempt < max_attempts {
             thread::sleep(Duration::from_millis(cfg.retry.backoff_ms << (attempt - 1)));
             attempt += 1;
             continue;
         }
-        return run.unwrap_or_else(|payload| {
-            let msg = panic_message(payload);
+        return run.unwrap_or_else(|msg| {
             jobs.iter()
                 .enumerate()
                 .map(|(i, job)| JobResult {
@@ -421,6 +435,17 @@ pub(crate) fn exec_unit_with_recovery(
                 .collect()
         });
     }
+}
+
+/// The stderr line a caught panic leaves: one JSON object naming the
+/// unit's backend, its job count, the attempt and the panic message.
+fn panic_line(jobs: &[GaJob], attempt: u32, msg: &str) -> String {
+    let backend = jobs.first().map_or("none", |j| j.backend.name());
+    format!(
+        r#"{{"event":"panic_caught","backend":"{backend}","jobs":{},"attempt":{attempt},"msg":"{}"}}"#,
+        jobs.len(),
+        crate::jsonl::escape_string(msg)
+    )
 }
 
 /// `serve_batch`'s destination: results in completion order, sorted
@@ -712,6 +737,22 @@ mod tests {
             }
         }
         assert_eq!(out.stats.errors(), 1);
+        assert_eq!(out.stats.panics_caught, 2, "both attempts crashed");
+        assert!(out
+            .stats
+            .to_report()
+            .to_json()
+            .contains("\"panics_caught\": 2"));
+    }
+
+    #[test]
+    fn a_caught_panic_leaves_one_json_line() {
+        let job = quick_job(BackendKind::RtlInterp, 1);
+        let line = panic_line(&[job], 2, "bad \"word\"");
+        assert_eq!(
+            line,
+            r#"{"event":"panic_caught","backend":"rtl","jobs":1,"attempt":2,"msg":"bad \"word\""}"#
+        );
     }
 
     /// Chaos hook: crash the job seeded 0x6003, but only the first time
@@ -742,6 +783,10 @@ mod tests {
             },
         );
         assert_eq!(out.stats.errors(), 0, "one retry absorbs a one-shot fault");
+        assert_eq!(
+            out.stats.panics_caught, 1,
+            "the absorbed crash still counts"
+        );
         for (i, r) in out.results.iter().enumerate() {
             assert_eq!(r.job, i);
             assert!(r.outcome.is_ok());

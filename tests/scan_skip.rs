@@ -1,15 +1,21 @@
-//! The selection-scan skip is invisible, cycle for cycle.
+//! Quiet-window jumps are invisible, cycle for cycle.
 //!
-//! `GaSystem::advance` and `GaSystem32Hw::advance` jump a whole
-//! selection-scan window in one host step. Each test here drives one
-//! system through `advance` and a reference system through `step()`,
-//! one clock at a time, and requires the two to agree on everything a
-//! clock edge can change: the cycle count, every core register (the
-//! core's derived `Debug` covers the 408 scan-chain bits plus the FSM
-//! state, multiplier counter, selection phase, cycle profile and draw
-//! count), the GA memories with their read registers, and the RNG
-//! state. The watchdog and scheduled scan faults must trip on the cycle
-//! they trip on with single steps, even when it falls inside a window.
+//! `GaSystem::advance` and `GaSystem32Hw::advance` jump a whole quiet
+//! window in one host step: a parent selection from `SelDraw`,
+//! `SelMulWait` or `SelScanAddr` through the hit's data cycle, or a
+//! fitness handshake from `OffFitReq`/`InitPopFitReq` through the cycle
+//! that latches `fit_valid`. Each test here drives one system through
+//! `advance` and a reference system through `step()`, one clock at a
+//! time, and requires the two to agree on everything a clock edge can
+//! change: the cycle count, every core register (the core's derived
+//! `Debug` covers the 408 scan-chain bits plus the FSM state,
+//! multiplier counter, selection phase, cycle profile and draw count),
+//! the GA memories with their read registers, the RNG state and the
+//! fitness modules. The watchdog and scheduled scan faults must trip on
+//! the cycle they trip on with single steps, even when it falls inside
+//! a window.
+
+use std::collections::BTreeMap;
 
 use carng::seeds::PRESET_SEEDS;
 use ga_core::{GaCoreHw, GaSystem32Hw};
@@ -44,92 +50,308 @@ fn lookup(f: TestFunction) -> FemSlot {
 fn state16(sys: &GaSystem) -> String {
     let m = sys.modules();
     format!(
-        "cycles {} core {:?} mem {:?} rng {:?}",
+        "cycles {} core {:?} mem {:?} rng {:?} fems {:?} ext {:?}",
         sys.cycles(),
         m.core,
         m.mem,
-        m.rng
+        m.rng,
+        m.fems,
+        m.ext_fem.as_ref().map(|e| e.out())
     )
 }
 
 /// Everything a clock edge changes in the dual-core system, as text.
 fn state32<F: FnMut(u32) -> u16>(sys: &GaSystem32Hw<F>) -> String {
-    format!("cycles {} halves {:?}", sys.cycles(), sys.halves())
+    format!("{sys:?}")
 }
 
-/// Drive `fast` through `advance` and `slow` through single steps to
-/// `GA_done`, comparing after every jump. Returns (jumps, jumped cycles).
-fn lockstep16(fast: &mut GaSystem, slow: &mut GaSystem, params: &GaParams) -> (u64, u64) {
+/// The current value of register `field` in a core's `Debug` text.
+fn reg<'a>(dbg: &'a str, field: &str) -> &'a str {
+    let key = format!("{field}: Reg {{ cur: ");
+    let at = dbg.find(&key).expect("register in the core's Debug") + key.len();
+    let rest = &dbg[at..];
+    &rest[..rest.find(',').expect("Reg prints cur, nxt")]
+}
+
+/// Where a window would start: the core's FSM state, with the
+/// multiplier count in `SelMulWait` and a `+write` mark while a memory
+/// write is pending.
+fn window_start(core: &GaCoreHw) -> String {
+    let dbg = format!("{core:?}");
+    let mut at = reg(&dbg, "state").to_string();
+    if at == "SelMulWait" {
+        at = format!("{at}/{}", reg(&dbg, "mult_cnt"));
+    }
+    if reg(&dbg, "mem_wr") == "true" {
+        at.push_str("+write");
+    }
+    at
+}
+
+/// Every state a quiet window may start in.
+const ACCEPTED: [&str; 8] = [
+    "SelDraw",
+    "SelMulWait/3",
+    "SelMulWait/2",
+    "SelMulWait/1",
+    "SelMulWait/0",
+    "SelScanAddr",
+    "OffFitReq",
+    "InitPopFitReq",
+];
+
+/// `advance` calls by the state they were made in: `[stepped, jumped]`.
+type Tally = BTreeMap<String, [u64; 2]>;
+
+fn merge(into: &mut Tally, from: Tally) {
+    for (at, [stepped, jumped]) in from {
+        let e = into.entry(at).or_default();
+        e[0] += stepped;
+        e[1] += jumped;
+    }
+}
+
+fn jumped(t: &Tally, at: &str) -> u64 {
+    t.get(at).map_or(0, |e| e[1])
+}
+
+fn stepped(t: &Tally, at: &str) -> u64 {
+    t.get(at).map_or(0, |e| e[0])
+}
+
+/// Single steps to take before the next `advance`: none with `stagger`
+/// off; with it on, 0..=8 in turn at each `SelDraw`, so windows start
+/// in `SelDraw`, at every multiplier count, at the top of the scan and
+/// part way through it.
+struct Lead {
+    stagger: bool,
+    selections: u64,
+}
+
+impl Lead {
+    fn before(&mut self, at: &str) -> u64 {
+        if !self.stagger || at != "SelDraw" {
+            return 0;
+        }
+        self.selections += 1;
+        self.selections % 9
+    }
+}
+
+/// Drive `fast` through `advance` (after the [`Lead`] steps) and `slow`
+/// through single steps to `GA_done`, comparing after every jump.
+fn lockstep16(fast: &mut GaSystem, slow: &mut GaSystem, params: &GaParams, stagger: bool) -> Tally {
     fast.program(params);
     slow.program(params);
     fast.step(start());
     slow.step(start());
-    let (mut jumps, mut jumped) = (0, 0);
+    let mut lead = Lead {
+        stagger,
+        selections: 0,
+    };
+    let mut tally = Tally::new();
     while !fast.modules().core.out().ga_done {
+        for _ in 0..lead.before(&window_start(&fast.modules().core)) {
+            fast.step(UserIn::default());
+            slow.step(UserIn::default());
+        }
+        if fast.modules().core.out().ga_done {
+            break;
+        }
+        let at = window_start(&fast.modules().core);
         let n = fast.advance(u64::MAX);
         for _ in 0..n {
             slow.step(UserIn::default());
         }
+        tally.entry(at.clone()).or_default()[usize::from(n > 1)] += 1;
         if n > 1 {
-            jumps += 1;
-            jumped += n;
-            assert_eq!(state16(fast), state16(slow), "after a {n}-cycle jump");
+            assert_eq!(
+                state16(fast),
+                state16(slow),
+                "after a {n}-cycle jump from {at}"
+            );
         }
     }
     assert!(slow.modules().core.out().ga_done);
     assert_eq!(state16(fast), state16(slow), "at GA_done");
-    (jumps, jumped)
+    tally
+}
+
+/// [`lockstep16`] for the dual-core system.
+fn lockstep32<F: FnMut(u32) -> u16>(
+    fast: &mut GaSystem32Hw<F>,
+    slow: &mut GaSystem32Hw<F>,
+    params: &GaParams,
+    stagger: bool,
+) -> Tally {
+    fast.program(params);
+    slow.program(params);
+    fast.step(start());
+    slow.step(start());
+    let done = |s: &GaSystem32Hw<F>| s.halves().iter().all(|(c, _, _)| c.out().ga_done);
+    let mut lead = Lead {
+        stagger,
+        selections: 0,
+    };
+    let mut tally = Tally::new();
+    while !done(fast) {
+        for _ in 0..lead.before(&window_start(fast.halves()[0].0)) {
+            fast.step(UserIn::default());
+            slow.step(UserIn::default());
+        }
+        if done(fast) {
+            break;
+        }
+        let at = window_start(fast.halves()[0].0);
+        let n = fast.advance(u64::MAX);
+        for _ in 0..n {
+            slow.step(UserIn::default());
+        }
+        tally.entry(at.clone()).or_default()[usize::from(n > 1)] += 1;
+        if n > 1 {
+            assert_eq!(
+                state32(fast),
+                state32(slow),
+                "after a {n}-cycle jump from {at}"
+            );
+        }
+    }
+    assert!(done(slow));
+    assert_eq!(state32(fast), state32(slow), "at GA_done");
+    tally
+}
+
+/// One jump per parent (the elite is copied, the rest selected) and
+/// one per fitness evaluation.
+fn windows_per_run(params: &GaParams) -> u64 {
+    let (pop, gens) = (u64::from(params.pop_size), u64::from(params.n_gens));
+    let parents = 2 * gens * (pop - 1).div_ceil(2);
+    parents + params.evaluations_per_run()
+}
+
+/// Each accepted start state jumped, and the `SelDraw` edge that still
+/// carries the elite's write never did.
+fn assert_every_start_jumped(t: &Tally) {
+    for at in ACCEPTED {
+        assert!(jumped(t, at) > 0, "no window jumped from {at}: {t:?}");
+    }
+    assert_eq!(jumped(t, "SelDraw+write"), 0, "{t:?}");
+    assert!(stepped(t, "SelDraw+write") > 0, "{t:?}");
 }
 
 #[test]
 fn scan_jumps_match_single_steps_at_width_16() {
     for (f, params) in quick_matrix() {
-        let (jumps, jumped) =
-            lockstep16(&mut system16(lookup(f)), &mut system16(lookup(f)), &params);
+        let t = lockstep16(
+            &mut system16(lookup(f)),
+            &mut system16(lookup(f)),
+            &params,
+            false,
+        );
         let what = format!("{f:?} pop {} seed {:#06x}", params.pop_size, params.seed);
-        // One jump per parent: the elite is copied, the rest selected.
-        let parents = 2 * u64::from(params.n_gens) * u64::from(params.pop_size - 1).div_ceil(2);
-        assert_eq!(jumps, parents, "{what}: every scan jumped");
-        assert!(jumped > 0, "{what}");
+        let jumps: u64 = t.values().map(|e| e[1]).sum();
+        assert_eq!(
+            jumps,
+            windows_per_run(&params),
+            "{what}: every window jumped"
+        );
     }
 }
 
 #[test]
+fn windows_from_every_accepted_state_match_single_steps_at_width_16() {
+    let mut all = Tally::new();
+    for (f, params) in quick_matrix() {
+        let t = lockstep16(
+            &mut system16(lookup(f)),
+            &mut system16(lookup(f)),
+            &params,
+            true,
+        );
+        merge(&mut all, t);
+    }
+    assert_every_start_jumped(&all);
+}
+
+#[test]
 fn scan_jumps_match_single_steps_on_the_cordic_fem() {
-    // The iterative FEM is busy for dozens of cycles per evaluation;
-    // it is idle again before every scan, so jumps still apply.
+    // The iterative FEM is busy for dozens of cycles per evaluation and
+    // keeps single steps through every handshake; it is idle again
+    // before every selection, so those windows still jump.
     let params = GaParams::new(32, 4, 12, 1, 0x2961);
     let cordic = || FemSlot::Cordic(CordicFem::new(TestFunction::Mbf6_2));
-    let (jumps, _) = lockstep16(&mut system16(cordic()), &mut system16(cordic()), &params);
-    assert!(jumps > 0);
+    let t = lockstep16(
+        &mut system16(cordic()),
+        &mut system16(cordic()),
+        &params,
+        true,
+    );
+    assert_handshakes_stepped(&t);
+}
+
+/// No handshake jumped, each was stepped, and selections still jumped.
+fn assert_handshakes_stepped(t: &Tally) {
+    for at in ["OffFitReq", "InitPopFitReq"] {
+        assert_eq!(jumped(t, at), 0, "{at}: {t:?}");
+        assert!(stepped(t, at) > 0, "{at}: {t:?}");
+    }
+    assert!(jumped(t, "SelDraw") > 0, "{t:?}");
+}
+
+#[test]
+fn handshakes_jump_only_on_the_block_rom_at_the_ga_clock() {
+    let params = GaParams::new(32, 4, 10, 1, 0xB342);
+    // An external module on the Table II ports.
+    let external = || {
+        GaSystem::new(FemBank::new(vec![FemSlot::External]))
+            .with_external_fem(Box::new(LookupFem::for_function(TestFunction::Mbf6_2)))
+    };
+    let t = lockstep16(&mut external(), &mut external(), &params, true);
+    assert_handshakes_stepped(&t);
+    // The block ROM in a faster application clock domain.
+    let fast_domain = || {
+        let mut sys = system16(lookup(TestFunction::Mbf6_2));
+        sys.fast_domain_ratio = 4;
+        sys
+    };
+    let t = lockstep16(&mut fast_domain(), &mut fast_domain(), &params, true);
+    assert_handshakes_stepped(&t);
 }
 
 #[test]
 fn scan_jumps_match_single_steps_at_width_32() {
     for (f, params) in quick_matrix() {
         let fit = move |c: u32| f.eval_u32_split(c);
-        let mut fast = GaSystem32Hw::new(fit);
-        let mut slow = GaSystem32Hw::new(fit);
-        fast.program(&params);
-        slow.program(&params);
-        fast.step(start());
-        slow.step(start());
-        let mut jumps = 0;
-        let done = |s: &GaSystem32Hw<_>| s.halves().iter().all(|(c, _, _)| c.out().ga_done);
-        while !done(&fast) {
-            let n = fast.advance(u64::MAX);
-            for _ in 0..n {
-                slow.step(UserIn::default());
-            }
-            if n > 1 {
-                jumps += 1;
-                assert_eq!(state32(&fast), state32(&slow), "after a {n}-cycle jump");
-            }
-        }
-        assert!(done(&slow));
-        assert_eq!(state32(&fast), state32(&slow), "at GA_done");
-        assert!(jumps > 0, "{f:?} pop {}: no scan jumped", params.pop_size);
+        let t = lockstep32(
+            &mut GaSystem32Hw::new(fit),
+            &mut GaSystem32Hw::new(fit),
+            &params,
+            false,
+        );
+        let jumps: u64 = t.values().map(|e| e[1]).sum();
+        assert_eq!(
+            jumps,
+            windows_per_run(&params),
+            "{f:?} pop {}: every window jumped",
+            params.pop_size
+        );
     }
+}
+
+#[test]
+fn windows_from_every_accepted_state_match_single_steps_at_width_32() {
+    let mut all = Tally::new();
+    for (f, params) in quick_matrix() {
+        let fit = move |c: u32| f.eval_u32_split(c);
+        let t = lockstep32(
+            &mut GaSystem32Hw::new(fit),
+            &mut GaSystem32Hw::new(fit),
+            &params,
+            true,
+        );
+        merge(&mut all, t);
+    }
+    assert_every_start_jumped(&all);
 }
 
 /// `start_GA` for one cycle.
@@ -156,15 +378,21 @@ fn started32(params: &GaParams) -> GaSystem32Hw<impl FnMut(u32) -> u16> {
     sys
 }
 
-/// The `nth` scan window of at least nine cycles met by `advance`,
+/// The `nth` window whose length `n` passes `kind`, met by `advance`
 /// called on a system one cycle into its run: `(first cycle, length)`,
-/// counted from `start_GA` as the run loops' watchdog counts.
-fn nth_window(nth: usize, mut advance: impl FnMut(u64) -> u64) -> (u64, u64) {
+/// counted from `start_GA` as the run loops' watchdog counts. With
+/// plain `advance` calls a selection window is at least 7 cycles long
+/// and a handshake window 4.
+fn nth_window(
+    nth: usize,
+    kind: fn(u64) -> bool,
+    mut advance: impl FnMut(u64) -> u64,
+) -> (u64, u64) {
     let (mut at, mut seen) = (1, 0);
     loop {
-        assert!(at < 10_000_000, "fewer than {nth} scan windows jumped");
+        assert!(at < 10_000_000, "fewer than {nth} windows jumped");
         let n = advance(u64::MAX);
-        if n >= 9 {
+        if kind(n) {
             seen += 1;
             if seen == nth {
                 return (at, n);
@@ -172,6 +400,16 @@ fn nth_window(nth: usize, mut advance: impl FnMut(u64) -> u64) -> (u64, u64) {
         }
         at += n;
     }
+}
+
+/// A selection window that walks at least two members.
+fn selection(n: u64) -> bool {
+    n >= 9
+}
+
+/// A fitness handshake window.
+fn handshake(n: u64) -> bool {
+    n == 4
 }
 
 fn run_engine(kind: BackendKind, params: GaParams, watchdog: u64) -> Result<u64, EngineError> {
@@ -192,15 +430,17 @@ fn run_engine(kind: BackendKind, params: GaParams, watchdog: u64) -> Result<u64,
         .map(|o| o.cycles.unwrap_or_default())
 }
 
-#[test]
-fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
+/// The watchdog bound `offset` cycles into the `nth` window of `kind`,
+/// on both widths: the stepped reference has not finished there, and
+/// each engine stops with `Watchdog` on exactly that cycle.
+fn assert_watchdog_trips_inside(nth: usize, kind: fn(u64) -> bool, offset: impl Fn(u64) -> u64) {
     let params = GaParams::new(32, 8, 10, 1, 0xB342);
 
     // rtl: single steps reach the bound mid-run, so the stepped loop
-    // stops with Timeout { cycles: watchdog }; the skipping one must too.
+    // stops with Timeout { cycles: watchdog }; the jumping one must too.
     let mut fast = started16(&params);
-    let (at, n) = nth_window(40, |limit| fast.advance(limit));
-    let watchdog = at + n / 2 + 1;
+    let (at, n) = nth_window(nth, kind, |limit| fast.advance(limit));
+    let watchdog = at + offset(n);
     let mut slow = started16(&params);
     for _ in 1..watchdog {
         slow.step(UserIn::default());
@@ -213,8 +453,8 @@ fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
 
     // rtl32: the same bound against the dual-core system's own window.
     let mut fast = started32(&params);
-    let (at, n) = nth_window(40, |limit| fast.advance(limit));
-    let watchdog = at + n / 2 + 1;
+    let (at, n) = nth_window(nth, kind, |limit| fast.advance(limit));
+    let watchdog = at + offset(n);
     let mut slow = started32(&params);
     for _ in 1..watchdog {
         slow.step(UserIn::default());
@@ -224,16 +464,30 @@ fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
         run_engine(BackendKind::Rtl32, params, watchdog),
         Err(EngineError::Watchdog { cycles: watchdog })
     );
+}
+
+#[test]
+fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
+    // Mid-scan, inside the multiplier wait, and inside a handshake.
+    assert_watchdog_trips_inside(40, selection, |n| n / 2 + 1);
+    assert_watchdog_trips_inside(40, selection, |_| 2);
+    assert_watchdog_trips_inside(41, selection, |_| 4);
+    for offset in 1..4 {
+        assert_watchdog_trips_inside(57, handshake, |_| offset);
+    }
 
     // A bound one cycle short of the window's end keeps single steps;
     // a bound on its end lets the jump land on it.
-    let mut fast = started16(&params);
-    let (at, n) = nth_window(40, |limit| fast.advance(limit));
-    for watchdog in [at + n - 1, at + n] {
-        assert_eq!(
-            run_engine(BackendKind::RtlInterp, params, watchdog),
-            Err(EngineError::Watchdog { cycles: watchdog })
-        );
+    let params = GaParams::new(32, 8, 10, 1, 0xB342);
+    for kind in [selection, handshake] {
+        let mut fast = started16(&params);
+        let (at, n) = nth_window(40, kind, |limit| fast.advance(limit));
+        for watchdog in [at + n - 1, at + n] {
+            assert_eq!(
+                run_engine(BackendKind::RtlInterp, params, watchdog),
+                Err(EngineError::Watchdog { cycles: watchdog })
+            );
+        }
     }
 }
 
@@ -270,38 +524,36 @@ fn fault_inside_a_scan_window_lands_on_the_same_cycle() {
     // Flip bits of cum, scan_idx and the threshold: the FSM resumes
     // mid-walk from the corrupted registers and the jumps after it
     // start there. The parent flips are masked only when the hit's data
-    // cycle has not run yet, so a fault one cycle late shows.
+    // cycle has not run yet, so a fault one cycle late shows; the
+    // candidate and fitness flips likewise show only on one side of a
+    // handshake's request and latch cycles.
     let ops = [
-        ScanBitOp {
-            position: scan_position("parent1"),
-            kind: BitFault::Flip,
-        },
-        ScanBitOp {
-            position: scan_position("parent2"),
-            kind: BitFault::Flip,
-        },
-        ScanBitOp {
-            position: scan_position("cum") + 3,
-            kind: BitFault::Flip,
-        },
-        ScanBitOp {
-            position: scan_position("scan_idx") + 1,
-            kind: BitFault::Flip,
-        },
-        ScanBitOp {
-            position: scan_position("threshold") + 31,
-            kind: BitFault::Flip,
-        },
-    ];
-    // A first-parent and a second-parent scan.
-    let windows = [24, 25].map(|nth| {
-        let mut sys = started16(&params);
-        nth_window(nth, |limit| sys.advance(limit))
+        ("parent1", 0),
+        ("parent2", 0),
+        ("cum", 3),
+        ("scan_idx", 1),
+        ("threshold", 31),
+        ("cand", 2),
+        ("fit_reg", 5),
+    ]
+    .map(|(field, bit)| ScanBitOp {
+        position: scan_position(field) + bit,
+        kind: BitFault::Flip,
     });
-    for at_cycle in windows
-        .iter()
-        .flat_map(|&(at, n)| [at + 1, at + n / 2, at + n - 1])
-    {
+    // A first-parent and a second-parent scan, each in its multiplier
+    // wait and its scan, and a handshake in each of its cycles.
+    let mut at_cycles = Vec::new();
+    for nth in [24, 25] {
+        let mut sys = started16(&params);
+        let (at, n) = nth_window(nth, selection, |limit| sys.advance(limit));
+        at_cycles.extend([at + 1, at + 3, at + n / 2, at + n - 1]);
+    }
+    for nth in [30, 31] {
+        let mut sys = started16(&params);
+        let (at, _) = nth_window(nth, handshake, |limit| sys.advance(limit));
+        at_cycles.extend([at + 1, at + 2, at + 3]);
+    }
+    for at_cycle in at_cycles {
         let mut fast = system16(lookup(TestFunction::Mbf6_2));
         fast.program(&params);
         let got = fast.run_with_faults(50_000_000, at_cycle, &ops);

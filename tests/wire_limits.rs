@@ -81,6 +81,38 @@ fn swga_checks_its_deadline_between_generations() {
     assert!(line.contains("deadline_exceeded"), "{line}");
 }
 
+#[test]
+fn width_32_heal_lines_get_one_typed_reply_each() {
+    // VRC healing is a 16-bit workload: a width-32 heal line is refused
+    // at admission on the 32-bit core and on a 16-bit-only engine alike.
+    let lines = ["rtl32", "behavioral"].map(|backend| {
+        format!(
+            r#"{{"heal_target":39835,"heal_fault":"stuck1@2","backend":"{backend}","width":32,"pop":32,"gens":8,"xover":10,"mut":1,"seed":5}}"#
+        )
+    });
+    let jobs: Vec<_> = lines
+        .iter()
+        .enumerate()
+        .map(|(i, line)| parse_job(line, i).expect("well-formed job line"))
+        .collect();
+    let out = serve_batch(&jobs, &ServeConfig::default());
+    assert_eq!(out.results.len(), 2, "one reply per line");
+    for (i, r) in out.results.iter().enumerate() {
+        assert_eq!(r.job, i);
+        assert!(
+            matches!(
+                r.outcome,
+                Err(ServeError::InvalidJob { .. } | ServeError::UnsupportedWidth { .. })
+            ),
+            "{}: {:?}",
+            lines[i],
+            r.outcome
+        );
+        assert!(result_line(r).contains("\"ok\":false"), "{}", lines[i]);
+    }
+    assert_eq!(out.stats.panics_caught, 0);
+}
+
 /// One island worker serving one loopback connection on a thread.
 struct Worker {
     reader: BufReader<TcpStream>,
