@@ -229,16 +229,26 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     /// search over the prefix sums picks the first individual whose
     /// cumulative fitness exceeds it — the hardware scan's pick. If no
     /// individual does (all-zero fitness), the last one is returned.
-    fn select(&mut self) -> Individual {
+    /// `on_pick` sees the hit index, `None` for that fall-through.
+    fn select(&mut self, on_pick: &mut impl FnMut(Option<usize>)) -> Individual {
         let r = self.draw();
         let threshold = ops::selection_threshold(self.fit_sum, r);
-        let k = ops::selection_pick(&self.prefix, threshold).unwrap_or(self.cur.len() - 1);
-        self.cur[k]
+        let hit = ops::selection_pick(&self.prefix, threshold);
+        on_pick(hit);
+        self.cur[hit.unwrap_or(self.cur.len() - 1)]
     }
 
     /// Breed one full generation (Fig. 2's inner loop) and swap
     /// populations. Returns the new population's statistics.
     pub fn step_generation(&mut self) -> GenStats {
+        self.step_generation_with(|_| {})
+    }
+
+    /// [`GaEngine::step_generation`], passing each parent selection's
+    /// pick to `on_pick` in draw order: `Some(k)` for a hit at index k,
+    /// `None` for the all-zero fall-through to the last individual.
+    /// The software baseline's op tally reads its scan lengths here.
+    pub fn step_generation_with(&mut self, mut on_pick: impl FnMut(Option<usize>)) -> GenStats {
         let pop = self.params.pop_size as usize;
         ops::selection_prefix(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
         let mut new_pop: Vec<Individual> = Vec::with_capacity(pop);
@@ -255,8 +265,8 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
         }
 
         while new_pop.len() < pop {
-            let p1 = self.select();
-            let p2 = self.select();
+            let p1 = self.select(&mut on_pick);
+            let p2 = self.select(&mut on_pick);
             // One draw supplies both the crossover decision and the cut
             // point, from the predefined bit positions (see
             // [`ops::xover_fields`] for why they must share a draw).
@@ -695,6 +705,73 @@ mod tests {
         let mut zero = before.clone();
         zero.rng_next = 0;
         assert!(e.restore(&zero).is_err(), "unreachable RNG state rejected");
+    }
+
+    /// The hardware's selection as the C baseline writes it: a linear
+    /// cumulative scan returning the first hit, or `None` when nothing
+    /// exceeds the threshold.
+    fn linear_scan_pick(pop: &[Individual], threshold: u32) -> Option<usize> {
+        let mut cum = 0u32;
+        pop.iter().position(|ind| {
+            cum += ind.fitness as u32;
+            ops::selection_hit(cum, threshold)
+        })
+    }
+
+    /// Drive `select` and the linear scan on the same population and
+    /// RNG position; the pick, the reported hit and the individual
+    /// returned must all agree with the scan.
+    fn assert_select_is_the_linear_scan(pop: &[Individual], seed: u16, draws: usize) {
+        let mut e = engine(TestFunction::F3, GaParams::new(8, 1, 10, 1, seed));
+        e.cur = pop.to_vec();
+        e.fit_sum = pop.iter().map(|i| i.fitness as u32).sum();
+        ops::selection_prefix(pop.iter().map(|i| i.fitness), &mut e.prefix);
+        let mut rng = CaRng::new(seed);
+        for _ in 0..draws {
+            let mut reported = Some(usize::MAX);
+            let got = e.select(&mut |hit| reported = hit);
+            let want = linear_scan_pick(pop, ops::selection_threshold(e.fit_sum, rng.next_u16()));
+            assert_eq!(reported, want, "pop {} seed {seed:#06x}", pop.len());
+            assert_eq!(got, pop[want.unwrap_or(pop.len() - 1)]);
+        }
+    }
+
+    #[test]
+    fn select_pick_equals_the_linear_scan() {
+        for (pop_n, seed) in [
+            (1usize, 1u16),
+            (2, 0x2961),
+            (15, 0x061F),
+            (64, 7919),
+            (255, 45890),
+        ] {
+            // Fitness from the CA stream, every third member zeroed so
+            // hits land on runs of equal prefix sums.
+            let mut rng = CaRng::new(seed ^ 0x5A5A);
+            let pop: Vec<Individual> = (0..pop_n)
+                .map(|i| {
+                    let chrom = rng.next_u16();
+                    let fitness = if i % 3 == 1 { 0 } else { chrom >> 4 };
+                    Individual { chrom, fitness }
+                })
+                .collect();
+            assert_select_is_the_linear_scan(&pop, seed, 500);
+        }
+    }
+
+    #[test]
+    fn all_zero_select_reports_the_fall_through() {
+        let pop: Vec<Individual> = (0..16u16)
+            .map(|chrom| Individual { chrom, fitness: 0 })
+            .collect();
+        assert_select_is_the_linear_scan(&pop, 0xB342, 64);
+        let mut e = engine(TestFunction::F3, GaParams::new(16, 1, 10, 1, 0xB342));
+        e.init_population();
+        e.cur = pop;
+        e.fit_sum = 0;
+        let mut picks = Vec::new();
+        e.step_generation_with(|hit| picks.push(hit));
+        assert_eq!(picks, vec![None; 16], "one fall-through per parent");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use ga_core::scaling::GenStats32;
 use ga_core::{GaEngine, GaSystem, GaSystem32Hw};
 use ga_fitness::{FemBank, FemSlot, LookupFem};
 use hwsim::{Deadline, SimError};
-use swga::CountingGa;
 
 use crate::pack::{draws_per_run, StreamRng};
 use crate::spec::{
@@ -21,9 +20,9 @@ use crate::spec::{
 };
 
 /// Lift a 16-bit per-generation history (shared by the behavioral
-/// engine, the RTL interpreter's probe, and the swga reference) into
-/// the backend-neutral trajectory. Public because the fault campaign
-/// compares raw `HwRun` histories against registry goldens.
+/// engine and the RTL interpreter's probe) into the backend-neutral
+/// trajectory. Public because the fault campaign compares raw `HwRun`
+/// histories against registry goldens.
 pub fn trajectory16(history: &[GenStats]) -> Vec<TrajPoint> {
     history
         .iter()
@@ -125,10 +124,6 @@ impl Engine for BehavioralEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
             degrades_to: None,
         }
@@ -164,10 +159,6 @@ impl Engine for RtlInterpEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: true,
-            reports_cycles: true,
-            fault_injection: true,
             stepping: false,
             degrades_to: None,
         }
@@ -245,10 +236,6 @@ impl Engine for BitSimEngine {
                 BackendKind::BitSim128 => 128,
                 _ => 64,
             },
-            deadline: true,
-            watchdog: true,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
             degrades_to: Some(BackendKind::Behavioral),
         }
@@ -297,11 +284,12 @@ impl Engine for BitSimEngine {
     }
 }
 
-/// The instrumented software GA (`swga::CountingGa`) — the PowerPC
-/// reference implementation from the paper's Table VII comparison,
-/// exposed as a first-class backend. The deadline is checked before
-/// the run and at every generation boundary, as the behavioral
-/// engine's is.
+/// The PowerPC software baseline from the paper's §IV-C comparison,
+/// exposed as a first-class backend. That C program runs the IP core's
+/// algorithm on the same CA stream, so a run is the behavioral engine's
+/// over `CaRng`; its op tally (`swga::CountingGa`) is a bench figure,
+/// not part of a [`RunOutcome`]. The deadline is checked at every
+/// generation boundary, as the behavioral engine's is.
 pub struct SwgaEngine;
 
 impl Engine for SwgaEngine {
@@ -313,33 +301,13 @@ impl Engine for SwgaEngine {
         Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: false,
             degrades_to: None,
         }
     }
 
-    fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
-        let spec = prepared.spec();
-        let deadline = spec.deadline_ms.map(Deadline::after_ms);
-        let f = spec.workload;
-        let run = CountingGa::new(spec.params, move |c| f.eval_u16(c))
-            .run_until(|| deadline.as_ref().is_some_and(Deadline::is_past))
-            .ok_or(EngineError::DeadlineExceeded)?;
-        let trajectory = trajectory16(&run.history);
-        Ok(RunOutcome {
-            best_chrom: run.best.chrom as u32,
-            best_fitness: run.best.fitness,
-            generations: spec.params.n_gens,
-            evaluations: run.evaluations,
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
-            cycles: None,
-            rng_draws: Some(run.ops.call),
-            trajectory,
-        })
+    fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
+        BehavioralEngine.run(prepared, limits)
     }
 }
 
@@ -358,10 +326,6 @@ impl Engine for Rtl32Engine {
         Capabilities {
             widths: &[32],
             pack_width: 1,
-            deadline: true,
-            watchdog: true,
-            reports_cycles: true,
-            fault_injection: false,
             stepping: false,
             degrades_to: None,
         }

@@ -2,13 +2,12 @@
 //!
 //! One vocabulary over every GA execution backend in the repo. A
 //! backend is an [`Engine`]: it advertises [`Capabilities`] (supported
-//! chromosome widths, deadline/watchdog behavior, pack width, stepping
-//! support, degradation target), admits jobs through
-//! [`Engine::prepare`], and executes them into the backend-neutral
-//! [`RunOutcome`] shape. The [`EngineRegistry`] enumerates the
-//! backends; serve dispatch, bench sweeps, the fault campaign's golden
-//! runs, and the conformance suite all go through it rather than
-//! naming engines.
+//! chromosome widths, pack width, stepping support, degradation
+//! target), admits jobs through [`Engine::prepare`], and executes them
+//! into the backend-neutral [`RunOutcome`] shape. The
+//! [`EngineRegistry`] enumerates the backends; serve dispatch, bench
+//! sweeps, the fault campaign's golden runs, and the conformance suite
+//! all go through it rather than naming engines.
 //!
 //! Seven kinds are registered by default ([`registry::global`]):
 //!
@@ -17,7 +16,7 @@
 //! | `behavioral` | `ga_core::GaEngine` over the CA RNG | 16 |
 //! | `rtl` | `ga_core::GaSystem` (cycle-accurate) | 16 |
 //! | `bitsim64`/`128`/`256` | [`BitSimEngine`], packs of up to 64/128/256 | 16 |
-//! | `swga` | `swga::CountingGa` (PowerPC reference) | 16 |
+//! | `swga` | the behavioral engine, standing in for the PowerPC C baseline | 16 |
 //! | `rtl32` | `ga_core::GaSystem32Hw` (ganged dual core, Fig. 6) | 32 |
 //!
 //! The three bitsim kinds are one engine. It produces lane streams on

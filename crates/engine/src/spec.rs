@@ -30,8 +30,9 @@ pub enum BackendKind {
     BitSim128,
     /// The compiled-netlist backend with packs of up to 256 jobs.
     BitSim256,
-    /// The instrumented software GA (`swga::CountingGa`) — the paper's
-    /// PowerPC reference implementation.
+    /// The paper's PowerPC software baseline: the same algorithm on the
+    /// same CA stream, so it runs the behavioral engine. Its op tally
+    /// (`swga::CountingGa`) feeds the speedup bench, not job results.
     Swga,
     /// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
     /// Fig. 6 / §III-D) for `width: 32` jobs.
@@ -149,14 +150,6 @@ pub struct Capabilities {
     /// How many compatible runs one invocation can execute in lockstep
     /// (1 = solo only; 64 for the bit-sliced netlist).
     pub pack_width: usize,
-    /// Honors [`RunSpec::deadline_ms`].
-    pub deadline: bool,
-    /// Enforces a simulated-work watchdog ([`Limits`]).
-    pub watchdog: bool,
-    /// Reports simulated clock cycles in [`RunOutcome::cycles`].
-    pub reports_cycles: bool,
-    /// Supports fault-injection hooks (scan-chain / net campaigns).
-    pub fault_injection: bool,
     /// Can expose a generation-stepping handle ([`Engine::stepper`])
     /// for island-model composition.
     pub stepping: bool,
@@ -427,10 +420,6 @@ mod tests {
         let caps = Capabilities {
             widths: &[16],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: true,
             degrades_to: None,
         };
@@ -463,10 +452,6 @@ mod tests {
         let caps = Capabilities {
             widths: &[16, 32],
             pack_width: 1,
-            deadline: true,
-            watchdog: false,
-            reports_cycles: false,
-            fault_injection: false,
             stepping: false,
             degrades_to: None,
         };

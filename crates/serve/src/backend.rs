@@ -27,14 +27,6 @@ fn heal_report(job: &GaJob, outcome: &Result<JobOutput, ServeError>) -> Option<H
     }
 }
 
-/// Fitness evaluations one full run consumes. Delegates to the single
-/// source of truth, [`ga_core::GaParams::evaluations_per_run`]; kept as
-/// a named re-export because the serve tests and docs reason about the
-/// service in terms of this formula.
-pub fn evaluations_for(p: &ga_core::GaParams) -> u64 {
-    p.evaluations_per_run()
-}
-
 /// The engine-layer budgets this service runs under.
 fn limits(cfg: &ServeConfig) -> Limits {
     Limits {
@@ -193,21 +185,6 @@ mod tests {
 
     fn run(job: &GaJob) -> Result<JobOutput, ServeError> {
         run_single(job, 0, &ServeConfig::default()).outcome
-    }
-
-    #[test]
-    fn evaluation_formula_is_the_params_contract() {
-        // The dedicated helper must stay a pure delegation to
-        // GaParams::evaluations_per_run — the one formula everything
-        // (serve, engines, bench) shares.
-        for (pop, gens) in [(2u8, 1u32), (8, 3), (16, 6), (128, 512)] {
-            let p = GaParams::new(pop, gens, 10, 1, 1);
-            assert_eq!(evaluations_for(&p), p.evaluations_per_run());
-            assert_eq!(
-                evaluations_for(&p),
-                pop as u64 + gens as u64 * (pop as u64 - 1)
-            );
-        }
     }
 
     #[test]

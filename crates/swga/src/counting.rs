@@ -1,23 +1,26 @@
-//! The instrumented software GA.
+//! The PowerPC software baseline's operation tally.
 //!
-//! Runs the exact algorithm of the IP core (same operators, same RNG,
-//! same draw order — reusing `ga_core::ops`) while tallying the dynamic
-//! operation mix a compiled C implementation executes on the PowerPC.
-//! Fitness evaluations are bus reads: the lookup ROM stays on the FPGA
-//! fabric exactly as in the paper's measurement setup.
+//! PAPER §IV-C times the core against the same GA compiled as C on the
+//! PowerPC 405. That program is the IP core's algorithm (same operators,
+//! same CA RNG, same draw order), so [`CountingGa`] runs it once on
+//! `ga_core::GaEngine` and derives the C program's dynamic operation mix
+//! from the run in closed form. Every count follows from the population
+//! size, the generation count, the draws and the evaluations, except
+//! the length of the linear selection scan, which follows from the
+//! parent picks the engine reports. Fitness evaluations are bus reads:
+//! the lookup ROM stays on the FPGA fabric, as in the paper's
+//! measurement setup.
 //!
-//! The per-step op annotations are written next to the code they model;
-//! they correspond to a plain `-O2` compilation of the equivalent C
-//! (no vectorization on a PPC405).
+//! The per-step op costs correspond to a plain `-O2` compilation of the
+//! equivalent C (no vectorization on a PPC405).
 
-use carng::{CaRng, Rng16};
+use carng::CaRng;
 use ga_core::behavioral::{GenStats, Individual};
-use ga_core::ops;
-use ga_core::GaParams;
+use ga_core::{GaEngine, GaParams};
 
 use crate::cost::OpCounts;
 
-/// Result of an instrumented software run.
+/// One software run and the C program's op tally for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwRun {
     /// Best individual found.
@@ -34,188 +37,70 @@ pub struct SwRun {
     pub history: Vec<GenStats>,
 }
 
-/// The instrumented software GA.
+/// The software GA: one `GaEngine` run, tallied as the PPC405 C program.
 pub struct CountingGa<F: FnMut(u16) -> u16> {
     params: GaParams,
-    rng: CaRng,
     fitness: F,
-    counts: OpCounts,
-    evaluations: u64,
 }
 
 impl<F: FnMut(u16) -> u16> CountingGa<F> {
     /// Create the software optimizer. `fitness` stands in for the
     /// fabric lookup ROM; each call is costed as one PLB round trip.
     pub fn new(params: GaParams, fitness: F) -> Self {
-        params.validate().expect("invalid GA parameters");
-        CountingGa {
-            params,
-            rng: CaRng::new(params.seed),
-            fitness,
-            counts: OpCounts::default(),
-            evaluations: 0,
-        }
-    }
-
-    /// Software CA-RNG step: two shifts, two XORs, an AND, the state
-    /// store, and the call overhead of `rand16()`.
-    fn draw(&mut self) -> u16 {
-        self.counts.alu += 5;
-        self.counts.store += 1;
-        self.counts.call += 1;
-        self.rng.next_u16()
-    }
-
-    /// One fitness evaluation: argument marshaling + the PLB read of
-    /// the fabric ROM.
-    fn evaluate(&mut self, chrom: u16) -> u16 {
-        self.counts.alu += 2;
-        self.counts.bus_read += 1;
-        self.evaluations += 1;
-        (self.fitness)(chrom)
-    }
-
-    /// Proportionate selection: threshold scale (64-bit multiply = two
-    /// `mullw`/`mulhw` + shift) then the cumulative scan (load, add,
-    /// compare-branch per member). The pick comes from a binary search
-    /// over `prefix` ([`ops::selection_pick`]); the tally is still the
-    /// C program's linear scan: a hit at index k scanned k + 1 members,
-    /// a fall-through scanned all of them plus the exit branch.
-    fn select(&mut self, pop: &[Individual], prefix: &[u32], fit_sum: u32) -> Individual {
-        let r = self.draw();
-        self.counts.mul += 2;
-        self.counts.alu += 2;
-        let threshold = ops::selection_threshold(fit_sum, r);
-        let hit = ops::selection_pick(prefix, threshold);
-        let scanned = hit.map_or(pop.len(), |k| k + 1) as u64;
-        self.counts.load += scanned;
-        self.counts.alu += scanned;
-        self.counts.branch += scanned + u64::from(hit.is_none());
-        pop[hit.unwrap_or(pop.len() - 1)]
+        CountingGa { params, fitness }
     }
 
     /// Run the full optimization and return the op tally.
     pub fn run(self) -> SwRun {
-        self.run_until(|| false)
-            .expect("a run that is never cancelled finishes")
-    }
-
-    /// [`CountingGa::run`] with a cancellation point at every
-    /// generation boundary: `cancelled` is polled before the initial
-    /// population and before each generation, and the run returns
-    /// `None` at the first `true`. Polling is not costed, so a run that
-    /// finishes has the tally and result of [`CountingGa::run`].
-    pub fn run_until(mut self, mut cancelled: impl FnMut() -> bool) -> Option<SwRun> {
-        if cancelled() {
-            return None;
+        let CountingGa { params, fitness } = self;
+        let pop = params.pop_size as usize;
+        let mut engine = GaEngine::new(params, CaRng::new(params.seed), fitness);
+        // The C selection scans k + 1 members for a hit at k, and all of
+        // them plus an exit branch for a fall-through.
+        let (mut scanned, mut fall_throughs) = (0u64, 0u64);
+        let mut history = vec![engine.init_population()];
+        for _ in 0..params.n_gens {
+            history.push(engine.step_generation_with(|hit| {
+                scanned += hit.map_or(pop, |k| k + 1) as u64;
+                fall_throughs += u64::from(hit.is_none());
+            }));
         }
-        let pop_n = self.params.pop_size as usize;
-        // `n_gens` comes off the wire: grow the history, never size it.
-        let mut history = Vec::new();
-
-        // --- initial population ---------------------------------------
-        let mut cur: Vec<Individual> = Vec::with_capacity(pop_n);
-        let mut fit_sum = 0u32;
-        let mut best = Individual::default();
-        for i in 0..pop_n {
-            let chrom = self.draw();
-            let fitness = self.evaluate(chrom);
-            // Array stores + running sum + best check + loop overhead.
-            self.counts.store += 2;
-            self.counts.alu += 3;
-            self.counts.branch += 2;
-            if i == 0 || fitness > best.fitness {
-                best = Individual { chrom, fitness };
-            }
-            fit_sum += fitness as u32;
-            cur.push(Individual { chrom, fitness });
-        }
-        history.push(GenStats {
-            gen: 0,
-            best,
-            fit_sum,
-            pop_size: self.params.pop_size,
-        });
-
-        // --- generations ----------------------------------------------
-        let mut prefix = Vec::with_capacity(pop_n);
-        for gen in 0..self.params.n_gens {
-            if cancelled() {
-                return None;
-            }
-            ops::selection_prefix(cur.iter().map(|i| i.fitness), &mut prefix);
-            let mut new_pop = Vec::with_capacity(pop_n);
-            // Elite copy: two stores + bookkeeping.
-            self.counts.store += 2;
-            self.counts.alu += 2;
-            new_pop.push(best);
-            let mut new_sum = best.fitness as u32;
-            let mut new_best = best;
-
-            while new_pop.len() < pop_n {
-                let p1 = self.select(&cur, &prefix, fit_sum);
-                let p2 = self.select(&cur, &prefix, fit_sum);
-                // Crossover: field extraction + decision + mask algebra.
-                let (xd, cut) = ops::xover_fields(self.draw());
-                self.counts.alu += 8;
-                self.counts.branch += 1;
-                let (o1, o2) = if ops::decision(xd, self.params.xover_threshold) {
-                    ops::crossover(p1.chrom, p2.chrom, cut)
-                } else {
-                    (p1.chrom, p2.chrom)
-                };
-                for mut chrom in [o1, o2] {
-                    if new_pop.len() >= pop_n {
-                        break;
-                    }
-                    // Mutation: field extraction + decision + XOR.
-                    let (md, point) = ops::mut_fields(self.draw());
-                    self.counts.alu += 4;
-                    self.counts.branch += 1;
-                    if ops::decision(md, self.params.mut_threshold) {
-                        chrom = ops::mutate(chrom, point);
-                    }
-                    let fitness = self.evaluate(chrom);
-                    // Store offspring, accumulate sum, track best, loop.
-                    self.counts.store += 2;
-                    self.counts.alu += 3;
-                    self.counts.branch += 2;
-                    let ind = Individual { chrom, fitness };
-                    if fitness > new_best.fitness {
-                        new_best = ind;
-                    }
-                    new_sum += fitness as u32;
-                    new_pop.push(ind);
-                }
-            }
-            // Swap population pointers + generation bookkeeping.
-            self.counts.alu += 4;
-            self.counts.branch += 1;
-            cur = new_pop;
-            fit_sum = new_sum;
-            best = new_best;
-            history.push(GenStats {
-                gen: gen + 1,
-                best,
-                fit_sum,
-                pop_size: self.params.pop_size,
-            });
-        }
-
-        Some(SwRun {
-            best,
-            ops: self.counts,
-            evaluations: self.evaluations,
+        let (p, g) = (pop as u64, u64::from(params.n_gens));
+        let offspring = g * (p - 1);
+        let pairs = g * (p - 1).div_ceil(2);
+        let (draws, evals) = (engine.rng_draws(), engine.evaluations());
+        // Per draw (`rand16()`): two shifts, two XORs, an AND, the state
+        // store and the call. Per evaluation: argument marshaling and
+        // the PLB read. Per initial member: two array stores, running
+        // sum, best check and loop (3 ALU, 2 branches). Per generation:
+        // the elite copy (2 stores, 2 ALU) and the pointer swap (4 ALU,
+        // 1 branch). Per pair: two threshold scales (a 64-bit multiply,
+        // `mullw` + `mulhw`, and 2 ALU each) and the crossover fields,
+        // decision and mask algebra (8 ALU, 1 branch). Per offspring:
+        // mutation (4 ALU, 1 branch), then store, sum, best check and
+        // loop (2 stores, 3 ALU, 2 branches). Per scanned member: load,
+        // add and compare-branch.
+        let ops = OpCounts {
+            alu: 5 * draws + 2 * evals + 3 * p + 6 * g + 12 * pairs + scanned + 7 * offspring,
+            load: scanned,
+            store: draws + 2 * p + 2 * g + 2 * offspring,
+            branch: 2 * p + g + scanned + fall_throughs + pairs + 3 * offspring,
+            mul: 4 * pairs,
+            bus_read: evals,
+            call: draws,
+        };
+        SwRun {
+            best: engine.best(),
+            ops,
+            evaluations: evals,
             history,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carng::CaRng;
-    use ga_core::GaEngine;
     use ga_fitness::TestFunction;
 
     #[test]
@@ -246,23 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_polls_each_generation_boundary() {
-        let params = GaParams::new(16, 8, 10, 1, 0xB342);
-        let f = |c| TestFunction::F3.eval_u16(c);
-        let full = CountingGa::new(params, f).run();
-        // Never cancelled: the same result and the same op tally.
-        assert_eq!(CountingGa::new(params, f).run_until(|| false), Some(full));
-        // One poll before the initial population, one per generation.
-        let mut polls = 0;
-        let cancelled = CountingGa::new(params, f).run_until(|| {
-            polls += 1;
-            polls > 4
-        });
-        assert_eq!(cancelled, None);
-        assert_eq!(polls, 5, "stopped at the boundary before generation 4");
-    }
-
-    #[test]
     fn bus_reads_equal_evaluations() {
         let params = GaParams::new(16, 8, 10, 1, 0xB342);
         let sw = CountingGa::new(params, |c| TestFunction::F3.eval_u16(c)).run();
@@ -282,82 +150,6 @@ mod tests {
         .run();
         // Selection is O(pop²) per generation: ops grow superlinearly.
         assert!(large.ops.total_ops() > 8 * small.ops.total_ops());
-    }
-
-    /// The PPC405 C program's selection, tallied the way it executes:
-    /// the draw and threshold scale, then load, add and compare-branch
-    /// per scanned member, plus the exit branch on a fall-through.
-    fn linear_scan_select(
-        rng: &mut CaRng,
-        counts: &mut OpCounts,
-        pop: &[Individual],
-        fit_sum: u32,
-    ) -> Individual {
-        counts.alu += 5;
-        counts.store += 1;
-        counts.call += 1;
-        let threshold = ops::selection_threshold(fit_sum, rng.next_u16());
-        counts.mul += 2;
-        counts.alu += 2;
-        let mut cum = 0u32;
-        for ind in pop {
-            counts.load += 1;
-            counts.alu += 1;
-            counts.branch += 1;
-            cum += ind.fitness as u32;
-            if ops::selection_hit(cum, threshold) {
-                return *ind;
-            }
-        }
-        counts.branch += 1;
-        *pop.last().unwrap()
-    }
-
-    /// Drive `CountingGa::select` and the linear-scan reference on the
-    /// same population and RNG position; picks and tallies must agree.
-    fn assert_select_tally_matches_scan(pop: &[Individual], seed: u16, draws: usize) {
-        let mut ga = CountingGa::new(GaParams::new(8, 1, 10, 1, seed), |c| c);
-        let mut rng = CaRng::new(seed);
-        let mut want = OpCounts::default();
-        let fit_sum: u32 = pop.iter().map(|i| i.fitness as u32).sum();
-        let mut prefix = Vec::new();
-        ops::selection_prefix(pop.iter().map(|i| i.fitness), &mut prefix);
-        for _ in 0..draws {
-            let got = ga.select(pop, &prefix, fit_sum);
-            assert_eq!(got, linear_scan_select(&mut rng, &mut want, pop, fit_sum));
-        }
-        assert_eq!(ga.counts, want, "pop {} seed {seed:#06x}", pop.len());
-    }
-
-    #[test]
-    fn select_tally_equals_the_linear_scan() {
-        for (pop_n, seed) in [
-            (1usize, 1u16),
-            (2, 0x2961),
-            (15, 0x061F),
-            (64, 7919),
-            (255, 45890),
-        ] {
-            // Fitness from the CA stream, every third member zeroed so
-            // hits land on runs of equal prefix sums.
-            let mut rng = CaRng::new(seed ^ 0x5A5A);
-            let pop: Vec<Individual> = (0..pop_n)
-                .map(|i| {
-                    let chrom = rng.next_u16();
-                    let fitness = if i % 3 == 1 { 0 } else { chrom >> 4 };
-                    Individual { chrom, fitness }
-                })
-                .collect();
-            assert_select_tally_matches_scan(&pop, seed, 500);
-        }
-    }
-
-    #[test]
-    fn all_zero_select_tallies_the_fall_through() {
-        let pop: Vec<Individual> = (0..16u16)
-            .map(|chrom| Individual { chrom, fitness: 0 })
-            .collect();
-        assert_select_tally_matches_scan(&pop, 0xB342, 64);
     }
 
     #[test]

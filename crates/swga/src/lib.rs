@@ -13,9 +13,11 @@
 //! cycles (the paper itself computes hardware time as counter × clock
 //! period):
 //!
-//! * [`counting::CountingGa`] — the software GA, draw-identical to the
-//!   IP core's algorithm, instrumented with an operation counter whose
-//!   categories map onto PPC405 instruction classes;
+//! * [`counting::CountingGa`] — the C program's operation tally, in
+//!   PPC405 instruction classes. The program is the IP core's algorithm
+//!   on the same CA stream, so the tally comes from one
+//!   `ga_core::GaEngine` run: closed-form in population, generations,
+//!   draws and evaluations, plus the selection scan each pick implies;
 //! * [`cost::PpcCostModel`] — per-class cycle costs (documented against
 //!   the PPC405 pipeline and PLB bus latency) that convert counts into
 //!   seconds;

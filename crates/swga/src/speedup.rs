@@ -52,7 +52,7 @@ pub struct SpeedupReport {
 
 /// Run the paper's speedup experiment: `runs` seeds (the paper used six
 /// runs; we use the six Table VII seeds), identical parameters on the
-/// cycle-accurate hardware system and the instrumented software GA.
+/// cycle-accurate hardware system and the software GA's op tally.
 pub fn speedup_experiment(model: PpcCostModel, runs: usize) -> SpeedupReport {
     assert!(runs >= 1 && runs <= TABLE7_SEEDS.len());
     let f = TestFunction::Mbf6_2;
