@@ -14,6 +14,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test --workspace"
 cargo test --workspace -q
 
+echo "== perfbench build + tests (the benchmark builds against the crates)"
+# perfbench is a package of its own outside the workspace, so the steps
+# above do not compile it. Building and testing it here makes a crate
+# API change that breaks the benchmark fail CI, not the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== galint --format json"
 cargo run -q --release -p galint --bin galint -- --format json
 

@@ -137,7 +137,7 @@ fn bench_fems(c: &mut Criterion) {
         loop {
             fem.eval(FemIn {
                 fit_request: true,
-                candidate: cand,
+                candidate: cand.into(),
             });
             fem.commit();
             if fem.out().fit_valid {

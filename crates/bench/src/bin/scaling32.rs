@@ -18,7 +18,7 @@ use ga_core::scaling::{compose_prob, split_prob, threshold_for_prob};
 use ga_core::GaParams;
 use ga_fitness::TestFunction;
 
-/// The split 32-bit workload: the `rtl32` backend's shared `Fem32`
+/// The split 32-bit workload: the `rtl32` backend's shared fitness module
 /// scores each 16-bit half with F3 and averages, so the optimum is
 /// F3's own global maximum (reached when both halves are optimal).
 const FUNCTION: TestFunction = TestFunction::F3;

@@ -333,26 +333,6 @@ impl GaCoreHw {
         self.cur_base.get()
     }
 
-    /// Current generation counter.
-    pub fn generation(&self) -> u32 {
-        self.gen.get()
-    }
-
-    /// Best individual register (testbench probe).
-    pub fn best_individual(&self) -> Individual {
-        self.best_ind()
-    }
-
-    /// Population fitness-sum register (testbench probe).
-    pub fn fitness_sum(&self) -> u32 {
-        self.fit_sum.get()
-    }
-
-    /// True when the optimizer is in its final state.
-    pub fn is_done(&self) -> bool {
-        self.state.get() == State::Done
-    }
-
     /// Status wire for the dual-core scaling logic: the core is in its
     /// selection-scan data state this cycle (its memory-read fitness may
     /// be intercepted by `scalingLogic_parSel`).

@@ -11,14 +11,17 @@
 //!   synthesized core with the full Table II port interface, Table III
 //!   initialization handshake, Table IV preset modes, scan-chain test
 //!   mode, and the Fig. 4 system wiring (RNG module, 256×32 GA memory,
-//!   8-slot fitness bank, optional external FEM).
+//!   8-slot fitness bank, optional external FEM). Built around a 32-bit
+//!   fitness function ([`GaSystem32Hw`]), the same system gangs two
+//!   cores into the 32-bit GA of Fig. 6.
 //!
 //! The two models consume RNG draws in exactly the same order, so they
 //! produce bit-identical populations — the cross-model differential
 //! tests in `tests/` are the strongest correctness check in the repo.
 //!
-//! Chromosomes are 16 bits; [`scaling::GaEngine32`] implements the
-//! §III-D recipe for ganging two cores into a 32-bit optimizer.
+//! Chromosomes are 16 bits; [`scaling::GaEngine32`] is the behavioral
+//! model of the §III-D recipe for ganging two cores into a 32-bit
+//! optimizer.
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +38,6 @@ pub mod rngmod;
 pub mod scaling;
 pub mod snapshot;
 pub mod system;
-pub mod system32;
 
 pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual};
 pub use hwcore::GaCoreHw;
@@ -46,5 +48,4 @@ pub use params::{GaParams, ParamIndex, PresetMode};
 pub use ports::{GaCoreComb, GaCoreIn, GaCoreOut};
 pub use scaling::GaEngine32;
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use system::{GaSystem, HwRun, UserIn};
-pub use system32::GaSystem32 as GaSystem32Hw;
+pub use system::{GaSystem, GaSystem32Hw, HwRun, Port, UserIn};

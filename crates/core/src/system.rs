@@ -1,6 +1,7 @@
 //! The complete GA module of Fig. 4: core + RNG + GA memory + FEM bank,
 //! wired exactly as the paper's block diagram, plus the user-side
-//! initialization module and a Chipscope-style probe.
+//! initialization module and a Chipscope-style probe. The same system
+//! with a second core is the 32-bit GA of Fig. 6 (§III-D).
 //!
 //! The per-cycle evaluation order implements the combinational wiring:
 //! every module's registered outputs are sampled first, then each module
@@ -8,6 +9,37 @@
 //! outputs (RNG consume/seed wires) feed the RNG module inside the same
 //! phase (an acyclic combinational path). A single commit latches the
 //! whole system — one rising clock edge at 50 MHz.
+//!
+//! # Two cores for 32 bits
+//!
+//! Built around a 32-bit fitness function ([`GaSystem32Hw`]), the system
+//! gangs two unmodified 16-bit cores, each with its own RNG and GA
+//! memory holding its half of every individual; core 1 holds the MSB
+//! half. One fitness bank serves both: its block-ROM module
+//! ([`LookupFem::from_fn32`]) answers while both cores request, reading
+//! the concatenated `{MSB, LSB}` candidate, and `fit_valid` goes to both
+//! cores. (We also mirror the fitness *value* to core 2 — the one wire
+//! beyond the paper's text, which keeps both cores' elite/fitness-sum
+//! registers tracking the same 32-bit individual.) The initialization
+//! bus, `start_GA`, `preset` and `test` reach both cores, and the scan
+//! chain runs through core 1, core 1's `scanout` flop, then core 2.
+//! Everything else that differs is the `scalingLogic_parSel` block:
+//!
+//! * parent selection is decided by core 1 alone: core 2's `rn` input is
+//!   forced to zero in its threshold state (`SelDraw`), and its
+//!   selection-scan fitness reads are forced to zero until core 1's
+//!   `sel_hit` wire fires and to full scale on that cycle, so core 2's
+//!   cumulative sum crosses its zero threshold at core 1's parent;
+//! * core 2's RNG loads the complemented seed, as in
+//!   [`crate::scaling::GaEngine32`];
+//! * the candidate bus and the generation event concatenate both halves.
+//!
+//! The two FSMs are identical, take data-independent paths through
+//! crossover and mutation, and resynchronize at every fitness handshake,
+//! so the cores run in lockstep — asserted by the differential tests
+//! against [`crate::scaling::GaEngine32`].
+//!
+//! # Jumping quiet windows
 //!
 //! The run loops move the clock with [`GaSystem::advance`]. It steps one
 //! cycle, except at the start of a quiet window that nothing observes
@@ -24,18 +56,27 @@
 //! application clock runs at the GA clock (`fast_domain_ratio` 1). A
 //! VCD capture, a protocol monitor, test mode, a pending memory write, a
 //! fitness module that is not [`Fem::quiescent`], or a watchdog or
-//! scheduled fault inside the window keeps single steps.
+//! scheduled fault inside the window keeps single steps. With two cores,
+//! core 2 walks the same window with the inputs `scalingLogic_parSel`
+//! forces on it, and the window jumps only when both cores enter it
+//! together and core 2's walk ends on core 1's last cycle; the shared
+//! module answers the concatenated candidate once.
+
+use std::fmt;
+use std::marker::PhantomData;
 
 use ga_fitness::fem::{Fem, FemBank, FemBankIn, FemIn};
+use ga_fitness::{FemSlot, LookupFem};
 use hwsim::vcd::VcdVar;
 use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, Trace, VcdWriter};
 
-use crate::behavioral::{GaRun, GenStats, Individual};
-use crate::hwcore::GaCoreHw;
-use crate::memory::GaMemory;
+use crate::behavioral::{GenStats, Individual};
+use crate::hwcore::{GaCoreHw, Window};
+use crate::memory::{pack, unpack, GaMemory};
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
 use crate::rngmod::RngModule;
+use crate::scaling::{GaRun32, GenStats32, Individual32};
 
 /// User-driven inputs for one clock cycle (everything in [`GaCoreIn`]
 /// that does not come from the wired modules).
@@ -59,7 +100,7 @@ pub struct UserIn {
 
 /// The clocked modules of the GA system (one commit = one clock edge).
 pub struct GaModules {
-    /// The GA IP core.
+    /// The GA IP core; core 1 (the MSB half) of the 32-bit GA.
     pub core: GaCoreHw,
     /// The RNG module.
     pub rng: RngModule,
@@ -70,6 +111,20 @@ pub struct GaModules {
     /// Optional external fitness module "on another chip" (hybrid
     /// intrinsic EHW, Fig. 5). Driven by the bank's forwarded request.
     pub ext_fem: Option<Box<dyn Fem>>,
+    /// Core 2 of the 32-bit GA, holding the LSB half of every
+    /// individual; `None` in the 16-bit system.
+    pub lsb: Option<Half>,
+}
+
+/// A second core with its own RNG module and GA memory.
+#[derive(Debug)]
+pub struct Half {
+    /// The core.
+    pub core: GaCoreHw,
+    /// Its RNG module.
+    pub rng: RngModule,
+    /// Its GA memory.
+    pub mem: GaMemory,
 }
 
 impl Clocked for GaModules {
@@ -81,6 +136,11 @@ impl Clocked for GaModules {
         if let Some(e) = self.ext_fem.as_mut() {
             e.reset();
         }
+        if let Some(h) = self.lsb.as_mut() {
+            h.core.reset();
+            h.rng.reset();
+            h.mem.reset();
+        }
     }
 
     fn commit(&mut self) {
@@ -90,6 +150,11 @@ impl Clocked for GaModules {
         self.fems.commit();
         if let Some(e) = self.ext_fem.as_mut() {
             e.commit();
+        }
+        if let Some(h) = self.lsb.as_mut() {
+            h.core.commit();
+            h.rng.commit();
+            h.mem.commit();
         }
     }
 }
@@ -110,20 +175,75 @@ pub struct HwRun {
     pub rng_draws: u64,
 }
 
-impl HwRun {
-    /// View as a [`GaRun`] for shared analysis code (convergence etc.).
-    pub fn as_ga_run(&self) -> GaRun {
-        GaRun {
-            best: self.best,
-            history: self.history.clone(),
-            evaluations: 0,
-            rng_draws: self.rng_draws,
+/// What a [`GaSystem`] is built around. A [`FemBank`] serves one 16-bit
+/// core; a 32-bit fitness function is the shared module of the 32-bit
+/// GA, two ganged cores (see the module docs).
+pub trait Port: Sized {
+    /// What a run to `GA_done` reports.
+    type Run;
+    /// The fitness bank, and core 2 for the 32-bit GA.
+    fn wire(self) -> (FemBank, Option<Half>);
+    /// The report of a run that raised `GA_done` `cycles` after
+    /// `start_GA`.
+    fn report(sys: &GaSystem<Self>, cycles: u64) -> Self::Run;
+}
+
+impl Port for FemBank {
+    type Run = HwRun;
+
+    fn wire(self) -> (FemBank, Option<Half>) {
+        (self, None)
+    }
+
+    fn report(sys: &GaSystem<Self>, cycles: u64) -> HwRun {
+        HwRun {
+            best: Individual {
+                chrom: sys.modules.core.out().candidate,
+                fitness: sys.best_fitness(),
+            },
+            cycles,
+            seconds: cycles as f64 * sys.sim.period_ps() as f64 * 1e-12,
+            history: sys.history.iter().map(|&(s, _)| s).collect(),
+            rng_draws: sys.modules.core.rng_draws(),
         }
     }
 }
 
-/// The complete, wired GA system.
-pub struct GaSystem {
+impl<F: Fn(u32) -> u16 + Send + Sync + 'static> Port for F {
+    type Run = GaRun32;
+
+    fn wire(self) -> (FemBank, Option<Half>) {
+        let core2 = Half {
+            core: GaCoreHw::new(),
+            rng: RngModule::new_ca(2),
+            mem: GaMemory::new(),
+        };
+        let fem = FemSlot::Lookup(LookupFem::from_fn32(self));
+        (FemBank::new(vec![fem]), Some(core2))
+    }
+
+    fn report(sys: &GaSystem<Self>, _cycles: u64) -> GaRun32 {
+        let history = sys.history.iter().map(|&(s, lsb)| GenStats32 {
+            gen: s.gen,
+            best: Individual32 {
+                chrom: concat(s.best.chrom, Some(lsb)),
+                fitness: s.best.fitness,
+            },
+            fit_sum: s.fit_sum,
+        });
+        GaRun32 {
+            best: Individual32 {
+                chrom: sys.candidate(),
+                fitness: sys.best_fitness(),
+            },
+            history: history.collect(),
+            evaluations: 0,
+        }
+    }
+}
+
+/// The complete, wired GA system, built around the [`Port`] `P`.
+pub struct GaSystem<P = FemBank> {
     modules: GaModules,
     sim: Sim,
     /// 3-bit fitness function select presented to the bank and core.
@@ -137,34 +257,83 @@ pub struct GaSystem {
     /// ratio shortens every fitness transaction as seen in GA cycles.
     pub fast_domain_ratio: u32,
     trace: Trace,
-    history: Vec<GenStats>,
-    pop_size_hint: u8,
+    /// Each generation event: core 1's statistics, with core 2's best
+    /// half at width 32 (0 at width 16).
+    history: Vec<(GenStats, u16)>,
     vcd: Option<VcdCapture>,
     monitor: Option<HandshakeMonitor>,
     host_steps: u64,
+    /// The [`Port`] the system was built around, which fixes what a run
+    /// reports.
+    port: PhantomData<P>,
+}
+
+/// The 32-bit GA of Fig. 6: [`GaSystem`] built around a 32-bit fitness
+/// function `F`.
+pub type GaSystem32Hw<F> = GaSystem<F>;
+
+/// Every register a clock edge can change, as the testbench compares
+/// them: the cycle count, each core's modules and the fitness modules.
+impl<P> fmt::Debug for GaSystem<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let m = &self.modules;
+        f.debug_struct("GaSystem")
+            .field("cycles", &self.sim.cycles())
+            .field("halves", &self.halves())
+            .field("fems", &m.fems)
+            .field("ext_fem", &m.ext_fem.as_ref().map(|e| e.out()))
+            .finish_non_exhaustive()
+    }
 }
 
 /// Waveform capture of the Table II interface (the ModelSim view).
 struct VcdCapture {
     writer: VcdWriter,
-    candidate: VcdVar,
-    fit_request: VcdVar,
-    fit_valid: VcdVar,
-    mem_address: VcdVar,
-    mem_wr: VcdVar,
-    ga_done: VcdVar,
-    rn: VcdVar,
+    /// `candidate`, `fit_request`, `fit_valid`, `mem_address`, `mem_wr`,
+    /// `GA_done` and `rn`, in the order `GaSystem::probe` samples them.
+    vars: Vec<VcdVar>,
 }
 
-impl GaSystem {
-    /// Build a system around a fitness bank, with the paper's CA RNG.
-    pub fn new(fems: FemBank) -> Self {
+/// The candidate bus: a core's chromosome, or `{MSB, LSB}` with core 2.
+fn concat(msb: u16, lsb: Option<u16>) -> u32 {
+    match lsb {
+        Some(lsb) => (u32::from(msb) << 16) | u32::from(lsb),
+        None => u32::from(msb),
+    }
+}
+
+/// `scalingLogic_parSel`'s view of a core-2 memory word in a selection
+/// scan: its own chromosome half, with the fitness at full scale on core
+/// 1's hit and zero before it.
+fn forced(word: u32, hit: bool) -> u32 {
+    pack(Individual {
+        chrom: unpack(word).chrom,
+        fitness: if hit { 0xFFFF } else { 0 },
+    })
+}
+
+/// Land one core on the clock edge after `window`.
+fn land(core: &mut GaCoreHw, rng: &mut RngModule, mem: &mut GaMemory, window: &Window) {
+    if window.draws() {
+        rng.eval(true, None);
+        rng.commit();
+    }
+    core.apply(window);
+    mem.settle_read(core.out().mem_address);
+}
+
+impl<P: Port> GaSystem<P> {
+    /// Build a system around a fitness bank (one core) or a 32-bit
+    /// fitness function (two cores), with the paper's CA RNG.
+    pub fn new(port: P) -> Self {
+        let (fems, lsb) = port.wire();
         let mut modules = GaModules {
             core: GaCoreHw::new(),
             rng: RngModule::new_ca(1),
             mem: GaMemory::new(),
             fems,
             ext_fem: None,
+            lsb,
         };
         modules.reset();
         GaSystem {
@@ -175,13 +344,111 @@ impl GaSystem {
             fast_domain_ratio: 1,
             trace: Trace::new(),
             history: Vec::new(),
-            pop_size_hint: GaParams::default().pop_size,
             vcd: None,
             monitor: None,
             host_steps: 0,
+            port: PhantomData,
         }
     }
 
+    /// Pulse `start_GA` and run until `GA_done`. `max_cycles` is the
+    /// watchdog bound.
+    pub fn run(&mut self, max_cycles: u64) -> Result<P::Run, SimError> {
+        self.run_with_deadline(max_cycles, None)
+    }
+
+    /// [`GaSystem::run`] with an additional wall-clock budget: the
+    /// cycle watchdog bounds *simulated* time, the [`Deadline`] bounds
+    /// *host* time (the serving layer's per-job timeout). The deadline
+    /// is checked between cycles with amortized clock reads, so an
+    /// in-flight cycle always completes.
+    ///
+    /// [`Deadline`]: hwsim::Deadline
+    pub fn run_with_deadline(
+        &mut self,
+        max_cycles: u64,
+        deadline: Option<&mut hwsim::Deadline>,
+    ) -> Result<P::Run, SimError> {
+        self.run_inner(max_cycles, deadline, None)
+            .map(|(run, _)| run)
+    }
+
+    /// Run to `GA_done` with one scan-chain fault injection: at
+    /// `at_cycle` cycles after `start_GA`, the FSMs are frozen in test
+    /// mode and `ops` is applied to the architectural state through the
+    /// scan chain ([`GaSystem::scan_inject`]), then the run resumes.
+    /// The returned flag reports whether the injection actually landed
+    /// (`false` when the run finished before `at_cycle`). The
+    /// scan-shift cycles count toward both the watchdog and the
+    /// reported cycle total, exactly as they would on silicon.
+    pub fn run_with_faults(
+        &mut self,
+        max_cycles: u64,
+        at_cycle: u64,
+        ops: &[hwsim::ScanBitOp],
+    ) -> Result<(P::Run, bool), SimError> {
+        self.run_inner(max_cycles, None, Some((at_cycle, ops)))
+    }
+
+    /// The run loop: pulse `start_GA`, then advance to `GA_done`,
+    /// injecting `fault` on its cycle. Returns the report and whether
+    /// the fault landed.
+    fn run_inner(
+        &mut self,
+        max_cycles: u64,
+        mut deadline: Option<&mut hwsim::Deadline>,
+        fault: Option<(u64, &[hwsim::ScanBitOp])>,
+    ) -> Result<(P::Run, bool), SimError> {
+        self.history.clear();
+        let start = self.sim.cycles();
+        let mut injected = false;
+        self.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        let mut guard = self.sim.cycles() - start;
+        while !self.done() {
+            if guard >= max_cycles {
+                return Err(SimError::Timeout { cycles: guard });
+            }
+            if let Some(d) = deadline.as_deref_mut() {
+                if d.expired() {
+                    return Err(SimError::DeadlineExceeded { cycles: guard });
+                }
+            }
+            // A jump may end on the watchdog bound or the fault cycle,
+            // never past it, so both trip on the cycle they would with
+            // single steps.
+            let mut limit = max_cycles - guard;
+            if let Some((at, ops)) = fault {
+                if !injected {
+                    if guard >= at {
+                        self.scan_inject(ops);
+                        injected = true;
+                        guard = self.sim.cycles() - start;
+                        continue;
+                    }
+                    limit = limit.min(at - guard);
+                }
+            }
+            guard += self.advance(limit);
+        }
+        let cycles = self.sim.cycles() - start;
+        Ok((P::report(self, cycles), injected))
+    }
+
+    /// Program, then run: the full usage flow of §III-B.8.
+    pub fn program_and_run(
+        &mut self,
+        params: &GaParams,
+        max_cycles: u64,
+    ) -> Result<P::Run, SimError> {
+        self.program(params);
+        self.run(max_cycles)
+    }
+}
+
+impl<P> GaSystem<P> {
     /// Attach a protocol-assertion monitor to the fitness handshake;
     /// inspect it with [`GaSystem::protocol_monitor`] after the run.
     pub fn enable_protocol_monitor(&mut self) {
@@ -200,22 +467,19 @@ impl GaSystem {
     /// (one sample per clock). Call [`GaSystem::finish_vcd`] to render.
     pub fn start_vcd(&mut self) {
         let mut writer = VcdWriter::new("ga_system", self.sim.period_ps());
-        let candidate = writer.add_var("candidate", 16);
-        let fit_request = writer.add_var("fit_request", 1);
-        let fit_valid = writer.add_var("fit_valid", 1);
-        let mem_address = writer.add_var("mem_address", 8);
-        let mem_wr = writer.add_var("mem_wr", 1);
-        let ga_done = writer.add_var("GA_done", 1);
-        let rn = writer.add_var("rn", 16);
+        let vars = [
+            ("candidate", 16 * self.halves().len() as u32),
+            ("fit_request", 1),
+            ("fit_valid", 1),
+            ("mem_address", 8),
+            ("mem_wr", 1),
+            ("GA_done", 1),
+            ("rn", 16),
+        ]
+        .map(|(name, width)| writer.add_var(name, width));
         self.vcd = Some(VcdCapture {
             writer,
-            candidate,
-            fit_request,
-            fit_valid,
-            mem_address,
-            mem_wr,
-            ga_done,
-            rn,
+            vars: vars.to_vec(),
         });
     }
 
@@ -243,6 +507,14 @@ impl GaSystem {
         &self.modules
     }
 
+    /// The clocked modules of each core, core 1 first (testbench probe).
+    pub fn halves(&self) -> Vec<(&GaCoreHw, &RngModule, &GaMemory)> {
+        let m = &self.modules;
+        let mut halves = vec![(&m.core, &m.rng, &m.mem)];
+        halves.extend(m.lsb.as_ref().map(|h| (&h.core, &h.rng, &h.mem)));
+        halves
+    }
+
     /// Elapsed cycles since construction.
     pub fn cycles(&self) -> u64 {
         self.sim.cycles()
@@ -260,42 +532,96 @@ impl GaSystem {
         &self.trace
     }
 
+    /// The `candidate` bus: 16 bits, or `{MSB, LSB}` with two cores.
+    fn candidate(&self) -> u32 {
+        let m = &self.modules;
+        concat(
+            m.core.out().candidate,
+            m.lsb.as_ref().map(|h| h.core.out().candidate),
+        )
+    }
+
+    /// The `fit_request` the fitness bank sees: raised while every core
+    /// requests.
+    fn fit_request(&self) -> bool {
+        let m = &self.modules;
+        m.core.out().fit_request && m.lsb.as_ref().is_none_or(|h| h.core.out().fit_request)
+    }
+
+    /// `GA_done` on every core.
+    fn done(&self) -> bool {
+        let m = &self.modules;
+        m.core.out().ga_done && m.lsb.as_ref().is_none_or(|h| h.core.out().ga_done)
+    }
+
+    /// Fitness of the last generation event's best individual.
+    fn best_fitness(&self) -> u16 {
+        self.history
+            .last()
+            .map(|(s, _)| s.best.fitness)
+            .unwrap_or_default()
+    }
+
     /// One clock cycle of the whole system.
     pub fn step(&mut self, user: UserIn) {
         let select = self.fitfunc_select;
         let preset = self.preset;
         let ratio = self.fast_domain_ratio.max(1);
         let m = &mut self.modules;
-        let mut stats: Option<(u32, u16, u16, u32)> = None;
+        let mut stats = None;
 
         self.sim.step(m, |m| {
             // Sample registered outputs.
             let core_out = m.core.out();
             let ext_out = m.ext_fem.as_ref().map(|e| e.out()).unwrap_or_default();
             let fem_out = m.fems.out(select, ext_out.fit_value, ext_out.fit_valid);
-            let rn = m.rng.rn();
-            let mem_dout = m.mem.dout();
             let ext_req = m.fems.ext_request();
 
             // Core evaluation (combinational RNG wires come back).
-            let comb = m.core.eval(&GaCoreIn {
+            let mut bus = GaCoreIn {
                 ga_load: user.ga_load,
                 index: user.index,
                 value: user.value,
                 data_valid: user.data_valid,
                 fit_value: fem_out.fit_value,
                 fit_valid: fem_out.fit_valid,
-                mem_data_in: mem_dout,
+                mem_data_in: m.mem.dout(),
                 start_ga: user.start_ga,
                 test: user.test,
                 scanin: user.scanin,
                 preset,
-                rn,
+                rn: m.rng.rn(),
                 fitfunc_select: select,
                 fit_value_ext: 0,
                 fit_valid_ext: false,
-            });
-            stats = comb.stats_event;
+            };
+            let comb = m.core.eval(&bus);
+            stats = comb.stats_event.map(|e| (e, 0));
+            let mut candidate = u32::from(core_out.candidate);
+            let mut fit_request = core_out.fit_request;
+
+            if let Some(h) = m.lsb.as_mut() {
+                // scalingLogic_parSel: core 2 sees a zero threshold draw
+                // and, in the scan, fitness 0 until core 1's same-cycle
+                // hit and full scale on it.
+                let out2 = h.core.out();
+                bus.rn = if h.core.is_sel_draw() { 0 } else { h.rng.rn() };
+                bus.mem_data_in = h.mem.dout();
+                if h.core.is_sel_scanning() {
+                    bus.mem_data_in = forced(bus.mem_data_in, comb.sel_hit);
+                }
+                bus.scanin = core_out.scanout;
+                let comb2 = h.core.eval(&bus);
+                // Core 2's RNG powers on with the complemented seed,
+                // whatever its own seed register holds.
+                let seed2 = comb2.rn_seed_load.map(|_| !m.core.programmed_params().seed);
+                h.rng.eval(comb2.rn_consume, seed2);
+                h.mem.eval(out2.mem_address, out2.mem_data_out, out2.mem_wr);
+                // The generation event fires on both cores in lockstep.
+                stats = stats.zip(comb2.stats_event).map(|((e, _), e2)| (e, e2.1));
+                candidate = concat(core_out.candidate, Some(out2.candidate));
+                fit_request &= out2.fit_request;
+            }
 
             // RNG sees the core's same-cycle wires.
             m.rng.eval(comb.rn_consume, comb.rn_seed_load);
@@ -309,8 +635,8 @@ impl GaSystem {
                 let ext_now = m.ext_fem.as_ref().map(|e| e.out()).unwrap_or_default();
                 let ext_req_now = m.fems.ext_request();
                 m.fems.eval(FemBankIn {
-                    fit_request: core_out.fit_request,
-                    candidate: core_out.candidate,
+                    fit_request,
+                    candidate,
                     select,
                     ext_value: ext_now.fit_value,
                     ext_valid: ext_now.fit_valid,
@@ -318,7 +644,7 @@ impl GaSystem {
                 if let Some(e) = m.ext_fem.as_mut() {
                     e.eval(FemIn {
                         fit_request: if sub == 0 { ext_req } else { ext_req_now },
-                        candidate: core_out.candidate,
+                        candidate,
                     });
                 }
                 // All but the last fast edge commit inside the GA cycle;
@@ -332,33 +658,18 @@ impl GaSystem {
             }
         });
 
-        if let Some(mon) = self.monitor.as_mut() {
-            let o = self.modules.core.out();
-            let fem_o = self.modules.fems.out(select, 0, false);
-            mon.observe(o.fit_request, fem_o.fit_valid);
+        if self.vcd.is_some() || self.monitor.is_some() {
+            self.probe(select);
         }
 
-        if let Some(cap) = self.vcd.as_mut() {
-            let t = self.sim.cycles();
-            let o = self.modules.core.out();
-            let fem_o = self.modules.fems.out(select, 0, false);
-            cap.writer.change(cap.candidate, t, o.candidate as u64);
-            cap.writer.change(cap.fit_request, t, o.fit_request as u64);
-            cap.writer.change(cap.fit_valid, t, fem_o.fit_valid as u64);
-            cap.writer.change(cap.mem_address, t, o.mem_address as u64);
-            cap.writer.change(cap.mem_wr, t, o.mem_wr as u64);
-            cap.writer.change(cap.ga_done, t, o.ga_done as u64);
-            cap.writer.change(cap.rn, t, self.modules.rng.rn() as u64);
-        }
-
-        if let Some((gen, chrom, fitness, sum)) = stats {
+        if let Some(((gen, chrom, fitness, sum), lsb)) = stats {
             let s = GenStats {
                 gen,
                 best: Individual { chrom, fitness },
                 fit_sum: sum,
-                pop_size: self.pop_size_hint,
+                pop_size: self.modules.core.programmed_params().pop_size,
             };
-            self.history.push(s);
+            self.history.push((s, lsb));
             // Chipscope-style: samples are stamped with the capture
             // clock cycle (monotone across reruns), not the generation.
             let t = self.sim.cycles();
@@ -367,11 +678,37 @@ impl GaSystem {
         }
     }
 
+    /// Sample the Table II interface after a clock edge into the
+    /// protocol monitor and the VCD capture, whichever is attached.
+    fn probe(&mut self, select: u8) {
+        let t = self.sim.cycles();
+        let o = self.modules.core.out();
+        let fit_request = self.fit_request();
+        let fit_valid = self.modules.fems.out(select, 0, false).fit_valid;
+        if let Some(mon) = self.monitor.as_mut() {
+            mon.observe(fit_request, fit_valid);
+        }
+        let values = [
+            u64::from(self.candidate()),
+            fit_request as u64,
+            fit_valid as u64,
+            o.mem_address as u64,
+            o.mem_wr as u64,
+            self.done() as u64,
+            self.modules.rng.rn() as u64,
+        ];
+        if let Some(cap) = self.vcd.as_mut() {
+            for (&var, value) in cap.vars.iter().zip(values) {
+                cap.writer.change(var, t, value);
+            }
+        }
+    }
+
     /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
     /// idle user inputs, and return how many cycles passed. At the start
     /// of a quiet window that fits in `limit` (see the module docs), this
-    /// jumps the window in one step: the core's registers, its cycle
-    /// profile and draw count, the RNG, the memory read register, the
+    /// jumps the window in one step: the cores' registers, their cycle
+    /// profiles and draw counts, the RNGs, the memory read registers, the
     /// fitness modules and the cycle count end exactly where
     /// [`GaSystem::step`] would leave them. Anywhere else it is one
     /// [`GaSystem::step`].
@@ -393,37 +730,57 @@ impl GaSystem {
         }
         let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
         let m = &mut self.modules;
+        let mem = &m.mem;
+        let mut window = m.core.walk(m.rng.rn(), |addr, _| mem.word(addr))?;
         if !m.fems.quiescent() || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent()) {
             return None;
         }
-        let mem = &m.mem;
-        let mut window = m.core.walk(m.rng.rn(), |addr, _| mem.word(addr))?;
-        if let Some(candidate) = window.request() {
+        // scalingLogic_parSel: core 2 walks the window on a zero draw,
+        // reading its own chromosomes with the fitness forced, member for
+        // member in lockstep with core 1; both must be in the same kind of
+        // window.
+        let hit_at = window.cycles;
+        let mut window2 = match &m.lsb {
+            Some(h) => Some(
+                h.core
+                    .walk(0, |addr, at| forced(h.mem.word(addr), at == hit_at))?,
+            ),
+            None => None,
+        };
+        if window2.is_some_and(|w2| {
+            w2.cycles != window.cycles || w2.request().is_some() != window.request().is_some()
+        }) {
+            return None;
+        }
+        if let Some(msb) = window.request() {
+            let candidate = concat(msb, window2.and_then(|w2| w2.request()));
             if ratio != 1 || window.cycles >= limit {
                 return None;
             }
             let edges = m.fems.answer(select, candidate, limit - window.cycles)?;
-            window.answer(m.fems.out(select, 0, false).fit_value, edges);
+            let value = m.fems.out(select, 0, false).fit_value;
+            window.answer(value, edges);
+            if let Some(w2) = window2.as_mut() {
+                w2.answer(value, edges);
+            }
         }
         if window.cycles > limit {
             return None;
         }
-        if window.draws() {
-            m.rng.eval(true, None);
-            m.rng.commit();
+        land(&mut m.core, &mut m.rng, &mut m.mem, &window);
+        if let (Some(h), Some(w2)) = (m.lsb.as_mut(), &window2) {
+            land(&mut h.core, &mut h.rng, &mut h.mem, w2);
         }
-        m.core.apply(&window);
-        m.mem.settle_read(m.core.out().mem_address);
         self.sim.advance(window.cycles);
         Some(window.cycles)
     }
 
     /// Program the parameter registers through the initialization
     /// handshake (§III-B.6, Table III), driven by the Fig. 4
-    /// initialization-module FSM. Returns the cycles consumed.
+    /// initialization-module FSM. Both cores of the 32-bit GA listen to
+    /// the one bus. Returns the cycles consumed.
     pub fn program(&mut self, params: &GaParams) -> u64 {
         params.validate().expect("invalid GA parameters");
-        self.pop_size_hint = params.pop_size;
         let start = self.sim.cycles();
         let mut init = crate::init::InitModule::new(params);
         init.reset();
@@ -451,109 +808,18 @@ impl GaSystem {
         self.sim.cycles() - start
     }
 
-    /// Pulse `start_GA` and run until `GA_done`. `max_cycles` is the
-    /// watchdog bound.
-    pub fn run(&mut self, max_cycles: u64) -> Result<HwRun, SimError> {
-        self.run_with_deadline(max_cycles, None)
+    /// Bits on the scan chain: [`GaCoreHw::SCAN_LENGTH`] per core and,
+    /// with two cores, core 1's `scanout` flop between them.
+    pub fn scan_length(&self) -> usize {
+        let cores = self.halves().len();
+        cores * GaCoreHw::SCAN_LENGTH + cores - 1
     }
 
-    /// [`GaSystem::run`] with an additional wall-clock budget: the
-    /// cycle watchdog bounds *simulated* time, the [`Deadline`] bounds
-    /// *host* time (the serving layer's per-job timeout). The deadline
-    /// is checked between cycles with amortized clock reads, so an
-    /// in-flight cycle always completes.
-    pub fn run_with_deadline(
-        &mut self,
-        max_cycles: u64,
-        deadline: Option<&mut hwsim::Deadline>,
-    ) -> Result<HwRun, SimError> {
-        self.run_inner(max_cycles, deadline, None)
-            .map(|(run, _)| run)
-    }
-
-    /// Run to `GA_done` with one scan-chain fault injection: at
-    /// `at_cycle` cycles after `start_GA`, the FSM is frozen in test
-    /// mode and `ops` is applied to the architectural state through the
-    /// scan chain ([`GaSystem::scan_inject`]), then the run resumes.
-    /// The returned flag reports whether the injection actually landed
-    /// (`false` when the run finished before `at_cycle`). The
-    /// scan-shift cycles count toward both the watchdog and the
-    /// reported cycle total, exactly as they would on silicon.
-    pub fn run_with_faults(
-        &mut self,
-        max_cycles: u64,
-        at_cycle: u64,
-        ops: &[hwsim::ScanBitOp],
-    ) -> Result<(HwRun, bool), SimError> {
-        self.run_inner(max_cycles, None, Some((at_cycle, ops)))
-    }
-
-    fn run_inner(
-        &mut self,
-        max_cycles: u64,
-        mut deadline: Option<&mut hwsim::Deadline>,
-        fault: Option<(u64, &[hwsim::ScanBitOp])>,
-    ) -> Result<(HwRun, bool), SimError> {
-        self.history.clear();
-        let start = self.sim.cycles();
-        let mut injected = false;
-        self.step(UserIn {
-            start_ga: true,
-            ..Default::default()
-        });
-        let mut guard = self.sim.cycles() - start;
-        while !self.modules.core.out().ga_done {
-            if guard >= max_cycles {
-                return Err(SimError::Timeout { cycles: guard });
-            }
-            if let Some(d) = deadline.as_deref_mut() {
-                if d.expired() {
-                    return Err(SimError::DeadlineExceeded { cycles: guard });
-                }
-            }
-            // A jump may end on the watchdog bound or the fault cycle,
-            // never past it, so both trip on the cycle they would with
-            // single steps.
-            let mut limit = max_cycles - guard;
-            if let Some((at, ops)) = fault {
-                if !injected {
-                    if guard >= at {
-                        self.scan_inject(ops);
-                        injected = true;
-                        guard = self.sim.cycles() - start;
-                        continue;
-                    }
-                    limit = limit.min(at - guard);
-                }
-            }
-            guard += self.advance(limit);
-        }
-        let cycles = self.sim.cycles() - start;
-        let best_fitness = self
-            .history
-            .last()
-            .map(|s| s.best.fitness)
-            .unwrap_or_default();
-        Ok((
-            HwRun {
-                best: Individual {
-                    chrom: self.modules.core.out().candidate,
-                    fitness: best_fitness,
-                },
-                cycles,
-                seconds: cycles as f64 * self.sim.period_ps() as f64 * 1e-12,
-                history: self.history.clone(),
-                rng_draws: self.modules.core.rng_draws(),
-            },
-            injected,
-        ))
-    }
-
-    /// Corrupt the core's architectural state **through the scan chain**
+    /// Corrupt the cores' architectural state **through the scan chain**
     /// (§III-C.2), the way a DFT-based SEU campaign would on silicon:
     ///
-    /// 1. raise `test` for [`GaCoreHw::SCAN_LENGTH`] cycles, capturing
-    ///    the chain at `scanout` while shifting zeros in;
+    /// 1. raise `test` for [`GaSystem::scan_length`] cycles, capturing
+    ///    the chain at its `scanout` while shifting zeros in;
     /// 2. keep `test` high another full length, feeding the captured
     ///    stream back in with `ops` applied to their chain positions;
     /// 3. drop `test`, which deserializes the chain into the registers
@@ -564,19 +830,12 @@ impl GaSystem {
     /// the injected bits — plus any overwrite the resuming FSM itself
     /// performs, which is precisely the masking a real campaign
     /// measures. Returns the *pre-fault* chain contents in scan order
-    /// (position 0 first).
+    /// (position 0 first; with two cores, core 1's bits, the link flop,
+    /// then core 2's).
     pub fn scan_inject(&mut self, ops: &[hwsim::ScanBitOp]) -> Vec<bool> {
-        let len = crate::hwcore::GaCoreHw::SCAN_LENGTH;
+        let len = self.scan_length();
         // Phase 1: capture. The k-th bit out is chain position len-1-k.
-        let mut shifted_out = Vec::with_capacity(len);
-        for _ in 0..len {
-            self.step(UserIn {
-                test: true,
-                scanin: false,
-                ..Default::default()
-            });
-            shifted_out.push(self.modules.core.out().scanout);
-        }
+        let shifted_out: Vec<bool> = (0..len).map(|_| self.shift(false)).collect();
         // Phase 2: feed the captured stream straight back. Re-feeding
         // in capture order restores every bit to its original position
         // (first bit fed ends deepest in the chain). A fault at chain
@@ -592,11 +851,7 @@ impl GaSystem {
             feed[k] = op.kind.apply(feed[k]);
         }
         for &bit in &feed {
-            self.step(UserIn {
-                test: true,
-                scanin: bit,
-                ..Default::default()
-            });
+            self.shift(bit);
         }
         // Falling edge: deserialize and hand control back to the FSM.
         self.step(UserIn::default());
@@ -605,21 +860,42 @@ impl GaSystem {
         chain
     }
 
-    /// Program, then run: the full usage flow of §III-B.8.
-    pub fn program_and_run(
-        &mut self,
-        params: &GaParams,
-        max_cycles: u64,
-    ) -> Result<HwRun, SimError> {
-        self.program(params);
-        self.run(max_cycles)
+    /// One test-mode clock shifting `scanin` into the scan chain; returns
+    /// the bit at the chain's end, the last core's `scanout`.
+    fn shift(&mut self, scanin: bool) -> bool {
+        self.step(UserIn {
+            test: true,
+            scanin,
+            ..Default::default()
+        });
+        let m = &self.modules;
+        m.lsb.as_ref().map_or(&m.core, |h| &h.core).out().scanout
+    }
+
+    /// Testbench probe: the current population from the memories'
+    /// current banks, each chromosome as the candidate bus carries it.
+    pub fn population(&self) -> Vec<Individual32> {
+        let pop_size = self.modules.core.programmed_params().pop_size;
+        let banks: Vec<Vec<Individual>> = self
+            .halves()
+            .iter()
+            .map(|(c, _, mem)| mem.backdoor_population(c.current_bank_base(), pop_size))
+            .collect();
+        let (msb, lsb) = (&banks[0], banks.get(1));
+        let ind = |i: usize| Individual32 {
+            chrom: concat(msb[i].chrom, lsb.map(|l| l[i].chrom)),
+            fitness: msb[i].fitness,
+        };
+        (0..msb.len()).map(ind).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_fitness::{FemBank, FemSlot, LookupFem, TestFunction};
+    use crate::scaling::GaEngine32;
+    use carng::CaRng;
+    use ga_fitness::TestFunction;
 
     fn system_for(f: TestFunction) -> GaSystem {
         GaSystem::new(FemBank::new(vec![FemSlot::Lookup(
@@ -708,24 +984,42 @@ mod tests {
         assert_eq!(field(24, 32) as u32, 4, "n_gens field");
     }
 
+    /// An empty-op injection at cycle 800 of a run on `new()` keeps
+    /// the best individual, the history and every core's draws, and adds
+    /// exactly the two passes over the chain.
+    fn assert_no_op_injection_preserves_the_run<P: Port>(
+        width: u32,
+        new: impl Fn() -> GaSystem<P>,
+    ) {
+        let params = GaParams::new(8, 4, 10, 1, 0x2961);
+        let mut golden = new();
+        golden.program(&params);
+        let start = golden.cycles();
+        golden.run(2_000_000).unwrap();
+        let golden_cycles = golden.cycles() - start;
+
+        let mut sys = new();
+        sys.program(&params);
+        let start = sys.cycles();
+        let (_, injected) = sys.run_with_faults(2_000_000, 800, &[]).unwrap();
+        assert!(injected, "width {width}: injection point is mid-run");
+        assert_eq!(sys.candidate(), golden.candidate(), "width {width}: best");
+        assert_eq!(sys.history, golden.history, "width {width}");
+        let draws = |s: &GaSystem<P>| -> Vec<u64> {
+            s.halves().iter().map(|(c, _, _)| c.rng_draws()).collect()
+        };
+        assert_eq!(draws(&sys), draws(&golden), "width {width}");
+        assert_eq!(
+            sys.cycles() - start,
+            golden_cycles + 2 * sys.scan_length() as u64,
+            "width {width}: the scan shift shows up in the cycle count"
+        );
+    }
+
     #[test]
     fn scan_inject_with_no_ops_preserves_the_run() {
-        let params = GaParams::new(8, 4, 10, 1, 0x2961);
-        let mut golden_sys = system_for(TestFunction::F3);
-        let golden = golden_sys.program_and_run(&params, 2_000_000).unwrap();
-
-        let mut sys = system_for(TestFunction::F3);
-        sys.program(&params);
-        let (run, injected) = sys.run_with_faults(2_000_000, 800, &[]).unwrap();
-        assert!(injected, "injection point is mid-run");
-        assert_eq!(run.best, golden.best, "empty fault list is a no-op");
-        assert_eq!(run.history, golden.history);
-        assert_eq!(run.rng_draws, golden.rng_draws);
-        assert!(
-            run.cycles > golden.cycles,
-            "the 2×{}-cycle scan shift must show up in the cycle count",
-            crate::hwcore::GaCoreHw::SCAN_LENGTH
-        );
+        assert_no_op_injection_preserves_the_run(16, || system_for(TestFunction::F3));
+        assert_no_op_injection_preserves_the_run(32, || GaSystem32Hw::new(sum_halves));
     }
 
     #[test]
@@ -764,9 +1058,92 @@ mod tests {
     fn preset_mode_runs_without_programming() {
         let mut sys = system_for(TestFunction::F3);
         sys.preset = 0b01; // Table IV Small: pop 32, 512 gens
-        sys.pop_size_hint = 32;
         let run = sys.run(200_000_000).unwrap();
         assert_eq!(run.history.len(), 513);
         assert_eq!(run.best.fitness, 3060, "512 generations solve F3");
+    }
+
+    #[test]
+    fn preset_history_records_the_preset_population() {
+        // Table IV Medium runs pop 64 without `program()`; the first
+        // generation events must average over 64, not the power-on 32.
+        let mut sys = system_for(TestFunction::F3);
+        sys.preset = 0b10;
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        while sys.history.len() < 2 {
+            sys.advance(u64::MAX);
+        }
+        for (s, _) in &sys.history {
+            assert_eq!(s.pop_size, 64, "gen {}", s.gen);
+        }
+    }
+
+    fn sum_halves(c: u32) -> u16 {
+        (((c >> 16) + (c & 0xFFFF)) / 2) as u16
+    }
+
+    fn minimax(c: u32) -> u16 {
+        let msb = (c >> 16) as i64;
+        let lsb = (c & 0xFFFF) as i64;
+        ((msb - lsb) / 2 + 32768).clamp(0, 65535) as u16
+    }
+
+    /// The cycle-accurate composite must match the behavioral dual-core
+    /// engine generation for generation.
+    fn assert_32bit_models_agree(f: fn(u32) -> u16, params: GaParams) {
+        let sw =
+            GaEngine32::new(params, CaRng::new(params.seed), CaRng::new(!params.seed), f).run();
+        let mut hw = GaSystem32Hw::new(f);
+        let run = hw
+            .program_and_run(&params, 1_000_000_000)
+            .expect("hardware run timed out");
+        assert_eq!(run.history.len(), sw.history.len());
+        for (h, s) in run.history.iter().zip(sw.history.iter()) {
+            assert_eq!(h.gen, s.gen);
+            assert_eq!(h.best, s.best, "best at gen {}", s.gen);
+            assert_eq!(h.fit_sum, s.fit_sum, "fit_sum at gen {}", s.gen);
+        }
+        assert_eq!(run.best.chrom, sw.best.chrom);
+        assert_eq!(run.best.fitness, sw.best.fitness);
+    }
+
+    #[test]
+    fn models_agree_small() {
+        assert_32bit_models_agree(sum_halves, GaParams::new(8, 4, 10, 1, 0x2961));
+    }
+
+    #[test]
+    fn models_agree_paper_setting() {
+        assert_32bit_models_agree(sum_halves, GaParams::new(32, 16, 10, 1, 0xB342));
+    }
+
+    #[test]
+    fn models_agree_minimax_odd_pop() {
+        assert_32bit_models_agree(minimax, GaParams::new(15, 8, 12, 3, 0x061F));
+    }
+
+    #[test]
+    fn composite_population_is_consistent() {
+        let params = GaParams::new(16, 6, 10, 1, 0xAAAA);
+        let mut hw = GaSystem32Hw::new(sum_halves);
+        hw.program_and_run(&params, 500_000_000).unwrap();
+        let pop = hw.population();
+        assert_eq!(pop.len(), 16);
+        // Every stored fitness must match the 32-bit function of the
+        // stored chromosome (the mirrored-fitness wiring is coherent).
+        for ind in &pop {
+            assert_eq!(ind.fitness, sum_halves(ind.chrom), "{:#010X}", ind.chrom);
+        }
+    }
+
+    #[test]
+    fn dual_core_optimizes() {
+        let params = GaParams::new(32, 32, 10, 1, 0x2961);
+        let mut hw = GaSystem32Hw::new(sum_halves);
+        let run = hw.program_and_run(&params, 1_000_000_000).unwrap();
+        assert!(run.best.fitness > 55_000, "fitness {}", run.best.fitness);
     }
 }

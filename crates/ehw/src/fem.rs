@@ -88,7 +88,7 @@ impl Fem for VrcFem {
         match self.state.get() {
             State::Idle => {
                 if i.fit_request {
-                    self.config.set(i.candidate);
+                    self.config.set(i.candidate as u16);
                     self.pattern.set(0);
                     self.matches.set(0);
                     self.state.set(State::Sweep);
@@ -140,7 +140,7 @@ mod tests {
         for _ in 0..100 {
             fem.eval(FemIn {
                 fit_request: true,
-                candidate: config,
+                candidate: config.into(),
             });
             fem.commit();
             cycles += 1;

@@ -311,10 +311,11 @@ impl Engine for SwgaEngine {
     }
 }
 
-/// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
-/// Fig. 6 / §III-D): two lockstep 16-bit cores behind the
-/// `scalingLogic_parSel` block, evaluating the concatenated candidate
-/// with [`TestFunction::eval_u32_split`].
+/// The cycle-accurate system with two ganged cores
+/// (`ga_core::GaSystem32Hw`, Fig. 6 / §III-D): two lockstep 16-bit
+/// cores behind the `scalingLogic_parSel` block, whose shared block-ROM
+/// module evaluates the concatenated candidate with
+/// [`TestFunction::eval_u32_split`].
 pub struct Rtl32Engine;
 
 impl Engine for Rtl32Engine {

@@ -17,7 +17,7 @@
 //! | `rtl` | `ga_core::GaSystem` (cycle-accurate) | 16 |
 //! | `bitsim64`/`128`/`256` | [`BitSimEngine`], packs of up to 64/128/256 | 16 |
 //! | `swga` | the behavioral engine, standing in for the PowerPC C baseline | 16 |
-//! | `rtl32` | `ga_core::GaSystem32Hw` (ganged dual core, Fig. 6) | 32 |
+//! | `rtl32` | `ga_core::GaSystem32Hw`: `GaSystem` with two ganged cores (Fig. 6) | 32 |
 //!
 //! The three bitsim kinds are one engine. It produces lane streams on
 //! demand from the CA-RNG netlist, simulated at the narrowest lane width

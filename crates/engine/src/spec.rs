@@ -34,8 +34,8 @@ pub enum BackendKind {
     /// same CA stream, so it runs the behavioral engine. Its op tally
     /// (`swga::CountingGa`) feeds the speedup bench, not job results.
     Swga,
-    /// The ganged dual-core 32-bit system (`ga_core::GaSystem32Hw`,
-    /// Fig. 6 / §III-D) for `width: 32` jobs.
+    /// The cycle-accurate system with two ganged cores
+    /// (`ga_core::GaSystem32Hw`, Fig. 6 / §III-D) for `width: 32` jobs.
     Rtl32,
 }
 

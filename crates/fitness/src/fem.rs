@@ -34,8 +34,9 @@ use crate::TestFunction;
 pub struct FemIn {
     /// GA core's registered fitness request.
     pub fit_request: bool,
-    /// Candidate chromosome on the `candidate` bus.
-    pub candidate: u16,
+    /// The `candidate` bus. A 16-bit module reads the low half; the
+    /// 32-bit GA's shared module reads the whole `{MSB, LSB}` word.
+    pub candidate: u32,
 }
 
 /// Output bundle of a FEM (registered).
@@ -68,7 +69,7 @@ pub trait Fem: Clocked {
     /// `max_edges`, this leaves every register as that edge would,
     /// reads the word exactly once, and returns the number. The default,
     /// `None`, keeps single steps and is always safe.
-    fn answer(&mut self, candidate: u16, max_edges: u64) -> Option<u64> {
+    fn answer(&mut self, candidate: u32, max_edges: u64) -> Option<u64> {
         let _ = (candidate, max_edges);
         None
     }
@@ -102,7 +103,7 @@ enum LookupState {
 /// ([`LookupFem::bram_cost`]).
 #[derive(Clone)]
 pub struct LookupFem {
-    read: Arc<dyn Fn(u16) -> u16 + Send + Sync>,
+    read: Arc<dyn Fn(u32) -> u16 + Send + Sync>,
     dout: Reg<u16>,
     state: Reg<LookupState>,
     fit_value: Reg<u16>,
@@ -110,8 +111,15 @@ pub struct LookupFem {
 }
 
 impl LookupFem {
-    /// ROM whose word at address `c` is `f(c)`, computed on read.
+    /// ROM whose word at address `c` is `f(c)`, computed on read: a
+    /// 16-bit module, addressed by the low half of the candidate bus.
     pub fn from_fn(f: impl Fn(u16) -> u16 + Send + Sync + 'static) -> Self {
+        Self::from_fn32(move |c| f(c as u16))
+    }
+
+    /// [`LookupFem::from_fn`] addressed by the whole 32-bit candidate
+    /// bus: the shared fitness module of the 32-bit GA (Fig. 6).
+    pub fn from_fn32(f: impl Fn(u32) -> u16 + Send + Sync + 'static) -> Self {
         LookupFem {
             read: Arc::new(f),
             dout: Reg::default(),
@@ -157,6 +165,7 @@ impl Clocked for LookupFem {
         self.fit_valid.reset_to(false);
     }
 
+    #[inline]
     fn commit(&mut self) {
         self.dout.commit();
         self.state.commit();
@@ -166,6 +175,7 @@ impl Clocked for LookupFem {
 }
 
 impl Fem for LookupFem {
+    #[inline]
     fn eval(&mut self, i: FemIn) {
         match self.state.get() {
             LookupState::Idle => {
@@ -188,6 +198,7 @@ impl Fem for LookupFem {
         }
     }
 
+    #[inline]
     fn out(&self) -> FemOut {
         FemOut {
             fit_value: self.fit_value.get(),
@@ -195,6 +206,7 @@ impl Fem for LookupFem {
         }
     }
 
+    #[inline]
     fn quiescent(&self) -> bool {
         self.state.get() == LookupState::Idle && !self.fit_valid.get()
     }
@@ -202,7 +214,7 @@ impl Fem for LookupFem {
     /// Edge 1 registers the ROM word (`Fetch`), edge 2 presents it with
     /// `fit_valid` (`Hold`); the module then holds until the request
     /// drops.
-    fn answer(&mut self, candidate: u16, max_edges: u64) -> Option<u64> {
+    fn answer(&mut self, candidate: u32, max_edges: u64) -> Option<u64> {
         if !self.quiescent() || max_edges < 2 {
             return None;
         }
@@ -296,7 +308,7 @@ impl Fem for CordicFem {
                     // Latch the datapath result now; it is presented when
                     // the iteration counter expires.
                     self.fit_value
-                        .set(fixed::eval_fixed(self.function, i.candidate));
+                        .set(fixed::eval_fixed(self.function, i.candidate as u16));
                     self.state.set(CordicState::Busy);
                 }
             }
@@ -348,7 +360,7 @@ pub struct LatencyFem<F: Fem> {
     /// Pipeline of (cycles-remaining, payload) for the request path.
     req_pipe: Reg<u32>,
     req_live: Reg<bool>,
-    req_cand: Reg<u16>,
+    req_cand: Reg<u32>,
     /// Delay counter for the response path.
     rsp_pipe: Reg<u32>,
     rsp_live: Reg<bool>,
@@ -488,8 +500,8 @@ pub enum FemSlot {
 pub struct FemBankIn {
     /// GA core's fitness request.
     pub fit_request: bool,
-    /// Candidate chromosome.
-    pub candidate: u16,
+    /// The `candidate` bus ([`FemIn::candidate`]).
+    pub candidate: u32,
     /// 3-bit fitness module select (`fitfunc_Select`, Table II #23).
     pub select: u8,
     /// Fitness value from the external FEM (Table II #24).
@@ -498,7 +510,8 @@ pub struct FemBankIn {
     pub ext_valid: bool,
 }
 
-/// The multiplexed bank of up to eight fitness modules.
+/// The multiplexed bank of up to eight fitness modules. A select past
+/// the last slot given reads as [`FemSlot::Empty`].
 #[derive(Debug, Clone)]
 pub struct FemBank {
     slots: Vec<FemSlot>,
@@ -511,14 +524,11 @@ pub struct FemBank {
 
 impl FemBank {
     /// Build a bank; at most eight slots (3-bit select).
-    pub fn new(mut slots: Vec<FemSlot>) -> Self {
+    pub fn new(slots: Vec<FemSlot>) -> Self {
         assert!(
             slots.len() <= 8,
             "the select bus is 3 bits: at most 8 slots"
         );
-        while slots.len() < 8 {
-            slots.push(FemSlot::Empty);
-        }
         FemBank {
             slots,
             ext_request: Reg::default(),
@@ -526,12 +536,22 @@ impl FemBank {
         }
     }
 
+    /// The slot behind `select`.
+    #[inline]
+    fn slot(&self, select: u8) -> &FemSlot {
+        self.slots
+            .get(usize::from(select & 0x7))
+            .unwrap_or(&FemSlot::Empty)
+    }
+
     /// The request line routed to the external fitness module.
+    #[inline]
     pub fn ext_request(&self) -> bool {
         self.ext_request.get()
     }
 
     /// Evaluation phase.
+    #[inline]
     pub fn eval(&mut self, i: FemBankIn) {
         let sel = (i.select & 0x7) as usize;
         let inner = FemIn {
@@ -557,7 +577,7 @@ impl FemBank {
             }
         }
         // External routing and the empty-slot fallback.
-        match &self.slots[sel] {
+        match self.slot(i.select) {
             FemSlot::External => {
                 self.ext_request.set(i.fit_request);
                 self.empty_valid.set(false);
@@ -576,6 +596,7 @@ impl FemBank {
     /// True when a cycle with `fit_request` low changes nothing in the
     /// bank: every internal module is [`Fem::quiescent`] and neither
     /// the external request nor the empty-slot strobe is raised.
+    #[inline]
     pub fn quiescent(&self) -> bool {
         !self.ext_request.get()
             && !self.empty_valid.get()
@@ -589,21 +610,21 @@ impl FemBank {
     /// [`Fem::answer`] for the module behind `select`, when the whole
     /// bank is [`FemBank::quiescent`] (so the slots left unselected stay
     /// as they are). The external and empty slots keep single steps.
-    pub fn answer(&mut self, select: u8, candidate: u16, max_edges: u64) -> Option<u64> {
+    pub fn answer(&mut self, select: u8, candidate: u32, max_edges: u64) -> Option<u64> {
         if !self.quiescent() {
             return None;
         }
-        match &mut self.slots[(select & 0x7) as usize] {
-            FemSlot::Lookup(f) => f.answer(candidate, max_edges),
-            FemSlot::Cordic(f) => f.answer(candidate, max_edges),
-            FemSlot::External | FemSlot::Empty => None,
+        match self.slots.get_mut(usize::from(select & 0x7)) {
+            Some(FemSlot::Lookup(f)) => f.answer(candidate, max_edges),
+            Some(FemSlot::Cordic(f)) => f.answer(candidate, max_edges),
+            _ => None,
         }
     }
 
     /// Registered outputs, multiplexed by the current select value.
+    #[inline]
     pub fn out(&self, select: u8, ext_value: u16, ext_valid: bool) -> FemOut {
-        let sel = (select & 0x7) as usize;
-        match &self.slots[sel] {
+        match self.slot(select) {
             FemSlot::Lookup(f) => f.out(),
             FemSlot::Cordic(f) => f.out(),
             FemSlot::External => FemOut {
@@ -631,6 +652,7 @@ impl Clocked for FemBank {
         self.empty_valid.reset_to(false);
     }
 
+    #[inline]
     fn commit(&mut self) {
         for slot in &mut self.slots {
             match slot {
@@ -657,7 +679,7 @@ mod tests {
         for _ in 0..2000 {
             fem.eval(FemIn {
                 fit_request: true,
-                candidate,
+                candidate: candidate.into(),
             });
             fem.commit();
             cycles += 1;
@@ -821,7 +843,7 @@ mod tests {
             for _ in 0..50 {
                 bank.eval(FemBankIn {
                     fit_request: true,
-                    candidate: cand,
+                    candidate: cand.into(),
                     select,
                     ext_value: 0,
                     ext_valid: false,

@@ -189,11 +189,12 @@ impl TestFunction {
     }
 
     /// 32-bit split evaluation for the ganged dual-core system (§III-D):
-    /// the shared `Fem32` sees the concatenated `{MSB, LSB}` candidate
-    /// and scores each 16-bit half with the ROM-form function, averaging
-    /// so the result still fits the 16-bit fitness bus. The same shape
-    /// as the split-threshold algebra of `ga_core::scaling` — each half
-    /// contributes independently, matching the per-half operator rates.
+    /// the shared fitness module sees the concatenated `{MSB, LSB}`
+    /// candidate and scores each 16-bit half with the ROM-form function,
+    /// averaging so the result still fits the 16-bit fitness bus. The
+    /// same shape as the split-threshold algebra of `ga_core::scaling` —
+    /// each half contributes independently, matching the per-half
+    /// operator rates.
     pub fn eval_u32_split(self, chrom: u32) -> u16 {
         let msb = (chrom >> 16) as u16;
         let lsb = (chrom & 0xFFFF) as u16;

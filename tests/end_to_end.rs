@@ -2,6 +2,7 @@
 //! user (or the paper's experimental setup) drives it.
 
 use ga_ip::ga_core::rngmod::RngModule;
+use ga_ip::ga_core::{GaSystem32Hw, Port};
 use ga_ip::ga_ehw::vrc::PERFECT_FITNESS;
 use ga_ip::prelude::*;
 
@@ -269,20 +270,42 @@ fn scan_rotation_is_transparent_to_operation() {
 /// the paper's verification flow).
 #[test]
 fn vcd_capture_of_a_run() {
-    let mut sys = GaSystem::new(FemBank::new(vec![FemSlot::Lookup(
-        LookupFem::for_function(TestFunction::F3),
-    )]));
+    assert_vcd_captures_a_run(
+        16,
+        GaSystem::new(FemBank::new(vec![FemSlot::Lookup(
+            LookupFem::for_function(TestFunction::F3),
+        )])),
+    );
+    assert_vcd_captures_a_run(
+        32,
+        GaSystem32Hw::new(|c: u32| TestFunction::F3.eval_u32_split(c)),
+    );
+}
+
+/// A VCD of a short run on `sys`, whose candidate bus is `width` bits.
+fn assert_vcd_captures_a_run<P: Port>(width: u32, mut sys: GaSystem<P>) {
     sys.start_vcd();
     let params = GaParams::new(8, 2, 10, 1, 0x2961);
     sys.program_and_run(&params, 1_000_000).unwrap();
     let vcd = sys.finish_vcd().expect("capture was enabled");
     for var in ["candidate", "fit_request", "GA_done", "mem_address", "rn"] {
-        assert!(vcd.contains(var), "missing declared var {var}");
+        assert!(
+            vcd.contains(var),
+            "width {width}: missing declared var {var}"
+        );
     }
+    let candidate = vcd
+        .lines()
+        .find(|l| l.ends_with(" candidate $end"))
+        .expect("candidate declared");
+    assert!(
+        candidate.starts_with(&format!("$var wire {width} ")),
+        "{candidate}"
+    );
     // Activity: candidate bus toggles many times, GA_done rises once.
     assert!(
         vcd.matches('#').count() > 100,
-        "too few timestamped changes"
+        "width {width}: too few timestamped changes"
     );
     assert!(vcd.contains("$enddefinitions $end"));
     // Capture is one-shot: a second finish returns None.
@@ -424,7 +447,6 @@ fn preset_mode_recovers_from_corrupted_parameters() {
 /// interfacing protocols" claim).
 #[test]
 fn fitness_protocol_holds_for_all_fem_kinds() {
-    let params = GaParams::new(16, 6, 10, 1, 0x2961);
     for (name, slot) in [
         (
             "lookup",
@@ -435,21 +457,33 @@ fn fitness_protocol_holds_for_all_fem_kinds() {
             FemSlot::Cordic(CordicFem::new(TestFunction::Mbf6_2)),
         ),
     ] {
-        let mut sys = GaSystem::new(FemBank::new(vec![slot]));
-        sys.enable_protocol_monitor();
-        sys.program_and_run(&params, 1_000_000_000).unwrap();
-        let mon = sys.protocol_monitor().unwrap();
-        assert!(
-            mon.violations().is_empty(),
-            "{name}: {:?}",
-            mon.violations()
-        );
-        assert_eq!(
-            mon.transactions(),
-            16 + 6 * 15,
-            "{name}: one transaction per fitness evaluation"
-        );
+        assert_fitness_protocol_holds(16, name, GaSystem::new(FemBank::new(vec![slot])));
     }
+    // The 32-bit GA's shared block ROM, on the concatenated candidate.
+    assert_fitness_protocol_holds(
+        32,
+        "lookup",
+        GaSystem32Hw::new(|c: u32| TestFunction::Mbf6_2.eval_u32_split(c)),
+    );
+}
+
+/// A monitored pop-16, 6-generation run on `sys` sees one clean
+/// transaction per fitness evaluation.
+fn assert_fitness_protocol_holds<P: Port>(width: u32, name: &str, mut sys: GaSystem<P>) {
+    let params = GaParams::new(16, 6, 10, 1, 0x2961);
+    sys.enable_protocol_monitor();
+    sys.program_and_run(&params, 1_000_000_000).unwrap();
+    let mon = sys.protocol_monitor().unwrap();
+    assert!(
+        mon.violations().is_empty(),
+        "width {width} {name}: {:?}",
+        mon.violations()
+    );
+    assert_eq!(
+        mon.transactions(),
+        16 + 6 * 15,
+        "width {width} {name}: one transaction per fitness evaluation"
+    );
 }
 
 /// Mid-run `start_GA` pulses and initialization-bus noise are ignored:

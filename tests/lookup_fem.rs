@@ -55,7 +55,7 @@ fn on_read(w: Workload, reads: Arc<AtomicU64>) -> LookupFem {
 fn read_word(fem: &mut LookupFem, candidate: u16) -> u16 {
     let request = FemIn {
         fit_request: true,
-        candidate,
+        candidate: candidate.into(),
     };
     while !fem.out().fit_valid {
         fem.eval(request);
