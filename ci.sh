@@ -219,19 +219,25 @@ cat "$LISTEN_DIR/listen.err"
     --require-backend-throughput 'jobs>=4831' 'jobs_per_sec>=2000' \
     'behavioral_p99_us<=5000' 'errors<=3' 'degraded_jobs<=0' 'panics_caught<=0'
 
-echo "== sharded islands smoke (multi-process ring, kill + resume, checkpoint floors)"
+echo "== sharded islands smoke (multi-process ring, kill + resume, exact pins)"
 # Three gaserved --island-worker processes driven by the serve-layer
-# coordinator over localhost sockets: every epoch's checkpoint bundle
-# must equal the in-process IslandsDriver's byte for byte, one worker is
-# SIGKILLed mid-run (the coordinator must surface the broken shard as a
-# typed error), and the run resumes from the durable checkpoint file on
-# bitsim64 workers — the campaign exits nonzero on any divergence.
-# benchcheck pins the proof artifacts: zero-divergence resume, full
-# migration traffic, and all five barrier bundles matched.
+# coordinator over localhost sockets. The coordinator runs the engine's
+# one island ring over socket members, so every epoch's checkpoint
+# bundle must equal the in-process ring's byte for byte. One worker is
+# SIGKILLed mid-run and must surface as the typed error naming island
+# 1, and the run resumes from the durable checkpoint file on bitsim64
+# workers — the campaign exits nonzero on any divergence. benchcheck
+# pins every deterministic metric from both sides: the proof artifacts
+# (zero-divergence resume, full migration traffic, all five barrier
+# bundles matched) and the run's checkpoint size and best fitness.
 cargo build -q --release -p ga-serve --bin islands_campaign
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/islands_campaign
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_islands.json" \
-    'shards>=3' 'epochs>=3' 'migrations>=9' 'resume_count>=1' \
-    'resume_exact>=1' 'trajectory_matches>=5' 'checkpoint_bytes>=300'
+    'shards>=3' 'epochs>=3' 'resume_count>=1' \
+    'migrations>=9' 'migrations<=9' \
+    'checkpoint_bytes>=362' 'checkpoint_bytes<=362' \
+    'trajectory_matches>=5' 'trajectory_matches<=5' \
+    'resume_exact>=1' 'resume_exact<=1' \
+    'best_fitness>=4236' 'best_fitness<=4236'
 
 echo "CI OK"

@@ -7,17 +7,19 @@
 //! jump-ahead offset** on a shared stream (so streams are provably
 //! disjoint, `carng::wide`), evolving independently for a migration
 //! epoch and then passing its best individual to the next island on a
-//! ring, where it replaces the worst member. Islands execute on
-//! std scoped threads — the software realization of the
-//! multi-FPGA layout those papers prototype, and a faithful model
-//! because inter-island traffic happens only at epoch barriers.
+//! ring, where it replaces the worst member. This module holds the
+//! island vocabulary — the member trait, the ring shape, the run result
+//! and the seed schedule. The migration loop itself is `ga-engine`'s
+//! `IslandRing`, which runs members on std scoped threads: the software
+//! realization of the multi-FPGA layout those papers prototype, and a
+//! faithful model because inter-island traffic happens only at epoch
+//! barriers.
 
 use carng::ca::MAXIMAL_RULE_VECTOR;
 use carng::wide::CaRngW;
-use carng::{CaRng, SnapshotRng};
+use carng::SnapshotRng;
 
 use crate::behavioral::{GaEngine, Individual};
-use crate::params::GaParams;
 use crate::snapshot::{EngineSnapshot, SnapshotError};
 
 /// One island's engine, as the migration loop sees it: anything that
@@ -105,310 +107,14 @@ pub fn island_seed(base_seed: u16, k: usize, islands: usize) -> u16 {
     rng.output() as u16
 }
 
-/// Run the island model. `fitness` is shared by all islands (`Fn + Sync`
-/// — e.g. a tabulated ROM lookup).
-pub fn run_islands<F>(params: GaParams, config: IslandConfig, fitness: F) -> IslandRun
-where
-    F: Fn(u16) -> u16 + Sync,
-{
-    let fit = &fitness;
-    let members: Vec<Box<dyn IslandMember + '_>> = (0..config.islands)
-        .map(|k| {
-            let seed = island_seed(params.seed, k, config.islands);
-            let p = GaParams { seed, ..params };
-            Box::new(GaEngine::new(p, CaRng::new(seed), fit)) as Box<dyn IslandMember + '_>
-        })
-        .collect();
-    run_islands_over(config, members)
-}
-
-/// The epoch-granular island driver: members between epochs, one
-/// scoped-thread fan-out per [`IslandRing::step_epoch`], ring migration
-/// at every barrier. Splitting the loop open (instead of running it to
-/// completion inside [`run_islands_over`]) is what lets the engine
-/// layer checkpoint every member after each epoch and resume a killed
-/// run from the snapshots — the trajectory is bit-identical either way
-/// because all cross-island traffic happens at the barrier.
-pub struct IslandRing<'a> {
-    config: IslandConfig,
-    engines: Vec<Box<dyn IslandMember + 'a>>,
-    epochs_done: u32,
-}
-
-impl<'a> IslandRing<'a> {
-    fn validated(
-        config: IslandConfig,
-        members: Vec<Box<dyn IslandMember + 'a>>,
-        epochs_done: u32,
-    ) -> Self {
-        assert!(config.islands >= 1);
-        assert_eq!(members.len(), config.islands, "one member per island");
-        assert!(config.epoch >= 1 && config.epochs >= 1);
-        IslandRing {
-            config,
-            engines: members,
-            epochs_done,
-        }
-    }
-
-    /// Start a fresh ring: every member's initial population is
-    /// generated and evaluated. `members[k]` is island *k*; callers are
-    /// responsible for seeding the members with disjoint streams
-    /// ([`island_seed`]).
-    pub fn new(config: IslandConfig, members: Vec<Box<dyn IslandMember + 'a>>) -> Self {
-        let mut ring = Self::validated(config, members, 0);
-        for e in ring.engines.iter_mut() {
-            e.init_population();
-        }
-        ring
-    }
-
-    /// Rebuild a ring from members that were already positioned (via
-    /// [`IslandMember::restore`]) at the `epochs_done` barrier: no
-    /// initial populations are generated, no RNG draws are consumed.
-    pub fn resume(
-        config: IslandConfig,
-        members: Vec<Box<dyn IslandMember + 'a>>,
-        epochs_done: u32,
-    ) -> Self {
-        assert!(epochs_done <= config.epochs, "resuming past the end");
-        Self::validated(config, members, epochs_done)
-    }
-
-    /// Evolve every island for `epoch` generations in parallel, then
-    /// migrate: island *k*'s best replaces the worst member of island
-    /// *(k+1) mod n* on the ring.
-    pub fn step_epoch(&mut self) {
-        let config = self.config;
-        let engines = &mut self.engines;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = engines
-                .drain(..)
-                .map(|mut e| {
-                    s.spawn(move || {
-                        for _ in 0..config.epoch {
-                            e.step_generation();
-                        }
-                        e
-                    })
-                })
-                .collect();
-            engines.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("island thread panicked")),
-            );
-        });
-
-        if config.islands > 1 {
-            let migrants: Vec<Individual> = engines.iter().map(|e| e.best()).collect();
-            for (k, m) in migrants.into_iter().enumerate() {
-                let dst = (k + 1) % config.islands;
-                engines[dst].inject(m);
-            }
-        }
-        self.epochs_done += 1;
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> IslandConfig {
-        self.config
-    }
-
-    /// Epoch barriers crossed so far.
-    pub fn epochs_done(&self) -> u32 {
-        self.epochs_done
-    }
-
-    /// True once every configured epoch has run.
-    pub fn done(&self) -> bool {
-        self.epochs_done >= self.config.epochs
-    }
-
-    /// Best individual across the ring right now.
-    pub fn best(&self) -> Individual {
-        self.engines
-            .iter()
-            .map(|e| e.best())
-            .max_by_key(|i| i.fitness)
-            .expect("at least one island")
-    }
-
-    /// Snapshot every member at the current barrier, in ring order.
-    pub fn snapshots(&self) -> Vec<EngineSnapshot> {
-        self.engines.iter().map(|e| e.snapshot()).collect()
-    }
-
-    /// Finish: fold the members into the run result.
-    pub fn finish(self) -> IslandRun {
-        let island_best: Vec<Individual> = self.engines.iter().map(|e| e.best()).collect();
-        let best = island_best
-            .iter()
-            .copied()
-            .max_by_key(|i| i.fitness)
-            .expect("at least one island");
-        IslandRun {
-            best,
-            island_best,
-            evaluations: self.engines.iter().map(|e| e.evaluations()).sum(),
-        }
-    }
-}
-
-/// The migration loop run to completion — [`IslandRing`] driven over
-/// every configured epoch in one call.
-pub fn run_islands_over(
-    config: IslandConfig,
-    members: Vec<Box<dyn IslandMember + '_>>,
-) -> IslandRun {
-    let mut ring = IslandRing::new(config, members);
-    while !ring.done() {
-        ring.step_epoch();
-    }
-    ring.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ga_fitness::rom::FitnessRom;
-    use ga_fitness::TestFunction;
-
-    fn cfg(islands: usize) -> IslandConfig {
-        IslandConfig {
-            islands,
-            epoch: 8,
-            epochs: 4,
-        }
-    }
 
     #[test]
     fn island_seeds_are_distinct() {
         let seeds: Vec<u16> = (0..8).map(|k| island_seed(0x2961, k, 8)).collect();
         let distinct: std::collections::HashSet<u16> = seeds.iter().copied().collect();
         assert_eq!(distinct.len(), 8, "{seeds:?}");
-    }
-
-    #[test]
-    fn runs_are_deterministic_despite_threads() {
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
-        let params = GaParams::new(32, 32, 10, 1, 0x2961);
-        let a = run_islands(params, cfg(4), |c| rom.lookup(c));
-        let b = run_islands(params, cfg(4), |c| rom.lookup(c));
-        assert_eq!(a, b, "epoch-barrier migration must be deterministic");
-    }
-
-    #[test]
-    fn four_islands_beat_or_match_one_island_budget_for_budget() {
-        // Same total evaluation budget: 1 island × 32 gens of pop 32 vs
-        // 4 islands × 32 gens of pop 8... population size floor makes
-        // the honest comparison 4×(pop 32, 8 epochs of 4) vs 1×(pop 32,
-        // 32 gens): same generations per island member.
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
-        let params = GaParams::new(32, 32, 10, 1, 0xB342);
-        let single = run_islands(
-            params,
-            IslandConfig {
-                islands: 1,
-                epoch: 32,
-                epochs: 1,
-            },
-            |c| rom.lookup(c),
-        );
-        let multi = run_islands(params, cfg(4), |c| rom.lookup(c));
-        assert_eq!(multi.evaluations, 4 * single.evaluations);
-        assert!(
-            multi.best.fitness >= single.best.fitness,
-            "4 islands {} vs 1 island {}",
-            multi.best.fitness,
-            single.best.fitness
-        );
-    }
-
-    #[test]
-    fn migration_spreads_the_best_individual() {
-        let rom = FitnessRom::tabulate(TestFunction::F3);
-        let params = GaParams::new(16, 16, 10, 1, 0x061F);
-        let run = run_islands(
-            params,
-            IslandConfig {
-                islands: 4,
-                epoch: 4,
-                epochs: 8,
-            },
-            |c| rom.lookup(c),
-        );
-        // After 8 migration rounds on a 4-ring, every island has seen
-        // good genes: all island bests within 5% of the global best.
-        for (k, b) in run.island_best.iter().enumerate() {
-            assert!(
-                b.fitness as f64 >= run.best.fitness as f64 * 0.95,
-                "island {k} lagging: {} vs {}",
-                b.fitness,
-                run.best.fitness
-            );
-        }
-    }
-
-    #[test]
-    fn ring_checkpoint_resume_is_bit_identical() {
-        // Kill-and-resume at a barrier: snapshot after two epochs,
-        // rebuild fresh members from the snapshots, finish — the result
-        // must equal the uninterrupted run exactly.
-        let rom = FitnessRom::tabulate(TestFunction::Bf6);
-        let params = GaParams::new(16, 32, 10, 1, 0x2961);
-        let config = cfg(4);
-        let members = || -> Vec<Box<dyn IslandMember + '_>> {
-            (0..config.islands)
-                .map(|k| {
-                    let seed = island_seed(params.seed, k, config.islands);
-                    let p = GaParams { seed, ..params };
-                    Box::new(GaEngine::new(p, CaRng::new(seed), |c| rom.lookup(c)))
-                        as Box<dyn IslandMember + '_>
-                })
-                .collect()
-        };
-        let reference = run_islands_over(config, members());
-
-        let mut ring = IslandRing::new(config, members());
-        ring.step_epoch();
-        ring.step_epoch();
-        let snaps = ring.snapshots();
-        drop(ring); // the "crash"
-
-        let mut fresh = members();
-        for (m, s) in fresh.iter_mut().zip(&snaps) {
-            m.restore(s).expect("snapshot restores");
-        }
-        let mut resumed = IslandRing::resume(config, fresh, 2);
-        assert_eq!(resumed.epochs_done(), 2);
-        while !resumed.done() {
-            resumed.step_epoch();
-        }
-        assert_eq!(resumed.finish(), reference);
-    }
-
-    #[test]
-    fn single_island_matches_plain_engine() {
-        // One island, one epoch = the plain engine exactly (plus the
-        // jump-ahead seed derivation with k = 0, which is the identity).
-        let rom = FitnessRom::tabulate(TestFunction::Mbf6_2);
-        let params = GaParams::new(32, 16, 10, 1, 0xAAAA);
-        let island = run_islands(
-            params,
-            IslandConfig {
-                islands: 1,
-                epoch: 16,
-                epochs: 1,
-            },
-            |c| rom.lookup(c),
-        );
-        let seed0 = island_seed(params.seed, 0, 1);
-        let p = GaParams {
-            seed: seed0,
-            ..params
-        };
-        let plain = GaEngine::new(p, carng::CaRng::new(seed0), |c| rom.lookup(c)).run();
-        assert_eq!(island.best, plain.best);
     }
 }

@@ -41,9 +41,7 @@ pub mod system;
 
 pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual};
 pub use hwcore::GaCoreHw;
-pub use islands::{
-    run_islands, run_islands_over, IslandConfig, IslandMember, IslandRing, IslandRun,
-};
+pub use islands::{IslandConfig, IslandMember, IslandRun};
 pub use params::{GaParams, ParamIndex, PresetMode};
 pub use ports::{GaCoreComb, GaCoreIn, GaCoreOut};
 pub use scaling::GaEngine32;

@@ -1,14 +1,19 @@
-//! The island-model composite: `ga_core::islands::IslandRing` lifted
-//! onto the engine layer, so the ring-migration driver can run over
-//! *any* registered backend that exposes a stepping handle
-//! ([`crate::Capabilities::stepping`]) — the behavioral CA engine or a
-//! bitsim64 netlist lane stream, interchangeably — and so the run can
-//! be checkpointed after every epoch and resumed bit-identically after
-//! a crash ([`CheckpointBundle`], [`IslandsEngine::resume`]).
+//! The island model's one migration loop, [`IslandRing`], and the
+//! composite that runs it over *any* registered backend exposing a
+//! stepping handle ([`crate::Capabilities::stepping`]) — the behavioral
+//! CA engine or a bitsim64 netlist lane stream, interchangeably. The
+//! run can be checkpointed after every epoch and resumed bit-identically
+//! after a crash ([`CheckpointBundle`], [`IslandsEngine::resume`]).
+//!
+//! The ring is generic over a fallible [`RingMember`]: an in-process
+//! stepping handle here, a socket to an island-worker process in
+//! `ga-serve`'s `Coordinator`. Both run the same epoch loop, and a
+//! member that fails — a closed shard connection, a panicked island
+//! thread — surfaces as [`EngineError::Island`] naming its index.
 
-use ga_core::islands::{island_seed, IslandConfig, IslandRing, IslandRun};
+use ga_core::islands::{island_seed, IslandConfig, IslandRun};
 use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
-use ga_core::{GaParams, Individual};
+use ga_core::{GaParams, Individual, IslandMember};
 
 use crate::spec::{Engine, EngineError, Limits, RunSpec};
 
@@ -126,6 +131,224 @@ impl CheckpointBundle {
     pub fn from_hex(s: &str) -> Result<Self, SnapshotError> {
         Self::decode(&hex_decode(s)?)
     }
+
+    /// Check that this checkpoint can resume a ring run under `config`:
+    /// same ring shape, one snapshot per island. Callers check before
+    /// building members from [`CheckpointBundle::members`].
+    pub fn fits(&self, config: IslandConfig) -> Result<(), EngineError> {
+        let msg = if self.config != config {
+            format!(
+                "checkpoint was taken under a different island config ({:?} vs {config:?})",
+                self.config
+            )
+        } else if self.members.len() != config.islands {
+            format!(
+                "checkpoint has {} member snapshots for {} islands",
+                self.members.len(),
+                config.islands
+            )
+        } else {
+            return Ok(());
+        };
+        Err(EngineError::InvalidSpec { msg })
+    }
+}
+
+/// One island, as the epoch loop sees it. Every call may fail — a
+/// remote member's connection can drop mid-run — and the ring turns a
+/// failure into [`EngineError::Island`] carrying the member's index.
+pub trait RingMember: Send {
+    /// Evolve `gens` generations; report the best individual after.
+    fn evolve(&mut self, gens: u32) -> Result<Individual, String>;
+    /// Replace the worst individual with `migrant`.
+    fn accept(&mut self, migrant: Individual) -> Result<(), String>;
+    /// Capture the member's full state at the current barrier.
+    fn capture(&mut self) -> Result<EngineSnapshot, String>;
+    /// Final best individual and fitness evaluations consumed.
+    fn conclude(&mut self) -> Result<(Individual, u64), String>;
+}
+
+/// The in-process member: a stepping handle, which cannot fail.
+impl RingMember for Box<dyn IslandMember + '_> {
+    fn evolve(&mut self, gens: u32) -> Result<Individual, String> {
+        for _ in 0..gens {
+            self.step_generation();
+        }
+        Ok(self.best())
+    }
+
+    fn accept(&mut self, migrant: Individual) -> Result<(), String> {
+        self.inject(migrant);
+        Ok(())
+    }
+
+    fn capture(&mut self) -> Result<EngineSnapshot, String> {
+        Ok(self.snapshot())
+    }
+
+    fn conclude(&mut self) -> Result<(Individual, u64), String> {
+        Ok((self.best(), self.evaluations()))
+    }
+}
+
+/// The epoch-granular ring: members between epochs, one scoped-thread
+/// fan-out per epoch, ring migration at every barrier. Stepping one
+/// epoch at a time (instead of running to completion) is what lets a
+/// caller checkpoint every member after each barrier and resume a
+/// killed run from the snapshots — the trajectory is bit-identical
+/// either way because all cross-island traffic happens at the barrier.
+pub struct IslandRing<M> {
+    config: IslandConfig,
+    members: Vec<M>,
+    epochs_done: u32,
+    migrations: u64,
+}
+
+/// Maps a member's failure to the typed error naming its island.
+fn at(island: usize) -> impl Fn(String) -> EngineError {
+    move |msg| EngineError::Island { island, msg }
+}
+
+impl<M: RingMember> IslandRing<M> {
+    /// A ring over `members`, which are already positioned at the
+    /// `epochs_done` barrier (fresh populations at 0, or restored from a
+    /// checkpoint). `members[k]` is island *k*; callers seed the members
+    /// with disjoint streams ([`island_seed`]). A config with a zero
+    /// count, a member count off the island count, or a barrier past the
+    /// schedule is an [`EngineError::InvalidSpec`].
+    pub fn new(
+        config: IslandConfig,
+        members: Vec<M>,
+        epochs_done: u32,
+    ) -> Result<Self, EngineError> {
+        let msg = if config.islands == 0 || config.epoch == 0 || config.epochs == 0 {
+            format!("island config {config:?} needs at least one island, generation and epoch")
+        } else if members.len() != config.islands {
+            format!("{} members for {} islands", members.len(), config.islands)
+        } else if epochs_done > config.epochs {
+            format!("barrier {epochs_done} is past the {} epochs", config.epochs)
+        } else {
+            return Ok(IslandRing {
+                config,
+                members,
+                epochs_done,
+                migrations: 0,
+            });
+        };
+        Err(EngineError::InvalidSpec { msg })
+    }
+
+    /// Run one epoch and return the barrier's checkpoint. After an
+    /// [`EngineError::Island`] the other members may have stepped while
+    /// `epochs_done` did not: drop the ring and resume from the last
+    /// checkpoint.
+    pub fn step_epoch(&mut self) -> Result<CheckpointBundle, EngineError> {
+        self.advance()?;
+        self.checkpoint()
+    }
+
+    /// Evolve every island for `epoch` generations in parallel, then
+    /// migrate: island *k*'s best replaces the worst member of island
+    /// *(k+1) mod n*. Past the schedule this steps nothing and is an
+    /// [`EngineError::InvalidSpec`].
+    fn advance(&mut self) -> Result<(), EngineError> {
+        if self.done() {
+            return Err(EngineError::InvalidSpec {
+                msg: format!("all {} epochs already ran", self.config.epochs),
+            });
+        }
+        let gens = self.config.epoch;
+        // Join every handle inside the scope, so a panicked island is a
+        // typed error here rather than a re-panic when the scope ends.
+        let joined: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = self
+                .members
+                .iter_mut()
+                .map(|m| s.spawn(move || m.evolve(gens)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let bests = joined
+            .into_iter()
+            .enumerate()
+            .map(|(k, r)| {
+                r.unwrap_or_else(|_| Err("island thread panicked".into()))
+                    .map_err(at(k))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = self.members.len();
+        if n > 1 {
+            // All bests are collected before any injection, so a migrant
+            // never leaks into a later island's outgoing best.
+            for (k, best) in bests.into_iter().enumerate() {
+                let dst = (k + 1) % n;
+                self.members[dst].accept(best).map_err(at(dst))?;
+            }
+            self.migrations += n as u64;
+        }
+        self.epochs_done += 1;
+        Ok(())
+    }
+
+    /// The checkpoint for the current barrier: every member captured,
+    /// in ring order.
+    pub fn checkpoint(&mut self) -> Result<CheckpointBundle, EngineError> {
+        let members = self
+            .members
+            .iter_mut()
+            .enumerate()
+            .map(|(k, m)| m.capture().map_err(at(k)))
+            .collect::<Result<_, _>>()?;
+        Ok(CheckpointBundle {
+            config: self.config,
+            epochs_done: self.epochs_done,
+            members,
+        })
+    }
+
+    /// Epoch barriers crossed so far (counting resumed-from ones).
+    pub fn epochs_done(&self) -> u32 {
+        self.epochs_done
+    }
+
+    /// True once every configured epoch has run.
+    pub fn done(&self) -> bool {
+        self.epochs_done >= self.config.epochs
+    }
+
+    /// Migrant transfers made by this ring (one per island per barrier
+    /// on rings larger than one).
+    pub fn migrations(&self) -> u64 {
+        self.migrations
+    }
+
+    /// Run the remaining epochs without checkpointing, then finish.
+    pub fn run(mut self) -> Result<IslandRun, EngineError> {
+        while !self.done() {
+            self.advance()?;
+        }
+        self.finish()
+    }
+
+    /// Finish: fold the members into the run result (later islands win
+    /// fitness ties).
+    pub fn finish(mut self) -> Result<IslandRun, EngineError> {
+        let mut island_best = Vec::with_capacity(self.members.len());
+        let mut evaluations = 0;
+        for (k, m) in self.members.iter_mut().enumerate() {
+            let (best, evals) = m.conclude().map_err(at(k))?;
+            island_best.push(best);
+            evaluations += evals;
+        }
+        let best = island_best.iter().copied().max_by_key(|i| i.fitness);
+        Ok(IslandRun {
+            best: best.ok_or_else(|| EngineError::InvalidSpec {
+                msg: "a ring needs at least one island".into(),
+            })?,
+            island_best,
+            evaluations,
+        })
+    }
 }
 
 /// An island-model run over one inner [`Engine`]. Not itself an
@@ -137,51 +360,6 @@ pub struct IslandsEngine<'a> {
     inner: &'a dyn Engine,
     config: IslandConfig,
     limits: Limits,
-}
-
-/// A live epoch-granular island run: step it, checkpoint it, finish it.
-/// Obtained from [`IslandsEngine::start`] (fresh) or
-/// [`IslandsEngine::resume`] (from a [`CheckpointBundle`]).
-pub struct IslandsDriver {
-    ring: IslandRing<'static>,
-}
-
-impl IslandsDriver {
-    /// Run one epoch (parallel evolution + ring migration) and return
-    /// the barrier's checkpoint.
-    pub fn step_epoch(&mut self) -> CheckpointBundle {
-        self.ring.step_epoch();
-        self.checkpoint()
-    }
-
-    /// The checkpoint for the current barrier.
-    pub fn checkpoint(&self) -> CheckpointBundle {
-        CheckpointBundle {
-            config: self.ring.config(),
-            epochs_done: self.ring.epochs_done(),
-            members: self.ring.snapshots(),
-        }
-    }
-
-    /// Epoch barriers crossed so far.
-    pub fn epochs_done(&self) -> u32 {
-        self.ring.epochs_done()
-    }
-
-    /// True once every configured epoch has run.
-    pub fn done(&self) -> bool {
-        self.ring.done()
-    }
-
-    /// Best individual across the ring right now.
-    pub fn best(&self) -> Individual {
-        self.ring.best()
-    }
-
-    /// Finish: fold the ring into the run result.
-    pub fn finish(self) -> IslandRun {
-        self.ring.finish()
-    }
 }
 
 impl<'a> IslandsEngine<'a> {
@@ -239,7 +417,7 @@ impl<'a> IslandsEngine<'a> {
 
     /// Build one seeded stepping member per island. Island *k* gets the
     /// shared CA stream jumped ahead to its [`island_seed`] slot.
-    fn members(&self, spec: &RunSpec) -> Result<Vec<Box<dyn ga_core::IslandMember>>, EngineError> {
+    fn members(&self, spec: &RunSpec) -> Result<Vec<Box<dyn IslandMember>>, EngineError> {
         (0..self.config.islands)
             .map(|k| {
                 let seed = island_seed(spec.params.seed, k, self.config.islands);
@@ -253,12 +431,15 @@ impl<'a> IslandsEngine<'a> {
             .collect()
     }
 
-    /// Start a fresh epoch-granular run at barrier zero.
-    pub fn start(&self, spec: RunSpec) -> Result<IslandsDriver, EngineError> {
+    /// Start a fresh epoch-granular run at barrier zero: every
+    /// member's initial population is generated and evaluated.
+    pub fn start(&self, spec: RunSpec) -> Result<IslandRing<Box<dyn IslandMember>>, EngineError> {
         self.admit_schedule(&spec)?;
-        Ok(IslandsDriver {
-            ring: IslandRing::new(self.config, self.members(&spec)?),
-        })
+        let mut members = self.members(&spec)?;
+        for m in &mut members {
+            m.init_population();
+        }
+        IslandRing::new(self.config, members, 0)
     }
 
     /// Reconstruct a run from a checkpoint: fresh members are built
@@ -271,35 +452,16 @@ impl<'a> IslandsEngine<'a> {
         &self,
         spec: RunSpec,
         bundle: &CheckpointBundle,
-    ) -> Result<IslandsDriver, EngineError> {
+    ) -> Result<IslandRing<Box<dyn IslandMember>>, EngineError> {
         self.admit_schedule(&spec)?;
-        if bundle.config != self.config {
-            return Err(EngineError::InvalidSpec {
-                msg: format!(
-                    "checkpoint was taken under a different island config \
-                     ({:?} vs {:?})",
-                    bundle.config, self.config
-                ),
-            });
-        }
-        if bundle.members.len() != self.config.islands {
-            return Err(EngineError::InvalidSpec {
-                msg: format!(
-                    "checkpoint has {} member snapshots for {} islands",
-                    bundle.members.len(),
-                    self.config.islands
-                ),
-            });
-        }
+        bundle.fits(self.config)?;
         let mut members = self.members(&spec)?;
         for (k, (m, snap)) in members.iter_mut().zip(&bundle.members).enumerate() {
             m.restore(snap).map_err(|e| EngineError::InvalidSpec {
                 msg: format!("island {k} snapshot does not restore: {e}"),
             })?;
         }
-        Ok(IslandsDriver {
-            ring: IslandRing::resume(self.config, members, bundle.epochs_done),
-        })
+        IslandRing::new(self.config, members, bundle.epochs_done)
     }
 
     /// Run the ring to completion. Island *k* gets the shared CA stream
@@ -307,11 +469,7 @@ impl<'a> IslandsEngine<'a> {
     /// must equal `epoch × epochs` ([`EngineError::InvalidSpec`]
     /// otherwise).
     pub fn run(&self, spec: RunSpec) -> Result<IslandRun, EngineError> {
-        let mut driver = self.start(spec)?;
-        while !driver.done() {
-            driver.step_epoch();
-        }
-        Ok(driver.finish())
+        self.start(spec)?.run()
     }
 }
 
@@ -320,6 +478,9 @@ mod tests {
     use super::*;
     use crate::adapters::{BehavioralEngine, BitSimEngine, SwgaEngine};
     use crate::spec::BackendKind;
+    use carng::CaRng;
+    use ga_core::GaEngine;
+    use ga_fitness::rom::FitnessRom;
     use ga_fitness::TestFunction;
 
     fn spec(params: GaParams) -> RunSpec {
@@ -331,22 +492,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn composite_matches_the_core_island_runner() {
-        // Over the behavioral backend the composite must reproduce
-        // ga_core::run_islands exactly: same seeds, same engines.
-        let params = GaParams::new(32, 32, 10, 1, 0x2961);
-        let config = IslandConfig {
-            islands: 4,
+    fn cfg(islands: usize) -> IslandConfig {
+        IslandConfig {
+            islands,
             epoch: 8,
             epochs: 4,
-        };
+        }
+    }
+
+    /// Plain behavioral members over one shared fitness function, island
+    /// *k* seeded at its [`island_seed`] slot, populations not yet drawn.
+    fn plain_members<'a>(
+        params: GaParams,
+        config: IslandConfig,
+        fitness: &'a (dyn Fn(u16) -> u16 + Sync),
+    ) -> Vec<Box<dyn IslandMember + 'a>> {
+        (0..config.islands)
+            .map(|k| {
+                let seed = island_seed(params.seed, k, config.islands);
+                let p = GaParams { seed, ..params };
+                Box::new(GaEngine::new(p, CaRng::new(seed), fitness)) as Box<dyn IslandMember + 'a>
+            })
+            .collect()
+    }
+
+    /// A fresh ring over [`plain_members`], initial populations drawn.
+    fn plain_ring<'a>(
+        params: GaParams,
+        config: IslandConfig,
+        fitness: &'a (dyn Fn(u16) -> u16 + Sync),
+    ) -> IslandRing<Box<dyn IslandMember + 'a>> {
+        let mut members = plain_members(params, config, fitness);
+        for m in &mut members {
+            m.init_population();
+        }
+        IslandRing::new(config, members, 0).expect("valid ring")
+    }
+
+    /// The ring run to completion over [`plain_ring`].
+    fn run_islands(
+        params: GaParams,
+        config: IslandConfig,
+        fitness: impl Fn(u16) -> u16 + Sync,
+    ) -> IslandRun {
+        plain_ring(params, config, &fitness).run().expect("runs")
+    }
+
+    #[test]
+    fn composite_matches_a_hand_written_epoch_loop() {
+        // Over the behavioral backend the composite must equal plain
+        // engines stepped epoch by epoch, bests collected, then each
+        // injected one island along the ring.
+        let params = GaParams::new(32, 32, 10, 1, 0x2961);
+        let config = cfg(4);
         let composite = IslandsEngine::new(&BehavioralEngine, config)
             .expect("behavioral steps")
             .run(spec(params))
             .expect("runs");
         let f = TestFunction::Bf6;
-        let direct = ga_core::run_islands(params, config, |c| f.eval_u16(c));
+        let mut engines: Vec<_> = (0..config.islands)
+            .map(|k| {
+                let seed = island_seed(params.seed, k, config.islands);
+                let p = GaParams { seed, ..params };
+                let mut e = GaEngine::new(p, CaRng::new(seed), |c| f.eval_u16(c));
+                e.init_population();
+                e
+            })
+            .collect();
+        for _ in 0..config.epochs {
+            for e in &mut engines {
+                for _ in 0..config.epoch {
+                    e.step_generation();
+                }
+            }
+            let bests: Vec<Individual> = engines.iter().map(|e| e.best()).collect();
+            for (k, b) in bests.into_iter().enumerate() {
+                engines[(k + 1) % config.islands].inject(b);
+            }
+        }
+        let island_best: Vec<Individual> = engines.iter().map(|e| e.best()).collect();
+        let direct = IslandRun {
+            best: *island_best
+                .iter()
+                .max_by_key(|i| i.fitness)
+                .expect("4 islands"),
+            evaluations: engines.iter().map(|e| e.evaluations()).sum(),
+            island_best,
+        };
         assert_eq!(composite, direct);
     }
 
@@ -406,6 +638,42 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_island_config_is_a_typed_invalid_spec() {
+        let config = IslandConfig {
+            islands: 0,
+            epoch: 2,
+            epochs: 2,
+        };
+        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        assert!(matches!(
+            engine.run(spec(GaParams::new(16, 4, 10, 1, 0x2961))),
+            Err(EngineError::InvalidSpec { .. })
+        ));
+    }
+
+    #[test]
+    fn stepping_a_finished_ring_is_a_typed_error_and_steps_nothing() {
+        let config = IslandConfig {
+            islands: 2,
+            epoch: 2,
+            epochs: 2,
+        };
+        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let mut ring = engine
+            .start(spec(GaParams::new(16, 4, 10, 1, 0x2961)))
+            .expect("starts");
+        ring.step_epoch().expect("epoch 1");
+        let last = ring.step_epoch().expect("epoch 2");
+        assert!(ring.done());
+        assert!(matches!(
+            ring.step_epoch(),
+            Err(EngineError::InvalidSpec { .. })
+        ));
+        assert_eq!(ring.epochs_done(), 2);
+        assert_eq!(ring.checkpoint().expect("captures"), last);
+    }
+
+    #[test]
     fn checkpoint_resume_is_bit_identical_across_backends() {
         // Kill after every barrier in turn; resume must converge to the
         // uninterrupted result — including resuming a behavioral
@@ -421,11 +689,11 @@ mod tests {
         let reference = beh.run(spec(params)).expect("runs");
 
         let mut driver = beh.start(spec(params)).expect("starts");
-        let mut bundles = vec![driver.checkpoint()];
+        let mut bundles = vec![driver.checkpoint().expect("captures")];
         while !driver.done() {
-            bundles.push(driver.step_epoch());
+            bundles.push(driver.step_epoch().expect("epoch"));
         }
-        assert_eq!(driver.finish(), reference);
+        assert_eq!(driver.finish().expect("finishes"), reference);
 
         for bundle in &bundles {
             // Codec round trip on the real thing.
@@ -434,10 +702,10 @@ mod tests {
             for resumer in [&beh, &bit] {
                 let mut d = resumer.resume(spec(params), &wire).expect("resumes");
                 while !d.done() {
-                    d.step_epoch();
+                    d.step_epoch().expect("epoch");
                 }
                 assert_eq!(
-                    d.finish(),
+                    d.finish().expect("finishes"),
                     reference,
                     "resume from barrier {} diverged",
                     bundle.epochs_done
@@ -456,7 +724,7 @@ mod tests {
         };
         let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
         let mut d = engine.start(spec(params)).expect("starts");
-        let bundle = d.step_epoch();
+        let bundle = d.step_epoch().expect("epoch");
         let bytes = bundle.encode();
         for n in 0..bytes.len() {
             assert!(CheckpointBundle::decode(&bytes[..n]).is_err());
@@ -487,5 +755,210 @@ mod tests {
             other.resume(spec(params), &bundle),
             Err(EngineError::InvalidSpec { .. })
         ));
+    }
+
+    /// A scripted member: its best is its own index, it records the
+    /// migrants it accepts, and it can be told to fail its epoch.
+    struct Fake {
+        id: u16,
+        fail: bool,
+        accepted: Vec<u16>,
+    }
+
+    impl RingMember for Fake {
+        fn evolve(&mut self, _gens: u32) -> Result<Individual, String> {
+            if self.fail {
+                return Err("scripted failure".into());
+            }
+            Ok(Individual {
+                chrom: self.id,
+                fitness: self.id,
+            })
+        }
+
+        fn accept(&mut self, migrant: Individual) -> Result<(), String> {
+            self.accepted.push(migrant.chrom);
+            Ok(())
+        }
+
+        fn capture(&mut self) -> Result<EngineSnapshot, String> {
+            Err("fakes keep no state".into())
+        }
+
+        fn conclude(&mut self) -> Result<(Individual, u64), String> {
+            let tie = Individual {
+                chrom: self.id,
+                fitness: 7,
+            };
+            Ok((tie, 1))
+        }
+    }
+
+    fn fakes(fail: Option<u16>) -> Vec<Fake> {
+        (0..3)
+            .map(|id| Fake {
+                id,
+                fail: Some(id) == fail,
+                accepted: Vec::new(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_ring_routes_migrants_one_island_along() {
+        let config = IslandConfig {
+            islands: 3,
+            epoch: 1,
+            epochs: 2,
+        };
+        let mut ring = IslandRing::new(config, fakes(None), 0).expect("valid ring");
+        ring.advance().expect("epoch 1");
+        ring.advance().expect("epoch 2");
+        assert_eq!(ring.migrations(), 6);
+        let accepted: Vec<Vec<u16>> = ring.members.iter().map(|m| m.accepted.clone()).collect();
+        assert_eq!(accepted, [vec![2, 2], vec![0, 0], vec![1, 1]]);
+        // Fitness ties go to the later island.
+        assert_eq!(ring.finish().expect("finishes").best.chrom, 2);
+    }
+
+    #[test]
+    fn a_failing_member_is_a_typed_error_naming_its_island() {
+        let config = IslandConfig {
+            islands: 3,
+            epoch: 1,
+            epochs: 2,
+        };
+        let mut ring = IslandRing::new(config, fakes(Some(2)), 0).expect("valid ring");
+        let err = ring.step_epoch().expect_err("island 2 fails");
+        assert_eq!(
+            err,
+            EngineError::Island {
+                island: 2,
+                msg: "scripted failure".into()
+            }
+        );
+        assert_eq!(err.to_string(), "island 2: scripted failure");
+        assert_eq!(ring.epochs_done(), 0);
+        assert!(matches!(
+            ring.checkpoint(),
+            Err(EngineError::Island { island: 0, .. })
+        ));
+    }
+
+    // The island-model behaviour tests below ran against the ring in
+    // `ga-core` before the loop moved here; members are built exactly
+    // as that runner built them.
+
+    #[test]
+    fn runs_are_deterministic_despite_threads() {
+        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let params = GaParams::new(32, 32, 10, 1, 0x2961);
+        let a = run_islands(params, cfg(4), |c| rom.lookup(c));
+        let b = run_islands(params, cfg(4), |c| rom.lookup(c));
+        assert_eq!(a, b, "epoch-barrier migration must be deterministic");
+    }
+
+    #[test]
+    fn four_islands_beat_or_match_one_island_budget_for_budget() {
+        // Same total evaluation budget: 1 island × 32 gens of pop 32 vs
+        // 4 islands × 32 gens of pop 8... population size floor makes
+        // the honest comparison 4×(pop 32, 8 epochs of 4) vs 1×(pop 32,
+        // 32 gens): same generations per island member.
+        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let params = GaParams::new(32, 32, 10, 1, 0xB342);
+        let single = run_islands(
+            params,
+            IslandConfig {
+                islands: 1,
+                epoch: 32,
+                epochs: 1,
+            },
+            |c| rom.lookup(c),
+        );
+        let multi = run_islands(params, cfg(4), |c| rom.lookup(c));
+        assert_eq!(multi.evaluations, 4 * single.evaluations);
+        assert!(
+            multi.best.fitness >= single.best.fitness,
+            "4 islands {} vs 1 island {}",
+            multi.best.fitness,
+            single.best.fitness
+        );
+    }
+
+    #[test]
+    fn migration_spreads_the_best_individual() {
+        let rom = FitnessRom::tabulate(TestFunction::F3);
+        let params = GaParams::new(16, 16, 10, 1, 0x061F);
+        let run = run_islands(
+            params,
+            IslandConfig {
+                islands: 4,
+                epoch: 4,
+                epochs: 8,
+            },
+            |c| rom.lookup(c),
+        );
+        // After 8 migration rounds on a 4-ring, every island has seen
+        // good genes: all island bests within 5% of the global best.
+        for (k, b) in run.island_best.iter().enumerate() {
+            assert!(
+                b.fitness as f64 >= run.best.fitness as f64 * 0.95,
+                "island {k} lagging: {} vs {}",
+                b.fitness,
+                run.best.fitness
+            );
+        }
+    }
+
+    #[test]
+    fn ring_checkpoint_resume_is_bit_identical() {
+        // Kill-and-resume at a barrier: snapshot after two epochs,
+        // rebuild fresh members from the snapshots, finish — the result
+        // must equal the uninterrupted run exactly.
+        let rom = FitnessRom::tabulate(TestFunction::Bf6);
+        let fitness = |c| rom.lookup(c);
+        let params = GaParams::new(16, 32, 10, 1, 0x2961);
+        let config = cfg(4);
+        let reference = plain_ring(params, config, &fitness).run().expect("runs");
+
+        let mut ring = plain_ring(params, config, &fitness);
+        ring.step_epoch().expect("epoch 1");
+        let snaps = ring.step_epoch().expect("epoch 2").members;
+        drop(ring); // the "crash"
+
+        let mut fresh = plain_members(params, config, &fitness);
+        for (m, s) in fresh.iter_mut().zip(&snaps) {
+            m.restore(s).expect("snapshot restores");
+        }
+        let mut resumed = IslandRing::new(config, fresh, 2).expect("valid ring");
+        assert_eq!(resumed.epochs_done(), 2);
+        while !resumed.done() {
+            resumed.step_epoch().expect("epoch");
+        }
+        assert_eq!(resumed.finish().expect("finishes"), reference);
+    }
+
+    #[test]
+    fn single_island_matches_plain_engine() {
+        // One island, one epoch = the plain engine exactly (plus the
+        // jump-ahead seed derivation with k = 0, which is the identity).
+        let rom = FitnessRom::tabulate(TestFunction::Mbf6_2);
+        let params = GaParams::new(32, 16, 10, 1, 0xAAAA);
+        let island = run_islands(
+            params,
+            IslandConfig {
+                islands: 1,
+                epoch: 16,
+                epochs: 1,
+            },
+            |c| rom.lookup(c),
+        );
+        let seed0 = island_seed(params.seed, 0, 1);
+        let p = GaParams {
+            seed: seed0,
+            ..params
+        };
+        let plain = GaEngine::new(p, carng::CaRng::new(seed0), |c| rom.lookup(c)).run();
+        assert_eq!(island.best, plain.best);
     }
 }

@@ -24,8 +24,10 @@
 //! that holds each pack and compiled once by the [`NetlistCache`].
 //!
 //! [`IslandsEngine`] composes the ring-migration island model over any
-//! backend with a stepping handle. See DESIGN.md for the layer diagram
-//! and the add-a-backend recipe.
+//! backend with a stepping handle. Its epoch loop, [`IslandRing`], is
+//! generic over a fallible [`RingMember`], so the serve layer's sharded
+//! coordinator runs the same loop over sockets to worker processes. See
+//! DESIGN.md for the layer diagram and the add-a-backend recipe.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +43,7 @@ pub use adapters::{
     SwgaEngine,
 };
 pub use cache::{global_cache, NetlistCache};
-pub use islands::{CheckpointBundle, IslandsDriver, IslandsEngine, CHECKPOINT_VERSION};
+pub use islands::{CheckpointBundle, IslandRing, IslandsEngine, RingMember, CHECKPOINT_VERSION};
 pub use pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{

@@ -256,6 +256,14 @@ pub enum EngineError {
         /// Simulated cycles (or netlist steps) charged before giving up.
         cycles: u64,
     },
+    /// One member of an island ring failed: its thread panicked, or a
+    /// remote shard's connection broke or refused an op.
+    Island {
+        /// The failing member's ring index.
+        island: usize,
+        /// What went wrong.
+        msg: String,
+    },
 }
 
 impl EngineError {
@@ -280,6 +288,7 @@ impl fmt::Display for EngineError {
             EngineError::Watchdog { cycles } => {
                 write!(f, "simulation watchdog expired after {cycles} cycles")
             }
+            EngineError::Island { island, msg } => write!(f, "island {island}: {msg}"),
         }
     }
 }

@@ -3,22 +3,26 @@
 //! Three phases over one island job (BF6, 3 islands × 4-generation
 //! epochs × 3 epochs, the Table III operator rates):
 //!
-//! 1. **Reference**: the in-process [`ga_engine::IslandsDriver`] run,
-//!    recording the [`CheckpointBundle`] at every epoch barrier.
+//! 1. **Reference**: the in-process [`ga_engine::IslandRing`] run over
+//!    stepping handles, recording the [`CheckpointBundle`] at every
+//!    epoch barrier.
 //! 2. **Sharded**: one `gaserved --island-worker` process per island,
-//!    ring-routed by [`ga_serve::Coordinator`]; every barrier's bundle
-//!    must equal the in-process one byte for byte.
+//!    driven by [`ga_serve::Coordinator`] — the same ring over socket
+//!    members; every barrier's bundle must equal the in-process one
+//!    byte for byte.
 //! 3. **Kill + resume**: a fresh sharded run is killed after its first
-//!    barrier (one worker process is SIGKILLed mid-epoch; the
-//!    coordinator surfaces the broken shard as a typed error), then
-//!    resumed from the durable checkpoint file on *bitsim64* workers —
-//!    snapshots are backend-neutral — and must finish bit-identically.
+//!    barrier (worker 1 is SIGKILLed; the next barrier must fail with
+//!    the typed [`EngineError::Island`] naming island 1, and any other
+//!    outcome fails the campaign), then resumed from the durable
+//!    checkpoint file on *bitsim64* workers — snapshots are
+//!    backend-neutral — and must finish bit-identically.
 //!
-//! Emits `BENCH_islands.json` (honoring `GA_BENCH_OUT`) with the floor
-//! metrics CI checks: shards, epochs, migrations, checkpoint bytes,
+//! Emits `BENCH_islands.json` (honoring `GA_BENCH_OUT`) with the
+//! metrics CI pins: shards, epochs, migrations, checkpoint bytes,
 //! resume count, resume exactness, and per-barrier trajectory matches.
 //! Exits nonzero on any divergence.
 
+use std::error::Error;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -26,7 +30,7 @@ use std::time::Instant;
 
 use ga_core::islands::IslandConfig;
 use ga_core::GaParams;
-use ga_engine::{CheckpointBundle, IslandsEngine};
+use ga_engine::{CheckpointBundle, EngineError, IslandsEngine};
 use ga_fitness::TestFunction;
 use ga_harness::BenchReport;
 use ga_serve::islands::read_checkpoint;
@@ -109,9 +113,9 @@ fn main() -> ExitCode {
     let mut driver = composite.start(job.spec()).expect("starts");
     let mut reference_bundles: Vec<CheckpointBundle> = Vec::new();
     while !driver.done() {
-        reference_bundles.push(driver.step_epoch());
+        reference_bundles.push(driver.step_epoch().expect("in-process epoch"));
     }
-    let reference = driver.finish();
+    let reference = driver.finish().expect("in-process ring finishes");
     let checkpoint_bytes = reference_bundles
         .last()
         .map(|b| b.encode().len())
@@ -125,19 +129,20 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => return fail(&e),
         };
-        let run = (|| -> Result<(), String> {
+        let run = (|| -> Result<(), Box<dyn Error>> {
             let mut coord = Coordinator::connect(&job, &addrs(&ring), &ckpt, None)?;
             for want in &reference_bundles {
                 let got = coord.step_epoch()?;
                 if got != *want {
                     return Err(format!(
-                        "barrier {} bundle diverged from the in-process driver",
+                        "barrier {} bundle diverged from the in-process ring",
                         want.epochs_done
-                    ));
+                    )
+                    .into());
                 }
                 trajectory_matches += 1;
             }
-            migrations = coord.migrations;
+            migrations = coord.migrations();
             let sharded = coord.finish()?;
             if sharded != reference {
                 return Err("sharded run result diverged from the in-process run".into());
@@ -148,7 +153,7 @@ fn main() -> ExitCode {
             w.kill();
         }
         if let Err(e) = run {
-            return fail(&e);
+            return fail(&e.to_string());
         }
     }
 
@@ -161,23 +166,24 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => return fail(&e),
         };
-        let first = (|| -> Result<(), String> {
+        let first = (|| -> Result<(), Box<dyn Error>> {
             let mut coord = Coordinator::connect(&job, &addrs(&ring), &ckpt, None)?;
             coord.step_epoch()?; // barrier 1 lands in the checkpoint file
             ring[1].kill(); // the "crash": SIGKILL one shard process
             match coord.step_epoch() {
-                Ok(_) => Err("coordinator did not notice the killed shard".into()),
-                Err(e) => {
+                Err(e @ EngineError::Island { island: 1, .. }) => {
                     eprintln!("islands_campaign: killed shard surfaced as: {e}");
                     Ok(())
                 }
+                Err(e) => Err(format!("the killed shard 1 surfaced as another error: {e}").into()),
+                Ok(_) => Err("coordinator did not notice the killed shard".into()),
             }
         })();
         for w in &mut ring {
             w.kill();
         }
         if let Err(e) = first {
-            return fail(&e);
+            return fail(&e.to_string());
         }
 
         let bundle = match read_checkpoint(&ckpt) {
@@ -198,14 +204,14 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => return fail(&e),
         };
-        let resumed = (|| -> Result<(), String> {
+        let resumed = (|| -> Result<(), Box<dyn Error>> {
             let mut coord =
                 Coordinator::connect(&resumed_job, &addrs(&ring), &ckpt, Some(&bundle))?;
             resume_count += 1;
             while !coord.done() {
                 let got = coord.step_epoch()?;
                 if got != reference_bundles[got.epochs_done as usize - 1] {
-                    return Err(format!("resumed barrier {} diverged", got.epochs_done));
+                    return Err(format!("resumed barrier {} diverged", got.epochs_done).into());
                 }
                 trajectory_matches += 1;
             }
@@ -219,7 +225,7 @@ fn main() -> ExitCode {
             w.kill();
         }
         if let Err(e) = resumed {
-            return fail(&e);
+            return fail(&e.to_string());
         }
     }
     let _ = std::fs::remove_file(&ckpt);

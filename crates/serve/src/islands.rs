@@ -34,24 +34,27 @@
 //! backend-neutral, a run checkpointed on `behavioral` workers resumes
 //! on `bitsim64` workers bit-identically (and vice versa).
 //!
-//! The [`Coordinator`] replicates [`ga_core::islands::IslandRing`]'s
-//! epoch loop *exactly* — evolve all shards, collect **all** bests,
-//! then inject best *k* into shard *(k+1) mod n*, then snapshot — so a
-//! multi-process [`CheckpointBundle`] is byte-identical to the
-//! in-process [`ga_engine::IslandsDriver`] one at the same barrier.
-//! Every barrier's bundle is flushed to the checkpoint file via
-//! write-to-temp + rename, so a coordinator killed mid-write leaves the
-//! previous complete checkpoint intact.
+//! The [`Coordinator`] has no epoch loop of its own: it is the engine
+//! layer's [`IslandRing`] over one shard connection per island, each
+//! ring call one op line and its reply. Shards evolve concurrently on
+//! the ring's threads, then every best is routed one island along the
+//! ring and every shard is snapshotted — the same code path as the
+//! in-process run, so a multi-process [`CheckpointBundle`] is
+//! byte-identical to the in-process one at the same barrier, and a
+//! shard that dies or refuses an op is an [`EngineError::Island`]
+//! naming it. Every barrier's bundle is flushed to the checkpoint file
+//! via write-to-temp + rename, so a coordinator killed mid-write leaves
+//! the previous complete checkpoint intact.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
-use ga_core::islands::{island_seed, IslandConfig, IslandRun};
+use ga_core::islands::{island_seed, IslandRun};
 use ga_core::snapshot::EngineSnapshot;
 use ga_core::{GaParams, Individual};
-use ga_engine::{CheckpointBundle, Limits, RunSpec};
+use ga_engine::{CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RunSpec};
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
 use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
@@ -256,7 +259,8 @@ fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, b
     }
 }
 
-/// One coordinator↔worker connection.
+/// One coordinator↔worker connection: a [`RingMember`] whose every
+/// ring call is one op line and its reply.
 struct ShardConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -275,39 +279,28 @@ impl ShardConn {
         })
     }
 
-    fn send(&mut self, line: &str) -> Result<(), String> {
+    /// Send one op line and read its reply. An `"ok":false` reply
+    /// surfaces the worker's error string; a closed connection surfaces
+    /// as a transport error (the campaign's kill-detection signal).
+    fn call(&mut self, line: &str) -> Result<Vec<(String, JsonValue)>, String> {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|_| self.writer.flush())
-            .map_err(|e| format!("shard write failed: {e}"))
-    }
-
-    /// Read one reply line; an `"ok":false` reply surfaces the worker's
-    /// error string, a closed connection surfaces as a transport error
-    /// (the campaign's kill-detection signal).
-    fn recv(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
-        let mut line = String::new();
+            .map_err(|e| format!("shard write failed: {e}"))?;
+        let mut reply = String::new();
         let n = self
             .reader
-            .read_line(&mut line)
+            .read_line(&mut reply)
             .map_err(|e| format!("shard read failed: {e}"))?;
         if n == 0 {
             return Err("shard connection closed".into());
         }
-        let pairs = parse_object(strip_line_ending(&line))?;
-        match pairs.iter().find(|(k, _)| k == "ok") {
-            Some((_, JsonValue::Bool(true))) => Ok(pairs),
-            _ => {
-                let msg = pairs
-                    .iter()
-                    .find(|(k, _)| k == "error")
-                    .and_then(|(_, v)| match v {
-                        JsonValue::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| "worker refused the op".into());
-                Err(format!("worker error: {msg}"))
-            }
+        let pairs = parse_object(strip_line_ending(&reply))?;
+        let field = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        match (field("ok"), field("error")) {
+            (Some(JsonValue::Bool(true)), _) => Ok(pairs),
+            (_, Some(JsonValue::Str(msg))) => Err(format!("worker error: {msg}")),
+            _ => Err("worker error: worker refused the op".into()),
         }
     }
 }
@@ -321,21 +314,51 @@ fn reply_int(pairs: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
     as_int(key, v, 0, u64::MAX)
 }
 
-/// The ring coordinator: owns one [`ShardConn`] per island worker,
-/// drives the epoch/migrate/snapshot loop in [`IslandRing`] order, and
-/// flushes every barrier's [`CheckpointBundle`] to `checkpoint_path`
+fn reply_best(pairs: &[(String, JsonValue)]) -> Result<Individual, String> {
+    Ok(Individual {
+        chrom: reply_int(pairs, "chrom")? as u16,
+        fitness: reply_int(pairs, "fitness")? as u16,
+    })
+}
+
+impl RingMember for ShardConn {
+    fn evolve(&mut self, gens: u32) -> Result<Individual, String> {
+        reply_best(&self.call(&format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"))?)
+    }
+
+    fn accept(&mut self, migrant: Individual) -> Result<(), String> {
+        self.call(&format!(
+            "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
+            migrant.chrom, migrant.fitness
+        ))
+        .map(drop)
+    }
+
+    fn capture(&mut self) -> Result<EngineSnapshot, String> {
+        let pairs = self.call("{\"op\":\"snapshot\"}")?;
+        match pairs.iter().find(|(k, _)| k == "snapshot") {
+            Some((_, JsonValue::Str(hex))) => {
+                EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))
+            }
+            _ => Err("worker reply missing \"snapshot\"".into()),
+        }
+    }
+
+    fn conclude(&mut self) -> Result<(Individual, u64), String> {
+        let pairs = self.call("{\"op\":\"finish\"}")?;
+        Ok((reply_best(&pairs)?, reply_int(&pairs, "evaluations")?))
+    }
+}
+
+/// The ring coordinator: the engine layer's [`IslandRing`] over one
+/// [`ShardConn`] per island worker, plus the checkpoint file. Every
+/// barrier's [`CheckpointBundle`] is flushed to `checkpoint_path`
 /// (write-temp-then-rename, so a mid-write crash never corrupts the
-/// last good checkpoint).
-///
-/// [`IslandRing`]: ga_core::islands::IslandRing
+/// last good checkpoint). A shard that dies or refuses an op is an
+/// [`EngineError::Island`] naming it.
 pub struct Coordinator {
-    config: IslandConfig,
-    shards: Vec<ShardConn>,
-    epochs_done: u32,
+    ring: IslandRing<ShardConn>,
     checkpoint_path: PathBuf,
-    /// Migrant transfers performed so far (one per island per barrier
-    /// on rings larger than one).
-    pub migrations: u64,
 }
 
 impl Coordinator {
@@ -349,42 +372,29 @@ impl Coordinator {
         addrs: &[String],
         checkpoint_path: &Path,
         resume: Option<&CheckpointBundle>,
-    ) -> Result<Self, String> {
-        let config = job.islands.ok_or("job carries no island schedule")?;
-        job.validate().map_err(|e| e.to_string())?;
+    ) -> Result<Self, EngineError> {
+        let invalid = |msg: String| EngineError::InvalidSpec { msg };
+        let config = job
+            .islands
+            .ok_or_else(|| invalid("job carries no island schedule".into()))?;
+        job.validate().map_err(|e| invalid(e.to_string()))?;
         let Workload::Function(function) = job.workload else {
-            return Err("island workers evolve fitness functions only".into());
+            return Err(invalid(
+                "island workers evolve fitness functions only".into(),
+            ));
         };
         if addrs.len() != config.islands {
-            return Err(format!(
+            return Err(invalid(format!(
                 "{} worker addrs for {} islands",
                 addrs.len(),
                 config.islands
-            ));
+            )));
         }
-        let epochs_done = match resume {
-            Some(bundle) => {
-                if bundle.config != config {
-                    return Err(format!(
-                        "checkpoint was taken under a different island config \
-                         ({:?} vs {:?})",
-                        bundle.config, config
-                    ));
-                }
-                if bundle.members.len() != config.islands {
-                    return Err(format!(
-                        "checkpoint has {} member snapshots for {} islands",
-                        bundle.members.len(),
-                        config.islands
-                    ));
-                }
-                bundle.epochs_done
-            }
-            None => 0,
-        };
+        if let Some(bundle) = resume {
+            bundle.fits(config)?;
+        }
         let mut shards = Vec::with_capacity(config.islands);
         for (k, addr) in addrs.iter().enumerate() {
-            let mut conn = ShardConn::connect(addr)?;
             let mut init = format!(
                 "{{\"op\":\"init\",\"fn\":\"{}\",\"backend\":\"{}\",\"pop\":{},\"gens\":{},\
                  \"xover\":{},\"mut\":{},\"seed\":{},\"islands\":{},\"shard\":{k}",
@@ -401,116 +411,44 @@ impl Coordinator {
                 init.push_str(&format!(",\"snapshot\":\"{}\"", bundle.members[k].to_hex()));
             }
             init.push('}');
-            conn.send(&init)?;
-            conn.recv()?;
-            shards.push(conn);
+            let shard = ShardConn::connect(addr).and_then(|mut c| c.call(&init).map(|_| c));
+            shards.push(shard.map_err(|msg| EngineError::Island { island: k, msg })?);
         }
         Ok(Coordinator {
-            config,
-            shards,
-            epochs_done,
+            ring: IslandRing::new(config, shards, resume.map_or(0, |b| b.epochs_done))?,
             checkpoint_path: checkpoint_path.to_path_buf(),
-            migrations: 0,
         })
     }
 
-    /// One epoch barrier: evolve every shard (requests are pipelined —
-    /// all sends, then all replies — so shards run concurrently),
-    /// collect **all** bests, route best *k* to shard *(k+1) mod n*,
-    /// snapshot everyone, flush the bundle to the checkpoint file.
-    pub fn step_epoch(&mut self) -> Result<CheckpointBundle, String> {
-        let epoch_line = format!("{{\"op\":\"epoch\",\"gens\":{}}}", self.config.epoch);
-        for s in &mut self.shards {
-            s.send(&epoch_line)?;
-        }
-        let mut bests = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            bests.push(Individual {
-                chrom: reply_int(&pairs, "chrom")? as u16,
-                fitness: reply_int(&pairs, "fitness")? as u16,
-            });
-        }
-        if self.config.islands > 1 {
-            // All bests are already collected — injections cannot leak
-            // a migrant into a later shard's outgoing best, exactly like
-            // the in-process ring's two-phase migration.
-            for (k, b) in bests.iter().enumerate() {
-                let dst = (k + 1) % self.config.islands;
-                self.shards[dst].send(&format!(
-                    "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
-                    b.chrom, b.fitness
-                ))?;
-            }
-            for s in &mut self.shards {
-                s.recv()?;
-            }
-            self.migrations += self.config.islands as u64;
-        }
-        let mut members = Vec::with_capacity(self.shards.len());
-        for s in &mut self.shards {
-            s.send("{\"op\":\"snapshot\"}")?;
-        }
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            let hex = pairs
-                .iter()
-                .find(|(k, _)| k == "snapshot")
-                .and_then(|(_, v)| match v {
-                    JsonValue::Str(s) => Some(s.as_str()),
-                    _ => None,
-                })
-                .ok_or("worker reply missing \"snapshot\"")?;
-            members.push(EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))?);
-        }
-        self.epochs_done += 1;
-        let bundle = CheckpointBundle {
-            config: self.config,
-            epochs_done: self.epochs_done,
-            members,
-        };
-        write_checkpoint(&self.checkpoint_path, &bundle)?;
+    /// One epoch barrier of the ring over the shards, its bundle flushed
+    /// to the checkpoint file. A file that cannot be written is an
+    /// [`EngineError::InvalidSpec`] naming the path.
+    pub fn step_epoch(&mut self) -> Result<CheckpointBundle, EngineError> {
+        let bundle = self.ring.step_epoch()?;
+        write_checkpoint(&self.checkpoint_path, &bundle)
+            .map_err(|msg| EngineError::InvalidSpec { msg })?;
         Ok(bundle)
     }
 
     /// Epoch barriers crossed so far (counting the resumed-from ones).
     pub fn epochs_done(&self) -> u32 {
-        self.epochs_done
+        self.ring.epochs_done()
     }
 
     /// True once every configured epoch has run.
     pub fn done(&self) -> bool {
-        self.epochs_done >= self.config.epochs
+        self.ring.done()
     }
 
-    /// Finish every shard and fold the ring result — same tie-breaking
-    /// as [`IslandRing::finish`] (later islands win fitness ties).
-    ///
-    /// [`IslandRing::finish`]: ga_core::islands::IslandRing::finish
-    pub fn finish(mut self) -> Result<IslandRun, String> {
-        for s in &mut self.shards {
-            s.send("{\"op\":\"finish\"}")?;
-        }
-        let mut island_best = Vec::with_capacity(self.shards.len());
-        let mut evaluations = 0u64;
-        for s in &mut self.shards {
-            let pairs = s.recv()?;
-            island_best.push(Individual {
-                chrom: reply_int(&pairs, "chrom")? as u16,
-                fitness: reply_int(&pairs, "fitness")? as u16,
-            });
-            evaluations += reply_int(&pairs, "evaluations")?;
-        }
-        let best = island_best
-            .iter()
-            .copied()
-            .max_by_key(|i| i.fitness)
-            .ok_or("no shards")?;
-        Ok(IslandRun {
-            best,
-            island_best,
-            evaluations,
-        })
+    /// Migrant transfers this coordinator routed (one per island per
+    /// barrier on rings larger than one).
+    pub fn migrations(&self) -> u64 {
+        self.ring.migrations()
+    }
+
+    /// Finish every shard and fold the ring result.
+    pub fn finish(self) -> Result<IslandRun, EngineError> {
+        self.ring.finish()
     }
 }
 
@@ -543,6 +481,7 @@ pub fn read_checkpoint(path: &Path) -> Result<CheckpointBundle, String> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ga_core::islands::IslandConfig;
     use ga_fitness::TestFunction;
     use std::thread::JoinHandle;
 
@@ -554,10 +493,6 @@ mod tests {
             serve_island_connection(stream)
         });
         (addr, handle)
-    }
-
-    fn spawn_ring(n: usize) -> (Vec<String>, Vec<JoinHandle<Result<(), String>>>) {
-        (0..n).map(|_| spawn_worker()).unzip()
     }
 
     fn island_job(backend: BackendKind) -> GaJob {
@@ -575,80 +510,6 @@ mod tests {
 
     fn ckpt_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ga_islands_{tag}_{}.ckpt", std::process::id()))
-    }
-
-    #[test]
-    fn multi_process_ring_matches_the_in_process_driver_barrier_for_barrier() {
-        let job = island_job(BackendKind::Behavioral);
-        let config = job.islands.unwrap();
-        let engine = ga_engine::global().get(job.backend).unwrap();
-        let composite = ga_engine::IslandsEngine::new(engine, config).expect("steps");
-        let mut reference = composite.start(job.spec()).expect("starts");
-
-        let path = ckpt_path("match");
-        let (addrs, workers) = spawn_ring(config.islands);
-        let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
-        while !coord.done() {
-            let ours = coord.step_epoch().expect("epoch");
-            let theirs = reference.step_epoch();
-            assert_eq!(
-                ours, theirs,
-                "barrier {} bundle diverged from the in-process driver",
-                ours.epochs_done
-            );
-            // The durable file holds exactly the latest barrier.
-            assert_eq!(read_checkpoint(&path).expect("readable"), ours);
-        }
-        assert_eq!(coord.migrations, 3 * 3);
-        let run = coord.finish().expect("finishes");
-        assert_eq!(run, reference.finish());
-        for w in workers {
-            w.join().expect("worker thread").expect("worker ok");
-        }
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn kill_resume_from_the_checkpoint_file_is_bit_identical_across_backends() {
-        let job = island_job(BackendKind::Behavioral);
-        let config = job.islands.unwrap();
-        let engine = ga_engine::global().get(job.backend).unwrap();
-        let reference = ga_engine::IslandsEngine::new(engine, config)
-            .expect("steps")
-            .run(job.spec())
-            .expect("runs");
-
-        // Run one epoch, then "crash": drop the coordinator so every
-        // worker sees EOF and exits. The checkpoint file survives.
-        let path = ckpt_path("resume");
-        let (addrs, workers) = spawn_ring(config.islands);
-        let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
-        coord.step_epoch().expect("epoch");
-        drop(coord);
-        for w in workers {
-            w.join().expect("worker thread").expect("EOF is clean");
-        }
-
-        // Resume on *bitsim64* workers: snapshots are backend-neutral,
-        // so the healed ring must still match the behavioral reference.
-        let bundle = read_checkpoint(&path).expect("checkpoint survives the crash");
-        assert_eq!(bundle.epochs_done, 1);
-        let resumed_job = GaJob {
-            backend: BackendKind::BitSim64,
-            ..job
-        };
-        let (addrs, workers) = spawn_ring(config.islands);
-        let mut coord =
-            Coordinator::connect(&resumed_job, &addrs, &path, Some(&bundle)).expect("reconnects");
-        assert_eq!(coord.epochs_done(), 1);
-        while !coord.done() {
-            coord.step_epoch().expect("epoch");
-        }
-        assert_eq!(coord.finish().expect("finishes"), reference);
-        for w in workers {
-            w.join().expect("worker thread").expect("worker ok");
-        }
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -693,7 +554,7 @@ mod tests {
             let composite =
                 ga_engine::IslandsEngine::new(engine, job.islands.unwrap()).expect("steps");
             let mut d = composite.start(job.spec()).expect("starts");
-            d.step_epoch()
+            d.step_epoch().expect("epoch")
         };
         write_checkpoint(&path, &bundle).expect("flushes");
         // A later, torn flush (the crash window: tmp written, rename

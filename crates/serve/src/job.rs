@@ -321,6 +321,7 @@ impl From<EngineError> for ServeError {
             EngineError::UnsupportedWidth { width } => ServeError::UnsupportedWidth { width },
             EngineError::DeadlineExceeded => ServeError::DeadlineExceeded,
             EngineError::Watchdog { cycles } => ServeError::Watchdog { cycles },
+            e @ EngineError::Island { .. } => ServeError::Internal { msg: e.to_string() },
         }
     }
 }

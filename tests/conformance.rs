@@ -184,9 +184,9 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
         let mut driver = composite.start(spec).expect("starts");
         let mut bundles = Vec::new();
         while !driver.done() {
-            bundles.push(driver.step_epoch());
+            bundles.push(driver.step_epoch().expect("epoch"));
         }
-        let reference = driver.finish();
+        let reference = driver.finish().expect("finishes");
 
         for &kind in &steppers {
             let engine = ga_engine::global().get(kind).expect("registered");
@@ -203,7 +203,7 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
                 let mut resumed = resumer.resume(spec, bundle).expect("resumes");
                 let mut at = bundle.epochs_done as usize;
                 while !resumed.done() {
-                    let got = resumed.step_epoch();
+                    let got = resumed.step_epoch().expect("epoch");
                     assert_eq!(
                         got,
                         bundles[at],
@@ -215,7 +215,7 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
                     at += 1;
                 }
                 assert_eq!(
-                    resumed.finish(),
+                    resumed.finish().expect("finishes"),
                     reference,
                     "{} resume from barrier {} diverged, seed {seed:#06x}",
                     kind.name(),

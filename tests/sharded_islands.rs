@@ -1,0 +1,219 @@
+//! The sharded island ring — the serve layer's `Coordinator` running the
+//! engine's `IslandRing` over socket connections to island workers —
+//! against the in-process ring, barrier for barrier, and the typed
+//! errors either ring gives when a member fails. Workers run on threads
+//! through `serve_island_connection`, the op loop `gaserved
+//! --island-worker` serves.
+
+use std::fs;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
+use std::path::PathBuf;
+use std::thread::JoinHandle;
+
+use carng::CaRng;
+use ga_core::islands::IslandConfig;
+use ga_core::{EngineSnapshot, GaEngine, GaParams, Individual, IslandMember, SnapshotError};
+use ga_engine::{EngineError, IslandRing, IslandsEngine};
+use ga_fitness::TestFunction;
+use ga_serve::islands::read_checkpoint;
+use ga_serve::{serve_island_connection, BackendKind, Coordinator, GaJob};
+
+fn spawn_worker() -> (String, JoinHandle<Result<(), String>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let handle = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().map_err(|e| e.to_string())?;
+        serve_island_connection(stream)
+    });
+    (addr, handle)
+}
+
+fn spawn_ring(n: usize) -> (Vec<String>, Vec<JoinHandle<Result<(), String>>>) {
+    (0..n).map(|_| spawn_worker()).unzip()
+}
+
+fn island_job(backend: BackendKind) -> GaJob {
+    GaJob::new(
+        TestFunction::Bf6,
+        backend,
+        GaParams::new(16, 12, 10, 1, 0x2961),
+    )
+    .with_islands(IslandConfig {
+        islands: 3,
+        epoch: 4,
+        epochs: 3,
+    })
+}
+
+fn ckpt_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ga_islands_{tag}_{}.ckpt", std::process::id()))
+}
+
+#[test]
+fn multi_process_ring_matches_the_in_process_driver_barrier_for_barrier() {
+    let job = island_job(BackendKind::Behavioral);
+    let config = job.islands.unwrap();
+    let engine = ga_engine::global().get(job.backend).unwrap();
+    let composite = IslandsEngine::new(engine, config).expect("steps");
+    let mut reference = composite.start(job.spec()).expect("starts");
+
+    let path = ckpt_path("match");
+    let (addrs, workers) = spawn_ring(config.islands);
+    let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
+    while !coord.done() {
+        let ours = coord.step_epoch().expect("epoch");
+        let theirs = reference.step_epoch().expect("epoch");
+        assert_eq!(
+            ours, theirs,
+            "barrier {} bundle diverged from the in-process driver",
+            ours.epochs_done
+        );
+        // The durable file holds exactly the latest barrier.
+        assert_eq!(read_checkpoint(&path).expect("readable"), ours);
+    }
+    assert_eq!(coord.migrations(), 3 * 3);
+    let run = coord.finish().expect("finishes");
+    assert_eq!(run, reference.finish().expect("finishes"));
+    for w in workers {
+        w.join().expect("worker thread").expect("worker ok");
+    }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn kill_resume_from_the_checkpoint_file_is_bit_identical_across_backends() {
+    let job = island_job(BackendKind::Behavioral);
+    let config = job.islands.unwrap();
+    let engine = ga_engine::global().get(job.backend).unwrap();
+    let reference = IslandsEngine::new(engine, config)
+        .expect("steps")
+        .run(job.spec())
+        .expect("runs");
+
+    // Run one epoch, then "crash": drop the coordinator so every
+    // worker sees EOF and exits. The checkpoint file survives.
+    let path = ckpt_path("resume");
+    let (addrs, workers) = spawn_ring(config.islands);
+    let mut coord = Coordinator::connect(&job, &addrs, &path, None).expect("connects");
+    coord.step_epoch().expect("epoch");
+    drop(coord);
+    for w in workers {
+        w.join().expect("worker thread").expect("EOF is clean");
+    }
+
+    // Resume on *bitsim64* workers: snapshots are backend-neutral,
+    // so the healed ring must still match the behavioral reference.
+    let bundle = read_checkpoint(&path).expect("checkpoint survives the crash");
+    assert_eq!(bundle.epochs_done, 1);
+    let resumed_job = GaJob {
+        backend: BackendKind::BitSim64,
+        ..job
+    };
+    let (addrs, workers) = spawn_ring(config.islands);
+    let mut coord =
+        Coordinator::connect(&resumed_job, &addrs, &path, Some(&bundle)).expect("reconnects");
+    assert_eq!(coord.epochs_done(), 1);
+    while !coord.done() {
+        coord.step_epoch().expect("epoch");
+    }
+    assert_eq!(coord.finish().expect("finishes"), reference);
+    for w in workers {
+        w.join().expect("worker thread").expect("worker ok");
+    }
+    let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn a_dropped_shard_is_a_typed_error_naming_its_island() {
+    let job = island_job(BackendKind::Behavioral);
+    // Shard 1 answers `init`, then closes its socket.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let dropped = listener.local_addr().expect("addr").to_string();
+    let dropper = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut init = String::new();
+        BufReader::new(&stream).read_line(&mut init).expect("init");
+        assert!(init.contains("\"op\":\"init\""), "{init}");
+        (&stream)
+            .write_all(b"{\"ok\":true,\"seed\":1}\n")
+            .expect("reply");
+    });
+    let (first, w0) = spawn_worker();
+    let (last, w2) = spawn_worker();
+    let path = ckpt_path("dropped");
+    let mut coord =
+        Coordinator::connect(&job, &[first, dropped, last], &path, None).expect("connects");
+    dropper.join().expect("dropper thread");
+
+    match coord.step_epoch() {
+        Err(EngineError::Island { island: 1, msg }) => {
+            assert!(!msg.is_empty());
+        }
+        other => panic!("expected a typed error naming island 1, got {other:?}"),
+    }
+    assert_eq!(coord.epochs_done(), 0);
+    drop(coord);
+    for w in [w0, w2] {
+        w.join().expect("worker thread").expect("EOF is clean");
+    }
+    assert!(!path.exists(), "a failed barrier flushes no checkpoint");
+}
+
+/// An in-process member whose island thread panics on its first step.
+struct PanicsOnStep;
+
+impl IslandMember for PanicsOnStep {
+    fn init_population(&mut self) {}
+
+    fn step_generation(&mut self) {
+        panic!("island member fault");
+    }
+
+    fn best(&self) -> Individual {
+        Individual {
+            chrom: 0,
+            fitness: 0,
+        }
+    }
+
+    fn inject(&mut self, _migrant: Individual) {}
+
+    fn evaluations(&self) -> u64 {
+        0
+    }
+
+    fn snapshot(&self) -> EngineSnapshot {
+        unreachable!("the ring captures no member after a failed epoch")
+    }
+
+    fn restore(&mut self, _snap: &EngineSnapshot) -> Result<(), SnapshotError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_panicking_in_process_member_is_a_typed_error_naming_its_island() {
+    let config = IslandConfig {
+        islands: 3,
+        epoch: 2,
+        epochs: 2,
+    };
+    let plain = |seed: u16| -> Box<dyn IslandMember> {
+        let params = GaParams::new(16, 4, 10, 1, seed);
+        let mut e = GaEngine::new(params, CaRng::new(seed), |c| TestFunction::Bf6.eval_u16(c));
+        e.init_population();
+        Box::new(e)
+    };
+    let members = vec![
+        plain(0x2961),
+        Box::new(PanicsOnStep) as Box<_>,
+        plain(0x061F),
+    ];
+    let mut ring = IslandRing::new(config, members, 0).expect("valid ring");
+    match ring.step_epoch() {
+        Err(EngineError::Island { island: 1, .. }) => {}
+        other => panic!("expected a typed error naming island 1, got {other:?}"),
+    }
+    assert_eq!(ring.epochs_done(), 0);
+}

@@ -305,9 +305,9 @@ fn crafted_snapshots_resume_in_process_on_bitsim64_like_behavioral() {
             let engine = global().get(kind).expect("registered");
             let mut d = IslandsEngine::new(engine, config)?.resume(spec, &bundle)?;
             while !d.done() {
-                d.step_epoch();
+                d.step_epoch()?;
             }
-            Ok(d.finish())
+            d.finish()
         };
         let behavioral = run(BackendKind::Behavioral).expect("behavioral resumes");
         assert_eq!(run(BackendKind::BitSim64), Ok(behavioral), "{what}");
