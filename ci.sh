@@ -5,8 +5,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo fmt --check"
-cargo fmt --check
+echo "== cargo fmt --all --check"
+cargo fmt --all --check
 
 echo "== cargo clippy --workspace -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -61,11 +61,11 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
 # x86-64 host, whose two speed states are about 1.6x apart. Stepping
 # every cycle measures 45-90 ns there, so the ceiling (about 3x the
 # scan-only skip's fast state) fails without the jumps. The profiled run
-# takes 5762 host steps (advance calls) with selections and handshakes
-# jumped whole, 13922 with only the scan jumped.
+# takes 2274 host steps (advance calls) with selections and offspring
+# jumped whole, 5762 with only the selections and handshakes jumped.
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
     'hw_run_cycles>=64373' 'hw_run_cycles<=64373' 'rtl_wall_ns_per_cycle<=40' \
-    'rtl_host_steps<=7000'
+    'rtl_host_steps<=2300'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

@@ -14,21 +14,29 @@
 //! exploit this to check population-for-population equality.
 //!
 //! Most of the core's cycles are spent in stretches that nothing
-//! outside the core, the GA memory's read register, the RNG and the
-//! selected fitness module sees cycle by cycle: a parent selection
-//! (the `SelDraw` draw, four `SelMulWait` multiplier cycles, then
-//! three clocks per member scanned, `SelScanAddr` → `SelScanWait` →
-//! `SelScanData`) and a fitness handshake (`OffFitReq`/`InitPopFitReq`
-//! through the cycle that latches `fit_valid`). `GaCoreHw::walk`
-//! computes such a quiet window from the live registers with the FSM's
-//! own rules, and `GaCoreHw::apply` sets every register to its value
-//! after the window's last cycle, so a system can jump the window in
-//! one step (`GaSystem::advance`). A selection window that starts at
-//! `SelDraw` consumes exactly the one random number that edge draws; a
-//! handshake window reads the fitness module's word once, through the
-//! module's own jump ([`ga_fitness::Fem::answer`]). The cycle counts
-//! are those of the FSM; only the host stops paying for them one at a
-//! time.
+//! outside the core, the GA memory, the RNG and the selected fitness
+//! module sees cycle by cycle:
+//!
+//! * a parent selection: the `SelDraw` draw, four `SelMulWait`
+//!   multiplier cycles, then three clocks per member scanned,
+//!   `SelScanAddr` → `SelScanWait` → `SelScanData`;
+//! * an offspring: the `XoverDecide` and `MutDecide` draws, the fitness
+//!   handshake from `OffFitReq` through the cycle that latches
+//!   `fit_valid`, then `OffStore` and `OffUpdate`;
+//! * an initial-population member's handshake, `InitPopFitReq` through
+//!   the latch cycle.
+//!
+//! `GaCoreHw::walk` computes such a quiet window from the live registers
+//! with the FSM's own rules, and `GaCoreHw::apply` sets every register
+//! to its value after the window's last cycle, so a system can jump the
+//! window in one step (`GaSystem::advance`). A window consumes exactly
+//! the random numbers its edges draw: one at `SelDraw`, one each at
+//! `XoverDecide` and `MutDecide`. A handshake reads the fitness
+//! module's word once, through the module's own jump
+//! ([`ga_fitness::fem::Fem::answer`]). An offspring's `OffStore` cycle
+//! reads the memory at the old address before `OffUpdate`'s cycle
+//! writes the offspring. The cycle counts are those of the FSM; only
+//! the host stops paying for them one at a time.
 
 use hwsim::{AckSlave, Clocked, Reg};
 
@@ -150,7 +158,7 @@ const MUL_WAIT: u8 = 3;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Window {
     /// Cycles from the window's first cycle through its last. A
-    /// handshake window counts its own two cycles until the fitness
+    /// handshake window counts only its own cycles until the fitness
     /// module answers ([`Window::answer`]).
     pub(crate) cycles: u64,
     kind: WindowKind,
@@ -171,13 +179,29 @@ enum WindowKind {
         /// The memory word the hit's `SelScanData` cycle reads.
         word: u32,
     },
-    /// A fitness handshake through the cycle that latches `fit_valid`.
+    /// A fitness handshake through the cycle that latches `fit_valid`:
+    /// an initial-population member's, or with `offspring`, one
+    /// offspring's breeding, handshake, store and update.
     Fitness {
         /// The candidate the request carries.
         candidate: u16,
         /// The fitness module's answer, once it has given one.
         value: Option<u16>,
+        /// What the offspring window's breeding edges leave.
+        offspring: Option<Offspring>,
     },
+}
+
+/// What an offspring window's breeding edges leave.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Offspring {
+    /// `off1` and `off2` after the crossover and mutation edges.
+    off: [u16; 2],
+    /// `off_phase`: which of the two the window evaluates and stores.
+    phase: bool,
+    /// Random numbers drawn, one per breeding cycle (`XoverDecide`,
+    /// `MutDecide`) the window starts before.
+    draws: u8,
 }
 
 impl Window {
@@ -200,10 +224,26 @@ impl Window {
         }
     }
 
-    /// True when the window consumes one random number: a selection
-    /// that starts at `SelDraw`.
-    pub(crate) fn draws(&self) -> bool {
-        matches!(self.kind, WindowKind::Select { draw: Some(_), .. })
+    /// Random numbers the window consumes: one for a selection that
+    /// starts at `SelDraw`, one per breeding cycle of an offspring.
+    pub(crate) fn draws(&self) -> u8 {
+        match self.kind {
+            WindowKind::Select { draw, .. } => u8::from(draw.is_some()),
+            WindowKind::Fitness { offspring, .. } => offspring.map_or(0, |o| o.draws),
+        }
+    }
+
+    /// True for an offspring window. Its `OffStore` cycle drops the
+    /// request, so the fitness module takes its release edge, and reads
+    /// the memory at the old address before `OffUpdate`'s cycle writes.
+    pub(crate) fn stores(&self) -> bool {
+        matches!(
+            self.kind,
+            WindowKind::Fitness {
+                offspring: Some(_),
+                ..
+            }
+        )
     }
 }
 
@@ -584,16 +624,9 @@ impl GaCoreHw {
             }
 
             State::XoverDecide => {
-                // One draw carries both fields (§III-B.7 "predefined
-                // positions"; ops::xover_fields documents why).
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                let (xd, cut) = ops::xover_fields(i.rn);
-                let (o1, o2) = if ops::decision(xd, self.xover_threshold.get()) {
-                    ops::crossover(self.parent1.get(), self.parent2.get(), cut)
-                } else {
-                    (self.parent1.get(), self.parent2.get())
-                };
+                let [o1, o2] = self.crossed(i.rn);
                 self.off1.set(o1);
                 self.off2.set(o2);
                 self.off_phase.set(false);
@@ -602,13 +635,10 @@ impl GaCoreHw {
             State::MutDecide => {
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                let (md, point) = ops::mut_fields(i.rn);
-                if ops::decision(md, self.mut_threshold.get()) {
-                    if self.off_phase.get() {
-                        self.off2.set(ops::mutate(self.off2.get(), point));
-                    } else {
-                        self.off1.set(ops::mutate(self.off1.get(), point));
-                    }
+                if self.off_phase.get() {
+                    self.off2.set(self.mutated(i.rn, self.off2.get()));
+                } else {
+                    self.off1.set(self.mutated(i.rn, self.off1.get()));
                 }
                 self.state.set(State::OffFitReq);
             }
@@ -696,6 +726,30 @@ impl GaCoreHw {
         comb
     }
 
+    /// `XoverDecide`'s datapath: the offspring pair the parents give
+    /// under draw `rn`. One draw carries both fields (§III-B.7
+    /// "predefined positions"; [`ops::xover_fields`] documents why).
+    fn crossed(&self, rn: u16) -> [u16; 2] {
+        let (xd, cut) = ops::xover_fields(rn);
+        let (p1, p2) = (self.parent1.get(), self.parent2.get());
+        let (o1, o2) = if ops::decision(xd, self.xover_threshold.get()) {
+            ops::crossover(p1, p2, cut)
+        } else {
+            (p1, p2)
+        };
+        [o1, o2]
+    }
+
+    /// `MutDecide`'s datapath: `chrom` after the mutation draw `rn`.
+    fn mutated(&self, rn: u16, chrom: u16) -> u16 {
+        let (md, point) = ops::mut_fields(rn);
+        if ops::decision(md, self.mut_threshold.get()) {
+            ops::mutate(chrom, point)
+        } else {
+            chrom
+        }
+    }
+
     // --- quiet windows ------------------------------------------------
 
     /// Walk a quiet window ahead of the clock. Out of test mode, with no
@@ -704,7 +758,7 @@ impl GaCoreHw {
     /// * `SelDraw`, `SelMulWait` (any `mult_cnt`) or `SelScanAddr`, and
     ///   runs through the selection hit's `SelScanData` cycle. It
     ///   follows the FSM's rules from the live registers: the threshold
-    ///   from `rn` (the RNG output the `SelDraw` cycle sees), the
+    ///   from `rn[0]` (the RNG output the `SelDraw` cycle sees), the
     ///   multiplier countdown, then the scan's wrapping 8-bit index,
     ///   [`ops::selection_hit`] and the fall-through at
     ///   `scan_idx == pop_size − 1`. `word(addr, at)` must return what
@@ -712,25 +766,27 @@ impl GaCoreHw {
     ///   cycle (a `SelScanData` cycle); it is called once per member
     ///   walked, in order. A scan ends within 256 members, so a window
     ///   is at most 773 cycles.
-    /// * `OffFitReq` or `InitPopFitReq`, and runs through the cycle that
-    ///   latches `fit_valid`. Its length and value come from the fitness
-    ///   module ([`Window::answer`]).
+    /// * `XoverDecide`, `MutDecide` or `OffFitReq`, and runs through
+    ///   `OffUpdate`'s cycle: one offspring. Each breeding cycle it
+    ///   starts before draws in turn, so `rn` holds the RNG's output
+    ///   and that output's successor. The handshake's length and value
+    ///   come from the fitness module ([`Window::answer`]); `OffStore`
+    ///   and `OffUpdate` follow the latch cycle.
+    /// * `InitPopFitReq`, and runs through the cycle that latches
+    ///   `fit_valid`.
     ///
     /// Returns `None` anywhere else.
-    pub(crate) fn walk(&self, rn: u16, mut word: impl FnMut(u8, u64) -> u32) -> Option<Window> {
+    pub(crate) fn walk(
+        &self,
+        rn: [u16; 2],
+        mut word: impl FnMut(u8, u64) -> u32,
+    ) -> Option<Window> {
         if self.test_prev.get() || self.mem_wr.get() || self.fit_request.get() {
             return None;
         }
-        let fitness = |candidate| Window {
-            cycles: 2,
-            kind: WindowKind::Fitness {
-                candidate,
-                value: None,
-            },
-        };
         let (prefix, draw, mut idx, mut cum) = match self.state.get() {
             State::SelDraw => {
-                let threshold = ops::selection_threshold(self.fit_sum.get(), rn);
+                let threshold = ops::selection_threshold(self.fit_sum.get(), rn[0]);
                 (1 + u64::from(MUL_WAIT) + 1, Some(threshold), 0, 0)
             }
             State::SelMulWait => (
@@ -740,14 +796,18 @@ impl GaCoreHw {
                 self.cum.get(),
             ),
             State::SelScanAddr => (0, None, self.scan_idx.get(), self.cum.get()),
-            State::InitPopFitReq => return Some(fitness(self.cand.get())),
-            State::OffFitReq => {
-                let off = if self.off_phase.get() {
-                    self.off2.get()
-                } else {
-                    self.off1.get()
-                };
-                return Some(fitness(off));
+            State::InitPopFitReq => {
+                return Some(Window {
+                    cycles: 2,
+                    kind: WindowKind::Fitness {
+                        candidate: self.cand.get(),
+                        value: None,
+                        offspring: None,
+                    },
+                })
+            }
+            State::XoverDecide | State::MutDecide | State::OffFitReq => {
+                return Some(self.offspring(rn));
             }
             _ => return None,
         };
@@ -775,13 +835,42 @@ impl GaCoreHw {
         }
     }
 
+    /// The offspring window from `XoverDecide`, `MutDecide` or
+    /// `OffFitReq`, before the fitness module answers.
+    fn offspring(&self, rn: [u16; 2]) -> Window {
+        let from = self.state.get();
+        let mut off = [self.off1.get(), self.off2.get()];
+        let mut phase = self.off_phase.get();
+        let mut draws = 0;
+        if from == State::XoverDecide {
+            off = self.crossed(rn[0]);
+            phase = false;
+            draws = 1;
+        }
+        if from != State::OffFitReq {
+            let k = usize::from(phase);
+            off[k] = self.mutated(rn[usize::from(draws)], off[k]);
+            draws += 1;
+        }
+        Window {
+            // The breeding cycles, `OffFitReq`, the latch cycle, `OffStore`
+            // and `OffUpdate`.
+            cycles: u64::from(draws) + 4,
+            kind: WindowKind::Fitness {
+                candidate: off[usize::from(phase)],
+                value: None,
+                offspring: Some(Offspring { off, phase, draws }),
+            },
+        }
+    }
+
     /// Jump over `window`: leave every register as the clock edge after
-    /// its last cycle would, count a `SelDraw` draw, and tally the
-    /// window's cycles to its phase. `window` must come from
+    /// its last cycle would, count its draws, and tally the window's
+    /// cycles to their phases. `window` must come from
     /// [`GaCoreHw::walk`] on this core in its current state, answered
-    /// if it is a handshake. The caller steps the RNG for a drawing
-    /// window, settles the memory read port on `mem_address`, and
-    /// counts the cycles on its simulator.
+    /// if it is a handshake. The caller steps the RNG once per draw,
+    /// settles the memory read port, lands an offspring's write (see
+    /// [`Window::stores`]), and counts the cycles on its simulator.
     pub(crate) fn apply(&mut self, window: &Window) {
         let from = self.state.get();
         self.mem_wr.reset_to(false);
@@ -814,17 +903,53 @@ impl GaCoreHw {
                 }
                 self.profile.selection += window.cycles;
             }
-            WindowKind::Fitness { candidate, value } => {
+            WindowKind::Fitness {
+                candidate,
+                value,
+                offspring,
+            } => {
                 let value = value.expect("a handshake window is answered before it is applied");
                 self.cand.reset_to(candidate);
                 self.fit_reg.reset_to(value);
                 self.fit_request.reset_to(false);
-                self.state.reset_to(if from == State::InitPopFitReq {
-                    State::InitPopStore
+                let Some(o) = offspring else {
+                    self.state.reset_to(State::InitPopStore);
+                    self.profile.fitness_wait += window.cycles;
+                    return;
+                };
+                let draws = u64::from(o.draws);
+                self.rng_draws += draws;
+                self.off1.reset_to(o.off[0]);
+                self.off2.reset_to(o.off[1]);
+                self.off_phase.reset_to(o.phase);
+                // OffStore.
+                let stored = Individual {
+                    chrom: candidate,
+                    fitness: value,
+                };
+                self.mem_address
+                    .reset_to(self.new_base.get().wrapping_add(self.idx.get()));
+                self.mem_data_out.reset_to(pack(stored));
+                // OffUpdate.
+                self.new_sum
+                    .reset_to(self.new_sum.get().wrapping_add(u32::from(value)));
+                if value > self.new_best_ind().fitness {
+                    self.new_best.reset_to(pack(stored));
+                }
+                let ni = self.idx.get().wrapping_add(1);
+                self.idx.reset_to(ni);
+                if ni == self.pop_size.get() {
+                    self.state.reset_to(State::GenEnd);
+                } else if !o.phase {
+                    self.off_phase.reset_to(true);
+                    self.state.reset_to(State::MutDecide);
                 } else {
-                    State::OffStore
-                });
-                self.profile.fitness_wait += window.cycles;
+                    self.sel_phase.reset_to(false);
+                    self.state.reset_to(State::SelDraw);
+                }
+                self.profile.breeding += draws;
+                self.profile.fitness_wait += window.cycles - draws - 2;
+                self.profile.store += 2;
             }
         }
     }
@@ -1209,6 +1334,66 @@ mod tests {
         // Selection dominates the paper's workload shape even at pop 8.
         assert!(p.selection > p.breeding);
         assert!(p.fitness_wait > 0 && p.init_params > 0);
+    }
+
+    /// Corrupting `off_phase` or a bank base, which the scan chain does
+    /// not reach, as an offspring window starts: a jumping and a stepped
+    /// system agree after every jump that follows, through `GA_done`.
+    #[test]
+    fn offspring_jumps_match_single_steps_after_off_chain_faults() {
+        use crate::system::{GaSystem, UserIn};
+        use ga_fitness::{FemBank, FemSlot, LookupFem, TestFunction};
+        let faults: [fn(&mut GaCoreHw); 3] = [
+            |c| c.off_phase.reset_to(!c.off_phase.get()),
+            // The banks alias: offspring land in the population the
+            // selections read.
+            |c| c.new_base.reset_to(c.cur_base.get()),
+            // The store lands on the address the read register holds.
+            |c| {
+                let base = c.mem_address.get().wrapping_sub(c.idx.get());
+                c.new_base.reset_to(base);
+            },
+        ];
+        let params = GaParams::new(16, 4, 10, 1, 0x2961);
+        let started = || {
+            let fem = FemSlot::Lookup(LookupFem::for_function(TestFunction::Mbf6_2));
+            let mut sys = GaSystem::new(FemBank::new(vec![fem]));
+            sys.program(&params);
+            sys.step(UserIn {
+                start_ga: true,
+                ..Default::default()
+            });
+            sys
+        };
+        for fault in faults {
+            for start in [State::XoverDecide, State::MutDecide, State::OffFitReq] {
+                let (mut fast, mut slow) = (started(), started());
+                // Single steps to the 20th cycle spent in `start`.
+                let mut seen = 0;
+                loop {
+                    if fast.modules().core.state.get() == start {
+                        seen += 1;
+                        if seen == 20 {
+                            break;
+                        }
+                    }
+                    fast.step(UserIn::default());
+                    slow.step(UserIn::default());
+                }
+                fault(fast.core_mut());
+                fault(slow.core_mut());
+                let mut jumps = 0;
+                while !fast.modules().core.out().ga_done {
+                    let n = fast.advance(u64::MAX);
+                    for _ in 0..n {
+                        slow.step(UserIn::default());
+                    }
+                    jumps += u64::from(n > 1);
+                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{start:?}");
+                }
+                assert!(jumps > 0, "{start:?}");
+            }
+        }
     }
 
     #[test]

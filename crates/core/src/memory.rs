@@ -76,6 +76,12 @@ impl GaMemory {
         self.ram.settle(addr);
     }
 
+    /// Store `word` at `addr` without a clock, as a write cycle does;
+    /// the read register holds its value (see [`GaMemory::eval`]).
+    pub(crate) fn write(&mut self, addr: u8, word: u32) {
+        self.ram.backdoor_write(addr, word);
+    }
+
     /// Testbench backdoor: read a whole population bank.
     pub fn backdoor_population(&self, base: u8, pop_size: u8) -> Vec<Individual> {
         (0..pop_size)

@@ -63,6 +63,13 @@ impl RngModule {
         self.state.get()
     }
 
+    /// The `rn` a consume edge leaves: the output's successor under
+    /// the kernel.
+    #[inline]
+    pub(crate) fn successor(&self) -> u16 {
+        (self.step_fn)(self.state.get())
+    }
+
     /// Evaluation phase: a seed load takes priority over a consume step.
     pub fn eval(&mut self, consume: bool, seed_load: Option<u16>) {
         if let Some(seed) = seed_load {
@@ -101,6 +108,16 @@ mod tests {
             m.eval(true, None);
             m.commit();
             reference.step();
+        }
+    }
+
+    #[test]
+    fn successor_is_the_value_after_a_consume() {
+        for mut m in [RngModule::new_ca(0x2961), RngModule::new_lfsr(0x2961)] {
+            let next = m.successor();
+            m.eval(true, None);
+            m.commit();
+            assert_eq!(m.rn(), next);
         }
     }
 

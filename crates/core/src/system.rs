@@ -45,22 +45,27 @@
 //! cycle, except at the start of a quiet window that nothing observes
 //! cycle by cycle (see [`crate::hwcore`]): a parent selection from
 //! `SelDraw`, `SelMulWait` or `SelScanAddr` through the hit's data
-//! cycle, or a fitness handshake from the request through the cycle
-//! that latches `fit_valid`. There it computes the window
-//! (`GaCoreHw::walk`) and jumps to the clock edge after it, with the
-//! core's registers, the RNG (one draw for a window that starts at
-//! `SelDraw`), the memory read register, the fitness module and the
-//! cycle count exactly as single steps leave them. A handshake jumps
-//! only when the selected module answers in a fixed number of edges
-//! ([`Fem::answer`]: the block-ROM [`ga_fitness::LookupFem`]) and the
-//! application clock runs at the GA clock (`fast_domain_ratio` 1). A
-//! VCD capture, a protocol monitor, test mode, a pending memory write, a
-//! fitness module that is not [`Fem::quiescent`], or a watchdog or
-//! scheduled fault inside the window keeps single steps. With two cores,
-//! core 2 walks the same window with the inputs `scalingLogic_parSel`
-//! forces on it, and the window jumps only when both cores enter it
-//! together and core 2's walk ends on core 1's last cycle; the shared
-//! module answers the concatenated candidate once.
+//! cycle, an offspring from `XoverDecide`, `MutDecide` or `OffFitReq`
+//! through `OffUpdate`, or an initial member's handshake from
+//! `InitPopFitReq` through the cycle that latches `fit_valid`. There it
+//! computes the window (`GaCoreHw::walk`) and jumps to the clock edge
+//! after it, with the core's registers, the RNG (one step per draw the
+//! window takes), the memory (its read register, and an offspring's
+//! store, which lands after the read), the fitness module and the cycle
+//! count exactly as single steps leave them. An offspring or a
+//! handshake jumps only when the selected module answers in a fixed
+//! number of edges ([`Fem::answer`]: the block-ROM
+//! [`ga_fitness::LookupFem`]) and the application clock runs at the GA
+//! clock (`fast_domain_ratio` 1); an offspring's `OffStore` cycle is
+//! then the module's release edge, one [`FemBank::eval`] with the
+//! request low. A VCD capture, a protocol monitor, test mode, a pending
+//! memory write, a fitness module that is not [`Fem::quiescent`], or a
+//! watchdog or scheduled fault inside the window keeps single steps.
+//! With two cores, core 2 walks the same window with the inputs
+//! `scalingLogic_parSel` forces on it (and its own RNG's draws), and the
+//! window jumps only when both cores enter it together and core 2's
+//! walk ends on core 1's last cycle; the shared module answers the
+//! concatenated candidate once, and each core stores its own half.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -314,12 +319,22 @@ fn forced(word: u32, hit: bool) -> u32 {
 
 /// Land one core on the clock edge after `window`.
 fn land(core: &mut GaCoreHw, rng: &mut RngModule, mem: &mut GaMemory, window: &Window) {
-    if window.draws() {
+    for _ in 0..window.draws() {
         rng.eval(true, None);
         rng.commit();
     }
+    let read = core.out().mem_address;
     core.apply(window);
-    mem.settle_read(core.out().mem_address);
+    let out = core.out();
+    if window.stores() {
+        // `OffStore`'s cycle reads the old address, then `OffUpdate`'s
+        // writes the offspring: read first, so a write that aliases the
+        // read address leaves the word the read register saw.
+        mem.settle_read(read);
+        mem.write(out.mem_address, out.mem_data_out);
+    } else {
+        mem.settle_read(out.mem_address);
+    }
 }
 
 impl<P: Port> GaSystem<P> {
@@ -505,6 +520,13 @@ impl<P> GaSystem<P> {
     /// Access the wired modules (testbench backdoors).
     pub fn modules(&self) -> &GaModules {
         &self.modules
+    }
+
+    /// Testbench backdoor: core 1, to corrupt the registers the scan
+    /// chain does not reach.
+    #[cfg(test)]
+    pub(crate) fn core_mut(&mut self) -> &mut GaCoreHw {
+        &mut self.modules.core
     }
 
     /// The clocked modules of each core, core 1 first (testbench probe).
@@ -731,20 +753,25 @@ impl<P> GaSystem<P> {
         let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
         let m = &mut self.modules;
         let mem = &m.mem;
-        let mut window = m.core.walk(m.rng.rn(), |addr, _| mem.word(addr))?;
+        let rn = [m.rng.rn(), m.rng.successor()];
+        let mut window = m.core.walk(rn, |addr, _| mem.word(addr))?;
         if !m.fems.quiescent() || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent()) {
             return None;
         }
-        // scalingLogic_parSel: core 2 walks the window on a zero draw,
+        // scalingLogic_parSel: core 2 walks a selection on a zero draw,
         // reading its own chromosomes with the fitness forced, member for
-        // member in lockstep with core 1; both must be in the same kind of
-        // window.
+        // member in lockstep with core 1, and breeds from its own RNG;
+        // both must be in the same kind of window.
         let hit_at = window.cycles;
         let mut window2 = match &m.lsb {
-            Some(h) => Some(
-                h.core
-                    .walk(0, |addr, at| forced(h.mem.word(addr), at == hit_at))?,
-            ),
+            Some(h) => {
+                let rn = if h.core.is_sel_draw() { 0 } else { h.rng.rn() };
+                let rn = [rn, h.rng.successor()];
+                Some(
+                    h.core
+                        .walk(rn, |addr, at| forced(h.mem.word(addr), at == hit_at))?,
+                )
+            }
             None => None,
         };
         if window2.is_some_and(|w2| {
@@ -762,6 +789,18 @@ impl<P> GaSystem<P> {
             window.answer(value, edges);
             if let Some(w2) = window2.as_mut() {
                 w2.answer(value, edges);
+            }
+            if window.stores() {
+                // `OffStore`'s cycle: the request has dropped, and the
+                // module takes its release edge.
+                m.fems.eval(FemBankIn {
+                    fit_request: false,
+                    candidate,
+                    select,
+                    ext_value: 0,
+                    ext_valid: false,
+                });
+                m.fems.commit();
             }
         }
         if window.cycles > limit {

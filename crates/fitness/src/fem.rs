@@ -67,7 +67,11 @@ pub trait Fem: Clocked {
     /// the module raises `fit_valid` a fixed number of edges after the
     /// first one that sees the request, and that number is at most
     /// `max_edges`, this leaves every register as that edge would,
-    /// reads the word exactly once, and returns the number. The default,
+    /// reads the word exactly once, and returns the number. A module
+    /// that answers must then hold every register while the request
+    /// stays high, so the requester's latch cycle changes nothing; the
+    /// requester runs the release edge itself, as one ordinary
+    /// [`Fem::eval`] with `fit_request` low and a commit. The default,
     /// `None`, keeps single steps and is always safe.
     fn answer(&mut self, candidate: u32, max_edges: u64) -> Option<u64> {
         let _ = (candidate, max_edges);

@@ -183,9 +183,18 @@ impl TestFunction {
     }
 
     /// ROM-form (quantized u16) evaluation — what the block-ROM lookup
-    /// FEM stores for this chromosome.
+    /// FEM stores for this chromosome: [`quantize`] of
+    /// [`TestFunction::eval_f64`]. F2 and F3 are exact integers in
+    /// 0..=3060, so they are computed in integers, with nothing to round
+    /// or clamp.
     pub fn eval_u16(self, chrom: u16) -> u16 {
-        quantize(self.eval_f64(chrom))
+        let (x, y) = decode_xy(chrom);
+        let (x, y) = (u16::from(x), u16::from(y));
+        match self {
+            TestFunction::F2 => 8 * x + 1020 - 4 * y,
+            TestFunction::F3 => 8 * x + 4 * y,
+            _ => quantize(self.eval_f64(chrom)),
+        }
     }
 
     /// 32-bit split evaluation for the ganged dual-core system (§III-D):

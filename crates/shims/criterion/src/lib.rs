@@ -51,7 +51,9 @@ pub struct BenchmarkId {
 impl BenchmarkId {
     /// `function_name/parameter`.
     pub fn new(function_name: impl Display, parameter: impl Display) -> Self {
-        BenchmarkId { id: format!("{function_name}/{parameter}") }
+        BenchmarkId {
+            id: format!("{function_name}/{parameter}"),
+        }
     }
 }
 
@@ -82,12 +84,21 @@ impl BenchmarkGroup<'_> {
                 Some(Throughput::Elements(n)) => format!("  {:>10.2} ns/elem", per / n as f64),
                 None => String::new(),
             };
-            println!("bench {:<48} {:>14.1} ns/iter ({} iters){per_elem}", format!("{}/{}", self.name, id), per, iters);
+            println!(
+                "bench {:<48} {:>14.1} ns/iter ({} iters){per_elem}",
+                format!("{}/{}", self.name, id),
+                per,
+                iters
+            );
         }
     }
 
     /// Benchmark a closure.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, mut f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl Display,
+        mut f: F,
+    ) -> &mut Self {
         let mut b = Bencher { reported: None };
         f(&mut b);
         self.run(&id.to_string(), &mut b);
@@ -118,16 +129,29 @@ pub struct Criterion {}
 impl Criterion {
     /// Open a named group.
     pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.to_string(), throughput: None, _criterion: self }
+        BenchmarkGroup {
+            name: name.to_string(),
+            throughput: None,
+            _criterion: self,
+        }
     }
 
     /// Benchmark a closure outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, mut f: F) -> &mut Self {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl Display,
+        mut f: F,
+    ) -> &mut Self {
         let mut b = Bencher { reported: None };
         f(&mut b);
         if let Some((iters, total)) = b.reported.take() {
             let per = total.as_nanos() as f64 / iters as f64;
-            println!("bench {:<48} {:>14.1} ns/iter ({} iters)", id.to_string(), per, iters);
+            println!(
+                "bench {:<48} {:>14.1} ns/iter ({} iters)",
+                id.to_string(),
+                per,
+                iters
+            );
         }
         self
     }

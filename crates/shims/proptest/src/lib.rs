@@ -296,12 +296,12 @@ macro_rules! prop_oneof {
 
 /// The glob-import surface, mirroring `proptest::prelude::*`.
 pub mod prelude {
+    /// `prop::collection::vec(..)` etc.
+    pub use crate as prop;
     pub use crate::{
         any, prop_assert, prop_assert_eq, prop_oneof, proptest, Any, Arbitrary, BoxedStrategy,
         Just, ProptestConfig, Strategy, TestRng,
     };
-    /// `prop::collection::vec(..)` etc.
-    pub use crate as prop;
 }
 
 #[cfg(test)]

@@ -121,3 +121,13 @@ fn rtl_runs_are_identical_on_the_table_and_on_read() {
         }
     }
 }
+
+#[test]
+fn integer_f2_and_f3_words_equal_the_rounded_reference() {
+    use ga_ip::ga_fitness::functions::quantize;
+    for f in [TestFunction::F2, TestFunction::F3] {
+        for c in 0..=u16::MAX {
+            assert_eq!(f.eval_u16(c), quantize(f.eval_f64(c)), "{f:?} at {c:#06x}");
+        }
+    }
+}

@@ -2,18 +2,19 @@
 //!
 //! `GaSystem::advance` and `GaSystem32Hw::advance` jump a whole quiet
 //! window in one host step: a parent selection from `SelDraw`,
-//! `SelMulWait` or `SelScanAddr` through the hit's data cycle, or a
-//! fitness handshake from `OffFitReq`/`InitPopFitReq` through the cycle
-//! that latches `fit_valid`. Each test here drives one system through
-//! `advance` and a reference system through `step()`, one clock at a
-//! time, and requires the two to agree on everything a clock edge can
-//! change: the cycle count, every core register (the core's derived
-//! `Debug` covers the 408 scan-chain bits plus the FSM state,
-//! multiplier counter, selection phase, cycle profile and draw count),
-//! the GA memories with their read registers, the RNG state and the
-//! fitness modules. The watchdog and scheduled scan faults must trip on
-//! the cycle they trip on with single steps, even when it falls inside
-//! a window.
+//! `SelMulWait` or `SelScanAddr` through the hit's data cycle, an
+//! offspring from `XoverDecide`, `MutDecide` or `OffFitReq` through
+//! `OffUpdate`, or an initial-population handshake from `InitPopFitReq`
+//! through the cycle that latches `fit_valid`. Each test here drives one
+//! system through `advance` and a reference system through `step()`,
+//! one clock at a time, and requires the two to agree on everything a
+//! clock edge can change: the cycle count, every core register (the
+//! core's derived `Debug` covers the 408 scan-chain bits plus the FSM
+//! state, bank bases, multiplier counter, selection and offspring
+//! phases, cycle profile and draw count), the GA memories with their
+//! read registers, the RNG state and the fitness modules. The watchdog
+//! and scheduled scan faults must trip on the cycle they trip on with
+//! single steps, even when it falls inside a window.
 
 use std::collections::BTreeMap;
 
@@ -89,16 +90,22 @@ fn window_start(core: &GaCoreHw) -> String {
 }
 
 /// Every state a quiet window may start in.
-const ACCEPTED: [&str; 8] = [
+const ACCEPTED: [&str; 10] = [
     "SelDraw",
     "SelMulWait/3",
     "SelMulWait/2",
     "SelMulWait/1",
     "SelMulWait/0",
     "SelScanAddr",
+    "XoverDecide",
+    "MutDecide",
     "OffFitReq",
     "InitPopFitReq",
 ];
+
+/// The cycles of an offspring window that no window starts in: the
+/// handshake waits, `OffStore`, and `OffUpdate` with its pending write.
+const INSIDE_OFFSPRING: [&str; 3] = ["OffFitWait", "OffStore", "OffUpdate+write"];
 
 /// `advance` calls by the state they were made in: `[stepped, jumped]`.
 type Tally = BTreeMap<String, [u64; 2]>;
@@ -120,21 +127,31 @@ fn stepped(t: &Tally, at: &str) -> u64 {
 }
 
 /// Single steps to take before the next `advance`: none with `stagger`
-/// off; with it on, 0..=8 in turn at each `SelDraw`, so windows start
-/// in `SelDraw`, at every multiplier count, at the top of the scan and
-/// part way through it.
+/// off; with it on, 0..=8 in turn at each `SelDraw` and at each
+/// `XoverDecide`. So windows start in `SelDraw`, at every multiplier
+/// count, at the top of the scan and part way through it, and at each
+/// of `XoverDecide`, `MutDecide` and `OffFitReq`; `advance` is also
+/// called in every other cycle of an offspring (each handshake wait,
+/// `OffStore`, `OffUpdate`).
+#[derive(Default)]
 struct Lead {
     stagger: bool,
     selections: u64,
+    offspring: u64,
 }
 
 impl Lead {
     fn before(&mut self, at: &str) -> u64 {
-        if !self.stagger || at != "SelDraw" {
+        let count = match at {
+            "SelDraw" => &mut self.selections,
+            "XoverDecide" => &mut self.offspring,
+            _ => return 0,
+        };
+        if !self.stagger {
             return 0;
         }
-        self.selections += 1;
-        self.selections % 9
+        *count += 1;
+        *count % 9
     }
 }
 
@@ -147,7 +164,7 @@ fn lockstep16(fast: &mut GaSystem, slow: &mut GaSystem, params: &GaParams, stagg
     slow.step(start());
     let mut lead = Lead {
         stagger,
-        selections: 0,
+        ..Lead::default()
     };
     let mut tally = Tally::new();
     while !fast.modules().core.out().ga_done {
@@ -191,7 +208,7 @@ fn lockstep32<F: FnMut(u32) -> u16>(
     let done = |s: &GaSystem32Hw<F>| s.halves().iter().all(|(c, _, _)| c.out().ga_done);
     let mut lead = Lead {
         stagger,
-        selections: 0,
+        ..Lead::default()
     };
     let mut tally = Tally::new();
     while !done(fast) {
@@ -222,21 +239,25 @@ fn lockstep32<F: FnMut(u32) -> u16>(
 }
 
 /// One jump per parent (the elite is copied, the rest selected) and
-/// one per fitness evaluation.
+/// one per fitness evaluation (an offspring, or an initial member's
+/// handshake).
 fn windows_per_run(params: &GaParams) -> u64 {
     let (pop, gens) = (u64::from(params.pop_size), u64::from(params.n_gens));
     let parents = 2 * gens * (pop - 1).div_ceil(2);
     parents + params.evaluations_per_run()
 }
 
-/// Each accepted start state jumped, and the `SelDraw` edge that still
-/// carries the elite's write never did.
+/// Each accepted start state jumped; the `SelDraw` edge that still
+/// carries the elite's write, and every cycle inside an offspring, were
+/// reached and never jumped.
 fn assert_every_start_jumped(t: &Tally) {
     for at in ACCEPTED {
         assert!(jumped(t, at) > 0, "no window jumped from {at}: {t:?}");
     }
-    assert_eq!(jumped(t, "SelDraw+write"), 0, "{t:?}");
-    assert!(stepped(t, "SelDraw+write") > 0, "{t:?}");
+    for at in INSIDE_OFFSPRING.iter().chain(&["SelDraw+write"]) {
+        assert_eq!(jumped(t, at), 0, "{at}: {t:?}");
+        assert!(stepped(t, at) > 0, "{at}: {t:?}");
+    }
 }
 
 #[test]
@@ -289,9 +310,10 @@ fn scan_jumps_match_single_steps_on_the_cordic_fem() {
     assert_handshakes_stepped(&t);
 }
 
-/// No handshake jumped, each was stepped, and selections still jumped.
+/// No handshake or offspring jumped, each was stepped, and selections
+/// still jumped.
 fn assert_handshakes_stepped(t: &Tally) {
-    for at in ["OffFitReq", "InitPopFitReq"] {
+    for at in ["XoverDecide", "MutDecide", "OffFitReq", "InitPopFitReq"] {
         assert_eq!(jumped(t, at), 0, "{at}: {t:?}");
         assert!(stepped(t, at) > 0, "{at}: {t:?}");
     }
@@ -378,21 +400,20 @@ fn started32(params: &GaParams) -> GaSystem32Hw<impl FnMut(u32) -> u16> {
     sys
 }
 
-/// The `nth` window whose length `n` passes `kind`, met by `advance`
-/// called on a system one cycle into its run: `(first cycle, length)`,
-/// counted from `start_GA` as the run loops' watchdog counts. With
-/// plain `advance` calls a selection window is at least 7 cycles long
-/// and a handshake window 4.
+/// The `nth` window that passes `kind`, met by `advance` called on a
+/// system one cycle into its run: `(first cycle, length)`, counted from
+/// `start_GA` as the run loops' watchdog counts. `advance` returns the
+/// state it started in ([`window_start`]) and the cycles it took.
 fn nth_window(
     nth: usize,
-    kind: fn(u64) -> bool,
-    mut advance: impl FnMut(u64) -> u64,
+    kind: fn(&str, u64) -> bool,
+    mut advance: impl FnMut(u64) -> (String, u64),
 ) -> (u64, u64) {
     let (mut at, mut seen) = (1, 0);
     loop {
         assert!(at < 10_000_000, "fewer than {nth} windows jumped");
-        let n = advance(u64::MAX);
-        if kind(n) {
+        let (from, n) = advance(u64::MAX);
+        if n > 1 && kind(&from, n) {
             seen += 1;
             if seen == nth {
                 return (at, n);
@@ -402,14 +423,37 @@ fn nth_window(
     }
 }
 
-/// A selection window that walks at least two members.
-fn selection(n: u64) -> bool {
+/// A selection window that walks at least two members: with plain
+/// `advance` calls one that walks one member is 7 or 8 cycles long.
+fn selection(_: &str, n: u64) -> bool {
     n >= 9
 }
 
-/// A fitness handshake window.
-fn handshake(n: u64) -> bool {
-    n == 4
+/// An initial-population member's fitness handshake (4 cycles).
+fn handshake(from: &str, _: u64) -> bool {
+    from == "InitPopFitReq"
+}
+
+/// An offspring's first window, from `XoverDecide` (8 cycles).
+fn first_offspring(from: &str, _: u64) -> bool {
+    from == "XoverDecide"
+}
+
+/// An offspring's second window, from `MutDecide` (7 cycles).
+fn second_offspring(from: &str, _: u64) -> bool {
+    from == "MutDecide"
+}
+
+/// `advance` on a 16-bit system, with the state it started in.
+fn advance16(sys: &mut GaSystem, limit: u64) -> (String, u64) {
+    let from = window_start(&sys.modules().core);
+    (from, sys.advance(limit))
+}
+
+/// `advance` on a dual-core system, with core 1's start state.
+fn advance32<F: FnMut(u32) -> u16>(sys: &mut GaSystem32Hw<F>, limit: u64) -> (String, u64) {
+    let from = window_start(sys.halves()[0].0);
+    (from, sys.advance(limit))
 }
 
 fn run_engine(kind: BackendKind, params: GaParams, watchdog: u64) -> Result<u64, EngineError> {
@@ -433,13 +477,17 @@ fn run_engine(kind: BackendKind, params: GaParams, watchdog: u64) -> Result<u64,
 /// The watchdog bound `offset` cycles into the `nth` window of `kind`,
 /// on both widths: the stepped reference has not finished there, and
 /// each engine stops with `Watchdog` on exactly that cycle.
-fn assert_watchdog_trips_inside(nth: usize, kind: fn(u64) -> bool, offset: impl Fn(u64) -> u64) {
+fn assert_watchdog_trips_inside(
+    nth: usize,
+    kind: fn(&str, u64) -> bool,
+    offset: impl Fn(u64) -> u64,
+) {
     let params = GaParams::new(32, 8, 10, 1, 0xB342);
 
     // rtl: single steps reach the bound mid-run, so the stepped loop
     // stops with Timeout { cycles: watchdog }; the jumping one must too.
     let mut fast = started16(&params);
-    let (at, n) = nth_window(nth, kind, |limit| fast.advance(limit));
+    let (at, n) = nth_window(nth, kind, |limit| advance16(&mut fast, limit));
     let watchdog = at + offset(n);
     let mut slow = started16(&params);
     for _ in 1..watchdog {
@@ -453,7 +501,7 @@ fn assert_watchdog_trips_inside(nth: usize, kind: fn(u64) -> bool, offset: impl 
 
     // rtl32: the same bound against the dual-core system's own window.
     let mut fast = started32(&params);
-    let (at, n) = nth_window(nth, kind, |limit| fast.advance(limit));
+    let (at, n) = nth_window(nth, kind, |limit| advance32(&mut fast, limit));
     let watchdog = at + offset(n);
     let mut slow = started32(&params);
     for _ in 1..watchdog {
@@ -468,20 +516,32 @@ fn assert_watchdog_trips_inside(nth: usize, kind: fn(u64) -> bool, offset: impl 
 
 #[test]
 fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
-    // Mid-scan, inside the multiplier wait, and inside a handshake.
+    // Mid-scan, inside the multiplier wait, inside an initial member's
+    // handshake, and on every cycle inside both offspring windows.
     assert_watchdog_trips_inside(40, selection, |n| n / 2 + 1);
     assert_watchdog_trips_inside(40, selection, |_| 2);
     assert_watchdog_trips_inside(41, selection, |_| 4);
     for offset in 1..4 {
-        assert_watchdog_trips_inside(57, handshake, |_| offset);
+        assert_watchdog_trips_inside(25, handshake, |_| offset);
+    }
+    for offset in 1..8 {
+        assert_watchdog_trips_inside(20, first_offspring, |_| offset);
+    }
+    for offset in 1..7 {
+        assert_watchdog_trips_inside(20, second_offspring, |_| offset);
     }
 
     // A bound one cycle short of the window's end keeps single steps;
     // a bound on its end lets the jump land on it.
     let params = GaParams::new(32, 8, 10, 1, 0xB342);
-    for kind in [selection, handshake] {
+    for (nth, kind) in [
+        (40, selection as fn(&str, u64) -> bool),
+        (25, handshake),
+        (40, first_offspring),
+        (40, second_offspring),
+    ] {
         let mut fast = started16(&params);
-        let (at, n) = nth_window(40, kind, |limit| fast.advance(limit));
+        let (at, n) = nth_window(nth, kind, |limit| advance16(&mut fast, limit));
         for watchdog in [at + n - 1, at + n] {
             assert_eq!(
                 run_engine(BackendKind::RtlInterp, params, watchdog),
@@ -536,36 +596,146 @@ fn fault_inside_a_scan_window_lands_on_the_same_cycle() {
         ("cand", 2),
         ("fit_reg", 5),
     ]
-    .map(|(field, bit)| ScanBitOp {
-        position: scan_position(field) + bit,
-        kind: BitFault::Flip,
-    });
+    .map(|(field, bit)| flip(field, bit));
     // A first-parent and a second-parent scan, each in its multiplier
     // wait and its scan, and a handshake in each of its cycles.
     let mut at_cycles = Vec::new();
     for nth in [24, 25] {
         let mut sys = started16(&params);
-        let (at, n) = nth_window(nth, selection, |limit| sys.advance(limit));
+        let (at, n) = nth_window(nth, selection, |limit| advance16(&mut sys, limit));
         at_cycles.extend([at + 1, at + 3, at + n / 2, at + n - 1]);
     }
     for nth in [30, 31] {
         let mut sys = started16(&params);
-        let (at, _) = nth_window(nth, handshake, |limit| sys.advance(limit));
+        let (at, _) = nth_window(nth, handshake, |limit| advance16(&mut sys, limit));
         at_cycles.extend([at + 1, at + 2, at + 3]);
     }
     for at_cycle in at_cycles {
-        let mut fast = system16(lookup(TestFunction::Mbf6_2));
-        fast.program(&params);
-        let got = fast.run_with_faults(50_000_000, at_cycle, &ops);
-        let mut slow = system16(lookup(TestFunction::Mbf6_2));
-        slow.program(&params);
-        let (want, want_injected) = run_with_faults_stepped(&mut slow, 50_000_000, at_cycle, &ops);
-        let (run, injected) = got.expect("the fault leaves a finishing run");
-        assert!(injected && want_injected, "fault at {at_cycle} landed");
-        assert_eq!(Ok(run.cycles), want, "fault at {at_cycle}");
-        assert_eq!(run.best.chrom, slow.modules().core.out().candidate);
-        assert_eq!(state16(&fast), state16(&slow), "fault at {at_cycle}");
+        assert_fault_lands_alike(&params, at_cycle, &ops);
     }
+}
+
+#[test]
+fn fault_inside_an_offspring_window_lands_on_the_same_cycle() {
+    let params = GaParams::new(32, 6, 10, 1, 0x061F);
+    // Flip the fitness latch, the fill index, both offspring, the
+    // candidate and the new population's sum, on the cycle a first and
+    // a second offspring window start in (the window is then walked
+    // from the corrupted registers) and on every cycle inside them.
+    let ops = [
+        ("fit_reg", 5),
+        ("idx", 0),
+        ("off1", 3),
+        ("off2", 12),
+        ("cand", 7),
+        ("new_sum", 2),
+    ]
+    .map(|(field, bit)| flip(field, bit));
+    for kind in [first_offspring, second_offspring] {
+        let mut sys = started16(&params);
+        let (at, n) = nth_window(40, kind, |limit| advance16(&mut sys, limit));
+        for at_cycle in at..at + n {
+            assert_fault_lands_alike(&params, at_cycle, &ops);
+        }
+    }
+}
+
+#[test]
+fn a_store_onto_the_read_address_reads_before_it_writes() {
+    // An offspring's `OffStore` cycle reads the memory at the address of
+    // the last read or store, then `OffUpdate`'s cycle writes the
+    // offspring. Faults in the fill index make the write land on that
+    // very address, so right after the window the read register must
+    // still hold the old word (the next cycle's read replaces it, so
+    // only a comparison after the jump sees the order).
+    let params = GaParams::new(32, 6, 10, 1, 0x061F);
+    // Within the new bank: a generation's second offspring starts with
+    // idx 2; flipping its two low bits stores it onto the first
+    // offspring's word, at idx 1.
+    let at = window_where(&params, "MutDecide", |core| reg(core, "idx") == "2");
+    assert_jumps_after_fault_match(&params, at, &[flip("idx", 0), flip("idx", 1)]);
+    // Across the banks: flipping idx's top bit moves a first offspring's
+    // store into the current population, onto parent 2's word when
+    // parent 2 sits at the same offset (and differs from parent 1, so
+    // the offspring's word differs from parent 2's).
+    let at = window_where(&params, "XoverDecide", |core| {
+        reg(core, "idx") == reg(core, "scan_idx") && reg(core, "parent1") != reg(core, "parent2")
+    });
+    assert_jumps_after_fault_match(&params, at, &[flip("idx", 7)]);
+}
+
+/// `ops` injected through the scan chain `at` cycles into a 16-bit
+/// mBF6_2 run of `params` on a jumping and a stepped system: the two
+/// agree after every jump that follows, and at `GA_done`.
+fn assert_jumps_after_fault_match(params: &GaParams, at: u64, ops: &[ScanBitOp]) {
+    let mut fast = started16(params);
+    let mut slow = started16(params);
+    let mut now = 1;
+    while now < at {
+        let n = fast.advance(at - now);
+        for _ in 0..n {
+            slow.step(UserIn::default());
+        }
+        now += n;
+    }
+    fast.scan_inject(ops);
+    slow.scan_inject(ops);
+    while !fast.modules().core.out().ga_done {
+        let from = window_start(&fast.modules().core);
+        let n = fast.advance(u64::MAX);
+        for _ in 0..n {
+            slow.step(UserIn::default());
+        }
+        if n > 1 {
+            assert_eq!(
+                state16(&fast),
+                state16(&slow),
+                "after a {n}-cycle jump from {from}, fault at {at}"
+            );
+        }
+    }
+    assert_eq!(state16(&fast), state16(&slow), "at GA_done, fault at {at}");
+}
+
+/// A bit flip at the named scan field's bit `bit`.
+fn flip(field: &str, bit: usize) -> ScanBitOp {
+    ScanBitOp {
+        position: scan_position(field) + bit,
+        kind: BitFault::Flip,
+    }
+}
+
+/// The first cycle of the first window that starts in `from` with core
+/// registers `pick` accepts (given the core's `Debug` text), on a 16-bit
+/// mBF6_2 run of `params`, counted as [`nth_window`] counts.
+fn window_where(params: &GaParams, from: &str, pick: impl Fn(&str) -> bool) -> u64 {
+    let mut sys = started16(params);
+    let mut at = 1;
+    loop {
+        let core = &sys.modules().core;
+        assert!(!core.out().ga_done, "no window from {from} fits");
+        if window_start(core) == from && pick(&format!("{core:?}")) {
+            return at;
+        }
+        at += sys.advance(u64::MAX);
+    }
+}
+
+/// `ops` injected `at_cycle` cycles into a 16-bit mBF6_2 run of
+/// `params`: the jumping run loop and single steps finish on the same
+/// cycle with the same registers.
+fn assert_fault_lands_alike(params: &GaParams, at_cycle: u64, ops: &[ScanBitOp]) {
+    let mut fast = system16(lookup(TestFunction::Mbf6_2));
+    fast.program(params);
+    let got = fast.run_with_faults(50_000_000, at_cycle, ops);
+    let mut slow = system16(lookup(TestFunction::Mbf6_2));
+    slow.program(params);
+    let (want, want_injected) = run_with_faults_stepped(&mut slow, 50_000_000, at_cycle, ops);
+    let (run, injected) = got.expect("the fault leaves a finishing run");
+    assert!(injected && want_injected, "fault at {at_cycle} landed");
+    assert_eq!(Ok(run.cycles), want, "fault at {at_cycle}");
+    assert_eq!(run.best.chrom, slow.modules().core.out().candidate);
+    assert_eq!(state16(&fast), state16(&slow), "fault at {at_cycle}");
 }
 
 /// First scan-chain position of the named field.
