@@ -18,8 +18,10 @@
 //! behavioral generation's per-individual cost at pop 128 over pop 16,
 //! near 1 with prefix-sum selection) and
 //! `fitness_eval_ratio_mshubert2d_vs_f3` (an mShubert2D evaluation over
-//! an F3 one, a small multiple with tabulated coordinate terms), both
-//! ceilinged in CI. It also times the cycle-accurate system on the
+//! an F3 one, a small multiple with tabulated coordinate terms), with
+//! `fitness_eval_ratio_bf6_vs_f3` and `fitness_eval_ratio_mbf6_2_vs_f3`
+//! beside it (BF6 and mBF6_2 words read `cos` from the angle tables),
+//! all ceilinged in CI. It also times the cycle-accurate system on the
 //! profiled run itself: `rtl_wall_ns_per_cycle` is host nanoseconds per
 //! simulated cycle, best of several runs, ceilinged in CI. The
 //! quiet-window jumps make host time stop tracking simulated cycles,
@@ -374,20 +376,22 @@ fn main() {
     let rom = FitnessRom::tabulate(TestFunction::F3);
     let individuals = if quick() { 6_144 } else { 49_152 };
     let (step16, step128) = step_ns_per_indiv(individuals, &rom);
-    let (f3_secs, shubert_secs) = (
-        sweep_secs(TestFunction::F3),
-        sweep_secs(TestFunction::MShubert2D),
-    );
+    let f3_secs = sweep_secs(TestFunction::F3);
+    let [bf6_ratio, mbf6_2_ratio, shubert_ratio] = [
+        TestFunction::Bf6,
+        TestFunction::Mbf6_2,
+        TestFunction::MShubert2D,
+    ]
+    .map(|f| sweep_secs(f) / f3_secs);
     println!(
         "\nbehavioral step (tabulated F3): {step16:.1} ns/individual at pop 16, \
          {step128:.1} at pop 128 ({:.2}x)",
         step128 / step16
     );
     println!(
-        "fitness evaluation: mShubert2D {:.1} ns, F3 {:.1} ns ({:.2}x)",
-        shubert_secs * 1e9 / 65_536.0,
-        f3_secs * 1e9 / 65_536.0,
-        shubert_secs / f3_secs
+        "fitness evaluation: F3 {:.1} ns; over F3: BF6 {bf6_ratio:.2}x, \
+         mBF6_2 {mbf6_2_ratio:.2}x, mShubert2D {shubert_ratio:.2}x",
+        f3_secs * 1e9 / 65_536.0
     );
 
     BenchReport::new("profile", sw.seconds(), 256, 1)
@@ -412,9 +416,8 @@ fn main() {
         .metric("ca_consume_ops_per_step", st.consume_ops as f64)
         .metric("ca_consume_step_speedup_vs_full", st.consume_speedup)
         .metric("ga_step_scaling_128_vs_16", step128 / step16)
-        .metric(
-            "fitness_eval_ratio_mshubert2d_vs_f3",
-            shubert_secs / f3_secs,
-        )
+        .metric("fitness_eval_ratio_bf6_vs_f3", bf6_ratio)
+        .metric("fitness_eval_ratio_mbf6_2_vs_f3", mbf6_2_ratio)
+        .metric("fitness_eval_ratio_mshubert2d_vs_f3", shubert_ratio)
         .emit_or_warn();
 }

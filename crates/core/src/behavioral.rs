@@ -122,6 +122,9 @@ pub struct GaEngine<R: Rng16, F: FnMut(u16) -> u16> {
     rng: R,
     fitness: F,
     cur: Vec<Individual>,
+    /// The next generation's buffer, swapped with `cur` at the end of
+    /// every generation so breeding reuses one allocation.
+    next: Vec<Individual>,
     /// Cumulative fitness of `cur` ([`ops::selection_prefix`]), rebuilt
     /// at the top of every generation so `inject` and `restore` between
     /// generations need not touch it.
@@ -145,6 +148,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             rng,
             fitness,
             cur: Vec::with_capacity(params.pop_size as usize),
+            next: Vec::with_capacity(params.pop_size as usize),
             prefix: Vec::with_capacity(params.pop_size as usize),
             best: Individual::default(),
             fit_sum: 0,
@@ -251,7 +255,8 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
     pub fn step_generation_with(&mut self, mut on_pick: impl FnMut(Option<usize>)) -> GenStats {
         let pop = self.params.pop_size as usize;
         ops::selection_prefix(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
-        let mut new_pop: Vec<Individual> = Vec::with_capacity(pop);
+        let mut new_pop = std::mem::take(&mut self.next);
+        new_pop.clear();
         let mut new_sum = 0u32;
         let mut new_best = self.best;
         if self.elitism {
@@ -294,7 +299,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
             }
         }
 
-        self.cur = new_pop;
+        self.next = std::mem::replace(&mut self.cur, new_pop);
         self.fit_sum = new_sum;
         self.best = new_best;
         self.gen += 1;
@@ -413,7 +418,7 @@ impl<R: Rng16, F: FnMut(u16) -> u16> GaEngine<R, F> {
         self.params = snap.params;
         self.elitism = snap.elitism;
         self.field_mode = snap.field_mode;
-        self.cur = snap.population.clone();
+        self.cur.clone_from(&snap.population);
         self.best = snap.best;
         self.fit_sum = snap.fit_sum;
         self.gen = snap.gen;

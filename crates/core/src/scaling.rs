@@ -89,6 +89,8 @@ pub struct GaEngine32<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> {
     rng2: R2,
     fitness: F,
     cur: Vec<Individual32>,
+    /// The next generation's buffer, swapped with `cur` every generation.
+    next: Vec<Individual32>,
     /// Cumulative fitness of `cur`, rebuilt every generation.
     prefix: Vec<u32>,
     best: Individual32,
@@ -117,6 +119,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
             rng2,
             fitness,
             cur: Vec::new(),
+            next: Vec::new(),
             prefix: Vec::new(),
             best: Individual32::default(),
             fit_sum: 0,
@@ -215,7 +218,8 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
     fn step_generation(&mut self) -> GenStats32 {
         let pop = self.params.pop_size as usize;
         ops::selection_prefix(self.cur.iter().map(|i| i.fitness), &mut self.prefix);
-        let mut new_pop = Vec::with_capacity(pop);
+        let mut new_pop = std::mem::take(&mut self.next);
+        new_pop.clear();
         new_pop.push(self.best);
         let mut new_sum = self.best.fitness as u32;
         let mut new_best = self.best;
@@ -240,7 +244,7 @@ impl<R1: Rng16, R2: Rng16, F: FnMut(u32) -> u16> GaEngine32<R1, R2, F> {
                 new_pop.push(ind);
             }
         }
-        self.cur = new_pop;
+        self.next = std::mem::replace(&mut self.cur, new_pop);
         self.fit_sum = new_sum;
         self.best = new_best;
         self.gen += 1;

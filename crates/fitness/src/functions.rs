@@ -21,7 +21,18 @@
 //! printed f64 expressions, and evaluation reads them and combines them
 //! with the printed arithmetic — every result is bit-identical to
 //! evaluating the formula directly, at a few table reads per call.
-//! BF6 and mBF6_2 take the full 16-bit word and are evaluated directly.
+//!
+//! BF6 and mBF6_2 take the full 16-bit word, so their `cos(x)` has no
+//! coordinate split. Their words ([`TestFunction::eval_u16`]) read it
+//! from the angle-sum identity instead: with x = 256·h + l,
+//! `cos(x) = cos(256h)·cos(l) − sin(256h)·sin(l)`, whose four factors
+//! come from two 256-entry `(cos, sin)` tables (8 KB) built once per
+//! process. The table cosine is within 2.3e-16 of `f64::cos` at every x,
+//! so a word's value moves by at most 2e-12, while no value lies closer
+//! than 2.9e-6 to a rounding boundary: every word equals `quantize` of
+//! the printed formula (checked at all 65 536 words in
+//! `tests/lookup_fem.rs`). [`bf6`] and [`mbf6_2`], the `f64` reference,
+//! still call `cos` directly.
 
 use std::sync::LazyLock;
 
@@ -39,20 +50,29 @@ pub fn encode_xy(x: u8, y: u8) -> u16 {
 }
 
 /// Round-and-saturate an `f64` fitness into the 16-bit fitness bus.
+/// Rounding is half away from zero, as `f64::round`, but computed from
+/// the truncation and its exact remainder, so no libm call is made.
 #[inline]
 pub fn quantize(v: f64) -> u16 {
     if v.is_nan() {
         return 0;
     }
-    v.round().clamp(0.0, 65535.0) as u16
+    let v = v.clamp(0.0, 65535.0);
+    let whole = v as u16;
+    whole + u16::from(v - f64::from(whole) >= 0.5)
 }
 
 /// Test Function #1 (§IV-A): Binary F6,
 /// `BF6(x) = ((x² + x)·cos(x)/4 000 000) + 3200`.
 /// "A very difficult test function that has numerous local maxima."
 pub fn bf6(x: u16) -> f64 {
+    bf6_at(x, (x as f64).cos())
+}
+
+/// [`bf6`]'s printed expression, given `cos(x)`.
+fn bf6_at(x: u16, cos_x: f64) -> f64 {
     let xf = x as f64;
-    ((xf * xf + xf) * xf.cos() / 4_000_000.0) + 3200.0
+    ((xf * xf + xf) * cos_x / 4_000_000.0) + 3200.0
 }
 
 /// Test Function #2 (§IV-A): the mini-max function
@@ -70,8 +90,41 @@ pub fn f3(x: u8, y: u8) -> f64 {
 /// Modified and scaled Binary F6 (§IV-B):
 /// `mBF6_2(x) = 4096 + ((x² + x)·cos(x))/2^20`.
 pub fn mbf6_2(x: u16) -> f64 {
+    mbf6_2_at(x, (x as f64).cos())
+}
+
+/// [`mbf6_2`]'s printed expression, given `cos(x)`.
+fn mbf6_2_at(x: u16, cos_x: f64) -> f64 {
     let xf = x as f64;
-    4096.0 + (xf * xf + xf) * xf.cos() / (1u64 << 20) as f64
+    4096.0 + (xf * xf + xf) * cos_x / (1u64 << 20) as f64
+}
+
+/// `(cos a, sin a)` for 256 evenly spaced integer angles a.
+type AngleTable = [(f64, f64); 256];
+
+/// `(cos, sin)` of 256·h for every high byte h, then of l for every low
+/// byte l: the factors of [`table_cos`]. Filled in place on the heap, so
+/// the one-time build leaves no 8 KB temporaries on a worker's stack.
+static ANGLES: LazyLock<Box<[AngleTable; 2]>> = LazyLock::new(|| {
+    let mut tables = Box::new([[(0.0, 0.0); 256]; 2]);
+    for (table, step) in tables.iter_mut().zip([256.0, 1.0]) {
+        for (k, entry) in table.iter_mut().enumerate() {
+            let a: f64 = step * k as f64;
+            *entry = (a.cos(), a.sin());
+        }
+    }
+    tables
+});
+
+/// `cos(x)` for a 16-bit integer radian x = 256·h + l, by the angle-sum
+/// identity over the [`ANGLES`] tables.
+#[inline]
+fn table_cos(x: u16) -> f64 {
+    let (h, l) = decode_xy(x);
+    let [hi, lo] = &**ANGLES;
+    let (cos_h, sin_h) = hi[h as usize];
+    let (cos_l, sin_l) = lo[l as usize];
+    cos_h * cos_l - sin_h * sin_l
 }
 
 /// mBF7_2's x term `x·sin(4x)` for every 8-bit x.
@@ -186,14 +239,31 @@ impl TestFunction {
     /// FEM stores for this chromosome: [`quantize`] of
     /// [`TestFunction::eval_f64`]. F2 and F3 are exact integers in
     /// 0..=3060, so they are computed in integers, with nothing to round
-    /// or clamp.
+    /// or clamp. BF6 and mBF6_2 quantize their printed expression with
+    /// `cos(x)` read from the angle tables (see the module doc), which
+    /// gives the same word at every chromosome.
     pub fn eval_u16(self, chrom: u16) -> u16 {
         let (x, y) = decode_xy(chrom);
         let (x, y) = (u16::from(x), u16::from(y));
         match self {
             TestFunction::F2 => 8 * x + 1020 - 4 * y,
             TestFunction::F3 => 8 * x + 4 * y,
-            _ => quantize(self.eval_f64(chrom)),
+            _ => quantize(self.word_value(chrom)),
+        }
+    }
+
+    /// The value a floating-point function's word rounds: the printed
+    /// formula, with BF6's and mBF6_2's `cos(x)` read from the angle
+    /// tables. Kept out of line so the integer F2/F3 words stay a leaf.
+    #[inline(never)]
+    fn word_value(self, chrom: u16) -> f64 {
+        let (x, y) = decode_xy(chrom);
+        match self {
+            TestFunction::Bf6 => bf6_at(chrom, table_cos(chrom)),
+            TestFunction::Mbf6_2 => mbf6_2_at(chrom, table_cos(chrom)),
+            TestFunction::Mbf7_2 => mbf7_2(x, y),
+            TestFunction::MShubert2D => mshubert2d(x, y),
+            TestFunction::F2 | TestFunction::F3 => self.eval_f64(chrom),
         }
     }
 
@@ -242,6 +312,23 @@ mod tests {
         assert_eq!(quantize(65534.6), 65535);
         assert_eq!(quantize(1e9), 65535);
         assert_eq!(quantize(f64::NAN), 0);
+    }
+
+    #[test]
+    fn quantize_equals_round_then_clamp() {
+        // Every quarter step from below 0 to above 65535, one ULP either
+        // side of each, and the values no fitness reaches.
+        let reference = |v: f64| v.round().clamp(0.0, 65535.0) as u16;
+        for k in -2..=65_537 {
+            for base in [0.0, 0.25, 0.5, 0.75].map(|q| f64::from(k) + q) {
+                for v in [base.next_down(), base, base.next_up()] {
+                    assert_eq!(quantize(v), reference(v), "{v:e}");
+                }
+            }
+        }
+        for v in [-0.0, f64::MIN, f64::MAX, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(quantize(v), reference(v), "{v:e}");
+        }
     }
 
     #[test]

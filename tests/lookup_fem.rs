@@ -131,3 +131,13 @@ fn integer_f2_and_f3_words_equal_the_rounded_reference() {
         }
     }
 }
+
+#[test]
+fn table_cos_bf6_and_mbf6_2_words_equal_the_rounded_reference() {
+    use ga_ip::ga_fitness::functions::quantize;
+    for f in [TestFunction::Bf6, TestFunction::Mbf6_2] {
+        for c in 0..=u16::MAX {
+            assert_eq!(f.eval_u16(c), quantize(f.eval_f64(c)), "{f:?} at {c:#06x}");
+        }
+    }
+}
