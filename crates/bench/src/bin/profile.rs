@@ -219,15 +219,26 @@ fn rtl_wall_ns_per_cycle(f: TestFunction, params: &GaParams, reps: u32) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Best-of-three seconds to evaluate all 65 536 chromosomes of `f`.
+/// Seconds to evaluate all 65 536 chromosomes of `f` once.
 fn sweep_secs(f: TestFunction) -> f64 {
-    (0..3)
-        .map(|_| {
-            let t = Instant::now();
-            black_box((0..=u16::MAX).fold(0u64, |acc, c| acc + f.eval_u16(black_box(c)) as u64));
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+    let t = Instant::now();
+    black_box((0..=u16::MAX).fold(0u64, |acc, c| acc + f.eval_u16(black_box(c)) as u64));
+    t.elapsed().as_secs_f64()
+}
+
+/// F3's sweep seconds and each function's sweep time over F3's, best of
+/// `rounds` each. Every sweep of a function directly follows one of F3,
+/// so a fast or slow spell of the host lands on both sides of its ratio.
+fn sweep_ratios_vs_f3<const N: usize>(fs: [TestFunction; N], rounds: u32) -> (f64, [f64; N]) {
+    let mut f3 = f64::INFINITY;
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..rounds {
+        for (slot, f) in fs.into_iter().enumerate() {
+            f3 = f3.min(sweep_secs(TestFunction::F3));
+            best[slot] = best[slot].min(sweep_secs(f));
+        }
+    }
+    (f3, best.map(|secs| secs / f3))
 }
 
 fn main() {
@@ -376,13 +387,14 @@ fn main() {
     let rom = FitnessRom::tabulate(TestFunction::F3);
     let individuals = if quick() { 6_144 } else { 49_152 };
     let (step16, step128) = step_ns_per_indiv(individuals, &rom);
-    let f3_secs = sweep_secs(TestFunction::F3);
-    let [bf6_ratio, mbf6_2_ratio, shubert_ratio] = [
-        TestFunction::Bf6,
-        TestFunction::Mbf6_2,
-        TestFunction::MShubert2D,
-    ]
-    .map(|f| sweep_secs(f) / f3_secs);
+    let (f3_secs, [bf6_ratio, mbf6_2_ratio, shubert_ratio]) = sweep_ratios_vs_f3(
+        [
+            TestFunction::Bf6,
+            TestFunction::Mbf6_2,
+            TestFunction::MShubert2D,
+        ],
+        200,
+    );
     println!(
         "\nbehavioral step (tabulated F3): {step16:.1} ns/individual at pop 16, \
          {step128:.1} at pop 128 ({:.2}x)",

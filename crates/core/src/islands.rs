@@ -10,10 +10,9 @@
 //! ring, where it replaces the worst member. This module holds the
 //! island vocabulary — the member trait, the ring shape, the run result
 //! and the seed schedule. The migration loop itself is `ga-engine`'s
-//! `IslandRing`, which runs members on std scoped threads: the software
-//! realization of the multi-FPGA layout those papers prototype, and a
-//! faithful model because inter-island traffic happens only at epoch
-//! barriers.
+//! `IslandRing`: the software realization of the multi-FPGA layout
+//! those papers prototype, and a faithful model because inter-island
+//! traffic happens only at epoch barriers.
 
 use carng::ca::MAXIMAL_RULE_VECTOR;
 use carng::wide::CaRngW;
@@ -28,7 +27,7 @@ use crate::snapshot::{EngineSnapshot, SnapshotError};
 /// for every RNG source, which is what lets the engine-layer composite
 /// (`ga-engine`'s `IslandsEngine`) run islands over *any* stepping
 /// backend — behavioral CA, LFSR, or a bitsim64 lane stream.
-pub trait IslandMember: Send {
+pub trait IslandMember {
     /// Generate and evaluate the random initial population.
     fn init_population(&mut self);
     /// Breed one full generation.
@@ -46,7 +45,7 @@ pub trait IslandMember: Send {
     fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SnapshotError>;
 }
 
-impl<R: SnapshotRng + Send, F: FnMut(u16) -> u16 + Send> IslandMember for GaEngine<R, F> {
+impl<R: SnapshotRng, F: FnMut(u16) -> u16> IslandMember for GaEngine<R, F> {
     fn init_population(&mut self) {
         GaEngine::init_population(self);
     }

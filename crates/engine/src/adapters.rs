@@ -103,10 +103,7 @@ fn run16<'a, R: Rng16>(
 /// source — the island-member factory both 16-bit stepping adapters
 /// share. The RNG must be snapshot-capable: stepping handles are the
 /// checkpoint/resume surface ([`ga_core::IslandMember::snapshot`]).
-fn stepper16<R: SnapshotRng + Send + 'static>(
-    spec: &RunSpec,
-    rng: R,
-) -> Box<dyn ga_core::IslandMember> {
+fn stepper16<R: SnapshotRng + 'static>(spec: &RunSpec, rng: R) -> Box<dyn ga_core::IslandMember> {
     let f = spec.workload;
     Box::new(GaEngine::new(spec.params, rng, move |c| f.eval_u16(c)))
 }

@@ -7,9 +7,16 @@
 //!
 //! The ring is generic over a fallible [`RingMember`]: an in-process
 //! stepping handle here, a socket to an island-worker process in
-//! `ga-serve`'s `Coordinator`. Both run the same epoch loop, and a
-//! member that fails — a closed shard connection, a panicked island
-//! thread — surfaces as [`EngineError::Island`] naming its index.
+//! `ga-serve`'s `Coordinator`. Both run the same epoch loop. Each ring
+//! call issues its [`RingOp`] to every member, then collects the
+//! replies in ring order, all on the caller's thread: an in-process
+//! member does its work when the op is issued, a shard connection sends
+//! the op line then and reads the reply later, so shards evolve at the
+//! same time. A member that fails — a closed shard connection, a
+//! panicking island — surfaces as [`EngineError::Island`] naming its
+//! index.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ga_core::islands::{island_seed, IslandConfig, IslandRun};
 use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
@@ -154,49 +161,101 @@ impl CheckpointBundle {
     }
 }
 
-/// One island, as the epoch loop sees it. Every call may fail — a
-/// remote member's connection can drop mid-run — and the ring turns a
-/// failure into [`EngineError::Island`] carrying the member's index.
-pub trait RingMember: Send {
-    /// Evolve `gens` generations; report the best individual after.
-    fn evolve(&mut self, gens: u32) -> Result<Individual, String>;
-    /// Replace the worst individual with `migrant`.
-    fn accept(&mut self, migrant: Individual) -> Result<(), String>;
-    /// Capture the member's full state at the current barrier.
-    fn capture(&mut self) -> Result<EngineSnapshot, String>;
+/// One ring call. The ring issues it to every member before it collects
+/// any reply, so members that work elsewhere (shard processes) work at
+/// the same time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RingOp {
+    /// Evolve this many generations; answered by [`RingReply::Best`].
+    Evolve(u32),
+    /// Replace the worst individual with the migrant; answered by
+    /// [`RingReply::Accepted`].
+    Accept(Individual),
+    /// Capture the full state at the current barrier; answered by
+    /// [`RingReply::Snapshot`].
+    Capture,
+    /// Report the final best and the fitness evaluations consumed;
+    /// answered by [`RingReply::Concluded`].
+    Conclude,
+}
+
+/// A member's answer to a [`RingOp`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RingReply {
+    /// The best individual after an [`RingOp::Evolve`].
+    Best(Individual),
+    /// The migrant of an [`RingOp::Accept`] is in.
+    Accepted,
+    /// The member's state at the barrier.
+    Snapshot(EngineSnapshot),
     /// Final best individual and fitness evaluations consumed.
-    fn conclude(&mut self) -> Result<(Individual, u64), String>;
+    Concluded(Individual, u64),
 }
 
-/// The in-process member: a stepping handle, which cannot fail.
+/// One island, as the epoch loop sees it. Every ring call is two steps:
+/// [`RingMember::issue`] to every member, then [`RingMember::collect`]
+/// from each in ring order. Either step may fail — a remote member's
+/// connection can drop mid-run — and the ring turns a failure into
+/// [`EngineError::Island`] carrying the member's index.
+pub trait RingMember {
+    /// What [`RingMember::collect`] needs to finish an issued op: the
+    /// reply itself for a member that works when the op is issued, the
+    /// op for one that reads its reply later.
+    type Pending;
+    /// Start `op`.
+    fn issue(&mut self, op: RingOp) -> Result<Self::Pending, String>;
+    /// Finish the op that [`RingMember::issue`] started.
+    fn collect(&mut self, pending: Self::Pending) -> Result<RingReply, String>;
+}
+
+/// The in-process member: a stepping handle, which does the work on the
+/// calling thread when the op is issued. A panic inside it is caught and
+/// becomes the member's error.
 impl RingMember for Box<dyn IslandMember + '_> {
-    fn evolve(&mut self, gens: u32) -> Result<Individual, String> {
-        for _ in 0..gens {
-            self.step_generation();
-        }
-        Ok(self.best())
+    type Pending = RingReply;
+
+    fn issue(&mut self, op: RingOp) -> Result<RingReply, String> {
+        catch_unwind(AssertUnwindSafe(|| match op {
+            RingOp::Evolve(gens) => {
+                for _ in 0..gens {
+                    self.step_generation();
+                }
+                RingReply::Best(self.best())
+            }
+            RingOp::Accept(migrant) => {
+                self.inject(migrant);
+                RingReply::Accepted
+            }
+            RingOp::Capture => RingReply::Snapshot(self.snapshot()),
+            RingOp::Conclude => RingReply::Concluded(self.best(), self.evaluations()),
+        }))
+        .map_err(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string payload");
+            format!("island panicked: {msg}")
+        })
     }
 
-    fn accept(&mut self, migrant: Individual) -> Result<(), String> {
-        self.inject(migrant);
-        Ok(())
-    }
-
-    fn capture(&mut self) -> Result<EngineSnapshot, String> {
-        Ok(self.snapshot())
-    }
-
-    fn conclude(&mut self) -> Result<(Individual, u64), String> {
-        Ok((self.best(), self.evaluations()))
+    fn collect(&mut self, reply: RingReply) -> Result<RingReply, String> {
+        Ok(reply)
     }
 }
 
-/// The epoch-granular ring: members between epochs, one scoped-thread
-/// fan-out per epoch, ring migration at every barrier. Stepping one
-/// epoch at a time (instead of running to completion) is what lets a
-/// caller checkpoint every member after each barrier and resume a
-/// killed run from the snapshots — the trajectory is bit-identical
-/// either way because all cross-island traffic happens at the barrier.
+/// The epoch-granular ring: members between epochs, ring migration at
+/// every barrier, every call issued to all members before any reply is
+/// collected. Stepping one epoch at a time (instead of running to
+/// completion) is what lets a caller checkpoint every member after each
+/// barrier and resume a killed run from the snapshots — the trajectory
+/// is bit-identical either way because all cross-island traffic happens
+/// at the barrier.
+///
+/// The ring starts no threads: in-process members evolve one after
+/// another on the caller's thread, so a lone island job does not spread
+/// its islands over cores. A server already runs jobs in parallel on its
+/// worker pool, and shard members evolve in their own processes.
 pub struct IslandRing<M> {
     config: IslandConfig,
     members: Vec<M>,
@@ -247,9 +306,38 @@ impl<M: RingMember> IslandRing<M> {
         self.checkpoint()
     }
 
-    /// Evolve every island for `epoch` generations in parallel, then
-    /// migrate: island *k*'s best replaces the worst member of island
-    /// *(k+1) mod n*. Past the schedule this steps nothing and is an
+    /// Issue `op(k)` to every member *k*, then collect the replies in
+    /// ring order, each unpacked by `want` (`None` for a reply of the
+    /// wrong kind). Every member that took its op is collected from,
+    /// even past a failure, so no reply is left unread on a connection;
+    /// the first failure in ring order is the error, naming its island.
+    fn call_all<T>(
+        &mut self,
+        op: impl Fn(usize) -> RingOp,
+        want: impl Fn(RingReply) -> Option<T>,
+    ) -> Result<Vec<T>, EngineError> {
+        let pending: Vec<_> = self
+            .members
+            .iter_mut()
+            .enumerate()
+            .map(|(k, m)| m.issue(op(k)))
+            .collect();
+        let replies: Vec<_> = self
+            .members
+            .iter_mut()
+            .zip(pending)
+            .enumerate()
+            .map(|(k, (m, p))| {
+                let reply = p.and_then(|p| m.collect(p)).map_err(at(k))?;
+                want(reply).ok_or_else(|| at(k)(format!("reply does not answer {:?}", op(k))))
+            })
+            .collect();
+        replies.into_iter().collect()
+    }
+
+    /// Evolve every island for `epoch` generations, then migrate: island
+    /// *k*'s best replaces the worst member of island *(k+1) mod n*.
+    /// Past the schedule this steps nothing and is an
     /// [`EngineError::InvalidSpec`].
     fn advance(&mut self) -> Result<(), EngineError> {
         if self.done() {
@@ -258,32 +346,21 @@ impl<M: RingMember> IslandRing<M> {
             });
         }
         let gens = self.config.epoch;
-        // Join every handle inside the scope, so a panicked island is a
-        // typed error here rather than a re-panic when the scope ends.
-        let joined: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .members
-                .iter_mut()
-                .map(|m| s.spawn(move || m.evolve(gens)))
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let bests = joined
-            .into_iter()
-            .enumerate()
-            .map(|(k, r)| {
-                r.unwrap_or_else(|_| Err("island thread panicked".into()))
-                    .map_err(at(k))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = self.members.len();
+        let bests = self.call_all(
+            |_| RingOp::Evolve(gens),
+            |r| match r {
+                RingReply::Best(b) => Some(b),
+                _ => None,
+            },
+        )?;
+        let n = bests.len();
         if n > 1 {
-            // All bests are collected before any injection, so a migrant
-            // never leaks into a later island's outgoing best.
-            for (k, best) in bests.into_iter().enumerate() {
-                let dst = (k + 1) % n;
-                self.members[dst].accept(best).map_err(at(dst))?;
-            }
+            // All bests are collected before any migrant is issued, so a
+            // migrant never leaks into a later island's outgoing best.
+            self.call_all(
+                |k| RingOp::Accept(bests[(k + n - 1) % n]),
+                |r| (r == RingReply::Accepted).then_some(()),
+            )?;
             self.migrations += n as u64;
         }
         self.epochs_done += 1;
@@ -293,12 +370,13 @@ impl<M: RingMember> IslandRing<M> {
     /// The checkpoint for the current barrier: every member captured,
     /// in ring order.
     pub fn checkpoint(&mut self) -> Result<CheckpointBundle, EngineError> {
-        let members = self
-            .members
-            .iter_mut()
-            .enumerate()
-            .map(|(k, m)| m.capture().map_err(at(k)))
-            .collect::<Result<_, _>>()?;
+        let members = self.call_all(
+            |_| RingOp::Capture,
+            |r| match r {
+                RingReply::Snapshot(s) => Some(s),
+                _ => None,
+            },
+        )?;
         Ok(CheckpointBundle {
             config: self.config,
             epochs_done: self.epochs_done,
@@ -333,13 +411,15 @@ impl<M: RingMember> IslandRing<M> {
     /// Finish: fold the members into the run result (later islands win
     /// fitness ties).
     pub fn finish(mut self) -> Result<IslandRun, EngineError> {
-        let mut island_best = Vec::with_capacity(self.members.len());
-        let mut evaluations = 0;
-        for (k, m) in self.members.iter_mut().enumerate() {
-            let (best, evals) = m.conclude().map_err(at(k))?;
-            island_best.push(best);
-            evaluations += evals;
-        }
+        let concluded = self.call_all(
+            |_| RingOp::Conclude,
+            |r| match r {
+                RingReply::Concluded(best, evals) => Some((best, evals)),
+                _ => None,
+            },
+        )?;
+        let evaluations = concluded.iter().map(|&(_, evals)| evals).sum();
+        let island_best: Vec<Individual> = concluded.into_iter().map(|(best, _)| best).collect();
         let best = island_best.iter().copied().max_by_key(|i| i.fitness);
         Ok(IslandRun {
             best: best.ok_or_else(|| EngineError::InvalidSpec {
@@ -505,7 +585,7 @@ mod tests {
     fn plain_members<'a>(
         params: GaParams,
         config: IslandConfig,
-        fitness: &'a (dyn Fn(u16) -> u16 + Sync),
+        fitness: &'a dyn Fn(u16) -> u16,
     ) -> Vec<Box<dyn IslandMember + 'a>> {
         (0..config.islands)
             .map(|k| {
@@ -520,7 +600,7 @@ mod tests {
     fn plain_ring<'a>(
         params: GaParams,
         config: IslandConfig,
-        fitness: &'a (dyn Fn(u16) -> u16 + Sync),
+        fitness: &'a dyn Fn(u16) -> u16,
     ) -> IslandRing<Box<dyn IslandMember + 'a>> {
         let mut members = plain_members(params, config, fitness);
         for m in &mut members {
@@ -533,7 +613,7 @@ mod tests {
     fn run_islands(
         params: GaParams,
         config: IslandConfig,
-        fitness: impl Fn(u16) -> u16 + Sync,
+        fitness: impl Fn(u16) -> u16,
     ) -> IslandRun {
         plain_ring(params, config, &fitness).run().expect("runs")
     }
@@ -766,31 +846,32 @@ mod tests {
     }
 
     impl RingMember for Fake {
-        fn evolve(&mut self, _gens: u32) -> Result<Individual, String> {
-            if self.fail {
-                return Err("scripted failure".into());
+        type Pending = RingReply;
+
+        fn issue(&mut self, op: RingOp) -> Result<RingReply, String> {
+            match op {
+                RingOp::Evolve(_) if self.fail => Err("scripted failure".into()),
+                RingOp::Evolve(_) => Ok(RingReply::Best(Individual {
+                    chrom: self.id,
+                    fitness: self.id,
+                })),
+                RingOp::Accept(migrant) => {
+                    self.accepted.push(migrant.chrom);
+                    Ok(RingReply::Accepted)
+                }
+                RingOp::Capture => Err("fakes keep no state".into()),
+                RingOp::Conclude => {
+                    let tie = Individual {
+                        chrom: self.id,
+                        fitness: 7,
+                    };
+                    Ok(RingReply::Concluded(tie, 1))
+                }
             }
-            Ok(Individual {
-                chrom: self.id,
-                fitness: self.id,
-            })
         }
 
-        fn accept(&mut self, migrant: Individual) -> Result<(), String> {
-            self.accepted.push(migrant.chrom);
-            Ok(())
-        }
-
-        fn capture(&mut self) -> Result<EngineSnapshot, String> {
-            Err("fakes keep no state".into())
-        }
-
-        fn conclude(&mut self) -> Result<(Individual, u64), String> {
-            let tie = Individual {
-                chrom: self.id,
-                fitness: 7,
-            };
-            Ok((tie, 1))
+        fn collect(&mut self, reply: RingReply) -> Result<RingReply, String> {
+            Ok(reply)
         }
     }
 
@@ -850,7 +931,7 @@ mod tests {
     // as that runner built them.
 
     #[test]
-    fn runs_are_deterministic_despite_threads() {
+    fn runs_are_deterministic() {
         let rom = FitnessRom::tabulate(TestFunction::Bf6);
         let params = GaParams::new(32, 32, 10, 1, 0x2961);
         let a = run_islands(params, cfg(4), |c| rom.lookup(c));

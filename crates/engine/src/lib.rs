@@ -43,7 +43,9 @@ pub use adapters::{
     SwgaEngine,
 };
 pub use cache::{global_cache, NetlistCache};
-pub use islands::{CheckpointBundle, IslandRing, IslandsEngine, RingMember, CHECKPOINT_VERSION};
+pub use islands::{
+    CheckpointBundle, IslandRing, IslandsEngine, RingMember, RingOp, RingReply, CHECKPOINT_VERSION,
+};
 pub use pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
 pub use registry::{global, EngineRegistry};
 pub use spec::{

@@ -256,8 +256,8 @@ pub enum EngineError {
         /// Simulated cycles (or netlist steps) charged before giving up.
         cycles: u64,
     },
-    /// One member of an island ring failed: its thread panicked, or a
-    /// remote shard's connection broke or refused an op.
+    /// One member of an island ring failed: an in-process member
+    /// panicked, or a remote shard's connection broke or refused an op.
     Island {
         /// The failing member's ring index.
         island: usize,

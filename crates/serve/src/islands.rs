@@ -35,12 +35,14 @@
 //! on `bitsim64` workers bit-identically (and vice versa).
 //!
 //! The [`Coordinator`] has no epoch loop of its own: it is the engine
-//! layer's [`IslandRing`] over one shard connection per island, each
-//! ring call one op line and its reply. Shards evolve concurrently on
-//! the ring's threads, then every best is routed one island along the
-//! ring and every shard is snapshotted — the same code path as the
-//! in-process run, so a multi-process [`CheckpointBundle`] is
-//! byte-identical to the in-process one at the same barrier, and a
+//! layer's [`IslandRing`] over one shard connection per island. Each
+//! ring call writes its op line to every shard before it reads any
+//! reply, then reads the replies in ring order, all on the calling
+//! thread: the shards evolve at the same time, then every best is
+//! routed one island along the ring and every shard is snapshotted —
+//! the same code path as the in-process run, so a multi-process
+//! [`CheckpointBundle`] is byte-identical to the in-process one at the
+//! same barrier, and a
 //! shard that dies or refuses an op is an [`EngineError::Island`]
 //! naming it. Every barrier's bundle is flushed to the checkpoint file
 //! via write-to-temp + rename, so a coordinator killed mid-write leaves
@@ -54,7 +56,9 @@ use std::path::{Path, PathBuf};
 use ga_core::islands::{island_seed, IslandRun};
 use ga_core::snapshot::EngineSnapshot;
 use ga_core::{GaParams, Individual};
-use ga_engine::{CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RunSpec};
+use ga_engine::{
+    CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RingOp, RingReply, RunSpec,
+};
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
 use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
@@ -259,8 +263,9 @@ fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, b
     }
 }
 
-/// One coordinator↔worker connection: a [`RingMember`] whose every
-/// ring call is one op line and its reply.
+/// One coordinator↔worker connection: a [`RingMember`] that writes
+/// each op line when the ring issues it and reads the reply when the
+/// ring collects it, so every shard works on its op at the same time.
 struct ShardConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -279,14 +284,18 @@ impl ShardConn {
         })
     }
 
-    /// Send one op line and read its reply. An `"ok":false` reply
-    /// surfaces the worker's error string; a closed connection surfaces
-    /// as a transport error (the campaign's kill-detection signal).
-    fn call(&mut self, line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+    /// Send one op line.
+    fn send(&mut self, line: &str) -> Result<(), String> {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|_| self.writer.flush())
-            .map_err(|e| format!("shard write failed: {e}"))?;
+            .map_err(|e| format!("shard write failed: {e}"))
+    }
+
+    /// Read the reply to the op sent last. An `"ok":false` reply
+    /// surfaces the worker's error string; a closed connection surfaces
+    /// as a transport error (the campaign's kill-detection signal).
+    fn receive(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
         let mut reply = String::new();
         let n = self
             .reader
@@ -322,31 +331,36 @@ fn reply_best(pairs: &[(String, JsonValue)]) -> Result<Individual, String> {
 }
 
 impl RingMember for ShardConn {
-    fn evolve(&mut self, gens: u32) -> Result<Individual, String> {
-        reply_best(&self.call(&format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"))?)
+    type Pending = RingOp;
+
+    fn issue(&mut self, op: RingOp) -> Result<RingOp, String> {
+        self.send(&match op {
+            RingOp::Evolve(gens) => format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"),
+            RingOp::Accept(migrant) => format!(
+                "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
+                migrant.chrom, migrant.fitness
+            ),
+            RingOp::Capture => "{\"op\":\"snapshot\"}".into(),
+            RingOp::Conclude => "{\"op\":\"finish\"}".into(),
+        })?;
+        Ok(op)
     }
 
-    fn accept(&mut self, migrant: Individual) -> Result<(), String> {
-        self.call(&format!(
-            "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
-            migrant.chrom, migrant.fitness
-        ))
-        .map(drop)
-    }
-
-    fn capture(&mut self) -> Result<EngineSnapshot, String> {
-        let pairs = self.call("{\"op\":\"snapshot\"}")?;
-        match pairs.iter().find(|(k, _)| k == "snapshot") {
-            Some((_, JsonValue::Str(hex))) => {
-                EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))
+    fn collect(&mut self, op: RingOp) -> Result<RingReply, String> {
+        let pairs = self.receive()?;
+        Ok(match op {
+            RingOp::Evolve(_) => RingReply::Best(reply_best(&pairs)?),
+            RingOp::Accept(_) => RingReply::Accepted,
+            RingOp::Capture => match pairs.iter().find(|(k, _)| k == "snapshot") {
+                Some((_, JsonValue::Str(hex))) => RingReply::Snapshot(
+                    EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))?,
+                ),
+                _ => return Err("worker reply missing \"snapshot\"".into()),
+            },
+            RingOp::Conclude => {
+                RingReply::Concluded(reply_best(&pairs)?, reply_int(&pairs, "evaluations")?)
             }
-            _ => Err("worker reply missing \"snapshot\"".into()),
-        }
-    }
-
-    fn conclude(&mut self) -> Result<(Individual, u64), String> {
-        let pairs = self.call("{\"op\":\"finish\"}")?;
-        Ok((reply_best(&pairs)?, reply_int(&pairs, "evaluations")?))
+        })
     }
 }
 
@@ -411,7 +425,8 @@ impl Coordinator {
                 init.push_str(&format!(",\"snapshot\":\"{}\"", bundle.members[k].to_hex()));
             }
             init.push('}');
-            let shard = ShardConn::connect(addr).and_then(|mut c| c.call(&init).map(|_| c));
+            let shard = ShardConn::connect(addr)
+                .and_then(|mut c| c.send(&init).and_then(|_| c.receive()).map(|_| c));
             shards.push(shard.map_err(|msg| EngineError::Island { island: k, msg })?);
         }
         Ok(Coordinator {

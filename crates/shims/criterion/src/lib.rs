@@ -6,7 +6,10 @@
 //! `BenchmarkGroup`, `BenchmarkId`, `Bencher::iter`) and reports a
 //! simple mean wall-clock time per iteration. No statistics, plots, or
 //! baselines — it exists so `cargo bench` produces honest numbers
-//! offline, not to replace criterion's analysis.
+//! offline, not to replace criterion's analysis. Like criterion, it
+//! takes the first positional argument as a name filter: `cargo bench
+//! -- fitness_eval` runs only the benchmarks whose `group/id` name
+//! contains `fitness_eval` (a plain substring, not a regex).
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -61,7 +64,7 @@ impl BenchmarkId {
 pub struct BenchmarkGroup<'a> {
     name: String,
     throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -77,19 +80,16 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    fn run(&mut self, id: &str, b: &mut Bencher) {
-        if let Some((iters, total)) = b.reported.take() {
-            let per = total.as_nanos() as f64 / iters as f64;
+    /// Run `f` as benchmark `group/id` unless the name filter skips it,
+    /// and print its time.
+    fn run(&mut self, id: &str, f: impl FnOnce(&mut Bencher)) {
+        let name = format!("{}/{}", self.name, id);
+        if let Some((per, iters)) = self.criterion.measure(&name, f) {
             let per_elem = match self.throughput {
                 Some(Throughput::Elements(n)) => format!("  {:>10.2} ns/elem", per / n as f64),
                 None => String::new(),
             };
-            println!(
-                "bench {:<48} {:>14.1} ns/iter ({} iters){per_elem}",
-                format!("{}/{}", self.name, id),
-                per,
-                iters
-            );
+            println!("bench {name:<48} {per:>14.1} ns/iter ({iters} iters){per_elem}");
         }
     }
 
@@ -99,9 +99,7 @@ impl BenchmarkGroup<'_> {
         id: impl Display,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher { reported: None };
-        f(&mut b);
-        self.run(&id.to_string(), &mut b);
+        self.run(&id.to_string(), |b| f(b));
         self
     }
 
@@ -112,9 +110,7 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher { reported: None };
-        f(&mut b, input);
-        self.run(&id.id, &mut b);
+        self.run(&id.id, |b| f(b, input));
         self
     }
 
@@ -123,16 +119,45 @@ impl BenchmarkGroup<'_> {
 }
 
 /// The benchmark driver.
-#[derive(Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Only benchmarks whose full name contains this run.
+    filter: Option<String>,
+}
+
+impl Default for Criterion {
+    /// A driver filtered by the first command-line argument that is not
+    /// a flag (`cargo bench` itself passes `--bench`).
+    fn default() -> Self {
+        Criterion {
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
+        }
+    }
+}
 
 impl Criterion {
+    /// Time `f` as benchmark `name`: nanoseconds per iteration and the
+    /// iteration count, or `None` when the filter skips it (then `f` is
+    /// never called) or `f` timed nothing.
+    fn measure(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> Option<(f64, u64)> {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|want| !name.contains(want))
+        {
+            return None;
+        }
+        let mut b = Bencher { reported: None };
+        f(&mut b);
+        let (iters, total) = b.reported?;
+        Some((total.as_nanos() as f64 / iters as f64, iters))
+    }
+
     /// Open a named group.
     pub fn benchmark_group(&mut self, name: impl Display) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.to_string(),
             throughput: None,
-            _criterion: self,
+            criterion: self,
         }
     }
 
@@ -142,16 +167,9 @@ impl Criterion {
         id: impl Display,
         mut f: F,
     ) -> &mut Self {
-        let mut b = Bencher { reported: None };
-        f(&mut b);
-        if let Some((iters, total)) = b.reported.take() {
-            let per = total.as_nanos() as f64 / iters as f64;
-            println!(
-                "bench {:<48} {:>14.1} ns/iter ({} iters)",
-                id.to_string(),
-                per,
-                iters
-            );
+        let name = id.to_string();
+        if let Some((per, iters)) = self.measure(&name, |b| f(b)) {
+            println!("bench {name:<48} {per:>14.1} ns/iter ({iters} iters)");
         }
         self
     }
@@ -180,3 +198,24 @@ macro_rules! criterion_main {
 
 /// Re-export for code importing `criterion::black_box`.
 pub use std::hint::black_box;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_name_filter_skips_benchmarks_it_does_not_match() {
+        let mut c = Criterion {
+            filter: Some("fitness_eval".into()),
+        };
+        let mut ran = Vec::new();
+        for name in ["rng/ca_1000_draws", "fitness_eval/BF6"] {
+            let timed = c.measure(name, |b| {
+                ran.push(name);
+                b.iter(|| 1 + 1);
+            });
+            assert_eq!(timed.is_some(), name.starts_with("fitness_eval"));
+        }
+        assert_eq!(ran, ["fitness_eval/BF6"]);
+    }
+}
