@@ -65,11 +65,14 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
 # x86-64 host, whose two speed states are about 1.6x apart. Stepping
 # every cycle measures 45-90 ns there, so the ceiling (about 3x the
 # scan-only skip's fast state) fails without the jumps. The profiled run
-# takes 2274 host steps (advance calls) with selections and offspring
-# jumped whole, 5762 with only the selections and handshakes jumped.
+# takes 67 host steps (advance calls) with each generation and the
+# initial population jumped whole (Start, the population, then a GenCheck
+# step and a generation per generation, and the last GenCheck); 2274 with
+# one jump per selection and per offspring, so the ceiling fails without
+# the generation windows.
 ./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
     'hw_run_cycles>=64373' 'hw_run_cycles<=64373' 'rtl_wall_ns_per_cycle<=40' \
-    'rtl_host_steps<=2300'
+    'rtl_host_steps<=70'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

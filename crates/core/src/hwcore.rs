@@ -37,11 +37,28 @@
 //! reads the memory at the old address before `OffUpdate`'s cycle
 //! writes the offspring. The cycle counts are those of the FSM; only
 //! the host stops paying for them one at a time.
+//!
+//! Two longer runs of windows jump whole, when nothing but the fitness
+//! module's answers enters them (`GaCoreHw::stretch`):
+//!
+//! * a whole generation, `ElitWrite` through `GenEnd`'s edge. The
+//!   current bank cannot change during it, so `GaCoreHw::breed` finds
+//!   each selection on the bank's prefix sums (`GaCoreHw::pick`,
+//!   counting the `5 + 3 ×` members-walked cycles of the scan), breeds
+//!   each pair with `crossed` and `mutated`, and leaves the candidates;
+//!   once the module has answered each, `GaCoreHw::store` lands the
+//!   stores and the new population's sum and best (`OffUpdate`'s
+//!   datapath, `joined`). `ElitWrite` and `GenEnd` run as ordinary
+//!   edges (`GaCoreHw::tick`);
+//! * the initial population, its first `InitPopDraw` through the last
+//!   `InitPopUpdate`: `GaCoreHw::sow` draws the candidates and
+//!   `GaCoreHw::seed` lands the members (`InitPopUpdate`'s datapath,
+//!   `sown`).
 
 use hwsim::{AckSlave, Clocked, Reg};
 
 use crate::behavioral::Individual;
-use crate::memory::{pack, unpack, BANK0_BASE, BANK1_BASE};
+use crate::memory::{pack, unpack, GaMemory, BANK0_BASE, BANK1_BASE};
 use crate::ops;
 use crate::params::{GaParams, ParamIndex, PresetMode};
 use crate::ports::{GaCoreComb, GaCoreIn, GaCoreOut};
@@ -153,6 +170,36 @@ pub struct GaCoreHw {
 /// multiplier holds the FSM in `SelMulWait` for `MUL_WAIT + 1` cycles
 /// after `SelDraw` while `mult_cnt` counts down to zero.
 const MUL_WAIT: u8 = 3;
+
+/// The bounds of a whole-generation or initial-population window
+/// ([`GaCoreHw::stretch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stretch {
+    /// The most cycles the window takes besides its handshakes' answer
+    /// edges: every scan walks the whole bank.
+    pub(crate) most: u64,
+    /// The fitness handshakes in the window.
+    pub(crate) handshakes: u64,
+    /// True for a whole generation ([`GaCoreHw::breed`]); false for the
+    /// initial population ([`GaCoreHw::sow`]).
+    pub(crate) selects: bool,
+}
+
+/// A generation's selections and breeding, run ahead of the clock by
+/// [`GaCoreHw::breed`] for [`GaCoreHw::store`] to finish once the
+/// fitness module has answered every candidate.
+#[derive(Debug, Default)]
+pub(crate) struct Brood {
+    /// The bank offset each selection stops at, in draw order.
+    pub(crate) hits: Vec<u8>,
+    /// Each offspring's candidate, in request order.
+    pub(crate) cands: Vec<u16>,
+    /// The generation's cycles through its last `OffUpdate`, but its
+    /// handshakes' answer edges.
+    pub(crate) cycles: u64,
+    /// The elite's store, `(address, word)`, that `ElitWrite` stages.
+    elite: (u8, u32),
+}
 
 /// A quiet window computed ahead of the clock by [`GaCoreHw::walk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,6 +325,31 @@ impl CyclesByPhase {
             + self.fitness_wait
             + self.store
     }
+}
+
+/// `OffUpdate`'s datapath: the new population's fitness sum once
+/// `stored` joins it, and its packed best when `stored` replaces the
+/// best `best` (only a strictly fitter offspring does). The register is
+/// written only then, so on the cycle the scan chain unloads into the
+/// registers an unreplaced best keeps the unloaded value.
+fn joined(sum: u32, best: u32, stored: Individual) -> (u32, Option<u32>) {
+    let fitter = stored.fitness > unpack(best).fitness;
+    (
+        sum.wrapping_add(u32::from(stored.fitness)),
+        fitter.then(|| pack(stored)),
+    )
+}
+
+/// `InitPopUpdate`'s datapath: the population's fitness sum once member
+/// `i`, `member`, joins it, and its packed best when `member` replaces
+/// the best `best`, as [`joined`] does. The first member is the best so
+/// far; after it, only a strictly fitter one replaces it.
+fn sown(i: u8, sum: u32, best: u32, member: Individual) -> (u32, Option<u32>) {
+    let fitter = i == 0 || member.fitness > unpack(best).fitness;
+    (
+        sum.wrapping_add(u32::from(member.fitness)),
+        fitter.then(|| pack(member)),
+    )
 }
 
 impl Default for GaCoreHw {
@@ -525,25 +597,20 @@ impl GaCoreHw {
                 self.state.set(State::InitPopUpdate);
             }
             State::InitPopUpdate => {
-                let f = self.fit_reg.get();
-                let sum = self.fit_sum.get().wrapping_add(f as u32);
-                self.fit_sum.set(sum);
-                let cur_best = self.best_ind();
-                let is_better = self.i.get() == 0 || f > cur_best.fitness;
-                let best_now = if is_better {
-                    let b = Individual {
-                        chrom: self.cand.get(),
-                        fitness: f,
-                    };
-                    self.best.set(pack(b));
-                    b
-                } else {
-                    cur_best
+                let member = Individual {
+                    chrom: self.cand.get(),
+                    fitness: self.fit_reg.get(),
                 };
+                let (sum, best) = sown(self.i.get(), self.fit_sum.get(), self.best.get(), member);
+                self.fit_sum.set(sum);
+                if let Some(best) = best {
+                    self.best.set(best);
+                }
                 let ni = self.i.get().wrapping_add(1);
                 self.i.set(ni);
                 if ni == pop {
-                    comb.stats_event = Some((0, best_now.chrom, best_now.fitness, sum));
+                    let best = best.map_or_else(|| self.best_ind(), unpack);
+                    comb.stats_event = Some((0, best.chrom, best.fitness, sum));
                     self.state.set(State::GenCheck);
                 } else {
                     self.state.set(State::InitPopDraw);
@@ -670,13 +737,14 @@ impl GaCoreHw {
                 self.state.set(State::OffUpdate);
             }
             State::OffUpdate => {
-                let f = self.fit_reg.get();
-                self.new_sum.set(self.new_sum.get().wrapping_add(f as u32));
-                if f > self.new_best_ind().fitness {
-                    self.new_best.set(pack(Individual {
-                        chrom: self.cand.get(),
-                        fitness: f,
-                    }));
+                let stored = Individual {
+                    chrom: self.cand.get(),
+                    fitness: self.fit_reg.get(),
+                };
+                let (sum, best) = joined(self.new_sum.get(), self.new_best.get(), stored);
+                self.new_sum.set(sum);
+                if let Some(best) = best {
+                    self.new_best.set(best);
                 }
                 let ni = self.idx.get().wrapping_add(1);
                 self.idx.set(ni);
@@ -775,7 +843,11 @@ impl GaCoreHw {
     /// * `InitPopFitReq`, and runs through the cycle that latches
     ///   `fit_valid`.
     ///
-    /// Returns `None` anywhere else.
+    /// Returns `None` anywhere else. A system tries a generation or
+    /// initial-population window ([`GaCoreHw::stretch`]) first, and
+    /// walks these one at a time where none applies: mid-generation,
+    /// near a watchdog bound or a scheduled fault, or on a module that
+    /// does not answer in a fixed number of edges.
     pub(crate) fn walk(
         &self,
         rn: [u16; 2],
@@ -864,6 +936,254 @@ impl GaCoreHw {
         }
     }
 
+    /// Where a run of windows to the next `GenCheck` may start, out of
+    /// test mode with no memory write or fitness request pending:
+    ///
+    /// * `ElitWrite`, for a whole generation through `GenEnd`'s edge,
+    ///   when `pop_size ≥ 2` and the current and new banks,
+    ///   `[cur_base, +pop_size)` and `[new_base, +pop_size)`, do not
+    ///   overlap, so no store lands on a member a selection reads;
+    /// * the first `InitPopDraw` (`i` 0), for the initial population
+    ///   through the last `InitPopUpdate`.
+    ///
+    /// Returns `None` anywhere else.
+    pub(crate) fn stretch(&self) -> Option<Stretch> {
+        if self.test_prev.get() || self.mem_wr.get() || self.fit_request.get() {
+            return None;
+        }
+        let pop = self.pop_size.get();
+        match self.state.get() {
+            State::ElitWrite => {
+                let apart = u16::from(self.new_base.get().wrapping_sub(self.cur_base.get()));
+                let pop = u16::from(pop);
+                if pop < 2 || apart < pop || 256 - apart < pop {
+                    return None;
+                }
+                let (pop, offspring) = (u64::from(pop), u64::from(pop) - 1);
+                // `ElitWrite`, two selections of `5 + 3 × pop_size`
+                // cycles per pair of offspring, a crossover draw per
+                // pair, per offspring the mutation draw, request,
+                // latch, store and update, then `GenEnd`.
+                let pairs = offspring.div_ceil(2);
+                Some(Stretch {
+                    most: 2 + pairs * (2 * (5 + 3 * pop) + 1) + offspring * 5,
+                    handshakes: offspring,
+                    selects: true,
+                })
+            }
+            State::InitPopDraw if self.i.get() == 0 && pop > 0 => {
+                // Per member: draw, request, latch, store, update.
+                let members = u64::from(pop);
+                Some(Stretch {
+                    most: members * 5,
+                    handshakes: members,
+                    selects: false,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// The selection window from `SelDraw` under draw `rn`, found on
+    /// `prefix`, the sums the scan's `cum` register holds member by
+    /// member ([`ops::selection_prefix`]), instead of by a walk: the
+    /// scan stops at the first member [`ops::selection_pick`] finds, or
+    /// falls through to `prefix`'s last. `word(addr)` must return the
+    /// word at `addr`. The window's cycles are the walk's: `SelDraw`,
+    /// the multiplier wait, and three per member walked.
+    pub(crate) fn pick(&self, rn: u16, prefix: &[u32], word: impl FnOnce(u8) -> u32) -> Window {
+        let threshold = ops::selection_threshold(self.fit_sum.get(), rn);
+        let hit = ops::selection_pick(prefix, threshold).unwrap_or(prefix.len() - 1);
+        let cum = hit.checked_sub(1).map_or(0, |k| prefix[k]);
+        let idx = hit as u8;
+        Window {
+            cycles: 1 + u64::from(MUL_WAIT) + 1 + 3 * (u64::from(idx) + 1),
+            kind: WindowKind::Select {
+                draw: Some(threshold),
+                idx,
+                cum,
+                word: word(self.cur_base.get().wrapping_add(idx)),
+            },
+        }
+    }
+
+    /// Run a generation's selections and breeding ahead of the clock,
+    /// from `ElitWrite` ([`GaCoreHw::stretch`]) through the last
+    /// offspring's request, with the FSM's rules: `ElitWrite`'s edge
+    /// ([`GaCoreHw::tick`]), each selection a [`GaCoreHw::pick`] on the
+    /// sums `sums(rn)` gives for the draw `rn` (with the `rn` the
+    /// threshold multiplies), then per pair of offspring the crossover
+    /// and mutation draws ([`GaCoreHw::crossed`],
+    /// [`GaCoreHw::mutated`]). `draw()` returns the RNG's output and
+    /// steps it. The current bank holds still throughout: no store
+    /// lands in it.
+    ///
+    /// Every register ends as the last `OffUpdate`'s edge leaves it but
+    /// those the fitness values set, which [`GaCoreHw::store`] lands.
+    pub(crate) fn breed<'s>(
+        &mut self,
+        mut draw: impl FnMut() -> u16,
+        mut sums: impl FnMut(u16) -> (u16, &'s [u32]),
+        word: impl Fn(u8) -> u32,
+        brood: &mut Brood,
+    ) {
+        brood.hits.clear();
+        brood.cands.clear();
+        self.tick();
+        let out = self.out();
+        brood.elite = (out.mem_address, out.mem_data_out);
+        let offspring = usize::from(self.pop_size.get()) - 1;
+        let (mut selecting, mut pairs) = (0, 0);
+        let (mut off, mut second) = ([0; 2], false);
+        let mut last = None;
+        while brood.cands.len() < offspring {
+            // `SelDraw` through the hit's `SelScanData`, for each parent.
+            for parent in [false, true] {
+                let (rn, sums) = sums(draw());
+                let window = self.pick(rn, sums, &word);
+                let WindowKind::Select { idx, word: hit, .. } = window.kind else {
+                    unreachable!("a pick is a selection")
+                };
+                let chrom = unpack(hit).chrom;
+                if parent {
+                    self.parent2.reset_to(chrom);
+                } else {
+                    self.parent1.reset_to(chrom);
+                }
+                brood.hits.push(idx);
+                selecting += window.cycles;
+                last = Some(window.kind);
+            }
+            // `XoverDecide`, then `MutDecide` through `OffUpdate` for
+            // each offspring of the pair the new bank has room for.
+            off = self.crossed(draw());
+            pairs += 1;
+            second = false;
+            loop {
+                let k = usize::from(second);
+                off[k] = self.mutated(draw(), off[k]);
+                brood.cands.push(off[k]);
+                if second || brood.cands.len() == offspring {
+                    break;
+                }
+                second = true;
+            }
+        }
+        if let Some(WindowKind::Select {
+            draw: Some(threshold),
+            idx,
+            cum,
+            ..
+        }) = last
+        {
+            self.threshold.reset_to(threshold);
+            self.cum.reset_to(cum);
+            self.scan_idx.reset_to(idx);
+        }
+        let offspring = offspring as u64;
+        self.mult_cnt.reset_to(0);
+        self.sel_phase.reset_to(true);
+        self.off1.reset_to(off[0]);
+        self.off2.reset_to(off[1]);
+        self.off_phase.reset_to(second);
+        self.cand
+            .reset_to(brood.cands.last().copied().unwrap_or_default());
+        self.mem_address
+            .reset_to(self.new_base.get().wrapping_add(offspring as u8));
+        self.mem_wr.reset_to(false);
+        self.idx.reset_to(self.pop_size.get());
+        self.state.reset_to(State::GenEnd);
+        self.rng_draws += brood.hits.len() as u64 + pairs + offspring;
+        // Per offspring: the mutation draw, the request and latch
+        // cycles, `OffStore` and `OffUpdate`.
+        self.profile.selection += selecting;
+        self.profile.breeding += pairs + offspring;
+        self.profile.fitness_wait += 2 * offspring;
+        self.profile.store += 2 * offspring;
+        brood.cycles = 1 + selecting + pairs + 5 * offspring;
+    }
+
+    /// Land the fitness `values` of the offspring [`GaCoreHw::breed`]
+    /// bred, each answered `edges` edges after its request: `mem` takes
+    /// the elite and each offspring where `ElitWrite` and `OffStore`
+    /// address them, and every register ends as the last `OffUpdate`'s
+    /// edge leaves it.
+    pub(crate) fn store(&mut self, brood: &Brood, values: &[u16], edges: u64, mem: &mut GaMemory) {
+        let (addr, elite) = brood.elite;
+        mem.write(addr, elite);
+        let (mut sum, mut best) = (self.new_sum.get(), self.new_best.get());
+        for (k, (&chrom, &fitness)) in (1..).zip(brood.cands.iter().zip(values)) {
+            let stored = Individual { chrom, fitness };
+            mem.write(addr.wrapping_add(k), pack(stored));
+            self.fit_reg.reset_to(fitness);
+            self.mem_data_out.reset_to(pack(stored));
+            let (next, fitter) = joined(sum, best, stored);
+            (sum, best) = (next, fitter.unwrap_or(best));
+        }
+        self.new_sum.reset_to(sum);
+        self.new_best.reset_to(best);
+        self.profile.fitness_wait += edges * values.len() as u64;
+    }
+
+    /// Draw the initial population's candidates ahead of the clock, from
+    /// its first `InitPopDraw` ([`GaCoreHw::stretch`]): one draw per
+    /// member, as each `InitPopDraw` edge takes it. [`GaCoreHw::seed`]
+    /// lands the population once the fitness module has answered.
+    pub(crate) fn sow(&mut self, mut draw: impl FnMut() -> u16, cands: &mut Vec<u16>) {
+        cands.clear();
+        cands.extend((0..self.pop_size.get()).map(|_| draw()));
+    }
+
+    /// Land the initial population [`GaCoreHw::sow`] drew with its
+    /// fitness `values`, each answered `edges` edges after its request:
+    /// `mem` takes each member where `InitPopStore` addresses it, its
+    /// read register ends on what the last `InitPopStore` cycle reads,
+    /// and every register ends as the last `InitPopUpdate`'s edge leaves
+    /// it. Returns that edge's generation-0 event.
+    pub(crate) fn seed(
+        &mut self,
+        cands: &[u16],
+        values: &[u16],
+        edges: u64,
+        mem: &mut GaMemory,
+    ) -> (u32, u16, u16, u32) {
+        let base = self.cur_base.get();
+        let (mut sum, mut best) = (self.fit_sum.get(), self.best.get());
+        for (i, (&chrom, &fitness)) in (0..).zip(cands.iter().zip(values)) {
+            let member = Individual { chrom, fitness };
+            // `InitPopStore` reads the address the last store left, then
+            // `InitPopUpdate` writes the member.
+            mem.settle_read(self.mem_address.get());
+            self.mem_address.reset_to(base.wrapping_add(i));
+            mem.write(base.wrapping_add(i), pack(member));
+            let (next, fitter) = sown(i, sum, best, member);
+            (sum, best) = (next, fitter.unwrap_or(best));
+            self.cand.reset_to(chrom);
+            self.fit_reg.reset_to(fitness);
+            self.mem_data_out.reset_to(pack(member));
+        }
+        let members = values.len() as u64;
+        self.fit_sum.reset_to(sum);
+        self.best.reset_to(best);
+        self.i.reset_to(self.pop_size.get());
+        self.state.reset_to(State::GenCheck);
+        self.rng_draws += members;
+        // Per member: the draw, store and update cycles, the request and
+        // latch cycles and the answer edges.
+        self.profile.init_pop += 3 * members;
+        self.profile.fitness_wait += (2 + edges) * members;
+        let best = unpack(best);
+        (0, best.chrom, best.fitness, sum)
+    }
+
+    /// One clock edge with idle inputs: a generation window's
+    /// `ElitWrite` and `GenEnd`, which read none.
+    pub(crate) fn tick(&mut self) -> GaCoreComb {
+        let comb = self.eval(&GaCoreIn::default());
+        self.commit();
+        comb
+    }
+
     /// Jump over `window`: leave every register as the clock edge after
     /// its last cycle would, count its draws, and tally the window's
     /// cycles to their phases. `window` must come from
@@ -931,10 +1251,10 @@ impl GaCoreHw {
                     .reset_to(self.new_base.get().wrapping_add(self.idx.get()));
                 self.mem_data_out.reset_to(pack(stored));
                 // OffUpdate.
-                self.new_sum
-                    .reset_to(self.new_sum.get().wrapping_add(u32::from(value)));
-                if value > self.new_best_ind().fitness {
-                    self.new_best.reset_to(pack(stored));
+                let (sum, best) = joined(self.new_sum.get(), self.new_best.get(), stored);
+                self.new_sum.reset_to(sum);
+                if let Some(best) = best {
+                    self.new_best.reset_to(best);
                 }
                 let ni = self.idx.get().wrapping_add(1);
                 self.idx.reset_to(ni);
@@ -1393,6 +1713,134 @@ mod tests {
                 }
                 assert!(jumps > 0, "{start:?}");
             }
+        }
+    }
+
+    /// A 16-bit mBF6_2 system programmed with `params`, one cycle into
+    /// its run.
+    fn started(params: &GaParams) -> crate::system::GaSystem {
+        use crate::system::{GaSystem, UserIn};
+        use ga_fitness::{FemBank, FemSlot, LookupFem, TestFunction};
+        let fem = FemSlot::Lookup(LookupFem::for_function(TestFunction::Mbf6_2));
+        let mut sys = GaSystem::new(FemBank::new(vec![fem]));
+        sys.program(params);
+        sys.step(UserIn {
+            start_ga: true,
+            ..Default::default()
+        });
+        sys
+    }
+
+    #[test]
+    fn picks_on_the_bank_sums_stop_where_the_scan_stops() {
+        use crate::system::UserIn;
+        let params = GaParams::new(24, 6, 10, 1, 0xB342);
+        let mut sys = started(&params);
+        let mut prefix = Vec::new();
+        let mut picks = 0;
+        while !sys.modules().core.out().ga_done {
+            let m = sys.modules();
+            let core = &m.core;
+            if core.is_sel_draw() && !core.mem_wr.get() {
+                let base = core.cur_base.get();
+                let fitness =
+                    (0..params.pop_size).map(|k| unpack(m.mem.word(base.wrapping_add(k))).fitness);
+                ops::selection_prefix(fitness, &mut prefix);
+                let rn = [m.rng.rn(), m.rng.successor()];
+                let walked = core.walk(rn, |addr, _| m.mem.word(addr));
+                let picked = core.pick(rn[0], &prefix, |addr| m.mem.word(addr));
+                assert_eq!(walked, Some(picked));
+                picks += 1;
+            }
+            sys.step(UserIn::default());
+        }
+        assert!(picks > 50, "{picks} selections checked");
+    }
+
+    /// Bank bases moved as the second generation's window would start,
+    /// which the scan chain does not reach: banks that overlap fall back
+    /// to one-window jumps and single steps, banks apart still jump, and
+    /// either way the system matches single steps after every jump
+    /// through `GA_done`.
+    #[test]
+    fn generation_windows_fall_back_when_the_banks_overlap() {
+        use crate::system::UserIn;
+        // New-bank offsets from the current bank: aliased, one member of
+        // overlap on either side, and adjacent, which does not overlap.
+        let layouts = [(0u8, false), (15, false), (241, false), (16, true)];
+        let params = GaParams::new(16, 5, 10, 1, 0x2961);
+        for (i, (offset, jumps)) in layouts.into_iter().enumerate() {
+            let move_banks =
+                |c: &mut GaCoreHw| c.new_base.reset_to(c.cur_base.get().wrapping_add(offset));
+            let (mut fast, mut slow) = (started(&params), started(&params));
+            loop {
+                let core = &fast.modules().core;
+                if core.state.get() == State::ElitWrite && core.gen.get() == 1 {
+                    break;
+                }
+                fast.step(UserIn::default());
+                slow.step(UserIn::default());
+            }
+            move_banks(fast.core_mut());
+            move_banks(slow.core_mut());
+            let mut first = true;
+            while !fast.modules().core.out().ga_done {
+                let n = fast.advance(u64::MAX);
+                if first {
+                    assert_eq!(n > 1, jumps, "layout {i}");
+                    first = false;
+                }
+                for _ in 0..n {
+                    slow.step(UserIn::default());
+                }
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "layout {i}");
+            }
+            for name in ["best_fitness", "sum_fitness"] {
+                let series = |s: &crate::system::GaSystem| s.trace().series(name).cloned();
+                assert_eq!(series(&fast), series(&slow), "layout {i}: {name}");
+            }
+        }
+    }
+
+    /// An update that keeps the best writes no best: on the cycle the
+    /// scan chain unloads into the registers, `OffUpdate` and
+    /// `InitPopUpdate` leave the best the chain unloaded.
+    #[test]
+    fn updates_that_keep_the_best_keep_the_best_the_scan_chain_unloads() {
+        use crate::system::UserIn;
+        let bit = |field: &str| {
+            let at = GaCoreHw::SCAN_FIELDS
+                .iter()
+                .position(|&(name, _)| name == field);
+            GaCoreHw::SCAN_FIELDS[..at.expect("a scan field")]
+                .iter()
+                .map(|&(_, w)| w)
+                .sum::<usize>()
+        };
+        let best = |core: &GaCoreHw, field: &str| match field {
+            "new_best" => core.new_best.get(),
+            _ => core.best.get(),
+        };
+        let cases = [
+            (State::OffUpdate, "new_best"),
+            (State::InitPopUpdate, "best"),
+        ];
+        for (update, field) in cases {
+            let mut sys = started(&GaParams::new(16, 3, 10, 1, 0x2961));
+            loop {
+                let core = &sys.modules().core;
+                let kept = core.fit_reg.get() <= unpack(best(core, field)).fitness;
+                if core.state.get() == update && core.i.get() != 0 && kept {
+                    break;
+                }
+                sys.step(UserIn::default());
+            }
+            let before = best(&sys.modules().core, field);
+            sys.scan_inject(&[hwsim::ScanBitOp {
+                position: bit(field),
+                kind: hwsim::BitFault::Flip,
+            }]);
+            assert_eq!(best(&sys.modules().core, field), before ^ 1, "{field}");
         }
     }
 

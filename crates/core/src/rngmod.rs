@@ -20,15 +20,24 @@ use hwsim::{Clocked, Reg};
 #[derive(Debug, Clone)]
 pub struct RngModule {
     state: Reg<u16>,
-    step_fn: fn(u16) -> u16,
+    kernel: Kernel,
 }
 
-fn ca_step(s: u16) -> u16 {
-    ca::CaRng::step_state(s, ca::MAXIMAL_RULE_VECTOR)
+/// The function a consume edge applies to the state word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    Ca,
+    Lfsr,
 }
 
-fn lfsr_step(s: u16) -> u16 {
-    lfsr::Lfsr16::step_state(s, lfsr::MAXIMAL_TAPS)
+impl Kernel {
+    #[inline]
+    fn step(self, s: u16) -> u16 {
+        match self {
+            Kernel::Ca => ca::CaRng::step_state(s, ca::MAXIMAL_RULE_VECTOR),
+            Kernel::Lfsr => lfsr::Lfsr16::step_state(s, lfsr::MAXIMAL_TAPS),
+        }
+    }
 }
 
 impl RngModule {
@@ -36,7 +45,7 @@ impl RngModule {
     pub fn new_ca(power_on_seed: u16) -> Self {
         RngModule {
             state: Reg::new(Self::guard(power_on_seed)),
-            step_fn: ca_step,
+            kernel: Kernel::Ca,
         }
     }
 
@@ -44,7 +53,7 @@ impl RngModule {
     pub fn new_lfsr(power_on_seed: u16) -> Self {
         RngModule {
             state: Reg::new(Self::guard(power_on_seed)),
-            step_fn: lfsr_step,
+            kernel: Kernel::Lfsr,
         }
     }
 
@@ -67,7 +76,16 @@ impl RngModule {
     /// the kernel.
     #[inline]
     pub(crate) fn successor(&self) -> u16 {
-        (self.step_fn)(self.state.get())
+        self.kernel.step(self.state.get())
+    }
+
+    /// One consume edge without a seed load, as [`RngModule::eval`] and
+    /// a commit run it: returns the output the drawing cycle reads.
+    #[inline]
+    pub(crate) fn draw(&mut self) -> u16 {
+        let rn = self.state.get();
+        self.state.reset_to(self.kernel.step(rn));
+        rn
     }
 
     /// Evaluation phase: a seed load takes priority over a consume step.
@@ -75,7 +93,7 @@ impl RngModule {
         if let Some(seed) = seed_load {
             self.state.set(Self::guard(seed));
         } else if consume {
-            self.state.set((self.step_fn)(self.state.get()));
+            self.state.set(self.kernel.step(self.state.get()));
         }
     }
 }

@@ -41,9 +41,29 @@
 //!
 //! # Jumping quiet windows
 //!
-//! The run loops move the clock with [`GaSystem::advance`]. It steps one
-//! cycle, except at the start of a quiet window that nothing observes
-//! cycle by cycle (see [`crate::hwcore`]): a parent selection from
+//! The run loops move the clock with [`GaSystem::advance`]. Where a
+//! generation starts (`ElitWrite`) it jumps the whole generation through
+//! `GenEnd`'s edge in one host step, and where the initial population
+//! starts (its first `InitPopDraw`) the whole population through the
+//! last `InitPopUpdate`. Each core breeds or draws every candidate with
+//! the FSM's rules, the selections found on the current bank's prefix
+//! sums, which no store reaches during a generation; the selected
+//! module answers each candidate through [`Fem::answer`], once per
+//! offspring, and takes its release edge; then each core stores its
+//! members and lands its registers ([`crate::hwcore`]). The history
+//! and the trace get the generation's event stamped with the cycle of
+//! its last edge. Such a run window applies only when, besides the
+//! conditions below, `pop_size ≥ 2` and the current and new banks do
+//! not overlap (for a generation), and its longest course, every scan
+//! walking the whole bank, fits in the limit with the module's answer
+//! edges. It runs on copies of the cores and RNGs until the module has
+//! answered its first request, so a module that does not answer leaves
+//! the system untouched. The run loops check a wall-clock deadline
+//! between host steps, so about once per generation.
+//!
+//! Elsewhere it steps one cycle, except at the start of a quiet window
+//! that nothing observes cycle by cycle (see [`crate::hwcore`]): a
+//! parent selection from
 //! `SelDraw`, `SelMulWait` or `SelScanAddr` through the hit's data
 //! cycle, an offspring from `XoverDecide`, `MutDecide` or `OffFitReq`
 //! through `OffUpdate`, or an initial member's handshake from
@@ -65,7 +85,9 @@
 //! `scalingLogic_parSel` forces on it (and its own RNG's draws), and the
 //! window jumps only when both cores enter it together and core 2's
 //! walk ends on core 1's last cycle; the shared module answers the
-//! concatenated candidate once, and each core stores its own half.
+//! concatenated candidate once, and each core stores its own half. In a
+//! generation window core 2 takes core 1's member at every selection,
+//! where its forced scan stops, and breeds from its own RNG.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -76,8 +98,9 @@ use hwsim::vcd::VcdVar;
 use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, Trace, VcdWriter};
 
 use crate::behavioral::{GenStats, Individual};
-use crate::hwcore::{GaCoreHw, Window};
+use crate::hwcore::{Brood, GaCoreHw, Window};
 use crate::memory::{pack, unpack, GaMemory};
+use crate::ops;
 use crate::params::GaParams;
 use crate::ports::GaCoreIn;
 use crate::rngmod::RngModule;
@@ -268,6 +291,8 @@ pub struct GaSystem<P = FemBank> {
     vcd: Option<VcdCapture>,
     monitor: Option<HandshakeMonitor>,
     host_steps: u64,
+    /// The buffers of the generation windows.
+    scratch: Scratch,
     /// The [`Port`] the system was built around, which fixes what a run
     /// reports.
     port: PhantomData<P>,
@@ -317,11 +342,126 @@ fn forced(word: u32, hit: bool) -> u32 {
     })
 }
 
+/// `scalingLogic_parSel`'s view of core 2's bank in a selection, as the
+/// sums its scan holds ([`GaCoreHw::pick`]): zero before core 1's hit
+/// and full scale on it. Banks that do not overlap hold at most 128
+/// members.
+const FORCED_SUMS: [u32; 128] = {
+    let mut sums = [0; 128];
+    sums[127] = 0xFFFF;
+    sums
+};
+
+/// Core 2's sums for a selection that core 1 stops at member `hit`.
+fn forced_sums(hit: u8) -> &'static [u32] {
+    &FORCED_SUMS[127 - usize::from(hit)..]
+}
+
+/// A core's generation event: the generation, its best chromosome and
+/// fitness, and the population's fitness sum.
+type StatsEvent = (u32, u16, u16, u32);
+
+/// The RNG's output and that output's successor: what a window's first
+/// two draws read.
+fn outputs(rng: &RngModule) -> [u16; 2] {
+    [rng.rn(), rng.successor()]
+}
+
+/// The selected module's answer to a request for `candidate` within
+/// `max_edges` edges ([`FemBank::answer`]): its word, and the edges it
+/// took. `None` when it does not answer so.
+fn ask(fems: &mut FemBank, select: u8, candidate: u32, max_edges: u64) -> Option<(u16, u64)> {
+    let edges = fems.answer(select, candidate, max_edges)?;
+    Some((fems.out(select, 0, false).fit_value, edges))
+}
+
+/// The module's release edge: the cycle after the requester latches
+/// `fit_valid` runs it with the request low.
+fn release(fems: &mut FemBank, select: u8, candidate: u32) {
+    fems.eval(FemBankIn {
+        fit_request: false,
+        candidate,
+        select,
+        ext_value: 0,
+        ext_valid: false,
+    });
+    fems.commit();
+}
+
+/// Answer each request of a run window in turn, core 1's candidate half
+/// from `msb` and, with two cores, core 2's from `lsb`: the module reads
+/// each candidate bus once within `max_edges` edges and takes the
+/// release edge, and `values` gets its words. Returns the edges each
+/// answer took, or `None`, with the module untouched, when it does not
+/// answer the first request so.
+fn answer_each(
+    fems: &mut FemBank,
+    select: u8,
+    max_edges: u64,
+    msb: &[u16],
+    lsb: Option<&[u16]>,
+    values: &mut Vec<u16>,
+) -> Option<u64> {
+    values.clear();
+    let mut edges = None;
+    for (k, &half) in msb.iter().enumerate() {
+        let candidate = concat(half, lsb.map(|lsb| lsb[k]));
+        let Some((value, e)) = ask(fems, select, candidate, max_edges) else {
+            // A module keeps its answer latency: once it has answered
+            // within `max_edges`, it always does.
+            assert!(edges.is_none(), "a module that answered stopped answering");
+            return None;
+        };
+        release(fems, select, candidate);
+        values.push(value);
+        edges = Some(e);
+    }
+    edges
+}
+
+/// One core's share of a run window ([`GaSystem::advance`]): copies of
+/// its core and RNG that run ahead of the clock, adopted once the
+/// fitness module has answered every request in the window.
+struct Ahead {
+    core: GaCoreHw,
+    rng: RngModule,
+}
+
+impl Ahead {
+    fn new(core: &GaCoreHw, rng: &RngModule) -> Self {
+        Ahead {
+            core: core.clone(),
+            rng: rng.clone(),
+        }
+    }
+
+    /// `GenEnd`'s edge ([`GaCoreHw::tick`]) with the memory's, a read of
+    /// the last store's address; it draws no random number. Returns the
+    /// generation event.
+    fn gen_end(&mut self, mem: &mut GaMemory) -> Option<StatsEvent> {
+        let out = self.core.out();
+        let comb = self.core.tick();
+        mem.eval(out.mem_address, out.mem_data_out, out.mem_wr);
+        mem.commit();
+        comb.stats_event
+    }
+}
+
+/// Buffers a generation window reuses from one generation to the next.
+#[derive(Default)]
+struct Scratch {
+    /// The current bank's selection sums.
+    prefix: Vec<u32>,
+    /// Each core's brood.
+    broods: [Brood; 2],
+    /// The module's answer to each offspring.
+    values: Vec<u16>,
+}
+
 /// Land one core on the clock edge after `window`.
 fn land(core: &mut GaCoreHw, rng: &mut RngModule, mem: &mut GaMemory, window: &Window) {
     for _ in 0..window.draws() {
-        rng.eval(true, None);
-        rng.commit();
+        rng.draw();
     }
     let read = core.out().mem_address;
     core.apply(window);
@@ -362,6 +502,7 @@ impl<P: Port> GaSystem<P> {
             vcd: None,
             monitor: None,
             host_steps: 0,
+            scratch: Scratch::default(),
             port: PhantomData,
         }
     }
@@ -375,8 +516,9 @@ impl<P: Port> GaSystem<P> {
     /// [`GaSystem::run`] with an additional wall-clock budget: the
     /// cycle watchdog bounds *simulated* time, the [`Deadline`] bounds
     /// *host* time (the serving layer's per-job timeout). The deadline
-    /// is checked between cycles with amortized clock reads, so an
-    /// in-flight cycle always completes.
+    /// is checked between host steps ([`GaSystem::advance`]) with
+    /// amortized clock reads, so about once per generation, and an
+    /// in-flight step always completes.
     ///
     /// [`Deadline`]: hwsim::Deadline
     pub fn run_with_deadline(
@@ -543,8 +685,8 @@ impl<P> GaSystem<P> {
     }
 
     /// [`GaSystem::advance`] calls since construction: the host steps
-    /// the run loops took, one per cycle or quiet window
-    /// (instrumentation).
+    /// the run loops took, one per cycle, quiet window, generation or
+    /// initial population (instrumentation).
     pub fn host_steps(&self) -> u64 {
         self.host_steps
     }
@@ -684,20 +826,26 @@ impl<P> GaSystem<P> {
             self.probe(select);
         }
 
-        if let Some(((gen, chrom, fitness, sum), lsb)) = stats {
-            let s = GenStats {
-                gen,
-                best: Individual { chrom, fitness },
-                fit_sum: sum,
-                pop_size: self.modules.core.programmed_params().pop_size,
-            };
-            self.history.push((s, lsb));
-            // Chipscope-style: samples are stamped with the capture
-            // clock cycle (monotone across reruns), not the generation.
-            let t = self.sim.cycles();
-            self.trace.record("best_fitness", t, fitness as u64);
-            self.trace.record("sum_fitness", t, sum as u64);
+        if let Some(event) = stats {
+            self.record(event);
         }
+    }
+
+    /// Record a generation event, core 1's with core 2's best half, in
+    /// the history and the trace.
+    fn record(&mut self, ((gen, chrom, fitness, sum), lsb): (StatsEvent, u16)) {
+        let s = GenStats {
+            gen,
+            best: Individual { chrom, fitness },
+            fit_sum: sum,
+            pop_size: self.modules.core.programmed_params().pop_size,
+        };
+        self.history.push((s, lsb));
+        // Chipscope-style: samples are stamped with the capture clock
+        // cycle (monotone across reruns), not the generation.
+        let t = self.sim.cycles();
+        self.trace.record("best_fitness", t, fitness as u64);
+        self.trace.record("sum_fitness", t, sum as u64);
     }
 
     /// Sample the Table II interface after a clock edge into the
@@ -728,12 +876,13 @@ impl<P> GaSystem<P> {
 
     /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
     /// idle user inputs, and return how many cycles passed. At the start
-    /// of a quiet window that fits in `limit` (see the module docs), this
-    /// jumps the window in one step: the cores' registers, their cycle
-    /// profiles and draw counts, the RNGs, the memory read registers, the
-    /// fitness modules and the cycle count end exactly where
-    /// [`GaSystem::step`] would leave them. Anywhere else it is one
-    /// [`GaSystem::step`].
+    /// of a generation, of the initial population or of a quiet window
+    /// that fits in `limit` (see the module docs), this jumps it in one
+    /// step: the cores' registers, their cycle profiles and draw counts,
+    /// the RNGs, the memories with their read registers, the fitness
+    /// modules, the cycle count, the history and the trace end exactly
+    /// where [`GaSystem::step`] would leave them. Anywhere else it is
+    /// one [`GaSystem::step`].
     pub fn advance(&mut self, limit: u64) -> u64 {
         self.host_steps += 1;
         match self.jump(limit) {
@@ -745,16 +894,20 @@ impl<P> GaSystem<P> {
         }
     }
 
-    /// The window jump of [`GaSystem::advance`], if it applies.
+    /// The window jump of [`GaSystem::advance`], if it applies: a run
+    /// window to the next `GenCheck` where one starts, else one quiet
+    /// window.
     fn jump(&mut self, limit: u64) -> Option<u64> {
         if self.vcd.is_some() || self.monitor.is_some() {
             return None;
         }
+        if let Some(cycles) = self.leap(limit) {
+            return Some(cycles);
+        }
         let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
         let m = &mut self.modules;
         let mem = &m.mem;
-        let rn = [m.rng.rn(), m.rng.successor()];
-        let mut window = m.core.walk(rn, |addr, _| mem.word(addr))?;
+        let mut window = m.core.walk(outputs(&m.rng), |addr, _| mem.word(addr))?;
         if !m.fems.quiescent() || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent()) {
             return None;
         }
@@ -765,8 +918,10 @@ impl<P> GaSystem<P> {
         let hit_at = window.cycles;
         let mut window2 = match &m.lsb {
             Some(h) => {
-                let rn = if h.core.is_sel_draw() { 0 } else { h.rng.rn() };
-                let rn = [rn, h.rng.successor()];
+                let mut rn = outputs(&h.rng);
+                if h.core.is_sel_draw() {
+                    rn[0] = 0;
+                }
                 Some(
                     h.core
                         .walk(rn, |addr, at| forced(h.mem.word(addr), at == hit_at))?,
@@ -780,27 +935,20 @@ impl<P> GaSystem<P> {
             return None;
         }
         if let Some(msb) = window.request() {
-            let candidate = concat(msb, window2.and_then(|w2| w2.request()));
             if ratio != 1 || window.cycles >= limit {
                 return None;
             }
-            let edges = m.fems.answer(select, candidate, limit - window.cycles)?;
-            let value = m.fems.out(select, 0, false).fit_value;
+            let candidate = concat(msb, window2.and_then(|w2| w2.request()));
+            let (value, edges) = ask(&mut m.fems, select, candidate, limit - window.cycles)?;
             window.answer(value, edges);
             if let Some(w2) = window2.as_mut() {
                 w2.answer(value, edges);
             }
+            // An offspring's `OffStore` cycle is the module's release
+            // edge; after an initial member's latch, the stepped
+            // `InitPopStore` cycle runs it.
             if window.stores() {
-                // `OffStore`'s cycle: the request has dropped, and the
-                // module takes its release edge.
-                m.fems.eval(FemBankIn {
-                    fit_request: false,
-                    candidate,
-                    select,
-                    ext_value: 0,
-                    ext_valid: false,
-                });
-                m.fems.commit();
+                release(&mut m.fems, select, candidate);
             }
         }
         if window.cycles > limit {
@@ -812,6 +960,140 @@ impl<P> GaSystem<P> {
         }
         self.sim.advance(window.cycles);
         Some(window.cycles)
+    }
+
+    /// The run window of [`GaSystem::jump`], if one starts here and its
+    /// longest course fits in `limit` (see the module docs): a whole
+    /// generation from `ElitWrite`, or the initial population from its
+    /// first `InitPopDraw`, through the edge into `GenCheck`. The window runs
+    /// on copies of the cores and RNGs up to its first handshake, so a
+    /// module that does not answer within the room left leaves the
+    /// system untouched.
+    fn leap(&mut self, limit: u64) -> Option<u64> {
+        let m = &self.modules;
+        let stretch = m.core.stretch()?;
+        if m.lsb
+            .as_ref()
+            .is_some_and(|h| h.core.stretch() != Some(stretch))
+            || self.fast_domain_ratio.max(1) != 1
+            || !m.fems.quiescent()
+            || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent())
+        {
+            return None;
+        }
+        // Each handshake's answer edges must fit in what the longest
+        // course of the window leaves of `limit`.
+        let room = limit.checked_sub(stretch.most)? / stretch.handshakes;
+        let (cycles, event) = if stretch.selects {
+            self.generation(room)?
+        } else {
+            self.initial_population(room)?
+        };
+        self.sim.advance(cycles);
+        if let Some(e) = event {
+            self.record(e);
+        }
+        Some(cycles)
+    }
+
+    /// A whole generation from `ElitWrite` through `GenEnd`'s edge: each
+    /// core breeds it ([`GaCoreHw::breed`]), the module answers each
+    /// offspring's candidate bus once, and each core stores its half
+    /// ([`GaCoreHw::store`]). Core 1 selects on its current bank's sums;
+    /// core 2 takes core 1's members, where its forced scan stops.
+    /// Returns the cycles and the generation event.
+    fn generation(&mut self, room: u64) -> Option<(u64, Option<(StatsEvent, u16)>)> {
+        let select = self.fitfunc_select;
+        let m = &mut self.modules;
+        let Scratch {
+            prefix,
+            broods: [brood, brood2],
+            values,
+        } = &mut self.scratch;
+        let base = m.core.current_bank_base();
+        let pop = m.core.programmed_params().pop_size;
+        let fitness = (0..pop).map(|k| unpack(m.mem.word(base.wrapping_add(k))).fitness);
+        ops::selection_prefix(fitness, prefix);
+        let mut one = Ahead::new(&m.core, &m.rng);
+        let sums = |rn| (rn, prefix.as_slice());
+        one.core
+            .breed(|| one.rng.draw(), sums, |addr| m.mem.word(addr), brood);
+        let two = m.lsb.as_ref().map(|h| {
+            let mut two = Ahead::new(&h.core, &h.rng);
+            let mut hits = brood.hits.iter();
+            let sums = |_| {
+                (
+                    0,
+                    forced_sums(*hits.next().expect("core 2 selects with core 1")),
+                )
+            };
+            let word = |addr| forced(h.mem.word(addr), true);
+            two.core.breed(|| two.rng.draw(), sums, word, brood2);
+            two
+        });
+        let lsb = two.as_ref().map(|_| brood2.cands.as_slice());
+        let edges = answer_each(&mut m.fems, select, room, &brood.cands, lsb, values)?;
+        one.core.store(brood, values, edges, &mut m.mem);
+        let event = one.gen_end(&mut m.mem);
+        let event = match (two, m.lsb.as_mut()) {
+            (Some(mut two), Some(h)) => {
+                two.core.store(brood2, values, edges, &mut h.mem);
+                let event2 = two.gen_end(&mut h.mem);
+                h.core = two.core;
+                h.rng = two.rng;
+                event.zip(event2).map(|(e, e2)| (e, e2.1))
+            }
+            _ => event.map(|e| (e, 0)),
+        };
+        m.core = one.core;
+        m.rng = one.rng;
+        let cycles = brood.cycles + edges * values.len() as u64 + 1;
+        Some((cycles, event))
+    }
+
+    /// The initial population, from its first `InitPopDraw` through the
+    /// last `InitPopUpdate`: each core draws its members
+    /// ([`GaCoreHw::sow`]), the module answers each member's candidate
+    /// bus once, and each core stores its half ([`GaCoreHw::seed`]).
+    /// Returns the cycles and the generation-0 event.
+    fn initial_population(&mut self, room: u64) -> Option<(u64, Option<(StatsEvent, u16)>)> {
+        let m = &mut self.modules;
+        let Scratch {
+            broods: [brood, brood2],
+            values,
+            ..
+        } = &mut self.scratch;
+        let mut one = Ahead::new(&m.core, &m.rng);
+        one.core.sow(|| one.rng.draw(), &mut brood.cands);
+        let two = m.lsb.as_ref().map(|h| {
+            let mut two = Ahead::new(&h.core, &h.rng);
+            two.core.sow(|| two.rng.draw(), &mut brood2.cands);
+            two
+        });
+        let lsb = two.as_ref().map(|_| brood2.cands.as_slice());
+        let edges = answer_each(
+            &mut m.fems,
+            self.fitfunc_select,
+            room,
+            &brood.cands,
+            lsb,
+            values,
+        )?;
+        let event = one.core.seed(&brood.cands, values, edges, &mut m.mem);
+        let event = match (two, m.lsb.as_mut()) {
+            (Some(mut two), Some(h)) => {
+                let event2 = two.core.seed(&brood2.cands, values, edges, &mut h.mem);
+                h.core = two.core;
+                h.rng = two.rng;
+                (event, event2.1)
+            }
+            _ => (event, 0),
+        };
+        m.core = one.core;
+        m.rng = one.rng;
+        // Per member: the draw, request, latch, store and update cycles.
+        let cycles = (5 + edges) * values.len() as u64;
+        Some((cycles, Some(event)))
     }
 
     /// Program the parameter registers through the initialization

@@ -132,7 +132,9 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let text = match fs::read_to_string(&input) {
+    // Bytes, not text: a line that is not UTF-8 gets its own typed
+    // reply, like any other line that does not parse.
+    let text = match fs::read(&input) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("gaserved: cannot read {input}: {e}");

@@ -43,15 +43,18 @@
 //! the same code path as the in-process run, so a multi-process
 //! [`CheckpointBundle`] is byte-identical to the in-process one at the
 //! same barrier, and a
-//! shard that dies or refuses an op is an [`EngineError::Island`]
-//! naming it. Every barrier's bundle is flushed to the checkpoint file
+//! shard that dies, refuses an op, or sends no reply in time (before
+//! the job's deadline, or within the default cycle watchdog's simulated
+//! time when it has none) is an [`EngineError::Island`] naming it.
+//! Every barrier's bundle is flushed to the checkpoint file
 //! via write-to-temp + rename, so a coordinator killed mid-write leaves
 //! the previous complete checkpoint intact.
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use ga_core::islands::{island_seed, IslandRun};
 use ga_core::snapshot::EngineSnapshot;
@@ -269,10 +272,21 @@ fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, b
 struct ShardConn {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The job's deadline, which bounds every wait for a reply.
+    deadline: Option<Instant>,
+}
+
+/// How long one reply may take when the job sets no deadline: the
+/// simulated time of the default cycle watchdog
+/// ([`Limits::sim_watchdog_cycles`]) at the GA's 50 MHz clock, 40 s. A
+/// shard that stays connected but stops replying is then an error, not
+/// a hang.
+fn reply_bound() -> Duration {
+    Duration::from_nanos(Limits::default().sim_watchdog_cycles.saturating_mul(20))
 }
 
 impl ShardConn {
-    fn connect(addr: &str) -> Result<Self, String> {
+    fn connect(addr: &str, deadline: Option<Instant>) -> Result<Self, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let writer = stream
@@ -281,6 +295,7 @@ impl ShardConn {
         Ok(ShardConn {
             reader: BufReader::new(stream),
             writer,
+            deadline,
         })
     }
 
@@ -296,11 +311,26 @@ impl ShardConn {
     /// surfaces the worker's error string; a closed connection surfaces
     /// as a transport error (the campaign's kill-detection signal).
     fn receive(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
+        let wait = self.deadline.map_or_else(reply_bound, |at| {
+            at.saturating_duration_since(Instant::now())
+        });
+        if wait.is_zero() {
+            return Err("the job's deadline passed before the shard replied".into());
+        }
+        self.reader
+            .get_ref()
+            .set_read_timeout(Some(wait))
+            .map_err(|e| format!("shard read timeout: {e}"))?;
         let mut reply = String::new();
         let n = self
             .reader
             .read_line(&mut reply)
-            .map_err(|e| format!("shard read failed: {e}"))?;
+            .map_err(|e| match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                    format!("shard sent no reply within {} ms", wait.as_millis())
+                }
+                _ => format!("shard read failed: {e}"),
+            })?;
         if n == 0 {
             return Err("shard connection closed".into());
         }
@@ -368,8 +398,8 @@ impl RingMember for ShardConn {
 /// [`ShardConn`] per island worker, plus the checkpoint file. Every
 /// barrier's [`CheckpointBundle`] is flushed to `checkpoint_path`
 /// (write-temp-then-rename, so a mid-write crash never corrupts the
-/// last good checkpoint). A shard that dies or refuses an op is an
-/// [`EngineError::Island`] naming it.
+/// last good checkpoint). A shard that dies, refuses an op or sends no
+/// reply in time is an [`EngineError::Island`] naming it.
 pub struct Coordinator {
     ring: IslandRing<ShardConn>,
     checkpoint_path: PathBuf,
@@ -407,6 +437,11 @@ impl Coordinator {
         if let Some(bundle) = resume {
             bundle.fits(config)?;
         }
+        // Every reply, from `init` on, must come before the job's
+        // deadline.
+        let deadline = job
+            .deadline_ms
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut shards = Vec::with_capacity(config.islands);
         for (k, addr) in addrs.iter().enumerate() {
             let mut init = format!(
@@ -425,7 +460,7 @@ impl Coordinator {
                 init.push_str(&format!(",\"snapshot\":\"{}\"", bundle.members[k].to_hex()));
             }
             init.push('}');
-            let shard = ShardConn::connect(addr)
+            let shard = ShardConn::connect(addr, deadline)
                 .and_then(|mut c| c.send(&init).and_then(|_| c.receive()).map(|_| c));
             shards.push(shard.map_err(|msg| EngineError::Island { island: k, msg })?);
         }

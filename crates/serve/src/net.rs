@@ -36,7 +36,7 @@
 //! counters folded together) is returned so the listener can emit the
 //! same `BENCH_serve.json` report as batch mode.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -316,11 +316,12 @@ fn connection_loop(intake: &Intake, stream: TcpStream) {
 /// first-appearance order at any thread count. Returns the merged
 /// stats, or the first error writing or flushing `out`.
 pub fn serve_jsonl(
-    text: &str,
+    input: &[u8],
     out: impl Write + Send + 'static,
     cfg: &ServeConfig,
 ) -> io::Result<DrainSummary> {
-    let pool = Pool::new(cfg, text.lines().count());
+    let lines = input.split(|&b| b == b'\n').count();
+    let pool = Pool::new(cfg, lines);
     let intake = Intake {
         // No quota, rate limit or shedding: only parse failures reject.
         cfg: NetConfig::default(),
@@ -328,33 +329,66 @@ pub fn serve_jsonl(
         admission: Mutex::new(AdmissionStats::default()),
     };
     let conn = ConnState::new(out);
-    read_lines(&intake, text.as_bytes(), &conn);
+    read_lines(&intake, input, &conn);
     let stats = pool.run_queued();
     conn.finish()?;
     let admission = *relock(intake.admission.lock());
     Ok(DrainSummary { stats, admission })
 }
 
+/// The longest request line read, in bytes, its line ending excluded.
+/// A job line is a few hundred bytes. A longer line is answered with a
+/// typed `parse` error and skipped through its newline, so it neither
+/// grows the reader's buffer nor silences the lines after it.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// One request line as read: its text, or why it has none.
+enum Line {
+    Text(String),
+    NotUtf8,
+    TooLong,
+}
+
+/// Read the next line of `reader`, at most [`MAX_LINE_BYTES`] of it
+/// kept; `None` at EOF or on a read error.
+fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Option<Line> {
+    buf.clear();
+    // Room for the longest line and its `\r\n`.
+    let cap = MAX_LINE_BYTES as u64 + 2;
+    match Read::take(&mut *reader, cap).read_until(b'\n', buf) {
+        Ok(0) | Err(_) => return None,
+        Ok(_) => {}
+    }
+    if !buf.ends_with(b"\n") && buf.len() as u64 == cap {
+        // Skip the rest of the line; its tail may end at EOF.
+        return reader.skip_until(b'\n').ok().map(|_| Line::TooLong);
+    }
+    let Ok(text) = std::str::from_utf8(buf) else {
+        return Some(Line::NotUtf8);
+    };
+    let text = jsonl::strip_line_ending(text);
+    Some(if text.len() > MAX_LINE_BYTES {
+        Line::TooLong
+    } else {
+        Line::Text(text.to_owned())
+    })
+}
+
 /// Read `reader` to EOF, answering every non-empty line exactly once:
 /// a queued [`WorkItem`] on success, an immediate typed error line on
-/// parse failure or admission rejection.
+/// parse failure or admission rejection. A line that is not UTF-8, or
+/// is longer than [`MAX_LINE_BYTES`], is a parse failure.
 fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) {
     let cfg = &intake.cfg;
     let mut bucket = TokenBucket::new(cfg.rate_per_sec, cfg.rate_burst);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     let mut line_no = 0usize; // wire `job` id: counts every input line
     let mut seq = 0u64; // response slot: counts answered lines only
     let mut submitted = 0u64;
-    loop {
-        buf.clear();
-        match reader.read_line(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let text = jsonl::strip_line_ending(&buf);
+    while let Some(read) = next_line(&mut reader, &mut buf) {
         let line = line_no;
         line_no += 1;
-        if text.trim().is_empty() {
+        if matches!(&read, Line::Text(text) if text.trim().is_empty()) {
             continue;
         }
         relock(intake.admission.lock()).lines += 1;
@@ -364,7 +398,13 @@ fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) 
             *field(&mut relock(intake.admission.lock())) += 1;
             conn.emit(this_seq, jsonl::parse_error_line(line, &err));
         };
-        let job = match jsonl::parse_job(text, line) {
+        let unparsed = |msg: String| Err(ServeError::Parse { line, msg });
+        let parsed = match read {
+            Line::Text(text) => jsonl::parse_job(&text, line),
+            Line::NotUtf8 => unparsed("line is not valid UTF-8".into()),
+            Line::TooLong => unparsed(format!("line longer than {MAX_LINE_BYTES} bytes")),
+        };
+        let job = match parsed {
             Ok(job) => job,
             Err(e) => {
                 reject(e, |a| &mut a.rejected_parse);

@@ -1,25 +1,30 @@
 //! Quiet-window jumps are invisible, cycle for cycle.
 //!
-//! `GaSystem::advance` and `GaSystem32Hw::advance` jump a whole quiet
-//! window in one host step: a parent selection from `SelDraw`,
-//! `SelMulWait` or `SelScanAddr` through the hit's data cycle, an
-//! offspring from `XoverDecide`, `MutDecide` or `OffFitReq` through
-//! `OffUpdate`, or an initial-population handshake from `InitPopFitReq`
-//! through the cycle that latches `fit_valid`. Each test here drives one
-//! system through `advance` and a reference system through `step()`,
-//! one clock at a time, and requires the two to agree on everything a
-//! clock edge can change: the cycle count, every core register (the
-//! core's derived `Debug` covers the 408 scan-chain bits plus the FSM
-//! state, bank bases, multiplier counter, selection and offspring
-//! phases, cycle profile and draw count), the GA memories with their
-//! read registers, the RNG state and the fitness modules. The watchdog
-//! and scheduled scan faults must trip on the cycle they trip on with
-//! single steps, even when it falls inside a window.
+//! `GaSystem::advance` and `GaSystem32Hw::advance` jump a whole run
+//! window in one host step where one starts and fits the limit: a
+//! generation from `ElitWrite` through `GenEnd`'s edge, or the initial
+//! population from its first `InitPopDraw` through the last `InitPopUpdate`.
+//! Otherwise they jump one quiet window: a parent selection from
+//! `SelDraw`, `SelMulWait` or `SelScanAddr` through the hit's data
+//! cycle, an offspring from `XoverDecide`, `MutDecide` or `OffFitReq`
+//! through `OffUpdate`, or an initial-population handshake from
+//! `InitPopFitReq` through the cycle that latches `fit_valid`. Each test
+//! here drives one system through `advance` and a reference system
+//! through `step()`, one clock at a time, and requires the two to agree
+//! on everything a clock edge can change: the cycle count, every core
+//! register (the core's derived `Debug` covers the 408 scan-chain bits
+//! plus the FSM state, bank bases, multiplier counter, selection and
+//! offspring phases, cycle profile and draw count), the GA memories with
+//! their read registers, the RNG state and the fitness modules. Tests of
+//! the one-window jumps pass `advance` a limit no run window fits
+//! ([`window_limit`]). The watchdog and scheduled scan faults must trip
+//! on the cycle they trip on with single steps, even when it falls
+//! inside a window.
 
 use std::collections::BTreeMap;
 
 use carng::seeds::PRESET_SEEDS;
-use ga_core::{GaCoreHw, GaSystem32Hw};
+use ga_core::{GaCoreHw, GaSystem32Hw, Port};
 use ga_engine::{BackendKind, EngineError, Limits, RunSpec, Workload};
 use ga_ip::prelude::*;
 use hwsim::{BitFault, ScanBitOp, SimError};
@@ -155,8 +160,18 @@ impl Lead {
     }
 }
 
+/// A limit each one-window jump of a run of `params` fits and no run
+/// window does: the longest selection, a scan through the whole bank,
+/// takes `5 + 3 × pop_size` cycles, while the initial population alone
+/// takes `7 × pop_size` and a generation far more.
+fn window_limit(params: &GaParams) -> u64 {
+    5 + 3 * u64::from(params.pop_size)
+}
+
 /// Drive `fast` through `advance` (after the [`Lead`] steps) and `slow`
 /// through single steps to `GA_done`, comparing after every jump.
+/// `advance` gets the [`window_limit`], so it jumps one window at a
+/// time.
 fn lockstep16(fast: &mut GaSystem, slow: &mut GaSystem, params: &GaParams, stagger: bool) -> Tally {
     fast.program(params);
     slow.program(params);
@@ -176,7 +191,7 @@ fn lockstep16(fast: &mut GaSystem, slow: &mut GaSystem, params: &GaParams, stagg
             break;
         }
         let at = window_start(&fast.modules().core);
-        let n = fast.advance(u64::MAX);
+        let n = fast.advance(window_limit(params));
         for _ in 0..n {
             slow.step(UserIn::default());
         }
@@ -220,7 +235,7 @@ fn lockstep32<F: FnMut(u32) -> u16>(
             break;
         }
         let at = window_start(fast.halves()[0].0);
-        let n = fast.advance(u64::MAX);
+        let n = fast.advance(window_limit(params));
         for _ in 0..n {
             slow.step(UserIn::default());
         }
@@ -376,6 +391,173 @@ fn windows_from_every_accepted_state_match_single_steps_at_width_32() {
     assert_every_start_jumped(&all);
 }
 
+/// Drive `runs` through `advance` with no limit, `windows` through
+/// `advance` at the [`window_limit`] and `slow` through single steps to
+/// `GA_done`, and require all three to agree after each of `runs`'
+/// steps, on every register and on the trace samples the generation
+/// events stamp. Returns `runs`' tally.
+fn assert_run_windows_match<P: Port>(new: impl Fn() -> GaSystem<P>, params: &GaParams) -> Tally {
+    let [mut runs, mut windows, mut slow] = [new(), new(), new()];
+    for sys in [&mut runs, &mut windows, &mut slow] {
+        sys.program(params);
+        sys.step(start());
+    }
+    let done = |s: &GaSystem<P>| s.halves().iter().all(|(c, _, _)| c.out().ga_done);
+    let samples = |s: &GaSystem<P>| {
+        ["best_fitness", "sum_fitness"].map(|name| s.trace().series(name).cloned())
+    };
+    let mut tally = Tally::new();
+    while !done(&runs) {
+        let at = window_start(runs.halves()[0].0);
+        let n = runs.advance(u64::MAX);
+        tally.entry(at.clone()).or_default()[usize::from(n > 1)] += 1;
+        while windows.cycles() < runs.cycles() {
+            windows.advance(window_limit(params).min(runs.cycles() - windows.cycles()));
+        }
+        for _ in 0..n {
+            slow.step(UserIn::default());
+        }
+        let want = format!("{slow:?}");
+        assert_eq!(
+            format!("{windows:?}"),
+            want,
+            "one-window jumps to a {n}-cycle jump from {at}"
+        );
+        assert_eq!(
+            format!("{runs:?}"),
+            want,
+            "after a {n}-cycle jump from {at}"
+        );
+        assert_eq!(
+            samples(&runs),
+            samples(&slow),
+            "after a {n}-cycle jump from {at}"
+        );
+    }
+    assert!(done(&slow));
+    tally
+}
+
+/// One run window for the initial population and one per generation,
+/// and only `GenCheck` and the `Start` cycle stepped between them.
+fn assert_one_jump_per_generation(t: &Tally, params: &GaParams, what: &str) {
+    assert_eq!(t.get("InitPopDraw"), Some(&[0, 1]), "{what}: {t:?}");
+    let gens = u64::from(params.n_gens);
+    assert_eq!(t.get("ElitWrite"), Some(&[0, gens]), "{what}: {t:?}");
+    assert_eq!(t.get("GenCheck"), Some(&[gens + 1, 0]), "{what}: {t:?}");
+    assert_eq!(t.get("Start"), Some(&[1, 0]), "{what}: {t:?}");
+    assert_eq!(t.len(), 4, "{what}: {t:?}");
+}
+
+#[test]
+fn run_windows_land_where_one_window_jumps_land_at_width_16() {
+    for (f, params) in quick_matrix() {
+        let t = assert_run_windows_match(|| system16(lookup(f)), &params);
+        let what = format!("{f:?} pop {} seed {:#06x}", params.pop_size, params.seed);
+        assert_one_jump_per_generation(&t, &params, &what);
+    }
+}
+
+#[test]
+fn run_windows_land_where_one_window_jumps_land_at_width_32() {
+    for (f, params) in quick_matrix() {
+        let fit = move |c: u32| f.eval_u32_split(c);
+        let t = assert_run_windows_match(|| GaSystem32Hw::new(fit), &params);
+        let what = format!("{f:?} pop {} seed {:#06x}", params.pop_size, params.seed);
+        assert_one_jump_per_generation(&t, &params, &what);
+    }
+}
+
+#[test]
+fn run_windows_keep_the_cordic_fem_and_a_fast_fem_clock_on_one_window_jumps() {
+    // A module that answers in no fixed number of edges, or one in a
+    // faster clock domain, keeps every run window on one-window jumps
+    // and single steps.
+    let params = GaParams::new(32, 4, 12, 1, 0x2961);
+    let cordic = || system16(FemSlot::Cordic(CordicFem::new(TestFunction::Mbf6_2)));
+    let fast_domain = || {
+        let mut sys = system16(lookup(TestFunction::Mbf6_2));
+        sys.fast_domain_ratio = 4;
+        sys
+    };
+    for new in [&cordic as &dyn Fn() -> GaSystem, &fast_domain] {
+        let t = assert_run_windows_match(new, &params);
+        assert_eq!(
+            jumped(&t, "ElitWrite") + jumped(&t, "InitPopDraw"),
+            0,
+            "{t:?}"
+        );
+        assert!(jumped(&t, "SelDraw") > 0, "{t:?}");
+    }
+}
+
+/// A generation window of a 16-bit mBF6_2 run of `params`, met by
+/// unlimited `advance` calls: `(first cycle, length)`, counted as
+/// [`nth_window`] counts.
+fn generation_window(params: &GaParams, nth: usize) -> (u64, u64) {
+    let mut sys = started16(params);
+    nth_window(
+        nth,
+        |from, _| from == "ElitWrite",
+        u64::MAX,
+        |limit| advance16(&mut sys, limit),
+    )
+}
+
+#[test]
+fn watchdog_inside_a_generation_window_trips_on_the_same_cycle() {
+    // Inside the third generation, on its last cycle and one short of
+    // it: the run loop falls back to one-window jumps and single steps
+    // and stops on the bound, with the registers single steps leave.
+    let params = GaParams::new(32, 8, 10, 1, 0xB342);
+    let (at, n) = generation_window(&params, 3);
+    for watchdog in [at + 1, at + n / 2, at + n - 1, at + n] {
+        let mut fast = system16(lookup(TestFunction::Mbf6_2));
+        fast.program(&params);
+        let got = fast.run(watchdog).map(|r| r.cycles);
+        let mut slow = system16(lookup(TestFunction::Mbf6_2));
+        slow.program(&params);
+        let (want, _) = run_with_faults_stepped(&mut slow, watchdog, u64::MAX, &[]);
+        assert_eq!(got, want, "watchdog {watchdog}");
+        assert_eq!(got, Err(SimError::Timeout { cycles: watchdog }));
+        assert_eq!(state16(&fast), state16(&slow), "watchdog {watchdog}");
+    }
+    // The dual-core system stops on the same bound.
+    let mut fast = started32(&params);
+    let (at, n) = nth_window(
+        3,
+        |from, _| from == "ElitWrite",
+        u64::MAX,
+        |limit| advance32(&mut fast, limit),
+    );
+    let watchdog = at + n / 2;
+    assert_eq!(
+        run_engine(BackendKind::Rtl32, params, watchdog),
+        Err(EngineError::Watchdog { cycles: watchdog })
+    );
+}
+
+#[test]
+fn fault_inside_a_generation_window_lands_on_the_same_cycle() {
+    // Flips of the fill index, the fitness sums, a parent and the
+    // threshold, scheduled inside a generation: the run loop falls back
+    // before it, and the run windows after it start from the corrupted
+    // registers.
+    let params = GaParams::new(32, 6, 10, 1, 0x061F);
+    let ops = [
+        ("idx", 1),
+        ("new_sum", 4),
+        ("fit_sum", 9),
+        ("parent2", 6),
+        ("threshold", 12),
+    ]
+    .map(|(field, bit)| flip(field, bit));
+    let (at, n) = generation_window(&params, 2);
+    for at_cycle in [at + 1, at + n / 3, at + n - 1] {
+        assert_fault_lands_alike(&params, at_cycle, &ops);
+    }
+}
+
 /// `start_GA` for one cycle.
 fn start() -> UserIn {
     UserIn {
@@ -400,19 +582,21 @@ fn started32(params: &GaParams) -> GaSystem32Hw<impl FnMut(u32) -> u16> {
     sys
 }
 
-/// The `nth` window that passes `kind`, met by `advance` called on a
-/// system one cycle into its run: `(first cycle, length)`, counted from
-/// `start_GA` as the run loops' watchdog counts. `advance` returns the
-/// state it started in ([`window_start`]) and the cycles it took.
+/// The `nth` window that passes `kind`, met by `advance` called with
+/// `limit` on a system one cycle into its run: `(first cycle, length)`,
+/// counted from `start_GA` as the run loops' watchdog counts. `advance`
+/// returns the state it started in ([`window_start`]) and the cycles it
+/// took.
 fn nth_window(
     nth: usize,
     kind: fn(&str, u64) -> bool,
+    limit: u64,
     mut advance: impl FnMut(u64) -> (String, u64),
 ) -> (u64, u64) {
     let (mut at, mut seen) = (1, 0);
     loop {
         assert!(at < 10_000_000, "fewer than {nth} windows jumped");
-        let (from, n) = advance(u64::MAX);
+        let (from, n) = advance(limit);
         if n > 1 && kind(&from, n) {
             seen += 1;
             if seen == nth {
@@ -487,7 +671,9 @@ fn assert_watchdog_trips_inside(
     // rtl: single steps reach the bound mid-run, so the stepped loop
     // stops with Timeout { cycles: watchdog }; the jumping one must too.
     let mut fast = started16(&params);
-    let (at, n) = nth_window(nth, kind, |limit| advance16(&mut fast, limit));
+    let (at, n) = nth_window(nth, kind, window_limit(&params), |limit| {
+        advance16(&mut fast, limit)
+    });
     let watchdog = at + offset(n);
     let mut slow = started16(&params);
     for _ in 1..watchdog {
@@ -501,7 +687,9 @@ fn assert_watchdog_trips_inside(
 
     // rtl32: the same bound against the dual-core system's own window.
     let mut fast = started32(&params);
-    let (at, n) = nth_window(nth, kind, |limit| advance32(&mut fast, limit));
+    let (at, n) = nth_window(nth, kind, window_limit(&params), |limit| {
+        advance32(&mut fast, limit)
+    });
     let watchdog = at + offset(n);
     let mut slow = started32(&params);
     for _ in 1..watchdog {
@@ -541,7 +729,9 @@ fn watchdog_inside_a_scan_window_trips_on_the_same_cycle() {
         (40, second_offspring),
     ] {
         let mut fast = started16(&params);
-        let (at, n) = nth_window(nth, kind, |limit| advance16(&mut fast, limit));
+        let (at, n) = nth_window(nth, kind, window_limit(&params), |limit| {
+            advance16(&mut fast, limit)
+        });
         for watchdog in [at + n - 1, at + n] {
             assert_eq!(
                 run_engine(BackendKind::RtlInterp, params, watchdog),
@@ -602,12 +792,16 @@ fn fault_inside_a_scan_window_lands_on_the_same_cycle() {
     let mut at_cycles = Vec::new();
     for nth in [24, 25] {
         let mut sys = started16(&params);
-        let (at, n) = nth_window(nth, selection, |limit| advance16(&mut sys, limit));
+        let (at, n) = nth_window(nth, selection, window_limit(&params), |limit| {
+            advance16(&mut sys, limit)
+        });
         at_cycles.extend([at + 1, at + 3, at + n / 2, at + n - 1]);
     }
     for nth in [30, 31] {
         let mut sys = started16(&params);
-        let (at, _) = nth_window(nth, handshake, |limit| advance16(&mut sys, limit));
+        let (at, _) = nth_window(nth, handshake, window_limit(&params), |limit| {
+            advance16(&mut sys, limit)
+        });
         at_cycles.extend([at + 1, at + 2, at + 3]);
     }
     for at_cycle in at_cycles {
@@ -633,7 +827,9 @@ fn fault_inside_an_offspring_window_lands_on_the_same_cycle() {
     .map(|(field, bit)| flip(field, bit));
     for kind in [first_offspring, second_offspring] {
         let mut sys = started16(&params);
-        let (at, n) = nth_window(40, kind, |limit| advance16(&mut sys, limit));
+        let (at, n) = nth_window(40, kind, window_limit(&params), |limit| {
+            advance16(&mut sys, limit)
+        });
         for at_cycle in at..at + n {
             assert_fault_lands_alike(&params, at_cycle, &ops);
         }
@@ -717,7 +913,7 @@ fn window_where(params: &GaParams, from: &str, pick: impl Fn(&str) -> bool) -> u
         if window_start(core) == from && pick(&format!("{core:?}")) {
             return at;
         }
-        at += sys.advance(u64::MAX);
+        at += sys.advance(window_limit(params));
     }
 }
 

@@ -388,3 +388,50 @@ fn ring_calls_issue_to_every_member_then_collect_on_the_callers_thread() {
     ];
     assert_eq!(calls, [call, call, call].concat());
 }
+
+#[test]
+fn a_shard_that_stops_replying_is_a_typed_error_by_the_jobs_deadline() {
+    let job = island_job(BackendKind::Behavioral).with_deadline_ms(500);
+    // Shard 1 answers `init`, then reads its ops and never replies.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let stalled = listener.local_addr().expect("addr").to_string();
+    let staller = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(&stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("init");
+        assert!(line.contains("\"op\":\"init\""), "{line}");
+        (&stream)
+            .write_all(b"{\"ok\":true,\"seed\":1}\n")
+            .expect("reply");
+        // Hold the connection, silent, until the coordinator hangs up.
+        while reader.read_line(&mut line).is_ok_and(|n| n > 0) {}
+    });
+    let (first, w0) = spawn_worker();
+    let (last, w2) = spawn_worker();
+    let path = ckpt_path("stalled");
+    // On a thread, so a coordinator that waits forever fails the test
+    // instead of hanging it.
+    let (tx, rx) = mpsc::channel();
+    let coordinator_path = path.clone();
+    std::thread::spawn(move || {
+        let addrs = [first, stalled, last];
+        let mut coord =
+            Coordinator::connect(&job, &addrs, &coordinator_path, None).expect("connects");
+        let _ = tx.send(coord.step_epoch());
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("a reply within 20 s, not a hang");
+    match got {
+        Err(EngineError::Island { island: 1, msg }) => {
+            assert!(msg.contains("no reply"), "{msg}");
+        }
+        other => panic!("expected a typed error naming island 1, got {other:?}"),
+    }
+    staller.join().expect("staller thread");
+    for w in [w0, w2] {
+        let _ = w.join().expect("worker thread");
+    }
+    assert!(!path.exists(), "a failed barrier flushes no checkpoint");
+}

@@ -12,7 +12,8 @@
 //! `behavioral` or gets a typed reply.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use carng::{CaRng, Rng16};
@@ -23,7 +24,10 @@ use ga_engine::{
 };
 use ga_fitness::TestFunction;
 use ga_serve::jsonl::{parse_job, result_line};
-use ga_serve::{serve_batch, serve_island_connection, ServeConfig, ServeError};
+use ga_serve::net::MAX_LINE_BYTES;
+use ga_serve::{
+    serve_batch, serve_island_connection, serve_jsonl, NetConfig, ServeConfig, ServeError, Server,
+};
 
 const ISLAND_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"islands":2,"epoch":65535,"epochs":65536,"deadline_ms":50}"#;
 const PLAIN_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"deadline_ms":50}"#;
@@ -332,4 +336,80 @@ fn a_far_off_stream_rng_position_gets_a_prompt_typed_reply_on_bitsim64() {
     assert!(start.elapsed().as_secs() < 10, "{:?}", start.elapsed());
     assert!(w.call(&init_line(None)).starts_with(r#"{"ok":true"#));
     assert!(w.finish().starts_with(r#"{"ok":true"#));
+}
+
+const JOB_LINE: &str =
+    r#"{"fn":"F3","backend":"behavioral","width":16,"pop":8,"gens":2,"xover":10,"mut":1,"seed":5}"#;
+
+/// A valid job, a line that is not UTF-8, a valid job, a 4 MiB line and
+/// a valid job, one line each.
+fn mixed_input() -> Vec<u8> {
+    let mut input = Vec::new();
+    for (k, line) in [
+        JOB_LINE.as_bytes().to_vec(),
+        b"{\"fn\":\"F3\xff\xfe\",\"pop\":8}".to_vec(),
+        JOB_LINE.as_bytes().to_vec(),
+        vec![b'x'; 4 << 20],
+        JOB_LINE.as_bytes().to_vec(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_eq!(k == 3, line.len() > MAX_LINE_BYTES);
+        input.extend(line);
+        input.push(b'\n');
+    }
+    input
+}
+
+/// One reply per line of [`mixed_input`], in order: the jobs answered,
+/// the other two lines typed `parse` errors at their line numbers.
+fn assert_every_line_answered(replies: &[String]) {
+    assert_eq!(replies.len(), 5, "{replies:?}");
+    for (k, reply) in replies.iter().enumerate() {
+        assert!(reply.starts_with(&format!("{{\"job\":{k},")), "{reply}");
+        let ok = reply.contains("\"ok\":true");
+        assert_eq!(ok, k % 2 == 0, "{reply}");
+    }
+    assert!(replies[1].contains("\"error\":\"parse\"") && replies[1].contains("UTF-8"));
+    assert!(replies[3].contains("\"error\":\"parse\"") && replies[3].contains("longer than"));
+}
+
+#[test]
+fn every_socket_line_gets_a_reply_however_its_bytes_read() {
+    let server = Server::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&mixed_input()).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies: Vec<String> = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("read reply"))
+        .collect();
+    assert_every_line_answered(&replies);
+    let summary = server.drain();
+    assert_eq!(summary.admission.rejected_parse, 2);
+}
+
+/// A `Write` the batch path can own while the test reads it back.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("unpoisoned").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn every_batch_line_gets_a_reply_however_its_bytes_read() {
+    let out = Shared::default();
+    serve_jsonl(&mixed_input(), out.clone(), &ServeConfig::default()).expect("served");
+    let text = String::from_utf8(out.0.lock().expect("unpoisoned").clone()).expect("UTF-8");
+    let replies: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert_every_line_answered(&replies);
 }
