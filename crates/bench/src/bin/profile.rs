@@ -24,7 +24,7 @@
 //! all ceilinged in CI. It also times the cycle-accurate system on the
 //! profiled run itself: `rtl_wall_ns_per_cycle` is host nanoseconds per
 //! simulated cycle, best of several runs, ceilinged in CI. The
-//! quiet-window jumps make host time stop tracking simulated cycles,
+//! run-window jumps make host time stop tracking simulated cycles,
 //! so the figure sits well below the cost of one stepped cycle;
 //! `rtl_host_steps` counts the host steps (`GaSystem::advance` calls)
 //! the profiled run took, also ceilinged in CI.

@@ -13,33 +13,11 @@
 //! behavioral [`crate::behavioral::GaEngine`]; the differential tests
 //! exploit this to check population-for-population equality.
 //!
-//! Most of the core's cycles are spent in stretches that nothing
-//! outside the core, the GA memory, the RNG and the selected fitness
-//! module sees cycle by cycle:
-//!
-//! * a parent selection: the `SelDraw` draw, four `SelMulWait`
-//!   multiplier cycles, then three clocks per member scanned,
-//!   `SelScanAddr` → `SelScanWait` → `SelScanData`;
-//! * an offspring: the `XoverDecide` and `MutDecide` draws, the fitness
-//!   handshake from `OffFitReq` through the cycle that latches
-//!   `fit_valid`, then `OffStore` and `OffUpdate`;
-//! * an initial-population member's handshake, `InitPopFitReq` through
-//!   the latch cycle.
-//!
-//! `GaCoreHw::walk` computes such a quiet window from the live registers
-//! with the FSM's own rules, and `GaCoreHw::apply` sets every register
-//! to its value after the window's last cycle, so a system can jump the
-//! window in one step (`GaSystem::advance`). A window consumes exactly
-//! the random numbers its edges draw: one at `SelDraw`, one each at
-//! `XoverDecide` and `MutDecide`. A handshake reads the fitness
-//! module's word once, through the module's own jump
-//! ([`ga_fitness::fem::Fem::answer`]). An offspring's `OffStore` cycle
-//! reads the memory at the old address before `OffUpdate`'s cycle
-//! writes the offspring. The cycle counts are those of the FSM; only
-//! the host stops paying for them one at a time.
-//!
-//! Two longer runs of windows jump whole, when nothing but the fitness
-//! module's answers enters them (`GaCoreHw::stretch`):
+//! Most of the core's cycles are spent in runs that nothing outside the
+//! core, the GA memory, the RNG and the selected fitness module sees
+//! cycle by cycle, and a system jumps two of them whole
+//! (`GaSystem::advance`), when nothing but the fitness module's answers
+//! enters them (`GaCoreHw::stretch`):
 //!
 //! * a whole generation, `ElitWrite` through `GenEnd`'s edge. The
 //!   current bank cannot change during it, so `GaCoreHw::breed` finds
@@ -54,6 +32,13 @@
 //!   `InitPopUpdate`: `GaCoreHw::sow` draws the candidates and
 //!   `GaCoreHw::seed` lands the members (`InitPopUpdate`'s datapath,
 //!   `sown`).
+//!
+//! Such a run consumes exactly the random numbers its edges draw: one at
+//! each `InitPopDraw` and `SelDraw`, one each at `XoverDecide` and
+//! `MutDecide`. Each handshake reads the fitness module's word once,
+//! through the module's own jump ([`ga_fitness::fem::Fem::answer`]).
+//! The cycle counts are those of the FSM; only the host stops paying for
+//! them one at a time. Every other cycle is one clock edge.
 
 use hwsim::{AckSlave, Clocked, Reg};
 
@@ -201,97 +186,21 @@ pub(crate) struct Brood {
     elite: (u8, u32),
 }
 
-/// A quiet window computed ahead of the clock by [`GaCoreHw::walk`].
+/// A parent selection found by [`GaCoreHw::pick`]: where the scan from
+/// `SelDraw` stops, and what its hit's `SelScanData` cycle sees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Window {
-    /// Cycles from the window's first cycle through its last. A
-    /// handshake window counts only its own cycles until the fitness
-    /// module answers ([`Window::answer`]).
+pub(crate) struct Pick {
+    /// The threshold the `SelDraw` edge computes.
+    pub(crate) threshold: u32,
+    /// Bank offset of the member the scan stops at (its `scan_idx`).
+    pub(crate) hit: u8,
+    /// The `cum` register on the hit's cycle: the sum of the members
+    /// walked before the hit.
+    pub(crate) cum: u32,
+    /// The memory word the hit's cycle reads.
+    pub(crate) word: u32,
+    /// Cycles from `SelDraw` through the hit's `SelScanData`.
     pub(crate) cycles: u64,
-    kind: WindowKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowKind {
-    /// A parent selection through the hit's `SelScanData` cycle.
-    Select {
-        /// The threshold the `SelDraw` edge computes, when the window
-        /// starts there (and so consumes one random number).
-        draw: Option<u32>,
-        /// Bank offset of the member the scan stops at (its `scan_idx`).
-        idx: u8,
-        /// The `cum` register on the hit's `SelScanData` cycle: the sum
-        /// of the members walked before the hit.
-        cum: u32,
-        /// The memory word the hit's `SelScanData` cycle reads.
-        word: u32,
-    },
-    /// A fitness handshake through the cycle that latches `fit_valid`:
-    /// an initial-population member's, or with `offspring`, one
-    /// offspring's breeding, handshake, store and update.
-    Fitness {
-        /// The candidate the request carries.
-        candidate: u16,
-        /// The fitness module's answer, once it has given one.
-        value: Option<u16>,
-        /// What the offspring window's breeding edges leave.
-        offspring: Option<Offspring>,
-    },
-}
-
-/// What an offspring window's breeding edges leave.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Offspring {
-    /// `off1` and `off2` after the crossover and mutation edges.
-    off: [u16; 2],
-    /// `off_phase`: which of the two the window evaluates and stores.
-    phase: bool,
-    /// Random numbers drawn, one per breeding cycle (`XoverDecide`,
-    /// `MutDecide`) the window starts before.
-    draws: u8,
-}
-
-impl Window {
-    /// The candidate a handshake window requests; `None` for a
-    /// selection.
-    pub(crate) fn request(&self) -> Option<u16> {
-        match self.kind {
-            WindowKind::Fitness { candidate, .. } => Some(candidate),
-            WindowKind::Select { .. } => None,
-        }
-    }
-
-    /// Complete a handshake window: the module raises `fit_valid` with
-    /// `value` on its `edges`-th edge after the one that sees the
-    /// request, and the core latches it on the cycle after.
-    pub(crate) fn answer(&mut self, value: u16, edges: u64) {
-        if let WindowKind::Fitness { value: v, .. } = &mut self.kind {
-            *v = Some(value);
-            self.cycles += edges;
-        }
-    }
-
-    /// Random numbers the window consumes: one for a selection that
-    /// starts at `SelDraw`, one per breeding cycle of an offspring.
-    pub(crate) fn draws(&self) -> u8 {
-        match self.kind {
-            WindowKind::Select { draw, .. } => u8::from(draw.is_some()),
-            WindowKind::Fitness { offspring, .. } => offspring.map_or(0, |o| o.draws),
-        }
-    }
-
-    /// True for an offspring window. Its `OffStore` cycle drops the
-    /// request, so the fitness module takes its release edge, and reads
-    /// the memory at the old address before `OffUpdate`'s cycle writes.
-    pub(crate) fn stores(&self) -> bool {
-        matches!(
-            self.kind,
-            WindowKind::Fitness {
-                offspring: Some(_),
-                ..
-            }
-        )
-    }
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -818,125 +727,9 @@ impl GaCoreHw {
         }
     }
 
-    // --- quiet windows ------------------------------------------------
+    // --- run windows --------------------------------------------------
 
-    /// Walk a quiet window ahead of the clock. Out of test mode, with no
-    /// memory write or fitness request pending, a window starts at:
-    ///
-    /// * `SelDraw`, `SelMulWait` (any `mult_cnt`) or `SelScanAddr`, and
-    ///   runs through the selection hit's `SelScanData` cycle. It
-    ///   follows the FSM's rules from the live registers: the threshold
-    ///   from `rn[0]` (the RNG output the `SelDraw` cycle sees), the
-    ///   multiplier countdown, then the scan's wrapping 8-bit index,
-    ///   [`ops::selection_hit`] and the fall-through at
-    ///   `scan_idx == pop_size − 1`. `word(addr, at)` must return what
-    ///   the memory port delivers at `addr` on the window's `at`-th
-    ///   cycle (a `SelScanData` cycle); it is called once per member
-    ///   walked, in order. A scan ends within 256 members, so a window
-    ///   is at most 773 cycles.
-    /// * `XoverDecide`, `MutDecide` or `OffFitReq`, and runs through
-    ///   `OffUpdate`'s cycle: one offspring. Each breeding cycle it
-    ///   starts before draws in turn, so `rn` holds the RNG's output
-    ///   and that output's successor. The handshake's length and value
-    ///   come from the fitness module ([`Window::answer`]); `OffStore`
-    ///   and `OffUpdate` follow the latch cycle.
-    /// * `InitPopFitReq`, and runs through the cycle that latches
-    ///   `fit_valid`.
-    ///
-    /// Returns `None` anywhere else. A system tries a generation or
-    /// initial-population window ([`GaCoreHw::stretch`]) first, and
-    /// walks these one at a time where none applies: mid-generation,
-    /// near a watchdog bound or a scheduled fault, or on a module that
-    /// does not answer in a fixed number of edges.
-    pub(crate) fn walk(
-        &self,
-        rn: [u16; 2],
-        mut word: impl FnMut(u8, u64) -> u32,
-    ) -> Option<Window> {
-        if self.test_prev.get() || self.mem_wr.get() || self.fit_request.get() {
-            return None;
-        }
-        let (prefix, draw, mut idx, mut cum) = match self.state.get() {
-            State::SelDraw => {
-                let threshold = ops::selection_threshold(self.fit_sum.get(), rn[0]);
-                (1 + u64::from(MUL_WAIT) + 1, Some(threshold), 0, 0)
-            }
-            State::SelMulWait => (
-                u64::from(self.mult_cnt.get()) + 1,
-                None,
-                self.scan_idx.get(),
-                self.cum.get(),
-            ),
-            State::SelScanAddr => (0, None, self.scan_idx.get(), self.cum.get()),
-            State::InitPopFitReq => {
-                return Some(Window {
-                    cycles: 2,
-                    kind: WindowKind::Fitness {
-                        candidate: self.cand.get(),
-                        value: None,
-                        offspring: None,
-                    },
-                })
-            }
-            State::XoverDecide | State::MutDecide | State::OffFitReq => {
-                return Some(self.offspring(rn));
-            }
-            _ => return None,
-        };
-        let threshold = draw.unwrap_or(self.threshold.get());
-        let last = self.pop_size.get().wrapping_sub(1);
-        let base = self.cur_base.get();
-        let mut cycles = prefix + 3;
-        loop {
-            let w = word(base.wrapping_add(idx), cycles);
-            let next = cum.wrapping_add(unpack(w).fitness as u32);
-            if ops::selection_hit(next, threshold) || idx == last {
-                return Some(Window {
-                    cycles,
-                    kind: WindowKind::Select {
-                        draw,
-                        idx,
-                        cum,
-                        word: w,
-                    },
-                });
-            }
-            cum = next;
-            idx = idx.wrapping_add(1);
-            cycles += 3;
-        }
-    }
-
-    /// The offspring window from `XoverDecide`, `MutDecide` or
-    /// `OffFitReq`, before the fitness module answers.
-    fn offspring(&self, rn: [u16; 2]) -> Window {
-        let from = self.state.get();
-        let mut off = [self.off1.get(), self.off2.get()];
-        let mut phase = self.off_phase.get();
-        let mut draws = 0;
-        if from == State::XoverDecide {
-            off = self.crossed(rn[0]);
-            phase = false;
-            draws = 1;
-        }
-        if from != State::OffFitReq {
-            let k = usize::from(phase);
-            off[k] = self.mutated(rn[usize::from(draws)], off[k]);
-            draws += 1;
-        }
-        Window {
-            // The breeding cycles, `OffFitReq`, the latch cycle, `OffStore`
-            // and `OffUpdate`.
-            cycles: u64::from(draws) + 4,
-            kind: WindowKind::Fitness {
-                candidate: off[usize::from(phase)],
-                value: None,
-                offspring: Some(Offspring { off, phase, draws }),
-            },
-        }
-    }
-
-    /// Where a run of windows to the next `GenCheck` may start, out of
+    /// Where a run window to the next `GenCheck` may start, out of
     /// test mode with no memory write or fitness request pending:
     ///
     /// * `ElitWrite`, for a whole generation through `GenEnd`'s edge,
@@ -984,26 +777,23 @@ impl GaCoreHw {
         }
     }
 
-    /// The selection window from `SelDraw` under draw `rn`, found on
+    /// The parent selection from `SelDraw` under draw `rn`, found on
     /// `prefix`, the sums the scan's `cum` register holds member by
     /// member ([`ops::selection_prefix`]), instead of by a walk: the
     /// scan stops at the first member [`ops::selection_pick`] finds, or
     /// falls through to `prefix`'s last. `word(addr)` must return the
-    /// word at `addr`. The window's cycles are the walk's: `SelDraw`,
-    /// the multiplier wait, and three per member walked.
-    pub(crate) fn pick(&self, rn: u16, prefix: &[u32], word: impl FnOnce(u8) -> u32) -> Window {
+    /// word at `addr`. The cycles are the scan's: `SelDraw`, the
+    /// multiplier wait, and three per member walked.
+    pub(crate) fn pick(&self, rn: u16, prefix: &[u32], word: impl FnOnce(u8) -> u32) -> Pick {
         let threshold = ops::selection_threshold(self.fit_sum.get(), rn);
-        let hit = ops::selection_pick(prefix, threshold).unwrap_or(prefix.len() - 1);
-        let cum = hit.checked_sub(1).map_or(0, |k| prefix[k]);
-        let idx = hit as u8;
-        Window {
-            cycles: 1 + u64::from(MUL_WAIT) + 1 + 3 * (u64::from(idx) + 1),
-            kind: WindowKind::Select {
-                draw: Some(threshold),
-                idx,
-                cum,
-                word: word(self.cur_base.get().wrapping_add(idx)),
-            },
+        let at = ops::selection_pick(prefix, threshold).unwrap_or(prefix.len() - 1);
+        let hit = at as u8;
+        Pick {
+            threshold,
+            hit,
+            cum: at.checked_sub(1).map_or(0, |k| prefix[k]),
+            word: word(self.cur_base.get().wrapping_add(hit)),
+            cycles: 1 + u64::from(MUL_WAIT) + 1 + 3 * (u64::from(hit) + 1),
         }
     }
 
@@ -1040,19 +830,16 @@ impl GaCoreHw {
             // `SelDraw` through the hit's `SelScanData`, for each parent.
             for parent in [false, true] {
                 let (rn, sums) = sums(draw());
-                let window = self.pick(rn, sums, &word);
-                let WindowKind::Select { idx, word: hit, .. } = window.kind else {
-                    unreachable!("a pick is a selection")
-                };
-                let chrom = unpack(hit).chrom;
+                let pick = self.pick(rn, sums, &word);
+                let chrom = unpack(pick.word).chrom;
                 if parent {
                     self.parent2.reset_to(chrom);
                 } else {
                     self.parent1.reset_to(chrom);
                 }
-                brood.hits.push(idx);
-                selecting += window.cycles;
-                last = Some(window.kind);
+                brood.hits.push(pick.hit);
+                selecting += pick.cycles;
+                last = Some(pick);
             }
             // `XoverDecide`, then `MutDecide` through `OffUpdate` for
             // each offspring of the pair the new bank has room for.
@@ -1069,16 +856,10 @@ impl GaCoreHw {
                 second = true;
             }
         }
-        if let Some(WindowKind::Select {
-            draw: Some(threshold),
-            idx,
-            cum,
-            ..
-        }) = last
-        {
-            self.threshold.reset_to(threshold);
-            self.cum.reset_to(cum);
-            self.scan_idx.reset_to(idx);
+        if let Some(pick) = last {
+            self.threshold.reset_to(pick.threshold);
+            self.cum.reset_to(pick.cum);
+            self.scan_idx.reset_to(pick.hit);
         }
         let offspring = offspring as u64;
         self.mult_cnt.reset_to(0);
@@ -1182,96 +963,6 @@ impl GaCoreHw {
         let comb = self.eval(&GaCoreIn::default());
         self.commit();
         comb
-    }
-
-    /// Jump over `window`: leave every register as the clock edge after
-    /// its last cycle would, count its draws, and tally the window's
-    /// cycles to their phases. `window` must come from
-    /// [`GaCoreHw::walk`] on this core in its current state, answered
-    /// if it is a handshake. The caller steps the RNG once per draw,
-    /// settles the memory read port, lands an offspring's write (see
-    /// [`Window::stores`]), and counts the cycles on its simulator.
-    pub(crate) fn apply(&mut self, window: &Window) {
-        let from = self.state.get();
-        self.mem_wr.reset_to(false);
-        match window.kind {
-            WindowKind::Select {
-                draw,
-                idx,
-                cum,
-                word,
-            } => {
-                if let Some(threshold) = draw {
-                    self.threshold.reset_to(threshold);
-                    self.rng_draws += 1;
-                }
-                if from != State::SelScanAddr {
-                    self.mult_cnt.reset_to(0);
-                }
-                self.cum.reset_to(cum);
-                self.scan_idx.reset_to(idx);
-                self.mem_address
-                    .reset_to(self.cur_base.get().wrapping_add(idx));
-                let chrom = unpack(word).chrom;
-                if !self.sel_phase.get() {
-                    self.parent1.reset_to(chrom);
-                    self.sel_phase.reset_to(true);
-                    self.state.reset_to(State::SelDraw);
-                } else {
-                    self.parent2.reset_to(chrom);
-                    self.state.reset_to(State::XoverDecide);
-                }
-                self.profile.selection += window.cycles;
-            }
-            WindowKind::Fitness {
-                candidate,
-                value,
-                offspring,
-            } => {
-                let value = value.expect("a handshake window is answered before it is applied");
-                self.cand.reset_to(candidate);
-                self.fit_reg.reset_to(value);
-                self.fit_request.reset_to(false);
-                let Some(o) = offspring else {
-                    self.state.reset_to(State::InitPopStore);
-                    self.profile.fitness_wait += window.cycles;
-                    return;
-                };
-                let draws = u64::from(o.draws);
-                self.rng_draws += draws;
-                self.off1.reset_to(o.off[0]);
-                self.off2.reset_to(o.off[1]);
-                self.off_phase.reset_to(o.phase);
-                // OffStore.
-                let stored = Individual {
-                    chrom: candidate,
-                    fitness: value,
-                };
-                self.mem_address
-                    .reset_to(self.new_base.get().wrapping_add(self.idx.get()));
-                self.mem_data_out.reset_to(pack(stored));
-                // OffUpdate.
-                let (sum, best) = joined(self.new_sum.get(), self.new_best.get(), stored);
-                self.new_sum.reset_to(sum);
-                if let Some(best) = best {
-                    self.new_best.reset_to(best);
-                }
-                let ni = self.idx.get().wrapping_add(1);
-                self.idx.reset_to(ni);
-                if ni == self.pop_size.get() {
-                    self.state.reset_to(State::GenEnd);
-                } else if !o.phase {
-                    self.off_phase.reset_to(true);
-                    self.state.reset_to(State::MutDecide);
-                } else {
-                    self.sel_phase.reset_to(false);
-                    self.state.reset_to(State::SelDraw);
-                }
-                self.profile.breeding += draws;
-                self.profile.fitness_wait += window.cycles - draws - 2;
-                self.profile.store += 2;
-            }
-        }
     }
 
     fn apply_param_write(&mut self, idx: ParamIndex, value: u16) {
@@ -1656,66 +1347,6 @@ mod tests {
         assert!(p.fitness_wait > 0 && p.init_params > 0);
     }
 
-    /// Corrupting `off_phase` or a bank base, which the scan chain does
-    /// not reach, as an offspring window starts: a jumping and a stepped
-    /// system agree after every jump that follows, through `GA_done`.
-    #[test]
-    fn offspring_jumps_match_single_steps_after_off_chain_faults() {
-        use crate::system::{GaSystem, UserIn};
-        use ga_fitness::{FemBank, FemSlot, LookupFem, TestFunction};
-        let faults: [fn(&mut GaCoreHw); 3] = [
-            |c| c.off_phase.reset_to(!c.off_phase.get()),
-            // The banks alias: offspring land in the population the
-            // selections read.
-            |c| c.new_base.reset_to(c.cur_base.get()),
-            // The store lands on the address the read register holds.
-            |c| {
-                let base = c.mem_address.get().wrapping_sub(c.idx.get());
-                c.new_base.reset_to(base);
-            },
-        ];
-        let params = GaParams::new(16, 4, 10, 1, 0x2961);
-        let started = || {
-            let fem = FemSlot::Lookup(LookupFem::for_function(TestFunction::Mbf6_2));
-            let mut sys = GaSystem::new(FemBank::new(vec![fem]));
-            sys.program(&params);
-            sys.step(UserIn {
-                start_ga: true,
-                ..Default::default()
-            });
-            sys
-        };
-        for fault in faults {
-            for start in [State::XoverDecide, State::MutDecide, State::OffFitReq] {
-                let (mut fast, mut slow) = (started(), started());
-                // Single steps to the 20th cycle spent in `start`.
-                let mut seen = 0;
-                loop {
-                    if fast.modules().core.state.get() == start {
-                        seen += 1;
-                        if seen == 20 {
-                            break;
-                        }
-                    }
-                    fast.step(UserIn::default());
-                    slow.step(UserIn::default());
-                }
-                fault(fast.core_mut());
-                fault(slow.core_mut());
-                let mut jumps = 0;
-                while !fast.modules().core.out().ga_done {
-                    let n = fast.advance(u64::MAX);
-                    for _ in 0..n {
-                        slow.step(UserIn::default());
-                    }
-                    jumps += u64::from(n > 1);
-                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{start:?}");
-                }
-                assert!(jumps > 0, "{start:?}");
-            }
-        }
-    }
-
     /// A 16-bit mBF6_2 system programmed with `params`, one cycle into
     /// its run.
     fn started(params: &GaParams) -> crate::system::GaSystem {
@@ -1731,6 +1362,9 @@ mod tests {
         sys
     }
 
+    /// From each `SelDraw` of a run, single steps through the hit's
+    /// `SelScanData` leave the scan index, the running sum, the parent
+    /// register and the cycles that a pick on the bank's sums finds.
     #[test]
     fn picks_on_the_bank_sums_stop_where_the_scan_stops() {
         use crate::system::UserIn;
@@ -1739,65 +1373,127 @@ mod tests {
         let mut prefix = Vec::new();
         let mut picks = 0;
         while !sys.modules().core.out().ga_done {
-            let m = sys.modules();
-            let core = &m.core;
-            if core.is_sel_draw() && !core.mem_wr.get() {
-                let base = core.cur_base.get();
-                let fitness =
-                    (0..params.pop_size).map(|k| unpack(m.mem.word(base.wrapping_add(k))).fitness);
-                ops::selection_prefix(fitness, &mut prefix);
-                let rn = [m.rng.rn(), m.rng.successor()];
-                let walked = core.walk(rn, |addr, _| m.mem.word(addr));
-                let picked = core.pick(rn[0], &prefix, |addr| m.mem.word(addr));
-                assert_eq!(walked, Some(picked));
-                picks += 1;
+            if !sys.modules().core.is_sel_draw() {
+                sys.step(UserIn::default());
+                continue;
             }
-            sys.step(UserIn::default());
+            let m = sys.modules();
+            let base = m.core.cur_base.get();
+            let fitness =
+                (0..params.pop_size).map(|k| unpack(m.mem.word(base.wrapping_add(k))).fitness);
+            ops::selection_prefix(fitness, &mut prefix);
+            let pick = m.core.pick(m.rng.rn(), &prefix, |addr| m.mem.word(addr));
+            let mut cycles = 0;
+            loop {
+                sys.step(UserIn::default());
+                cycles += 1;
+                let state = sys.modules().core.state.get();
+                if state == State::SelDraw || state == State::XoverDecide {
+                    break;
+                }
+            }
+            let core = &sys.modules().core;
+            let parent = if core.state.get() == State::SelDraw {
+                core.parent1.get()
+            } else {
+                core.parent2.get()
+            };
+            let stepped = Pick {
+                threshold: core.threshold.get(),
+                hit: core.scan_idx.get(),
+                cum: core.cum.get(),
+                word: pick.word,
+                cycles,
+            };
+            assert_eq!(stepped, pick, "selection {picks}");
+            assert_eq!(parent, unpack(pick.word).chrom, "selection {picks}");
+            picks += 1;
         }
-        assert!(picks > 50, "{picks} selections checked");
+        assert!(picks > 100, "{picks} selections checked");
     }
 
     /// Bank bases moved as the second generation's window would start,
-    /// which the scan chain does not reach: banks that overlap fall back
-    /// to one-window jumps and single steps, banks apart still jump, and
-    /// either way the system matches single steps after every jump
-    /// through `GA_done`.
+    /// which the scan chain does not reach, and three faults inside the
+    /// first generation: an `off_phase` flip, aliased banks, and a store
+    /// onto the address the read register holds. Banks that overlap
+    /// fall back to single steps, banks apart take run windows, and
+    /// either way the system matches single steps after every run window
+    /// and at `GA_done`.
     #[test]
     fn generation_windows_fall_back_when_the_banks_overlap() {
         use crate::system::UserIn;
-        // New-bank offsets from the current bank: aliased, one member of
-        // overlap on either side, and adjacent, which does not overlap.
-        let layouts = [(0u8, false), (15, false), (241, false), (16, true)];
+        type Fault = Box<dyn Fn(&mut GaCoreHw)>;
+        let banks_at = |offset: u8| -> Fault {
+            Box::new(move |c| c.new_base.reset_to(c.cur_base.get().wrapping_add(offset)))
+        };
+        // The fault lands on the `n`-th cycle in `state`, and whether run
+        // windows follow it. New-bank offsets from the current bank at the
+        // second `ElitWrite`: aliased, one member of overlap on either
+        // side, and adjacent, which does not overlap.
+        let cases: [(State, usize, Fault, bool); 7] = [
+            (State::ElitWrite, 2, banks_at(0), false),
+            (State::ElitWrite, 2, banks_at(15), false),
+            (State::ElitWrite, 2, banks_at(241), false),
+            (State::ElitWrite, 2, banks_at(16), true),
+            (
+                State::MutDecide,
+                20,
+                Box::new(|c| c.off_phase.reset_to(!c.off_phase.get())),
+                true,
+            ),
+            (
+                State::XoverDecide,
+                20,
+                Box::new(|c| c.new_base.reset_to(c.cur_base.get())),
+                false,
+            ),
+            // The store lands on the address the read register holds, a
+            // member the last scan read, so the banks overlap.
+            (
+                State::OffFitReq,
+                20,
+                Box::new(|c| {
+                    let base = c.mem_address.get().wrapping_sub(c.idx.get());
+                    c.new_base.reset_to(base);
+                }),
+                false,
+            ),
+        ];
         let params = GaParams::new(16, 5, 10, 1, 0x2961);
-        for (i, (offset, jumps)) in layouts.into_iter().enumerate() {
-            let move_banks =
-                |c: &mut GaCoreHw| c.new_base.reset_to(c.cur_base.get().wrapping_add(offset));
+        for (i, (state, n, fault, windows)) in cases.into_iter().enumerate() {
             let (mut fast, mut slow) = (started(&params), started(&params));
+            let mut seen = 0;
             loop {
-                let core = &fast.modules().core;
-                if core.state.get() == State::ElitWrite && core.gen.get() == 1 {
+                seen += usize::from(fast.modules().core.state.get() == state);
+                if seen == n {
                     break;
                 }
                 fast.step(UserIn::default());
                 slow.step(UserIn::default());
             }
-            move_banks(fast.core_mut());
-            move_banks(slow.core_mut());
-            let mut first = true;
+            fault(fast.core_mut());
+            fault(slow.core_mut());
+            let (mut jumps, mut first) = (0, None);
             while !fast.modules().core.out().ga_done {
                 let n = fast.advance(u64::MAX);
-                if first {
-                    assert_eq!(n > 1, jumps, "layout {i}");
-                    first = false;
-                }
                 for _ in 0..n {
                     slow.step(UserIn::default());
                 }
-                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "layout {i}");
+                first.get_or_insert(n > 1);
+                if n > 1 {
+                    jumps += 1;
+                    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "case {i}");
+                }
             }
+            assert_eq!(jumps > 0, windows, "case {i}");
+            if state == State::ElitWrite {
+                // Banks moved at `ElitWrite` decide that very generation.
+                assert_eq!(first, Some(windows), "case {i}");
+            }
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "case {i}");
             for name in ["best_fitness", "sum_fitness"] {
                 let series = |s: &crate::system::GaSystem| s.trace().series(name).cloned();
-                assert_eq!(series(&fast), series(&slow), "layout {i}: {name}");
+                assert_eq!(series(&fast), series(&slow), "case {i}: {name}");
             }
         }
     }

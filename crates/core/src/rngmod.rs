@@ -72,13 +72,6 @@ impl RngModule {
         self.state.get()
     }
 
-    /// The `rn` a consume edge leaves: the output's successor under
-    /// the kernel.
-    #[inline]
-    pub(crate) fn successor(&self) -> u16 {
-        self.kernel.step(self.state.get())
-    }
-
     /// One consume edge without a seed load, as [`RngModule::eval`] and
     /// a commit run it: returns the output the drawing cycle reads.
     #[inline]
@@ -126,16 +119,6 @@ mod tests {
             m.eval(true, None);
             m.commit();
             reference.step();
-        }
-    }
-
-    #[test]
-    fn successor_is_the_value_after_a_consume() {
-        for mut m in [RngModule::new_ca(0x2961), RngModule::new_lfsr(0x2961)] {
-            let next = m.successor();
-            m.eval(true, None);
-            m.commit();
-            assert_eq!(m.rn(), next);
         }
     }
 

@@ -39,55 +39,41 @@
 //! so the cores run in lockstep — asserted by the differential tests
 //! against [`crate::scaling::GaEngine32`].
 //!
-//! # Jumping quiet windows
+//! # Jumping run windows
 //!
-//! The run loops move the clock with [`GaSystem::advance`]. Where a
-//! generation starts (`ElitWrite`) it jumps the whole generation through
-//! `GenEnd`'s edge in one host step, and where the initial population
-//! starts (its first `InitPopDraw`) the whole population through the
-//! last `InitPopUpdate`. Each core breeds or draws every candidate with
-//! the FSM's rules, the selections found on the current bank's prefix
-//! sums, which no store reaches during a generation; the selected
-//! module answers each candidate through [`Fem::answer`], once per
-//! offspring, and takes its release edge; then each core stores its
-//! members and lands its registers ([`crate::hwcore`]). The history
-//! and the trace get the generation's event stamped with the cycle of
-//! its last edge. Such a run window applies only when, besides the
-//! conditions below, `pop_size ≥ 2` and the current and new banks do
-//! not overlap (for a generation), and its longest course, every scan
+//! The run loops move the clock with [`GaSystem::advance`], which either
+//! jumps a run window or steps one cycle. Where a generation starts
+//! (`ElitWrite`) it jumps the whole generation through `GenEnd`'s edge
+//! in one host step, and where the initial population starts (its first
+//! `InitPopDraw`) the whole population through the last
+//! `InitPopUpdate`. Each core breeds or draws every candidate with the
+//! FSM's rules, the selections found on the current bank's prefix sums,
+//! which no store reaches during a generation; the selected module
+//! answers each candidate through [`Fem::answer`], once per offspring,
+//! and takes its release edge; then each core stores its members and
+//! lands its registers ([`crate::hwcore`]). The cores' registers, cycle
+//! profiles and draw counts, the RNGs, the memories with their read
+//! registers, the fitness modules and the cycle count end exactly where
+//! single steps leave them; the history and the trace get the
+//! generation's event stamped with the cycle of its last edge. With two
+//! cores, core 2 takes core 1's member at every selection, where its
+//! forced scan stops, breeds from its own RNG, and stores its own half
+//! of each answer to the concatenated candidate.
+//!
+//! A run window applies only out of test mode with no memory write or
+//! fitness request pending, when `pop_size ≥ 2` and the current and new
+//! banks do not overlap (for a generation), the selected module is
+//! [`Fem::quiescent`] and answers in a fixed number of edges (the
+//! block-ROM [`ga_fitness::LookupFem`]), the application clock runs at
+//! the GA clock (`fast_domain_ratio` 1), no VCD capture or protocol
+//! monitor is attached, and the window's longest course, every scan
 //! walking the whole bank, fits in the limit with the module's answer
 //! edges. It runs on copies of the cores and RNGs until the module has
 //! answered its first request, so a module that does not answer leaves
-//! the system untouched. The run loops check a wall-clock deadline
-//! between host steps, so about once per generation.
-//!
-//! Elsewhere it steps one cycle, except at the start of a quiet window
-//! that nothing observes cycle by cycle (see [`crate::hwcore`]): a
-//! parent selection from
-//! `SelDraw`, `SelMulWait` or `SelScanAddr` through the hit's data
-//! cycle, an offspring from `XoverDecide`, `MutDecide` or `OffFitReq`
-//! through `OffUpdate`, or an initial member's handshake from
-//! `InitPopFitReq` through the cycle that latches `fit_valid`. There it
-//! computes the window (`GaCoreHw::walk`) and jumps to the clock edge
-//! after it, with the core's registers, the RNG (one step per draw the
-//! window takes), the memory (its read register, and an offspring's
-//! store, which lands after the read), the fitness module and the cycle
-//! count exactly as single steps leave them. An offspring or a
-//! handshake jumps only when the selected module answers in a fixed
-//! number of edges ([`Fem::answer`]: the block-ROM
-//! [`ga_fitness::LookupFem`]) and the application clock runs at the GA
-//! clock (`fast_domain_ratio` 1); an offspring's `OffStore` cycle is
-//! then the module's release edge, one [`FemBank::eval`] with the
-//! request low. A VCD capture, a protocol monitor, test mode, a pending
-//! memory write, a fitness module that is not [`Fem::quiescent`], or a
-//! watchdog or scheduled fault inside the window keeps single steps.
-//! With two cores, core 2 walks the same window with the inputs
-//! `scalingLogic_parSel` forces on it (and its own RNG's draws), and the
-//! window jumps only when both cores enter it together and core 2's
-//! walk ends on core 1's last cycle; the shared module answers the
-//! concatenated candidate once, and each core stores its own half. In a
-//! generation window core 2 takes core 1's member at every selection,
-//! where its forced scan stops, and breeds from its own RNG.
+//! the system untouched. Everywhere else, including a watchdog bound or
+//! a scheduled fault inside a generation, `advance` is one
+//! [`GaSystem::step`]. The run loops check a wall-clock deadline between
+//! host steps, so about once per generation.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -98,7 +84,7 @@ use hwsim::vcd::VcdVar;
 use hwsim::{Clocked, HandshakeMonitor, Sim, SimError, Trace, VcdWriter};
 
 use crate::behavioral::{GenStats, Individual};
-use crate::hwcore::{Brood, GaCoreHw, Window};
+use crate::hwcore::{Brood, GaCoreHw};
 use crate::memory::{pack, unpack, GaMemory};
 use crate::ops;
 use crate::params::GaParams;
@@ -361,39 +347,12 @@ fn forced_sums(hit: u8) -> &'static [u32] {
 /// fitness, and the population's fitness sum.
 type StatsEvent = (u32, u16, u16, u32);
 
-/// The RNG's output and that output's successor: what a window's first
-/// two draws read.
-fn outputs(rng: &RngModule) -> [u16; 2] {
-    [rng.rn(), rng.successor()]
-}
-
-/// The selected module's answer to a request for `candidate` within
-/// `max_edges` edges ([`FemBank::answer`]): its word, and the edges it
-/// took. `None` when it does not answer so.
-fn ask(fems: &mut FemBank, select: u8, candidate: u32, max_edges: u64) -> Option<(u16, u64)> {
-    let edges = fems.answer(select, candidate, max_edges)?;
-    Some((fems.out(select, 0, false).fit_value, edges))
-}
-
-/// The module's release edge: the cycle after the requester latches
-/// `fit_valid` runs it with the request low.
-fn release(fems: &mut FemBank, select: u8, candidate: u32) {
-    fems.eval(FemBankIn {
-        fit_request: false,
-        candidate,
-        select,
-        ext_value: 0,
-        ext_valid: false,
-    });
-    fems.commit();
-}
-
 /// Answer each request of a run window in turn, core 1's candidate half
-/// from `msb` and, with two cores, core 2's from `lsb`: the module reads
-/// each candidate bus once within `max_edges` edges and takes the
-/// release edge, and `values` gets its words. Returns the edges each
-/// answer took, or `None`, with the module untouched, when it does not
-/// answer the first request so.
+/// from `msb` and, with two cores, core 2's from `lsb`: the selected
+/// module reads each candidate bus once within `max_edges` edges
+/// ([`FemBank::answer`]) and takes the release edge, and `values` gets
+/// its words. Returns the edges each answer took, or `None`, with the
+/// module untouched, when it does not answer the first request so.
 fn answer_each(
     fems: &mut FemBank,
     select: u8,
@@ -406,14 +365,23 @@ fn answer_each(
     let mut edges = None;
     for (k, &half) in msb.iter().enumerate() {
         let candidate = concat(half, lsb.map(|lsb| lsb[k]));
-        let Some((value, e)) = ask(fems, select, candidate, max_edges) else {
+        let Some(e) = fems.answer(select, candidate, max_edges) else {
             // A module keeps its answer latency: once it has answered
             // within `max_edges`, it always does.
             assert!(edges.is_none(), "a module that answered stopped answering");
             return None;
         };
-        release(fems, select, candidate);
-        values.push(value);
+        values.push(fems.out(select, 0, false).fit_value);
+        // The release edge: the cycle after the requester latches
+        // `fit_valid` runs the module with the request low.
+        fems.eval(FemBankIn {
+            fit_request: false,
+            candidate,
+            select,
+            ext_value: 0,
+            ext_valid: false,
+        });
+        fems.commit();
         edges = Some(e);
     }
     edges
@@ -456,25 +424,6 @@ struct Scratch {
     broods: [Brood; 2],
     /// The module's answer to each offspring.
     values: Vec<u16>,
-}
-
-/// Land one core on the clock edge after `window`.
-fn land(core: &mut GaCoreHw, rng: &mut RngModule, mem: &mut GaMemory, window: &Window) {
-    for _ in 0..window.draws() {
-        rng.draw();
-    }
-    let read = core.out().mem_address;
-    core.apply(window);
-    let out = core.out();
-    if window.stores() {
-        // `OffStore`'s cycle reads the old address, then `OffUpdate`'s
-        // writes the offspring: read first, so a write that aliases the
-        // read address leaves the word the read register saw.
-        mem.settle_read(read);
-        mem.write(out.mem_address, out.mem_data_out);
-    } else {
-        mem.settle_read(out.mem_address);
-    }
 }
 
 impl<P: Port> GaSystem<P> {
@@ -685,8 +634,8 @@ impl<P> GaSystem<P> {
     }
 
     /// [`GaSystem::advance`] calls since construction: the host steps
-    /// the run loops took, one per cycle, quiet window, generation or
-    /// initial population (instrumentation).
+    /// the run loops took, one per stepped cycle, generation or initial
+    /// population (instrumentation).
     pub fn host_steps(&self) -> u64 {
         self.host_steps
     }
@@ -876,10 +825,10 @@ impl<P> GaSystem<P> {
 
     /// Advance the run by at most `limit` cycles (`limit ≥ 1`) with
     /// idle user inputs, and return how many cycles passed. At the start
-    /// of a generation, of the initial population or of a quiet window
-    /// that fits in `limit` (see the module docs), this jumps it in one
-    /// step: the cores' registers, their cycle profiles and draw counts,
-    /// the RNGs, the memories with their read registers, the fitness
+    /// of a generation or of the initial population whose run window
+    /// fits in `limit` (see the module docs), this jumps it in one step:
+    /// the cores' registers, their cycle profiles and draw counts, the
+    /// RNGs, the memories with their read registers, the fitness
     /// modules, the cycle count, the history and the trace end exactly
     /// where [`GaSystem::step`] would leave them. Anywhere else it is
     /// one [`GaSystem::step`].
@@ -894,87 +843,21 @@ impl<P> GaSystem<P> {
         }
     }
 
-    /// The window jump of [`GaSystem::advance`], if it applies: a run
-    /// window to the next `GenCheck` where one starts, else one quiet
-    /// window.
-    fn jump(&mut self, limit: u64) -> Option<u64> {
-        if self.vcd.is_some() || self.monitor.is_some() {
-            return None;
-        }
-        if let Some(cycles) = self.leap(limit) {
-            return Some(cycles);
-        }
-        let (select, ratio) = (self.fitfunc_select, self.fast_domain_ratio.max(1));
-        let m = &mut self.modules;
-        let mem = &m.mem;
-        let mut window = m.core.walk(outputs(&m.rng), |addr, _| mem.word(addr))?;
-        if !m.fems.quiescent() || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent()) {
-            return None;
-        }
-        // scalingLogic_parSel: core 2 walks a selection on a zero draw,
-        // reading its own chromosomes with the fitness forced, member for
-        // member in lockstep with core 1, and breeds from its own RNG;
-        // both must be in the same kind of window.
-        let hit_at = window.cycles;
-        let mut window2 = match &m.lsb {
-            Some(h) => {
-                let mut rn = outputs(&h.rng);
-                if h.core.is_sel_draw() {
-                    rn[0] = 0;
-                }
-                Some(
-                    h.core
-                        .walk(rn, |addr, at| forced(h.mem.word(addr), at == hit_at))?,
-                )
-            }
-            None => None,
-        };
-        if window2.is_some_and(|w2| {
-            w2.cycles != window.cycles || w2.request().is_some() != window.request().is_some()
-        }) {
-            return None;
-        }
-        if let Some(msb) = window.request() {
-            if ratio != 1 || window.cycles >= limit {
-                return None;
-            }
-            let candidate = concat(msb, window2.and_then(|w2| w2.request()));
-            let (value, edges) = ask(&mut m.fems, select, candidate, limit - window.cycles)?;
-            window.answer(value, edges);
-            if let Some(w2) = window2.as_mut() {
-                w2.answer(value, edges);
-            }
-            // An offspring's `OffStore` cycle is the module's release
-            // edge; after an initial member's latch, the stepped
-            // `InitPopStore` cycle runs it.
-            if window.stores() {
-                release(&mut m.fems, select, candidate);
-            }
-        }
-        if window.cycles > limit {
-            return None;
-        }
-        land(&mut m.core, &mut m.rng, &mut m.mem, &window);
-        if let (Some(h), Some(w2)) = (m.lsb.as_mut(), &window2) {
-            land(&mut h.core, &mut h.rng, &mut h.mem, w2);
-        }
-        self.sim.advance(window.cycles);
-        Some(window.cycles)
-    }
-
-    /// The run window of [`GaSystem::jump`], if one starts here and its
-    /// longest course fits in `limit` (see the module docs): a whole
+    /// The run window of [`GaSystem::advance`], if one starts here and
+    /// its longest course fits in `limit` (see the module docs): a whole
     /// generation from `ElitWrite`, or the initial population from its
-    /// first `InitPopDraw`, through the edge into `GenCheck`. The window runs
-    /// on copies of the cores and RNGs up to its first handshake, so a
-    /// module that does not answer within the room left leaves the
+    /// first `InitPopDraw`, through the edge into `GenCheck`. The window
+    /// runs on copies of the cores and RNGs up to its first handshake,
+    /// so a module that does not answer within the room left leaves the
     /// system untouched.
-    fn leap(&mut self, limit: u64) -> Option<u64> {
+    fn jump(&mut self, limit: u64) -> Option<u64> {
         let m = &self.modules;
         let stretch = m.core.stretch()?;
-        if m.lsb
-            .as_ref()
-            .is_some_and(|h| h.core.stretch() != Some(stretch))
+        if self.vcd.is_some()
+            || self.monitor.is_some()
+            || m.lsb
+                .as_ref()
+                .is_some_and(|h| h.core.stretch() != Some(stretch))
             || self.fast_domain_ratio.max(1) != 1
             || !m.fems.quiescent()
             || m.ext_fem.as_ref().is_some_and(|e| !e.quiescent())

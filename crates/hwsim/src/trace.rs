@@ -6,7 +6,6 @@
 //! same role for the simulation: named series of (time, value) samples
 //! with CSV export for the figure-generation binaries.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One named sample series.
@@ -44,18 +43,17 @@ impl TraceSeries {
 
 /// A set of named series keyed by signal name.
 ///
-/// Recording is the hot path — the scoreboard pushes a sample per
-/// traced signal per generation — so series are stored in a flat
-/// vector with a name→slot index map: a repeated [`Trace::record`] is
-/// one hash lookup and a `Vec` push, with no allocation and no ordered
-/// walk. Name ordering (for [`Trace::iter`] and [`Trace::to_csv`]) is
-/// reconstructed only at read time.
+/// Recording is the hot path — the GA system records two series per
+/// generation — so series are stored in a flat vector in first-recorded
+/// order, and a [`Trace::record`] finds its series by comparing names
+/// along it: with the handful of series a trace holds, that is cheaper
+/// than hashing the name, and a repeated record allocates nothing. Name
+/// ordering (for [`Trace::iter`] and [`Trace::to_csv`]) is reconstructed
+/// only at read time.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    /// Series in first-recorded order (the stable slot a name maps to).
+    /// Series in first-recorded order.
     series: Vec<(String, TraceSeries)>,
-    /// Signal name → slot in `series`.
-    index: HashMap<String, usize>,
 }
 
 impl Trace {
@@ -65,23 +63,23 @@ impl Trace {
     }
 
     /// Record `value` for `name` at time `t` (creating the series on
-    /// first use). O(1) per repeated record.
+    /// first use).
     pub fn record(&mut self, name: &str, t: u64, value: u64) {
-        let slot = match self.index.get(name) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.series.len();
-                self.series.push((name.to_owned(), TraceSeries::default()));
-                self.index.insert(name.to_owned(), slot);
-                slot
-            }
-        };
+        let slot = self.slot(name).unwrap_or_else(|| {
+            self.series.push((name.to_owned(), TraceSeries::default()));
+            self.series.len() - 1
+        });
         self.series[slot].1.push(t, value);
+    }
+
+    /// The slot in `series` of the series named `name`.
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.series.iter().position(|(n, _)| n == name)
     }
 
     /// Look up a series by name.
     pub fn series(&self, name: &str) -> Option<&TraceSeries> {
-        self.index.get(name).map(|&slot| &self.series[slot].1)
+        self.slot(name).map(|slot| &self.series[slot].1)
     }
 
     /// Slots sorted by series name (the presentation order every
@@ -198,9 +196,8 @@ mod tests {
 
     #[test]
     fn csv_is_invariant_under_insertion_order() {
-        // The indexed layout stores series in first-recorded order;
-        // CSV (and iter) must still come out in name order, exactly as
-        // the old sorted-map representation produced.
+        // Series are stored in first-recorded order; CSV (and iter)
+        // must still come out in name order.
         let mut fwd = Trace::new();
         fwd.record("avg", 0, 50);
         fwd.record("best", 0, 100);

@@ -28,6 +28,7 @@ use ga_serve::net::MAX_LINE_BYTES;
 use ga_serve::{
     serve_batch, serve_island_connection, serve_jsonl, NetConfig, ServeConfig, ServeError, Server,
 };
+use proptest::prelude::*;
 
 const ISLAND_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"islands":2,"epoch":65535,"epochs":65536,"deadline_ms":50}"#;
 const PLAIN_LINE: &str = r#"{"fn":"F3","backend":"bitsim64","width":16,"pop":128,"gens":4294901760,"xover":10,"mut":1,"seed":5,"deadline_ms":50}"#;
@@ -412,4 +413,72 @@ fn every_batch_line_gets_a_reply_however_its_bytes_read() {
     let text = String::from_utf8(out.0.lock().expect("unpoisoned").clone()).expect("UTF-8");
     let replies: Vec<String> = text.lines().map(str::to_owned).collect();
     assert_every_line_answered(&replies);
+}
+
+/// Send `input` over one socket connection and return the replies.
+fn socket_replies(input: &[u8]) -> Vec<String> {
+    let server = Server::bind("127.0.0.1:0", NetConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(input).expect("send");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let replies = BufReader::new(stream)
+        .lines()
+        .map(|l| l.expect("read reply"))
+        .collect();
+    server.drain();
+    replies
+}
+
+/// Serve `input` as a batch and return the replies.
+fn batch_replies(input: &[u8]) -> Vec<String> {
+    let out = Shared::default();
+    serve_jsonl(input, out.clone(), &ServeConfig::default()).expect("served");
+    let text = String::from_utf8(out.0.lock().expect("unpoisoned").clone()).expect("UTF-8");
+    text.lines().map(str::to_owned).collect()
+}
+
+/// One request line, without its newline: a valid job, a valid job cut
+/// short, printable ASCII, or any bytes but a newline.
+fn request_line() -> impl Strategy<Value = Vec<u8>> {
+    let no_newline = |b: u8| if b == b'\n' { b'{' } else { b };
+    prop_oneof![
+        Just(JOB_LINE.as_bytes().to_vec()),
+        (0..JOB_LINE.len()).prop_map(|n| JOB_LINE.as_bytes()[..n].to_vec()),
+        prop::collection::vec(32u8..127, 0..40),
+        prop::collection::vec(any::<u8>().prop_map(no_newline), 0..40),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every line gets exactly one reply, in line order, on a socket and
+    /// in a batch, except the blank lines the reader skips: an answered
+    /// job for each valid line, a typed error at its line number for
+    /// each other.
+    #[test]
+    fn every_line_of_arbitrary_bytes_gets_one_reply_in_order(
+        lines in prop::collection::vec(request_line(), 1..13),
+    ) {
+        let mut input = Vec::new();
+        for line in &lines {
+            input.extend(line);
+            input.push(b'\n');
+        }
+        let blank = |line: &[u8]| std::str::from_utf8(line).is_ok_and(|t| t.trim().is_empty());
+        let answered: Vec<usize> = (0..lines.len()).filter(|&k| !blank(&lines[k])).collect();
+        for (path, replies) in [("socket", socket_replies(&input)), ("batch", batch_replies(&input))] {
+            prop_assert_eq!(replies.len(), answered.len(), "{}: {:?}", path, replies);
+            for (&k, reply) in answered.iter().zip(&replies) {
+                let at_line = reply.starts_with(&format!("{{\"job\":{k},"));
+                prop_assert!(at_line, "{}: line {}: {}", path, k, reply);
+                let ok = reply.contains("\"ok\":true");
+                let typed = reply.contains("\"ok\":false,\"error\":\"");
+                prop_assert!(ok || typed, "{}: line {}: {}", path, k, reply);
+                if lines[k] == JOB_LINE.as_bytes() {
+                    prop_assert!(ok, "{}: line {}: {}", path, k, reply);
+                }
+            }
+        }
+    }
 }
