@@ -60,18 +60,19 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/profile > /dev/null
     'ga_step_scaling_128_vs_16<=1.5' 'fitness_eval_ratio_mshubert2d_vs_f3<=4' \
     'fitness_eval_ratio_bf6_vs_f3<=12' 'fitness_eval_ratio_mbf6_2_vs_f3<=12'
 # The cycle-accurate core: the run-window jumps must never change the
-# profiled run's cycle count (pinned exactly), and they keep host time per
-# simulated cycle well under the cost of a stepped cycle on a 2-vCPU
-# x86-64 host, whose two speed states are about 1.6x apart. Stepping
-# every cycle measures 45-90 ns there, so the ceiling fails without the
-# jumps. The profiled run takes 67 host steps (advance calls) with each
-# generation and the initial population jumped whole (Start, the
-# population, then a GenCheck step and a generation per generation, and
-# the last GenCheck); without run windows every cycle is one host step
-# (about 64 000), so the ceiling fails without them.
-./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" \
-    'hw_run_cycles>=64373' 'hw_run_cycles<=64373' 'rtl_wall_ns_per_cycle<=40' \
-    'rtl_host_steps<=70'
+# profiled run's cycle count (pinned exactly to the committed
+# BENCH_profile.json, 64 373), and they keep host time per simulated
+# cycle well under the cost of a stepped cycle on a 2-vCPU x86-64 host,
+# whose two speed states are about 1.6x apart. Stepping every cycle
+# measures 45-90 ns there, so the ceiling fails without the jumps. The
+# profiled run takes 67 host steps (advance calls) with each generation
+# and the initial population jumped whole (Start, the population, then a
+# GenCheck step and a generation per generation, and the last GenCheck);
+# the ceiling is the committed report's count. Without run windows every
+# cycle is one host step (about 64 000), so it fails without them.
+./target/release/benchcheck "$SMOKE_DIR/BENCH_profile.json" --baseline BENCH_profile.json \
+    'hw_run_cycles>=1.0x' 'hw_run_cycles<=1.0x' 'rtl_wall_ns_per_cycle<=40' \
+    'rtl_host_steps<=1.0x'
 
 echo "== fault-injection smoke (scan + netlist campaigns, quick grid)"
 # Quick grid: every 8th scan position and one injection cycle per

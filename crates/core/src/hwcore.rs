@@ -35,8 +35,9 @@
 //!
 //! Such a run consumes exactly the random numbers its edges draw: one at
 //! each `InitPopDraw` and `SelDraw`, one each at `XoverDecide` and
-//! `MutDecide`. Each handshake reads the fitness module's word once,
-//! through the module's own jump ([`ga_fitness::fem::Fem::answer`]).
+//! `MutDecide`. Each handshake reads the fitness module's word once: the
+//! bank answers a run window's candidates in one call
+//! ([`ga_fitness::FemBank::answer`]).
 //! The cycle counts are those of the FSM; only the host stops paying for
 //! them one at a time. Every other cycle is one clock edge.
 

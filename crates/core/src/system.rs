@@ -48,9 +48,10 @@
 //! `InitPopDraw`) the whole population through the last
 //! `InitPopUpdate`. Each core breeds or draws every candidate with the
 //! FSM's rules, the selections found on the current bank's prefix sums,
-//! which no store reaches during a generation; the selected module
-//! answers each candidate through [`Fem::answer`], once per offspring,
-//! and takes its release edge; then each core stores its members and
+//! which no store reaches during a generation; then the bank answers the
+//! whole window's candidates in one call ([`FemBank::answer`]), which
+//! reads each candidate bus's word once and lands the module where the
+//! last release edge leaves it; then each core stores its members and
 //! lands its registers ([`crate::hwcore`]). The cores' registers, cycle
 //! profiles and draw counts, the RNGs, the memories with their read
 //! registers, the fitness modules and the cycle count end exactly where
@@ -62,15 +63,16 @@
 //!
 //! A run window applies only out of test mode with no memory write or
 //! fitness request pending, when `pop_size ≥ 2` and the current and new
-//! banks do not overlap (for a generation), the selected module is
-//! [`Fem::quiescent`] and answers in a fixed number of edges (the
-//! block-ROM [`ga_fitness::LookupFem`]), the application clock runs at
+//! banks do not overlap (for a generation), the fitness bank is
+//! [`FemBank::quiescent`] and the selected module answers in a fixed
+//! number of edges (the block-ROM [`ga_fitness::LookupFem`]), the
+//! external module is [`Fem::quiescent`], the application clock runs at
 //! the GA clock (`fast_domain_ratio` 1), no VCD capture or protocol
 //! monitor is attached, and the window's longest course, every scan
 //! walking the whole bank, fits in the limit with the module's answer
-//! edges. It runs on copies of the cores and RNGs until the module has
-//! answered its first request, so a module that does not answer leaves
-//! the system untouched. Everywhere else, including a watchdog bound or
+//! edges. It runs on copies of the cores and RNGs until the bank has
+//! answered, so a module that does not answer leaves the system
+//! untouched. Everywhere else, including a watchdog bound or
 //! a scheduled fault inside a generation, `advance` is one
 //! [`GaSystem::step`]. The run loops check a wall-clock deadline between
 //! host steps, so about once per generation.
@@ -347,44 +349,12 @@ fn forced_sums(hit: u8) -> &'static [u32] {
 /// fitness, and the population's fitness sum.
 type StatsEvent = (u32, u16, u16, u32);
 
-/// Answer each request of a run window in turn, core 1's candidate half
-/// from `msb` and, with two cores, core 2's from `lsb`: the selected
-/// module reads each candidate bus once within `max_edges` edges
-/// ([`FemBank::answer`]) and takes the release edge, and `values` gets
-/// its words. Returns the edges each answer took, or `None`, with the
-/// module untouched, when it does not answer the first request so.
-fn answer_each(
-    fems: &mut FemBank,
-    select: u8,
-    max_edges: u64,
-    msb: &[u16],
-    lsb: Option<&[u16]>,
-    values: &mut Vec<u16>,
-) -> Option<u64> {
-    values.clear();
-    let mut edges = None;
-    for (k, &half) in msb.iter().enumerate() {
-        let candidate = concat(half, lsb.map(|lsb| lsb[k]));
-        let Some(e) = fems.answer(select, candidate, max_edges) else {
-            // A module keeps its answer latency: once it has answered
-            // within `max_edges`, it always does.
-            assert!(edges.is_none(), "a module that answered stopped answering");
-            return None;
-        };
-        values.push(fems.out(select, 0, false).fit_value);
-        // The release edge: the cycle after the requester latches
-        // `fit_valid` runs the module with the request low.
-        fems.eval(FemBankIn {
-            fit_request: false,
-            candidate,
-            select,
-            ext_value: 0,
-            ext_valid: false,
-        });
-        fems.commit();
-        edges = Some(e);
-    }
-    edges
+/// A run window's candidate buses, in request order: core 1's halves
+/// from `msb` and, with two cores, core 2's from `lsb`.
+fn candidates<'a>(msb: &'a [u16], lsb: Option<&'a [u16]>) -> impl Iterator<Item = u32> + 'a {
+    (0..)
+        .zip(msb)
+        .map(move |(k, &half)| concat(half, lsb.map(|lsb| lsb[k])))
 }
 
 /// One core's share of a run window ([`GaSystem::advance`]): copies of
@@ -847,9 +817,9 @@ impl<P> GaSystem<P> {
     /// its longest course fits in `limit` (see the module docs): a whole
     /// generation from `ElitWrite`, or the initial population from its
     /// first `InitPopDraw`, through the edge into `GenCheck`. The window
-    /// runs on copies of the cores and RNGs up to its first handshake,
-    /// so a module that does not answer within the room left leaves the
-    /// system untouched.
+    /// runs on copies of the cores and RNGs until the bank has answered
+    /// its candidates, so a module that does not answer within the room
+    /// left leaves the system untouched.
     fn jump(&mut self, limit: u64) -> Option<u64> {
         let m = &self.modules;
         let stretch = m.core.stretch()?;
@@ -880,8 +850,8 @@ impl<P> GaSystem<P> {
     }
 
     /// A whole generation from `ElitWrite` through `GenEnd`'s edge: each
-    /// core breeds it ([`GaCoreHw::breed`]), the module answers each
-    /// offspring's candidate bus once, and each core stores its half
+    /// core breeds it ([`GaCoreHw::breed`]), the bank answers every
+    /// offspring's candidate bus in one call, and each core stores its half
     /// ([`GaCoreHw::store`]). Core 1 selects on its current bank's sums;
     /// core 2 takes core 1's members, where its forced scan stops.
     /// Returns the cycles and the generation event.
@@ -915,7 +885,9 @@ impl<P> GaSystem<P> {
             two
         });
         let lsb = two.as_ref().map(|_| brood2.cands.as_slice());
-        let edges = answer_each(&mut m.fems, select, room, &brood.cands, lsb, values)?;
+        let edges = m
+            .fems
+            .answer(select, candidates(&brood.cands, lsb), room, values)?;
         one.core.store(brood, values, edges, &mut m.mem);
         let event = one.gen_end(&mut m.mem);
         let event = match (two, m.lsb.as_mut()) {
@@ -936,8 +908,8 @@ impl<P> GaSystem<P> {
 
     /// The initial population, from its first `InitPopDraw` through the
     /// last `InitPopUpdate`: each core draws its members
-    /// ([`GaCoreHw::sow`]), the module answers each member's candidate
-    /// bus once, and each core stores its half ([`GaCoreHw::seed`]).
+    /// ([`GaCoreHw::sow`]), the bank answers every member's candidate
+    /// bus in one call, and each core stores its half ([`GaCoreHw::seed`]).
     /// Returns the cycles and the generation-0 event.
     fn initial_population(&mut self, room: u64) -> Option<(u64, Option<(StatsEvent, u16)>)> {
         let m = &mut self.modules;
@@ -954,14 +926,8 @@ impl<P> GaSystem<P> {
             two
         });
         let lsb = two.as_ref().map(|_| brood2.cands.as_slice());
-        let edges = answer_each(
-            &mut m.fems,
-            self.fitfunc_select,
-            room,
-            &brood.cands,
-            lsb,
-            values,
-        )?;
+        let cands = candidates(&brood.cands, lsb);
+        let edges = m.fems.answer(self.fitfunc_select, cands, room, values)?;
         let event = one.core.seed(&brood.cands, values, edges, &mut m.mem);
         let event = match (two, m.lsb.as_mut()) {
             (Some(mut two), Some(h)) => {

@@ -24,5 +24,6 @@ pub mod vrc;
 
 pub use fem::VrcFem;
 pub use vrc::{
-    healable, healing_fitness, CellFn, Fault, TruthTable, Vrc, PERFECT_FITNESS, SHIPPED_TARGETS,
+    healable, healing_fitness, CellFn, Fault, HealWords, TruthTable, Vrc, PERFECT_FITNESS,
+    SHIPPED_TARGETS,
 };

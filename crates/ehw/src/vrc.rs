@@ -14,6 +14,14 @@
 //! Each of the 8 cells takes a 2-bit function code (AND / OR / XOR /
 //! NAND — a functionally complete set), so a full configuration is
 //! exactly the GA core's 16-bit chromosome.
+//!
+//! Two evaluators share no code. [`Vrc::eval`] walks one input pattern
+//! through the cells, matching on the fault and on each cell's code: the
+//! reference. [`Vrc::truth_table`], [`healing_fitness`] and
+//! [`HealWords`] compute all 16 rows at once on a fabric whose fault is
+//! decoded into masks, each cell selecting its function with no branch
+//! on its code. A heal job decodes its fault once ([`HealWords`]) and
+//! reads every word it evaluates from that.
 
 /// Cell function codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,19 +53,6 @@ impl CellFn {
 
     /// Apply the function.
     pub fn apply(self, a: bool, b: bool) -> bool {
-        match self {
-            CellFn::And => a & b,
-            CellFn::Or => a | b,
-            CellFn::Xor => a ^ b,
-            CellFn::Nand => !(a & b),
-        }
-    }
-
-    /// Apply the function across all 16 input patterns at once: each
-    /// operand packs one signal's value per pattern (bit `i` = the
-    /// signal on pattern `i`), so one word op evaluates the whole
-    /// truth-table column.
-    pub fn apply_tt(self, a: u16, b: u16) -> u16 {
         match self {
             CellFn::And => a & b,
             CellFn::Or => a | b,
@@ -220,40 +215,128 @@ impl Vrc {
         self.cell(7, t, u)
     }
 
-    /// Evaluate one cell across all 16 patterns at once (operands are
-    /// truth-table columns, bit `i` = the signal on pattern `i`).
-    fn cell_tt(&self, k: usize, a: u16, b: u16) -> u16 {
-        match self.fault {
-            Some(Fault::StuckAt { cell, value }) if cell == k => {
-                if value {
-                    0xFFFF
-                } else {
-                    0x0000
-                }
+    /// The circuit's full truth table, computed bit-parallel on the
+    /// fabric with its fault decoded (see the module docs). This is what
+    /// makes exhaustive 65 536-configuration sweeps (fitness ROM
+    /// tabulation, healability proofs) cheap.
+    pub fn truth_table(&self) -> TruthTable {
+        Fabric::new(self.fault).truth_table(self.config)
+    }
+}
+
+/// Each 2-bit cell code's function as three 16-bit masks, low lane
+/// first: whether the cell takes `a & b`, whether it takes `a ^ b`, and
+/// whether it inverts. `OR` is `(a & b) ^ (a ^ b)`, `NAND` `a & b`
+/// inverted. Indexing it is a load, so a cell's function costs no
+/// branch on its code, nor a select the compiler may turn into one.
+const CELL_OPS: [u64; 4] = [
+    0x0000_0000_FFFF, // AND
+    0x0000_FFFF_FFFF, // OR
+    0x0000_FFFF_0000, // XOR
+    0xFFFF_0000_FFFF, // NAND
+];
+
+/// The fabric with its fault decoded: everything [`Vrc::truth_table`]
+/// needs that does not depend on the configuration, folded once per
+/// fault into masks.
+///
+/// A wrong-function fault replaces its cell's code in the configuration
+/// (`keep`, `code`); a stuck-at fault replaces its cell's output
+/// (`live`, `stuck`). Every cell then reads its function's masks from
+/// [`CELL_OPS`] by its 2-bit code, with no branch on it: a `match` on
+/// each code mispredicts on GA traffic, whose configurations look
+/// random to the branch predictor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fabric {
+    /// The configuration bits the cells read: all but a wrong-function
+    /// cell's code.
+    keep: u16,
+    /// The code a wrong-function cell performs, in its place.
+    code: u16,
+    /// Per cell, the truth-table bits its function drives: none on a
+    /// stuck cell.
+    live: [u16; 8],
+    /// Per cell, the value a stuck output holds.
+    stuck: [u16; 8],
+}
+
+impl Fabric {
+    /// Decode `fault`. A fault on a cell the fabric does not have
+    /// changes nothing.
+    #[inline]
+    fn new(fault: Option<Fault>) -> Self {
+        let mut fabric = Fabric {
+            keep: 0xFFFF,
+            code: 0,
+            live: [0xFFFF; 8],
+            stuck: [0; 8],
+        };
+        match fault {
+            Some(Fault::StuckAt { cell, value }) if cell < 8 => {
+                fabric.live[cell] = 0;
+                fabric.stuck[cell] = if value { 0xFFFF } else { 0 };
             }
-            Some(Fault::WrongFn { cell, actual }) if cell == k => actual.apply_tt(a, b),
-            _ => self.cell_fn(k).apply_tt(a, b),
+            Some(Fault::WrongFn { cell, actual }) if cell < 8 => {
+                fabric.keep = !(0b11 << (2 * cell));
+                fabric.code = (actual as u16) << (2 * cell);
+            }
+            _ => {}
         }
+        fabric
     }
 
-    /// The circuit's full truth table, computed bit-parallel: the four
-    /// input columns are constants (input `a` is high on odd patterns
-    /// ⇒ 0xAAAA, and so on), and each cell is one word operation. This
-    /// is what makes exhaustive 65 536-configuration sweeps (fitness
-    /// ROM tabulation, healability proofs) cheap.
-    pub fn truth_table(&self) -> TruthTable {
+    /// The truth table of `config` on this fabric: the four input
+    /// columns are constants (input `a` is high on odd patterns ⇒
+    /// 0xAAAA, and so on), and each cell is a few word operations.
+    #[inline]
+    fn truth_table(&self, config: u16) -> TruthTable {
         const A: u16 = 0xAAAA; // pattern bit 0
         const B: u16 = 0xCCCC; // pattern bit 1
         const C: u16 = 0xF0F0; // pattern bit 2
         const D: u16 = 0xFF00; // pattern bit 3
-        let w = self.cell_tt(0, A, B);
-        let x = self.cell_tt(1, B, C);
-        let y = self.cell_tt(2, C, D);
-        let z = self.cell_tt(3, D, A);
-        let u = self.cell_tt(4, w, x);
-        let v = self.cell_tt(5, y, z);
-        let t = self.cell_tt(6, u, v);
-        self.cell_tt(7, t, u)
+        let code = (config & self.keep) | self.code;
+        let cell = |k: usize, a: u16, b: u16| {
+            let op = CELL_OPS[usize::from(code >> (2 * k)) & 0b11];
+            let f = (a & b & op as u16) ^ ((a ^ b) & (op >> 16) as u16) ^ (op >> 32) as u16;
+            (f & self.live[k]) | self.stuck[k]
+        };
+        let w = cell(0, A, B);
+        let x = cell(1, B, C);
+        let y = cell(2, C, D);
+        let z = cell(3, D, A);
+        let u = cell(4, w, x);
+        let v = cell(5, y, z);
+        let t = cell(6, u, v);
+        cell(7, t, u)
+    }
+}
+
+/// Healing fitness for one `(target, fault)`, the fault decoded once:
+/// [`HealWords::word`] is [`healing_fitness`] word for word, without
+/// decoding the fault again on every word. A job builds one and reads
+/// every word it evaluates from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HealWords {
+    fabric: Fabric,
+    target: TruthTable,
+}
+
+impl HealWords {
+    /// The heal words of `target` on a fabric with `fault` injected.
+    #[inline]
+    pub fn new(target: TruthTable, fault: Option<Fault>) -> Self {
+        HealWords {
+            fabric: Fabric::new(fault),
+            target,
+        }
+    }
+
+    /// The healing fitness of `config`: each truth-table row that
+    /// matches the target is worth 4095.
+    #[inline]
+    pub fn word(&self, config: u16) -> u16 {
+        let got = self.fabric.truth_table(config);
+        (!(got ^ self.target)).count_ones() as u16 * 4095
     }
 }
 
@@ -261,11 +344,9 @@ impl Vrc {
 /// on the faulted fabric. Each of the 16 truth-table rows is worth
 /// 4095, so a perfect match scores 65 520 (a near-full-scale 16-bit
 /// fitness, keeping proportionate selection well conditioned).
+#[inline]
 pub fn healing_fitness(config: u16, target: TruthTable, fault: Option<Fault>) -> u16 {
-    let vrc = Vrc { config, fault };
-    let got = vrc.truth_table();
-    let matches = (!(got ^ target)).count_ones() as u16;
-    matches * 4095
+    HealWords::new(target, fault).word(config)
 }
 
 /// Fitness of a perfect healing (all 16 rows correct).
@@ -290,14 +371,8 @@ pub const SHIPPED_TARGETS: [(&str, u16); 3] = [
 /// [`Vrc::truth_table`] makes the 65 536-configuration sweep cheap, so
 /// this is the ground truth the GA heal rate is measured against.
 pub fn healable(target: TruthTable, fault: Fault) -> bool {
-    (0..=u16::MAX).any(|config| {
-        Vrc {
-            config,
-            fault: Some(fault),
-        }
-        .truth_table()
-            == target
-    })
+    let fabric = Fabric::new(Some(fault));
+    (0..=u16::MAX).any(|config| fabric.truth_table(config) == target)
 }
 
 #[cfg(test)]

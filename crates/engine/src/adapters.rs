@@ -62,8 +62,7 @@ fn run16<'a, R: Rng16>(
     let n_gens = runs.peek().map_or(0, |(spec, _)| spec.params.n_gens);
     let mut runs: Vec<_> = runs
         .map(|(spec, rng)| {
-            let f = spec.workload;
-            let mut engine = GaEngine::new(spec.params, rng, move |c| f.eval_u16(c));
+            let mut engine = GaEngine::new(spec.params, rng, spec.workload.words());
             // `n_gens` comes off the wire: grow the history, never size it.
             let history = vec![engine.init_population()];
             Ok((engine, history, spec.deadline_ms.map(Deadline::after_ms)))
@@ -104,8 +103,7 @@ fn run16<'a, R: Rng16>(
 /// share. The RNG must be snapshot-capable: stepping handles are the
 /// checkpoint/resume surface ([`ga_core::IslandMember::snapshot`]).
 fn stepper16<R: SnapshotRng + 'static>(spec: &RunSpec, rng: R) -> Box<dyn ga_core::IslandMember> {
-    let f = spec.workload;
-    Box::new(GaEngine::new(spec.params, rng, move |c| f.eval_u16(c)))
+    Box::new(GaEngine::new(spec.params, rng, spec.workload.words()))
 }
 
 /// The behavioral reference engine (`ga_core::GaEngine` over the CA
@@ -163,16 +161,16 @@ impl Engine for RtlInterpEngine {
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
-        let workload = spec.workload;
-        run_rtl(spec, limits, move |c| workload.eval_u16(c))
+        run_rtl(spec, limits, spec.workload.words())
     }
 }
 
 /// One `rtl` job: the cycle-accurate system run to `GA_done`. Its
 /// lookup FEM computes each word on read with `fitness` (for a served
-/// job [`crate::Workload::eval_u16`], the function the paper's offline
-/// ROM holds), so a job pays for the `evaluations_per_run` words its
-/// core reads, not for a 65 536-word table build. Heal tables are no
+/// job its word source, [`crate::Workload::words`], the function the
+/// paper's offline ROM holds), so a job pays for the
+/// `evaluations_per_run` words its core reads, not for a 65 536-word
+/// table build. Heal tables are no
 /// exception: a heal word is a VRC truth-table match count, and
 /// tabulating all 65 536 of them costs more than a whole small job.
 /// Heal and function workloads take the same path.

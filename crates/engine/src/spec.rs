@@ -13,7 +13,7 @@
 use std::fmt;
 
 use ga_core::GaParams;
-use ga_ehw::{healing_fitness, Fault, TruthTable};
+use ga_ehw::{Fault, HealWords, TruthTable};
 use ga_fitness::TestFunction;
 
 /// Which engine executes a run. One variant per registered backend.
@@ -97,10 +97,30 @@ pub enum Workload {
 
 impl Workload {
     /// Evaluate a 16-bit chromosome.
+    #[inline]
     pub fn eval_u16(self, chrom: u16) -> u16 {
-        match self {
-            Workload::Function(f) => f.eval_u16(chrom),
-            Workload::VrcHeal { target, fault } => healing_fitness(chrom, target, Some(fault)),
+        self.words()(chrom)
+    }
+
+    /// One job's word source: [`Workload::eval_u16`] word for word, with
+    /// what does not depend on the chromosome decoded once, when the job
+    /// starts. For a heal workload that is the fault ([`HealWords`]),
+    /// which [`ga_ehw::healing_fitness`] decodes again on every word.
+    /// Every 16-bit engine reads a job's words from one of these.
+    #[inline]
+    pub fn words(self) -> impl Fn(u16) -> u16 + Copy + Send + Sync + 'static {
+        #[derive(Clone, Copy)]
+        enum Words {
+            Function(TestFunction),
+            Heal(HealWords),
+        }
+        let words = match self {
+            Workload::Function(f) => Words::Function(f),
+            Workload::VrcHeal { target, fault } => Words::Heal(HealWords::new(target, Some(fault))),
+        };
+        move |chrom| match words {
+            Words::Function(f) => f.eval_u16(chrom),
+            Words::Heal(heal) => heal.word(chrom),
         }
     }
 

@@ -49,6 +49,16 @@ pub struct FemOut {
 }
 
 /// Common FEM behaviour: a clocked slave on the fitness handshake.
+///
+/// A module is stepped one edge at a time: [`Fem::eval`] against the
+/// requester's registered `fit_request` and `candidate`, then a commit,
+/// with [`Fem::out`] read between edges. A module never has to answer
+/// faster than its edges: the one shortcut a system takes, answering a
+/// whole run window's requests in one call, is the bank's
+/// ([`FemBank::answer`]), and only for the block ROM it knows the
+/// timing of ([`LookupFem`]). Every other module, the interconnect
+/// wrapper, the iterative CORDIC and external or user modules alike,
+/// keeps single steps.
 pub trait Fem: Clocked {
     /// Evaluation phase.
     fn eval(&mut self, i: FemIn);
@@ -60,22 +70,6 @@ pub trait Fem: Clocked {
     /// the module. The default, `false`, is always safe.
     fn quiescent(&self) -> bool {
         false
-    }
-    /// Answer a request for `candidate` in one jump. The requester
-    /// raises `fit_request` while the module is [`Fem::quiescent`] and
-    /// holds it, with the candidate, until it samples `fit_valid`. When
-    /// the module raises `fit_valid` a fixed number of edges after the
-    /// first one that sees the request, and that number is at most
-    /// `max_edges`, this leaves every register as that edge would,
-    /// reads the word exactly once, and returns the number. A module
-    /// that answers must then hold every register while the request
-    /// stays high, so the requester's latch cycle changes nothing; the
-    /// requester runs the release edge itself, as one ordinary
-    /// [`Fem::eval`] with `fit_request` low and a commit. The default,
-    /// `None`, keeps single steps and is always safe.
-    fn answer(&mut self, candidate: u32, max_edges: u64) -> Option<u64> {
-        let _ = (candidate, max_edges);
-        None
     }
 }
 
@@ -148,6 +142,25 @@ impl LookupFem {
     pub fn bram_cost(&self) -> u32 {
         crate::rom::bram16_count(1 << 16, 16)
     }
+
+    /// Edges from the first one that sees a request to the one that
+    /// raises `fit_valid`: edge 1 registers the ROM word (`Fetch`), edge
+    /// 2 presents it with `fit_valid` (`Hold`).
+    const ANSWER_EDGES: u64 = 2;
+
+    /// Answer each of `candidates` in turn from `Idle`, as
+    /// [`FemBank::answer`] describes: push each word to `values` and
+    /// land the registers the last release edge leaves.
+    fn answer(&mut self, candidates: impl IntoIterator<Item = u32>, values: &mut Vec<u16>) {
+        let read = &self.read;
+        values.extend(candidates.into_iter().map(|c| read(c)));
+        if let Some(&word) = values.last() {
+            self.dout.reset_to(word);
+            self.fit_value.reset_to(word);
+            self.fit_valid.reset_to(false);
+            self.state.reset_to(LookupState::Idle);
+        }
+    }
 }
 
 impl fmt::Debug for LookupFem {
@@ -213,21 +226,6 @@ impl Fem for LookupFem {
     #[inline]
     fn quiescent(&self) -> bool {
         self.state.get() == LookupState::Idle && !self.fit_valid.get()
-    }
-
-    /// Edge 1 registers the ROM word (`Fetch`), edge 2 presents it with
-    /// `fit_valid` (`Hold`); the module then holds until the request
-    /// drops.
-    fn answer(&mut self, candidate: u32, max_edges: u64) -> Option<u64> {
-        if !self.quiescent() || max_edges < 2 {
-            return None;
-        }
-        let word = (self.read)(candidate);
-        self.dout.reset_to(word);
-        self.fit_value.reset_to(word);
-        self.fit_valid.reset_to(true);
-        self.state.reset_to(LookupState::Hold);
-        Some(2)
     }
 }
 
@@ -611,16 +609,35 @@ impl FemBank {
             })
     }
 
-    /// [`Fem::answer`] for the module behind `select`, when the whole
-    /// bank is [`FemBank::quiescent`] (so the slots left unselected stay
-    /// as they are). The external and empty slots keep single steps.
-    pub fn answer(&mut self, select: u8, candidate: u32, max_edges: u64) -> Option<u64> {
-        if !self.quiescent() {
+    /// Answer a run window's fitness requests in one call. The requester
+    /// raises `fit_request` with each of `candidates` in turn, holds it
+    /// until it samples `fit_valid`, and drops it for one release edge.
+    /// When the bank is [`FemBank::quiescent`] and the module behind
+    /// `select` is a block ROM, which raises `fit_valid` a fixed number
+    /// of edges after the first edge that sees a request, and that
+    /// number is at most `max_edges`, this reads each candidate's word
+    /// once into `values`, in order, leaves every register of the bank
+    /// as the last release edge leaves it, and returns the number. The
+    /// ROM holds its registers while the request stays high, so the
+    /// requester's latch cycles change nothing in it. Otherwise it
+    /// returns `None` and changes nothing: the external and empty slots
+    /// and every other module keep single steps.
+    pub fn answer(
+        &mut self,
+        select: u8,
+        candidates: impl IntoIterator<Item = u32>,
+        max_edges: u64,
+        values: &mut Vec<u16>,
+    ) -> Option<u64> {
+        values.clear();
+        if !self.quiescent() || max_edges < LookupFem::ANSWER_EDGES {
             return None;
         }
         match self.slots.get_mut(usize::from(select & 0x7)) {
-            Some(FemSlot::Lookup(f)) => f.answer(candidate, max_edges),
-            Some(FemSlot::Cordic(f)) => f.answer(candidate, max_edges),
+            Some(FemSlot::Lookup(f)) => {
+                f.answer(candidates, values);
+                Some(LookupFem::ANSWER_EDGES)
+            }
             _ => None,
         }
     }
@@ -784,56 +801,109 @@ mod tests {
         assert!(!bank.quiescent());
     }
 
-    #[test]
-    fn lookup_answer_matches_the_stepped_handshake() {
-        let mut stepped = LookupFem::for_function(TestFunction::F3);
-        stepped.reset();
-        let mut jumped = stepped.clone();
-        let request = FemIn {
-            fit_request: true,
-            candidate: 0x1234,
+    /// A bank with the block ROM in slot 0, beside the modules that keep
+    /// single steps.
+    fn mixed_bank() -> FemBank {
+        let mut bank = FemBank::new(vec![
+            FemSlot::Lookup(LookupFem::for_function(TestFunction::F3)),
+            FemSlot::Cordic(CordicFem::new(TestFunction::F3)),
+            FemSlot::External,
+            FemSlot::Lookup(LookupFem::for_function(TestFunction::F2)),
+        ]);
+        bank.reset();
+        bank
+    }
+
+    /// One handshake on `bank`'s `select` slot, stepped: the request
+    /// edges up to `fit_valid`, the requester's latch edge with the
+    /// request still high, and the release edge. Returns the word and
+    /// the edges from the first request edge to `fit_valid`.
+    fn stepped_handshake(bank: &mut FemBank, select: u8, candidate: u32) -> (u16, u64) {
+        let edge = |bank: &mut FemBank, fit_request| {
+            bank.eval(FemBankIn {
+                fit_request,
+                candidate,
+                select,
+                ..Default::default()
+            });
+            bank.commit();
         };
         let mut edges = 0;
-        while !stepped.out().fit_valid {
-            stepped.eval(request);
-            stepped.commit();
+        while !bank.out(select, 0, false).fit_valid {
+            edge(bank, true);
             edges += 1;
         }
-        assert_eq!(jumped.answer(0x1234, edges - 1), None, "window too short");
-        assert_eq!(jumped.answer(0x1234, edges), Some(edges));
-        assert_eq!(format!("{jumped:?}"), format!("{stepped:?}"));
-        // Mid-transaction, and on the iterative module, single steps stay.
-        assert_eq!(jumped.answer(0x1234, u64::MAX), None);
-        let mut cordic = CordicFem::new(TestFunction::F3);
-        assert_eq!(cordic.answer(0x1234, u64::MAX), None);
+        let word = bank.out(select, 0, false).fit_value;
+        edge(bank, true);
+        edge(bank, false);
+        (word, edges)
+    }
+
+    #[test]
+    fn one_answer_call_matches_stepped_handshakes() {
+        let candidates = [0x1234, 0, 0xFFFF, 0x8000, 0x1234];
+        for k in 0..=candidates.len() {
+            let mut stepped = mixed_bank();
+            let mut words = Vec::new();
+            let mut edges = 2;
+            for &c in &candidates[..k] {
+                let (word, e) = stepped_handshake(&mut stepped, 0, c);
+                words.push(word);
+                edges = e;
+            }
+            let mut called = mixed_bank();
+            let mut values = vec![7; 9];
+            let got = called.answer(0, candidates[..k].iter().copied(), u64::MAX, &mut values);
+            assert_eq!(got, Some(edges), "{k} candidates");
+            assert_eq!(values, words, "{k} candidates");
+            assert_eq!(
+                format!("{called:?}"),
+                format!("{stepped:?}"),
+                "{k} candidates"
+            );
+        }
     }
 
     #[test]
     fn bank_answers_only_from_an_idle_block_rom() {
-        let bank = || {
-            let mut bank = FemBank::new(vec![
-                FemSlot::Lookup(LookupFem::for_function(TestFunction::F3)),
-                FemSlot::Cordic(CordicFem::new(TestFunction::F3)),
-                FemSlot::External,
-            ]);
-            bank.reset();
-            bank
+        let mut values = Vec::new();
+        let mut answer = |bank: &mut FemBank, select, max_edges| {
+            let before = format!("{bank:?}");
+            let got = bank.answer(select, [7, 9], max_edges, &mut values);
+            if got.is_none() {
+                assert!(values.is_empty());
+                assert_eq!(format!("{bank:?}"), before, "a refusal changes nothing");
+            }
+            got
         };
-        assert_eq!(bank().answer(0, 7, u64::MAX), Some(2));
-        for select in [1, 2, 3] {
-            assert_eq!(bank().answer(select, 7, u64::MAX), None, "slot {select}");
+        assert_eq!(answer(&mut mixed_bank(), 0, u64::MAX), Some(2));
+        assert_eq!(answer(&mut mixed_bank(), 0, 2), Some(2));
+        assert_eq!(answer(&mut mixed_bank(), 0, 1), None, "window too short");
+        // The CORDIC, external and empty slots keep single steps.
+        for select in [1, 2, 4] {
+            assert_eq!(
+                answer(&mut mixed_bank(), select, u64::MAX),
+                None,
+                "slot {select}"
+            );
         }
         // An unselected slot still draining its handshake would change
-        // on the skipped edges.
-        let mut busy = bank();
-        busy.eval(FemBankIn {
-            fit_request: true,
-            candidate: 7,
-            select: 1,
-            ..Default::default()
-        });
-        busy.commit();
-        assert_eq!(busy.answer(0, 7, u64::MAX), None);
+        // on the skipped edges, and so would the ROM mid-transaction.
+        for busy_slot in [1, 0] {
+            let mut busy = mixed_bank();
+            busy.eval(FemBankIn {
+                fit_request: true,
+                candidate: 7,
+                select: busy_slot,
+                ..Default::default()
+            });
+            busy.commit();
+            assert_eq!(
+                answer(&mut busy, 0, u64::MAX),
+                None,
+                "slot {busy_slot} busy"
+            );
+        }
     }
 
     #[test]

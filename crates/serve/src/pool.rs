@@ -67,22 +67,21 @@ impl ConnState {
         })
     }
 
-    /// Park `line` at slot `seq`; write every now-contiguous line. The
-    /// first write error is kept for [`ConnState::finish`] and stops
-    /// further writes: a socket client that hung up mid-stream forfeits
-    /// its remaining results, but the jobs still count in the stats.
-    pub fn emit(&self, seq: u64, line: String) {
+    /// Park `line` at slot `seq`; write every now-contiguous line, each
+    /// with its newline in one write (a socket sink is unbuffered, so
+    /// that is one syscall and one segment per reply). The first write
+    /// error is kept for [`ConnState::finish`] and stops further writes:
+    /// a socket client that hung up mid-stream forfeits its remaining
+    /// results, but the jobs still count in the stats.
+    pub fn emit(&self, seq: u64, mut line: String) {
+        line.push('\n');
         let mut guard = relock(self.out.lock());
         let o = &mut *guard;
         o.pending.insert(seq, line);
         while let Some(text) = o.pending.remove(&o.next) {
             o.next += 1;
             if o.error.is_none() {
-                o.error = o
-                    .sink
-                    .write_all(text.as_bytes())
-                    .and_then(|()| o.sink.write_all(b"\n"))
-                    .err();
+                o.error = o.sink.write_all(text.as_bytes()).err();
             }
         }
     }
@@ -224,4 +223,36 @@ fn worker_loop(queue: &BoundedQueue<WorkItem>, cfg: &ServeConfig) -> ServeStats 
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that records each `write` call's bytes.
+    #[derive(Clone, Default)]
+    struct Calls(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            relock(self.0.lock()).push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_result_line_is_one_write_in_slot_order() {
+        let calls = Calls::default();
+        let conn = ConnState::new(calls.clone());
+        for (seq, line) in [(2, "c"), (0, "a"), (1, "b"), (3, "")] {
+            conn.emit(seq, line.to_string());
+        }
+        conn.finish().expect("the sink never fails");
+        let calls = relock(calls.0.lock());
+        assert_eq!(*calls, [&b"a\n"[..], b"b\n", b"c\n", b"\n"]);
+    }
 }

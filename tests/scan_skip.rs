@@ -50,6 +50,23 @@ fn lookup(f: TestFunction) -> FemSlot {
     FemSlot::Lookup(LookupFem::for_function(f))
 }
 
+/// A served heal job's workload: the demo target with a stuck cell.
+fn heal() -> Workload {
+    Workload::VrcHeal {
+        target: Vrc::new(0x1B26).truth_table(),
+        fault: Fault::StuckAt {
+            cell: 2,
+            value: true,
+        },
+    }
+}
+
+/// The block ROM a served `rtl` job runs on: its per-job word source
+/// read through `LookupFem::from_fn`.
+fn served(workload: Workload) -> FemSlot {
+    FemSlot::Lookup(LookupFem::from_fn(workload.words()))
+}
+
 /// The dual-core system on the split-average extension of `f`.
 fn system32(f: TestFunction) -> GaSystem32Hw<impl Fn(u32) -> u16 + Send + Sync + 'static> {
     GaSystem32Hw::new(move |c: u32| f.eval_u32_split(c))
@@ -127,10 +144,18 @@ fn one_window_per_generation(params: &GaParams) -> Vec<(String, bool)> {
 
 #[test]
 fn run_windows_land_where_one_window_jumps_land_at_width_16() {
+    // Each function's block ROM, and on every shape and seed a heal
+    // job's, whose words come from its per-job source.
     for (f, params) in quick_matrix() {
-        let calls = assert_run_windows_match(|| system16(lookup(f)), &params);
-        let what = format!("{f:?} pop {} seed {:#06x}", params.pop_size, params.seed);
-        assert_eq!(calls, one_window_per_generation(&params), "{what}");
+        let mut modules = vec![(format!("{f:?}"), lookup(f))];
+        if f == TestFunction::F3 {
+            modules.push(("heal".to_string(), served(heal())));
+        }
+        for (module, fem) in modules {
+            let calls = assert_run_windows_match(|| system16(fem.clone()), &params);
+            let what = format!("{module} pop {} seed {:#06x}", params.pop_size, params.seed);
+            assert_eq!(calls, one_window_per_generation(&params), "{what}");
+        }
     }
 }
 
@@ -266,22 +291,15 @@ fn served_shapes_take_one_run_window_per_generation() {
     // `one_window_per_generation`), so a change that refuses run windows
     // on a served shape fails here instead of quietly stepping every
     // cycle.
-    let target = Vrc::new(0x1B26).truth_table();
-    let fault = Fault::StuckAt {
-        cell: 2,
-        value: true,
-    };
     for pop in [16, 24, 32] {
         for gens in [8, 16, 24, 32] {
             let params = GaParams::new(pop, gens, 10, 1, 0x2961);
             let want = 3 + 2 * u64::from(gens);
-            let function = move |c| TestFunction::Mbf6_2.eval_u16(c);
-            let heal = move |c| healing_fitness(c, target, Some(fault));
             for (what, fem) in [
-                ("function", LookupFem::from_fn(function)),
-                ("heal", LookupFem::from_fn(heal)),
+                ("function", served(TestFunction::Mbf6_2.into())),
+                ("heal", served(heal())),
             ] {
-                let mut sys = system16(FemSlot::Lookup(fem));
+                let mut sys = system16(fem);
                 sys.program_and_run(&params, u64::MAX).expect("finishes");
                 assert_eq!(sys.host_steps(), want, "{what} pop {pop} gens {gens}");
             }
