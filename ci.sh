@@ -197,6 +197,9 @@ cargo build -q --release -p ga-serve --bin serve_load
 LISTEN_DIR="$SMOKE_DIR/listen"
 mkdir -p "$LISTEN_DIR"
 rm -f "$LISTEN_DIR/stdin.fifo" # a stale fifo from an aborted run blocks mkfifo
+# The redirect below truncates listen.out only in the forked child, so
+# the loop that reads the address could find a previous run's first.
+rm -f "$LISTEN_DIR/listen.out"
 mkfifo "$LISTEN_DIR/stdin.fifo"
 # Hold the fifo open read-write on fd 9 so neither end blocks; the
 # server must NOT inherit fd 9 (9<&-) or it would keep its own stdin

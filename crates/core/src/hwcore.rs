@@ -20,24 +20,24 @@
 //! enters them (`GaCoreHw::stretch`):
 //!
 //! * a whole generation, `ElitWrite` through `GenEnd`'s edge. The
-//!   current bank cannot change during it, so `GaCoreHw::breed` finds
-//!   each selection on the bank's prefix sums (`GaCoreHw::pick`,
-//!   counting the `5 + 3 ×` members-walked cycles of the scan), breeds
-//!   each pair with `crossed` and `mutated`, and leaves the candidates;
+//!   current bank cannot change during it, so `GaCoreHw::breed` runs
+//!   the generation loop ([`ops::breed`]) with each selection found on
+//!   the bank's prefix sums (`GaCoreHw::pick`, counting the `5 + 3 ×`
+//!   members-walked cycles of the scan), and leaves the candidates;
 //!   once the module has answered each, `GaCoreHw::store` lands the
 //!   stores and the new population's sum and best (`OffUpdate`'s
 //!   datapath, `joined`). `ElitWrite` and `GenEnd` run as ordinary
 //!   edges (`GaCoreHw::tick`);
 //! * the initial population, its first `InitPopDraw` through the last
-//!   `InitPopUpdate`: `GaCoreHw::sow` draws the candidates and
-//!   `GaCoreHw::seed` lands the members (`InitPopUpdate`'s datapath,
-//!   `sown`).
+//!   `InitPopUpdate`: the system draws the candidates ([`ops::sow`])
+//!   and `GaCoreHw::seed` lands the members (`InitPopUpdate`'s
+//!   datapath, `sown`).
 //!
 //! Such a run consumes exactly the random numbers its edges draw: one at
 //! each `InitPopDraw` and `SelDraw`, one each at `XoverDecide` and
 //! `MutDecide`. Each handshake reads the fitness module's word once: the
-//! bank answers a run window's candidates in one call
-//! ([`ga_fitness::FemBank::answer`]).
+//! block ROM answers a run window's candidates in one call
+//! ([`ga_fitness::LookupFem::answer`]).
 //! The cycle counts are those of the FSM; only the host stops paying for
 //! them one at a time. Every other cycle is one clock edge.
 
@@ -167,7 +167,7 @@ pub(crate) struct Stretch {
     /// The fitness handshakes in the window.
     pub(crate) handshakes: u64,
     /// True for a whole generation ([`GaCoreHw::breed`]); false for the
-    /// initial population ([`GaCoreHw::sow`]).
+    /// initial population ([`GaCoreHw::seed`]).
     pub(crate) selects: bool,
 }
 
@@ -200,8 +200,6 @@ pub(crate) struct Pick {
     pub(crate) cum: u32,
     /// The memory word the hit's cycle reads.
     pub(crate) word: u32,
-    /// Cycles from `SelDraw` through the hit's `SelScanData`.
-    pub(crate) cycles: u64,
 }
 
 /// Where the clock cycles go, by FSM phase (instrumentation; the
@@ -603,7 +601,9 @@ impl GaCoreHw {
             State::XoverDecide => {
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                let [o1, o2] = self.crossed(i.rn);
+                let parents = [self.parent1.get(), self.parent2.get()];
+                let xover = ops::xover_fields(i.rn);
+                let [o1, o2] = ops::crossed(parents, xover, self.xover_threshold.get());
                 self.off1.set(o1);
                 self.off2.set(o2);
                 self.off_phase.set(false);
@@ -612,11 +612,13 @@ impl GaCoreHw {
             State::MutDecide => {
                 comb.rn_consume = true;
                 self.rng_draws += 1;
-                if self.off_phase.get() {
-                    self.off2.set(self.mutated(i.rn, self.off2.get()));
+                let off = if self.off_phase.get() {
+                    &mut self.off2
                 } else {
-                    self.off1.set(self.mutated(i.rn, self.off1.get()));
-                }
+                    &mut self.off1
+                };
+                let fields = ops::mut_fields(i.rn);
+                off.set(ops::mutated(off.get(), fields, self.mut_threshold.get()));
                 self.state.set(State::OffFitReq);
             }
             State::OffFitReq => {
@@ -704,30 +706,6 @@ impl GaCoreHw {
         comb
     }
 
-    /// `XoverDecide`'s datapath: the offspring pair the parents give
-    /// under draw `rn`. One draw carries both fields (§III-B.7
-    /// "predefined positions"; [`ops::xover_fields`] documents why).
-    fn crossed(&self, rn: u16) -> [u16; 2] {
-        let (xd, cut) = ops::xover_fields(rn);
-        let (p1, p2) = (self.parent1.get(), self.parent2.get());
-        let (o1, o2) = if ops::decision(xd, self.xover_threshold.get()) {
-            ops::crossover(p1, p2, cut)
-        } else {
-            (p1, p2)
-        };
-        [o1, o2]
-    }
-
-    /// `MutDecide`'s datapath: `chrom` after the mutation draw `rn`.
-    fn mutated(&self, rn: u16, chrom: u16) -> u16 {
-        let (md, point) = ops::mut_fields(rn);
-        if ops::decision(md, self.mut_threshold.get()) {
-            ops::mutate(chrom, point)
-        } else {
-            chrom
-        }
-    }
-
     // --- run windows --------------------------------------------------
 
     /// Where a run window to the next `GenCheck` may start, out of
@@ -783,8 +761,7 @@ impl GaCoreHw {
     /// member ([`ops::selection_prefix`]), instead of by a walk: the
     /// scan stops at the first member [`ops::selection_pick`] finds, or
     /// falls through to `prefix`'s last. `word(addr)` must return the
-    /// word at `addr`. The cycles are the scan's: `SelDraw`, the
-    /// multiplier wait, and three per member walked.
+    /// word at `addr`. The scan takes [`GaCoreHw::scan_cycles`].
     pub(crate) fn pick(&self, rn: u16, prefix: &[u32], word: impl FnOnce(u8) -> u32) -> Pick {
         let threshold = ops::selection_threshold(self.fit_sum.get(), rn);
         let at = ops::selection_pick(prefix, threshold).unwrap_or(prefix.len() - 1);
@@ -794,26 +771,30 @@ impl GaCoreHw {
             hit,
             cum: at.checked_sub(1).map_or(0, |k| prefix[k]),
             word: word(self.cur_base.get().wrapping_add(hit)),
-            cycles: 1 + u64::from(MUL_WAIT) + 1 + 3 * (u64::from(hit) + 1),
         }
+    }
+
+    /// Cycles from `SelDraw` through the `SelScanData` of a hit at bank
+    /// offset `hit`: `SelDraw`, the multiplier wait, and three per
+    /// member walked.
+    fn scan_cycles(hit: u8) -> u64 {
+        1 + u64::from(MUL_WAIT) + 1 + 3 * (u64::from(hit) + 1)
     }
 
     /// Run a generation's selections and breeding ahead of the clock,
     /// from `ElitWrite` ([`GaCoreHw::stretch`]) through the last
-    /// offspring's request, with the FSM's rules: `ElitWrite`'s edge
-    /// ([`GaCoreHw::tick`]), each selection a [`GaCoreHw::pick`] on the
-    /// sums `sums(rn)` gives for the draw `rn` (with the `rn` the
-    /// threshold multiplies), then per pair of offspring the crossover
-    /// and mutation draws ([`GaCoreHw::crossed`],
-    /// [`GaCoreHw::mutated`]). `draw()` returns the RNG's output and
-    /// steps it. The current bank holds still throughout: no store
-    /// lands in it.
+    /// offspring's request: `ElitWrite`'s edge ([`GaCoreHw::tick`]),
+    /// then the generation loop ([`ops::breed`]) with each selection a
+    /// [`GaCoreHw::pick`] on the sums `sums(rn)` gives for the draw `rn`
+    /// (with the `rn` the threshold multiplies). `draw()` returns the
+    /// RNG's output and steps it. The current bank holds still
+    /// throughout: no store lands in it.
     ///
     /// Every register ends as the last `OffUpdate`'s edge leaves it but
     /// those the fitness values set, which [`GaCoreHw::store`] lands.
     pub(crate) fn breed<'s>(
         &mut self,
-        mut draw: impl FnMut() -> u16,
+        draw: impl FnMut() -> u16,
         mut sums: impl FnMut(u16) -> (u16, &'s [u32]),
         word: impl Fn(u8) -> u32,
         brood: &mut Brood,
@@ -823,58 +804,49 @@ impl GaCoreHw {
         self.tick();
         let out = self.out();
         brood.elite = (out.mem_address, out.mem_data_out);
-        let offspring = usize::from(self.pop_size.get()) - 1;
-        let (mut selecting, mut pairs) = (0, 0);
-        let (mut off, mut second) = ([0; 2], false);
-        let mut last = None;
-        while brood.cands.len() < offspring {
-            // `SelDraw` through the hit's `SelScanData`, for each parent.
-            for parent in [false, true] {
-                let (rn, sums) = sums(draw());
-                let pick = self.pick(rn, sums, &word);
-                let chrom = unpack(pick.word).chrom;
-                if parent {
-                    self.parent2.reset_to(chrom);
-                } else {
-                    self.parent1.reset_to(chrom);
-                }
+        let offspring = self.pop_size.get() - 1;
+        let thresholds = (self.xover_threshold.get(), self.mut_threshold.get());
+        // The last selection's `threshold` and `cum` registers.
+        let mut last = (0, 0);
+        let core = &*self;
+        // `SelDraw` through the hit's `SelScanData` for each parent,
+        // `XoverDecide` per pair, then `MutDecide` through `OffUpdate`
+        // for each offspring.
+        let ([p1, p2], [o1, o2]) = ops::breed(
+            usize::from(offspring),
+            thresholds,
+            draw,
+            |rn| {
+                let (rn, sums) = sums(rn);
+                let pick = core.pick(rn, sums, &word);
                 brood.hits.push(pick.hit);
-                selecting += pick.cycles;
-                last = Some(pick);
-            }
-            // `XoverDecide`, then `MutDecide` through `OffUpdate` for
-            // each offspring of the pair the new bank has room for.
-            off = self.crossed(draw());
-            pairs += 1;
-            second = false;
-            loop {
-                let k = usize::from(second);
-                off[k] = self.mutated(draw(), off[k]);
-                brood.cands.push(off[k]);
-                if second || brood.cands.len() == offspring {
-                    break;
-                }
-                second = true;
-            }
+                last = (pick.threshold, pick.cum);
+                unpack(pick.word).chrom
+            },
+            |chrom| brood.cands.push(chrom),
+        );
+        let selecting: u64 = brood.hits.iter().map(|&hit| Self::scan_cycles(hit)).sum();
+        if let Some(&hit) = brood.hits.last() {
+            self.threshold.reset_to(last.0);
+            self.cum.reset_to(last.1);
+            self.scan_idx.reset_to(hit);
         }
-        if let Some(pick) = last {
-            self.threshold.reset_to(pick.threshold);
-            self.cum.reset_to(pick.cum);
-            self.scan_idx.reset_to(pick.hit);
-        }
-        let offspring = offspring as u64;
+        self.parent1.reset_to(p1);
+        self.parent2.reset_to(p2);
         self.mult_cnt.reset_to(0);
         self.sel_phase.reset_to(true);
-        self.off1.reset_to(off[0]);
-        self.off2.reset_to(off[1]);
-        self.off_phase.reset_to(second);
+        self.off1.reset_to(o1);
+        self.off2.reset_to(o2);
+        // The last pair bred its second offspring when the count is even.
+        self.off_phase.reset_to(offspring.is_multiple_of(2));
         self.cand
             .reset_to(brood.cands.last().copied().unwrap_or_default());
         self.mem_address
-            .reset_to(self.new_base.get().wrapping_add(offspring as u8));
+            .reset_to(self.new_base.get().wrapping_add(offspring));
         self.mem_wr.reset_to(false);
         self.idx.reset_to(self.pop_size.get());
         self.state.reset_to(State::GenEnd);
+        let (offspring, pairs) = (u64::from(offspring), u64::from(offspring.div_ceil(2)));
         self.rng_draws += brood.hits.len() as u64 + pairs + offspring;
         // Per offspring: the mutation draw, the request and latch
         // cycles, `OffStore` and `OffUpdate`.
@@ -907,21 +879,14 @@ impl GaCoreHw {
         self.profile.fitness_wait += edges * values.len() as u64;
     }
 
-    /// Draw the initial population's candidates ahead of the clock, from
-    /// its first `InitPopDraw` ([`GaCoreHw::stretch`]): one draw per
-    /// member, as each `InitPopDraw` edge takes it. [`GaCoreHw::seed`]
-    /// lands the population once the fitness module has answered.
-    pub(crate) fn sow(&mut self, mut draw: impl FnMut() -> u16, cands: &mut Vec<u16>) {
-        cands.clear();
-        cands.extend((0..self.pop_size.get()).map(|_| draw()));
-    }
-
-    /// Land the initial population [`GaCoreHw::sow`] drew with its
-    /// fitness `values`, each answered `edges` edges after its request:
-    /// `mem` takes each member where `InitPopStore` addresses it, its
-    /// read register ends on what the last `InitPopStore` cycle reads,
-    /// and every register ends as the last `InitPopUpdate`'s edge leaves
-    /// it. Returns that edge's generation-0 event.
+    /// Land the initial population `cands`, drawn one per member
+    /// ([`ops::sow`]) from its first `InitPopDraw`
+    /// ([`GaCoreHw::stretch`]), with its fitness `values`, each answered
+    /// `edges` edges after its request: `mem` takes each member where
+    /// `InitPopStore` addresses it, its read register ends on what the
+    /// last `InitPopStore` cycle reads, and every register ends as the
+    /// last `InitPopUpdate`'s edge leaves it. Returns that edge's
+    /// generation-0 event.
     pub(crate) fn seed(
         &mut self,
         cands: &[u16],
@@ -1404,9 +1369,9 @@ mod tests {
                 hit: core.scan_idx.get(),
                 cum: core.cum.get(),
                 word: pick.word,
-                cycles,
             };
             assert_eq!(stepped, pick, "selection {picks}");
+            assert_eq!(cycles, GaCoreHw::scan_cycles(pick.hit), "selection {picks}");
             assert_eq!(parent, unpack(pick.word).chrom, "selection {picks}");
             picks += 1;
         }

@@ -47,11 +47,11 @@ pub trait IslandMember {
 
 impl<R: SnapshotRng, F: FnMut(u16) -> u16> IslandMember for GaEngine<R, F> {
     fn init_population(&mut self) {
-        GaEngine::init_population(self);
+        GaEngine::<R, F>::init_population(self);
     }
 
     fn step_generation(&mut self) {
-        GaEngine::step_generation(self);
+        GaEngine::<R, F>::step_generation(self);
     }
 
     fn best(&self) -> Individual {

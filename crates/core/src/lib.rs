@@ -19,9 +19,10 @@
 //! produce bit-identical populations — the cross-model differential
 //! tests in `tests/` are the strongest correctness check in the repo.
 //!
-//! Chromosomes are 16 bits; [`scaling::GaEngine32`] is the behavioral
-//! model of the §III-D recipe for ganging two cores into a 32-bit
-//! optimizer.
+//! Chromosomes are 16 bits. [`GaEngine32`] is the behavioral engine at
+//! width 32, the §III-D recipe for ganging two cores into a 32-bit
+//! optimizer; both widths, and the cycle-accurate core's run windows,
+//! breed through the one generation loop in [`ops::breed`].
 
 #![forbid(unsafe_code)]
 
@@ -39,11 +40,10 @@ pub mod scaling;
 pub mod snapshot;
 pub mod system;
 
-pub use behavioral::{FieldMode, GaEngine, GaRun, GenStats, Individual};
+pub use behavioral::{FieldMode, GaEngine, GaEngine32, GaRun, GenStats, Individual};
 pub use hwcore::GaCoreHw;
 pub use islands::{IslandConfig, IslandMember, IslandRun};
 pub use params::{GaParams, ParamIndex, PresetMode};
 pub use ports::{GaCoreComb, GaCoreIn, GaCoreOut};
-pub use scaling::GaEngine32;
 pub use snapshot::{EngineSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use system::{GaSystem, GaSystem32Hw, HwRun, Port, UserIn};

@@ -412,12 +412,9 @@ mod tests {
         s.workload = Workload::Function(TestFunction::F3);
         let hw = run_on(&Rtl32Engine, s).expect("rtl32 runs");
         let f = TestFunction::F3;
-        let sw = ga_core::GaEngine32::new(
-            params,
-            CaRng::new(params.seed),
-            CaRng::new(!params.seed),
-            move |c| f.eval_u32_split(c),
-        )
+        let sw = GaEngine::new32(params, CaRng::new(params.seed), move |c| {
+            f.eval_u32_split(c)
+        })
         .run();
         assert_eq!(hw.best_chrom, sw.best.chrom);
         assert_eq!(hw.best_fitness, sw.best.fitness);

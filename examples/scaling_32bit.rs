@@ -33,10 +33,9 @@ fn main() {
     let mt = threshold_for_prob(split_prob(0.0625));
     println!("target mutProb32 = 0.0625: per-half threshold {mt}");
 
+    // Both cores run at the thresholds programmed here.
     let params = GaParams::new(64, 64, xt, mt.max(1), 0x2961);
-    let run = GaEngine32::new(params, CaRng::new(0x2961), CaRng::new(0x061F), f2_32)
-        .with_split_thresholds(xt, xt, mt.max(1), mt.max(1))
-        .run();
+    let run = GaEngine::new32(params, CaRng::new(0x2961), f2_32).run();
 
     println!(
         "\nbest 32-bit candidate {:#010X}: msb {:#06X} (→ max), lsb {:#06X} (→ min)",

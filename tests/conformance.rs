@@ -24,7 +24,6 @@
 //! CA's all-zero fixed point and never contaminate a result).
 
 use carng::seeds::PRESET_SEEDS;
-use ga_core::scaling::GaEngine32;
 use ga_engine::{trajectory32, BackendKind, Limits, RunOutcome, RunSpec};
 use ga_ip::prelude::*;
 use ga_serve::{serve_batch, GaJob, ServeConfig};
@@ -128,10 +127,7 @@ fn rtl32_composite_matches_the_dual_core_model() {
         let f = TestFunction::Mbf6_2;
         let params = GaParams::new(16, 6, 10, 1, seed);
         let got = run_via(BackendKind::Rtl32, &Cell { f, params });
-        let oracle = GaEngine32::new(params, CaRng::new(seed), CaRng::new(!seed), move |c| {
-            f.eval_u32_split(c)
-        })
-        .run();
+        let oracle = GaEngine::new32(params, CaRng::new(seed), move |c| f.eval_u32_split(c)).run();
         assert_eq!(
             (got.best_chrom, got.best_fitness),
             (oracle.best.chrom, oracle.best.fitness),
