@@ -113,7 +113,7 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 ./target/release/testgen_campaign > /
     'probes>=3' 'fixture_mismatch<=0'
 
 echo "== healing smoke (VRC heal campaign vs the exhaustive oracle)"
-# Workload::VrcHeal through every registered 16-bit backend: the GA
+# Workload::VrcHeal through every 16-bit backend name: the GA
 # must heal >=90% of oracle-healable cases in quick mode (100% on the
 # committed full grid) and never "heal" an oracle-unhealable one
 # (ghost_heals). The report folds in the testgen headline so one
@@ -125,28 +125,33 @@ GA_BENCH_OUT="$SMOKE_DIR" GA_BENCH_QUICK=1 \
     'heal_rate>=0.9' 'ghost_heals<=0' 'cases>=48' \
     'testgen_coverage>=47' 'testgen_unsound_detections<=0'
 
-echo "== conformance (registry-driven cross-engine matrix, quick by default)"
-# Every 16-bit engine in the registry (behavioral, swga, RTL
-# interpreter, bitsim64 lane) must agree generation-for-generation, and
-# the 32-bit rtl32 composite must match the behavioral dual-core model.
-# The drive loop enumerates ga_engine::global(), so a newly registered
-# backend is enrolled automatically. The quick matrix runs here; set
+echo "== conformance (cross-engine matrix over the engine table, quick by default)"
+# Every 16-bit backend name (behavioral, swga, RTL interpreter, bitsim64
+# lane) must agree generation-for-generation, and the 32-bit rtl32
+# composite must match the behavioral dual-core model. The drive loop
+# enumerates BackendKind::supporting_width(16), so a new backend name
+# is enrolled automatically. The quick matrix runs here; set
 # GA_CONFORMANCE_FULL=1 for all six fitness functions and longer
 # generation budgets.
 cargo test -q --release --test conformance
 
-echo "== engine registry enumeration (gaserved --list-backends)"
-# The serving binary must list every expected backend with its
-# capabilities — a registration regression fails here, not at runtime.
+echo "== engine table (gaserved --list-backends)"
+# The serving binary must list the seven backend names, in order, with
+# exactly these capability rows: a changed row fails here, not at
+# runtime.
 cargo build -q --release -p ga-serve --bin gaserved
 BACKENDS="$(./target/release/gaserved --list-backends)"
 echo "$BACKENDS"
-[ "$(echo "$BACKENDS" | wc -l)" -ge 7 ] \
-    || { echo "registry lists fewer than 7 backends"; exit 1; }
-for b in behavioral rtl bitsim64 bitsim128 bitsim256 swga rtl32; do
-    echo "$BACKENDS" | grep -q "^$b " \
-        || { echo "backend $b missing from registry"; exit 1; }
-done
+EXPECTED_BACKENDS="behavioral widths=16 pack_width=1 degrades_to=none
+rtl widths=16 pack_width=1 degrades_to=none
+bitsim64 widths=16 pack_width=64 degrades_to=behavioral
+bitsim128 widths=16 pack_width=128 degrades_to=behavioral
+bitsim256 widths=16 pack_width=256 degrades_to=behavioral
+swga widths=16 pack_width=1 degrades_to=none
+rtl32 widths=32 pack_width=1 degrades_to=none"
+[ "$BACKENDS" = "$EXPECTED_BACKENDS" ] \
+    || { echo "gaserved --list-backends differs from the engine table:"; \
+         diff <(echo "$EXPECTED_BACKENDS") <(echo "$BACKENDS"); exit 1; }
 
 echo "== gaserved golden fixture + BENCH_serve.json throughput floors"
 # The serving layer replays the checked-in fixture (16-bit jobs on the
@@ -155,7 +160,7 @@ echo "== gaserved golden fixture + BENCH_serve.json throughput floors"
 # must be byte-identical to the committed golden (results are
 # deterministic and carry no timing fields). benchcheck then validates
 # the emitted report, requires per-backend throughput counters for
-# every registered engine, and enforces a conservative jobs/sec floor.
+# every backend name, and enforces a conservative jobs/sec floor.
 # Here, on the 200-job batch and on the listener, the unit executor must
 # catch no panic (each one it catches also leaves a JSON stderr line).
 GA_BENCH_OUT="$SMOKE_DIR" ./target/release/gaserved \
@@ -168,7 +173,7 @@ diff -u tests/fixtures/results16_golden.jsonl "$SMOKE_DIR/results16.jsonl"
 
 echo "== 200-job acceptance batch through gaserved --input (pack-path throughput floor)"
 # The wide-lane + cache acceptance gate: the committed 200-job batch
-# (tests/fixtures/jobs200.jsonl, cycling every registered engine) runs
+# (tests/fixtures/jobs200.jsonl, cycling every backend name) runs
 # through the same batch path as the golden fixture. Packs form in
 # first-appearance order at any pool size, so the pack counts are
 # exact; the packed bitsim path must clear >=10x the pre-widening

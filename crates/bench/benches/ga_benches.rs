@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 use carng::{CaRng, Lfsr16, Rng16};
 use ga_core::{GaEngine, GaParams, GaSystem};
-use ga_engine::{Engine, Limits, RtlInterpEngine, RunSpec, Workload};
+use ga_engine::{BackendKind, Limits, RunSpec, Workload};
 use ga_fitness::fem::{Fem, FemIn};
 use ga_fitness::rom::FitnessRom;
 use ga_fitness::{CordicFem, FemBank, FemSlot, LookupFem, TestFunction};
@@ -121,11 +121,12 @@ fn bench_hw_system(c: &mut Criterion) {
             params: GaParams::new(32, 32, 10, 1, 0x2961),
             deadline_ms: None,
         };
-        let job = RtlInterpEngine.prepare(spec).unwrap();
+        let rtl = BackendKind::RtlInterp.engine();
+        let job = rtl.prepare(spec).unwrap();
         g.bench_with_input(
             BenchmarkId::new("rtl job: FEM build + GaSystem run", name),
             &job,
-            |b, job| b.iter(|| black_box(RtlInterpEngine.run(job, &Limits::default()).unwrap())),
+            |b, job| b.iter(|| black_box(rtl.run(job, &Limits::default()).unwrap())),
         );
     }
     g.finish();

@@ -21,13 +21,14 @@
 //! `--require-backend-throughput` the report must additionally carry
 //! the full per-backend throughput/latency block (`<name>_jobs`,
 //! `<name>_avg_us`, and the `<name>_p50_us`/`_p95_us`/`_p99_us`/
-//! `_max_us` histogram metrics) for **every** engine in the registry —
+//! `_max_us` histogram metrics) for **every** backend name —
 //! so registering a sixth backend without serving it fails CI, and so
 //! does a serving-layer report that drops its tail-latency columns. Exits nonzero with a diagnostic
 //! on the first violation, so a perf regression below a floor fails the
 //! build the same way a lint error does.
 
 use ga_bench::report::{json_extract_number, json_extract_string};
+use ga_bench::BackendKind;
 use std::process::ExitCode;
 
 /// A constraint's bound: a number, or a multiple of the baseline
@@ -99,7 +100,7 @@ fn check(
     }
 
     if require_backends {
-        for kind in ga_engine::global().kinds() {
+        for kind in BackendKind::ALL {
             for suffix in ["jobs", "avg_us", "p50_us", "p95_us", "p99_us", "max_us"] {
                 let key = format!("{}_{suffix}", kind.name());
                 let v = json_extract_number(&json, &key).ok_or_else(|| {

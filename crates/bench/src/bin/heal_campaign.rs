@@ -1,5 +1,5 @@
 //! `heal_campaign` — VRC self-healing sweep through the engine
-//! registry, emitting `BENCH_ehw.json`.
+//! table, emitting `BENCH_ehw.json`.
 //!
 //! For every shipped healing target (`ga_ehw::SHIPPED_TARGETS`) ×
 //! every single-cell fault (`ga_ehw::Fault::all_single_cell`, 8 cells ×
@@ -8,8 +8,8 @@
 //! 1. asks the exhaustive oracle (`ga_ehw::healable`) whether *any*
 //!    configuration reproduces the target under that fault — the
 //!    ground truth the GA is graded against;
-//! 2. dispatches a `Workload::VrcHeal` run through the engine registry
-//!    (round-robin over every registered 16-bit backend, so the heal
+//! 2. dispatches a `Workload::VrcHeal` run through the engine table
+//!    (round-robin over every 16-bit backend name, so the heal
 //!    path of each engine is exercised), retrying with fresh seeds up
 //!    to the attempt budget;
 //! 3. records healed / generations-to-heal / residual error.
@@ -27,7 +27,7 @@
 use ga_bench::{json_extract_number, quick, run_workload_on, BenchReport, Stopwatch};
 use ga_core::GaParams;
 use ga_ehw::{healable, Fault, Vrc, PERFECT_FITNESS, SHIPPED_TARGETS};
-use ga_engine::Workload;
+use ga_engine::{BackendKind, Workload};
 
 /// Healing GA shape: big enough to heal every oracle-healable shipped
 /// case within the attempt budget, small enough to keep the 144-case
@@ -46,7 +46,7 @@ fn main() {
         &SHIPPED_TARGETS[..]
     };
     let faults = Fault::all_single_cell();
-    let kinds = ga_engine::global().supporting_width(16);
+    let kinds = BackendKind::supporting_width(16);
 
     println!("## VRC healing campaign (GA repair vs the exhaustive oracle)");
     println!(

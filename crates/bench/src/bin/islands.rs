@@ -3,7 +3,7 @@
 //! multiple unmodified engines on disjoint jump-ahead RNG streams.
 //!
 //! The ring is driven through the engine layer's [`IslandsEngine`]
-//! composite, so any registered backend with a stepping handle can
+//! composite, so any backend with a stepping handle can
 //! serve as the island population engine: the default is `behavioral`;
 //! set `GA_BENCH_BACKEND=bitsim64` to run the same ring over
 //! netlist-extracted lane streams (proven bit-identical by the engine
@@ -28,9 +28,7 @@ use ga_fitness::TestFunction;
 fn main() {
     let optimum = TestFunction::Bf6.global_max();
     let kind = bench_backend(BackendKind::Behavioral);
-    let engine = ga_engine::global()
-        .get(kind)
-        .unwrap_or_else(|| panic!("backend {} is not registered", kind.name()));
+    let engine = kind.engine();
 
     println!(
         "Island-model GA on BF6 over the `{}` engine (pop 32 per island, optimum {optimum})\n",

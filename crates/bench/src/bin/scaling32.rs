@@ -3,7 +3,7 @@
 //! Prints the probability-composition table (the paper's
 //! `xovProb32 = p_M + p_L − p_M·p_L` algebra with realizable 4-bit
 //! thresholds) and runs the ganged dual-core system — dispatched
-//! through the engine registry's `rtl32` backend — on the split 32-bit
+//! through the engine table's `rtl32` backend — on the split 32-bit
 //! F3 optimization, across the six Table VII seeds via the shared
 //! parallel sweep runner, emitting `BENCH_scaling32.json`.
 //! `GA_BENCH_GENS` overrides the generation count for smoke runs.
@@ -44,7 +44,7 @@ fn main() {
     // with per-half thresholds realizing the paper's favorite overall
     // crossover rate of 0.625 (the second core's RNG is hardware-seeded
     // with the complemented seed, mirroring the two independent
-    // modules). Each cell is one registry dispatch to `rtl32`.
+    // modules). Each cell is one engine-table dispatch to `rtl32`.
     let per_half = threshold_for_prob(split_prob(0.625));
     let n_gens = gens_override().unwrap_or(64);
     let optimum = FUNCTION.global_max();

@@ -83,8 +83,8 @@ impl ClassCounts {
 }
 
 /// The fault-free golden run every faulted run is graded against —
-/// captured through the engine registry (the cycle-accurate `rtl`
-/// backend), so the reference carries the registry's canonical
+/// captured through the engine table (the cycle-accurate `rtl`
+/// backend), so the reference carries the engine table's canonical
 /// observables: final best, per-generation trajectory, RNG draw count.
 pub fn golden_hw_run(f: TestFunction, params: &GaParams) -> RunOutcome {
     run_on(BackendKind::RtlInterp, f, params)
@@ -220,7 +220,7 @@ mod tests {
         }
     }
 
-    /// The registry-shaped view of a fault-free [`fake_run`].
+    /// The engine-shaped view of a fault-free [`fake_run`].
     fn as_golden(run: &HwRun) -> RunOutcome {
         RunOutcome {
             best_chrom: run.best.chrom as u32,

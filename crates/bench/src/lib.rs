@@ -144,8 +144,7 @@ pub fn hw_system(f: TestFunction) -> GaSystem {
     )]))
 }
 
-/// Run `f`/`params` on any registered backend through the engine
-/// registry, at the backend's native chromosome width. Panics on
+/// Run `f`/`params` on any backend through the engine table, at the backend's native chromosome width. Panics on
 /// rejection or failure — the bench matrices are all known-admissible,
 /// and the default [`ga_engine::Limits`] watchdog (~40 s of simulated
 /// 50 MHz time) is generous.
@@ -160,9 +159,7 @@ pub fn run_workload_on(
     workload: ga_engine::Workload,
     params: &GaParams,
 ) -> RunOutcome {
-    let engine = ga_engine::global()
-        .get(kind)
-        .unwrap_or_else(|| panic!("backend {} is not registered", kind.name()));
+    let engine = kind.engine();
     let spec = ga_engine::RunSpec {
         width: engine.capabilities().widths[0],
         workload,
@@ -176,7 +173,7 @@ pub fn run_workload_on(
 }
 
 /// Backend selection for the sweep binaries: `GA_BENCH_BACKEND=<name>`
-/// reroutes a sweep onto any registered engine; otherwise the binary's
+/// reroutes a sweep onto any backend; otherwise the binary's
 /// default backend is used.
 pub fn bench_backend(default: BackendKind) -> BackendKind {
     match std::env::var("GA_BENCH_BACKEND") {
@@ -187,7 +184,7 @@ pub fn bench_backend(default: BackendKind) -> BackendKind {
 }
 
 /// The sweep binaries' default drive path: the cycle-accurate RTL
-/// interpreter via the registry (overridable with `GA_BENCH_BACKEND`).
+/// interpreter via the engine table (overridable with `GA_BENCH_BACKEND`).
 pub fn run_hw(f: TestFunction, params: &GaParams) -> RunOutcome {
     run_on(bench_backend(BackendKind::RtlInterp), f, params)
 }
@@ -276,10 +273,10 @@ mod tests {
 
     #[test]
     fn registry_harness_drives_every_backend() {
-        // `run_on` must admit the bench workloads on every registered
-        // engine at its native width.
+        // `run_on` must admit the bench workloads on every
+        // backend at its native width.
         let params = GaParams::new(8, 2, 10, 1, 0x2961);
-        for kind in ga_engine::global().kinds() {
+        for kind in BackendKind::ALL {
             let run = run_on(kind, TestFunction::F3, &params);
             assert_eq!(run.generations, 2, "{}", kind.name());
             assert!(run.best_fitness > 0, "{}", kind.name());

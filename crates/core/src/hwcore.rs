@@ -145,10 +145,11 @@ pub struct GaCoreHw {
     scanout: Reg<bool>,
     scan_chain: Vec<bool>,
 
-    // Instrumentation (not synthesized): draw counter for differential
-    // testing against the behavioral engine, and a per-phase cycle
-    // profile for the speedup analysis.
+    // Instrumentation (not synthesized): draw and evaluation counters
+    // for differential testing against the behavioral engine, and a
+    // per-phase cycle profile for the speedup analysis.
     rng_draws: u64,
+    evaluations: u64,
     profile: CyclesByPhase,
 }
 
@@ -308,6 +309,7 @@ impl GaCoreHw {
             scanout: Reg::default(),
             scan_chain: Vec::new(),
             rng_draws: 0,
+            evaluations: 0,
             profile: CyclesByPhase::default(),
         }
     }
@@ -340,6 +342,12 @@ impl GaCoreHw {
     /// Number of RNG draws consumed since reset (instrumentation).
     pub fn rng_draws(&self) -> u64 {
         self.rng_draws
+    }
+
+    /// Fitness values stored since reset, one per evaluation
+    /// (instrumentation).
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 
     /// Per-phase cycle profile since reset (instrumentation).
@@ -495,6 +503,7 @@ impl GaCoreHw {
                 }
             }
             State::InitPopStore => {
+                self.evaluations += 1;
                 self.mem_address
                     .set(self.cur_base.get().wrapping_add(self.i.get()));
                 self.mem_data_out.set(pack(Individual {
@@ -639,6 +648,7 @@ impl GaCoreHw {
                 }
             }
             State::OffStore => {
+                self.evaluations += 1;
                 self.mem_address
                     .set(self.new_base.get().wrapping_add(self.idx.get()));
                 self.mem_data_out.set(pack(Individual {
@@ -876,6 +886,7 @@ impl GaCoreHw {
         }
         self.new_sum.reset_to(sum);
         self.new_best.reset_to(best);
+        self.evaluations += values.len() as u64;
         self.profile.fitness_wait += edges * values.len() as u64;
     }
 
@@ -915,6 +926,7 @@ impl GaCoreHw {
         self.i.reset_to(self.pop_size.get());
         self.state.reset_to(State::GenCheck);
         self.rng_draws += members;
+        self.evaluations += members;
         // Per member: the draw, store and update cycles, the request and
         // latch cycles and the answer edges.
         self.profile.init_pop += 3 * members;

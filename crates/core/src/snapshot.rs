@@ -114,18 +114,21 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// A bounds-checked little-endian byte reader. Every take returns a
-/// typed error instead of slicing out of range.
-pub(crate) struct ByteReader<'a> {
+/// typed error instead of slicing out of range. Snapshots and island
+/// checkpoint bundles both decode through it.
+pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         ByteReader { bytes, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// The next `n` bytes, or [`SnapshotError::Truncated`].
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.pos + n > self.bytes.len() {
             return Err(SnapshotError::Truncated {
                 needed: self.pos + n,
@@ -137,7 +140,8 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
@@ -146,7 +150,8 @@ impl<'a> ByteReader<'a> {
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
@@ -158,11 +163,12 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn finish(&self) -> Result<(), SnapshotError> {
+    /// [`SnapshotError::Trailing`] unless every byte was read.
+    pub fn finish(&self) -> Result<(), SnapshotError> {
         if self.remaining() != 0 {
             return Err(SnapshotError::Trailing {
                 extra: self.remaining(),

@@ -255,7 +255,7 @@ impl<F: Fn(u32) -> u16 + Send + Sync + 'static> Port for F {
                 fitness: sys.best_fitness(),
             },
             history: history.collect(),
-            evaluations: 0,
+            evaluations: sys.modules.core.evaluations(),
         }
     }
 }

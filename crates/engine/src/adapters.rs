@@ -2,9 +2,9 @@
 //!
 //! Each adapter owns the glue between the backend's native API and the
 //! engine-layer contract: spec admission, deadline/watchdog plumbing,
-//! trajectory capture, and the evaluation-count bookkeeping for
-//! hardware models that do not count evaluations themselves
-//! (`GaParams::evaluations_per_run` is the single source of truth).
+//! trajectory capture, and the evaluation-count bookkeeping for the
+//! 16-bit hardware model, which does not count evaluations itself
+//! (`GaParams::evaluations_per_run` is the count there).
 
 use carng::{CaRng, Rng16, SnapshotRng};
 use ga_core::behavioral::GenStats;
@@ -15,14 +15,14 @@ use hwsim::{Deadline, SimError};
 
 use crate::pack::{draws_per_run, StreamRng};
 use crate::spec::{
-    convergence_generation, heal_is_16_bit, BackendKind, Capabilities, Engine, EngineError, Limits,
+    convergence_generation, heal_is_16_bit, no_stepper, BackendKind, Engine, EngineError, Limits,
     Prepared, RunOutcome, RunSpec, TrajPoint,
 };
 
 /// Lift a 16-bit per-generation history (shared by the behavioral
 /// engine and the RTL interpreter's probe) into the backend-neutral
 /// trajectory. Public because the fault campaign compares raw `HwRun`
-/// histories against registry goldens.
+/// histories against golden runs of the engines.
 pub fn trajectory16(history: &[GenStats]) -> Vec<TrajPoint> {
     history
         .iter()
@@ -107,21 +107,17 @@ fn stepper16<R: SnapshotRng + 'static>(spec: &RunSpec, rng: R) -> Box<dyn ga_cor
 }
 
 /// The behavioral reference engine (`ga_core::GaEngine` over the CA
-/// RNG). The fallback target for infrastructure degradation.
-pub struct BehavioralEngine;
+/// RNG), the fallback target for infrastructure degradation. It serves
+/// two kinds: `behavioral`, and `swga`, the PowerPC software baseline
+/// of the paper's §IV-C comparison. That C program runs the IP core's
+/// algorithm on the same CA stream, so its run is this engine's; its op
+/// tally (`swga::CountingGa`) is a bench figure, not part of a
+/// [`RunOutcome`]. `swga` has no stepping handle.
+pub struct BehavioralEngine(pub(crate) BackendKind);
 
 impl Engine for BehavioralEngine {
     fn kind(&self) -> BackendKind {
-        BackendKind::Behavioral
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            widths: &[16],
-            pack_width: 1,
-            stepping: true,
-            degrades_to: None,
-        }
+        self.0
     }
 
     fn run(&self, prepared: &Prepared, _limits: &Limits) -> Result<RunOutcome, EngineError> {
@@ -135,32 +131,33 @@ impl Engine for BehavioralEngine {
         prepared: &Prepared,
         _limits: &Limits,
     ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
+        if !self.capabilities().stepping {
+            return Err(no_stepper(self.0));
+        }
         let spec = prepared.spec();
         Ok(stepper16(spec, CaRng::new(spec.params.seed)))
     }
 }
 
-/// The cycle-accurate 16-bit hardware system (`ga_core::GaSystem`):
-/// programs the initialization handshake and runs to `GA_done` under
-/// both the simulated-cycle watchdog and the spec's deadline.
-pub struct RtlInterpEngine;
+/// The cycle-accurate hardware system (`ga_core::GaSystem`): programs
+/// the initialization handshake and runs to `GA_done` under both the
+/// simulated-cycle watchdog and the spec's deadline. It serves `rtl` at
+/// width 16 and `rtl32` at width 32, the system with two ganged cores
+/// (`ga_core::GaSystem32Hw`, Fig. 6 / §III-D) whose shared block-ROM
+/// module evaluates the concatenated candidate with
+/// [`ga_fitness::TestFunction::eval_u32_split`].
+pub struct RtlEngine(pub(crate) BackendKind);
 
-impl Engine for RtlInterpEngine {
+impl Engine for RtlEngine {
     fn kind(&self) -> BackendKind {
-        BackendKind::RtlInterp
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            widths: &[16],
-            pack_width: 1,
-            stepping: false,
-            degrades_to: None,
-        }
+        self.0
     }
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
         let spec = prepared.spec();
+        if spec.width == 32 {
+            return run_rtl32(prepared, limits);
+        }
         run_rtl(spec, limits, spec.workload.words())
     }
 }
@@ -201,11 +198,11 @@ fn run_rtl(
 
 /// The compiled-netlist backend: a pack's lanes share one bit-sliced
 /// simulation of the CA-RNG netlist, and each lane runs the behavioral
-/// engine over its [`StreamRng`]. It is registered under the kind it
-/// wraps, `bitsim64`, `bitsim128` or `bitsim256`, which differ only in
-/// how many jobs one pack may carry. A lane's stream depends only on its
-/// seed, so every kind produces bit-identical results.
-pub struct BitSimEngine(pub BackendKind);
+/// engine over its [`StreamRng`]. It serves `bitsim64`, `bitsim128` and
+/// `bitsim256`, which differ only in how many jobs one pack may carry.
+/// A lane's stream depends only on its seed, so every kind produces
+/// bit-identical results.
+pub struct BitSimEngine(pub(crate) BackendKind);
 
 /// One lane reader per packed spec over a shared lane source, refused up
 /// front if a run's stream (load edge plus a step per draw) overruns the watchdog.
@@ -221,19 +218,6 @@ fn lane_rngs(prepared: &[Prepared], limits: &Limits) -> Result<Vec<StreamRng>, E
 impl Engine for BitSimEngine {
     fn kind(&self) -> BackendKind {
         self.0
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            widths: &[16],
-            pack_width: match self.0 {
-                BackendKind::BitSim256 => 256,
-                BackendKind::BitSim128 => 128,
-                _ => 64,
-            },
-            stepping: true,
-            degrades_to: Some(BackendKind::Behavioral),
-        }
     }
 
     fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
@@ -279,76 +263,28 @@ impl Engine for BitSimEngine {
     }
 }
 
-/// The PowerPC software baseline from the paper's §IV-C comparison,
-/// exposed as a first-class backend. That C program runs the IP core's
-/// algorithm on the same CA stream, so a run is the behavioral engine's
-/// over `CaRng`; its op tally (`swga::CountingGa`) is a bench figure,
-/// not part of a [`RunOutcome`]. The deadline is checked at every
-/// generation boundary, as the behavioral engine's is.
-pub struct SwgaEngine;
-
-impl Engine for SwgaEngine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Swga
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            widths: &[16],
-            pack_width: 1,
-            stepping: false,
-            degrades_to: None,
-        }
-    }
-
-    fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
-        BehavioralEngine.run(prepared, limits)
-    }
-}
-
-/// The cycle-accurate system with two ganged cores
-/// (`ga_core::GaSystem32Hw`, Fig. 6 / §III-D): two lockstep 16-bit
-/// cores behind the `scalingLogic_parSel` block, whose shared block-ROM
-/// module evaluates the concatenated candidate with
-/// [`TestFunction::eval_u32_split`].
-pub struct Rtl32Engine;
-
-impl Engine for Rtl32Engine {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Rtl32
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            widths: &[32],
-            pack_width: 1,
-            stepping: false,
-            degrades_to: None,
-        }
-    }
-
-    fn run(&self, prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
-        let spec = prepared.spec();
-        let f = prepared.function().ok_or_else(heal_is_16_bit)?;
-        let mut sys = GaSystem32Hw::new(move |c: u32| f.eval_u32_split(c));
-        sys.program(&spec.params);
-        let start_cycles = sys.cycles();
-        let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
-        let run = sys
-            .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
-            .map_err(map_sim_error)?;
-        let trajectory = trajectory32(&run.history);
-        Ok(RunOutcome {
-            best_chrom: run.best.chrom,
-            best_fitness: run.best.fitness,
-            generations: spec.params.n_gens,
-            evaluations: spec.params.evaluations_per_run(),
-            conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
-            cycles: Some(sys.cycles() - start_cycles),
-            rng_draws: None,
-            trajectory,
-        })
-    }
+/// One `rtl32` job: the system with two ganged cores run to `GA_done`.
+fn run_rtl32(prepared: &Prepared, limits: &Limits) -> Result<RunOutcome, EngineError> {
+    let spec = prepared.spec();
+    let f = prepared.function().ok_or_else(heal_is_16_bit)?;
+    let mut sys = GaSystem32Hw::new(move |c: u32| f.eval_u32_split(c));
+    sys.program(&spec.params);
+    let start_cycles = sys.cycles();
+    let mut deadline = spec.deadline_ms.map(Deadline::after_ms);
+    let run = sys
+        .run_with_deadline(limits.sim_watchdog_cycles, deadline.as_mut())
+        .map_err(map_sim_error)?;
+    let trajectory = trajectory32(&run.history);
+    Ok(RunOutcome {
+        best_chrom: run.best.chrom,
+        best_fitness: run.best.fitness,
+        generations: spec.params.n_gens,
+        evaluations: run.evaluations,
+        conv_gen: convergence_generation(&trajectory, spec.params.pop_size),
+        cycles: Some(sys.cycles() - start_cycles),
+        rng_draws: None,
+        trajectory,
+    })
 }
 
 /// Map the simulator's error type onto the engine contract.
@@ -385,16 +321,16 @@ mod tests {
     #[test]
     fn behavioral_and_bitsim_agree_exactly() {
         let s = spec(16, GaParams::new(16, 6, 10, 1, 0x2961));
-        let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
-        let b = run_on(&BitSimEngine(BackendKind::BitSim64), s).expect("bitsim runs");
+        let a = run_on(BackendKind::Behavioral.engine(), s).expect("behavioral runs");
+        let b = run_on(BackendKind::BitSim64.engine(), s).expect("bitsim runs");
         assert_eq!(a, b, "netlist-streamed lane must match the reference RNG");
     }
 
     #[test]
     fn rtl_reports_cycles_and_matching_best() {
         let s = spec(16, GaParams::new(8, 4, 10, 1, 0x061F));
-        let r = run_on(&RtlInterpEngine, s).expect("rtl runs");
-        let b = run_on(&BehavioralEngine, s).expect("behavioral runs");
+        let r = run_on(BackendKind::RtlInterp.engine(), s).expect("rtl runs");
+        let b = run_on(BackendKind::Behavioral.engine(), s).expect("behavioral runs");
         assert!(r.cycles.expect("rtl reports cycles") > 0);
         assert_eq!(
             (r.best_chrom, r.best_fitness),
@@ -410,7 +346,7 @@ mod tests {
         let params = GaParams::new(8, 4, 10, 1, 0x2961);
         let mut s = spec(32, params);
         s.workload = Workload::Function(TestFunction::F3);
-        let hw = run_on(&Rtl32Engine, s).expect("rtl32 runs");
+        let hw = run_on(BackendKind::Rtl32.engine(), s).expect("rtl32 runs");
         let f = TestFunction::F3;
         let sw = GaEngine::new32(params, CaRng::new(params.seed), move |c| {
             f.eval_u32_split(c)
@@ -442,7 +378,10 @@ mod tests {
             let n = reads.load(Ordering::Relaxed);
             assert_eq!(n, s.params.evaluations_per_run(), "pop {pop} gens {gens}");
             assert_eq!(n, expect);
-            assert_eq!(counted, run_on(&RtlInterpEngine, s).expect("rtl runs"));
+            assert_eq!(
+                counted,
+                run_on(BackendKind::RtlInterp.engine(), s).expect("rtl runs")
+            );
         }
     }
 
@@ -459,12 +398,12 @@ mod tests {
                 value: true,
             },
         };
-        let reference = run_on(&BehavioralEngine, s).expect("behavioral heals");
+        let reference = run_on(BackendKind::Behavioral.engine(), s).expect("behavioral heals");
         for e in [
-            &RtlInterpEngine as &dyn Engine,
-            &BitSimEngine(BackendKind::BitSim64),
-            &BitSimEngine(BackendKind::BitSim128),
-            &BitSimEngine(BackendKind::BitSim256),
+            BackendKind::RtlInterp.engine(),
+            BackendKind::BitSim64.engine(),
+            BackendKind::BitSim128.engine(),
+            BackendKind::BitSim256.engine(),
         ] {
             let r = run_on(e, s).expect("backend heals");
             assert_eq!(
@@ -489,14 +428,20 @@ mod tests {
     fn width_checks_are_per_engine() {
         let s16 = spec(16, GaParams::default());
         let s32 = spec(32, GaParams::default());
-        assert!(BehavioralEngine.prepare(s16).is_ok());
+        assert!(BackendKind::Behavioral.engine().prepare(s16).is_ok());
         assert_eq!(
-            BehavioralEngine.prepare(s32).expect_err("width 32 refused"),
+            BackendKind::Behavioral
+                .engine()
+                .prepare(s32)
+                .expect_err("width 32 refused"),
             EngineError::UnsupportedWidth { width: 32 }
         );
-        assert!(Rtl32Engine.prepare(s32).is_ok());
+        assert!(BackendKind::Rtl32.engine().prepare(s32).is_ok());
         assert_eq!(
-            Rtl32Engine.prepare(s16).expect_err("width 16 refused"),
+            BackendKind::Rtl32
+                .engine()
+                .prepare(s16)
+                .expect_err("width 16 refused"),
             EngineError::UnsupportedWidth { width: 16 }
         );
     }
@@ -504,10 +449,10 @@ mod tests {
     #[test]
     fn zero_deadline_cancels_every_width16_engine() {
         for e in [
-            &BehavioralEngine as &dyn Engine,
-            &RtlInterpEngine,
-            &BitSimEngine(BackendKind::BitSim64),
-            &SwgaEngine,
+            BackendKind::Behavioral.engine(),
+            BackendKind::RtlInterp.engine(),
+            BackendKind::BitSim64.engine(),
+            BackendKind::Swga.engine(),
         ] {
             let mut s = spec(16, GaParams::new(8, 4, 10, 1, 0xB342));
             s.deadline_ms = Some(0);
@@ -528,7 +473,7 @@ mod tests {
         s.deadline_ms = Some(0);
         let start = std::time::Instant::now();
         assert_eq!(
-            run_on(&BehavioralEngine, s),
+            run_on(BackendKind::Behavioral.engine(), s),
             Err(EngineError::DeadlineExceeded)
         );
         assert!(start.elapsed().as_secs() < 5, "{:?}", start.elapsed());
@@ -541,25 +486,21 @@ mod tests {
             sim_watchdog_cycles: 10,
             stream_watchdog_steps: 4,
         };
-        let rtl = RtlInterpEngine
-            .run(&RtlInterpEngine.prepare(s).expect("admits"), &tight)
-            .expect_err("tight watchdog trips");
+        let run_tight = |kind: BackendKind| {
+            let e = kind.engine();
+            e.run(&e.prepare(s).expect("admits"), &tight)
+                .expect_err("tight watchdog trips")
+        };
+        let rtl = run_tight(BackendKind::RtlInterp);
         assert_eq!(rtl, EngineError::Watchdog { cycles: 10 });
-        let bit = BitSimEngine(BackendKind::BitSim64)
-            .run(
-                &BitSimEngine(BackendKind::BitSim64)
-                    .prepare(s)
-                    .expect("admits"),
-                &tight,
-            )
-            .expect_err("tight watchdog trips");
+        let bit = run_tight(BackendKind::BitSim64);
         assert_eq!(bit, EngineError::Watchdog { cycles: 4 });
         assert!(bit.is_infrastructure());
     }
 
     #[test]
     fn bitsim_pack_lanes_match_solo_runs() {
-        let e = BitSimEngine(BackendKind::BitSim64);
+        let e = BackendKind::BitSim64.engine();
         let params = GaParams::new(8, 3, 10, 1, 0);
         let packed: Vec<Prepared> = [0x1111u16, 0x2222, 0x3333]
             .iter()
@@ -576,46 +517,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_engines_report_their_own_kind_and_pack_width() {
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim64).kind(),
-            BackendKind::BitSim64
-        );
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim128).kind(),
-            BackendKind::BitSim128
-        );
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim256).kind(),
-            BackendKind::BitSim256
-        );
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim64)
-                .capabilities()
-                .pack_width,
-            64
-        );
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim128)
-                .capabilities()
-                .pack_width,
-            128
-        );
-        assert_eq!(
-            BitSimEngine(BackendKind::BitSim256)
-                .capabilities()
-                .pack_width,
-            256
-        );
-    }
-
-    #[test]
     fn wide_pack_lanes_beyond_word_zero_match_solo_bitsim64() {
         // 70 jobs overflow the first 64-lane word of a 128-lane pack:
         // lanes 64..70 live in word 1 and must still equal solo 64-lane
         // runs of the same seed.
-        let narrow = BitSimEngine(BackendKind::BitSim64);
-        let wide = BitSimEngine(BackendKind::BitSim128);
+        let narrow = BackendKind::BitSim64.engine();
+        let wide = BackendKind::BitSim128.engine();
         let params = GaParams::new(8, 3, 10, 1, 0);
         let packed: Vec<Prepared> = (0..70u16)
             .map(|i| {
@@ -635,8 +542,8 @@ mod tests {
     #[test]
     fn swga_matches_behavioral_trajectories() {
         let s = spec(16, GaParams::new(16, 8, 10, 1, 0xB342));
-        let a = run_on(&BehavioralEngine, s).expect("behavioral runs");
-        let w = run_on(&SwgaEngine, s).expect("swga runs");
+        let a = run_on(BackendKind::Behavioral.engine(), s).expect("behavioral runs");
+        let w = run_on(BackendKind::Swga.engine(), s).expect("swga runs");
         assert_eq!(a.trajectory, w.trajectory, "same algorithm, same RNG");
         assert_eq!(a.evaluations, w.evaluations);
         assert_eq!(
@@ -649,10 +556,10 @@ mod tests {
     fn steppers_exist_exactly_where_capabilities_say() {
         let s = spec(16, GaParams::new(8, 4, 10, 1, 1));
         for e in [
-            &BehavioralEngine as &dyn Engine,
-            &RtlInterpEngine,
-            &BitSimEngine(BackendKind::BitSim64),
-            &SwgaEngine,
+            BackendKind::Behavioral.engine(),
+            BackendKind::RtlInterp.engine(),
+            BackendKind::BitSim64.engine(),
+            BackendKind::Swga.engine(),
         ] {
             let p = e.prepare(s).expect("admits");
             assert_eq!(

@@ -1,5 +1,5 @@
 //! The island model's one migration loop, [`IslandRing`], and the
-//! composite that runs it over *any* registered backend exposing a
+//! composite that runs it over *any* backend exposing a
 //! stepping handle ([`crate::Capabilities::stepping`]) — the behavioral
 //! CA engine or a bitsim64 netlist lane stream, interchangeably. The
 //! run can be checkpointed after every epoch and resumed bit-identically
@@ -19,7 +19,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ga_core::islands::{island_seed, IslandConfig, IslandRun};
-use ga_core::snapshot::{hex_decode, hex_encode, EngineSnapshot, SnapshotError};
+use ga_core::snapshot::{hex_decode, hex_encode, ByteReader, EngineSnapshot, SnapshotError};
 use ga_core::{GaParams, Individual, IslandMember};
 
 use crate::spec::{Engine, EngineError, Limits, RunSpec};
@@ -71,37 +71,22 @@ impl CheckpointBundle {
     /// Decode and validate; corrupt input lands in a typed
     /// [`SnapshotError`], never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
-            if *pos + n > bytes.len() {
-                return Err(SnapshotError::Truncated {
-                    needed: *pos + n,
-                    have: bytes.len(),
-                });
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let u32_at = |pos: &mut usize| -> Result<u32, SnapshotError> {
-            let b = take(pos, 4)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let mut pos = 0usize;
-        if take(&mut pos, 2)? != MAGIC {
+        let mut r = ByteReader::new(bytes);
+        if r.take(2)? != MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = take(&mut pos, 1)?[0];
+        let version = r.u8()?;
         if version != CHECKPOINT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { version });
         }
-        let islands = u32_at(&mut pos)? as usize;
+        let islands = r.u32()? as usize;
         let config = IslandConfig {
             islands,
-            epoch: u32_at(&mut pos)?,
-            epochs: u32_at(&mut pos)?,
+            epoch: r.u32()?,
+            epochs: r.u32()?,
         };
-        let epochs_done = u32_at(&mut pos)?;
-        let count = u32_at(&mut pos)? as usize;
+        let epochs_done = r.u32()?;
+        let count = r.u32()? as usize;
         if count != islands {
             return Err(SnapshotError::BadValue {
                 what: "member count disagrees with the island count",
@@ -114,14 +99,10 @@ impl CheckpointBundle {
         }
         let mut members = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let len = u32_at(&mut pos)? as usize;
-            members.push(EngineSnapshot::decode(take(&mut pos, len)?)?);
+            let len = r.u32()? as usize;
+            members.push(EngineSnapshot::decode(r.take(len)?)?);
         }
-        if pos != bytes.len() {
-            return Err(SnapshotError::Trailing {
-                extra: bytes.len() - pos,
-            });
-        }
+        r.finish()?;
         Ok(CheckpointBundle {
             config,
             epochs_done,
@@ -556,7 +537,6 @@ impl<'a> IslandsEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{BehavioralEngine, BitSimEngine, SwgaEngine};
     use crate::spec::BackendKind;
     use carng::CaRng;
     use ga_core::GaEngine;
@@ -625,7 +605,7 @@ mod tests {
         // injected one island along the ring.
         let params = GaParams::new(32, 32, 10, 1, 0x2961);
         let config = cfg(4);
-        let composite = IslandsEngine::new(&BehavioralEngine, config)
+        let composite = IslandsEngine::new(BackendKind::Behavioral.engine(), config)
             .expect("behavioral steps")
             .run(spec(params))
             .expect("runs");
@@ -672,11 +652,11 @@ mod tests {
             epoch: 4,
             epochs: 4,
         };
-        let beh = IslandsEngine::new(&BehavioralEngine, config)
+        let beh = IslandsEngine::new(BackendKind::Behavioral.engine(), config)
             .expect("steps")
             .run(spec(params))
             .expect("runs");
-        let bit = IslandsEngine::new(&BitSimEngine(BackendKind::BitSim64), config)
+        let bit = IslandsEngine::new(BackendKind::BitSim64.engine(), config)
             .expect("steps")
             .run(spec(params))
             .expect("runs");
@@ -691,7 +671,7 @@ mod tests {
             epochs: 2,
         };
         assert!(matches!(
-            IslandsEngine::new(&SwgaEngine, config),
+            IslandsEngine::new(BackendKind::Swga.engine(), config),
             Err(EngineError::InvalidSpec { .. })
         ));
     }
@@ -705,7 +685,7 @@ mod tests {
             epoch: 4,
             epochs: 4,
         };
-        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let engine = IslandsEngine::new(BackendKind::Behavioral.engine(), config).expect("steps");
         let bad = spec(GaParams::new(16, 8, 10, 1, 0x2961)); // 8 ≠ 16
         match engine.run(bad) {
             Err(EngineError::InvalidSpec { msg }) => {
@@ -724,7 +704,7 @@ mod tests {
             epoch: 2,
             epochs: 2,
         };
-        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let engine = IslandsEngine::new(BackendKind::Behavioral.engine(), config).expect("steps");
         assert!(matches!(
             engine.run(spec(GaParams::new(16, 4, 10, 1, 0x2961))),
             Err(EngineError::InvalidSpec { .. })
@@ -738,7 +718,7 @@ mod tests {
             epoch: 2,
             epochs: 2,
         };
-        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let engine = IslandsEngine::new(BackendKind::Behavioral.engine(), config).expect("steps");
         let mut ring = engine
             .start(spec(GaParams::new(16, 4, 10, 1, 0x2961)))
             .expect("starts");
@@ -764,8 +744,8 @@ mod tests {
             epoch: 4,
             epochs: 3,
         };
-        let beh = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
-        let bit = IslandsEngine::new(&BitSimEngine(BackendKind::BitSim64), config).expect("steps");
+        let beh = IslandsEngine::new(BackendKind::Behavioral.engine(), config).expect("steps");
+        let bit = IslandsEngine::new(BackendKind::BitSim64.engine(), config).expect("steps");
         let reference = beh.run(spec(params)).expect("runs");
 
         let mut driver = beh.start(spec(params)).expect("starts");
@@ -802,7 +782,7 @@ mod tests {
             epoch: 2,
             epochs: 2,
         };
-        let engine = IslandsEngine::new(&BehavioralEngine, config).expect("steps");
+        let engine = IslandsEngine::new(BackendKind::Behavioral.engine(), config).expect("steps");
         let mut d = engine.start(spec(params)).expect("starts");
         let bundle = d.step_epoch().expect("epoch");
         let bytes = bundle.encode();
@@ -823,7 +803,7 @@ mod tests {
         );
         // A checkpoint from a different ring shape does not resume.
         let other = IslandsEngine::new(
-            &BehavioralEngine,
+            BackendKind::Behavioral.engine(),
             IslandConfig {
                 islands: 3,
                 epoch: 2,

@@ -1,26 +1,26 @@
 //! # ga-engine — the unified engine layer
 //!
 //! One vocabulary over every GA execution backend in the repo. A
-//! backend is an [`Engine`]: it advertises [`Capabilities`] (supported
+//! backend is an [`Engine`]: it admits jobs through
+//! [`Engine::prepare`] against its kind's [`Capabilities`] (supported
 //! chromosome widths, pack width, stepping support, degradation
-//! target), admits jobs through [`Engine::prepare`], and executes them
-//! into the backend-neutral [`RunOutcome`] shape. The
-//! [`EngineRegistry`] enumerates the backends; serve dispatch, bench
-//! sweeps, the fault campaign's golden runs, and the conformance suite
-//! all go through it rather than naming engines.
+//! target), and executes them into the backend-neutral [`RunOutcome`]
+//! shape. The engine table ([`registry`]) maps every [`BackendKind`] to
+//! its capability row and its engine, and the lookup is total; serve
+//! dispatch, bench sweeps, the fault campaign's golden runs, and the
+//! conformance suite all go through it rather than naming engines.
 //!
-//! Seven kinds are registered by default ([`registry::global`]):
+//! Seven names, three engines ([`BackendKind::engine`]):
 //!
 //! | kind | engine | widths |
 //! |---|---|---|
-//! | `behavioral` | `ga_core::GaEngine` over the CA RNG | 16 |
-//! | `rtl` | `ga_core::GaSystem` (cycle-accurate) | 16 |
+//! | `behavioral` | [`BehavioralEngine`]: `ga_core::GaEngine` over the CA RNG | 16 |
+//! | `swga` | [`BehavioralEngine`], standing in for the PowerPC C baseline; no stepping handle | 16 |
+//! | `rtl` | [`RtlEngine`]: `ga_core::GaSystem` (cycle-accurate) | 16 |
+//! | `rtl32` | [`RtlEngine`]: `ga_core::GaSystem32Hw`, `GaSystem` with two ganged cores (Fig. 6) | 32 |
 //! | `bitsim64`/`128`/`256` | [`BitSimEngine`], packs of up to 64/128/256 | 16 |
-//! | `swga` | the behavioral engine, standing in for the PowerPC C baseline | 16 |
-//! | `rtl32` | `ga_core::GaSystem32Hw`: `GaSystem` with two ganged cores (Fig. 6) | 32 |
 //!
-//! The three bitsim kinds are one engine. It produces lane streams on
-//! demand from the CA-RNG netlist, simulated at the narrowest lane width
+//! The bitsim engine produces lane streams on demand from the CA-RNG netlist, simulated at the narrowest lane width
 //! that holds each pack and compiled once by the [`NetlistCache`].
 //!
 //! [`IslandsEngine`] composes the ring-migration island model over any
@@ -38,16 +38,13 @@ pub mod pack;
 pub mod registry;
 pub mod spec;
 
-pub use adapters::{
-    trajectory16, trajectory32, BehavioralEngine, BitSimEngine, Rtl32Engine, RtlInterpEngine,
-    SwgaEngine,
-};
+pub use adapters::{trajectory16, trajectory32, BehavioralEngine, BitSimEngine, RtlEngine};
 pub use cache::{global_cache, NetlistCache};
 pub use islands::{
     CheckpointBundle, IslandRing, IslandsEngine, RingMember, RingOp, RingReply, CHECKPOINT_VERSION,
 };
 pub use pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
-pub use registry::{global, EngineRegistry};
+pub use registry::{global, EngineTable};
 pub use spec::{
     convergence_generation, BackendKind, Capabilities, Engine, EngineError, Limits, Prepared,
     RunOutcome, RunSpec, TrajPoint, Workload,

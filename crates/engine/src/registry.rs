@@ -1,90 +1,81 @@
-//! The [`EngineRegistry`]: the one place backends are enumerated.
+//! The fixed engine table: seven backend names, three engines.
 //!
 //! Every consumer — the serve dispatcher, the bench sweep bins, the
-//! fault campaign's golden-run capture, the conformance suite — asks
-//! the registry instead of naming engines, so adding a backend is a
-//! registry change, not a grep across the tree (see DESIGN.md for the
-//! add-a-backend recipe).
+//! fault campaign's golden-run capture, the conformance suite — looks a
+//! [`BackendKind`] up here instead of naming engines. The lookup is
+//! total: every kind has its capability row
+//! ([`BackendKind::capabilities`]) and its engine
+//! ([`BackendKind::engine`]), so no caller handles a missing backend.
+//! DESIGN.md has the add-a-backend recipe.
 
-use std::sync::OnceLock;
+use crate::adapters::{BehavioralEngine, BitSimEngine, RtlEngine};
+use crate::spec::{BackendKind, Capabilities, Engine};
 
-use crate::adapters::{BehavioralEngine, BitSimEngine, Rtl32Engine, RtlInterpEngine, SwgaEngine};
-use crate::spec::{BackendKind, Engine};
-
-/// An ordered collection of [`Engine`]s, keyed by [`BackendKind`].
-pub struct EngineRegistry {
-    engines: Vec<Box<dyn Engine>>,
-}
-
-impl EngineRegistry {
-    /// An empty registry (for tests composing custom engine sets).
-    pub fn new() -> Self {
-        EngineRegistry {
-            engines: Vec::new(),
+impl BackendKind {
+    /// This kind's capability row. The pack width lives only here, so
+    /// it is the one place a lane width is named besides the wire name.
+    pub const fn capabilities(self) -> Capabilities {
+        use BackendKind::*;
+        let (widths, pack_width, stepping, degrades_to): (&'static [u8], _, _, _) = match self {
+            Behavioral => (&[16], 1, true, None),
+            RtlInterp => (&[16], 1, false, None),
+            BitSim64 => (&[16], 64, true, Some(Behavioral)),
+            BitSim128 => (&[16], 128, true, Some(Behavioral)),
+            BitSim256 => (&[16], 256, true, Some(Behavioral)),
+            Swga => (&[16], 1, false, None),
+            Rtl32 => (&[32], 1, false, None),
+        };
+        Capabilities {
+            widths,
+            pack_width,
+            stepping,
+            degrades_to,
         }
     }
 
-    /// The production registry: all seven backends, in
-    /// [`BackendKind::ALL`] order.
-    pub fn with_default_engines() -> Self {
-        let mut r = EngineRegistry::new();
-        r.register(Box::new(BehavioralEngine));
-        r.register(Box::new(RtlInterpEngine));
-        r.register(Box::new(BitSimEngine(BackendKind::BitSim64)));
-        r.register(Box::new(BitSimEngine(BackendKind::BitSim128)));
-        r.register(Box::new(BitSimEngine(BackendKind::BitSim256)));
-        r.register(Box::new(SwgaEngine));
-        r.register(Box::new(Rtl32Engine));
-        r
+    /// The engine serving this kind: the behavioral engine for
+    /// `behavioral` and `swga`, the cycle-accurate system for `rtl`
+    /// (width 16) and `rtl32` (width 32), the compiled-netlist engine
+    /// for the three bitsim pack widths.
+    pub fn engine(self) -> &'static dyn Engine {
+        use BackendKind::*;
+        match self {
+            Behavioral => &BehavioralEngine(Behavioral),
+            Swga => &BehavioralEngine(Swga),
+            RtlInterp => &RtlEngine(RtlInterp),
+            Rtl32 => &RtlEngine(Rtl32),
+            BitSim64 => &BitSimEngine(BitSim64),
+            BitSim128 => &BitSimEngine(BitSim128),
+            BitSim256 => &BitSimEngine(BitSim256),
+        }
     }
 
-    /// Add (or replace) the engine for its [`BackendKind`]. Replacement
-    /// semantics let a test swap one backend for an instrumented double
-    /// without rebuilding the whole set.
-    pub fn register(&mut self, engine: Box<dyn Engine>) {
-        let kind = engine.kind();
-        self.engines.retain(|e| e.kind() != kind);
-        self.engines.push(engine);
-    }
-
-    /// The engine for `kind`, if registered.
-    pub fn get(&self, kind: BackendKind) -> Option<&dyn Engine> {
-        self.engines
-            .iter()
-            .find(|e| e.kind() == kind)
-            .map(|e| e.as_ref())
-    }
-
-    /// All registered engines, in registration order.
-    pub fn engines(&self) -> impl Iterator<Item = &dyn Engine> {
-        self.engines.iter().map(|e| e.as_ref())
-    }
-
-    /// All registered kinds, in registration order.
-    pub fn kinds(&self) -> Vec<BackendKind> {
-        self.engines.iter().map(|e| e.kind()).collect()
-    }
-
-    /// The kinds whose engines implement chromosome width `width`.
-    pub fn supporting_width(&self, width: u8) -> Vec<BackendKind> {
-        self.engines
-            .iter()
-            .filter(|e| e.capabilities().widths.contains(&width))
-            .map(|e| e.kind())
+    /// The kinds whose capability row admits chromosome width `width`,
+    /// in [`BackendKind::ALL`] order.
+    pub fn supporting_width(width: u8) -> Vec<BackendKind> {
+        BackendKind::ALL
+            .into_iter()
+            .filter(|k| k.capabilities().widths.contains(&width))
             .collect()
     }
 }
 
-impl Default for EngineRegistry {
-    fn default() -> Self {
-        EngineRegistry::with_default_engines()
+/// The engine table as the benchmark package reads it
+/// (`ga_engine::global().get(kind)`). Every lookup succeeds; code in
+/// this workspace calls [`BackendKind::engine`] instead.
+pub struct EngineTable;
+
+impl EngineTable {
+    /// `Some` engine for every kind: [`BackendKind::engine`], kept in
+    /// the `Option` shape the benchmark package's callers unwrap.
+    pub fn get(&self, kind: BackendKind) -> Option<&'static dyn Engine> {
+        Some(kind.engine())
     }
 }
 
-/// The process-wide production registry, built once on first use.
-pub fn global() -> &'static EngineRegistry {
-    static REGISTRY: OnceLock<EngineRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(EngineRegistry::with_default_engines)
+/// The engine table, for the benchmark package's `global().get(kind)`.
+pub fn global() -> &'static EngineTable {
+    &EngineTable
 }
 
 #[cfg(test)]
@@ -92,18 +83,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_registry_covers_every_kind_in_order() {
-        assert_eq!(global().kinds(), BackendKind::ALL.to_vec());
-        for kind in BackendKind::ALL {
-            let e = global().get(kind).expect("registered");
-            assert_eq!(e.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn width_queries_partition_the_registry() {
+    fn width_queries_partition_the_table() {
         assert_eq!(
-            global().supporting_width(16),
+            BackendKind::supporting_width(16),
             vec![
                 BackendKind::Behavioral,
                 BackendKind::RtlInterp,
@@ -113,28 +95,18 @@ mod tests {
                 BackendKind::Swga,
             ]
         );
-        assert_eq!(global().supporting_width(32), vec![BackendKind::Rtl32]);
-        assert!(global().supporting_width(8).is_empty());
+        assert_eq!(BackendKind::supporting_width(32), vec![BackendKind::Rtl32]);
+        assert!(BackendKind::supporting_width(8).is_empty());
     }
 
     #[test]
-    fn degradation_targets_are_registered_and_narrower() {
-        // A fallback engine must exist and must not itself degrade
-        // (no fallback chains): the serve layer relies on both.
-        for e in global().engines() {
-            if let Some(to) = e.capabilities().degrades_to {
-                let target = global().get(to).expect("fallback engine registered");
-                assert_eq!(target.capabilities().degrades_to, None, "no chains");
+    fn degradation_targets_do_not_degrade() {
+        // A fallback must not itself degrade (no fallback chains): the
+        // serve layer relies on it.
+        for kind in BackendKind::ALL {
+            if let Some(to) = kind.capabilities().degrades_to {
+                assert_eq!(to.capabilities().degrades_to, None, "no chains");
             }
         }
-    }
-
-    #[test]
-    fn registration_replaces_by_kind() {
-        let mut r = EngineRegistry::new();
-        assert!(r.get(BackendKind::Behavioral).is_none());
-        r.register(Box::new(BehavioralEngine));
-        r.register(Box::new(BehavioralEngine));
-        assert_eq!(r.kinds(), vec![BackendKind::Behavioral]);
     }
 }

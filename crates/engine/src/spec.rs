@@ -16,7 +16,8 @@ use ga_core::GaParams;
 use ga_ehw::{Fault, HealWords, TruthTable};
 use ga_fitness::TestFunction;
 
-/// Which engine executes a run. One variant per registered backend.
+/// Which backend a job names: seven wire names served by three engines
+/// ([`BackendKind::engine`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// The behavioral reference engine (`ga_core::GaEngine`).
@@ -40,7 +41,9 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Every backend, in dispatch-priority order.
+    /// Every backend, in dispatch-priority order: the order the
+    /// variants are declared in, so `kind as usize` indexes per-kind
+    /// tables.
     pub const ALL: [BackendKind; 7] = [
         BackendKind::Behavioral,
         BackendKind::RtlInterp,
@@ -161,8 +164,9 @@ pub struct RunSpec {
     pub deadline_ms: Option<u64>,
 }
 
-/// What one backend supports — the registry's dispatch metadata. All
-/// fields are static properties of the engine, not of any one run.
+/// What one backend supports — its row of the engine table
+/// ([`BackendKind::capabilities`]). All fields are static properties of
+/// the kind, not of any one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Capabilities {
     /// Chromosome widths this engine implements.
@@ -379,14 +383,16 @@ pub fn convergence_generation(trajectory: &[TrajPoint], pop_size: u8) -> Option<
     }
 }
 
-/// A GA execution backend. Object-safe: the registry stores
-/// `Box<dyn Engine>` and every consumer dispatches through it.
+/// A GA execution backend. Object-safe: the engine table hands out
+/// `&'static dyn Engine` and every consumer dispatches through it.
 pub trait Engine: Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
-    /// Static dispatch metadata.
-    fn capabilities(&self) -> Capabilities;
+    /// Static dispatch metadata: the kind's row of the engine table.
+    fn capabilities(&self) -> Capabilities {
+        self.kind().capabilities()
+    }
 
     /// Admit a spec. The default is [`Capabilities::admit`]; engines
     /// with extra admission rules override and still return a
@@ -423,9 +429,14 @@ pub trait Engine: Send + Sync {
         limits: &Limits,
     ) -> Result<Box<dyn ga_core::IslandMember>, EngineError> {
         let _ = (prepared, limits);
-        Err(EngineError::InvalidSpec {
-            msg: format!("{} has no stepping handle", self.kind().name()),
-        })
+        Err(no_stepper(self.kind()))
+    }
+}
+
+/// The typed refusal of a stepping handle by a kind without one.
+pub(crate) fn no_stepper(kind: BackendKind) -> EngineError {
+    EngineError::InvalidSpec {
+        msg: format!("{} has no stepping handle", kind.name()),
     }
 }
 
@@ -442,6 +453,10 @@ mod tests {
             assert_eq!(BackendKind::parse(&b.name().to_uppercase()), Some(b));
         }
         assert_eq!(BackendKind::parse("vhdl"), None);
+        // Per-kind tables index by the discriminant.
+        for (i, b) in BackendKind::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "{}", b.name());
+        }
     }
 
     #[test]

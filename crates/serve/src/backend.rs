@@ -1,17 +1,16 @@
-//! Backend dispatch: every job goes through the engine registry
-//! (`ga_engine::global`), so this module contains **no per-engine drive
-//! loops** — it admits a job against the registered backend's
-//! capabilities, runs it under the service's [`ga_engine::Limits`], and
-//! applies the generic degradation policy: an *infrastructure* failure
-//! (watchdog) on an engine that declares a
-//! [`ga_engine::Capabilities::degrades_to`] edge is re-answered by the
-//! fallback engine with typed [`Degradation`] metadata instead of
-//! failing the job.
+//! Backend dispatch: every job goes through the engine table
+//! ([`BackendKind::engine`]), so this module contains **no per-engine
+//! drive loops** — it admits a job against its kind's capability row,
+//! runs it under the service's [`ga_engine::Limits`], and applies the
+//! generic degradation policy: an *infrastructure* failure (watchdog)
+//! on a kind that declares a [`ga_engine::Capabilities::degrades_to`]
+//! edge is re-answered by the fallback engine with typed
+//! [`Degradation`] metadata instead of failing the job.
 
 use std::time::Instant;
 
 use ga_core::islands::IslandConfig;
-use ga_engine::{global, EngineError, IslandsEngine, Limits, Prepared};
+use ga_engine::{EngineError, IslandsEngine, Limits, Prepared};
 
 use crate::job::{
     BackendKind, Degradation, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload,
@@ -42,7 +41,7 @@ fn limits(cfg: &ServeConfig) -> Limits {
 /// typed error result, never a panic.
 pub fn run_single(job: &GaJob, i: usize, cfg: &ServeConfig) -> JobResult {
     let t = Instant::now();
-    let engine = global().get(job.backend).expect("all kinds registered");
+    let engine = job.backend.engine();
     let (backend, outcome, degraded) = match job.islands {
         // Island jobs run the ring composite over the backend's
         // stepping handle; they never degrade — a refusal (non-stepping
@@ -76,8 +75,7 @@ fn run_islands(
     cfg: &ServeConfig,
 ) -> Result<JobOutput, ServeError> {
     job.validate()?;
-    let engine = global().get(job.backend).expect("all kinds registered");
-    let ring = IslandsEngine::new(engine, config)
+    let ring = IslandsEngine::new(job.backend.engine(), config)
         .map_err(ServeError::from)?
         .with_limits(limits(cfg));
     let run = ring.run(job.spec()).map_err(ServeError::from)?;
@@ -109,14 +107,11 @@ fn settle(
     match result {
         Ok(o) => (job.backend, Ok(o), None),
         Err(e) => {
-            let caps = global()
-                .get(job.backend)
-                .expect("all kinds registered")
-                .capabilities();
+            let caps = job.backend.capabilities();
             match caps.degrades_to.filter(|_| e.is_infrastructure()) {
                 None => (job.backend, Err(e.into()), None),
                 Some(to) => {
-                    let fallback = global().get(to).expect("fallback engine registered");
+                    let fallback = to.engine();
                     let outcome = fallback
                         .prepare(job.spec())
                         .and_then(|p| fallback.run(&p, &limits(cfg)))
@@ -146,7 +141,7 @@ pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResu
     debug_assert!(!idxs.is_empty());
     let kind = all[idxs[0]].backend;
     debug_assert!(idxs.iter().all(|&i| all[i].backend == kind));
-    let engine = global().get(kind).expect("all kinds registered");
+    let engine = kind.engine();
     let t = Instant::now();
     let prepared: Vec<Prepared> = idxs
         .iter()
@@ -231,11 +226,7 @@ mod tests {
         for backend in BackendKind::ALL {
             // Aim each job at a width its backend actually implements,
             // so the deadline — not the width gate — is what fires.
-            let width = ga_engine::global()
-                .get(backend)
-                .expect("registered")
-                .capabilities()
-                .widths[0];
+            let width = backend.capabilities().widths[0];
             let job = GaJob {
                 width,
                 ..GaJob::new(TestFunction::F2, backend, params).with_deadline_ms(0)
@@ -276,10 +267,7 @@ mod tests {
         let out = run(&job).expect("island job runs");
 
         // The serve answer is the engine composite's answer, verbatim.
-        let engine = ga_engine::global()
-            .get(BackendKind::Behavioral)
-            .expect("registered");
-        let direct = IslandsEngine::new(engine, config)
+        let direct = IslandsEngine::new(BackendKind::Behavioral.engine(), config)
             .expect("steps")
             .run(job.spec())
             .expect("runs");

@@ -42,7 +42,7 @@ use std::io::{BufWriter, Read as _};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use ga_serve::{serve_jsonl, NetConfig, ServeConfig, Server};
+use ga_serve::{serve_jsonl, BackendKind, NetConfig, ServeConfig, Server};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,14 +76,14 @@ fn main() -> ExitCode {
             "--threads" => number(arg, value()).map(|n: usize| cfg.threads = n.max(1)),
             "--queue-cap" => number(arg, value()).map(|n: usize| cfg.queue_capacity = n.max(1)),
             "--list-backends" => {
-                // One line per registered engine, machine-greppable:
-                // the CI registry-enumeration check parses this.
-                for e in ga_engine::global().engines() {
-                    let caps = e.capabilities();
+                // One line per backend name, machine-greppable: the CI
+                // engine-table check compares these lines exactly.
+                for kind in BackendKind::ALL {
+                    let caps = kind.capabilities();
                     let widths: Vec<String> = caps.widths.iter().map(|w| w.to_string()).collect();
                     println!(
                         "{} widths={} pack_width={} degrades_to={}",
-                        e.kind().name(),
+                        kind.name(),
                         widths.join(","),
                         caps.pack_width,
                         caps.degrades_to.map_or("none", |k| k.name()),

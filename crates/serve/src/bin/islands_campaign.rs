@@ -108,8 +108,7 @@ fn main() -> ExitCode {
     let ckpt = std::env::temp_dir().join(format!("islands_campaign_{}.ckpt", std::process::id()));
 
     // Phase 1 — the in-process reference trajectory, barrier by barrier.
-    let engine = ga_engine::global().get(job.backend).expect("registered");
-    let composite = IslandsEngine::new(engine, config).expect("behavioral steps");
+    let composite = IslandsEngine::new(job.backend.engine(), config).expect("behavioral steps");
     let mut driver = composite.start(job.spec()).expect("starts");
     let mut reference_bundles: Vec<CheckpointBundle> = Vec::new();
     while !driver.done() {

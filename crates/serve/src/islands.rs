@@ -174,9 +174,7 @@ fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, b
                 },
                 deadline_ms: None,
             };
-            let engine = ga_engine::global()
-                .get(backend)
-                .ok_or_else(|| format!("backend {bname} is not registered"))?;
+            let engine = backend.engine();
             let prepared = engine.prepare(spec).map_err(|e| e.to_string())?;
             let mut m = engine
                 .stepper(&prepared, &Limits::default())
@@ -600,9 +598,9 @@ mod tests {
         let path = ckpt_path("torn");
         let bundle = {
             let job = island_job(BackendKind::Behavioral);
-            let engine = ga_engine::global().get(job.backend).unwrap();
             let composite =
-                ga_engine::IslandsEngine::new(engine, job.islands.unwrap()).expect("steps");
+                ga_engine::IslandsEngine::new(job.backend.engine(), job.islands.unwrap())
+                    .expect("steps");
             let mut d = composite.start(job.spec()).expect("starts");
             d.step_epoch().expect("epoch")
         };

@@ -23,7 +23,7 @@ pub const CHROM_WIDTH: u8 = 16;
 /// the ganged 32-bit composite (`rtl32`). The parser refuses anything
 /// outside this list up front with a line-aligned `invalid_job` error;
 /// whether a *specific backend* implements the width is the engine
-/// registry's admission check ([`GaJob::validate`]).
+/// table's admission check ([`GaJob::validate`]).
 pub const SUPPORTED_WIDTHS: [u8; 2] = [16, 32];
 
 /// Look up a fitness function by its table name (`BF6`, `F2`, …),
@@ -133,23 +133,15 @@ impl GaJob {
     }
 
     /// The admission check every backend runs before touching an
-    /// engine: the registered backend's capability gate (width support
-    /// first, then the hardware parameter ranges), plus the island
-    /// schedule gate when the job carries one — a stepping backend and
+    /// engine: the backend's capability gate (width support first, then
+    /// the hardware parameter ranges), plus the island schedule gate
+    /// when the job carries one — a stepping backend and
     /// `n_gens == epoch × epochs`, both typed, never panicking.
     pub fn validate(&self) -> Result<(), ServeError> {
-        let engine =
-            ga_engine::global()
-                .get(self.backend)
-                .ok_or_else(|| ServeError::InvalidJob {
-                    msg: format!("backend {} is not registered", self.backend.name()),
-                })?;
-        engine
-            .capabilities()
-            .admit(&self.spec())
-            .map_err(ServeError::from)?;
+        let caps = self.backend.capabilities();
+        caps.admit(&self.spec()).map_err(ServeError::from)?;
         if let Some(cfg) = self.islands {
-            if !engine.capabilities().stepping {
+            if !caps.stepping {
                 return Err(ServeError::InvalidJob {
                     msg: format!(
                         "backend {} has no stepping handle; island jobs need one",
@@ -438,11 +430,8 @@ mod tests {
             narrow.validate(),
             Err(ServeError::UnsupportedWidth { width: 16 })
         );
-        // Width support is exactly what the registry advertises.
-        assert_eq!(
-            ga_engine::global().supporting_width(32),
-            vec![BackendKind::Rtl32]
-        );
+        // Width support is exactly what the engine table advertises.
+        assert_eq!(BackendKind::supporting_width(32), vec![BackendKind::Rtl32]);
     }
 
     #[test]

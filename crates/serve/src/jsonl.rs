@@ -15,7 +15,7 @@
 //! three or none — a partial set is a typed parse error): the job then
 //! runs as a ring-migration island model over the backend's stepping
 //! handle, with `gens` required to equal `epoch × epochs` (the
-//! registry's typed `invalid_job` admission otherwise). Island jobs
+//! engine table's typed `invalid_job` admission otherwise). Island jobs
 //! evolve a fitness function; combining the triple with the heal keys
 //! is a parse error. The result line keeps the standard shape — the
 //! reported best/evaluations are the ring-wide aggregates.
@@ -619,7 +619,7 @@ mod tests {
             assert!(msg.contains(expect), "line {bad}: msg {msg:?}");
         }
         // A schedule that disagrees with gens still *parses* — that
-        // mismatch is the registry's typed invalid_job admission error,
+        // mismatch is the engine table's typed invalid_job admission error,
         // surfaced per job, not a parse failure.
         let mismatch = format!(r#"{{"fn":"F3",{tail},"islands":2,"epoch":5,"epochs":5}}"#);
         let job = parse_job(&mismatch, 0).expect("schedule mismatch parses");
@@ -708,7 +708,7 @@ mod tests {
     fn unsupported_widths_rejected_at_parse_time() {
         // Supported widths parse (16 runs on the narrow engines, 32 on
         // the ganged `rtl32` composite; aiming a width at a backend
-        // that lacks it is the registry's typed admission error).
+        // that lacks it is the engine table's typed admission error).
         for w in SUPPORTED_WIDTHS {
             let line =
                 format!("{{\"fn\":\"F3\",\"width\":{w},\"pop\":32,\"gens\":8,\"xover\":10,\"mut\":1,\"seed\":7}}");

@@ -4,13 +4,13 @@
 //! production-shaped API. A [`GaJob`] names a chromosome width, a
 //! fitness function, the Table III parameters, a seed, a generation
 //! budget and an optional wall-clock deadline; each job is dispatched
-//! through the **engine registry** (`ga_engine::global`) to whichever
+//! through the **engine table** ([`BackendKind::engine`]) to whichever
 //! backend it names — `behavioral`, `rtl`, the wide-lane
 //! `bitsim64`/`bitsim128`/`bitsim256` family, `swga`, or the 32-bit
 //! `rtl32` composite. The service itself contains no per-engine drive
 //! loops: admission, packing eligibility (`pack_width`), and the
-//! degradation policy (`degrades_to`) are all read off each engine's
-//! [`ga_engine::Capabilities`].
+//! degradation policy (`degrades_to`) are all read off each kind's
+//! [`ga_engine::Capabilities`] row.
 //!
 //! One scheduler serves every entry point: a fixed worker pool draining
 //! one [`BoundedQueue`], gathering same-key bitsim jobs into lockstep

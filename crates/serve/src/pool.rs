@@ -110,9 +110,7 @@ impl Deliver for ConnState {
 /// pack ends, so a packed deadline would count its pack-mates' time);
 /// otherwise 1.
 fn pack_width(job: &GaJob) -> usize {
-    let width = ga_engine::global()
-        .get(job.backend)
-        .map_or(1, |e| e.capabilities().pack_width);
+    let width = job.backend.capabilities().pack_width;
     if width > 1 && job.islands.is_none() && job.deadline_ms.is_none() && job.validate().is_ok() {
         width
     } else {

@@ -15,26 +15,14 @@ use crate::job::{BackendKind, GaJob, JobResult, ServeError};
 use crate::pool::{Deliver, Pool, WorkItem};
 use crate::queue::relock;
 
-/// Retry policy for *transient* job failures (worker panics caught at
-/// the pool boundary). Deterministic errors — validation, watchdogs,
-/// deadlines — are never retried: rerunning them buys nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per work unit, including the first (1 = never
-    /// retry).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub backoff_ms: u64,
-}
+/// Attempts per work unit for *transient* failures (worker panics
+/// caught at the pool boundary), the first included. Deterministic
+/// errors — validation, watchdogs, deadlines — are never retried:
+/// rerunning them buys nothing.
+const MAX_ATTEMPTS: u32 = 2;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            backoff_ms: 5,
-        }
-    }
-}
+/// Backoff before the first retry; it doubles per subsequent retry.
+const BACKOFF_MS: u64 = 5;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -57,12 +45,10 @@ pub struct ServeConfig {
     /// behavioral backend (typed [`crate::job::Degradation`] metadata)
     /// instead of failing them.
     pub bitsim_watchdog_steps: u64,
-    /// Retry-with-backoff policy for transient (panic) failures.
-    pub retry: RetryPolicy,
     /// Chaos/fault-injection hook, called with `(index, job)` right
     /// before each job executes. A panic here exercises exactly the
     /// worker-crash path a misbehaving backend would: caught at the
-    /// pool boundary, retried per [`RetryPolicy`], then failed as a
+    /// pool boundary, retried with backoff, then failed as a
     /// typed internal error for that unit only. A plain `fn` pointer so
     /// the config stays `Clone + Debug`.
     pub pre_exec: Option<fn(usize, &GaJob)>,
@@ -75,7 +61,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             rtl_watchdog_cycles: 2_000_000_000,
             bitsim_watchdog_steps: 2_000_000_000,
-            retry: RetryPolicy::default(),
             pre_exec: None,
         }
     }
@@ -128,14 +113,14 @@ impl BackendCounters {
 }
 
 /// Aggregate statistics for one served batch. Counters are kept per
-/// registered [`BackendKind`] (one slot per kind, registry order), so
-/// adding a backend to the engine registry automatically adds its
-/// throughput row here and in `BENCH_serve.json` — no hardcoded
-/// per-backend fields.
+/// [`BackendKind`], one slot per kind in [`BackendKind::ALL`] order, so
+/// every backend name has its throughput row here and in
+/// `BENCH_serve.json` — no hardcoded per-backend fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
-    /// `(kind, counters)` per registered backend, registry order.
-    per_backend: Vec<(BackendKind, BackendCounters)>,
+    /// `per_backend[k as usize]` counts kind `k`; the variants are
+    /// declared in [`BackendKind::ALL`] order.
+    per_backend: Box<[BackendCounters; BackendKind::ALL.len()]>,
     /// Number of lockstep packs executed.
     pub packs: u64,
     /// Total *active* lanes across all packs — equals the number of
@@ -168,11 +153,7 @@ pub struct ServeStats {
 impl Default for ServeStats {
     fn default() -> Self {
         ServeStats {
-            per_backend: ga_engine::global()
-                .kinds()
-                .into_iter()
-                .map(|k| (k, BackendCounters::default()))
-                .collect(),
+            per_backend: Default::default(),
             packs: 0,
             packed_lanes: 0,
             degraded: 0,
@@ -189,43 +170,11 @@ impl Default for ServeStats {
 impl ServeStats {
     /// Counters for one backend (zeroed when it never ran).
     pub fn counters(&self, b: BackendKind) -> BackendCounters {
-        self.per_backend
-            .iter()
-            .find(|(k, _)| *k == b)
-            .map(|(_, c)| c.clone())
-            .unwrap_or_default()
-    }
-
-    /// Registry rank of a backend kind — the metric-emission order
-    /// contract of `BENCH_serve.json`. Unregistered kinds sort last.
-    fn registry_rank(b: BackendKind) -> usize {
-        ga_engine::global()
-            .kinds()
-            .iter()
-            .position(|k| *k == b)
-            .unwrap_or(usize::MAX)
+        self.per_backend[b as usize].clone()
     }
 
     pub(crate) fn counters_mut(&mut self, b: BackendKind) -> &mut BackendCounters {
-        // A kind missing its slot (stats built before the backend was
-        // registered, or a degradation target touched first) is
-        // inserted at its *registry position*, never appended: the
-        // documented report order must not depend on which backend
-        // happened to run first.
-        let at = match self.per_backend.iter().position(|(k, _)| *k == b) {
-            Some(at) => at,
-            None => {
-                let rank = Self::registry_rank(b);
-                let at = self
-                    .per_backend
-                    .iter()
-                    .position(|(k, _)| Self::registry_rank(*k) > rank)
-                    .unwrap_or(self.per_backend.len());
-                self.per_backend.insert(at, (b, BackendCounters::default()));
-                at
-            }
-        };
-        &mut self.per_backend[at].1
+        &mut self.per_backend[b as usize]
     }
 
     /// Fold one result's latency/error/degradation accounting in.
@@ -243,8 +192,8 @@ impl ServeStats {
     /// owner's and are deliberately left alone; the worker pool merges
     /// each worker's stats through this, then stamps its own.
     pub fn merge(&mut self, other: &ServeStats) {
-        for (kind, c) in &other.per_backend {
-            self.counters_mut(*kind).merge(c);
+        for (c, o) in self.per_backend.iter_mut().zip(other.per_backend.iter()) {
+            c.merge(o);
         }
         self.packs += other.packs;
         self.packed_lanes += other.packed_lanes;
@@ -257,12 +206,12 @@ impl ServeStats {
 
     /// Total jobs across backends.
     pub fn jobs(&self) -> u64 {
-        self.per_backend.iter().map(|(_, c)| c.jobs).sum()
+        self.per_backend.iter().map(|c| c.jobs).sum()
     }
 
     /// Total errored jobs across backends.
     pub fn errors(&self) -> u64 {
-        self.per_backend.iter().map(|(_, c)| c.errors).sum()
+        self.per_backend.iter().map(|c| c.errors).sum()
     }
 
     /// Batch throughput in jobs per second.
@@ -288,22 +237,20 @@ impl ServeStats {
     /// Render as a `BenchReport` (emitted as `BENCH_serve.json`) with a
     /// `<name>_jobs` / `<name>_avg_us` / `<name>_p50_us` /
     /// `<name>_p95_us` / `<name>_p99_us` / `<name>_max_us` block for
-    /// **every** backend in the stats — the per-backend floor
-    /// `benchcheck --require-backend-throughput` asserts, in registry
-    /// order. The percentiles come from the merged [`LatencyHisto`];
-    /// `_max_us` is the exact recorded maximum (the counter that used
-    /// to be accumulated but silently dropped from the report). The
-    /// report's `threads` field is [`ServeStats::threads_used`] — the
-    /// pool size that actually ran, never the configured one. The
-    /// `lanes` field reports the widest registered pack when any pack
-    /// ran, else 1.
+    /// **every** backend name — the per-backend floor
+    /// `benchcheck --require-backend-throughput` asserts, in
+    /// [`BackendKind::ALL`] order. The percentiles come from the merged
+    /// [`LatencyHisto`]; `_max_us` is the exact recorded maximum (the
+    /// counter that used to be accumulated but silently dropped from the
+    /// report). The report's `threads` field is
+    /// [`ServeStats::threads_used`] — the pool size that actually ran,
+    /// never the configured one. The `lanes` field reports the widest
+    /// pack any kind takes when any pack ran, else 1.
     pub fn to_report(&self) -> BenchReport {
         let lanes = if self.packs > 0 {
-            ga_engine::global()
-                .engines()
-                .map(|e| e.capabilities().pack_width)
-                .max()
-                .unwrap_or(1) as u64
+            BackendKind::ALL
+                .iter()
+                .fold(1, |w, k| w.max(k.capabilities().pack_width)) as u64
         } else {
             1
         };
@@ -311,12 +258,7 @@ impl ServeStats {
             .metric("jobs", self.jobs() as f64)
             .metric("errors", self.errors() as f64)
             .metric("jobs_per_sec", self.jobs_per_sec());
-        // Defensive re-sort: counters_mut keeps registry order on
-        // insert, but the emission contract is pinned here regardless
-        // of how the stats were assembled or merged.
-        let mut ordered: Vec<&(BackendKind, BackendCounters)> = self.per_backend.iter().collect();
-        ordered.sort_by_key(|(k, _)| Self::registry_rank(*k));
-        for (kind, c) in ordered {
+        for (kind, c) in BackendKind::ALL.into_iter().zip(self.per_backend.iter()) {
             report = report
                 .metric(format!("{}_jobs", kind.name()), c.jobs as f64)
                 .metric(format!("{}_avg_us", kind.name()), c.avg_micros())
@@ -393,20 +335,19 @@ fn has_transient_failure(results: &[JobResult]) -> bool {
 
 /// Run one unit at the pool boundary: a panic anywhere inside the unit
 /// is caught, and both panics and typed transient failures are retried
-/// per [`RetryPolicy`] (exponential backoff, since a transient fault
-/// that just fired tends to need a beat to clear). Each caught panic
-/// counts in `panics` and writes one structured stderr line
-/// ([`panic_line`]). If every attempt crashes, the panic is converted
-/// into one typed [`ServeError::Internal`] result per member job. The
-/// worker thread itself never unwinds, so the rest of the batch keeps
-/// flowing.
+/// up to [`MAX_ATTEMPTS`] times (exponential backoff from
+/// [`BACKOFF_MS`], since a transient fault that just fired tends to
+/// need a beat to clear). Each caught panic counts in `panics` and
+/// writes one structured stderr line ([`panic_line`]). If every attempt
+/// crashes, the panic is converted into one typed
+/// [`ServeError::Internal`] result per member job. The worker thread
+/// itself never unwinds, so the rest of the batch keeps flowing.
 pub(crate) fn exec_unit_with_recovery(
     jobs: &[GaJob],
     packed: bool,
     cfg: &ServeConfig,
     panics: &mut u64,
 ) -> Vec<JobResult> {
-    let max_attempts = cfg.retry.max_attempts.max(1);
     let mut attempt = 1u32;
     loop {
         let run = catch_unwind(AssertUnwindSafe(|| exec_unit(jobs, packed, cfg))).map_err(|p| {
@@ -416,8 +357,8 @@ pub(crate) fn exec_unit_with_recovery(
             msg
         });
         let transient = run.as_ref().map_or(true, |r| has_transient_failure(r));
-        if transient && attempt < max_attempts {
-            thread::sleep(Duration::from_millis(cfg.retry.backoff_ms << (attempt - 1)));
+        if transient && attempt < MAX_ATTEMPTS {
+            thread::sleep(Duration::from_millis(BACKOFF_MS << (attempt - 1)));
             attempt += 1;
             continue;
         }
@@ -622,23 +563,22 @@ mod tests {
     }
 
     #[test]
-    fn every_registered_backend_serves_in_one_batch() {
-        // One job per registered kind, each at a width its backend
+    fn every_backend_serves_in_one_batch() {
+        // One job per backend name, each at a width its backend
         // implements — the batch must come back fully green with every
         // backend's counter row populated and present in the report.
-        let jobs: Vec<GaJob> = ga_engine::global()
-            .engines()
-            .enumerate()
-            .map(|(i, e)| GaJob {
-                width: e.capabilities().widths[0],
-                ..quick_job(e.kind(), 0x8000 + i as u16)
+        let jobs: Vec<GaJob> = (0..)
+            .zip(BackendKind::ALL)
+            .map(|(i, kind)| GaJob {
+                width: kind.capabilities().widths[0],
+                ..quick_job(kind, 0x8000 + i)
             })
             .collect();
         assert_eq!(jobs.len(), BackendKind::ALL.len());
         let out = serve_batch(&jobs, &ServeConfig::default());
         assert_eq!(out.stats.errors(), 0);
         let json = out.stats.to_report().to_json();
-        for kind in ga_engine::global().kinds() {
+        for kind in BackendKind::ALL {
             assert_eq!(out.stats.counters(kind).jobs, 1, "{}", kind.name());
             for key in [
                 format!("\"{}_jobs\"", kind.name()),
@@ -716,10 +656,6 @@ mod tests {
             &ServeConfig {
                 threads: 4,
                 pre_exec: Some(crash_seed_5005),
-                retry: RetryPolicy {
-                    max_attempts: 2,
-                    backoff_ms: 0,
-                },
                 ..Default::default()
             },
         );
@@ -775,10 +711,6 @@ mod tests {
             &ServeConfig {
                 threads: 2,
                 pre_exec: Some(crash_seed_6003_once),
-                retry: RetryPolicy {
-                    max_attempts: 2,
-                    backoff_ms: 1,
-                },
                 ..Default::default()
             },
         );
@@ -883,7 +815,7 @@ mod tests {
             .collect();
         let out = serve_batch(&jobs, &ServeConfig::default());
         let json = out.stats.to_report().to_json();
-        for kind in ga_engine::global().kinds() {
+        for kind in BackendKind::ALL {
             for suffix in ["jobs", "avg_us", "p50_us", "p95_us", "p99_us", "max_us"] {
                 let key = format!("\"{}_{suffix}\"", kind.name());
                 assert!(json.contains(&key), "missing {key} in {json}");
@@ -901,12 +833,11 @@ mod tests {
     }
 
     #[test]
-    fn metric_order_is_registry_order_even_when_degraded_target_runs_first() {
+    fn metric_order_is_kind_order_even_when_degraded_target_runs_first() {
         // A degraded bitsim job makes the *behavioral* fallback the
-        // first backend to absorb a result; a batch whose only native
-        // jobs are late-registry kinds then exercises counters_mut on
-        // kinds out of registry sequence. The emitted metric order must
-        // still be the registry order.
+        // first backend to absorb a result, and the batch's only other
+        // native jobs are late kinds. The emitted metric order must
+        // still be `BackendKind::ALL` order.
         let jobs = vec![
             quick_job(BackendKind::BitSim64, 0xB001), // degrades to behavioral
             quick_job(BackendKind::Swga, 0xB002),
@@ -921,8 +852,7 @@ mod tests {
         );
         assert_eq!(out.stats.degraded, 1, "bitsim job must degrade first");
         let json = out.stats.to_report().to_json();
-        let positions: Vec<usize> = ga_engine::global()
-            .kinds()
+        let positions: Vec<usize> = BackendKind::ALL
             .iter()
             .map(|k| {
                 json.find(&format!("\"{}_jobs\"", k.name()))
@@ -932,17 +862,9 @@ mod tests {
         for w in positions.windows(2) {
             assert!(
                 w[0] < w[1],
-                "backend metric blocks out of registry order in {json}"
+                "backend metric blocks out of kind order in {json}"
             );
         }
-        // Same contract on a *merged* stats block assembled in reverse.
-        let mut merged = ServeStats::default();
-        merged.per_backend.clear(); // worst case: no pre-populated slots
-        merged.merge(&out.stats);
-        let kinds_in_order: Vec<BackendKind> = merged.per_backend.iter().map(|(k, _)| *k).collect();
-        let mut sorted = kinds_in_order.clone();
-        sorted.sort_by_key(|k| ServeStats::registry_rank(*k));
-        assert_eq!(kinds_in_order, sorted, "merge must keep registry order");
     }
 
     #[test]

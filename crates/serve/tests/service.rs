@@ -167,7 +167,7 @@ fn draw_schedule_formula_matches_engine_instrumentation() {
 
 #[test]
 fn all_width16_backends_agree_on_the_answer() {
-    let kinds = ga_engine::global().supporting_width(16);
+    let kinds = BackendKind::supporting_width(16);
     assert!(kinds.len() >= 4, "expected every 16-bit engine registered");
     for &seed in PRESET_SEEDS.iter().chain(&TABLE5_SEEDS) {
         let params = GaParams::new(16, 8, 10, 1, seed);

@@ -1,5 +1,5 @@
-//! The island-model composite in one screen: take any registered
-//! engine with a stepping handle from the registry, ring-connect four
+//! The island-model composite in one screen: take any
+//! engine with a stepping handle from the engine table, ring-connect four
 //! islands of it on disjoint jump-ahead RNG streams, and migrate the
 //! best individual every epoch — here over both the behavioral CA
 //! engine and the compiled 64-lane netlist, which must agree bit for
@@ -27,7 +27,7 @@ fn main() {
     println!("4-island ring on BF6 (pop 32 per island, epoch 8 x 4)\n");
     let mut outcomes = Vec::new();
     for kind in [BackendKind::Behavioral, BackendKind::BitSim64] {
-        let engine = ga_engine::global().get(kind).expect("backend registered");
+        let engine = kind.engine();
         let run = IslandsEngine::new(engine, config)
             .expect("backend exposes a stepping handle")
             .run(spec)

@@ -59,8 +59,7 @@ fn main() {
         s.packs,
         s.packed_lanes
     );
-    let per_backend: Vec<String> = ga_engine::global()
-        .kinds()
+    let per_backend: Vec<String> = BackendKind::ALL
         .into_iter()
         .map(|kind| {
             let c = s.counters(kind);

@@ -1,12 +1,12 @@
-//! Cross-engine conformance, driven off the engine registry: every
-//! registered 16-bit backend (`behavioral`, `rtl`, `bitsim64`, `swga`)
+//! Cross-engine conformance, driven off the engine table: every
+//! 16-bit backend name (`behavioral`, `rtl`, `bitsim64`, `swga`)
 //! must produce **identical trajectories generation-for-generation** —
 //! same best, same population fitness sum — over a matrix of seeds ×
 //! Table IV preset shapes × fitness modules, and the 32-bit `rtl32`
 //! composite must match the behavioral dual-core model on the same
 //! seeds. No backend is named in the drive loop: the matrix enumerates
-//! `ga_engine::global()`, so registering a sixth engine automatically
-//! enrolls it here.
+//! `BackendKind::supporting_width(16)`, so a new backend name is
+//! enrolled here automatically.
 //!
 //! The default matrix is the quick one CI runs; set
 //! `GA_CONFORMANCE_FULL=1` for all six fitness functions and longer
@@ -68,7 +68,7 @@ fn matrix() -> Vec<Cell> {
 
 /// Dispatch one cell to a registered backend at its native width.
 fn run_via(kind: BackendKind, cell: &Cell) -> RunOutcome {
-    let engine = ga_engine::global().get(kind).expect("backend registered");
+    let engine = kind.engine();
     let spec = RunSpec {
         width: engine.capabilities().widths[0],
         workload: ga_engine::Workload::Function(cell.f),
@@ -83,7 +83,7 @@ fn run_via(kind: BackendKind, cell: &Cell) -> RunOutcome {
 
 #[test]
 fn all_width16_engines_agree_generation_for_generation() {
-    let kinds = ga_engine::global().supporting_width(16);
+    let kinds = BackendKind::supporting_width(16);
     assert!(
         kinds.len() >= 4,
         "behavioral, rtl, bitsim64 and swga must all serve width 16"
@@ -121,7 +121,7 @@ fn all_width16_engines_agree_generation_for_generation() {
 #[test]
 fn rtl32_composite_matches_the_dual_core_model() {
     // Width-32 conformance: the ganged hardware system behind the
-    // registry's `rtl32` entry against the behavioral dual-core engine
+    // engine table's `rtl32` entry against the behavioral dual-core engine
     // (second RNG seeded with the complemented seed, like the hardware).
     for &seed in &PRESET_SEEDS {
         let f = TestFunction::Mbf6_2;
@@ -143,7 +143,7 @@ fn rtl32_composite_matches_the_dual_core_model() {
 
 #[test]
 fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
-    // Island-model checkpoint/resume conformance, registry-driven: for
+    // Island-model checkpoint/resume conformance, table-driven: for
     // every stepping backend, run the ring to completion, then kill it
     // at *each* epoch barrier in turn and resume from that barrier's
     // checkpoint — on every stepping backend (snapshots are
@@ -152,10 +152,9 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
     // uninterrupted run generation for generation, which the epoch
     // bundles pin barrier by barrier.
     use ga_engine::IslandsEngine;
-    let steppers: Vec<BackendKind> = ga_engine::global()
-        .engines()
-        .filter(|e| e.capabilities().stepping && e.capabilities().widths.contains(&16))
-        .map(|e| e.kind())
+    let steppers: Vec<BackendKind> = BackendKind::ALL
+        .into_iter()
+        .filter(|k| k.capabilities().stepping && k.capabilities().widths.contains(&16))
         .collect();
     assert!(
         steppers.contains(&BackendKind::Behavioral) && steppers.contains(&BackendKind::BitSim64),
@@ -175,7 +174,7 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
         };
         // Reference trajectory: behavioral, uninterrupted, with the
         // bundle at every barrier recorded.
-        let behavioral = ga_engine::global().get(BackendKind::Behavioral).unwrap();
+        let behavioral = BackendKind::Behavioral.engine();
         let composite = IslandsEngine::new(behavioral, config).expect("behavioral steps");
         let mut driver = composite.start(spec).expect("starts");
         let mut bundles = Vec::new();
@@ -185,7 +184,7 @@ fn kill_and_resume_at_every_epoch_boundary_is_bit_identical() {
         let reference = driver.finish().expect("finishes");
 
         for &kind in &steppers {
-            let engine = ga_engine::global().get(kind).expect("registered");
+            let engine = kind.engine();
             let resumer = IslandsEngine::new(engine, config).expect("steps");
             // The uninterrupted run agrees across backends…
             assert_eq!(

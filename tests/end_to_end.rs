@@ -132,28 +132,65 @@ fn ehw_healing_mission_recovers() {
     );
 }
 
-/// The engine registry serves every backend end to end — all seven
-/// kinds enumerated, every 16-bit engine bit-identical to behavioral
-/// on *both* workload kinds (classic fitness function and VRC
-/// healing), the 32-bit composite self-consistent on its own width,
+/// The engine table serves every backend end to end — all seven names
+/// with their pinned capability rows, every 16-bit engine bit-identical
+/// to behavioral on *both* workload kinds (classic fitness function and
+/// VRC healing), the 32-bit composite self-consistent on its own width,
 /// and healing correctly refused where it cannot run.
 #[test]
 fn registry_matrix_covers_all_seven_backends_and_both_workloads() {
-    use ga_engine::{BackendKind, Limits, RunSpec, Workload};
+    use ga_engine::{BackendKind, Capabilities, Limits, RunSpec, Workload};
 
-    let registry = ga_engine::global();
-    let kinds = registry.kinds();
-    assert_eq!(kinds.len(), 7, "seven registered backends: {kinds:?}");
-    for kind in [
-        BackendKind::Behavioral,
-        BackendKind::RtlInterp,
-        BackendKind::BitSim64,
-        BackendKind::BitSim128,
-        BackendKind::BitSim256,
-        BackendKind::Swga,
-        BackendKind::Rtl32,
-    ] {
-        assert!(kinds.contains(&kind), "{} missing", kind.name());
+    // Each name's row: widths, pack width, stepping handle, fallback.
+    let row = |widths: &'static [u8], pack_width, stepping, degrades_to| Capabilities {
+        widths,
+        pack_width,
+        stepping,
+        degrades_to,
+    };
+    let behavioral = Some(BackendKind::Behavioral);
+    let rows = [
+        (BackendKind::Behavioral, row(&[16], 1, true, None)),
+        (BackendKind::RtlInterp, row(&[16], 1, false, None)),
+        (BackendKind::BitSim64, row(&[16], 64, true, behavioral)),
+        (BackendKind::BitSim128, row(&[16], 128, true, behavioral)),
+        (BackendKind::BitSim256, row(&[16], 256, true, behavioral)),
+        (BackendKind::Swga, row(&[16], 1, false, None)),
+        (BackendKind::Rtl32, row(&[32], 1, false, None)),
+    ];
+    assert_eq!(BackendKind::ALL, rows.map(|(kind, _)| kind));
+    let names = BackendKind::ALL.map(BackendKind::name);
+    assert_eq!(
+        names,
+        [
+            "behavioral",
+            "rtl",
+            "bitsim64",
+            "bitsim128",
+            "bitsim256",
+            "swga",
+            "rtl32"
+        ]
+    );
+    let params = GaParams::new(16, 8, 10, 1, 0x2961);
+    for (kind, caps) in rows {
+        let engine = kind.engine();
+        assert_eq!(engine.kind(), kind);
+        assert_eq!(engine.capabilities(), caps, "{}", kind.name());
+        // A stepping handle exists exactly where the row says.
+        let spec = RunSpec {
+            width: caps.widths[0],
+            workload: Workload::Function(TestFunction::F3),
+            params,
+            deadline_ms: None,
+        };
+        let prepared = engine.prepare(spec).expect("admitted at its own width");
+        assert_eq!(
+            engine.stepper(&prepared, &Limits::default()).is_ok(),
+            caps.stepping,
+            "{}",
+            kind.name()
+        );
     }
 
     let heal = Workload::VrcHeal {
@@ -163,9 +200,8 @@ fn registry_matrix_covers_all_seven_backends_and_both_workloads() {
             value: true,
         },
     };
-    let params = GaParams::new(16, 8, 10, 1, 0x2961);
     let run16 = |kind: BackendKind, workload: Workload| {
-        let engine = registry.get(kind).expect("registered");
+        let engine = kind.engine();
         let spec = RunSpec {
             width: 16,
             workload,
@@ -183,7 +219,7 @@ fn registry_matrix_covers_all_seven_backends_and_both_workloads() {
             reference.best_fitness,
             "reported best must re-evaluate to its fitness"
         );
-        for &kind in &registry.supporting_width(16) {
+        for kind in BackendKind::supporting_width(16) {
             let got = run16(kind, workload);
             assert_eq!(
                 got.trajectory,
@@ -199,7 +235,7 @@ fn registry_matrix_covers_all_seven_backends_and_both_workloads() {
     }
 
     // The 32-bit composite runs function workloads at its own width…
-    let engine = registry.get(BackendKind::Rtl32).expect("registered");
+    let engine = BackendKind::Rtl32.engine();
     let spec = RunSpec {
         width: 32,
         workload: ga_engine::Workload::Function(TestFunction::Mbf6_2),

@@ -11,9 +11,7 @@
 
 use carng::{CaRng, Rng16};
 use ga_core::GaParams;
-use ga_engine::{
-    global, try_ca_lane_streams_wide, BackendKind, Limits, Prepared, RunSpec, Workload,
-};
+use ga_engine::{try_ca_lane_streams_wide, BackendKind, Limits, Prepared, RunSpec, Workload};
 use ga_fitness::TestFunction;
 use ga_synth::gadesign::elaborate_ca_rng;
 use ga_synth::CompiledNetlist;
@@ -132,8 +130,8 @@ fn restores_at_every_generation_continue_like_behavioral() {
     // straddle the edges at 64, 192, 256 and 320.
     let params = GaParams::new(12, 12, 10, 1, 0x2961);
     let limits = Limits::default();
-    let stepper = |kind| {
-        let engine = global().get(kind).expect("registered");
+    let stepper = |kind: BackendKind| {
+        let engine = kind.engine();
         let prepared = engine.prepare(spec(params)).expect("admits");
         engine.stepper(&prepared, &limits).expect("steps")
     };
@@ -164,8 +162,8 @@ fn restores_at_every_generation_continue_like_behavioral() {
 #[test]
 fn a_small_bitsim256_pack_equals_solo_bitsim64_runs() {
     // 18 jobs fit one 64-lane word, so the pack runs at W = 1.
-    let wide = global().get(BackendKind::BitSim256).expect("registered");
-    let narrow = global().get(BackendKind::BitSim64).expect("registered");
+    let wide = BackendKind::BitSim256.engine();
+    let narrow = BackendKind::BitSim64.engine();
     let packed: Vec<Prepared> = (0..18u16)
         .map(|i| {
             let seed = i.wrapping_mul(0x9E37) ^ 0xB342;

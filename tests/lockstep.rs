@@ -18,7 +18,9 @@
 //! the history (`Port::report`) and the trace; both must stop with the
 //! result `GaSystem::run` gives. The behavioural engine at the same
 //! width (`GaEngine` or `GaEngine32`), stepped generation by
-//! generation, must reproduce the system's history.
+//! generation, must reproduce the system's history, and a run that
+//! completes must report the engine's best, and its RNG draws at width
+//! 16 or its evaluation count at width 32.
 
 use std::fmt::Debug;
 
@@ -217,6 +219,8 @@ proptest! {
             prop_assert_eq!(&run.history, &want, "{}", what);
             if result.is_ok() {
                 prop_assert_eq!(run.best, want[want.len() - 1].best, "{}", what);
+                let engine = GaEngine::new32(ran, CaRng::new(ran.seed), |c| f.eval_u32_split(c)).run();
+                prop_assert_eq!(run.evaluations, engine.evaluations, "{}", what);
             }
         } else {
             let words = workload.words();

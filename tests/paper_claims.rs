@@ -7,7 +7,7 @@
 //! same run) or a deliberate algorithm change that must update the
 //! tables consciously.
 //!
-//! All runs dispatch through the engine registry (`run_via`) — the
+//! All runs dispatch through the engine table (`run_via`) — the
 //! cycle-accurate `rtl` backend by default, and Table V additionally on
 //! every registered 16-bit backend, which the conformance suite proves
 //! trajectory-identical.
@@ -42,7 +42,7 @@ const SEARCH_FRACTION_ALL: f64 = 0.03;
 
 /// Dispatch one run to a registered backend at its native width.
 fn run_via(kind: BackendKind, f: TestFunction, params: &GaParams) -> RunOutcome {
-    let engine = ga_engine::global().get(kind).expect("backend registered");
+    let engine = kind.engine();
     let spec = RunSpec {
         width: engine.capabilities().widths[0],
         workload: ga_engine::Workload::Function(f),
@@ -186,8 +186,8 @@ const TABLE5_EXPECTATIONS: [Table5Expectation; 10] = [
 #[test]
 fn table_v_best_fitness_and_settling_generation() {
     // Every registered 16-bit backend must meet every row's floor —
-    // the registry is the source of truth for what "the engine" is.
-    let kinds = ga_engine::global().supporting_width(16);
+    // the engine table is the source of truth for what "the engine" is.
+    let kinds = BackendKind::supporting_width(16);
     assert!(kinds.len() >= 4, "expected every 16-bit engine registered");
     for row in &TABLE5_EXPECTATIONS {
         let params = GaParams::new(row.pop, 32, row.xover, 1, row.seed);

@@ -469,7 +469,7 @@ fn watchdog_inside_a_generation_window_trips_on_the_same_cycle() {
 }
 
 fn run_engine(kind: BackendKind, params: GaParams, watchdog: u64) -> Result<u64, EngineError> {
-    let engine = ga_engine::global().get(kind).expect("backend registered");
+    let engine = kind.engine();
     let spec = RunSpec {
         width: engine.capabilities().widths[0],
         workload: Workload::Function(TestFunction::Mbf6_2),

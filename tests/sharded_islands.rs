@@ -61,7 +61,7 @@ fn ckpt_path(tag: &str) -> PathBuf {
 fn multi_process_ring_matches_the_in_process_driver_barrier_for_barrier() {
     let job = island_job(BackendKind::Behavioral);
     let config = job.islands.unwrap();
-    let engine = ga_engine::global().get(job.backend).unwrap();
+    let engine = job.backend.engine();
     let composite = IslandsEngine::new(engine, config).expect("steps");
     let mut reference = composite.start(job.spec()).expect("starts");
 
@@ -92,7 +92,7 @@ fn multi_process_ring_matches_the_in_process_driver_barrier_for_barrier() {
 fn kill_resume_from_the_checkpoint_file_is_bit_identical_across_backends() {
     let job = island_job(BackendKind::Behavioral);
     let config = job.islands.unwrap();
-    let engine = ga_engine::global().get(job.backend).unwrap();
+    let engine = job.backend.engine();
     let reference = IslandsEngine::new(engine, config)
         .expect("steps")
         .run(job.spec())

@@ -19,9 +19,7 @@ use std::thread::JoinHandle;
 use carng::{CaRng, Rng16};
 use ga_core::islands::{island_seed, IslandConfig, IslandRun};
 use ga_core::{EngineSnapshot, FieldMode, GaEngine, GaParams};
-use ga_engine::{
-    global, BackendKind, CheckpointBundle, EngineError, IslandsEngine, RunSpec, Workload,
-};
+use ga_engine::{BackendKind, CheckpointBundle, EngineError, IslandsEngine, RunSpec, Workload};
 use ga_fitness::TestFunction;
 use ga_serve::jsonl::{parse_job, result_line};
 use ga_serve::net::MAX_LINE_BYTES;
@@ -306,8 +304,8 @@ fn crafted_snapshots_resume_in_process_on_bitsim64_like_behavioral() {
             epochs_done: snap.gen / config.epoch,
             members: vec![snap],
         };
-        let run = |kind| -> Result<IslandRun, EngineError> {
-            let engine = global().get(kind).expect("registered");
+        let run = |kind: BackendKind| -> Result<IslandRun, EngineError> {
+            let engine = kind.engine();
             let mut d = IslandsEngine::new(engine, config)?.resume(spec, &bundle)?;
             while !d.done() {
                 d.step_epoch()?;
