@@ -7,14 +7,15 @@
 //!
 //! The ring is generic over a fallible [`RingMember`]: an in-process
 //! stepping handle here, a socket to an island-worker process in
-//! `ga-serve`'s `Coordinator`. Both run the same epoch loop. Each ring
-//! call issues its [`RingOp`] to every member, then collects the
-//! replies in ring order, all on the caller's thread: an in-process
-//! member does its work when the op is issued, a shard connection sends
-//! the op line then and reads the reply later, so shards evolve at the
-//! same time. A member that fails — a closed shard connection, a
-//! panicking island — surfaces as [`EngineError::Island`] naming its
-//! index.
+//! `ga-serve`'s `Coordinator`, whose worker answers through an
+//! in-process member built by [`island_member`]. Both run the same
+//! epoch loop. Each ring call issues its [`RingOp`] to every member,
+//! then collects the replies in ring order, all on the caller's thread:
+//! an in-process member does its work when the op is issued, a shard
+//! connection sends the op line then and reads the reply later, so
+//! shards evolve at the same time. A member that fails — a closed shard
+//! connection, a panicking island — surfaces as [`EngineError::Island`]
+//! naming its index.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -22,7 +23,7 @@ use ga_core::islands::{island_seed, IslandConfig, IslandRun};
 use ga_core::snapshot::{hex_decode, hex_encode, ByteReader, EngineSnapshot, SnapshotError};
 use ga_core::{GaParams, Individual, IslandMember};
 
-use crate::spec::{Engine, EngineError, Limits, RunSpec};
+use crate::spec::{Engine, EngineError, Limits, Prepared, RunSpec};
 
 /// Current checkpoint-bundle format version. Decoders reject newer.
 pub const CHECKPOINT_VERSION: u8 = 1;
@@ -412,6 +413,27 @@ impl<M: RingMember> IslandRing<M> {
     }
 }
 
+/// Island `k` of a ring of `islands` over `engine`: the ring's admitted
+/// spec with the CA stream jumped ahead to the island's [`island_seed`]
+/// slot, as a stepping handle under `limits`. Its population is neither
+/// drawn nor restored yet. [`IslandsEngine`] builds every member with
+/// it, and so does `ga-serve`'s island worker for its one shard.
+pub fn island_member(
+    engine: &dyn Engine,
+    ring: &Prepared,
+    k: usize,
+    islands: usize,
+    limits: &Limits,
+) -> Result<Box<dyn IslandMember>, EngineError> {
+    let spec = ring.spec();
+    let params = GaParams {
+        seed: island_seed(spec.params.seed, k, islands),
+        ..spec.params
+    };
+    let prepared = engine.prepare(RunSpec { params, ..*spec })?;
+    engine.stepper(&prepared, limits)
+}
+
 /// An island-model run over one inner [`Engine`]. Not itself an
 /// `Engine` (its result shape is [`IslandRun`], per-island, not one
 /// [`crate::RunOutcome`]); it is the composition layer the `islands`
@@ -449,46 +471,29 @@ impl<'a> IslandsEngine<'a> {
         self
     }
 
-    /// The total generation budget the schedule implies, after checking
-    /// that `spec.params.n_gens` agrees with it. A disagreement is a
-    /// typed [`EngineError::InvalidSpec`] — the schedule used to
-    /// silently supersede `n_gens`, which hid caller bugs.
-    fn admit_schedule(&self, spec: &RunSpec) -> Result<u32, EngineError> {
-        let total = self
-            .config
-            .epoch
-            .checked_mul(self.config.epochs)
-            .ok_or_else(|| EngineError::InvalidSpec {
-                msg: format!(
-                    "island schedule overflows: epoch {} × epochs {}",
-                    self.config.epoch, self.config.epochs
-                ),
-            })?;
-        if spec.params.n_gens != total {
-            return Err(EngineError::InvalidSpec {
-                msg: format!(
-                    "params.n_gens {} disagrees with the island schedule \
-                     epoch {} × epochs {} = {total}",
-                    spec.params.n_gens, self.config.epoch, self.config.epochs
-                ),
-            });
-        }
-        Ok(total)
+    /// Check that `spec.params.n_gens` is the schedule's `epoch ×
+    /// epochs`. A disagreement is a typed [`EngineError::InvalidSpec`] —
+    /// the schedule used to silently supersede `n_gens`, which hid caller
+    /// bugs.
+    fn admit_schedule(&self, spec: &RunSpec) -> Result<(), EngineError> {
+        let (epoch, epochs, n_gens) = (self.config.epoch, self.config.epochs, spec.params.n_gens);
+        let msg = match epoch.checked_mul(epochs) {
+            Some(total) if total == n_gens => return Ok(()),
+            Some(total) => format!(
+                "params.n_gens {n_gens} disagrees with the island schedule \
+                 epoch {epoch} × epochs {epochs} = {total}"
+            ),
+            None => format!("island schedule overflows: epoch {epoch} × epochs {epochs}"),
+        };
+        Err(EngineError::InvalidSpec { msg })
     }
 
-    /// Build one seeded stepping member per island. Island *k* gets the
-    /// shared CA stream jumped ahead to its [`island_seed`] slot.
-    fn members(&self, spec: &RunSpec) -> Result<Vec<Box<dyn IslandMember>>, EngineError> {
-        (0..self.config.islands)
-            .map(|k| {
-                let seed = island_seed(spec.params.seed, k, self.config.islands);
-                let p = GaParams {
-                    seed,
-                    ..spec.params
-                };
-                let prepared = self.inner.prepare(RunSpec { params: p, ..*spec })?;
-                self.inner.stepper(&prepared, &self.limits)
-            })
+    /// One seeded stepping member per island ([`island_member`]).
+    fn members(&self, spec: RunSpec) -> Result<Vec<Box<dyn IslandMember>>, EngineError> {
+        let ring = self.inner.prepare(spec)?;
+        let n = self.config.islands;
+        (0..n)
+            .map(|k| island_member(self.inner, &ring, k, n, &self.limits))
             .collect()
     }
 
@@ -496,7 +501,7 @@ impl<'a> IslandsEngine<'a> {
     /// member's initial population is generated and evaluated.
     pub fn start(&self, spec: RunSpec) -> Result<IslandRing<Box<dyn IslandMember>>, EngineError> {
         self.admit_schedule(&spec)?;
-        let mut members = self.members(&spec)?;
+        let mut members = self.members(spec)?;
         for m in &mut members {
             m.init_population();
         }
@@ -516,7 +521,7 @@ impl<'a> IslandsEngine<'a> {
     ) -> Result<IslandRing<Box<dyn IslandMember>>, EngineError> {
         self.admit_schedule(&spec)?;
         bundle.fits(self.config)?;
-        let mut members = self.members(&spec)?;
+        let mut members = self.members(spec)?;
         for (k, (m, snap)) in members.iter_mut().zip(&bundle.members).enumerate() {
             m.restore(snap).map_err(|e| EngineError::InvalidSpec {
                 msg: format!("island {k} snapshot does not restore: {e}"),
@@ -525,10 +530,8 @@ impl<'a> IslandsEngine<'a> {
         IslandRing::new(self.config, members, bundle.epochs_done)
     }
 
-    /// Run the ring to completion. Island *k* gets the shared CA stream
-    /// jumped ahead to its [`island_seed`] slot; `spec.params.n_gens`
-    /// must equal `epoch × epochs` ([`EngineError::InvalidSpec`]
-    /// otherwise).
+    /// Run the ring to completion; `spec.params.n_gens` must equal
+    /// `epoch × epochs` ([`EngineError::InvalidSpec`] otherwise).
     pub fn run(&self, spec: RunSpec) -> Result<IslandRun, EngineError> {
         self.start(spec)?.run()
     }

@@ -26,8 +26,9 @@
 //! [`IslandsEngine`] composes the ring-migration island model over any
 //! backend with a stepping handle. Its epoch loop, [`IslandRing`], is
 //! generic over a fallible [`RingMember`], so the serve layer's sharded
-//! coordinator runs the same loop over sockets to worker processes. See
-//! DESIGN.md for the layer diagram and the add-a-backend recipe.
+//! coordinator runs the same loop over sockets to worker processes, each
+//! built by the same [`island_member`]. See DESIGN.md for the layer
+//! diagram and the add-a-backend recipe.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +42,8 @@ pub mod spec;
 pub use adapters::{trajectory16, trajectory32, BehavioralEngine, BitSimEngine, RtlEngine};
 pub use cache::{global_cache, NetlistCache};
 pub use islands::{
-    CheckpointBundle, IslandRing, IslandsEngine, RingMember, RingOp, RingReply, CHECKPOINT_VERSION,
+    island_member, CheckpointBundle, IslandRing, IslandsEngine, RingMember, RingOp, RingReply,
+    CHECKPOINT_VERSION,
 };
 pub use pack::{draws_per_run, try_ca_lane_streams_wide, StreamRng};
 pub use registry::{global, EngineTable};

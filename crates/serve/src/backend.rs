@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use ga_core::islands::IslandConfig;
-use ga_engine::{EngineError, IslandsEngine, Limits, Prepared};
+use ga_engine::{EngineError, IslandsEngine, Prepared};
 
 use crate::job::{
     BackendKind, Degradation, GaJob, HealReport, JobOutput, JobResult, ServeError, Workload,
@@ -23,14 +23,6 @@ fn heal_report(job: &GaJob, outcome: &Result<JobOutput, ServeError>) -> Option<H
     match (job.workload, outcome) {
         (Workload::VrcHeal { .. }, Ok(o)) => Some(HealReport::from_outcome(o)),
         _ => None,
-    }
-}
-
-/// The engine-layer budgets this service runs under.
-fn limits(cfg: &ServeConfig) -> Limits {
-    Limits {
-        sim_watchdog_cycles: cfg.rtl_watchdog_cycles,
-        stream_watchdog_steps: cfg.bitsim_watchdog_steps,
     }
 }
 
@@ -49,7 +41,7 @@ pub fn run_single(job: &GaJob, i: usize, cfg: &ServeConfig) -> JobResult {
         Some(cfg_islands) => (job.backend, run_islands(job, cfg_islands, cfg), None),
         None => match engine.prepare(job.spec()) {
             Err(e) => (job.backend, Err(e.into()), None),
-            Ok(p) => settle(job, engine.run(&p, &limits(cfg)), cfg),
+            Ok(p) => settle(job, engine.run(&p, &cfg.limits), cfg),
         },
     };
     let heal = heal_report(job, &outcome);
@@ -77,7 +69,7 @@ fn run_islands(
     job.validate()?;
     let ring = IslandsEngine::new(job.backend.engine(), config)
         .map_err(ServeError::from)?
-        .with_limits(limits(cfg));
+        .with_limits(cfg.limits);
     let run = ring.run(job.spec()).map_err(ServeError::from)?;
     Ok(JobOutput {
         best_chrom: run.best.chrom as u32,
@@ -114,7 +106,7 @@ fn settle(
                     let fallback = to.engine();
                     let outcome = fallback
                         .prepare(job.spec())
-                        .and_then(|p| fallback.run(&p, &limits(cfg)))
+                        .and_then(|p| fallback.run(&p, &cfg.limits))
                         .map_err(ServeError::from);
                     (
                         to,
@@ -130,34 +122,47 @@ fn settle(
     }
 }
 
-/// Run a pack of *validated, compatible* jobs (`idxs` index into `all`;
-/// at most the engine's pack width, all sharing one
-/// [`GaJob::pack_key`]): one [`ga_engine::Engine::run_pack`] invocation
-/// shares the lockstep work across lanes. Per-job latency charges each
-/// job an even share of the shared pack time plus its own settling
-/// time. If the engine fails a lane on infrastructure, that lane
-/// degrades along the engine's declared edge like any solo job.
+/// Run a pack of compatible jobs (`idxs` index into `all`; at most the
+/// engine's pack width, all sharing one [`GaJob::pack_key`]): one
+/// [`ga_engine::Engine::run_pack`] invocation shares the lockstep work
+/// across the lanes the engine admits. A lane it does not admit gets
+/// its own typed error result, as [`run_single`] would give it.
+/// Per-job latency charges each job an even share of the shared pack
+/// time plus its own settling time. If the engine fails a lane on
+/// infrastructure, that lane degrades along the engine's declared edge
+/// like any solo job.
 pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResult> {
-    debug_assert!(!idxs.is_empty());
-    let kind = all[idxs[0]].backend;
+    let Some(&first) = idxs.first() else {
+        return Vec::new();
+    };
+    let kind = all[first].backend;
     debug_assert!(idxs.iter().all(|&i| all[i].backend == kind));
     let engine = kind.engine();
     let t = Instant::now();
-    let prepared: Vec<Prepared> = idxs
+    let admitted: Vec<Result<Prepared, EngineError>> = idxs
         .iter()
-        .map(|&i| {
-            engine
-                .prepare(all[i].spec())
-                .expect("packed jobs pre-validated")
-        })
+        .map(|&i| engine.prepare(all[i].spec()))
         .collect();
-    let outcomes = engine.run_pack(&prepared, &limits(cfg));
+    let prepared: Vec<Prepared> = admitted.iter().flatten().copied().collect();
+    let mut ran = if prepared.is_empty() {
+        Vec::new()
+    } else {
+        engine.run_pack(&prepared, &cfg.limits)
+    }
+    .into_iter();
     let shared_micros = t.elapsed().as_micros() as u64 / idxs.len() as u64;
 
     idxs.iter()
-        .zip(outcomes)
-        .map(|(&i, result)| {
+        .zip(admitted)
+        .map(|(&i, lane)| {
             let t = Instant::now();
+            let result = lane.and_then(|_| {
+                ran.next().unwrap_or_else(|| {
+                    Err(EngineError::InvalidSpec {
+                        msg: format!("{} returned no result for this lane", kind.name()),
+                    })
+                })
+            });
             let (backend, outcome, degraded) = settle(&all[i], result, cfg);
             let heal = heal_report(&all[i], &outcome);
             JobResult {
@@ -176,6 +181,7 @@ pub fn run_pack(all: &[GaJob], idxs: &[usize], cfg: &ServeConfig) -> Vec<JobResu
 mod tests {
     use super::*;
     use ga_core::GaParams;
+    use ga_engine::Limits;
     use ga_fitness::TestFunction;
 
     fn run(job: &GaJob) -> Result<JobOutput, ServeError> {
@@ -245,7 +251,10 @@ mod tests {
         let params = GaParams::new(8, 4, 10, 1, 0xB342);
         let job = GaJob::new(TestFunction::F2, BackendKind::RtlInterp, params);
         let cfg = ServeConfig {
-            rtl_watchdog_cycles: 10,
+            limits: Limits {
+                sim_watchdog_cycles: 10,
+                ..Limits::default()
+            },
             ..Default::default()
         };
         assert!(matches!(
@@ -310,12 +319,52 @@ mod tests {
     }
 
     #[test]
+    fn a_pack_lane_its_engine_refuses_gets_its_own_typed_error() {
+        let params = GaParams::new(16, 6, 10, 1, 0x2961);
+        let job = |pop_size, seed| {
+            GaJob::new(
+                TestFunction::Bf6,
+                BackendKind::BitSim64,
+                GaParams {
+                    pop_size,
+                    seed,
+                    ..params
+                },
+            )
+        };
+        // The middle lane's population is below the hardware minimum.
+        let all = [job(16, 0x2961), job(1, 0x2961), job(16, 0x061F)];
+        let results = run_pack(&all, &[0, 1, 2], &ServeConfig::default());
+        assert_eq!(results.len(), 3);
+        for (k, r) in results.iter().enumerate() {
+            assert_eq!(r.job, k);
+            assert_eq!(r.backend, BackendKind::BitSim64);
+            assert_eq!(r.degraded, None);
+            // Each lane answers as its solo run does: the refused one
+            // with the typed error, the others with their results.
+            assert_eq!(r.outcome, run(&all[k]), "lane {k}");
+        }
+        assert!(matches!(
+            results[1].outcome,
+            Err(ServeError::InvalidJob { .. })
+        ));
+        assert!(results[0].outcome.is_ok() && results[2].outcome.is_ok());
+        assert_eq!(
+            run_pack(&all, &[1], &ServeConfig::default())[0].outcome,
+            run(&all[1])
+        );
+    }
+
+    #[test]
     fn bitsim_watchdog_degrades_solo_jobs_to_behavioral() {
         let params = GaParams::new(16, 6, 10, 1, 0x2961);
         let bit = GaJob::new(TestFunction::Bf6, BackendKind::BitSim64, params);
         let beh = GaJob::new(TestFunction::Bf6, BackendKind::Behavioral, params);
         let cfg = ServeConfig {
-            bitsim_watchdog_steps: 4, // far below the needed draw count
+            limits: Limits {
+                stream_watchdog_steps: 4, // far below the needed draw count
+                ..Limits::default()
+            },
             ..Default::default()
         };
         let r = run_single(&bit, 7, &cfg);

@@ -4,9 +4,8 @@
 //! multi-FPGA island deployments of §II-B, where each board evolves its
 //! own population and migrants travel over a physical link.
 //!
-//! The worker speaks a line-oriented flat-JSON op protocol over one
-//! accepted TCP connection (the same hand-rolled [`crate::jsonl`]
-//! parser as the job schema — no external deps):
+//! A worker serves a line-oriented flat-JSON op protocol on one
+//! accepted TCP connection:
 //!
 //! ```text
 //! → {"op":"init","fn":"BF6","backend":"behavioral","pop":16,"gens":12,
@@ -22,33 +21,38 @@
 //! ← {"ok":true,"chrom":513,"fitness":3000,"evaluations":96}
 //! ```
 //!
-//! A member may step `gens` generations in all (`init`'s `gens`, less
-//! the snapshot's `gen` on resume): that is the job's generation
-//! budget. An `epoch` that would overrun it is refused with an error
-//! reply and steps nothing, and a snapshot already past it does not
-//! restore.
+//! A shard is one island of the engine layer's ring. `init` builds its
+//! member with [`ga_engine::island_member`], as
+//! [`ga_engine::IslandsEngine`] builds each in-process island, from the
+//! job-level seed and `(shard, islands)`; or it restores the member from
+//! the `snapshot` hex it may carry (the resume path: an
+//! [`EngineSnapshot`] is backend-neutral, so a run checkpointed on
+//! `behavioral` workers resumes on `bitsim64` workers bit-identically).
+//! Every later line decodes to a [`RingOp`] and is answered by the
+//! in-process member's [`RingMember`] impl. One function per direction
+//! writes and reads each op line and each reply line, at both ends. The
+//! worker's own rule is the generation budget: `init`'s `gens`, less
+//! the snapshot's `gen`. An `epoch` past it is refused and steps
+//! nothing, and a snapshot already past it does not restore.
 //!
-//! `init` may carry `"snapshot":"<hex>"` to restore the member at a
-//! checkpointed barrier instead of generating an initial population —
-//! that is the resume path, and because an [`EngineSnapshot`] is
-//! backend-neutral, a run checkpointed on `behavioral` workers resumes
-//! on `bitsim64` workers bit-identically (and vice versa).
+//! Lines are read as bytes, capped at [`crate::net::MAX_LINE_BYTES`]
+//! (64 KiB), as job lines are. Every non-blank line gets one reply. A
+//! line that is not UTF-8, too long or malformed, an op before `init`,
+//! a snapshot that does not restore, or a member that panics
+//! (`island panicked: …`) is answered `{"ok":false,"error":…}`, and the
+//! connection keeps serving. Only EOF, a transport error and `finish`
+//! end it.
 //!
-//! The [`Coordinator`] has no epoch loop of its own: it is the engine
-//! layer's [`IslandRing`] over one shard connection per island. Each
-//! ring call writes its op line to every shard before it reads any
-//! reply, then reads the replies in ring order, all on the calling
-//! thread: the shards evolve at the same time, then every best is
-//! routed one island along the ring and every shard is snapshotted —
-//! the same code path as the in-process run, so a multi-process
-//! [`CheckpointBundle`] is byte-identical to the in-process one at the
-//! same barrier, and a
-//! shard that dies, refuses an op, or sends no reply in time (before
-//! the job's deadline, or within the default cycle watchdog's simulated
-//! time when it has none) is an [`EngineError::Island`] naming it.
-//! Every barrier's bundle is flushed to the checkpoint file
-//! via write-to-temp + rename, so a coordinator killed mid-write leaves
-//! the previous complete checkpoint intact.
+//! The [`Coordinator`] is the engine layer's [`IslandRing`] over one
+//! shard connection per island. Each ring call writes its op line to
+//! every shard before it reads any reply, so the shards evolve at the
+//! same time, and a multi-process [`CheckpointBundle`] is byte-identical
+//! to the in-process one at every barrier. A shard that dies, refuses
+//! an op, or sends no reply in time (by the job's deadline, or within
+//! the default cycle watchdog's simulated time) is an
+//! [`EngineError::Island`] naming it. Each barrier's bundle is flushed
+//! to the checkpoint file by write-to-temp + rename, so a coordinator
+//! killed mid-write leaves the previous checkpoint intact.
 
 use std::fs;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -58,13 +62,15 @@ use std::time::{Duration, Instant};
 
 use ga_core::islands::{island_seed, IslandRun};
 use ga_core::snapshot::EngineSnapshot;
-use ga_core::{GaParams, Individual};
+use ga_core::{GaParams, Individual, IslandMember};
 use ga_engine::{
-    CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RingOp, RingReply, RunSpec,
+    island_member, CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RingOp,
+    RingReply, RunSpec,
 };
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
 use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
+use crate::net::next_line;
 
 /// Bind `addr`, announce `listening <addr>` on stdout (so `:0` is
 /// scriptable, mirroring `gaserved --listen`), accept **one**
@@ -82,32 +88,24 @@ pub fn serve_island_worker(addr: &str) -> Result<(), String> {
     serve_island_connection(stream)
 }
 
-/// Serve the worker op protocol on an already-accepted connection.
-/// Op-level failures (bad line, op before `init`, snapshot that does
-/// not restore, epoch past the generation budget) are
-/// `{"ok":false,"error":…}` replies — the connection
-/// survives them; only transport errors and `finish` end the loop.
+/// Serve the worker op protocol on an already-accepted connection
+/// until EOF, a transport error or `finish`. A line that fails gets its
+/// `{"ok":false,…}` reply, and the connection serves on.
 pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("cannot clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut member: Option<WorkerMember> = None;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Ok(()); // coordinator went away; nothing to flush
-        }
-        let text = strip_line_ending(&line);
-        if text.trim().is_empty() {
+    let mut buf = Vec::new();
+    // `None` is EOF or a failed read: the coordinator went away, and
+    // there is nothing to flush.
+    while let Some(read) = next_line(&mut reader, &mut buf) {
+        if matches!(&read, Ok(text) if text.trim().is_empty()) {
             continue;
         }
-        let (reply, done) = match worker_op(text, &mut member) {
-            Ok((reply, done)) => (reply, done),
+        let (reply, done) = match read.and_then(|text| worker_op(&text, &mut member)) {
+            Ok(answered) => answered,
             Err(msg) => (
                 format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_string(&msg)),
                 false,
@@ -118,17 +116,15 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
             .and_then(|_| writer.flush())
             .map_err(|e| format!("write failed: {e}"))?;
         if done {
-            return Ok(());
+            break;
         }
     }
+    Ok(())
 }
 
 /// The worker's island member and the generations left in its budget.
 struct WorkerMember {
-    engine: Box<dyn ga_core::IslandMember>,
-    /// The job's generation budget: `gens` from `init`, minus the
-    /// snapshot's `gen` on resume. An `epoch` past it is refused, not
-    /// stepped.
+    engine: Box<dyn IslandMember>,
     gens_left: u32,
 }
 
@@ -136,131 +132,170 @@ struct WorkerMember {
 /// reply line and whether the connection is finished.
 fn worker_op(text: &str, member: &mut Option<WorkerMember>) -> Result<(String, bool), String> {
     let pairs = parse_object(text)?;
-    let field = |name: &str| -> Option<&JsonValue> {
-        pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v)
+    let name = as_str("op", field(&pairs, "op")?)?;
+    if name == "init" {
+        let (built, seed) = init_member(&pairs)?;
+        *member = Some(built);
+        return Ok((format!("{{\"ok\":true,\"seed\":{seed}}}"), false));
+    }
+    let op = parse_op(&name, &pairs)?;
+    let m = member.as_mut().ok_or("no member: send \"init\" first")?;
+    if let RingOp::Evolve(gens) = op {
+        m.gens_left = m.gens_left.checked_sub(gens).ok_or_else(|| {
+            format!(
+                "epoch of {gens} generations overruns the member's budget: {} left",
+                m.gens_left
+            )
+        })?;
+    }
+    let reply = m.engine.issue(op).and_then(|p| m.engine.collect(p))?;
+    Ok((reply_line(&reply), op == RingOp::Conclude))
+}
+
+/// Build the shard's member from an `init` line: island `shard` of the
+/// ring, with a fresh population or the one its `snapshot` carries.
+/// Returns the member and its island seed.
+fn init_member(pairs: &Fields) -> Result<(WorkerMember, u16), String> {
+    let int = |key: &str, min: u64, max: u64| int_field(pairs, key, min, max);
+    let fname = as_str("fn", field(pairs, "fn")?)?;
+    let function =
+        function_by_name(&fname).ok_or_else(|| format!("unknown fitness function {fname:?}"))?;
+    let bname = as_str("backend", field(pairs, "backend")?)?;
+    let backend = BackendKind::parse(&bname).ok_or_else(|| format!("unknown backend {bname:?}"))?;
+    let islands = int("islands", 1, 1024)? as usize;
+    let shard = int("shard", 0, islands as u64 - 1)? as usize;
+    let seed = int("seed", 0, u16::MAX as u64)? as u16;
+    let gens = int("gens", 1, u32::MAX as u64)? as u32;
+    let spec = RunSpec {
+        width: crate::job::CHROM_WIDTH,
+        workload: Workload::Function(function),
+        params: GaParams {
+            pop_size: int("pop", 0, u8::MAX as u64)? as u8,
+            n_gens: gens,
+            xover_threshold: int("xover", 0, 255)? as u8,
+            mut_threshold: int("mut", 0, 255)? as u8,
+            seed,
+        },
+        deadline_ms: None,
     };
-    let int = |name: &str, min: u64, max: u64| -> Result<u64, String> {
-        let v = field(name).ok_or_else(|| format!("missing key {name:?}"))?;
-        as_int(name, v, min, max)
+    let inner = backend.engine();
+    let ring = inner.prepare(spec).map_err(|e| e.to_string())?;
+    let mut engine = island_member(inner, &ring, shard, islands, &Limits::default())
+        .map_err(|e| format!("backend {bname}: {e}"))?;
+    let gens_left = match pairs.iter().find(|(k, _)| k == "snapshot") {
+        // Resume path: install the checkpointed state instead of
+        // drawing an initial population.
+        Some((_, v)) => {
+            let hex = as_str("snapshot", v)?;
+            let snap = EngineSnapshot::from_hex(&hex).map_err(|e| format!("snapshot: {e}"))?;
+            let left = gens.checked_sub(snap.gen).ok_or_else(|| {
+                format!(
+                    "restore: snapshot is at generation {}, past the budget of {gens}",
+                    snap.gen
+                )
+            })?;
+            engine.restore(&snap).map_err(|e| format!("restore: {e}"))?;
+            left
+        }
+        None => {
+            engine.init_population();
+            gens
+        }
     };
-    let op = match field("op") {
-        Some(v) => as_str("op", v)?,
-        None => return Err("missing key \"op\"".into()),
+    let seed = island_seed(seed, shard, islands);
+    Ok((WorkerMember { engine, gens_left }, seed))
+}
+
+/// The key/value pairs of one op or reply line.
+type Fields = [(String, JsonValue)];
+
+fn field<'a>(pairs: &'a Fields, key: &str) -> Result<&'a JsonValue, String> {
+    pairs
+        .iter()
+        .find_map(|(k, v)| (k == key).then_some(v))
+        .ok_or_else(|| format!("missing key {key:?}"))
+}
+
+fn int_field(pairs: &Fields, key: &str, min: u64, max: u64) -> Result<u64, String> {
+    as_int(key, field(pairs, key)?, min, max)
+}
+
+/// An individual carried by a line's `chrom` and `fitness`.
+fn individual(pairs: &Fields) -> Result<Individual, String> {
+    Ok(Individual {
+        chrom: int_field(pairs, "chrom", 0, u16::MAX as u64)? as u16,
+        fitness: int_field(pairs, "fitness", 0, u16::MAX as u64)? as u16,
+    })
+}
+
+/// Op → line: what the coordinator writes for a ring op.
+fn op_line(op: RingOp) -> String {
+    match op {
+        RingOp::Evolve(gens) => format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"),
+        RingOp::Accept(migrant) => format!(
+            "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
+            migrant.chrom, migrant.fitness
+        ),
+        RingOp::Capture => "{\"op\":\"snapshot\"}".into(),
+        RingOp::Conclude => "{\"op\":\"finish\"}".into(),
+    }
+}
+
+/// Line → op: the ring op an op line other than `init` names.
+fn parse_op(name: &str, pairs: &Fields) -> Result<RingOp, String> {
+    Ok(match name {
+        "epoch" => RingOp::Evolve(int_field(pairs, "gens", 1, u32::MAX as u64)? as u32),
+        "inject" => RingOp::Accept(individual(pairs)?),
+        "snapshot" => RingOp::Capture,
+        "finish" => RingOp::Conclude,
+        other => return Err(format!("unknown op {other:?}")),
+    })
+}
+
+/// Reply → line: what the worker writes for a member's answer.
+fn reply_line(reply: &RingReply) -> String {
+    match reply {
+        RingReply::Best(b) => format!(
+            "{{\"ok\":true,\"chrom\":{},\"fitness\":{}}}",
+            b.chrom, b.fitness
+        ),
+        RingReply::Accepted => "{\"ok\":true}".into(),
+        RingReply::Snapshot(snap) => format!("{{\"ok\":true,\"snapshot\":\"{}\"}}", snap.to_hex()),
+        RingReply::Concluded(b, evaluations) => format!(
+            "{{\"ok\":true,\"chrom\":{},\"fitness\":{},\"evaluations\":{evaluations}}}",
+            b.chrom, b.fitness
+        ),
+    }
+}
+
+/// Line → reply: the member's answer to `op` that a reply line
+/// carries, or the worker's error.
+fn parse_reply(op: RingOp, line: &str) -> Result<RingReply, String> {
+    let pairs = ok_fields(line)?;
+    let answer = match op {
+        RingOp::Evolve(_) => individual(&pairs).map(RingReply::Best),
+        RingOp::Accept(_) => Ok(RingReply::Accepted),
+        RingOp::Capture => as_str("snapshot", field(&pairs, "snapshot")?).and_then(|hex| {
+            EngineSnapshot::from_hex(&hex)
+                .map(RingReply::Snapshot)
+                .map_err(|e| format!("snapshot: {e}"))
+        }),
+        RingOp::Conclude => Ok(RingReply::Concluded(
+            individual(&pairs)?,
+            int_field(&pairs, "evaluations", 0, u64::MAX)?,
+        )),
     };
-    match op.as_str() {
-        "init" => {
-            let fname = as_str("fn", field("fn").ok_or("missing key \"fn\"")?)?;
-            let function = function_by_name(&fname)
-                .ok_or_else(|| format!("unknown fitness function {fname:?}"))?;
-            let bname = as_str(
-                "backend",
-                field("backend").ok_or("missing key \"backend\"")?,
-            )?;
-            let backend =
-                BackendKind::parse(&bname).ok_or_else(|| format!("unknown backend {bname:?}"))?;
-            let islands = int("islands", 1, 1024)? as usize;
-            let shard = int("shard", 0, islands as u64 - 1)? as usize;
-            let seed = island_seed(int("seed", 0, u16::MAX as u64)? as u16, shard, islands);
-            let gens = int("gens", 1, u32::MAX as u64)? as u32;
-            let spec = RunSpec {
-                width: crate::job::CHROM_WIDTH,
-                workload: Workload::Function(function),
-                params: GaParams {
-                    pop_size: int("pop", 0, u8::MAX as u64)? as u8,
-                    n_gens: gens,
-                    xover_threshold: int("xover", 0, 255)? as u8,
-                    mut_threshold: int("mut", 0, 255)? as u8,
-                    seed,
-                },
-                deadline_ms: None,
-            };
-            let engine = backend.engine();
-            let prepared = engine.prepare(spec).map_err(|e| e.to_string())?;
-            let mut m = engine
-                .stepper(&prepared, &Limits::default())
-                .map_err(|e| format!("backend {bname}: {e}"))?;
-            let gens_left = match field("snapshot") {
-                // Resume path: install the checkpointed state instead of
-                // drawing an initial population.
-                Some(v) => {
-                    let hex = as_str("snapshot", v)?;
-                    let snap =
-                        EngineSnapshot::from_hex(&hex).map_err(|e| format!("snapshot: {e}"))?;
-                    let left = gens.checked_sub(snap.gen).ok_or_else(|| {
-                        format!(
-                            "restore: snapshot is at generation {}, past the budget of {gens}",
-                            snap.gen
-                        )
-                    })?;
-                    m.restore(&snap).map_err(|e| format!("restore: {e}"))?;
-                    left
-                }
-                None => {
-                    m.init_population();
-                    gens
-                }
-            };
-            *member = Some(WorkerMember {
-                engine: m,
-                gens_left,
-            });
-            Ok((format!("{{\"ok\":true,\"seed\":{seed}}}"), false))
-        }
-        "epoch" => {
-            let gens = int("gens", 1, u32::MAX as u64)? as u32;
-            let m = member.as_mut().ok_or("no member: send \"init\" first")?;
-            if gens > m.gens_left {
-                return Err(format!(
-                    "epoch of {gens} generations overruns the member's budget: {} left",
-                    m.gens_left
-                ));
-            }
-            m.gens_left -= gens;
-            for _ in 0..gens {
-                m.engine.step_generation();
-            }
-            let b = m.engine.best();
-            Ok((
-                format!(
-                    "{{\"ok\":true,\"chrom\":{},\"fitness\":{}}}",
-                    b.chrom, b.fitness
-                ),
-                false,
-            ))
-        }
-        "inject" => {
-            let migrant = Individual {
-                chrom: int("chrom", 0, u16::MAX as u64)? as u16,
-                fitness: int("fitness", 0, u16::MAX as u64)? as u16,
-            };
-            let m = member.as_mut().ok_or("no member: send \"init\" first")?;
-            m.engine.inject(migrant);
-            Ok(("{\"ok\":true}".into(), false))
-        }
-        "snapshot" => {
-            let m = member.as_ref().ok_or("no member: send \"init\" first")?;
-            Ok((
-                format!(
-                    "{{\"ok\":true,\"snapshot\":\"{}\"}}",
-                    m.engine.snapshot().to_hex()
-                ),
-                false,
-            ))
-        }
-        "finish" => {
-            let m = member.as_ref().ok_or("no member: send \"init\" first")?;
-            let b = m.engine.best();
-            Ok((
-                format!(
-                    "{{\"ok\":true,\"chrom\":{},\"fitness\":{},\"evaluations\":{}}}",
-                    b.chrom,
-                    b.fitness,
-                    m.engine.evaluations()
-                ),
-                true,
-            ))
-        }
-        other => Err(format!("unknown op {other:?}")),
+    answer.map_err(|e| format!("worker reply: {e}"))
+}
+
+/// The fields of an `"ok":true` reply line. An `"ok":false` line
+/// surfaces the worker's error string.
+fn ok_fields(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
+    let pairs = parse_object(line)?;
+    match (field(&pairs, "ok"), field(&pairs, "error")) {
+        (Ok(JsonValue::Bool(true)), _) => Ok(pairs),
+        (_, Ok(JsonValue::Str(msg))) => Err(format!("worker error: {msg}")),
+        _ => Err("worker error: worker refused the op".into()),
     }
 }
 
@@ -284,17 +319,21 @@ fn reply_bound() -> Duration {
 }
 
 impl ShardConn {
-    fn connect(addr: &str, deadline: Option<Instant>) -> Result<Self, String> {
+    /// Connect to the worker at `addr` and initialize it with `init`.
+    fn open(addr: &str, deadline: Option<Instant>, init: &str) -> Result<Self, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let writer = stream
             .try_clone()
             .map_err(|e| format!("cannot clone stream: {e}"))?;
-        Ok(ShardConn {
+        let mut c = ShardConn {
             reader: BufReader::new(stream),
             writer,
             deadline,
-        })
+        };
+        c.send(init)?;
+        ok_fields(&c.receive()?)?;
+        Ok(c)
     }
 
     /// Send one op line.
@@ -305,10 +344,10 @@ impl ShardConn {
             .map_err(|e| format!("shard write failed: {e}"))
     }
 
-    /// Read the reply to the op sent last. An `"ok":false` reply
-    /// surfaces the worker's error string; a closed connection surfaces
-    /// as a transport error (the campaign's kill-detection signal).
-    fn receive(&mut self) -> Result<Vec<(String, JsonValue)>, String> {
+    /// Read the reply line to the op sent last. A closed connection
+    /// surfaces as a transport error (the campaign's kill-detection
+    /// signal).
+    fn receive(&mut self) -> Result<String, String> {
         let wait = self.deadline.map_or_else(reply_bound, |at| {
             at.saturating_duration_since(Instant::now())
         });
@@ -332,63 +371,20 @@ impl ShardConn {
         if n == 0 {
             return Err("shard connection closed".into());
         }
-        let pairs = parse_object(strip_line_ending(&reply))?;
-        let field = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        match (field("ok"), field("error")) {
-            (Some(JsonValue::Bool(true)), _) => Ok(pairs),
-            (_, Some(JsonValue::Str(msg))) => Err(format!("worker error: {msg}")),
-            _ => Err("worker error: worker refused the op".into()),
-        }
+        Ok(strip_line_ending(&reply).to_owned())
     }
-}
-
-fn reply_int(pairs: &[(String, JsonValue)], key: &str) -> Result<u64, String> {
-    let v = pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("worker reply missing {key:?}"))?;
-    as_int(key, v, 0, u64::MAX)
-}
-
-fn reply_best(pairs: &[(String, JsonValue)]) -> Result<Individual, String> {
-    Ok(Individual {
-        chrom: reply_int(pairs, "chrom")? as u16,
-        fitness: reply_int(pairs, "fitness")? as u16,
-    })
 }
 
 impl RingMember for ShardConn {
     type Pending = RingOp;
 
     fn issue(&mut self, op: RingOp) -> Result<RingOp, String> {
-        self.send(&match op {
-            RingOp::Evolve(gens) => format!("{{\"op\":\"epoch\",\"gens\":{gens}}}"),
-            RingOp::Accept(migrant) => format!(
-                "{{\"op\":\"inject\",\"chrom\":{},\"fitness\":{}}}",
-                migrant.chrom, migrant.fitness
-            ),
-            RingOp::Capture => "{\"op\":\"snapshot\"}".into(),
-            RingOp::Conclude => "{\"op\":\"finish\"}".into(),
-        })?;
+        self.send(&op_line(op))?;
         Ok(op)
     }
 
     fn collect(&mut self, op: RingOp) -> Result<RingReply, String> {
-        let pairs = self.receive()?;
-        Ok(match op {
-            RingOp::Evolve(_) => RingReply::Best(reply_best(&pairs)?),
-            RingOp::Accept(_) => RingReply::Accepted,
-            RingOp::Capture => match pairs.iter().find(|(k, _)| k == "snapshot") {
-                Some((_, JsonValue::Str(hex))) => RingReply::Snapshot(
-                    EngineSnapshot::from_hex(hex).map_err(|e| format!("snapshot: {e}"))?,
-                ),
-                _ => return Err("worker reply missing \"snapshot\"".into()),
-            },
-            RingOp::Conclude => {
-                RingReply::Concluded(reply_best(&pairs)?, reply_int(&pairs, "evaluations")?)
-            }
-        })
+        parse_reply(op, &self.receive()?)
     }
 }
 
@@ -458,8 +454,7 @@ impl Coordinator {
                 init.push_str(&format!(",\"snapshot\":\"{}\"", bundle.members[k].to_hex()));
             }
             init.push('}');
-            let shard = ShardConn::connect(addr, deadline)
-                .and_then(|mut c| c.send(&init).and_then(|_| c.receive()).map(|_| c));
+            let shard = ShardConn::open(addr, deadline, &init);
             shards.push(shard.map_err(|msg| EngineError::Island { island: k, msg })?);
         }
         Ok(Coordinator {
@@ -558,6 +553,78 @@ mod tests {
 
     fn ckpt_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ga_islands_{tag}_{}.ckpt", std::process::id()))
+    }
+
+    /// A member whose generation step panics.
+    struct PanicsOnStep;
+
+    impl IslandMember for PanicsOnStep {
+        fn init_population(&mut self) {}
+        fn step_generation(&mut self) {
+            panic!("member fault")
+        }
+        fn best(&self) -> Individual {
+            Individual {
+                chrom: 0,
+                fitness: 0,
+            }
+        }
+        fn inject(&mut self, _migrant: Individual) {}
+        fn evaluations(&self) -> u64 {
+            0
+        }
+        fn snapshot(&self) -> EngineSnapshot {
+            unreachable!("not captured")
+        }
+        fn restore(&mut self, _snap: &EngineSnapshot) -> Result<(), ga_core::SnapshotError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_member_is_an_error_reply_and_the_worker_serves_on() {
+        let mut member = Some(WorkerMember {
+            engine: Box::new(PanicsOnStep),
+            gens_left: 4,
+        });
+        assert_eq!(
+            worker_op(r#"{"op":"epoch","gens":1}"#, &mut member),
+            Err("island panicked: member fault".into())
+        );
+        assert_eq!(
+            worker_op(r#"{"op":"finish"}"#, &mut member),
+            Ok((
+                r#"{"ok":true,"chrom":0,"fitness":0,"evaluations":0}"#.into(),
+                true
+            ))
+        );
+    }
+
+    #[test]
+    fn every_op_and_reply_reads_back_as_written() {
+        let best = Individual {
+            chrom: 513,
+            fitness: 2800,
+        };
+        let params = GaParams::new(8, 4, 10, 1, 5);
+        let mut engine = ga_core::GaEngine::new(params, carng::CaRng::new(5), |c| c);
+        engine.init_population();
+        let calls = [
+            (RingOp::Evolve(4), RingReply::Best(best)),
+            (RingOp::Accept(best), RingReply::Accepted),
+            (RingOp::Capture, RingReply::Snapshot(engine.snapshot())),
+            (RingOp::Conclude, RingReply::Concluded(best, 96)),
+        ];
+        for (op, reply) in calls {
+            let pairs = parse_object(&op_line(op)).unwrap();
+            let name = as_str("op", field(&pairs, "op").unwrap()).unwrap();
+            assert_eq!(parse_op(&name, &pairs), Ok(op));
+            assert_eq!(parse_reply(op, &reply_line(&reply)), Ok(reply));
+        }
+        assert_eq!(
+            parse_reply(RingOp::Capture, r#"{"ok":false,"error":"no member"}"#),
+            Err("worker error: no member".into())
+        );
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! the pack-path throughput and the compiled-netlist cache hit/miss
 //! deltas — as `BENCH_serve.json` through `ga-harness`'s `BenchReport`.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::panic, clippy::unreachable)
+)]
+
 pub mod backend;
 pub mod islands;
 pub mod job;

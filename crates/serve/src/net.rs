@@ -342,16 +342,13 @@ pub fn serve_jsonl(
 /// grows the reader's buffer nor silences the lines after it.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// One request line as read: its text, or why it has none.
-enum Line {
-    Text(String),
-    NotUtf8,
-    TooLong,
-}
-
 /// Read the next line of `reader`, at most [`MAX_LINE_BYTES`] of it
-/// kept; `None` at EOF or on a read error.
-fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Option<Line> {
+/// kept: its text without the line ending, or why it has none (not
+/// UTF-8, too long). `None` at EOF or on a read error.
+pub(crate) fn next_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> Option<Result<String, String>> {
     buf.clear();
     // Room for the longest line and its `\r\n`.
     let cap = MAX_LINE_BYTES as u64 + 2;
@@ -359,18 +356,19 @@ fn next_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> Option<Line> {
         Ok(0) | Err(_) => return None,
         Ok(_) => {}
     }
+    let too_long = || Err(format!("line longer than {MAX_LINE_BYTES} bytes"));
     if !buf.ends_with(b"\n") && buf.len() as u64 == cap {
         // Skip the rest of the line; its tail may end at EOF.
-        return reader.skip_until(b'\n').ok().map(|_| Line::TooLong);
+        return reader.skip_until(b'\n').ok().map(|_| too_long());
     }
     let Ok(text) = std::str::from_utf8(buf) else {
-        return Some(Line::NotUtf8);
+        return Some(Err("line is not valid UTF-8".into()));
     };
     let text = jsonl::strip_line_ending(text);
     Some(if text.len() > MAX_LINE_BYTES {
-        Line::TooLong
+        too_long()
     } else {
-        Line::Text(text.to_owned())
+        Ok(text.to_owned())
     })
 }
 
@@ -388,7 +386,7 @@ fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) 
     while let Some(read) = next_line(&mut reader, &mut buf) {
         let line = line_no;
         line_no += 1;
-        if matches!(&read, Line::Text(text) if text.trim().is_empty()) {
+        if matches!(&read, Ok(text) if text.trim().is_empty()) {
             continue;
         }
         relock(intake.admission.lock()).lines += 1;
@@ -398,12 +396,9 @@ fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) 
             *field(&mut relock(intake.admission.lock())) += 1;
             conn.emit(this_seq, jsonl::parse_error_line(line, &err));
         };
-        let unparsed = |msg: String| Err(ServeError::Parse { line, msg });
-        let parsed = match read {
-            Line::Text(text) => jsonl::parse_job(&text, line),
-            Line::NotUtf8 => unparsed("line is not valid UTF-8".into()),
-            Line::TooLong => unparsed(format!("line longer than {MAX_LINE_BYTES} bytes")),
-        };
+        let parsed = read
+            .map_err(|msg| ServeError::Parse { line, msg })
+            .and_then(|text| jsonl::parse_job(&text, line));
         let job = match parsed {
             Ok(job) => job,
             Err(e) => {

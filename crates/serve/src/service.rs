@@ -8,6 +8,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use ga_engine::Limits;
 use ga_harness::{default_threads, BenchReport, LatencyHisto};
 
 use crate::backend;
@@ -36,15 +37,14 @@ pub struct ServeConfig {
     /// ([`crate::BoundedQueue`]). A batch sizes its queue to hold the
     /// whole input instead.
     pub queue_capacity: usize,
-    /// Simulated-cycle watchdog for the RTL backend.
-    pub rtl_watchdog_cycles: u64,
-    /// Simulated-step watchdog for the bitsim lane streams: it bounds
-    /// the netlist steps a pack's (or island member's) schedule may
-    /// take. A restore needs no bound of its own: it steps the stream
-    /// less than one CA period. A tripped pack degrades its jobs to the
-    /// behavioral backend (typed [`crate::job::Degradation`] metadata)
-    /// instead of failing them.
-    pub bitsim_watchdog_steps: u64,
+    /// The engine-layer budgets every job runs under: the simulated
+    /// cycle watchdog of the RTL backends, and the step watchdog of the
+    /// bitsim lane streams, which bounds the netlist steps a pack's (or
+    /// island member's) schedule may take. A restore needs no bound of
+    /// its own: it steps the stream less than one CA period. A tripped
+    /// pack degrades its jobs to the behavioral backend (typed
+    /// [`crate::job::Degradation`] metadata) instead of failing them.
+    pub limits: Limits,
     /// Chaos/fault-injection hook, called with `(index, job)` right
     /// before each job executes. A panic here exercises exactly the
     /// worker-crash path a misbehaving backend would: caught at the
@@ -59,8 +59,7 @@ impl Default for ServeConfig {
         ServeConfig {
             threads: default_threads(),
             queue_capacity: 64,
-            rtl_watchdog_cycles: 2_000_000_000,
-            bitsim_watchdog_steps: 2_000_000_000,
+            limits: Limits::default(),
             pre_exec: None,
         }
     }
@@ -259,22 +258,14 @@ impl ServeStats {
             .metric("errors", self.errors() as f64)
             .metric("jobs_per_sec", self.jobs_per_sec());
         for (kind, c) in BackendKind::ALL.into_iter().zip(self.per_backend.iter()) {
+            let name = kind.name();
             report = report
-                .metric(format!("{}_jobs", kind.name()), c.jobs as f64)
-                .metric(format!("{}_avg_us", kind.name()), c.avg_micros())
-                .metric(
-                    format!("{}_p50_us", kind.name()),
-                    c.histo.percentile(0.50) as f64,
-                )
-                .metric(
-                    format!("{}_p95_us", kind.name()),
-                    c.histo.percentile(0.95) as f64,
-                )
-                .metric(
-                    format!("{}_p99_us", kind.name()),
-                    c.histo.percentile(0.99) as f64,
-                )
-                .metric(format!("{}_max_us", kind.name()), c.max_micros as f64);
+                .metric(format!("{name}_jobs"), c.jobs as f64)
+                .metric(format!("{name}_avg_us"), c.avg_micros());
+            for (p, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
+                report = report.metric(format!("{name}_{p}_us"), c.histo.percentile(q) as f64);
+            }
+            report = report.metric(format!("{name}_max_us"), c.max_micros as f64);
         }
         report
             .metric("bitsim_packs", self.packs as f64)
@@ -767,7 +758,10 @@ mod tests {
         let out = serve_batch(
             &jobs,
             &ServeConfig {
-                bitsim_watchdog_steps: 4,
+                limits: Limits {
+                    stream_watchdog_steps: 4,
+                    ..Limits::default()
+                },
                 ..Default::default()
             },
         );
@@ -846,7 +840,10 @@ mod tests {
         let out = serve_batch(
             &jobs,
             &ServeConfig {
-                bitsim_watchdog_steps: 4, // force the degradation
+                limits: Limits {
+                    stream_watchdog_steps: 4, // force the degradation
+                    ..Limits::default()
+                },
                 ..Default::default()
             },
         );
