@@ -784,6 +784,21 @@ impl GaCoreHw {
         }
     }
 
+    /// Core 2's parent selection in the 32-bit GA, where
+    /// `scalingLogic_parSel` forces its scan to stop where core 1's
+    /// stops, at bank offset `hit`: every member walked before the hit
+    /// reads zero fitness and the hit full scale, so the threshold its
+    /// `SelDraw` computes and the `cum` the hit's cycle holds are both
+    /// 0, whatever it drew. `word(addr)` must return the word at `addr`.
+    pub(crate) fn follow(&self, hit: u8, word: impl FnOnce(u8) -> u32) -> Pick {
+        Pick {
+            threshold: 0,
+            hit,
+            cum: 0,
+            word: word(self.cur_base.get().wrapping_add(hit)),
+        }
+    }
+
     /// Cycles from `SelDraw` through the `SelScanData` of a hit at bank
     /// offset `hit`: `SelDraw`, the multiplier wait, and three per
     /// member walked.
@@ -794,19 +809,18 @@ impl GaCoreHw {
     /// Run a generation's selections and breeding ahead of the clock,
     /// from `ElitWrite` ([`GaCoreHw::stretch`]) through the last
     /// offspring's request: `ElitWrite`'s edge ([`GaCoreHw::tick`]),
-    /// then the generation loop ([`ops::breed`]) with each selection a
-    /// [`GaCoreHw::pick`] on the sums `sums(rn)` gives for the draw `rn`
-    /// (with the `rn` the threshold multiplies). `draw()` returns the
-    /// RNG's output and steps it. The current bank holds still
+    /// then the generation loop ([`ops::breed`]) with the `k`-th
+    /// selection `select(self, k, rn)` for the draw `rn`: a
+    /// [`GaCoreHw::pick`] or a [`GaCoreHw::follow`]. `draw()` returns
+    /// the RNG's output and steps it. The current bank holds still
     /// throughout: no store lands in it.
     ///
     /// Every register ends as the last `OffUpdate`'s edge leaves it but
     /// those the fitness values set, which [`GaCoreHw::store`] lands.
-    pub(crate) fn breed<'s>(
+    pub(crate) fn breed(
         &mut self,
         draw: impl FnMut() -> u16,
-        mut sums: impl FnMut(u16) -> (u16, &'s [u32]),
-        word: impl Fn(u8) -> u32,
+        select: impl Fn(&Self, usize, u16) -> Pick,
         brood: &mut Brood,
     ) {
         brood.hits.clear();
@@ -827,8 +841,7 @@ impl GaCoreHw {
             thresholds,
             draw,
             |rn| {
-                let (rn, sums) = sums(rn);
-                let pick = core.pick(rn, sums, &word);
+                let pick = select(core, brood.hits.len(), rn);
                 brood.hits.push(pick.hit);
                 last = (pick.threshold, pick.cum);
                 unpack(pick.word).chrom

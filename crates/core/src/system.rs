@@ -59,9 +59,9 @@
 //! registers, the fitness modules and the cycle count end exactly where
 //! single steps leave them; the history and the trace get the
 //! generation's event stamped with the cycle of its last edge. With two
-//! cores, core 2 takes core 1's member at every selection, where its
-//! forced scan stops, breeds from its own RNG, and stores its own half
-//! of each answer to the concatenated candidate.
+//! cores, core 2 takes its own member at core 1's hit at every
+//! selection, where its forced scan stops, breeds from its own RNG, and
+//! stores its own half of each answer to the concatenated candidate.
 //!
 //! A run window applies only out of test mode with no memory write or
 //! fitness request pending, when `pop_size ≥ 2` and the current and new
@@ -327,21 +327,6 @@ fn forced(word: u32, hit: bool) -> u32 {
         chrom: unpack(word).chrom,
         fitness: if hit { 0xFFFF } else { 0 },
     })
-}
-
-/// `scalingLogic_parSel`'s view of core 2's bank in a selection, as the
-/// sums its scan holds ([`GaCoreHw::pick`]): zero before core 1's hit
-/// and full scale on it. Banks that do not overlap hold at most 128
-/// members.
-const FORCED_SUMS: [u32; 128] = {
-    let mut sums = [0; 128];
-    sums[127] = 0xFFFF;
-    sums
-};
-
-/// Core 2's sums for a selection that core 1 stops at member `hit`.
-fn forced_sums(hit: u8) -> &'static [u32] {
-    &FORCED_SUMS[127 - usize::from(hit)..]
 }
 
 /// A core's generation event: the generation, its best chromosome and
@@ -836,7 +821,8 @@ impl<P> GaSystem<P> {
     /// ([`GaCoreHw::breed`]), the block ROM answers every offspring's
     /// candidate bus in one call, and each core stores its half
     /// ([`GaCoreHw::store`]). Core 1 selects on its current bank's sums;
-    /// core 2 takes core 1's members, where its forced scan stops.
+    /// core 2 takes its own members at core 1's hits
+    /// ([`GaCoreHw::follow`]), where its forced scan stops.
     /// Returns the cycles and the generation event.
     fn generation(&mut self, room: u64) -> Option<(u64, Option<(StatsEvent, u16)>)> {
         let m = &mut self.modules;
@@ -851,18 +837,13 @@ impl<P> GaSystem<P> {
         let fitness = (0..pop).map(|k| unpack(m.mem.word(base.wrapping_add(k))).fitness);
         ops::selection_prefix(fitness, prefix);
         let (rng, mem) = (&mut m.rng, &m.mem);
-        let sums = |rn| (rn, prefix.as_slice());
-        m.core
-            .breed(|| rng.draw(), sums, |addr| mem.word(addr), brood);
+        let select = |core: &GaCoreHw, _, rn| core.pick(rn, prefix, |addr| mem.word(addr));
+        m.core.breed(|| rng.draw(), select, brood);
         if let Some(h) = m.lsb.as_mut() {
             let (rng, mem) = (&mut h.rng, &h.mem);
-            let mut selection = 0;
-            let sums = |_| {
-                selection += 1;
-                (0, forced_sums(brood.hits[selection - 1]))
-            };
-            let word = |addr| forced(mem.word(addr), true);
-            h.core.breed(|| rng.draw(), sums, word, brood2);
+            let hits = &brood.hits;
+            let select = |core: &GaCoreHw, k, _| core.follow(hits[k], |addr| mem.word(addr));
+            h.core.breed(|| rng.draw(), select, brood2);
         }
         let lsb = m.lsb.as_ref().map(|_| brood2.cands.as_slice());
         rom.answer(candidates(&brood.cands, lsb), values);

@@ -233,7 +233,10 @@ impl Engine for BitSimEngine {
         prepared: &[Prepared],
         limits: &Limits,
     ) -> Vec<Result<RunOutcome, EngineError>> {
-        debug_assert!(!prepared.is_empty() && prepared.len() <= self.capabilities().pack_width);
+        debug_assert!(prepared.len() <= self.capabilities().pack_width);
+        if prepared.is_empty() {
+            return Vec::new();
+        }
         debug_assert!(
             prepared.windows(2).all(|w| {
                 let (a, b) = (w[0].spec().params, w[1].spec().params);
@@ -316,6 +319,14 @@ mod tests {
     fn run_on(e: &dyn Engine, s: RunSpec) -> Result<RunOutcome, EngineError> {
         let p = e.prepare(s)?;
         e.run(&p, &Limits::default())
+    }
+
+    #[test]
+    fn an_empty_pack_has_no_results_on_every_kind() {
+        for kind in BackendKind::ALL {
+            let results = kind.engine().run_pack(&[], &Limits::default());
+            assert!(results.is_empty(), "{}", kind.name());
+        }
     }
 
     #[test]

@@ -20,9 +20,18 @@
 //!   nothing ever goes unanswered. A socket gets one reader thread per
 //!   connection; a batch file is read once, into a queue sized to hold
 //!   all of it;
+//! * a socket reader runs an admitted job **itself**, with no hop
+//!   through the queue, when its client is waiting on it: the job runs
+//!   solo and is not an island job, nothing is queued (so no earlier
+//!   arrival is overtaken), no further line is buffered on the
+//!   connection, and one of the pool's execution slots is free
+//!   ([`BoundedQueue::try_claim`]). Otherwise it queues the job. The
+//!   reader counts what it ran in its own [`ServeStats`], folded into
+//!   the [`DrainSummary`]. Batch mode never runs a job on its reader;
 //! * the crate's one **worker pool** (`crate::pool`) pops jobs, gathers
 //!   pack-mates in the same queue operation, and runs every unit through
-//!   the panic-isolating, retrying executor;
+//!   the panic-isolating, retrying executor that reader-run jobs go
+//!   through too;
 //! * a per-connection **reorder buffer** puts completed results back on
 //!   the wire (or into the output file) in input order however the pool
 //!   interleaves them.
@@ -45,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use crate::job::ServeError;
 use crate::jsonl;
-use crate::pool::{ConnState, Pool, WorkItem};
+use crate::pool::{run_unit, runs_on_reader, ConnState, Pool, WorkItem};
 use crate::queue::{relock, BoundedQueue};
 use crate::service::{ServeConfig, ServeStats};
 
@@ -168,6 +177,32 @@ struct Intake {
     cfg: NetConfig,
     queue: Arc<BoundedQueue<WorkItem>>,
     admission: Mutex<AdmissionStats>,
+    /// What the readers ran themselves, folded in as each one exits;
+    /// `None` until one has run a job (a batch reader never does).
+    ran: Mutex<Option<ServeStats>>,
+}
+
+impl Intake {
+    fn new(cfg: NetConfig, queue: &Arc<BoundedQueue<WorkItem>>) -> Intake {
+        Intake {
+            cfg,
+            queue: Arc::clone(queue),
+            admission: Mutex::new(AdmissionStats::default()),
+            ran: Mutex::new(None),
+        }
+    }
+
+    /// The summary of a drained pool's `stats`, with the jobs the
+    /// readers ran and the admission counters.
+    fn summary(&self, mut stats: ServeStats) -> DrainSummary {
+        if let Some(ran) = &*relock(self.ran.lock()) {
+            stats.merge(ran);
+        }
+        DrainSummary {
+            stats,
+            admission: *relock(self.admission.lock()),
+        }
+    }
 }
 
 /// State shared by the accept loop and the connection readers.
@@ -203,11 +238,7 @@ impl Server {
         let mut pool = Pool::new(&cfg.serve, cfg.serve.queue_capacity);
         pool.start(cfg.serve.threads);
         let shared = Arc::new(Shared {
-            intake: Intake {
-                cfg,
-                queue: Arc::clone(pool.queue()),
-                admission: Mutex::new(AdmissionStats::default()),
-            },
+            intake: Intake::new(cfg, pool.queue()),
             shutdown: AtomicBool::new(false),
             active_conns: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
@@ -264,10 +295,7 @@ impl Server {
         }
         // No reader is alive, so nothing else will enqueue: let the
         // pool drain the tail and fold its workers' stats.
-        DrainSummary {
-            stats: self.pool.drain(),
-            admission: *relock(self.shared.intake.admission.lock()),
-        }
+        self.shared.intake.summary(self.pool.drain())
     }
 }
 
@@ -303,7 +331,11 @@ fn connection_loop(intake: &Intake, stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    read_lines(intake, BufReader::new(stream), &ConnState::new(write_half));
+    let conn = ConnState::new(write_half);
+    // The client waits on this line's reply when no more of its input
+    // is buffered.
+    let waiting = |r: &BufReader<TcpStream>| r.buffer().is_empty();
+    read_lines(intake, BufReader::new(stream), &conn, waiting);
     // The reader is done; in-flight results still flush through the
     // `ConnState` clones held by queued items. The socket closes when
     // the last of those drops.
@@ -322,18 +354,15 @@ pub fn serve_jsonl(
 ) -> io::Result<DrainSummary> {
     let lines = input.split(|&b| b == b'\n').count();
     let pool = Pool::new(cfg, lines);
-    let intake = Intake {
-        // No quota, rate limit or shedding: only parse failures reject.
-        cfg: NetConfig::default(),
-        queue: Arc::clone(pool.queue()),
-        admission: Mutex::new(AdmissionStats::default()),
-    };
+    // No quota, rate limit or shedding: only parse failures reject.
+    let intake = Intake::new(NetConfig::default(), pool.queue());
     let conn = ConnState::new(out);
-    read_lines(&intake, input, &conn);
+    // Every line is queued before the workers start, so packs form in
+    // first-appearance order: the reader never runs a job itself.
+    read_lines(&intake, input, &conn, |_| false);
     let stats = pool.run_queued();
     conn.finish()?;
-    let admission = *relock(intake.admission.lock());
-    Ok(DrainSummary { stats, admission })
+    Ok(intake.summary(stats))
 }
 
 /// The longest request line read, in bytes, its line ending excluded.
@@ -373,11 +402,20 @@ pub(crate) fn next_line(
 }
 
 /// Read `reader` to EOF, answering every non-empty line exactly once:
-/// a queued [`WorkItem`] on success, an immediate typed error line on
-/// parse failure or admission rejection. A line that is not UTF-8, or
-/// is longer than [`MAX_LINE_BYTES`], is a parse failure.
-fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) {
+/// a [`WorkItem`] on success, an immediate typed error line on parse
+/// failure or admission rejection. A line that is not UTF-8, or is
+/// longer than [`MAX_LINE_BYTES`], is a parse failure. An admitted job
+/// that [`runs_on_reader`] runs here when `waiting(&reader)` says the
+/// client waits on its reply and a slot is claimed; every other one is
+/// queued. What ran here is folded into the intake's stats at EOF.
+fn read_lines<R: BufRead>(
+    intake: &Intake,
+    mut reader: R,
+    conn: &Arc<ConnState>,
+    waiting: fn(&R) -> bool,
+) {
     let cfg = &intake.cfg;
+    let mut ran: Option<ServeStats> = None;
     let mut bucket = TokenBucket::new(cfg.rate_per_sec, cfg.rate_burst);
     let mut buf = Vec::new();
     let mut line_no = 0usize; // wire `job` id: counts every input line
@@ -429,6 +467,13 @@ fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) 
             to: Arc::clone(conn) as _,
         };
         submitted += 1;
+        if runs_on_reader(&item.job) && waiting(&reader) {
+            if let Some(_slot) = intake.queue.try_claim() {
+                let stats = ran.get_or_insert_with(ServeStats::default);
+                run_unit(std::slice::from_ref(&item), &cfg.serve, stats);
+                continue;
+            }
+        }
         let admitted = if cfg.shed {
             intake.queue.try_push(item).map_err(|(_, e)| e)
         } else {
@@ -440,5 +485,10 @@ fn read_lines(intake: &Intake, mut reader: impl BufRead, conn: &Arc<ConnState>) 
             // Otherwise QueueClosed: the line raced the drain.
             Err(e) => reject(e, |a| &mut a.rejected_closed),
         }
+    }
+    if let Some(ran) = ran {
+        relock(intake.ran.lock())
+            .get_or_insert_with(ServeStats::default)
+            .merge(&ran);
     }
 }

@@ -5,10 +5,14 @@
 //! head job together with its queued pack-mates in one queue operation
 //! ([`BoundedQueue::pop_group`]; [`pack_width`] is the one eligibility
 //! rule), so a batch queued whole before the workers start packs in
-//! first-appearance order at any thread count. Each unit runs through
-//! the panic-isolating, retrying executor, and each result goes to its
-//! item's [`Deliver`] destination: a connection's reorder buffer
-//! ([`ConnState`]) or `serve_batch`'s result list.
+//! first-appearance order at any thread count. A socket reader may run
+//! a job itself instead ([`runs_on_reader`], `crate::net`), in one of
+//! the same execution slots the workers pop in, so the pool size still
+//! bounds how many jobs run at once. Workers and readers run each unit
+//! through one executor, [`run_unit`]: the panic-isolating, retrying
+//! executor, then each result to its item's [`Deliver`] destination: a
+//! connection's reorder buffer ([`ConnState`]) or `serve_batch`'s
+//! result list.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -118,6 +122,13 @@ fn pack_width(job: &GaJob) -> usize {
     }
 }
 
+/// Whether a socket reader may run `job` itself rather than queue it:
+/// a job that runs solo wherever it runs, and not an island job, whose
+/// ring of engines runs far longer than one request's reply.
+pub(crate) fn runs_on_reader(job: &GaJob) -> bool {
+    pack_width(job) == 1 && job.islands.is_none()
+}
+
 /// A fixed set of workers draining one shared queue. Build it with
 /// [`Pool::new`], feed its [`Pool::queue`], start the workers, and
 /// [`Pool::drain`] it for the merged stats.
@@ -130,11 +141,12 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// An idle pool over an empty queue of `capacity` slots (min 1). The
-    /// wall clock and the compiled-netlist cache deltas start now.
+    /// An idle pool over an empty queue of `capacity` slots (min 1),
+    /// whose jobs run in at most `cfg.threads` execution slots. The wall
+    /// clock and the compiled-netlist cache deltas start now.
     pub fn new(cfg: &ServeConfig, capacity: usize) -> Pool {
         Pool {
-            queue: Arc::new(BoundedQueue::new(capacity.max(1))),
+            queue: Arc::new(BoundedQueue::new(capacity.max(1), cfg.threads.max(1))),
             cfg: cfg.clone(),
             workers: Vec::new(),
             sw: Stopwatch::start(),
@@ -191,7 +203,7 @@ impl Pool {
 /// one-lane pack; every other job runs solo.
 fn worker_loop(queue: &BoundedQueue<WorkItem>, cfg: &ServeConfig) -> ServeStats {
     let mut stats = ServeStats::default();
-    while let Some(items) = queue.pop_group(
+    while let Some((items, _slot)) = queue.pop_group(
         |head| pack_width(&head.job) - 1,
         |head, it| {
             it.job.backend == head.job.backend
@@ -199,28 +211,35 @@ fn worker_loop(queue: &BoundedQueue<WorkItem>, cfg: &ServeConfig) -> ServeStats 
                 && pack_width(&it.job) > 1
         },
     ) {
-        let jobs: Vec<GaJob> = items.iter().map(|it| it.job).collect();
-        let packed = pack_width(&jobs[0]) > 1;
-        let t = Instant::now();
-        let results = exec_unit_with_recovery(&jobs, packed, cfg, &mut stats.panics_caught);
-        if packed {
-            stats.packs += 1;
-            stats.packed_lanes += jobs.len() as u64;
-            stats.pack_micros += t.elapsed().as_micros() as u64;
-        }
-        for r in results {
-            // `r.job` indexes the unit-local `jobs`; rekey it to the
-            // item's wire-level id.
-            let item = &items[r.job];
-            let r = JobResult {
-                job: item.line,
-                ..r
-            };
-            stats.absorb_result(&r);
-            item.to.deliver(item.seq, r);
-        }
+        run_unit(&items, cfg, &mut stats);
     }
     stats
+}
+
+/// Run one unit — a pack when its head is packable, else one solo job —
+/// through the panic-isolating, retrying executor, count it in `stats`,
+/// and deliver each result to its item's destination.
+pub(crate) fn run_unit(items: &[WorkItem], cfg: &ServeConfig, stats: &mut ServeStats) {
+    let jobs: Vec<GaJob> = items.iter().map(|it| it.job).collect();
+    let packed = pack_width(&jobs[0]) > 1;
+    let t = Instant::now();
+    let results = exec_unit_with_recovery(&jobs, packed, cfg, &mut stats.panics_caught);
+    if packed {
+        stats.packs += 1;
+        stats.packed_lanes += jobs.len() as u64;
+        stats.pack_micros += t.elapsed().as_micros() as u64;
+    }
+    for r in results {
+        // `r.job` indexes the unit-local `jobs`; rekey it to the
+        // item's wire-level id.
+        let item = &items[r.job];
+        let r = JobResult {
+            job: item.line,
+            ..r
+        };
+        stats.absorb_result(&r);
+        item.to.deliver(item.seq, r);
+    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! A bounded MPMC job queue with blocking backpressure.
+//! A bounded MPMC job queue with blocking backpressure, and the count
+//! of the pool's execution slots.
 //!
 //! The serving layer deliberately uses a *bounded* queue: a submitter
 //! that outruns the worker pool blocks in [`BoundedQueue::push`] until
@@ -8,13 +9,21 @@
 //! as a typed [`ServeError::QueueFull`] for callers that would rather
 //! shed load than wait.
 //!
-//! A consumer that finds the queue empty polls it for [`POP_SPIN`],
-//! yielding its CPU between polls, before it parks on the condvar. A
-//! parked worker leaves its CPU idle, and on a virtual machine an idle
-//! vCPU halts: waking it again costs the hypervisor's wake-up latency,
-//! which ranges from tens of µs to several ms on a busy host. A
-//! closed-loop client's next job reaches the queue well within the spin
-//! after its last reply, so the worker takes it without a wake-up.
+//! The queue also counts the execution slots, under the same lock: at
+//! most `slots` jobs run at once, whoever runs them. A worker pops only
+//! while a slot is free and holds it until its unit is done; a socket
+//! reader that would run its connection's job itself claims one with
+//! the non-blocking [`BoundedQueue::try_claim`], which also fails
+//! while anything is queued, so no earlier arrival is overtaken.
+//!
+//! A consumer that finds the queue empty with a slot free polls it for
+//! [`POP_SPIN`], yielding its CPU between polls, before it parks on the
+//! condvar. A parked worker leaves its CPU idle, and on a virtual
+//! machine an idle vCPU halts: waking it again costs the hypervisor's
+//! wake-up latency, which ranges from tens of µs to several ms on a
+//! busy host. The spin serves queued jobs only: a client waiting on
+//! its one job has it run by its own reader, and a worker that finds
+//! every slot held parks at once.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -30,6 +39,8 @@ pub const POP_SPIN: Duration = Duration::from_micros(250);
 struct QueueState<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Execution slots not held by a worker or a reader.
+    free: usize,
 }
 
 /// Take the queue lock, recovering from poisoning.
@@ -59,14 +70,17 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` items (min 1).
-    pub fn new(capacity: usize) -> Self {
+    /// A queue holding at most `capacity` items (min 1), whose jobs run
+    /// in at most `slots` execution slots at once (min 1).
+    pub fn new(capacity: usize, slots: usize) -> Self {
         assert!(capacity >= 1, "a bounded queue needs at least one slot");
+        assert!(slots >= 1, "a pool needs at least one execution slot");
         BoundedQueue {
             capacity,
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                free: slots,
             }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -120,10 +134,11 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeue the head item, blocking while empty, together with up to
-    /// `mates(&head)` further queued items that `joins(&head, item)`
-    /// accepts, in FIFO order. Items not taken keep their place.
-    /// Returns `None` once the queue is closed *and* drained — the
+    /// Dequeue the head item, blocking while the queue is empty or every
+    /// execution slot is held, together with up to `mates(&head)`
+    /// further queued items that `joins(&head, item)` accepts, in FIFO
+    /// order, and the [`Slot`] they run in. Items not taken keep their
+    /// place. Returns `None` once the queue is closed *and* drained — the
     /// worker-loop termination condition.
     ///
     /// Head and mates leave under **one** lock hold: this is the worker
@@ -131,24 +146,28 @@ impl<T> BoundedQueue<T> {
     /// take a pack-mate between the pop and the gather (that would split
     /// the pack). Freed slots wake parked pushers.
     ///
-    /// An empty open queue is polled for [`POP_SPIN`], yielding the
-    /// CPU between polls, before the caller parks (see the module docs).
+    /// An empty open queue with a slot free is polled for [`POP_SPIN`],
+    /// yielding the CPU between polls, before the caller parks (see the
+    /// module docs).
     pub fn pop_group(
         &self,
         mates: impl FnOnce(&T) -> usize,
         joins: impl Fn(&T, &T) -> bool,
-    ) -> Option<Vec<T>> {
+    ) -> Option<(Vec<T>, Slot<'_, T>)> {
         let mut st = relock(self.state.lock());
         let mut spin_until = None;
         let head = loop {
-            if let Some(item) = st.items.pop_front() {
-                break item;
+            if st.free > 0 {
+                if let Some(item) = st.items.pop_front() {
+                    st.free -= 1;
+                    break item;
+                }
             }
-            if st.closed {
+            if st.closed && st.items.is_empty() {
                 return None;
             }
             let now = Instant::now();
-            if now < *spin_until.get_or_insert(now + POP_SPIN) {
+            if st.free > 0 && now < *spin_until.get_or_insert(now + POP_SPIN) {
                 drop(st);
                 thread::yield_now();
                 st = relock(self.state.lock());
@@ -173,7 +192,20 @@ impl<T> BoundedQueue<T> {
         } else {
             self.not_full.notify_all();
         }
-        Some(group)
+        Some((group, Slot(self)))
+    }
+
+    /// Claim an execution slot without waiting, for a caller that runs a
+    /// job it has not queued. Fails while every slot is held, while any
+    /// item is queued (the claim would overtake it) and once the queue
+    /// is closed.
+    pub fn try_claim(&self) -> Option<Slot<'_, T>> {
+        let mut st = relock(self.state.lock());
+        if st.closed || !st.items.is_empty() || st.free == 0 {
+            return None;
+        }
+        st.free -= 1;
+        Some(Slot(self))
     }
 
     /// Close the queue: pending items still drain, new pushes fail,
@@ -182,6 +214,24 @@ impl<T> BoundedQueue<T> {
         relock(self.state.lock()).closed = true;
         self.not_full.notify_all();
         self.not_empty.notify_all();
+    }
+}
+
+/// One held execution slot; dropping it frees the slot. A parked
+/// worker wakes for it when items wait for a slot, and every parked
+/// worker wakes once the queue is closed, to take the tail or exit.
+#[must_use = "dropping a slot frees it at once"]
+pub struct Slot<'a, T>(&'a BoundedQueue<T>);
+
+impl<T> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        let mut st = relock(self.0.state.lock());
+        st.free += 1;
+        if st.closed {
+            self.0.not_empty.notify_all();
+        } else if !st.items.is_empty() {
+            self.0.not_empty.notify_one();
+        }
     }
 }
 
@@ -195,12 +245,12 @@ mod tests {
     /// Plain single-item dequeue: a group with no mates.
     fn pop<T>(q: &BoundedQueue<T>) -> Option<T> {
         q.pop_group(|_| 0, |_, _| false)
-            .map(|g| g.into_iter().next().expect("a group holds its head"))
+            .map(|(g, _slot)| g.into_iter().next().expect("a group holds its head"))
     }
 
     #[test]
     fn fifo_order_preserved() {
-        let q = BoundedQueue::new(8);
+        let q = BoundedQueue::new(8, 1);
         for i in 0..5 {
             q.push(i).expect("open queue accepts");
         }
@@ -211,7 +261,7 @@ mod tests {
 
     #[test]
     fn try_push_reports_full_with_item_back() {
-        let q = BoundedQueue::new(2);
+        let q = BoundedQueue::new(2, 1);
         q.try_push(1).expect("slot 1");
         q.try_push(2).expect("slot 2");
         let (item, err) = q.try_push(3).expect_err("third push must fail");
@@ -224,7 +274,7 @@ mod tests {
     fn push_blocks_until_a_worker_drains() {
         // One-slot queue: the second push must park until pop frees the
         // slot — the backpressure contract.
-        let q = BoundedQueue::new(1);
+        let q = BoundedQueue::new(1, 1);
         q.push(10).expect("first push fits");
         let second_done = AtomicBool::new(false);
         thread::scope(|s| {
@@ -249,7 +299,7 @@ mod tests {
 
     #[test]
     fn close_wakes_blocked_poppers_and_rejects_pushes() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(4);
+        let q: BoundedQueue<u8> = BoundedQueue::new(4, 1);
         thread::scope(|s| {
             let h = s.spawn(|| pop(&q));
             thread::sleep(Duration::from_millis(20));
@@ -265,7 +315,7 @@ mod tests {
     fn a_spinning_popper_takes_a_push_and_sees_a_close() {
         // Within POP_SPIN the popper is still polling, not parked: a push
         // or a close must reach it there as well.
-        let q: BoundedQueue<u8> = BoundedQueue::new(4);
+        let q: BoundedQueue<u8> = BoundedQueue::new(4, 1);
         thread::scope(|s| {
             let h = s.spawn(|| pop(&q));
             q.push(7).expect("open");
@@ -277,11 +327,72 @@ mod tests {
     }
 
     #[test]
+    fn a_claim_fails_while_every_slot_is_held_or_an_item_waits() {
+        let q = BoundedQueue::new(4, 2);
+        let first = q.try_claim().expect("two slots free");
+        let second = q.try_claim().expect("one slot free");
+        assert!(q.try_claim().is_none(), "every slot is held");
+        drop(first);
+        let third = q.try_claim().expect("a freed slot can be claimed");
+        drop((second, third));
+        q.push(1).expect("open");
+        assert!(
+            q.try_claim().is_none(),
+            "a claim must not overtake a queued item"
+        );
+        assert_eq!(pop(&q), Some(1));
+        q.close();
+        assert!(q.try_claim().is_none(), "a closed queue runs nothing more");
+    }
+
+    #[test]
+    fn pop_group_waits_for_a_slot() {
+        let q = BoundedQueue::new(4, 1);
+        let held = q.try_claim().expect("the slot is free");
+        q.push(5).expect("open");
+        let popped = AtomicBool::new(false);
+        thread::scope(|s| {
+            let h = s.spawn(|| {
+                let got = pop(&q);
+                popped.store(true, Ordering::SeqCst);
+                got
+            });
+            thread::sleep(Duration::from_millis(50));
+            assert!(
+                !popped.load(Ordering::SeqCst),
+                "a worker popped while the only slot was held"
+            );
+            drop(held);
+            assert_eq!(h.join().expect("popper exits cleanly"), Some(5));
+        });
+    }
+
+    #[test]
+    fn workers_parked_on_a_held_slot_drain_the_tail_and_exit_after_close() {
+        let q = BoundedQueue::new(4, 1);
+        let held = q.try_claim().expect("the slot is free");
+        q.push(9).expect("open");
+        thread::scope(|s| {
+            let poppers: Vec<_> = (0..2).map(|_| s.spawn(|| pop(&q))).collect();
+            thread::sleep(Duration::from_millis(20));
+            q.close();
+            thread::sleep(Duration::from_millis(20));
+            drop(held);
+            let mut got: Vec<_> = poppers
+                .into_iter()
+                .map(|h| h.join().expect("popper exits cleanly"))
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![None, Some(9)]);
+        });
+    }
+
+    #[test]
     fn poisoned_lock_is_recovered_not_cascaded() {
         // Panic while holding the state mutex (what a crashing worker
         // does to any lock it holds) and confirm every queue operation
         // keeps working instead of propagating the poison.
-        let q = BoundedQueue::new(4);
+        let q = BoundedQueue::new(4, 1);
         q.push(1).expect("pre-poison push");
         let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = q.state.lock().expect("not yet poisoned");
@@ -301,11 +412,13 @@ mod tests {
 
     #[test]
     fn pop_group_is_selective_and_order_preserving() {
-        let q = BoundedQueue::new(8);
+        let q = BoundedQueue::new(8, 1);
         for i in 0..8 {
             q.push(i).expect("open");
         }
-        let evens = q.pop_group(|_| 2, |head, v| (v - head) % 2 == 0);
+        let evens = q
+            .pop_group(|_| 2, |head, v| (v - head) % 2 == 0)
+            .map(|(g, _slot)| g);
         assert_eq!(
             evens,
             Some(vec![0, 2, 4]),
@@ -318,7 +431,7 @@ mod tests {
 
     #[test]
     fn pop_group_frees_slots_for_parked_pushers() {
-        let q = BoundedQueue::new(2);
+        let q = BoundedQueue::new(2, 1);
         q.push(1).expect("slot 1");
         q.push(2).expect("slot 2");
         let pushed = AtomicBool::new(false);
@@ -329,7 +442,8 @@ mod tests {
             });
             thread::sleep(Duration::from_millis(20));
             assert!(!pushed.load(Ordering::SeqCst), "queue still full");
-            assert_eq!(q.pop_group(|_| 1, |_, _| true), Some(vec![1, 2]));
+            let (group, _slot) = q.pop_group(|_| 1, |_, _| true).expect("open");
+            assert_eq!(group, vec![1, 2]);
             while !pushed.load(Ordering::SeqCst) {
                 thread::yield_now();
             }
@@ -344,7 +458,7 @@ mod tests {
         // wake with `QueueClosed`, and the queue must afterwards hold
         // exactly the accepted items — nothing lost, nothing duplicated,
         // no pusher left parked forever (the scope would deadlock).
-        let q = BoundedQueue::new(2);
+        let q = BoundedQueue::new(2, 1);
         let accepted = Mutex::new(Vec::new());
         let rejected = Mutex::new(Vec::new());
         let drained = thread::scope(|s| {
@@ -403,7 +517,7 @@ mod tests {
 
     #[test]
     fn many_producers_many_consumers_lose_nothing() {
-        let q = BoundedQueue::new(4);
+        let q = BoundedQueue::new(4, 3);
         let total = 200usize;
         let got = Mutex::new(Vec::new());
         thread::scope(|s| {

@@ -1,14 +1,16 @@
 //! Socket front-end tests: golden-stable streaming over concurrent
-//! connections, graceful drain, and the admission-control rejections
-//! (quota, rate limit, load shedding).
+//! connections and one reply at a time, jobs run on their connection's
+//! reader, graceful drain, and the admission-control rejections (quota,
+//! rate limit, load shedding).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::thread;
+use std::sync::Mutex;
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
-use ga_serve::{GaJob, NetConfig, Server};
+use ga_serve::{BackendKind, GaJob, NetConfig, Server};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -89,6 +91,94 @@ fn concurrent_connections_stream_golden_stable_line_aligned_results() {
     // Conn A served its 31 parseable jobs, conn B the prefix's 13.
     assert_eq!(summary.stats.jobs(), 44);
     assert_eq!(summary.admission.rejected_closed, 0, "nothing raced drain");
+}
+
+/// Send `lines` on one connection, each only after the previous one's
+/// reply is read, as a client waiting on every job does.
+fn one_at_a_time(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone"));
+    lines
+        .iter()
+        .map(|line| {
+            // One write per line: split writes would wait on Nagle.
+            stream
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send");
+            let mut reply = String::new();
+            replies.read_line(&mut reply).expect("read response");
+            reply.trim_end_matches('\n').to_string()
+        })
+        .collect()
+}
+
+#[test]
+fn a_client_waiting_on_each_reply_gets_the_golden_at_any_pool_size() {
+    // Most of these jobs run on the connection's reader, the rest
+    // (packable and island jobs) on a worker; the replies must not
+    // tell the two apart.
+    let golden = golden_lines();
+    for threads in [1, 2, 4] {
+        let mut cfg = NetConfig::default();
+        cfg.serve.threads = threads;
+        let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+        let got = one_at_a_time(server.local_addr(), &fixture_lines());
+        assert_eq!(got, golden, "{threads} threads");
+        let summary = server.drain();
+        assert_eq!(summary.stats.jobs(), 31, "{threads} threads");
+        assert_eq!(summary.admission.rejected_parse, 4, "{threads} threads");
+    }
+}
+
+/// The thread each job ran on, in order, for the reader-run test.
+static RAN_ON: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+fn note_thread(_: usize, _: &GaJob) {
+    RAN_ON
+        .lock()
+        .expect("thread log")
+        .push(thread::current().id());
+}
+
+#[test]
+fn jobs_run_on_a_waiting_clients_reader_count_in_the_drain_summary() {
+    // One worker. A packable job always goes through the queue, so the
+    // first job pins the worker's thread; the behavioral jobs after it,
+    // each sent once the last reply is read, find the queue empty and
+    // the slot free, and run on the connection's reader instead. Only
+    // the first of them may still see the worker hold the slot.
+    let mut cfg = NetConfig::default();
+    cfg.serve.threads = 1;
+    cfg.serve.pre_exec = Some(note_thread);
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let job = |backend: &str, seed: usize| {
+        format!(
+            r#"{{"fn":"F3","backend":"{backend}","pop":8,"gens":2,"xover":10,"mut":1,"seed":{seed}}}"#
+        )
+    };
+    let n = 8;
+    let mut lines = vec![job("bitsim64", 0)];
+    lines.extend((1..=n).map(|seed| job("behavioral", seed)));
+    let got = one_at_a_time(server.local_addr(), &lines);
+    assert!(got.iter().all(|l| l.contains("\"ok\":true")), "{got:?}");
+    let summary = server.drain();
+
+    let ran_on = RAN_ON.lock().expect("thread log").clone();
+    assert_eq!(ran_on.len(), n + 1);
+    let worker = ran_on[0];
+    let on_reader = ran_on[1..].iter().filter(|&&t| t != worker).count();
+    assert!(
+        on_reader >= n - 1,
+        "only {on_reader} of {n} ran on the reader"
+    );
+    // The worker's job and the reader's jobs are all in the summary.
+    assert_eq!(summary.stats.jobs(), n as u64 + 1);
+    assert_eq!(
+        summary.stats.counters(BackendKind::Behavioral).jobs,
+        n as u64
+    );
+    assert_eq!(summary.stats.counters(BackendKind::BitSim64).jobs, 1);
+    assert_eq!(summary.stats.packed_lanes, 1);
 }
 
 #[test]
@@ -256,7 +346,8 @@ fn park_first_job(_: usize, _: &GaJob) {
 fn shed_mode_answers_queue_full_when_the_queue_is_at_capacity() {
     // One worker parked on the first job + a one-slot queue: the second
     // line fills the queue and every further line must shed with a
-    // typed queue_full line (not block, not drop).
+    // typed queue_full line (not block, not drop). The first job packs,
+    // so its reader queues it for the worker rather than running it.
     let mut cfg = NetConfig {
         shed: true,
         ..Default::default()
@@ -274,7 +365,8 @@ fn shed_mode_answers_queue_full_when_the_queue_is_at_capacity() {
         format!("{{\"fn\":\"F3\",\"pop\":8,\"gens\":2,\"xover\":10,\"mut\":1,\"seed\":{seed}}}\n")
     };
     // First job: popped by the (parked) worker.
-    write_half.write_all(job(0).as_bytes()).expect("send");
+    let packable = job(0).replacen('{', r#"{"backend":"bitsim64","#, 1);
+    write_half.write_all(packable.as_bytes()).expect("send");
     write_half.flush().expect("flush");
     thread::sleep(Duration::from_millis(100));
     // Second fills the one-slot queue; third through fifth must shed.
