@@ -1531,6 +1531,64 @@ mod tests {
         }
     }
 
+    /// The parameter registers of a fresh core after `writes` go
+    /// through the Table III init handshake: `ga_load` held, each write
+    /// strobed with `data_valid` until `data_ack` rises, then released
+    /// until it falls.
+    fn programmed(writes: &[(ParamIndex, u16)]) -> GaParams {
+        let mut core = GaCoreHw::new();
+        let load = GaCoreIn {
+            ga_load: true,
+            ..Default::default()
+        };
+        for &(index, value) in writes {
+            for data_valid in [true, false] {
+                let input = GaCoreIn {
+                    index: index as u8,
+                    value,
+                    data_valid,
+                    ..load
+                };
+                for _ in 0..4 {
+                    if core.out().data_ack == data_valid {
+                        break;
+                    }
+                    core.eval(&input);
+                    core.commit();
+                }
+                assert_eq!(core.out().data_ack, data_valid, "init handshake stalled");
+            }
+        }
+        core.eval(&GaCoreIn::default());
+        core.commit();
+        assert_eq!(core.state.get(), State::Idle, "dropping ga_load ends init");
+        core.programmed_params()
+    }
+
+    #[test]
+    fn thirty_two_bit_generation_count_from_two_writes() {
+        let p = programmed(&[
+            (ParamIndex::NumGensLo, 0x1234),
+            (ParamIndex::NumGensHi, 0xABCD),
+        ]);
+        assert_eq!(p.n_gens, 0xABCD_1234);
+        // Writing halves in the other order must work too.
+        let q = programmed(&[
+            (ParamIndex::NumGensHi, 0x0001),
+            (ParamIndex::NumGensLo, 0x0000),
+        ]);
+        assert_eq!(q.n_gens, 0x0001_0000);
+    }
+
+    #[test]
+    fn threshold_writes_truncate_to_four_bits() {
+        let p = programmed(&[
+            (ParamIndex::CrossoverRate, 0xFFFA),
+            (ParamIndex::MutationRate, 0x0013),
+        ]);
+        assert_eq!((p.xover_threshold, p.mut_threshold), (10, 3));
+    }
+
     #[test]
     fn preset_bus_overrides_programmed_registers() {
         let mut core = GaCoreHw::new();

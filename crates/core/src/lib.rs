@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod behavioral;
 pub mod hwcore;
 pub mod init;

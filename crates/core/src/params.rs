@@ -148,24 +148,6 @@ impl GaParams {
         Some(GaParams::new(pop, gens, xover, mutn, seed))
     }
 
-    /// Apply one initialization write (decoded index + 16-bit value bus)
-    /// to this parameter set, as the init FSM does. Out-of-range fields
-    /// are truncated to their bus widths, like the hardware registers.
-    pub fn apply_write(&mut self, index: ParamIndex, value: u16) {
-        match index {
-            ParamIndex::NumGensLo => {
-                self.n_gens = (self.n_gens & 0xFFFF_0000) | value as u32;
-            }
-            ParamIndex::NumGensHi => {
-                self.n_gens = (self.n_gens & 0x0000_FFFF) | ((value as u32) << 16);
-            }
-            ParamIndex::PopSize => self.pop_size = value as u8,
-            ParamIndex::CrossoverRate => self.xover_threshold = (value & 0xF) as u8,
-            ParamIndex::MutationRate => self.mut_threshold = (value & 0xF) as u8,
-            ParamIndex::RngSeed => self.seed = value,
-        }
-    }
-
     /// Fitness evaluations one full run consumes: the initial
     /// population plus `pop − 1` offspring per generation (the elite
     /// slot is copied, not re-evaluated). This is the single source of
@@ -174,16 +156,6 @@ impl GaParams {
     /// pin themselves to it.
     pub fn evaluations_per_run(&self) -> u64 {
         self.pop_size as u64 + self.n_gens as u64 * (self.pop_size as u64 - 1)
-    }
-
-    /// Crossover probability this parameter set realizes (threshold/16).
-    pub fn xover_rate(&self) -> f64 {
-        self.xover_threshold as f64 / 16.0
-    }
-
-    /// Mutation probability (threshold/16).
-    pub fn mut_rate(&self) -> f64 {
-        self.mut_threshold as f64 / 16.0
     }
 }
 
@@ -242,28 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn thirty_two_bit_generation_count_from_two_writes() {
-        let mut p = GaParams::default();
-        p.apply_write(ParamIndex::NumGensLo, 0x1234);
-        p.apply_write(ParamIndex::NumGensHi, 0xABCD);
-        assert_eq!(p.n_gens, 0xABCD_1234);
-        // Writing halves in the other order must work too.
-        let mut q = GaParams::default();
-        q.apply_write(ParamIndex::NumGensHi, 0x0001);
-        q.apply_write(ParamIndex::NumGensLo, 0x0000);
-        assert_eq!(q.n_gens, 0x0001_0000);
-    }
-
-    #[test]
-    fn threshold_writes_truncate_to_four_bits() {
-        let mut p = GaParams::default();
-        p.apply_write(ParamIndex::CrossoverRate, 0xFFFA);
-        assert_eq!(p.xover_threshold, 10);
-        p.apply_write(ParamIndex::MutationRate, 0x0013);
-        assert_eq!(p.mut_threshold, 3);
-    }
-
-    #[test]
     fn validation_rejects_out_of_range() {
         assert!(GaParams {
             pop_size: 1,
@@ -312,16 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn rates_are_sixteenths() {
-        let p = GaParams::new(32, 32, 10, 1, 1);
-        assert!((p.xover_rate() - 0.625).abs() < 1e-12);
-        assert!((p.mut_rate() - 0.0625).abs() < 1e-12);
-    }
-
-    #[test]
     fn paper_mutation_rate_is_one_sixteenth() {
         // Every experiment in the paper uses mutation rate 0.0625 = 1/16,
-        // i.e. threshold 1.
-        assert!((GaParams::default().mut_rate() - 0.0625).abs() < 1e-12);
+        // i.e. threshold 1; the default crossover rate is 10/16.
+        let p = GaParams::default();
+        assert_eq!((p.xover_threshold, p.mut_threshold), (10, 1));
     }
 }

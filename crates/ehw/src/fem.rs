@@ -55,12 +55,6 @@ impl VrcFem {
     pub fn target(&self) -> TruthTable {
         self.target
     }
-
-    /// Change the injected fault mid-mission (the healing scenario:
-    /// radiation strikes between runs).
-    pub fn set_fault(&mut self, fault: Option<Fault>) {
-        self.fault = fault;
-    }
 }
 
 impl Clocked for VrcFem {
@@ -181,20 +175,5 @@ mod tests {
         fem.reset();
         let (_, cycles) = transact(&mut fem, 0x1234);
         assert_eq!(cycles, 17, "accept + 16 pattern cycles");
-    }
-
-    #[test]
-    fn fault_can_be_updated_between_runs() {
-        let target = Vrc::new(0x0000).truth_table();
-        let mut fem = VrcFem::new(target, None);
-        fem.reset();
-        let (healthy, _) = transact(&mut fem, 0x0000);
-        assert_eq!(healthy, 16 * 4095);
-        fem.set_fault(Some(Fault::StuckAt {
-            cell: 6,
-            value: false,
-        }));
-        let (faulted, _) = transact(&mut fem, 0x0000);
-        assert!(faulted < healthy);
     }
 }

@@ -118,7 +118,7 @@ impl ObservabilityReport {
                 s.field,
                 s.observable,
                 s.cone_size,
-                crate::diag::json_escape(&s.reason)
+                ga_harness::json_escape(&s.reason)
             ));
         }
         out.push_str("]}");

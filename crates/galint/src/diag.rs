@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use ga_harness::json_escape;
+
 /// How bad a finding is. `Error` fails the build (the CLI exits
 /// nonzero); `Warn` is suspicious but shippable; `Info` is advisory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -198,23 +200,6 @@ impl Report {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

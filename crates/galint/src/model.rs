@@ -89,16 +89,6 @@ impl RegInit {
             }
         }
     }
-
-    /// Scan positions declared uninitialized under a reset regime
-    /// (empty for [`RegInit::AllUnknown`], where *every* register is —
-    /// by contract, not by accident).
-    pub fn declared_uninit(&self) -> &[usize] {
-        match self {
-            RegInit::AllUnknown => &[],
-            RegInit::ResetExcept(uninit) => uninit,
-        }
-    }
 }
 
 /// Shared graph analyses over the netlist, computed **once** at model

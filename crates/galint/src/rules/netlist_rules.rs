@@ -313,10 +313,12 @@ impl Rule for FloatingNet {
             used.extend(bus.iter().copied());
         }
         let owned: HashSet<NetId> = nl.regs.iter().map(|r| r.q).collect();
+        let drives_nothing =
+            |n: NetId| analyses.fanout[n as usize].is_empty() && !used.contains(&n);
 
         let mut dead_consts = 0usize;
         for (i, g) in nl.gates.iter().enumerate() {
-            let floats = analyses.fanout[i].is_empty() && !used.contains(&(i as NetId));
+            let floats = drives_nothing(i as NetId);
             match g.kind {
                 GateKind::RegQ if !owned.contains(&(i as NetId)) => {
                     out.push(
@@ -348,7 +350,7 @@ impl Rule for FloatingNet {
             );
         }
         for (name, bus) in &nl.inputs {
-            let unconnected = bus.iter().filter(|b| !used.contains(b)).count();
+            let unconnected = bus.iter().filter(|&&b| drives_nothing(b)).count();
             if unconnected > 0 {
                 out.push(
                     self.name(),

@@ -578,6 +578,24 @@ fn elaborated_ca_rng_is_error_free() {
 }
 
 #[test]
+fn shipping_designs_report_only_truly_unconnected_input_bits() {
+    // An input bit that feeds a gate is used: only `rn_ext`, which the
+    // elaborated core never reads, and one `ctl` bit stay advisory.
+    let info = |model: DesignModel| findings(&model, "floating-net", Severity::Info);
+    assert_eq!(
+        info(DesignModel::ga_core().expect("elaboration")),
+        [
+            "input 'rn_ext': 16 of 16 bit(s) unconnected",
+            "input 'ctl': 1 of 6 bit(s) unconnected",
+        ]
+    );
+    assert_eq!(
+        info(DesignModel::ca_rng().expect("elaboration")),
+        ["design: 16 constant gate(s) drive nothing (harmless dead area)"]
+    );
+}
+
+#[test]
 fn clean_report_serializes_for_ci() {
     let model = DesignModel::ca_rng().expect("elaboration");
     let json = run_all(&model).to_json();

@@ -4,8 +4,9 @@
 //! out work:
 //!
 //! * [`report`] — the machine-readable `BENCH_<name>.json` writer and
-//!   reader ([`BenchReport`]), the [`Stopwatch`] and the `GA_BENCH_*`
-//!   environment knobs;
+//!   reader ([`BenchReport`]), the [`Stopwatch`], the `GA_BENCH_*`
+//!   environment knobs and [`json_escape`], the workspace's one JSON
+//!   string escaper;
 //! * [`histo`] — [`LatencyHisto`], the mergeable log-scale latency
 //!   histogram behind the server's per-backend percentiles;
 //! * [`sweep`] — [`run_sweep`], the scoped-thread claim loop that
@@ -23,6 +24,7 @@ pub mod sweep;
 
 pub use histo::{LatencyHisto, HISTO_BUCKETS};
 pub use report::{
-    gens_override, json_extract_number, json_extract_string, quick, BenchReport, Stopwatch,
+    gens_override, json_escape, json_extract_number, json_extract_string, quick, BenchReport,
+    Stopwatch,
 };
 pub use sweep::{default_threads, grid3, run_sweep};

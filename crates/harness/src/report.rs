@@ -15,6 +15,7 @@
 //! * `GA_BENCH_GENS` — override the generation count of GA workloads.
 //! * `GA_BENCH_QUICK` — non-empty ⇒ shrink workloads for a CI smoke run.
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -57,19 +58,23 @@ impl BenchReport {
 
     /// Render as JSON.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\n  \"name\": {},\n  \"wall_seconds\": {},\n  \"lanes\": {},\n  \"threads\": {},\n  \"metrics\": {{",
-            json_string(&self.name),
+            "{{\n  \"name\": \"{}\",\n  \"wall_seconds\": {},\n  \"lanes\": {},\n  \"threads\": {},\n  \"metrics\": {{",
+            json_escape(&self.name),
             json_number(self.wall_seconds),
             self.lanes,
             self.threads
         );
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    {}: {}", json_string(k), json_number(*v));
+            let _ = write!(
+                out,
+                "{sep}\n    \"{}\": {}",
+                json_escape(k),
+                json_number(*v)
+            );
         }
         if !self.metrics.is_empty() {
             out.push_str("\n  ");
@@ -100,20 +105,25 @@ impl BenchReport {
     }
 }
 
-/// JSON string literal (the names used here are plain identifiers, but
-/// escape the two structurally dangerous characters anyway).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escape `s` as the body of a JSON string literal: quotes and
+/// backslashes escaped, `\n`, `\t` and `\r` written short, other control
+/// characters as `\u00XX`. The one escaper of the workspace: reports,
+/// served result lines and lint diagnostics all write strings with it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
@@ -220,6 +230,7 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(json_escape("n\nt\tr\r\u{1}"), "n\\nt\\tr\\r\\u0001");
     }
 }

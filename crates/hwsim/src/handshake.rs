@@ -11,110 +11,12 @@
 //!   and asserts `fit_request`; the fitness module computes, drives
 //!   `fit_value` and asserts `fit_valid`; the core samples the value and
 //!   drops `fit_request`; the module drops `fit_valid`. The core is the
-//!   *master* — modeled by [`ReqMaster`].
+//!   *master*; it sequences the request in its own FSM.
 //!
-//! Both helpers are plain clocked FSMs built from [`Reg`]s so they can be
-//! embedded in any module and obey the two-phase discipline.
+//! [`AckSlave`] is a plain clocked FSM built from [`Reg`]s so it can be
+//! embedded in any module and obeys the two-phase discipline.
 
 use crate::reg::Reg;
-
-/// Master side of a request/valid handshake (the GA core's fitness port).
-///
-/// Protocol timeline (one transaction):
-///
-/// ```text
-/// cycle:      0      1 .. k      k+1        k+2
-/// req:        1      1           0          0
-/// payload:    D      D           -          -
-/// valid:      0      0/1...1     1→(slave)  0
-/// resp:              R (while valid)
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReqMaster {
-    /// Registered request output.
-    req: Reg<bool>,
-    /// Captured response (valid once [`ReqMaster::take_response`] returns true).
-    resp: Reg<u32>,
-    state: Reg<MasterState>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum MasterState {
-    #[default]
-    Idle,
-    /// Request asserted; waiting for the slave's valid.
-    Waiting,
-    /// Response captured; waiting for valid to fall before reuse.
-    Draining,
-}
-
-impl ReqMaster {
-    /// Reset to idle with the request deasserted.
-    pub fn reset(&mut self) {
-        self.req.reset_to(false);
-        self.resp.reset_to(0);
-        self.state.reset_to(MasterState::Idle);
-    }
-
-    /// Commit all internal registers (call from the owner's `commit`).
-    pub fn commit(&mut self) {
-        self.req.commit();
-        self.resp.commit();
-        self.state.commit();
-    }
-
-    /// The registered request line, to be wired to the slave.
-    #[inline]
-    pub fn req(&self) -> bool {
-        self.req.get()
-    }
-
-    /// True when no transaction is in flight and a new one may start.
-    #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.state.get() == MasterState::Idle
-    }
-
-    /// Begin a transaction: assert `req` from the next cycle. Must only
-    /// be called when idle.
-    pub fn start(&mut self) {
-        debug_assert!(self.is_idle(), "ReqMaster::start while busy");
-        self.req.set(true);
-        self.state.set(MasterState::Waiting);
-    }
-
-    /// Evaluation-phase step. `valid` and `resp_bus` are the slave's
-    /// registered outputs as sampled this cycle. Returns `Some(resp)`
-    /// exactly once per transaction, on the cycle the response is
-    /// captured.
-    pub fn eval(&mut self, valid: bool, resp_bus: u32) -> Option<u32> {
-        match self.state.get() {
-            MasterState::Idle => None,
-            MasterState::Waiting => {
-                if valid {
-                    self.resp.set(resp_bus);
-                    self.req.set(false);
-                    self.state.set(MasterState::Draining);
-                    Some(resp_bus)
-                } else {
-                    None
-                }
-            }
-            MasterState::Draining => {
-                if !valid {
-                    self.state.set(MasterState::Idle);
-                }
-                None
-            }
-        }
-    }
-
-    /// The most recently captured response.
-    #[inline]
-    pub fn response(&self) -> u32 {
-        self.resp.get()
-    }
-}
 
 /// Slave side of a valid/ack handshake (the GA core's init port).
 #[derive(Debug, Clone, Default)]
@@ -178,55 +80,6 @@ impl AckSlave {
 mod tests {
     use super::*;
 
-    /// Drive a full master↔slave transaction and check the four-phase
-    /// sequencing cycle by cycle.
-    #[test]
-    fn master_slave_four_phase() {
-        let mut m = ReqMaster::default();
-        let mut s = AckSlave::default();
-        m.reset();
-        s.reset();
-
-        // A toy slave that, when it accepts payload P, answers with P+1
-        // one cycle later using a valid line (here the slave's ack doubles
-        // as valid and we use a separate response register).
-        let mut slave_valid = Reg::<bool>::default();
-        let mut slave_resp = Reg::<u32>::default();
-
-        m.start();
-        m.commit();
-        assert!(m.req());
-
-        let mut accepted = None;
-        let mut captured = None;
-        for _cycle in 0..10 {
-            // Slave watches the master's registered request as "valid in".
-            if let Some(p) = s.eval(m.req(), 41) {
-                accepted = Some(p);
-                slave_resp.set(p + 1);
-                slave_valid.set(true);
-            }
-            if !m.req() {
-                slave_valid.set(false);
-            }
-            // Master watches the slave's registered valid.
-            if let Some(r) = m.eval(slave_valid.get(), slave_resp.get()) {
-                captured = Some(r);
-            }
-            m.commit();
-            s.commit();
-            slave_valid.commit();
-            slave_resp.commit();
-            if m.is_idle() && captured.is_some() {
-                break;
-            }
-        }
-        assert_eq!(accepted, Some(41));
-        assert_eq!(captured, Some(42));
-        assert!(!m.req());
-        assert!(m.is_idle());
-    }
-
     #[test]
     fn slave_holds_ack_until_valid_falls() {
         let mut s = AckSlave::default();
@@ -244,22 +97,5 @@ mod tests {
         assert!(!s.ack());
         // New transaction accepted.
         assert_eq!(s.eval(true, 9), Some(9));
-    }
-
-    #[test]
-    fn master_captures_exactly_once() {
-        let mut m = ReqMaster::default();
-        m.reset();
-        m.start();
-        m.commit();
-        // Valid high for several cycles: the response is delivered once.
-        assert_eq!(m.eval(true, 5), Some(5));
-        m.commit();
-        assert_eq!(m.eval(true, 6), None);
-        m.commit();
-        assert_eq!(m.eval(false, 0), None);
-        m.commit();
-        assert!(m.is_idle());
-        assert_eq!(m.response(), 5);
     }
 }

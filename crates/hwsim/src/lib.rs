@@ -14,10 +14,10 @@
 //!   order irrelevant — there are no simulation races by construction.
 //! * [`Clocked`] — the trait every synchronous module implements
 //!   (`reset`, `eval`, `commit`).
-//! * [`Sim`] — a tiny scheduler that owns the cycle counter and drives a
-//!   closed system of modules to a condition or a timeout.
-//! * [`handshake`] — helper state machines for the paper's two-way
-//!   (req/ack, valid/ack) handshake protocols.
+//! * [`Sim`] — a tiny scheduler that owns the cycle counter of a closed
+//!   system of modules.
+//! * [`handshake`] — the slave side of the paper's two-way (valid/ack)
+//!   handshake, which the core's init port runs.
 //! * [`mem`] — a synchronous single-port RAM model with the one-cycle
 //!   read latency of FPGA block RAM (the paper's GA memory).
 //! * [`trace`] — a per-cycle signal trace recorder with CSV export, the
@@ -71,7 +71,7 @@ pub mod trace;
 pub mod vcd;
 
 pub use fault::{BitFault, FaultClass, ScanBitOp};
-pub use handshake::{AckSlave, ReqMaster};
+pub use handshake::AckSlave;
 pub use mem::SpRam;
 pub use monitor::HandshakeMonitor;
 pub use reg::Reg;

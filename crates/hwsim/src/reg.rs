@@ -46,13 +46,6 @@ impl<T: Copy> Reg<T> {
         self.nxt = v;
     }
 
-    /// Peek at the staged next value. Only testbench/probe code should
-    /// use this; synthesized logic cannot see the future.
-    #[inline(always)]
-    pub fn peek_next(&self) -> T {
-        self.nxt
-    }
-
     /// Latch the staged value: the simulated rising clock edge.
     #[inline(always)]
     pub fn commit(&mut self) {
@@ -67,15 +60,6 @@ impl<T: Copy> Reg<T> {
     }
 }
 
-impl<T: Copy + PartialEq> Reg<T> {
-    /// True if a commit right now would change the current value.
-    /// Useful for activity-based probes and VCD writers.
-    #[inline]
-    pub fn is_dirty(&self) -> bool {
-        self.cur != self.nxt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +69,6 @@ mod tests {
         let mut r = Reg::new(7u16);
         r.set(9);
         assert_eq!(r.get(), 7);
-        assert_eq!(r.peek_next(), 9);
         r.commit();
         assert_eq!(r.get(), 9);
     }
@@ -115,15 +98,5 @@ mod tests {
         r.reset_to(0);
         r.commit();
         assert_eq!(r.get(), 0);
-    }
-
-    #[test]
-    fn dirty_tracks_pending_change() {
-        let mut r = Reg::new(false);
-        assert!(!r.is_dirty());
-        r.set(true);
-        assert!(r.is_dirty());
-        r.commit();
-        assert!(!r.is_dirty());
     }
 }

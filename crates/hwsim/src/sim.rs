@@ -1,11 +1,10 @@
-//! The scheduler: cycle counting, reset sequencing, and run-to-condition.
+//! The scheduler: cycle counting and the host-side run deadline.
 //!
 //! A "system" here is any closed collection of [`Clocked`] modules whose
 //! wiring is expressed in plain Rust by the owner (the idiom used by the
 //! GA system model: sample every module's registered outputs, hand each
 //! module its input bundle, then commit everything). [`Sim`] only owns
-//! the clock: it counts cycles, applies reset, and loops `eval`/`commit`
-//! until a caller-supplied condition holds or a watchdog fires.
+//! the clock: it counts the cycles its owner steps or skips.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -24,7 +23,7 @@ pub trait Clocked {
     fn commit(&mut self);
 }
 
-/// Errors from [`Sim::run_until`] and deadline-aware run loops.
+/// Errors from watchdog- and deadline-bounded run loops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The watchdog expired before the condition held.
@@ -157,38 +156,25 @@ impl Deadline {
     }
 }
 
-/// Clock/scheduler for a closed system.
-#[derive(Debug, Clone)]
+/// Clock/scheduler for a closed system, clocked at the paper's
+/// GA-module rate.
+#[derive(Debug, Clone, Default)]
 pub struct Sim {
     cycle: u64,
-    /// Clock period in picoseconds, used to convert cycle counts into
-    /// wall-clock time for the paper's runtime comparisons. The GA module
-    /// in the paper runs at 50 MHz → 20 000 ps.
-    period_ps: u64,
-}
-
-impl Default for Sim {
-    fn default() -> Self {
-        Sim::new_50mhz()
-    }
 }
 
 impl Sim {
-    /// A simulator with an explicit clock period in picoseconds.
-    pub fn new(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be positive");
-        Sim {
-            cycle: 0,
-            period_ps,
-        }
-    }
+    /// Clock period in picoseconds, used to convert cycle counts into
+    /// wall-clock time for the paper's runtime comparisons. The GA module
+    /// in the paper runs at 50 MHz → 20 000 ps.
+    const PERIOD_PS: u64 = 20_000;
 
     /// The paper's GA-module clock: 50 MHz (20 ns).
     pub fn new_50mhz() -> Self {
-        Sim::new(20_000)
+        Sim::default()
     }
 
-    /// Cycles elapsed since construction / [`Sim::reset_cycles`].
+    /// Cycles elapsed since construction.
     #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycle
@@ -197,18 +183,7 @@ impl Sim {
     /// Clock period in picoseconds.
     #[inline]
     pub fn period_ps(&self) -> u64 {
-        self.period_ps
-    }
-
-    /// Elapsed simulated time in seconds.
-    pub fn elapsed_seconds(&self) -> f64 {
-        (self.cycle as f64) * (self.period_ps as f64) * 1e-12
-    }
-
-    /// Zero the cycle counter (e.g. after programming, before timing the
-    /// optimization run, like the paper's 32-bit hardware counter).
-    pub fn reset_cycles(&mut self) {
-        self.cycle = 0;
+        Self::PERIOD_PS
     }
 
     /// Run one full clock cycle: the caller-provided closure performs the
@@ -227,31 +202,6 @@ impl Sim {
     /// calls to [`Sim::step`] would have left.
     pub fn advance(&mut self, n: u64) {
         self.cycle += n;
-    }
-
-    /// Run until `done(system)` returns true, with a watchdog.
-    ///
-    /// `eval` is the per-cycle evaluation phase. The condition is checked
-    /// *after* each commit, on architecturally visible state.
-    pub fn run_until<S: Clocked>(
-        &mut self,
-        system: &mut S,
-        max_cycles: u64,
-        mut eval: impl FnMut(&mut S),
-        mut done: impl FnMut(&S) -> bool,
-    ) -> Result<u64, SimError> {
-        let start = self.cycle;
-        loop {
-            if self.cycle - start >= max_cycles {
-                return Err(SimError::Timeout {
-                    cycles: self.cycle - start,
-                });
-            }
-            self.step(system, &mut eval);
-            if done(system) {
-                return Ok(self.cycle - start);
-            }
-        }
     }
 }
 
@@ -274,61 +224,13 @@ mod tests {
     }
 
     #[test]
-    fn run_until_counts_cycles() {
-        let mut sim = Sim::new_50mhz();
-        let mut c = Count::default();
-        c.reset();
-        let cycles = sim
-            .run_until(
-                &mut c,
-                1000,
-                |c| {
-                    let v = c.n.get();
-                    c.n.set(v + 1)
-                },
-                |c| c.n.get() == 10,
-            )
-            .unwrap();
-        assert_eq!(cycles, 10);
-        assert_eq!(sim.cycles(), 10);
-    }
-
-    #[test]
-    fn watchdog_fires() {
-        let mut sim = Sim::new_50mhz();
-        let mut c = Count::default();
-        c.reset();
-        let err = sim
-            .run_until(&mut c, 5, |_| {}, |c| c.n.get() == 10)
-            .unwrap_err();
-        assert_eq!(err, SimError::Timeout { cycles: 5 });
-    }
-
-    #[test]
-    fn elapsed_time_matches_50mhz() {
-        let mut sim = Sim::new_50mhz();
-        let mut c = Count::default();
-        c.reset();
-        for _ in 0..50_000 {
-            sim.step(&mut c, |_| {});
-        }
-        // 50k cycles at 20 ns = 1 ms.
-        assert!((sim.elapsed_seconds() - 1e-3).abs() < 1e-12);
-    }
-
-    #[test]
     fn advance_counts_cycles_like_steps() {
         let mut sim = Sim::new_50mhz();
         let mut c = Count::default();
         sim.step(&mut c, |_| {});
         sim.advance(41);
         assert_eq!(sim.cycles(), 42);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_period_rejected() {
-        let _ = Sim::new(0);
+        assert_eq!(sim.period_ps(), 20_000, "the paper's 50 MHz GA clock");
     }
 
     #[test]

@@ -67,9 +67,10 @@ use ga_engine::{
     island_member, CheckpointBundle, EngineError, IslandRing, Limits, RingMember, RingOp,
     RingReply, RunSpec,
 };
+use ga_harness::json_escape;
 
 use crate::job::{function_by_name, BackendKind, GaJob, Workload};
-use crate::jsonl::{as_int, as_str, escape_string, parse_object, strip_line_ending, JsonValue};
+use crate::jsonl::{as_int, as_str, parse_object, strip_line_ending, JsonValue};
 use crate::net::next_line;
 
 /// Bind `addr`, announce `listening <addr>` on stdout (so `:0` is
@@ -107,7 +108,7 @@ pub fn serve_island_connection(stream: TcpStream) -> Result<(), String> {
         let (reply, done) = match read.and_then(|text| worker_op(&text, &mut member)) {
             Ok(answered) => answered,
             Err(msg) => (
-                format!("{{\"ok\":false,\"error\":\"{}\"}}", escape_string(&msg)),
+                format!("{{\"ok\":false,\"error\":\"{}\"}}", json_escape(&msg)),
                 false,
             ),
         };

@@ -45,6 +45,7 @@ use std::fmt::Write as _;
 
 use ga_core::islands::IslandConfig;
 use ga_core::GaParams;
+use ga_harness::json_escape;
 
 use crate::job::{
     function_by_name, BackendKind, GaJob, JobResult, ServeError, Workload, CHROM_WIDTH,
@@ -216,26 +217,6 @@ impl Parser<'_> {
             Err(format!("bad literal (expected {word})"))
         }
     }
-}
-
-/// Escape `s` as the body of a JSON string literal — the writer dual of
-/// the parser's string reader, so serialize→parse round-trips exactly.
-pub fn escape_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn byte_name(b: Option<u8>) -> String {
@@ -492,7 +473,7 @@ pub fn result_line(r: &JobResult) -> String {
             r.job,
             r.backend.name(),
             e.code(),
-            escape_string(&e.to_string())
+            json_escape(&e.to_string())
         ),
     };
     if let Some(d) = &r.degraded {
@@ -513,7 +494,7 @@ pub fn parse_error_line(job: usize, err: &ServeError) -> String {
     format!(
         "{{\"job\":{job},\"backend\":\"none\",\"ok\":false,\"error\":\"{}\",\"detail\":\"{}\"}}",
         err.code(),
-        escape_string(&err.to_string())
+        json_escape(&err.to_string())
     )
 }
 
@@ -750,9 +731,9 @@ mod tests {
     }
 
     #[test]
-    fn escape_string_is_the_parsers_dual() {
+    fn json_escape_is_the_parsers_dual() {
         let s = "a\"b\\c\nd\té — ✓\u{1}";
-        let line = format!("{{\"k\":\"{}\"}}", escape_string(s));
+        let line = format!("{{\"k\":\"{}\"}}", json_escape(s));
         let got = parse_object(&line).expect("escaped string parses");
         assert_eq!(got, vec![("k".into(), JsonValue::Str(s.into()))]);
     }

@@ -15,26 +15,11 @@
 //! reader that would run its connection's job itself claims one with
 //! the non-blocking [`BoundedQueue::try_claim`], which also fails
 //! while anything is queued, so no earlier arrival is overtaken.
-//!
-//! A consumer that finds the queue empty with a slot free polls it for
-//! [`POP_SPIN`], yielding its CPU between polls, before it parks on the
-//! condvar. A parked worker leaves its CPU idle, and on a virtual
-//! machine an idle vCPU halts: waking it again costs the hypervisor's
-//! wake-up latency, which ranges from tens of µs to several ms on a
-//! busy host. The spin serves queued jobs only: a client waiting on
-//! its one job has it run by its own reader, and a worker that finds
-//! every slot held parks at once.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::{Duration, Instant};
 
 use crate::job::ServeError;
-
-/// How long [`BoundedQueue::pop_group`] polls an empty open queue
-/// before it parks.
-pub const POP_SPIN: Duration = Duration::from_micros(250);
 
 struct QueueState<T> {
     items: VecDeque<T>,
@@ -145,17 +130,12 @@ impl<T> BoundedQueue<T> {
     /// pool's pack-gathering primitive, and a second consumer must not
     /// take a pack-mate between the pop and the gather (that would split
     /// the pack). Freed slots wake parked pushers.
-    ///
-    /// An empty open queue with a slot free is polled for [`POP_SPIN`],
-    /// yielding the CPU between polls, before the caller parks (see the
-    /// module docs).
     pub fn pop_group(
         &self,
         mates: impl FnOnce(&T) -> usize,
         joins: impl Fn(&T, &T) -> bool,
     ) -> Option<(Vec<T>, Slot<'_, T>)> {
         let mut st = relock(self.state.lock());
-        let mut spin_until = None;
         let head = loop {
             if st.free > 0 {
                 if let Some(item) = st.items.pop_front() {
@@ -166,14 +146,7 @@ impl<T> BoundedQueue<T> {
             if st.closed && st.items.is_empty() {
                 return None;
             }
-            let now = Instant::now();
-            if st.free > 0 && now < *spin_until.get_or_insert(now + POP_SPIN) {
-                drop(st);
-                thread::yield_now();
-                st = relock(self.state.lock());
-            } else {
-                st = relock(self.not_empty.wait(st));
-            }
+            st = relock(self.not_empty.wait(st));
         };
         let want = mates(&head);
         let mut group = vec![head];
@@ -312,15 +285,17 @@ mod tests {
     }
 
     #[test]
-    fn a_spinning_popper_takes_a_push_and_sees_a_close() {
-        // Within POP_SPIN the popper is still polling, not parked: a push
-        // or a close must reach it there as well.
+    fn a_parked_popper_takes_a_push_and_sees_a_close() {
+        // A popper that found the queue empty parks on the condvar at
+        // once: a push or a close must wake it there.
         let q: BoundedQueue<u8> = BoundedQueue::new(4, 1);
         thread::scope(|s| {
             let h = s.spawn(|| pop(&q));
+            thread::sleep(Duration::from_millis(20));
             q.push(7).expect("open");
             assert_eq!(h.join().expect("popper exits cleanly"), Some(7));
             let h = s.spawn(|| pop(&q));
+            thread::sleep(Duration::from_millis(20));
             q.close();
             assert_eq!(h.join().expect("popper exits cleanly"), None);
         });

@@ -376,7 +376,7 @@ fn panic_line(jobs: &[GaJob], attempt: u32, msg: &str) -> String {
     format!(
         r#"{{"event":"panic_caught","backend":"{backend}","jobs":{},"attempt":{attempt},"msg":"{}"}}"#,
         jobs.len(),
-        crate::jsonl::escape_string(msg)
+        ga_harness::json_escape(msg)
     )
 }
 

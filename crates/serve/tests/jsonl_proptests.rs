@@ -8,7 +8,8 @@
 
 use std::fmt::Write as _;
 
-use ga_serve::jsonl::{escape_string, parse_job, parse_object, JsonValue};
+use ga_harness::json_escape;
+use ga_serve::jsonl::{parse_job, parse_object, JsonValue};
 use ga_serve::ServeError;
 use proptest::prelude::*;
 
@@ -34,7 +35,7 @@ fn any_string() -> impl Strategy<Value = String> {
 fn any_value() -> impl Strategy<Value = (String, JsonValue)> {
     prop_oneof![
         any_string()
-            .prop_map(|s| (format!("\"{}\"", escape_string(&s)), JsonValue::Str(s)))
+            .prop_map(|s| (format!("\"{}\"", json_escape(&s)), JsonValue::Str(s)))
             .boxed(),
         any::<i64>()
             .prop_map(|n| (format!("{n}"), JsonValue::Num(n as f64)))
@@ -63,7 +64,7 @@ fn render(pairs: &[(String, (String, JsonValue))]) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", escape_string(k), rendered);
+        let _ = write!(out, "\"{}\":{}", json_escape(k), rendered);
     }
     out.push('}');
     out
@@ -158,10 +159,10 @@ proptest! {
     }
 
     /// Strings survive the full escape gauntlet: serialize with
-    /// `escape_string`, parse back, compare code point for code point.
+    /// `json_escape`, parse back, compare code point for code point.
     #[test]
     fn strings_roundtrip_through_escaping(s in any_string()) {
-        let line = format!("{{\"k\":\"{}\"}}", escape_string(&s));
+        let line = format!("{{\"k\":\"{}\"}}", json_escape(&s));
         let parsed = parse_object(&line);
         prop_assert!(parsed.is_ok(), "string {s:?} rejected as {line:?}: {parsed:?}");
         prop_assert_eq!(&parsed.unwrap()[0].1, &JsonValue::Str(s));

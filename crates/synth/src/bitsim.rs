@@ -550,13 +550,6 @@ impl<const W: usize> BitSimW<'_, W> {
             self.vals[r.q as usize] = *s;
         }
     }
-
-    /// Reset every register word (all lanes) to zero.
-    pub fn clear_regs(&mut self) {
-        for r in &self.cn.regs {
-            self.vals[r.q as usize] = [0; W];
-        }
-    }
 }
 
 impl BitSim<'_> {

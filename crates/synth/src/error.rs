@@ -1,6 +1,6 @@
-//! Typed errors for netlist construction, validation, and parsing.
+//! Typed errors for netlist construction and validation.
 //!
-//! The builder and parser used to abort on malformed input
+//! The builder used to abort on malformed input
 //! (`assert!`/`panic!`); every failure is now a [`SynthError`] value so
 //! callers — in particular the `galint` static analyzer — can report
 //! the defect as a diagnostic instead of dying mid-elaboration.
@@ -90,27 +90,6 @@ pub enum SynthError {
         /// Condition nets provided.
         got: usize,
     },
-    /// The Verilog parser rejected its input.
-    Parse(String),
-}
-
-impl SynthError {
-    /// Shorthand for parser failures.
-    pub fn parse(msg: impl Into<String>) -> Self {
-        SynthError::Parse(msg.into())
-    }
-}
-
-impl From<String> for SynthError {
-    fn from(msg: String) -> Self {
-        SynthError::Parse(msg)
-    }
-}
-
-impl From<&str> for SynthError {
-    fn from(msg: &str) -> Self {
-        SynthError::Parse(msg.to_owned())
-    }
 }
 
 impl fmt::Display for SynthError {
@@ -163,7 +142,6 @@ impl fmt::Display for SynthError {
                     "FSM synthesis: spec needs {want} condition nets, got {got}"
                 )
             }
-            SynthError::Parse(msg) => write!(f, "parse error: {msg}"),
         }
     }
 }

@@ -49,7 +49,6 @@ pub mod gadesign;
 pub mod mapper;
 pub mod netlist;
 pub mod opt;
-pub mod parser;
 pub mod tern;
 pub mod timing;
 pub mod verilog;

@@ -109,14 +109,6 @@ impl Netlist {
         self.gates.iter().filter(|g| g.kind == kind).count()
     }
 
-    /// Combinational logic gates (excluding sources and buffers).
-    pub fn logic_gate_count(&self) -> usize {
-        self.gates
-            .iter()
-            .filter(|g| !g.kind.is_source() && g.kind != GateKind::Buf)
-            .count()
-    }
-
     /// Flip-flop count.
     pub fn ff_count(&self) -> usize {
         self.regs.len()

@@ -48,41 +48,18 @@ pub struct TimingReport {
     pub levels: u32,
 }
 
-/// Analyze a netlist under a delay model.
-pub fn analyze(nl: &Netlist, model: &DelayModel) -> TimingReport {
-    analyze_multicycle(nl, model, &[])
-}
-
 /// Post-mapping analysis: LUT delay is charged only at cluster roots
 /// (absorbed gates are free inside their LUT), the way real STA sees the
-/// mapped network.
+/// mapped network. Each `multicycle` entry `(reg_d_net, n)` lets the
+/// path ending at that register D pin take `n` clock cycles (the XDC
+/// `set_multicycle_path` of the real flow — here used for the selection
+/// multiplier, which the controller gives four cycles).
 pub fn analyze_mapped(
     nl: &Netlist,
     model: &DelayModel,
     multicycle: &[(crate::netlist::NetId, u32)],
 ) -> TimingReport {
     let (_, roots) = crate::mapper::map_with_roots(nl);
-    analyze_inner(nl, model, multicycle, Some(&roots))
-}
-
-/// Analyze with multicycle path constraints: each `(reg_d_net, n)` entry
-/// lets the path ending at that register D pin take `n` clock cycles
-/// (the XDC `set_multicycle_path` of the real flow — here used for the
-/// selection multiplier, which the controller gives four cycles).
-pub fn analyze_multicycle(
-    nl: &Netlist,
-    model: &DelayModel,
-    multicycle: &[(crate::netlist::NetId, u32)],
-) -> TimingReport {
-    analyze_inner(nl, model, multicycle, None)
-}
-
-fn analyze_inner(
-    nl: &Netlist,
-    model: &DelayModel,
-    multicycle: &[(crate::netlist::NetId, u32)],
-    lut_roots: Option<&[bool]>,
-) -> TimingReport {
     let order = nl.validate().expect("netlist must validate before timing");
     let n = nl.gates.len();
     let mut arrival = vec![0.0f64; n];
@@ -95,12 +72,10 @@ fn analyze_inner(
             GateKind::RegQ => (model.clk_to_q, 0),
             GateKind::Buf => (0.0, 0),
             GateKind::CarryMux => (model.carry, 0),
-            _ => match lut_roots {
-                // Post-mapping: only cluster roots cost a LUT + net hop;
-                // absorbed gates evaluate inside the root's LUT.
-                Some(roots) if !roots[id as usize] => (0.0, 0),
-                _ => (model.lut + model.net, 1),
-            },
+            // Only cluster roots cost a LUT + net hop; absorbed gates
+            // evaluate inside the root's LUT.
+            _ if !roots[id as usize] => (0.0, 0),
+            _ => (model.lut + model.net, 1),
         };
         let (in_arr, in_depth) = g
             .inputs
@@ -166,25 +141,41 @@ mod tests {
         let y = b.and(i[0], i[1]);
         let q = b.reg_bank(&[y]);
         b.output("q", &q);
-        let r = analyze(&b.finish(), &DelayModel::default());
+        let r = analyze_mapped(&b.finish(), &DelayModel::default(), &[]);
         // input → LUT+net → setup.
         assert!((r.critical_ns - (0.44 + 0.80 + 0.40)).abs() < 1e-9);
         assert_eq!(r.levels, 1);
     }
 
     #[test]
-    fn chain_depth_adds_up() {
+    fn chain_depth_counts_luts() {
+        // Ten chained two-input gates over eleven inputs: the first LUT4
+        // absorbs three gates over four inputs, each later one the
+        // previous LUT plus three gates, so the path crosses four LUTs.
         let mut b = Builder::new();
-        let i = b.input("i", 2);
+        let i = b.input("i", 11);
         let mut y = b.and(i[0], i[1]);
-        for _ in 0..9 {
-            y = b.xor(y, i[0]);
+        for &x in &i[2..] {
+            y = b.xor(y, x);
         }
         let q = b.reg_bank(&[y]);
         b.output("q", &q);
-        let r = analyze(&b.finish(), &DelayModel::default());
-        assert_eq!(r.levels, 10);
-        assert!((r.critical_ns - (10.0 * 1.24 + 0.40)).abs() < 1e-9);
+        let r = analyze_mapped(&b.finish(), &DelayModel::default(), &[]);
+        assert_eq!(r.levels, 4);
+        assert!((r.critical_ns - (4.0 * 1.24 + 0.40)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn multicycle_paths_get_their_cycles() {
+        let mut b = Builder::new();
+        let zero = b.const0();
+        let q1 = b.reg_bank(&[zero]);
+        let inv = b.not(q1[0]);
+        b.reg_bank(&[inv]);
+        let nl = b.finish();
+        let one = analyze_mapped(&nl, &DelayModel::default(), &[]);
+        let two = analyze_mapped(&nl, &DelayModel::default(), &[(inv, 2)]);
+        assert!((two.critical_ns - one.critical_ns / 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -198,7 +189,7 @@ mod tests {
         let (s, _c) = b.adder(&x, &y, zero).unwrap();
         let q = b.reg_bank(&s);
         b.output("q", &q);
-        let r = analyze(&b.finish(), &DelayModel::default());
+        let r = analyze_mapped(&b.finish(), &DelayModel::default(), &[]);
         assert!(
             r.critical_ns < 6.0,
             "24-bit carry-chain adder must close well under 20 ns: {} ns",
@@ -214,7 +205,7 @@ mod tests {
         let inv = b.not(q1[0]);
         let q2 = b.reg_bank(&[inv]);
         b.output("q", &q2);
-        let r = analyze(&b.finish(), &DelayModel::default());
+        let r = analyze_mapped(&b.finish(), &DelayModel::default(), &[]);
         assert!((r.critical_ns - (0.40 + 1.24 + 0.40)).abs() < 1e-9);
     }
 
@@ -225,7 +216,7 @@ mod tests {
         let y = b.or(i[0], i[1]);
         let q = b.reg_bank(&[y]);
         b.output("q", &q);
-        let r = analyze(&b.finish(), &DelayModel::default());
+        let r = analyze_mapped(&b.finish(), &DelayModel::default(), &[]);
         assert!((r.fmax_mhz - 1000.0 / r.critical_ns).abs() < 1e-9);
     }
 }
